@@ -21,8 +21,9 @@ from .degeneration import (VERIFY_CHECKS, build_bundle, build_symmetric,
 from .git import Linearization, quotient_polyhedron, split_quotient
 from .groups import cycle_notation
 from .jsonio import dumps
-from .stabilizers import (DEFAULT_BRUTE_FORCE_MAX, random_configuration,
-                          sym_stabilizers, project_to_quotient, torus_stabilizer,
+from .stabilizers import (DEFAULT_BRUTE_FORCE_MAX, check_stability,
+                          random_configuration, sym_stabilizers,
+                          project_to_quotient, torus_stabilizer,
                           verify_comparison)
 
 FUZZ_CHECK = "comparison_fuzz"
@@ -74,10 +75,20 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _fuzz_settings() -> tuple[int, int]:
+    """(DEGEN_SEED, DEGEN_FUZZ_TRIALS) from the environment."""
+    try:
+        return (int(os.environ.get("DEGEN_SEED", "0")),
+                int(os.environ.get("DEGEN_FUZZ_TRIALS", "200")))
+    except ValueError as exc:
+        raise ValueError("DEGEN_SEED and DEGEN_FUZZ_TRIALS must be integers: "
+                         f"{exc}") from None
+
+
 def _run_fuzz(n: int) -> tuple[str, dict]:
-    seed = int(os.environ.get("DEGEN_SEED", "0"))
-    rng = random.Random((seed, n) if seed else n)
-    trials = int(os.environ.get("DEGEN_FUZZ_TRIALS", "200"))
+    seed, trials = _fuzz_settings()
+    # a str seed is hashed with sha512, so the stream is the same in every process
+    rng = random.Random(f"{seed}/{n}" if seed else n)
     for t in range(trials):
         c = random_configuration(n, rng)
         rep = verify_comparison(c)
@@ -110,6 +121,11 @@ def cmd_verify(args) -> int:
         if args.check == FUZZ_CHECK:
             if not 1 <= n <= 7:
                 print(f"error: {FUZZ_CHECK} supports 1 <= n <= 7", file=sys.stderr)
+                return 2
+            try:
+                _fuzz_settings()
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
                 return 2
             selected = [FUZZ_CHECK]
         else:
@@ -177,6 +193,9 @@ def cmd_stab(args) -> int:
     try:
         with open(args.config) as fh:
             config = jsonio.configuration_from_json(json.load(fh))
+        if not check_stability(config):
+            raise ValueError("configuration is not semistable: per-component "
+                             "multiplicities must equal the fiber degrees")
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,42 +1,25 @@
-"""Brute-force fixed-point search over S_n, in three interchangeable backends.
+"""Exact fixed-point search over S_n for an encoded quotient point.
 
-The membership test for a permutation is a handful of integer comparisons
-against prefix sums of the encoded chart coordinates, so the scan over all
-n! permutations is the one hot numeric loop in this package.  Backends:
-
-* ``python``: depth-first search with incremental pruning (exact, no deps).
-* ``numpy``: vectorized scan of the full permutation table.
-* ``numba``: @njit scan of the permutation table (fastest; optional).
-
-Select with the environment variable ``TORICGIT_STAB_BACKEND`` in
-{auto, python, numpy, numba}; ``auto`` picks numba when importable, else
-numpy.  All backends return the identical sorted list of permutations; the
-test suite asserts this, and ``benchmarks/bench_stab.py`` compares timings.
+A permutation fixes the point when slot labels match, the two end
+coordinates f_0 and f_n are kept, and each consecutive slot ratio under the
+permutation equals the chart coordinate f_k.  These are a handful of integer
+comparisons against prefix sums of the encoded coordinates.  Every condition
+involves at most two adjacent slots, so ``search_stabilizer`` tabulates the
+admissible images of each slot once, given the image of the slot before, and
+then runs a depth-first search that only has to keep the images distinct.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
 from math import lcm
-
-import numpy as np
-
-try:
-    import numba
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without the extra
-    numba = None
-    HAS_NUMBA = False
 
 Perm = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class EncodedPoint:
-    """Integer encoding of a quotient point for the S_n scan.
+    """Integer encoding of a quotient point for the S_n search.
 
     f_1 .. f_{n-1} are the consecutive-slot coordinates; index k of the
     prefix arrays is the number of initial coordinates summed, so the
@@ -114,203 +97,62 @@ def ratio_is_one(enc: EncodedPoint, a: int, b: int) -> bool:
     return enc.prefix_gen[hi] == enc.prefix_gen[lo]
 
 
-def is_member(enc: EncodedPoint, p: Perm) -> bool:
-    """Full membership test for one permutation (reference semantics)."""
-    n = enc.n
-    for i in range(n):
-        if enc.a1_codes[p[i]] != enc.a1_codes[i]:
-            return False
-    if not enc.zero[0] and not ratio_is_one(enc, 0, p[0]):
-        return False
-    if not enc.zero[n] and not ratio_is_one(enc, p[n - 1], n - 1):
-        return False
-    for k in range(1, n):
-        if not unit_matches(enc, k, p[k - 1], p[k]):
-            return False
-    return True
-
-
 def trivial_angle(enc: EncodedPoint, p: Perm) -> bool:
     """All forced slot ratios equal 1 (membership is assumed separately)."""
     return all(p[i] == i or ratio_is_one(enc, i, p[i]) for i in range(enc.n))
 
 
-# ---------------------------------------------------------------------------
-# backends
+# perfbench reads these two in its run metadata; there is one search.
+HAS_NUMBA = False
 
 
-def _search_python(enc: EncodedPoint) -> list[Perm]:
-    """DFS over slot images with incremental pruning; exact enumeration."""
+def resolve_backend() -> str:
+    return "python"
+
+
+def _image_tables(enc: EncodedPoint) -> tuple[list[int], list[list[list[int]]]]:
+    """Ascending admissible images: ``first`` for slot 0, and ``follow[i][a]``
+    for slot i >= 1 when slot i-1 maps to a (``follow[0]`` is unused).
+
+    Everything but distinctness is decided here: the a1 label, f_0 at slot 0,
+    the ratio f_i between consecutive images, and f_n at the last slot.
+    """
     n = enc.n
+    a1 = enc.a1_codes
+
+    def fits(i: int, x: int) -> bool:
+        if a1[x] != a1[i]:
+            return False
+        return i < n - 1 or enc.zero[n] or ratio_is_one(enc, x, n - 1)
+
+    first = [x for x in range(n)
+             if fits(0, x) and (enc.zero[0] or ratio_is_one(enc, 0, x))]
+    follow = [[]] + [[[x for x in range(n) if fits(i, x) and unit_matches(enc, i, a, x)]
+                      for a in range(n)]
+                     for i in range(1, n)]
+    return first, follow
+
+
+def search_stabilizer(enc: EncodedPoint) -> list[Perm]:
+    """All permutations fixing the encoded point, in lexicographic order
+    (one-line notation)."""
+    n = enc.n
+    first, follow = _image_tables(enc)
     out: list[Perm] = []
     used = [False] * n
-    image = [0] * n
 
-    def place(i: int) -> None:
-        for x in range(n):
-            if used[x] or enc.a1_codes[x] != enc.a1_codes[i]:
+    def extend(prefix: Perm, choices: list[int]) -> None:
+        i = len(prefix)
+        for x in choices:
+            if used[x]:
                 continue
-            if i == 0:
-                if not enc.zero[0] and not ratio_is_one(enc, 0, x):
-                    continue
-            else:
-                if not unit_matches(enc, i, image[i - 1], x):
-                    continue
-            if i == n - 1 and not enc.zero[n] and not ratio_is_one(enc, x, n - 1):
-                continue
-            used[x] = True
-            image[i] = x
+            image = prefix + (x,)
             if i == n - 1:
-                out.append(tuple(image))
+                out.append(image)
             else:
-                place(i + 1)
-            used[x] = False
+                used[x] = True
+                extend(image, follow[i + 1][x])
+                used[x] = False
 
-    place(0)
-    return sorted(out)
-
-
-def _perm_table(n: int) -> np.ndarray:
-    table = np.fromiter((x for p in permutations(range(n)) for x in p),
-                        dtype=np.int8)
-    return table.reshape(-1, n)
-
-
-def _scan_arrays(enc: EncodedPoint):
-    n = enc.n
-    m = len(enc.prefix_gen[0])
-    pre = np.zeros((n, m + 1), dtype=np.int64)
-    for i in range(n):
-        pre[i, 0] = enc.prefix_root[i]
-        pre[i, 1:] = enc.prefix_gen[i]
-    zc = np.array(enc.zero_count, dtype=np.int64)
-    a1 = np.array(enc.a1_codes, dtype=np.int64)
-    fzero = np.array(enc.zero, dtype=np.bool_)
-    return pre, zc, a1, fzero
-
-
-def _search_numpy(enc: EncodedPoint) -> list[Perm]:
-    """Pure-numpy flat scan over the full permutation table."""
-    n = enc.n
-    perms = _perm_table(n)
-    pre, zc, a1, fzero = _scan_arrays(enc)
-    D = enc.denom
-    ok = np.all(a1[perms] == a1[np.arange(n)], axis=1)
-    if not fzero[0]:
-        b = perms[:, 0].astype(np.int64)
-        good = (zc[b] == zc[0]) & ((pre[b, 0] - pre[0, 0]) % D == 0)
-        good &= np.all(pre[b, 1:] == pre[0, 1:], axis=1)
-        ok &= good
-    if not fzero[n]:
-        a = perms[:, n - 1].astype(np.int64)
-        good = (zc[n - 1] == zc[a]) & ((pre[n - 1, 0] - pre[a, 0]) % D == 0)
-        good &= np.all(pre[a, 1:] == pre[n - 1, 1:], axis=1)
-        ok &= good
-    for k in range(1, n):
-        x = perms[:, k - 1].astype(np.int64)
-        y = perms[:, k].astype(np.int64)
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        nozero = zc[hi] == zc[lo]
-        if fzero[k]:
-            ok &= (x < y) & ~nozero
-            continue
-        sign = np.where(x <= y, 1, -1)
-        fr = (pre[k, 0] - pre[k - 1, 0]) % D
-        dr = (sign * (pre[hi, 0] - pre[lo, 0])) % D
-        good = nozero & (dr == fr)
-        fg = pre[k, 1:] - pre[k - 1, 1:]
-        dg = sign[:, None] * (pre[hi, 1:] - pre[lo, 1:])
-        good &= np.all(dg == fg[None, :], axis=1)
-        ok &= good
-    return sorted(tuple(int(v) for v in row) for row in perms[ok])
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _numba_scan(perms, pre, zc, a1, fzero, D, n):  # pragma: no cover - jitted
-        count = perms.shape[0]
-        m = pre.shape[1]
-        keep = np.zeros(count, dtype=np.bool_)
-        for r in range(count):
-            good = True
-            for i in range(n):
-                if a1[perms[r, i]] != a1[i]:
-                    good = False
-                    break
-            if good and not fzero[0]:
-                b = perms[r, 0]
-                if zc[b] != zc[0] or (pre[b, 0] - pre[0, 0]) % D != 0:
-                    good = False
-                else:
-                    for c in range(1, m):
-                        if pre[b, c] != pre[0, c]:
-                            good = False
-                            break
-            if good and not fzero[n]:
-                a = perms[r, n - 1]
-                if zc[n - 1] != zc[a] or (pre[n - 1, 0] - pre[a, 0]) % D != 0:
-                    good = False
-                else:
-                    for c in range(1, m):
-                        if pre[a, c] != pre[n - 1, c]:
-                            good = False
-                            break
-            if good:
-                for k in range(1, n):
-                    x = perms[r, k - 1]
-                    y = perms[r, k]
-                    lo, hi = (x, y) if x <= y else (y, x)
-                    nozero = zc[hi] == zc[lo]
-                    if fzero[k]:
-                        if not (x < y and not nozero):
-                            good = False
-                            break
-                        continue
-                    if not nozero:
-                        good = False
-                        break
-                    sign = 1 if x <= y else -1
-                    fr = (pre[k, 0] - pre[k - 1, 0]) % D
-                    dr = (sign * (pre[hi, 0] - pre[lo, 0])) % D
-                    if dr != fr:
-                        good = False
-                        break
-                    for c in range(1, m):
-                        if sign * (pre[hi, c] - pre[lo, c]) != pre[k, c] - pre[k - 1, c]:
-                            good = False
-                            break
-                    if not good:
-                        break
-            keep[r] = good
-        return keep
-
-
-def _search_numba(enc: EncodedPoint) -> list[Perm]:
-    if not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    n = enc.n
-    perms = _perm_table(n)
-    pre, zc, a1, fzero = _scan_arrays(enc)
-    keep = _numba_scan(perms, pre, zc, a1, fzero, enc.denom, n)
-    return sorted(tuple(int(v) for v in row) for row in perms[keep])
-
-
-_BACKENDS = {"python": _search_python, "numpy": _search_numpy, "numba": _search_numba}
-
-
-def resolve_backend(name: str | None = None) -> str:
-    name = name or os.environ.get("TORICGIT_STAB_BACKEND", "auto")
-    if name == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown stabilizer backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return name
-
-
-def search_stabilizer(enc: EncodedPoint, backend: str | None = None) -> list[Perm]:
-    """All permutations fixing the encoded point, sorted (one-line notation)."""
-    return _BACKENDS[resolve_backend(backend)](enc)
+    extend((), first)
+    return out

@@ -22,16 +22,15 @@ The three computations:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
-from .groups import (FiniteAbelianGroup, NonabelianQuotientError, Perm,
-                     YoungSubgroup, abelian_invariant_factors_of_group, compose,
-                     identity, inverse, young_subgroup_of)
-from .stab_backends import (EncodedPoint, encode_point, is_member,
-                            ratio_is_one, search_stabilizer, trivial_angle)
+from .groups import (FiniteAbelianGroup, Perm, YoungSubgroup,
+                     abelian_invariant_factors_of_group, compose, identity,
+                     inverse, young_subgroup_of)
+from .stab_backends import (EncodedPoint, encode_point, search_stabilizer,
+                            trivial_angle)
 
 DEFAULT_BRUTE_FORCE_MAX = 9
 
@@ -324,8 +323,8 @@ class SymStabilizers:
     quotient: FiniteAbelianGroup
 
 
-def sym_stabilizers(q: QuotientPoint, brute_force_max: int = DEFAULT_BRUTE_FORCE_MAX,
-                    backend: Optional[str] = None) -> SymStabilizers:
+def sym_stabilizers(q: QuotientPoint, brute_force_max: int = DEFAULT_BRUTE_FORCE_MAX
+                    ) -> SymStabilizers:
     """Brute-force stabilizer of the quotient point, with its trivial-angle
     part and the quotient group in invariant-factor form.
 
@@ -336,7 +335,7 @@ def sym_stabilizers(q: QuotientPoint, brute_force_max: int = DEFAULT_BRUTE_FORCE
     if n > brute_force_max:
         raise ValueError(f"n={n} exceeds the brute-force bound {brute_force_max}")
     enc = q.encode()
-    stab = search_stabilizer(enc, backend=backend)
+    stab = search_stabilizer(enc)
     ident = identity(n)
     assert ident in set(stab)
     stab0 = sorted(p for p in stab if trivial_angle(enc, p))
@@ -389,12 +388,11 @@ class ComparisonReport:
 
 
 def verify_comparison(c: CycleConfiguration,
-                      brute_force_max: int = DEFAULT_BRUTE_FORCE_MAX,
-                      backend: Optional[str] = None) -> ComparisonReport:
+                      brute_force_max: int = DEFAULT_BRUTE_FORCE_MAX
+                      ) -> ComparisonReport:
     """PASS iff the torus stabilizer and the quotient stabilizer agree."""
     torus = torus_stabilizer(c)
-    sym = sym_stabilizers(project_to_quotient(c), brute_force_max=brute_force_max,
-                          backend=backend)
+    sym = sym_stabilizers(project_to_quotient(c), brute_force_max=brute_force_max)
     return ComparisonReport(
         n=c.n, torus_side=torus, sym_side=sym.quotient,
         stab_order=len(sym.stab), stab0_order=len(sym.stab0),

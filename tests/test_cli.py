@@ -102,6 +102,14 @@ def test_verify_fuzz_seeded():
     assert json.loads(r2.stdout)["witness"] == rep["witness"]
 
 
+@pytest.mark.parametrize("env", [{"DEGEN_SEED": "seven"}, {"DEGEN_FUZZ_TRIALS": "1.5"}])
+def test_verify_fuzz_bad_env(env):
+    r = run_cli(["verify", "--n", "3", "--check", "comparison_fuzz"], env=env)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 def test_quotient_command(tmp_path):
     b = build_bundle(1)
     ppath = tmp_path / "poly.json"
@@ -185,6 +193,17 @@ def test_stab_parse_error(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("not json")
     assert run_cli(["stab", str(cfg)]).returncode == 2
+
+
+def test_stab_not_semistable(tmp_path):
+    # fiber_degrees(2, (1, 3)) == [0, 2, 0], but the points sit on components 1 and 2
+    cfg = tmp_path / "unstable.json"
+    cfg.write_text(json.dumps({"n": 2, "I_t": [1, 3], "points": [
+        {"component": 1, "root": "0", "generic": [1], "a1": "a", "mult": 1},
+        {"component": 2, "root": "1/2", "generic": [1], "a1": "a", "mult": 1}]}))
+    r = run_cli(["stab", str(cfg)])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
 def test_build_determinism():

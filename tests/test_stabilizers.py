@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -7,14 +8,13 @@ from toricgit.groups import (FiniteAbelianGroup, NonabelianQuotientError,
                              abelian_invariant_factors_of_group, compose,
                              cycle_notation, from_cycles, identity,
                              invariant_factors, young_subgroup_of)
-from toricgit.stab_backends import HAS_NUMBA, search_stabilizer
+from toricgit.stab_backends import (EncodedPoint, ratio_is_one, search_stabilizer,
+                                    unit_matches)
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   check_stability, fiber_degrees, instantiate,
                                   project_to_quotient, random_configuration,
                                   sym_stabilizers, toric_fixed_points,
                                   torus_stabilizer, unit, verify_comparison)
-
-BACKENDS = ["python", "numpy"] + (["numba"] if HAS_NUMBA else [])
 
 
 def example_one():
@@ -34,6 +34,35 @@ def example_two():
     pts = [PointRecord(component=1, position=UnitValue(root=F(j, 3), generic=(1,)),
                        a1_label="a", multiplicity=2) for j in range(3)]
     return CycleConfiguration(n=6, I_t=(1, 7), points=tuple(pts))
+
+
+def degenerate_fiber(mults):
+    """One component, one generic point per multiplicity: Stab is the Young
+    subgroup of the multiplicities."""
+    pts = tuple(PointRecord(0, unit(0, tuple(int(i == j) for j in range(len(mults)))),
+                            "a", m) for i, m in enumerate(mults))
+    return CycleConfiguration(n=sum(mults), I_t=(), points=pts)
+
+
+def is_member(enc: EncodedPoint, p) -> bool:
+    """Full membership test for one permutation, condition by condition."""
+    n = enc.n
+    for i in range(n):
+        if enc.a1_codes[p[i]] != enc.a1_codes[i]:
+            return False
+    if not enc.zero[0] and not ratio_is_one(enc, 0, p[0]):
+        return False
+    if not enc.zero[n] and not ratio_is_one(enc, p[n - 1], n - 1):
+        return False
+    for k in range(1, n):
+        if not unit_matches(enc, k, p[k - 1], p[k]):
+            return False
+    return True
+
+
+def full_enumeration(enc: EncodedPoint):
+    """Reference stabilizer: every permutation of S_n, tested one by one."""
+    return [p for p in permutations(range(enc.n)) if is_member(enc, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +280,14 @@ def test_verify_comparison_examples():
     assert r2.passed and r2.sym_side.invariant_factors == (3,)
 
 
-def test_backends_agree():
+def test_search_matches_full_enumeration():
     rng = random.Random(101)
-    for _ in range(25):
-        c = random_configuration(rng.randrange(2, 7), rng)
+    configs = [random_configuration(n, rng) for n in range(1, 8) for _ in range(6)]
+    configs += [example_one(), example_two()]
+    configs += [degenerate_fiber(m) for m in ((8,), (7, 1), (4, 4), (5, 4))]
+    for c in configs:
         enc = project_to_quotient(c).encode()
-        results = [search_stabilizer(enc, backend=be) for be in BACKENDS]
-        assert all(r == results[0] for r in results)
+        assert search_stabilizer(enc) == full_enumeration(enc), c
 
 
 def test_toric_oracle_agrees():
@@ -268,7 +298,7 @@ def test_toric_oracle_agrees():
         c = random_configuration(n, rng)
         q = project_to_quotient(c)
         enc = q.encode()
-        assert toric_fixed_points(q) == set(search_stabilizer(enc, backend="python"))
+        assert toric_fixed_points(q) == set(search_stabilizer(enc))
         count += 1
     assert count == 40
     for c in (example_one(), example_two()):
