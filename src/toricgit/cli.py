@@ -18,7 +18,7 @@ from . import __version__
 from . import jsonio
 from .degeneration import (VERIFY_CHECKS, build_bundle, build_symmetric,
                            checks_for, verify)
-from .git import Linearization, quotient_polyhedron, split_quotient
+from .git import EmptyQuotientError, Linearization, quotient_polyhedron, split_quotient
 from .groups import cycle_notation
 from .jsonio import dumps
 from .stabilizers import (DEFAULT_BRUTE_FORCE_MAX, check_stability,
@@ -175,6 +175,8 @@ def cmd_quotient(args) -> int:
         lin = Linearization(alpha, b)
         if lin.source_rank() != poly.ambient_rank:
             raise ValueError("alpha source rank does not match the polyhedron")
+        if not poly.recession.is_pointed():
+            raise ValueError("the recession cone must be pointed (no lineality)")
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -182,10 +184,15 @@ def cmd_quotient(args) -> int:
     if q.is_empty():
         print(dumps({"empty": True}))
         return 0
-    polytopal, conical = split_quotient(poly, lin)
-    print(dumps({"quotient": jsonio.polyhedron_to_json(q),
-                 "polytopal": jsonio.polyhedron_to_json(polytopal),
-                 "conical": jsonio.cone_to_json(conical)}))
+    try:
+        polytopal, conical = split_quotient(poly, lin)
+    except EmptyQuotientError:
+        # conv(points) misses the slice: the split does not apply to this input
+        parts = {"polytopal": None, "conical": None}
+    else:
+        parts = {"polytopal": jsonio.polyhedron_to_json(polytopal),
+                 "conical": jsonio.cone_to_json(conical)}
+    print(dumps({"quotient": jsonio.polyhedron_to_json(q), **parts}))
     return 0
 
 

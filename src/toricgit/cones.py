@@ -12,11 +12,11 @@ first and extreme rays are canonical representatives modulo it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import dd
-from .linalg import (IntVec, Matrix, dot, elementary_divisors, hermite_normal_form,
-                     is_zero_vec, kernel_basis, primitive, rank, scaled_primitive)
+from .linalg import (IntVec, Matrix, dot, elementary_divisors, is_zero_vec,
+                     kernel_basis, rank, scaled_primitive)
 
 
 class Cone:
@@ -50,7 +50,7 @@ class Cone:
     def _compute_h_rep(self) -> None:
         if self._facets is not None and self._equations is not None:
             return
-        eqs, facets = dd.facets_from_generators(self.generators, self.ambient_rank)
+        eqs, facets = dd.dual_rays(self.generators, self.ambient_rank)
         object.__setattr__(self, "_equations", tuple(sorted(eqs)))
         object.__setattr__(self, "_facets", tuple(sorted(facets)))
 
@@ -211,11 +211,6 @@ class Cone:
         face_gens += list(other.lineality_basis)
         face_gens += [tuple(-x for x in l) for l in other.lineality_basis]
         return Cone(self.ambient_rank, face_gens) == self
-
-
-def cone_from_columns(m: Matrix) -> Cone:
-    """Cone generated by the columns of an integer matrix."""
-    return Cone(m.rows, [scaled_primitive(c) for c in m.columns()])
 
 
 def image_cone(f: Matrix, c: Cone) -> Cone:

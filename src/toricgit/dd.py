@@ -4,7 +4,13 @@
 (lineality basis + extreme rays) of ``{x : <a, x> >= 0 for all a}``.
 Constraints are inserted one at a time in a fixed (lexicographic) order, so
 results are deterministic.  Adjacency of rays is decided by the standard
-combinatorial test on active sets, kept as int bitmasks.
+combinatorial test on active sets, kept as int bitmasks (Fukuda & Prodon,
+"Double description method revisited", 1996).  A pair is first prefiltered
+by the necessary condition that two adjacent rays share at least
+``ambient - dim(lineality) - 2`` active constraints (the codimension of the
+2-face they span); only pairs that pass it pay for the containment scan over
+all other rays.  The prefilter rejects only non-adjacent pairs, so it changes
+no output.
 
 All vectors are integer tuples; new rays are reduced to primitive vectors
 immediately, which keeps coefficient growth under control.
@@ -95,10 +101,13 @@ def cone_from_inequalities(constraints: Sequence[Sequence[int]], ambient: int,
 
         # candidate adjacent (pos, neg) pairs
         all_masks = active
+        need = ambient - len(lineality) - 2
         for ip in pos:
             mi = active[ip]
             for im in neg:
                 common = mi & active[im]
+                if common.bit_count() < need:
+                    continue
                 # combinatorial adjacency: no third ray's active set contains 'common'
                 adjacent = True
                 for k, mk in enumerate(all_masks):
@@ -121,29 +130,24 @@ def cone_from_inequalities(constraints: Sequence[Sequence[int]], ambient: int,
 
 
 def dual_rays(generators: Sequence[Sequence[int]], ambient: int) -> tuple[list[IntVec], list[IntVec]]:
-    """V-rep of the dual cone {φ : <φ, g> >= 0 for all generators g}."""
-    return cone_from_inequalities(generators, ambient)
+    """V-rep of the dual cone {φ : <φ, g> >= 0 for all generators g}.
 
-
-def facets_from_generators(generators: Sequence[Sequence[int]], ambient: int
-                           ) -> tuple[list[IntVec], list[IntVec]]:
-    """H-rep of cone(generators): (equations, inequality normals).
-
-    The dual cone's lineality gives the equations (the span's orthogonal
-    complement); its extreme rays give the facet normals.
+    Read the other way round it is the H-rep of cone(generators): the
+    lineality basis spans the equations of its linear hull, and the rays are
+    its inward facet normals.
     """
-    lin, rays = dual_rays(generators, ambient)
-    return lin, rays
+    return cone_from_inequalities(generators, ambient)
 
 
 def extreme_generators(generators: Sequence[Sequence[int]], ambient: int,
                        equations: Sequence[IntVec], facets: Sequence[IntVec]) -> list[int]:
     """Indices of generators that are extreme rays of the cone.
 
-    Assumes the cone is pointed (no lineality).  A generator is extreme iff
-    the normals active at it (facets through it plus all equations) cut out a
-    one-dimensional face, i.e. have rank ambient-1... measured inside the
-    span: rank(active ∪ equations) == ambient - 1.
+    Assumes the cone is pointed (no lineality).  A nonzero generator is
+    extreme iff the minimal face containing it is one-dimensional, i.e. iff
+    the facet normals active at it together with all equations have rank
+    ambient - 1.  The rank is the integer (Bareiss) ``linalg.rank``; the
+    normals are integer vectors, so no Fraction is built.
     """
     out = []
     for idx, g in enumerate(generators):

@@ -17,10 +17,13 @@ from typing import Optional, Sequence
 
 from . import dd
 from .cones import Cone, image_cone
-from .linalg import (Matrix, Vec, clear_denominators, dot, frac, invert,
-                     is_zero_vec, kernel_basis, scaled_primitive, solve_affine,
-                     solve_unique, vec, vsub)
-from .polyhedra import LatticePolyhedron, affine_slice, minkowski_sum
+from .linalg import (Matrix, Vec, clear_denominators, dot, invert, kernel_basis,
+                     scaled_primitive, solve_affine, solve_unique, vec, vsub)
+from .polyhedra import LatticePolyhedron, affine_slice
+
+
+class EmptyQuotientError(ValueError):
+    """The polytope slice P_b is empty, so the quotient does not split."""
 
 
 class Linearization:
@@ -117,21 +120,32 @@ def split_quotient(p: LatticePolyhedron, lin: Linearization
     σ̄^∨ = rec(p) ∩ ker(α)⊗R, both in ker(alpha) coordinates.  Their
     Minkowski sum must reproduce quotient_polyhedron(p, lin); the two sides
     are computed along independent routes, so the identity is a real check.
+    The split is a theorem about this package's families, not about every
+    input: when conv(points) misses the slice, EmptyQuotientError is raised
+    even if the quotient itself is non-empty.
     """
     poly_slice = quotient_slice(p.polytopal_part().canonicalize(), lin)
     if poly_slice.is_empty():
-        raise ValueError("empty quotient")
+        raise EmptyQuotientError("empty quotient")
     return _to_kernel_coords(lin, poly_slice), kernel_cone(p, lin)
 
 
 def support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:
     """d_v = min(0, min over candidate points of <v, point>), per recession-dual
     extreme ray v.  The minimum of a linear functional over the hull equals the
-    minimum over any generating point set, so p need not be canonicalized."""
+    minimum over any generating point set, so p need not be canonicalized.
+
+    The points are scaled once to integer vectors over one common
+    denominator, so every inner product is an int; only the minimum becomes
+    a Fraction."""
+    n = len(p.vertex_candidates)
+    flat, den = clear_denominators([x for pt in p.vertex_candidates for x in pt])
+    d = p.ambient_rank
+    pts = [flat[i * d:(i + 1) * d] for i in range(n)]
     out = {}
     for v in p.recession.dual().rays:
-        m = min((dot(v, pt) for pt in p.vertex_candidates), default=Fraction(0))
-        out[v] = min(Fraction(0), m)
+        m = min((sum(a * b for a, b in zip(v, pt)) for pt in pts), default=0)
+        out[v] = Fraction(min(0, m), den)
     return out
 
 
@@ -144,7 +158,7 @@ def unstable_rays(p: LatticePolyhedron, lin: Linearization) -> list[RayDatum]:
     """
     poly_slice = quotient_slice(p.polytopal_part().canonicalize(), lin)
     if poly_slice.is_empty():
-        raise ValueError("empty quotient")
+        raise EmptyQuotientError("empty quotient")
     consts = support_constants(p)
     out = []
     for v, dv in sorted(consts.items()):

@@ -17,7 +17,7 @@ tuples of row tuples.  The normal forms fix canonical representatives:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -73,11 +73,12 @@ def primitive(v: Sequence[int]) -> IntVec:
 
 def clear_denominators(v: Sequence[Fraction]) -> tuple[IntVec, int]:
     """Return (d*v as ints, d) for the least common denominator d >= 1."""
+    xs = [x if type(x) is int else frac(x) for x in v]
     d = 1
-    for x in v:
-        x = frac(x)
-        d = d * x.denominator // gcd(d, x.denominator)
-    return tuple(int(frac(x) * d) for x in v), d
+    for x in xs:
+        if x.denominator != 1:
+            d = lcm(d, x.denominator)
+    return tuple(x.numerator * (d // x.denominator) for x in xs), d
 
 
 def scaled_primitive(v: Sequence) -> IntVec:
@@ -141,13 +142,18 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matmul")
-            ot = other.transpose().entries
-            return Matrix([[dot(r, c) for c in ot] for r in self.entries])
+            return Matrix(self._products([clear_denominators(c) for c in zip(*other.entries)]))
         # matrix @ vector
-        v = vec(other)
-        if self.cols != len(v):
+        v = clear_denominators(other)
+        if self.cols != len(v[0]):
             raise ValueError("shape mismatch in matvec")
-        return tuple(dot(r, v) for r in self.entries)
+        return tuple(row[0] for row in self._products([v]))
+
+    def _products(self, right: list[tuple[IntVec, int]]) -> list[list[Fraction]]:
+        """Row-by-column products with integer-scaled columns (w, d): each row
+        is scaled by its common denominator too, so the sums run in int."""
+        return [[Fraction(sum(a * b for a, b in zip(r, w)), dr * d) for w, d in right]
+                for r, dr in map(clear_denominators, self.entries)]
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
@@ -171,22 +177,35 @@ class Matrix:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    mat = [list(map(frac, r)) for r in rows]
+    """Rank over Q by Bareiss fraction-free elimination, entirely in int.
+
+    Integer rows are used as they are; a row with non-integral entries is
+    first scaled by its common denominator (``clear_denominators``), which
+    does not change the rank.  Each elimination step divides exactly by the
+    previous pivot (Bareiss 1968), so entries stay minors of the input.
+    """
+    mat = [list(r) if all(type(x) is int for x in r) else list(clear_denominators(r)[0])
+           for r in rows]
     if not mat:
         return 0
     m, n = len(mat), len(mat[0])
     r = 0
+    prev = 1
     for c in range(n):
-        piv = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if mat[i][c]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][c]
+        top = mat[r]
+        pv = top[c]
         for i in range(r + 1, m):
-            if mat[i][c] != 0:
-                f = mat[i][c] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            row = mat[i]
+            f = row[c]
+            if f:
+                mat[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
+            elif pv != prev:
+                mat[i] = [pv * a // prev for a in row]
+        prev = pv
         r += 1
         if r == m:
             break

@@ -17,8 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone
-from .linalg import (Matrix, Vec, clear_denominators, dot, frac, is_zero_vec,
-                     rank, scaled_primitive, solve_affine, vec, vsub)
+from .linalg import (Matrix, clear_denominators, dot, is_zero_vec, rank,
+                     scaled_primitive, solve_affine, vec, vsub)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
 Equation = tuple[tuple[int, ...], Fraction]  # <n, x> == o
@@ -84,7 +84,7 @@ class LatticePolyhedron:
             object.__setattr__(self, "_equations", ())
             return
         d = self.ambient_rank
-        eqs_h, facets_h = dd.facets_from_generators(self._homogenized_generators(), d + 1)
+        eqs_h, facets_h = dd.dual_rays(self._homogenized_generators(), d + 1)
         facets: list[Facet] = []
         for f in facets_h:
             normal, c = f[:d], f[d]
@@ -146,15 +146,8 @@ class LatticePolyhedron:
             row, _ = clear_denominators(tuple(map(Fraction, n)) + (-o,))
             eqs_h.append(row)
         idx = dd.extreme_generators(gens, d + 1, eqs_h, facets_h)
-        verts = []
-        rays = []
-        for i in idx:
-            g = gens[i]
-            if g[d] > 0:
-                verts.append(tuple(Fraction(x, g[d]) for x in g[:d]))
-            else:
-                rays.append(g[:d])
-        verts = sorted(set(verts))
+        verts = sorted({tuple(Fraction(x, g[d]) for x in g[:d])
+                        for g in (gens[i] for i in idx) if g[d] > 0})
         return LatticePolyhedron(d, verts, rec, _facets=self._facets,
                                  _equations=self._equations, _canonical=True)
 

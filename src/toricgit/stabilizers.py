@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .groups import (FiniteAbelianGroup, Perm, YoungSubgroup,
@@ -424,6 +425,17 @@ def instantiate(c: CycleConfiguration, seed: int,
     return CycleConfiguration(n=c.n, I_t=c.I_t, points=tuple(pts))
 
 
+@cache
+def _ambient_permutation_matrices(n: int) -> dict:
+    """ρ(s) on Z^{n+1} for all s in S_n, built once per n for the repeated
+    calls of toric_fixed_points (read-only).  Not shared with
+    build_symmetric: a cached copy there would keep the n! matrices alive
+    through the JSON output of `build --object symmetric` (+1.7 MB peak RSS
+    at n=6)."""
+    from .degeneration import ambient_reflections, permutation_matrices
+    return permutation_matrices(n, ambient_reflections(n))
+
+
 def toric_fixed_points(q: QuotientPoint) -> set[Perm]:
     """Chart-gluing oracle for the stabilizer, via the toric model.
 
@@ -433,13 +445,12 @@ def toric_fixed_points(q: QuotientPoint) -> set[Perm]:
     basis of M ∩ τ⊥, and the affine labels are invariant.  Independent of the
     prefix-sum membership criterion; intended for n <= 5.
     """
-    from .degeneration import ambient_reflections, permutation_matrices
     from .linalg import Matrix
 
     n = q.n
     if n < 2:
         return {identity(n)}
-    mats = permutation_matrices(n, ambient_reflections(n))
+    mats = _ambient_permutation_matrices(n)
     rays = []
     for k in range(1, n + 1):
         rays.append(tuple(1 if i < k else 0 for i in range(n)) + (0,))

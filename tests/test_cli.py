@@ -144,6 +144,38 @@ def test_quotient_empty(tmp_path):
     assert json.loads(r.stdout) == {"empty": True}
 
 
+def test_quotient_recession_lineality(tmp_path):
+    # the recession cone contains the line R·e1; slicing along it used to
+    # end in an AssertionError traceback
+    poly = {"ambient_rank": 2, "vertices": [["0", "0"]],
+            "recession": {"ambient_rank": 2, "rays": [["1", "0"], ["-1", "0"], ["0", "1"]],
+                          "lineality": []}}
+    p = tmp_path / "lin.json"
+    a = tmp_path / "al.json"
+    p.write_text(json.dumps(poly))
+    a.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["0", "1"]]}))
+    r = run_cli(["quotient", str(p), str(a), "-1"])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+def test_quotient_split_not_applicable(tmp_path):
+    # P = {0} + cone(e1, e2), x + y = 3: the quotient is a segment, but
+    # conv(points) = {0} misses the slice, so the P_b + σ̄^∨ split does not apply
+    poly = {"ambient_rank": 2, "vertices": [["0", "0"]],
+            "recession": {"ambient_rank": 2, "rays": [["1", "0"], ["0", "1"]],
+                          "lineality": []}}
+    p = tmp_path / "orthant.json"
+    a = tmp_path / "al.json"
+    p.write_text(json.dumps(poly))
+    a.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["1", "1"]]}))
+    r = run_cli(["quotient", str(p), str(a), "-3"])
+    assert r.returncode == 0, r.stderr
+    obj = json.loads(r.stdout)
+    assert obj["polytopal"] is None and obj["conical"] is None
+    assert len(obj["quotient"]["vertices"]) == 2
+
+
 EX1 = {"n": 9, "I_t": [1, 7, 10], "points":
        [{"component": 1, "root": f"{j}/3", "generic": [1, 0, 0], "a1": "a", "mult": 1}
         for j in range(3)] +

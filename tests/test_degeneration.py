@@ -4,8 +4,8 @@ from itertools import permutations, product
 import pytest
 
 from toricgit.cones import Cone, image_cone
-from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS,
-                                   ambient_reflections, build_bundle,
+from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle,
+                                   _symmetric, ambient_reflections, build_bundle,
                                    build_symmetric, chamber_cone, checks_for,
                                    constant_tail, decode_ray_label, head_vertex,
                                    permutation_matrices, product_cone_ambient,
@@ -201,3 +201,13 @@ def test_hyperplane_constants():
 def test_constant_tail_values():
     assert constant_tail(2) == (F(0), F(2, 3), F(2))
     assert constant_tail(3) == (F(0), F(3, 4), F(9, 4), F(9, 2))
+
+
+def test_cached_accessors_build_once_per_n():
+    for n in (1, 2):
+        assert _bundle(n) is _bundle(n)
+        assert _bundle(n).product_polyhedron == build_bundle(n).product_polyhedron
+    for n in (2, 3):
+        assert _symmetric(n) is _symmetric(n)
+        assert _symmetric(n).fan == build_symmetric(n).fan
+    assert _bundle(1) is not _bundle(2)

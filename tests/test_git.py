@@ -101,6 +101,26 @@ def test_support_constants():
     assert d3[ray(3, (1, 2), 1)] == F(-4)     # -(3-1)*2
 
 
+def test_support_constants_rational_vertices():
+    # rational candidate points with distinct denominators, against a plain
+    # Fraction reference: d_v = min(0, min over points of <v, point>)
+    pts = [(F(1, 2), F(-1, 3), F(0)), (F(-5, 6), F(2), F(1, 4)), (F(3), F(-7, 5), F(-2, 9))]
+    rec = Cone(3, [(1, 0, 0), (1, 1, 0), (0, -1, 1), (0, 0, 1)]).dual()
+    p = LatticePolyhedron(3, pts, rec)
+    got = support_constants(p)
+    assert set(got) == set(rec.dual().rays)
+    for v, dv in got.items():
+        assert dv == min([F(0)] + [sum((F(a) * b for a, b in zip(v, pt)), F(0)) for pt in pts])
+        assert isinstance(dv, F)
+    b3 = build_bundle(3)
+    slice_pts = quotient_slice(b3.product_polyhedron.polytopal_part().canonicalize(),
+                               b3.lin_product).vertex_candidates
+    q = LatticePolyhedron(7, slice_pts, b3.product_rec_dual)
+    assert any(x.denominator != 1 for pt in slice_pts for x in pt)
+    for v, dv in support_constants(q).items():
+        assert dv == min([F(0)] + [dot(v, pt) for pt in slice_pts])
+
+
 def test_unstable_rays_n2():
     b = build_bundle(2)
     data = {rd.ray: rd for rd in unstable_rays(b.product_polyhedron, b.lin_product)}

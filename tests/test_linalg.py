@@ -5,7 +5,7 @@ import pytest
 
 from toricgit.linalg import (Matrix, det_unimodular, elementary_divisors,
                              feasible_nonneg_combination, hermite_normal_form,
-                             in_cone_hull, kernel_basis, smith_normal_form,
+                             in_cone_hull, kernel_basis, rank, smith_normal_form,
                              solve_affine)
 
 ALPHA_W2 = Matrix([[0, 0, 1, -1, 0], [0, 0, 0, 1, -1]])
@@ -147,3 +147,86 @@ def test_lp_feasibility():
     assert feasible_nonneg_combination([(1, 0), (0, 1)], (-1, 0)) is None
     assert in_cone_hull((F(1, 2), F(1, 2)), [(0, 0), (1, 0)], [(0, 1)])
     assert not in_cone_hull((2, -1), [(0, 0), (1, 0)], [(0, 1)])
+
+
+def rank_oracle(rows):
+    """Rank over Q by Gaussian elimination in Fraction (the test oracle)."""
+    mat = [[F(x) for x in r] for r in rows]
+    if not mat:
+        return 0
+    m, n = len(mat), len(mat[0])
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        pv = mat[r][c]
+        for i in range(r + 1, m):
+            if mat[i][c] != 0:
+                f = mat[i][c] / pv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def _random_rows(rng, nr, nc, rational):
+    """Random rows with zero rows, duplicate rows and low-rank products mixed in."""
+    entry = (lambda: F(rng.randint(-6, 6), rng.randint(1, 5))) if rational else \
+        (lambda: rng.randint(-6, 6))
+    kind = rng.randrange(4)
+    if kind == 0 and nr and nc:  # rank <= k by construction
+        k = rng.randint(0, min(nr, nc))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
+        right = [[entry() for _ in range(nc)] for _ in range(k)]
+        return [[sum(a * b for a, b in zip(lr, [row[j] for row in right]))
+                 for j in range(nc)] for lr in left]
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    for i in range(nr):
+        if kind == 1 and rng.random() < 0.3:
+            rows[i] = [0] * nc
+        elif kind == 2 and i and rng.random() < 0.4:
+            rows[i] = list(rows[rng.randrange(i)])
+    return rows
+
+
+def test_rank_matches_fraction_oracle():
+    rng = random.Random(1968)
+    for nr in range(9):
+        for nc in range(9):
+            for rational in (False, True):
+                for _ in range(6):
+                    rows = _random_rows(rng, nr, nc, rational)
+                    expected = rank_oracle(rows)
+                    assert rank(rows) == expected, rows
+                    assert Matrix(rows).rank() == expected
+
+
+def test_rank_small_cases():
+    assert rank([]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[F(1, 2), F(1, 3)], [3, 2]]) == 1
+    assert rank([[0, 1, 0], [0, 0, 1], [0, 1, 1]]) == 2
+    assert rank([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 3
+
+
+def test_matmul_matches_fraction_reference():
+    rng = random.Random(4711)
+    for _ in range(60):
+        nr, nk, nc = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = [[F(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(nk)] for _ in range(nr)]
+        b = [[F(rng.randint(-7, 7), rng.choice((1, 1, 3))) for _ in range(nc)]
+             for _ in range(nk)]
+        v = [rng.choice((rng.randint(-5, 5), F(rng.randint(-5, 5), 6))) for _ in range(nk)]
+        assert (Matrix(a) @ Matrix(b)).entries == tuple(
+            tuple(sum((a[i][k] * b[k][j] for k in range(nk)), F(0)) for j in range(nc))
+            for i in range(nr))
+        assert Matrix(a) @ v == tuple(sum((a[i][k] * v[k] for k in range(nk)), F(0))
+                                      for i in range(nr))
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]) @ (1, 2, 3)
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]) @ Matrix([[1, 2]])

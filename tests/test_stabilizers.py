@@ -11,7 +11,7 @@ from toricgit.groups import (FiniteAbelianGroup, NonabelianQuotientError,
 from toricgit.stab_backends import (EncodedPoint, ratio_is_one, search_stabilizer,
                                     unit_matches)
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
-                                  check_stability, fiber_degrees, instantiate,
+                                  _ambient_permutation_matrices, check_stability, fiber_degrees, instantiate,
                                   project_to_quotient, random_configuration,
                                   sym_stabilizers, toric_fixed_points,
                                   torus_stabilizer, unit, verify_comparison)
@@ -305,6 +305,14 @@ def test_toric_oracle_agrees():
         q = project_to_quotient(c)
         if q.n <= 6:
             assert toric_fixed_points(q) == set(search_stabilizer(q.encode()))
+
+
+def test_oracle_matrices_built_once_per_n():
+    from toricgit.degeneration import ambient_reflections, permutation_matrices
+    for n in (2, 3, 4):
+        assert _ambient_permutation_matrices(n) is _ambient_permutation_matrices(n)
+        assert _ambient_permutation_matrices(n) == \
+            permutation_matrices(n, ambient_reflections(n))
 
 
 def test_instantiation_oracle():
