@@ -217,7 +217,8 @@ def cmd_stab(args) -> int:
     print(dumps({
         "torus": jsonio.group_to_json(torus),
         "stab_order": len(sym.stab),
-        "stab_generators": sorted(cycle_notation(p) for p in sym.stab)[:50],
+        "stab_generators": [cycle_notation(p)
+                            for p in sym.stab.first_in_cycle_notation_order(50)],
         "stab0_order": len(sym.stab0),
         "stab0_blocks": sym.stab0_young.blocks_one_based(),
         "quotient": jsonio.group_to_json(sym.quotient),

@@ -4,8 +4,9 @@ quotient-group computation used by the stabilizer comparison."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 from math import factorial, gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -140,6 +141,129 @@ class YoungSubgroup:
 
     def blocks_one_based(self) -> list[list[int]]:
         return [[x + 1 for x in b] for b in self.blocks]
+
+    def elements(self) -> Iterator[Perm]:
+        """Every element, one at a time."""
+        for images in product(*(permutations(b) for b in self.blocks)):
+            p = list(range(self.n))
+            for b, img in zip(self.blocks, images):
+                for i, x in zip(b, img):
+                    p[i] = x
+            yield tuple(p)
+
+
+@dataclass(frozen=True)
+class CosetUnion:
+    """The permutations r∘h for r in ``reps`` and h in ``young``.
+
+    ``reps`` holds one representative of each of distinct cosets r∘Y of the
+    Young subgroup Y.  The union is sized and iterable like a set of
+    permutations, but its elements are generated on demand, never stored.
+    """
+
+    reps: tuple[Perm, ...]
+    young: YoungSubgroup
+
+    def __len__(self) -> int:
+        return len(self.reps) * self.young.order()
+
+    def __iter__(self) -> Iterator[Perm]:
+        for r in self.reps:
+            for h in self.young.elements():
+                yield compose(r, h)
+
+    def first_in_cycle_notation_order(self, count: int) -> list[Perm]:
+        """The ``count`` elements with the smallest ``cycle_notation``
+        strings, in increasing string order.
+
+        The strings are built token by token, with tokens tried in string
+        order: inside a cycle a further label (" y") sorts before the closing
+        ")", after a closed cycle the end of the string sorts before a new
+        "(", and labels compare as digit strings ("10" < "2"), which is right
+        because a label is always followed by " " or ")", both below every
+        digit; "id" sorts after every "(".  A prefix fixes images p(a) = b,
+        and the labels below the open cycle's first label that it has not
+        written are fixed points.  p(a) = b is possible in the coset r∘Y iff b
+        lies in r(B), B the block of a, independently for each pair, so a
+        prefix is extended only while some coset meets all of its conditions.
+        Every such prefix extends to an element, except a cycle "(m" whose m
+        must be fixed, so the search backtracks only there and its cost grows
+        with ``count``, not with the number of elements.  When ``count``
+        covers every element, sorting them is cheaper.
+        """
+        if len(self) <= count:
+            return sorted(self, key=cycle_notation)
+        n = self.young.n
+        order = sorted(range(n), key=lambda a: str(a + 1))
+        # bit j of a mask stands for the label order[j]: the lowest bit set is
+        # the smallest label string
+        bit = [0] * n
+        for j, a in enumerate(order):
+            bit[a] = 1 << j
+        below = [sum(bit[b] for b in range(a)) for a in range(n)]
+        # per coset: r(B(a)) for each label a, the labels a in r(B(a)), and
+        # the labels a with more than a in r(B(a))
+        cosets = []
+        for r in self.reps:
+            allowed = [bit[x] for x in r]
+            for b in self.young.blocks:
+                mask = 0
+                for i in b:
+                    mask |= bit[r[i]]
+                for i in b:
+                    allowed[i] = mask
+            cosets.append((allowed, sum(bit[a] for a in range(n) if allowed[a] & bit[a]),
+                           sum(bit[a] for a in range(n) if allowed[a] != bit[a])))
+        out: list[Perm] = []
+        p = list(range(n))  # the images written so far; other labels are fixed
+
+        def cycle(m: int, x: int, cands: list, free: int) -> bool:
+            # the open cycle starts at m and has written x last; ``free`` holds
+            # the labels neither written nor fixed, all of them above m.
+            # Returns True once ``out`` is full.
+            reach = 0
+            for c in cands:
+                reach |= c[0][x]
+            reach &= free
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                p[x] = order[low.bit_length() - 1]
+                if cycle(m, p[x], [c for c in cands if c[0][x] & low], free ^ low):
+                    return True
+            if x != m:
+                closing = [c for c in cands if c[0][x] & bit[m]]
+                if closing:
+                    p[x] = m
+                    if any(free & ~c[1] == 0 for c in closing):
+                        out.append(tuple(p))
+                        if len(out) == count:
+                            return True
+                    if next_cycle(closing, free):
+                        return True
+            p[x] = x
+            return False
+
+        def next_cycle(cands: list, free: int) -> bool:
+            rest = 0
+            for c in cands:
+                rest |= c[2]
+            rest &= free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                m = order[low.bit_length() - 1]
+                fixed = free & below[m]
+                fits = [c for c in cands if fixed & ~c[1] == 0]
+                if fits and cycle(m, m, fits, free & ~fixed & ~low):
+                    return True
+            return False
+
+        full = (1 << n) - 1
+        if count > 0 and not next_cycle(cosets, full) and \
+                any(c[1] == full for c in cosets):
+            out.append(tuple(range(n)))
+        return out
 
 
 def young_subgroup_of(perms: Sequence[Perm], n: int) -> YoungSubgroup:

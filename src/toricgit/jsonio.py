@@ -26,7 +26,17 @@ def rational_str(x) -> str:
 def parse_rational(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {s!r}") from None
+
+
+def _json_object(obj, what: str) -> dict:
+    """``obj`` itself, or ValueError when it is not a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -35,6 +45,7 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> Matrix:
+    _json_object(obj, "a matrix")
     m = Matrix([[parse_rational(x) for x in row] for row in obj["entries"]])
     if m.rows != obj["rows"] or m.cols != obj["cols"]:
         raise ValueError("matrix shape does not match the declared size")
@@ -51,6 +62,7 @@ def cone_to_json(c: Cone, with_facets: bool = True) -> dict:
 
 
 def cone_from_json(obj: dict) -> Cone:
+    _json_object(obj, "a cone")
     rank = int(obj["ambient_rank"])
     gens = [tuple(int(x) for x in r) for r in obj.get("rays", [])]
     for l in obj.get("lineality", []):
@@ -76,6 +88,7 @@ def polyhedron_to_json(p: LatticePolyhedron, with_facets: bool = True) -> dict:
 
 
 def polyhedron_from_json(obj: dict) -> LatticePolyhedron:
+    _json_object(obj, "a polyhedron")
     rank = int(obj["ambient_rank"])
     verts = [tuple(parse_rational(x) for x in v) for v in obj.get("vertices", [])]
     rec = cone_from_json(obj["recession"]) if "recession" in obj else None
@@ -98,11 +111,13 @@ def configuration_to_json(c: CycleConfiguration) -> dict:
 
 
 def configuration_from_json(obj: dict) -> CycleConfiguration:
+    _json_object(obj, "a configuration")
     n = int(obj["n"])
     I_t = tuple(int(i) for i in obj.get("I_t", []))
     pts = []
     m = 0
     for p in obj["points"]:
+        _json_object(p, "a point record")
         m = max(m, len(p.get("generic", [])))
     for p in obj["points"]:
         g = tuple(int(x) for x in p.get("generic", []))

@@ -228,7 +228,9 @@ def affine_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePo
             cons.append(tuple(-x for x in r))
     cons.append(tuple([0] * k + [1]))
     lin, rays = dd.cone_from_inequalities(cons, k + 1)
-    assert not lin, "slice of a pointed polyhedron is pointed"
+    if lin:
+        raise ValueError("affine_slice needs a pointed recession cone: the slice "
+                         "contains a line")
     verts = []
     rec_rays = []
     for r in rays:

@@ -6,7 +6,8 @@ permutation equals the chart coordinate f_k.  These are a handful of integer
 comparisons against prefix sums of the encoded coordinates.  Every condition
 involves at most two adjacent slots, so ``search_stabilizer`` tabulates the
 admissible images of each slot once, given the image of the slot before, and
-then runs a depth-first search that only has to keep the images distinct.
+then runs a depth-first search that only has to keep the images distinct,
+and increasing inside each block of the trivial-angle Young subgroup.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-Perm = tuple[int, ...]
+from .groups import CosetUnion, Perm, YoungSubgroup
 
 
 @dataclass(frozen=True)
@@ -133,26 +134,71 @@ def _image_tables(enc: EncodedPoint) -> tuple[list[int], list[list[list[int]]]]:
     return first, follow
 
 
-def search_stabilizer(enc: EncodedPoint) -> list[Perm]:
-    """All permutations fixing the encoded point, in lexicographic order
-    (one-line notation)."""
+def _fixes(p: Perm, first: list[int], follow: list[list[list[int]]]) -> bool:
+    """Membership of one permutation, read off the image tables."""
+    return p[0] in first and all(p[i] in follow[i][p[i - 1]] for i in range(1, len(p)))
+
+
+def _trivial_angle_young(enc: EncodedPoint, first: list[int],
+                         follow: list[list[list[int]]]) -> YoungSubgroup:
+    """The Young subgroup generated by the trivial-angle transpositions that
+    fix the point: its blocks are the connected components of those
+    transpositions, found with O(n²) membership tests on the image tables."""
+    n = enc.n
+    comp = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if comp[i] == comp[j] or not ratio_is_one(enc, i, j):
+                continue
+            t = list(range(n))
+            t[i], t[j] = j, i
+            if _fixes(t, first, follow):
+                old = comp[j]
+                comp = [comp[i] if c == old else c for c in comp]
+    blocks = [[i for i in range(n) if comp[i] == c] for c in sorted(set(comp))]
+    return YoungSubgroup(n, tuple(tuple(b) for b in blocks if len(b) >= 2))
+
+
+def search_stabilizer(enc: EncodedPoint) -> CosetUnion:
+    """The permutations fixing the encoded point, as a union of cosets r∘Y.
+
+    Y is the Young subgroup generated by the trivial-angle transpositions that
+    fix the point, so the stabilizer is a union of cosets r∘Y, and inside one
+    coset the images of a block's slots come in every order.  The search keeps
+    them increasing, so it visits one representative per coset, the
+    lexicographically smallest element, and returns the representatives in
+    lexicographic order (one-line notation).  Its cost grows with the number of
+    cosets, not with the order of the stabilizer.  Whether Y is all of the
+    trivial-angle part, and normal, is for the caller to check.
+    """
     n = enc.n
     first, follow = _image_tables(enc)
-    out: list[Perm] = []
+    young = _trivial_angle_young(enc, first, follow)
+    prev = [-1] * n   # the slot before i in i's block, or -1
+    later = [0] * n   # the slots after i in i's block
+    for b in young.blocks:
+        for k, i in enumerate(b):
+            prev[i] = b[k - 1] if k else -1
+            later[i] = len(b) - 1 - k
+    reps: list[Perm] = []
     used = [False] * n
 
     def extend(prefix: Perm, choices: list[int]) -> None:
         i = len(prefix)
+        lo = prefix[prev[i]] if prev[i] >= 0 else -1
+        hi = n - 1 - later[i]   # the later slots of the block need larger images
         for x in choices:
-            if used[x]:
+            if x > hi:
+                break
+            if x <= lo or used[x]:
                 continue
             image = prefix + (x,)
             if i == n - 1:
-                out.append(image)
+                reps.append(image)
             else:
                 used[x] = True
                 extend(image, follow[i + 1][x])
                 used[x] = False
 
     extend((), first)
-    return out
+    return CosetUnion(tuple(reps), young)

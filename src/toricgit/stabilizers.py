@@ -27,9 +27,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .groups import (FiniteAbelianGroup, Perm, YoungSubgroup,
-                     abelian_invariant_factors_of_group, compose, identity,
-                     inverse, young_subgroup_of)
+from .groups import (CosetUnion, FiniteAbelianGroup, Perm, YoungSubgroup,
+                     abelian_invariant_factors_of_group, compose, identity)
 from .stab_backends import (EncodedPoint, encode_point, search_stabilizer,
                             trivial_angle)
 
@@ -318,16 +317,26 @@ def project_to_quotient(c: CycleConfiguration, orbit_major: bool = True,
 
 @dataclass(frozen=True)
 class SymStabilizers:
-    stab: tuple[Perm, ...]
-    stab0: tuple[Perm, ...]
+    stab: CosetUnion
+    stab0: CosetUnion
     stab0_young: YoungSubgroup
     quotient: FiniteAbelianGroup
 
 
 def sym_stabilizers(q: QuotientPoint, brute_force_max: int = DEFAULT_BRUTE_FORCE_MAX
                     ) -> SymStabilizers:
-    """Brute-force stabilizer of the quotient point, with its trivial-angle
-    part and the quotient group in invariant-factor form.
+    """Stabilizer of the quotient point in S_n, its trivial-angle part, and
+    the quotient group in invariant-factor form.
+
+    ``search_stabilizer`` gives Stab as cosets r∘Y, one representative r each,
+    where Y is the Young subgroup generated by the trivial-angle
+    transpositions in Stab.  That the trivial-angle part Stab0 is Young and
+    normal is checked, not assumed: Stab0 = Y iff the identity is the only
+    trivial-angle representative (else ValueError), and Y is normal iff each
+    representative maps every block of Y into one block, that is, conjugates
+    Y's generators into Y (else AssertionError).  The representatives are
+    then the quotient group.  Stab and Stab0 are returned as ``CosetUnion``s,
+    never as lists of elements.
 
     Raises NonabelianQuotientError if the quotient is not abelian (it always
     is when the comparison theorem holds; we check rather than assume).
@@ -337,24 +346,19 @@ def sym_stabilizers(q: QuotientPoint, brute_force_max: int = DEFAULT_BRUTE_FORCE
         raise ValueError(f"n={n} exceeds the brute-force bound {brute_force_max}")
     enc = q.encode()
     stab = search_stabilizer(enc)
-    ident = identity(n)
-    assert ident in set(stab)
-    stab0 = sorted(p for p in stab if trivial_angle(enc, p))
-    young = young_subgroup_of(stab0, n)
+    young = stab.young
     blocks = young.blocks
-    stab0_set = set(stab0)
-    # normality: conjugating the Young generators (adjacent transpositions
-    # inside blocks) suffices
-    gens0 = []
-    for b in blocks:
-        for i in range(len(b) - 1):
-            t = list(range(n))
-            t[b[i]], t[b[i + 1]] = t[b[i + 1]], t[b[i]]
-            gens0.append(tuple(t))
-    for s in stab:
-        si = inverse(s)
-        for h in gens0:
-            if compose(compose(s, h), si) not in stab0_set:
+    ident = identity(n)
+    if [r for r in stab.reps if trivial_angle(enc, r)] != [ident]:
+        raise ValueError("permutation set is not a Young subgroup")
+    block_of = [-1] * n
+    for k, b in enumerate(blocks):
+        for i in b:
+            block_of[i] = k
+    for r in stab.reps:
+        for b in blocks:
+            k = block_of[r[b[0]]]
+            if k < 0 or any(block_of[r[i]] != k for i in b):
                 raise AssertionError("trivial-angle subgroup is not normal")
 
     def rep(p: Perm) -> Perm:
@@ -367,13 +371,11 @@ def sym_stabilizers(q: QuotientPoint, brute_force_max: int = DEFAULT_BRUTE_FORCE
                 out[i] = v
         return tuple(out)
 
-    reps = sorted({rep(s) for s in stab})
-
     def qmul(a: Perm, b: Perm) -> Perm:
         return rep(compose(a, b))
 
-    factors = abelian_invariant_factors_of_group(reps, qmul, rep(ident))
-    return SymStabilizers(stab=tuple(stab), stab0=tuple(stab0),
+    factors = abelian_invariant_factors_of_group(stab.reps, qmul, ident)
+    return SymStabilizers(stab=stab, stab0=CosetUnion((ident,), young),
                           stab0_young=young,
                           quotient=FiniteAbelianGroup(factors))
 

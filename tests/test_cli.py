@@ -9,10 +9,10 @@ from toricgit import jsonio
 from toricgit.degeneration import build_bundle, product_ray_vectors
 
 
-def run_cli(args, env=None):
+def run_cli(args, env=None, flags=()):
     e = dict(os.environ)
     e.update(env or {})
-    return subprocess.run([sys.executable, "-m", "toricgit.cli"] + args,
+    return subprocess.run([sys.executable, *flags, "-m", "toricgit.cli"] + args,
                           capture_output=True, text=True, env=e)
 
 
@@ -157,6 +157,51 @@ def test_quotient_recession_lineality(tmp_path):
     r = run_cli(["quotient", str(p), str(a), "-1"])
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+def malformed_inputs(tmp_path):
+    """CLI argument lists that must exit 2 with one ``error:`` line: a zero
+    denominator and a non-object JSON value for each of ``quotient`` and
+    ``stab``, and a polyhedron whose recession cone has lineality."""
+    b = build_bundle(1)
+    poly = tmp_path / "poly.json"
+    alpha = tmp_path / "alpha.json"
+    poly.write_text(jsonio.dumps(jsonio.polyhedron_to_json(b.family_polyhedron)))
+    alpha.write_text(jsonio.dumps(jsonio.matrix_to_json(b.lin_family.alpha)))
+    listed = tmp_path / "list.json"
+    listed.write_text("[1,2]")
+    zero_root = tmp_path / "zero_root.json"
+    zero_root.write_text(json.dumps({"n": 1, "I_t": [], "points": [
+        {"component": 0, "root": "1/0", "generic": [1], "a1": "a", "mult": 1}]}))
+    lineality = tmp_path / "lineality.json"
+    lineality.write_text(json.dumps({
+        "ambient_rank": 2, "vertices": [["0", "0"]],
+        "recession": {"ambient_rank": 2, "rays": [["1", "0"], ["-1", "0"], ["0", "1"]],
+                      "lineality": []}}))
+    slice_alpha = tmp_path / "slice_alpha.json"
+    slice_alpha.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["0", "1"]]}))
+    return {"zero denominator": ["quotient", str(poly), str(alpha), "1/0"],
+            "polyhedron list": ["quotient", str(listed), str(alpha), "1/2"],
+            "zero root": ["stab", str(zero_root)],
+            "configuration list": ["stab", str(listed)],
+            "lineality": ["quotient", str(lineality), str(slice_alpha), "-1"]}
+
+
+@pytest.mark.parametrize("name", ["zero denominator", "polyhedron list", "zero root",
+                                  "configuration list"])
+def test_malformed_input_exits_2(tmp_path, name):
+    r = run_cli(malformed_inputs(tmp_path)[name])
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+def test_malformed_input_exits_2_without_asserts(tmp_path):
+    # python -O strips assert statements: no input check may rest on one
+    for name, args in malformed_inputs(tmp_path).items():
+        r = run_cli(args, flags=("-O",))
+        assert r.returncode == 2, (name, r.stderr)
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, name
 
 
 def test_quotient_split_not_applicable(tmp_path):

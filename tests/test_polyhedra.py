@@ -87,6 +87,13 @@ def test_affine_slice_examples():
     assert affine_slice(sq, Matrix([[1, 1]]), [5]).is_empty()
 
 
+def test_affine_slice_rejects_lineality():
+    # P = {0} + R·e1 + cone(e2) sliced by y = 1 is a line, not the point (0, 1)
+    p = LatticePolyhedron(2, [(0, 0)], Cone(2, [(1, 0), (-1, 0), (0, 1)]))
+    with pytest.raises(ValueError, match="pointed"):
+        affine_slice(p, Matrix([[0, 1]]), [1])
+
+
 def test_affine_slice_vertices_on_low_faces():
     # every slice vertex lies on a face of dimension <= number of slice equations
     rng = random.Random(5)

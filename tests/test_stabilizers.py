@@ -1,15 +1,19 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from functools import cache
+from itertools import permutations, product
 
 import pytest
 
-from toricgit.groups import (FiniteAbelianGroup, NonabelianQuotientError,
-                             abelian_invariant_factors_of_group, compose,
-                             cycle_notation, from_cycles, identity,
+from toricgit import cli, jsonio, stabilizers
+from toricgit.groups import (CosetUnion, FiniteAbelianGroup, NonabelianQuotientError,
+                             YoungSubgroup, abelian_invariant_factors_of_group, compose,
+                             cycle_notation, from_cycles, identity, inverse,
                              invariant_factors, young_subgroup_of)
 from toricgit.stab_backends import (EncodedPoint, ratio_is_one, search_stabilizer,
-                                    unit_matches)
+                                    trivial_angle, unit_matches)
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   _ambient_permutation_matrices, check_stability, fiber_degrees, instantiate,
                                   project_to_quotient, random_configuration,
@@ -44,6 +48,14 @@ def degenerate_fiber(mults):
     return CycleConfiguration(n=sum(mults), I_t=(), points=pts)
 
 
+def shared_position():
+    """Two double points at one position with different affine labels: their
+    slots have ratio 1, but swapping an "a" slot with a "b" slot moves a label."""
+    pts = (PointRecord(1, unit(0, (1,)), "a", 2), PointRecord(1, unit(0, (1,)), "b", 2),
+           PointRecord(1, unit(F(1, 2), (1,)), "a", 1))
+    return CycleConfiguration(n=5, I_t=(1, 6), points=pts)
+
+
 def is_member(enc: EncodedPoint, p) -> bool:
     """Full membership test for one permutation, condition by condition."""
     n = enc.n
@@ -60,9 +72,64 @@ def is_member(enc: EncodedPoint, p) -> bool:
     return True
 
 
+@cache
 def full_enumeration(enc: EncodedPoint):
-    """Reference stabilizer: every permutation of S_n, tested one by one."""
+    """Reference stabilizer: every permutation of S_n, tested one by one, in
+    lexicographic order (cached per point: callers must not mutate it)."""
     return [p for p in permutations(range(enc.n)) if is_member(enc, p)]
+
+
+@dataclasses.dataclass(frozen=True)
+class OracleStabilizers:
+    stab: list
+    stab0: list
+    young: YoungSubgroup
+    quotient: FiniteAbelianGroup
+
+
+def sym_stabilizers_oracle(q) -> OracleStabilizers:
+    """The element-by-element pipeline: Stab from the full enumeration, Stab0
+    as its trivial-angle elements, Young and normal checked element by element,
+    and the quotient peeled from the sorted coset representatives."""
+    n = q.n
+    enc = q.encode()
+    stab = full_enumeration(enc)
+    stab0 = sorted(p for p in stab if trivial_angle(enc, p))
+    young = young_subgroup_of(stab0, n)
+    # normality: conjugating the Young generators (adjacent transpositions
+    # inside blocks) suffices
+    stab0_set = set(stab0)
+    gens0 = []
+    for b in young.blocks:
+        for i in range(len(b) - 1):
+            t = list(range(n))
+            t[b[i]], t[b[i + 1]] = t[b[i + 1]], t[b[i]]
+            gens0.append(tuple(t))
+    for s in stab:
+        si = inverse(s)
+        for h in gens0:
+            assert compose(compose(s, h), si) in stab0_set
+
+    def rep(p):
+        out = list(p)
+        for b in young.blocks:
+            for i, v in zip(b, sorted(out[i] for i in b)):
+                out[i] = v
+        return tuple(out)
+
+    reps = sorted({rep(s) for s in stab})
+    factors = abelian_invariant_factors_of_group(
+        reps, lambda a, b: rep(compose(a, b)), identity(n))
+    return OracleStabilizers(stab, stab0, young, FiniteAbelianGroup(factors))
+
+
+def oracle_configurations(degenerate=True):
+    rng = random.Random(101)
+    configs = [random_configuration(n, rng) for n in range(1, 8) for _ in range(6)]
+    configs += [example_one(), example_two(), shared_position()]
+    if degenerate:
+        configs += [degenerate_fiber(m) for m in ((8,), (7, 1), (4, 4), (5, 4))]
+    return configs
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +348,54 @@ def test_verify_comparison_examples():
 
 
 def test_search_matches_full_enumeration():
-    rng = random.Random(101)
-    configs = [random_configuration(n, rng) for n in range(1, 8) for _ in range(6)]
-    configs += [example_one(), example_two()]
-    configs += [degenerate_fiber(m) for m in ((8,), (7, 1), (4, 4), (5, 4))]
-    for c in configs:
+    for c in oracle_configurations():
         enc = project_to_quotient(c).encode()
-        assert search_stabilizer(enc) == full_enumeration(enc), c
+        stab = search_stabilizer(enc)
+        assert sorted(stab) == full_enumeration(enc), c
+        assert len(stab) == len(full_enumeration(enc))
+        # one representative per coset, its lexicographic minimum, in order
+        assert list(stab.reps) == sorted(set(stab.reps))
+        for r in stab.reps:
+            assert all(r <= compose(r, h) for h in stab.young.elements())
+
+
+def test_sym_stabilizers_match_oracle():
+    # the degenerate fibers are not instantiated: their Stab is the Young
+    # subgroup of the multiplicities wherever the points are, and their full
+    # enumerations (n = 8, 9) would double the test's time
+    configs = oracle_configurations()
+    configs += [instantiate(c, seed=k)
+                for k, c in enumerate(oracle_configurations(degenerate=False))]
+    for c in configs:
+        q = project_to_quotient(c)
+        s = sym_stabilizers(q)
+        o = sym_stabilizers_oracle(q)
+        assert len(s.stab) == len(o.stab) and set(s.stab) == set(o.stab), c
+        assert len(s.stab0) == len(o.stab0) and set(s.stab0) == set(o.stab0), c
+        assert s.stab0_young == o.young and s.quotient == o.quotient, c
+        notations = sorted(cycle_notation(p) for p in o.stab)
+        # counts below |Stab| run the token search, the others sort Stab
+        for count in (1, len(o.stab) - 1, 50, len(o.stab)):
+            if count <= 720:
+                assert [cycle_notation(p) for p in
+                        s.stab.first_in_cycle_notation_order(count)] == notations[:count], c
+
+
+def test_stab_generators_two_digit_labels(tmp_path, capsys):
+    # "(1 10)" < "(1 2)" as strings: the listing must follow string order
+    c = degenerate_fiber((4, 3, 3))
+    enc = project_to_quotient(c).encode()
+    blocks = [range(0, 4), range(4, 7), range(7, 10)]
+    stab = []
+    for images in product(*(permutations(b) for b in blocks)):
+        stab.append(tuple(x for img in images for x in img))
+    assert all(is_member(enc, p) for p in stab)
+    path = tmp_path / "deg433.json"
+    path.write_text(json.dumps(jsonio.configuration_to_json(c)))
+    assert cli.main(["stab", str(path), "--brute-force-max", "10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["stab_order"] == len(stab) == 864
+    assert out["stab_generators"] == sorted(cycle_notation(p) for p in stab)[:50]
 
 
 def test_toric_oracle_agrees():
@@ -347,20 +455,28 @@ def test_randomized_comparison_small():
         assert rep.passed, (n, c)
 
 
-def test_stab0_young_and_normal_are_enforced():
-    # sym_stabilizers raises if its internal structure checks fail; run it on
-    # configurations rich in repeated points to exercise those paths
-    rng = random.Random(123)
-    for _ in range(15):
-        n = rng.randrange(4, 8)
-        pts = []
-        rem = n
-        comp_it = (1,)
-        mult = 2 if n % 2 == 0 else 1
-        pts.append(PointRecord(1, unit(0, (1,)), "a", n))
-        c = CycleConfiguration(n=n, I_t=(1, n + 1), points=tuple(pts))
+def test_stab0_young_and_normal_are_enforced(monkeypatch):
+    # a single n-fold point: everything is trivial-angle, and the checks pass
+    for n in range(4, 8):
+        c = CycleConfiguration(n=n, I_t=(1, n + 1),
+                               points=(PointRecord(1, unit(0, (1,)), "a", n),))
         s = sym_stabilizers(project_to_quotient(c))
-        # a single n-fold point: everything is trivial-angle
-        assert len(s.stab) == len(s.stab0)
-        assert s.quotient.is_trivial()
+        assert len(s.stab) == len(s.stab0) and s.quotient.is_trivial()
         assert torus_stabilizer(c).is_trivial()
+    # Young: a trivial-angle representative other than the identity
+    with monkeypatch.context() as m:
+        m.setattr(stabilizers, "trivial_angle", lambda enc, p: True)
+        with pytest.raises(ValueError, match="not a Young subgroup"):
+            sym_stabilizers(project_to_quotient(example_one()))
+    # normality: the rotations of example two move the block {1, 2} onto
+    # {3, 4} and {5, 6}, which are not blocks once only {1, 2} is kept
+    real_search = stabilizers.search_stabilizer
+
+    def one_block(enc):
+        stab = real_search(enc)
+        return CosetUnion(stab.reps, YoungSubgroup(enc.n, stab.young.blocks[:1]))
+
+    with monkeypatch.context() as m:
+        m.setattr(stabilizers, "search_stabilizer", one_block)
+        with pytest.raises(AssertionError, match="not normal"):
+            sym_stabilizers(project_to_quotient(example_two()))
