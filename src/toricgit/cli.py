@@ -144,20 +144,10 @@ def cmd_verify(args) -> int:
             return 2
         selected = checks_for(n)
     results = []
-    if args.jobs > 1 and len(selected) > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = {pool.submit(_run_one_check, n, chk): chk for chk in selected}
-            for fut in cf.as_completed(futs):
-                check, nn, status, witness, ms = fut.result()
-                print(_report_line(check, nn, status, witness, ms), flush=True)
-                results.append((check, status))
-    else:
-        for chk in selected:
-            check, nn, status, witness, ms = _run_one_check(n, chk)
-            print(_report_line(check, nn, status, witness, ms), flush=True)
-            results.append((check, status))
-    results.sort()
+    for chk in selected:
+        check, nn, status, witness, ms = _run_one_check(n, chk)
+        print(_report_line(check, nn, status, witness, ms), flush=True)
+        results.append((check, status))
     npass = sum(1 for _, s in results if s == "pass")
     for check, status in results:
         print(f"  {check}: {status}", file=sys.stderr)
@@ -245,7 +235,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--check", default=None)
     p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_quot = sub.add_parser("quotient", help="quotient a polyhedron by a linearization")

@@ -531,8 +531,7 @@ def _check_conical_part(n: int) -> tuple[bool, Any]:
 def _check_pb_vertices(n: int) -> tuple[bool, Any]:
     b = _bundle(n)
     ms = slice_vertex_points(b)
-    sl = quotient_slice(b.product_polyhedron.polytopal_part().canonicalize(),
-                        b.lin_product)
+    sl = quotient_slice(b.product_polyhedron.polytopal_part(), b.lin_product)
     got = set(sl.vertex_candidates)
     if got != set(ms.values()):
         return False, {"unexpected": [list(map(str, v)) for v in sorted(got - set(ms.values()))]}

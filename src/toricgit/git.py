@@ -123,11 +123,24 @@ def split_quotient(p: LatticePolyhedron, lin: Linearization
     The split is a theorem about this package's families, not about every
     input: when conv(points) misses the slice, EmptyQuotientError is raised
     even if the quotient itself is non-empty.
+
+    P_b is sliced from the memoised ``p.polytopal_part()`` as it stands:
+    the slice reads only its H-representation, so its vertices are never
+    enumerated, and the one double description is shared with every other
+    slice of the same polytope.
     """
-    poly_slice = quotient_slice(p.polytopal_part().canonicalize(), lin)
+    poly_slice = quotient_slice(p.polytopal_part(), lin)
     if poly_slice.is_empty():
         raise EmptyQuotientError("empty quotient")
     return _to_kernel_coords(lin, poly_slice), kernel_cone(p, lin)
+
+
+def _integer_points(p: LatticePolyhedron) -> tuple[list[tuple[int, ...]], int]:
+    """(den * point as ints for each candidate point of p, den) for the least
+    common denominator den of all their coordinates."""
+    d = p.ambient_rank
+    flat, den = clear_denominators([x for pt in p.vertex_candidates for x in pt])
+    return [flat[i * d:(i + 1) * d] for i in range(len(p.vertex_candidates))], den
 
 
 def support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:
@@ -138,10 +151,7 @@ def support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:
     The points are scaled once to integer vectors over one common
     denominator, so every inner product is an int; only the minimum becomes
     a Fraction."""
-    n = len(p.vertex_candidates)
-    flat, den = clear_denominators([x for pt in p.vertex_candidates for x in pt])
-    d = p.ambient_rank
-    pts = [flat[i * d:(i + 1) * d] for i in range(n)]
+    pts, den = _integer_points(p)
     out = {}
     for v in p.recession.dual().rays:
         m = min((sum(a * b for a, b in zip(v, pt)) for pt in pts), default=0)
@@ -155,14 +165,20 @@ def unstable_rays(p: LatticePolyhedron, lin: Linearization) -> list[RayDatum]:
     The margin is computed over the vertices of the polytope slice P_b only;
     this is valid because d_v <= 0 and <v, ·> >= 0 on the kernel cone, so the
     recession part of the quotient cannot lower the minimum.
+
+    P_b is sliced from the memoised ``p.polytopal_part()``, as in
+    ``split_quotient``.  Its vertices are scaled once to integer vectors
+    over one common denominator, so each minimum is taken in int; only the
+    margin becomes a Fraction.
     """
-    poly_slice = quotient_slice(p.polytopal_part().canonicalize(), lin)
+    poly_slice = quotient_slice(p.polytopal_part(), lin)
     if poly_slice.is_empty():
         raise EmptyQuotientError("empty quotient")
     consts = support_constants(p)
+    pts, den = _integer_points(poly_slice)
     out = []
     for v, dv in sorted(consts.items()):
-        margin = min(dot(v, m) for m in poly_slice.vertex_candidates) - dv
+        margin = Fraction(min(sum(a * b for a, b in zip(v, pt)) for pt in pts), den) - dv
         out.append(RayDatum(ray=v, support_constant=dv, margin=margin,
                             unstable=margin > 0))
     return out

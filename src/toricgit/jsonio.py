@@ -24,6 +24,8 @@ def rational_str(x) -> str:
 
 
 def parse_rational(s) -> Fraction:
+    if isinstance(s, bool):
+        raise ValueError(f"a rational must not be a boolean: {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     try:
@@ -39,6 +41,27 @@ def _json_object(obj, what: str) -> dict:
     return obj
 
 
+def _json_list(obj, what: str) -> list:
+    """``obj`` itself, or ValueError when it is not a JSON list."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a JSON list, not {type(obj).__name__}")
+    return obj
+
+
+def _json_int(x, what: str) -> int:
+    """A JSON integer, or a string holding one; ValueError for anything else
+    (floats and booleans included)."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"{what} must be an integer, not {type(x).__name__}")
+    return int(x)
+
+
+def _json_rows(obj, what: str, parse) -> list[tuple]:
+    """A JSON list of lists, each entry read by ``parse``."""
+    return [tuple(parse(x) for x in _json_list(row, what))
+            for row in _json_list(obj, what)]
+
+
 def matrix_to_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
             "entries": [[rational_str(x) for x in row] for row in m.entries]}
@@ -46,7 +69,7 @@ def matrix_to_json(m: Matrix) -> dict:
 
 def matrix_from_json(obj: dict) -> Matrix:
     _json_object(obj, "a matrix")
-    m = Matrix([[parse_rational(x) for x in row] for row in obj["entries"]])
+    m = Matrix(_json_rows(obj["entries"], "matrix entries", parse_rational))
     if m.rows != obj["rows"] or m.cols != obj["cols"]:
         raise ValueError("matrix shape does not match the declared size")
     return m
@@ -63,10 +86,10 @@ def cone_to_json(c: Cone, with_facets: bool = True) -> dict:
 
 def cone_from_json(obj: dict) -> Cone:
     _json_object(obj, "a cone")
-    rank = int(obj["ambient_rank"])
-    gens = [tuple(int(x) for x in r) for r in obj.get("rays", [])]
-    for l in obj.get("lineality", []):
-        v = tuple(int(x) for x in l)
+    rank = _json_int(obj["ambient_rank"], "ambient_rank")
+    as_int = lambda x: _json_int(x, "a ray entry")
+    gens = _json_rows(obj.get("rays", []), "rays", as_int)
+    for v in _json_rows(obj.get("lineality", []), "lineality", as_int):
         gens.append(v)
         gens.append(tuple(-x for x in v))
     return Cone(rank, gens)
@@ -89,8 +112,8 @@ def polyhedron_to_json(p: LatticePolyhedron, with_facets: bool = True) -> dict:
 
 def polyhedron_from_json(obj: dict) -> LatticePolyhedron:
     _json_object(obj, "a polyhedron")
-    rank = int(obj["ambient_rank"])
-    verts = [tuple(parse_rational(x) for x in v) for v in obj.get("vertices", [])]
+    rank = _json_int(obj["ambient_rank"], "ambient_rank")
+    verts = _json_rows(obj.get("vertices", []), "vertices", parse_rational)
     rec = cone_from_json(obj["recession"]) if "recession" in obj else None
     return LatticePolyhedron(rank, verts, rec)
 
@@ -112,21 +135,21 @@ def configuration_to_json(c: CycleConfiguration) -> dict:
 
 def configuration_from_json(obj: dict) -> CycleConfiguration:
     _json_object(obj, "a configuration")
-    n = int(obj["n"])
-    I_t = tuple(int(i) for i in obj.get("I_t", []))
+    n = _json_int(obj["n"], "n")
+    I_t = tuple(_json_int(i, "an I_t entry") for i in _json_list(obj.get("I_t", []), "I_t"))
+    records = [_json_object(p, "a point record") for p in _json_list(obj["points"], "points")]
+    generic = [tuple(_json_int(x, "a generic entry")
+                     for x in _json_list(p.get("generic", []), "generic"))
+               for p in records]
+    m = max(map(len, generic), default=0)
     pts = []
-    m = 0
-    for p in obj["points"]:
-        _json_object(p, "a point record")
-        m = max(m, len(p.get("generic", [])))
-    for p in obj["points"]:
-        g = tuple(int(x) for x in p.get("generic", []))
-        g = g + (0,) * (m - len(g))
+    for p, g in zip(records, generic):
         pts.append(PointRecord(
-            component=int(p["component"]),
-            position=UnitValue(root=parse_rational(p.get("root", "0")), generic=g),
+            component=_json_int(p["component"], "component"),
+            position=UnitValue(root=parse_rational(p.get("root", "0")),
+                               generic=g + (0,) * (m - len(g))),
             a1_label=str(p.get("a1", "")),
-            multiplicity=int(p.get("mult", 1))))
+            multiplicity=_json_int(p.get("mult", 1), "mult")))
     return CycleConfiguration(n=n, I_t=I_t, points=tuple(pts))
 
 

@@ -33,7 +33,7 @@ class LatticePolyhedron:
     """
 
     __slots__ = ("ambient_rank", "vertex_candidates", "recession",
-                 "_facets", "_equations", "_canonical")
+                 "_facets", "_equations", "_canonical", "_polytopal")
 
     def __init__(self, ambient_rank: int, vertex_candidates: Iterable[Sequence] = (),
                  recession: Optional[Cone] = None,
@@ -54,6 +54,7 @@ class LatticePolyhedron:
         object.__setattr__(self, "_facets", _facets)
         object.__setattr__(self, "_equations", _equations)
         object.__setattr__(self, "_canonical", _canonical)
+        object.__setattr__(self, "_polytopal", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LatticePolyhedron is immutable")
@@ -164,8 +165,14 @@ class LatticePolyhedron:
     # -- derived objects ------------------------------------------------------
 
     def polytopal_part(self) -> "LatticePolyhedron":
-        """conv of the stored candidate points, with trivial recession."""
-        return LatticePolyhedron(self.ambient_rank, self.vertex_candidates)
+        """conv of the stored candidate points, with trivial recession.
+
+        Memoised on the instance, so its lazily computed H-representation is
+        shared by every caller that slices it."""
+        if self._polytopal is None:
+            object.__setattr__(self, "_polytopal",
+                               LatticePolyhedron(self.ambient_rank, self.vertex_candidates))
+        return self._polytopal
 
     def translate(self, t: Sequence) -> "LatticePolyhedron":
         t = vec(t)
@@ -198,7 +205,10 @@ def linear_image(f: Matrix, p: LatticePolyhedron) -> LatticePolyhedron:
 
 
 def affine_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePolyhedron:
-    """p ∩ {x : f·x = target}, in ambient coordinates (empty is a value)."""
+    """p ∩ {x : f·x = target}, in ambient coordinates (empty is a value).
+
+    Only the H-representation of p is read, so p need not be canonical; the
+    result is."""
     if f.cols != p.ambient_rank:
         raise ValueError("rank mismatch")
     d = p.ambient_rank

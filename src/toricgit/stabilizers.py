@@ -121,6 +121,8 @@ class CycleConfiguration:
     points: tuple[PointRecord, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
         if list(self.I_t) != sorted(set(self.I_t)) or \
                 any(not 1 <= i <= self.n + 1 for i in self.I_t):
             raise ValueError("I_t must be a strictly increasing subset of 1..n+1")

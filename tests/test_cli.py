@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from toricgit import jsonio
-from toricgit.degeneration import build_bundle, product_ray_vectors
+from toricgit.degeneration import build_bundle, checks_for, product_ray_vectors
 
 
 def run_cli(args, env=None, flags=()):
@@ -59,10 +59,17 @@ def test_build_roundtrip(tmp_path):
 def test_verify_all_n2():
     r = run_cli(["verify", "--n", "2", "--all"])
     assert r.returncode == 0
-    lines = [json.loads(l) for l in r.stdout.splitlines() if l.strip()]
+    lines = [json.loads(l) for l in r.stdout.splitlines()]
     assert len(lines) == 7
     assert all(l["status"] == "pass" for l in lines)
     assert all(l["tool_version"] for l in lines)
+
+
+def test_verify_report_in_check_order():
+    r = run_cli(["verify", "--n", "2", "--all"])
+    assert r.returncode == 0
+    lines = [json.loads(l) for l in r.stdout.splitlines()]
+    assert [l["check"] for l in lines] == checks_for(2)  # one line per check, in order
 
 
 def test_verify_single_check_report():
@@ -81,15 +88,6 @@ def test_verify_bad_args():
     assert run_cli(["verify", "--n", "99", "--all"]).returncode == 2
     assert run_cli(["verify", "--n", "2", "--check", "bogus"]).returncode == 2
     assert run_cli(["verify", "--n", "1", "--check", "normal_fan"]).returncode == 2
-
-
-def test_verify_jobs_parallel():
-    r = run_cli(["verify", "--n", "2", "--all", "--jobs", "4"])
-    assert r.returncode == 0
-    lines = [json.loads(l) for l in r.stdout.splitlines() if l.strip()]
-    assert sorted(l["check"] for l in lines) == sorted(
-        ["conical_part", "pb_vertices", "quotient_theorem", "normal_fan",
-         "unstable_locus", "base_recovery", "fan_smooth_small"])
 
 
 def test_verify_fuzz_seeded():
@@ -162,7 +160,9 @@ def test_quotient_recession_lineality(tmp_path):
 def malformed_inputs(tmp_path):
     """CLI argument lists that must exit 2 with one ``error:`` line: a zero
     denominator and a non-object JSON value for each of ``quotient`` and
-    ``stab``, and a polyhedron whose recession cone has lineality."""
+    ``stab``, a polyhedron whose recession cone has lineality, a scalar where
+    a list belongs (``points``, ``generic``, ``vertices``) and a
+    configuration with n = 0."""
     b = build_bundle(1)
     poly = tmp_path / "poly.json"
     alpha = tmp_path / "alpha.json"
@@ -180,15 +180,30 @@ def malformed_inputs(tmp_path):
                       "lineality": []}}))
     slice_alpha = tmp_path / "slice_alpha.json"
     slice_alpha.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["0", "1"]]}))
+    # a scalar where a list belongs, and a configuration of degree zero
+    scalar_points = tmp_path / "scalar_points.json"
+    scalar_points.write_text(json.dumps({"n": 1, "I_t": [], "points": 5}))
+    scalar_generic = tmp_path / "scalar_generic.json"
+    scalar_generic.write_text(json.dumps({"n": 1, "I_t": [], "points": [
+        {"component": 0, "root": "0", "generic": 5, "a1": "a", "mult": 1}]}))
+    scalar_vertices = tmp_path / "scalar_vertices.json"
+    scalar_vertices.write_text(json.dumps({"ambient_rank": 2, "vertices": 5}))
+    degree_zero = tmp_path / "degree_zero.json"
+    degree_zero.write_text(json.dumps({"n": 0, "I_t": [], "points": []}))
     return {"zero denominator": ["quotient", str(poly), str(alpha), "1/0"],
             "polyhedron list": ["quotient", str(listed), str(alpha), "1/2"],
             "zero root": ["stab", str(zero_root)],
             "configuration list": ["stab", str(listed)],
-            "lineality": ["quotient", str(lineality), str(slice_alpha), "-1"]}
+            "lineality": ["quotient", str(lineality), str(slice_alpha), "-1"],
+            "scalar points": ["stab", str(scalar_points)],
+            "scalar generic": ["stab", str(scalar_generic)],
+            "scalar vertices": ["quotient", str(scalar_vertices), str(slice_alpha), "1"],
+            "degree zero": ["stab", str(degree_zero)]}
 
 
 @pytest.mark.parametrize("name", ["zero denominator", "polyhedron list", "zero root",
-                                  "configuration list"])
+                                  "configuration list", "scalar points", "scalar generic",
+                                  "scalar vertices", "degree zero"])
 def test_malformed_input_exits_2(tmp_path, name):
     r = run_cli(malformed_inputs(tmp_path)[name])
     assert r.returncode == 2, r.stderr

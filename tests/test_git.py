@@ -143,6 +143,46 @@ def test_margin_closed_form_n3():
         assert rd.margin == F((j - k) * ((j - k) * 3 + 3 - 2 * k), 8)
 
 
+def test_integer_margins_match_fraction_margins():
+    # oracle: the slice of the canonicalized polytopal part, Fraction inner
+    # products, and d_v from the definition
+    for n in (1, 2, 3):
+        b = build_bundle(n)
+        p = b.product_polyhedron
+        verts = quotient_slice(LatticePolyhedron(p.ambient_rank, p.vertex_candidates)
+                               .canonicalize(), b.lin_product).vertex_candidates
+        data = unstable_rays(p, b.lin_product)
+        assert [rd.ray for rd in data] == sorted(p.recession.dual().rays)
+        for rd in data:
+            dv = min([F(0)] + [dot(rd.ray, m) for m in p.vertex_candidates])
+            margin = min(dot(rd.ray, m) for m in verts) - dv
+            assert (rd.support_constant, rd.margin) == (dv, margin)
+            assert isinstance(rd.margin, F) and rd.unstable == (margin > 0)
+
+
+def test_product_polytope_h_rep_computed_once(monkeypatch):
+    # pb_vertices and unstable_locus slice the same polytopal part of the
+    # cached bundle, so its one double description serves both checks
+    from toricgit import dd
+    from toricgit.degeneration import _bundle, verify
+    calls = []
+    real = dd.dual_rays
+
+    def spy(gens, d):
+        calls.append(set(gens))
+        return real(gens, d)
+
+    _bundle.cache_clear()
+    monkeypatch.setattr(dd, "dual_rays", spy)
+    try:
+        assert verify(3, "pb_vertices").ok()
+        assert verify(3, "unstable_locus").ok()
+        part = set(_bundle(3).product_polyhedron.polytopal_part()._homogenized_generators())
+        assert calls.count(part) == 1
+    finally:
+        _bundle.cache_clear()
+
+
 def test_shift_integrality():
     # (n+1) times the fractional shifts is integral
     for n in (1, 2, 3, 4):

@@ -1,0 +1,81 @@
+"""The JSON parsers behind ``toricgit quotient`` and ``toricgit stab`` reject
+every malformed value with ValueError or KeyError, the two exceptions the CLI
+turns into exit 2 with one ``error:`` line."""
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from toricgit import jsonio
+
+PARSERS = [jsonio.configuration_from_json, jsonio.polyhedron_from_json,
+           jsonio.matrix_from_json, jsonio.cone_from_json]
+
+# the keys the parsers read, so that generated objects reach past the first lookup
+KEYS = ["n", "I_t", "points", "component", "root", "generic", "a1", "mult",
+        "ambient_rank", "vertices", "recession", "rays", "lineality",
+        "rows", "cols", "entries"]
+
+scalars = (st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
+           | st.floats() | st.sampled_from(["0", "1", "-2", "1/2", "1/0", "x", ""])
+           | st.text(max_size=3))
+json_values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(KEYS + ["?"]), inner, max_size=4)),
+    max_leaves=8)
+
+
+def field(good):
+    """A well-typed value for one field, or any JSON value."""
+    return good | json_values
+
+
+small = st.integers(-1, 3)
+rational = st.sampled_from(["0", "1/2", "-1", "2/3", 1, 0])
+int_rows = st.lists(st.lists(field(small), max_size=3), max_size=3)
+
+point_record = st.fixed_dictionaries(
+    {"component": field(small), "root": field(rational),
+     "generic": field(st.lists(field(small), max_size=3)), "mult": field(small)},
+    optional={"a1": field(st.text(max_size=2))})
+configuration = st.fixed_dictionaries(
+    {"n": field(small), "points": field(st.lists(field(point_record), max_size=3))},
+    optional={"I_t": field(st.lists(field(small), max_size=3))})
+cone = st.fixed_dictionaries(
+    {"ambient_rank": field(small)},
+    optional={"rays": field(int_rows), "lineality": field(int_rows)})
+polyhedron = st.fixed_dictionaries(
+    {"ambient_rank": field(small)},
+    optional={"vertices": field(st.lists(st.lists(field(rational), max_size=3),
+                                         max_size=3)),
+              "recession": field(cone)})
+matrix = st.fixed_dictionaries(
+    {"rows": field(small), "cols": field(small),
+     "entries": field(st.lists(st.lists(field(rational), max_size=3), max_size=3))})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(obj=json_values | configuration | polyhedron | matrix | cone)
+@example(obj={"n": 1, "I_t": [], "points": 5})
+@example(obj={"n": 1, "I_t": [], "points": [{"component": 0, "generic": 5}]})
+@example(obj={"ambient_rank": 2, "vertices": 5})
+@example(obj={"n": 0, "I_t": [], "points": []})
+@example(obj={"n": None, "points": []})
+@example(obj={"n": 1, "points": [{"component": 0, "mult": []}]})
+def test_parsers_raise_only_value_or_key_error(obj):
+    for parse in PARSERS:
+        try:
+            parse(obj)
+        except (ValueError, KeyError):
+            pass
+
+
+@pytest.mark.parametrize("field", [{"mult": 1.5}, {"mult": True}, {"component": 0.0},
+                                   {"root": True}, {"generic": [1.5]}, {"generic": "1"}])
+def test_wrongly_typed_point_field_is_rejected(field):
+    # a float or boolean is not an integer, and a string is not a list of digits
+    record = {"component": 0, "root": "0", "generic": [1], "mult": 1, **field}
+    with pytest.raises(ValueError):
+        jsonio.configuration_from_json({"n": 1, "points": [record]})

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from toricgit.cones import Cone
+from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot, in_cone_hull
 from toricgit.polyhedra import (Fan, LatticePolyhedron, affine_slice,
                                 check_semigroup_generation, cone_over,
@@ -115,6 +116,74 @@ def test_affine_slice_vertices_on_low_faces():
             face_dim = d - Matrix(active + [list(e[0]) for e in p.hull_equations]).rank() \
                 if active else d
             assert face_dim <= 1
+
+
+def assert_slice_independent_of_canonical_form(q, f, target):
+    """Slicing q and slicing q.canonicalize() give the same vertices, recession,
+    H-representation and JSON bytes; returns the slice."""
+    got = affine_slice(q, f, target)
+    want = affine_slice(q.canonicalize(), f, target)
+    assert got.vertex_candidates == want.vertex_candidates
+    assert got.recession.key() == want.recession.key()
+    assert got.facet_rep == want.facet_rep
+    assert got.hull_equations == want.hull_equations
+    assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want))
+    return got
+
+
+def random_polytope_points(rng, d):
+    """Integer and rational points with a duplicate, the centroid and a midpoint,
+    so that conv(points) has candidates that are not vertices."""
+    pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(2, d + 3))]
+    pts += [tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
+            for _ in range(rng.randint(0, 2))]
+    centroid = tuple(sum(F(p[i]) for p in pts) / len(pts) for i in range(d))
+    midpoint = tuple(F(x + y, 2) for x, y in zip(pts[0], pts[-1]))
+    return pts + [pts[0], centroid, midpoint]
+
+
+def test_slice_of_polytopal_part_needs_no_canonical_form():
+    rng = random.Random(17)
+    nonempty = 0
+    for _ in range(40):
+        d = rng.randint(2, 5)
+        pts = random_polytope_points(rng, d)
+        q = LatticePolyhedron(d, pts).polytopal_part()
+        rows = rng.choice([1, 1, 2, d])
+        if rows == d:
+            f = Matrix.identity(d)
+        else:
+            f = Matrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(rows)])
+            if f.rank() < rows:
+                continue
+        # cut through an interior candidate (the centroid), any candidate, or anywhere
+        through = rng.choice([pts[-2], rng.choice(pts), None])
+        target = (f @ through if through is not None
+                  else [F(rng.randint(-6, 6), 2) for _ in range(f.rows)])
+        nonempty += not assert_slice_independent_of_canonical_form(q, f, target).is_empty()
+    assert nonempty >= 20
+
+
+def test_slice_of_product_polytope_needs_no_canonical_form():
+    from toricgit.degeneration import build_bundle
+    for n in (1, 2, 3):
+        b = build_bundle(n)
+        q = b.product_polyhedron.polytopal_part()
+        sl = assert_slice_independent_of_canonical_form(q, b.lin_product.alpha,
+                                                        [-x for x in b.lin_product.b])
+        assert len(sl.vertex_candidates) == len(list(permutations(range(n))))
+
+
+def test_polytopal_part_is_memoised():
+    from toricgit.degeneration import build_bundle
+    rng = random.Random(3)
+    for d in (2, 3, 4):
+        p = LatticePolyhedron(d, random_polytope_points(rng, d), Cone(d, [(1,) * d]))
+        q = p.polytopal_part()
+        assert q is p.polytopal_part()
+        assert q.vertex_candidates == p.vertex_candidates and not q.recession.rays
+    b = build_bundle(2)
+    assert b.product_polyhedron.polytopal_part() is b.product_polyhedron.polytopal_part()
 
 
 def test_normal_fan_segment():
