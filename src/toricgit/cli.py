@@ -133,14 +133,14 @@ def cmd_verify(args) -> int:
                 print(f"error: unknown check {args.check!r}; choose from "
                       f"{', '.join(VERIFY_CHECKS + (FUZZ_CHECK,))}", file=sys.stderr)
                 return 2
-            if not 1 <= n <= 4 or args.check not in checks_for(n):
+            if not 1 <= n <= 5 or args.check not in checks_for(n):
                 print(f"error: check {args.check} is not available at n={n}",
                       file=sys.stderr)
                 return 2
             selected = [args.check]
     else:
-        if not 1 <= n <= 4:
-            print("error: --n must be in [1, 4] for verify", file=sys.stderr)
+        if not 1 <= n <= 5:
+            print("error: --n must be in [1, 5] for verify", file=sys.stderr)
             return 2
         selected = checks_for(n)
     results = []
@@ -206,10 +206,10 @@ def cmd_stab(args) -> int:
     passed = torus.invariant_factors == sym.quotient.invariant_factors
     print(dumps({
         "torus": jsonio.group_to_json(torus),
-        "stab_order": len(sym.stab),
+        "stab_order": sym.stab.order(),
         "stab_generators": [cycle_notation(p)
                             for p in sym.stab.first_in_cycle_notation_order(50)],
-        "stab0_order": len(sym.stab0),
+        "stab0_order": sym.stab0.order(),
         "stab0_blocks": sym.stab0_young.blocks_one_based(),
         "quotient": jsonio.group_to_json(sym.quotient),
         "comparison": "PASS" if passed else "FAIL",

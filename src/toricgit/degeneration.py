@@ -30,7 +30,8 @@ from typing import Any, Sequence
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, quotient_slice, unstable_rays
 from .linalg import Matrix, solve_unique
-from .polyhedra import Fan, LatticePolyhedron, normal_fan
+from .polyhedra import (Fan, InnerCertificateError, LatticePolyhedron, cube_image_slice,
+                        normal_fan)
 
 VERIFY_CHECKS = ("conical_part", "pb_vertices", "quotient_theorem", "normal_fan",
                  "unstable_locus", "base_recovery", "fan_smooth_small")
@@ -71,6 +72,11 @@ def fractional_shift_family(n: int) -> list[Fraction]:
 
 def fractional_shift_product(n: int) -> list[Fraction]:
     return [Fraction(i * n, n + 1) for i in range(1, n + 1)]
+
+
+def product_linearization(n: int) -> Linearization:
+    """The distinguished linearization of the n-fold product."""
+    return Linearization(torus_shift_map(n, 2 * n + 1), fractional_shift_product(n))
 
 
 def family_rec_dual_columns(n: int) -> list[tuple[int, ...]]:
@@ -155,8 +161,19 @@ def decode_ray_label(n: int, ray: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return I, j
 
 
+def product_chart_corners(n: int) -> list[tuple[int, ...]]:
+    """The (n+1)^n chain indicators c of the n^2-cube, one per chart.
+
+    A chart is a threshold vector in {1..n+1}^n; block i of c (entries
+    (i-1)n+1 .. in, see ``product_cube_map``) is the indicator of
+    S_i = {j : threshold_j <= i}, so S_1 ⊆ ... ⊆ S_n."""
+    return [tuple(1 if c[j] <= i else 0 for i in range(1, n + 1) for j in range(n))
+            for c in product(range(1, n + 2), repeat=n)]
+
+
 def product_chart_vertices(n: int) -> list[tuple[int, ...]]:
-    """All (n+1)^n vertices of the product polyhedron, one per chart.
+    """All (n+1)^n vertices L(c) of the product polyhedron, one per chart
+    corner c of ``product_chart_corners``, in the same order.
 
     A vertex is the separable argmin of a generic functional (a; b) in the
     interior of the product cone.  Writing T_i = b_{i+1} + ... + b_{n+1}
@@ -169,18 +186,12 @@ def product_chart_vertices(n: int) -> list[tuple[int, ...]]:
     """
     tails = [_tail(n, i) for i in range(1, n + 1)]
     verts = []
-    for c in product(range(1, n + 2), repeat=n):
-        head = [0] * n
-        tail = [0] * (n + 1)
-        for i in range(1, n + 1):
-            size = 0
-            for j in range(n):
-                if c[j] <= i:
-                    head[j] -= 1
-                    size += 1
-            for m in range(n + 1):
-                tail[m] += size * tails[i - 1][m]
-        verts.append(tuple(head) + tuple(tail))
+    for c in product_chart_corners(n):
+        blocks = [c[i * n:(i + 1) * n] for i in range(n)]
+        sizes = [sum(blk) for blk in blocks]
+        head = tuple(-sum(col) for col in zip(*blocks))
+        tail = tuple(sum(s * t[m] for s, t in zip(sizes, tails)) for m in range(n + 1))
+        verts.append(head + tail)
     return verts
 
 
@@ -311,7 +322,7 @@ def build_bundle(n: int) -> DegenerationBundle:
                                   _facets=tuple(sorted(facets)), _equations=())
     prod_poly = prod_poly.canonicalize()
     lin_fam = Linearization(torus_shift_map(n, n + 2), fractional_shift_family(n))
-    lin_prod = Linearization(torus_shift_map(n, 2 * n + 1), fractional_shift_product(n))
+    lin_prod = product_linearization(n)
     pi = projection_matrix(n)
     if any(any(x != 0 for x in (lin_prod.alpha @ col)) for col in pi.transpose().columns()):
         raise AssertionError("rows of pi must lie in the kernel of the product shift map")
@@ -493,6 +504,24 @@ def _symmetric(n: int) -> SymmetricModel:
     return build_symmetric(n)
 
 
+@cache
+def _pb(n: int) -> LatticePolyhedron:
+    """The slice polytope P_b = conv(chart vertices) ∩ {α x = -b} of the
+    product, read by ``pb_vertices`` and ``unstable_locus``.
+
+    It is sliced from the n^2-cube block by block (``cube_image_slice``),
+    with the chart corners as the inner certificate's lookup set, so the
+    (n+1)^n chart vertices are never double-described and the bundle is not
+    built.  When the certificate fails, P_b is sliced from the product
+    polytope's H-representation instead."""
+    lin = product_linearization(n)
+    try:
+        return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b],
+                                product_chart_corners(n))
+    except InnerCertificateError:
+        return quotient_slice(_bundle(n).product_polyhedron.polytopal_part(), lin)
+
+
 @dataclass
 class VerifyReport:
     check: str
@@ -531,8 +560,7 @@ def _check_conical_part(n: int) -> tuple[bool, Any]:
 def _check_pb_vertices(n: int) -> tuple[bool, Any]:
     b = _bundle(n)
     ms = slice_vertex_points(b)
-    sl = quotient_slice(b.product_polyhedron.polytopal_part(), b.lin_product)
-    got = set(sl.vertex_candidates)
+    got = set(_pb(n).vertex_candidates)
     if got != set(ms.values()):
         return False, {"unexpected": [list(map(str, v)) for v in sorted(got - set(ms.values()))]}
     heads = {v[:n] for v in got}
@@ -579,7 +607,7 @@ def _check_normal_fan(n: int) -> tuple[bool, Any]:
 
 def _check_unstable_locus(n: int) -> tuple[bool, Any]:
     b = _bundle(n)
-    data = unstable_rays(b.product_polyhedron, b.lin_product)
+    data = unstable_rays(b.product_polyhedron, _pb(n))
     rows = []
     for rd in data:
         I, j = decode_ray_label(n, rd.ray)
@@ -647,8 +675,8 @@ def verify(n: int, check: str) -> VerifyReport:
     if check not in _CHECK_FUNCS:
         raise ValueError(f"unknown check name: {check}")
     func, nmin = _CHECK_FUNCS[check]
-    if not (nmin <= n <= 4):
-        raise ValueError(f"check {check} supports {nmin} <= n <= 4")
+    if not (nmin <= n <= 5):
+        raise ValueError(f"check {check} supports {nmin} <= n <= 5")
     t0 = time.perf_counter()
     try:
         ok, witness = func(n)

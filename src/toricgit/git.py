@@ -159,23 +159,25 @@ def support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
-def unstable_rays(p: LatticePolyhedron, lin: Linearization) -> list[RayDatum]:
-    """Margins min_{m in P_b} <v, m> - d_v for every recession-dual extreme ray.
+def unstable_rays(p: LatticePolyhedron, pb: LatticePolyhedron) -> list[RayDatum]:
+    """Margins min_{m in P_b} <v, m> - d_v for every recession-dual extreme ray
+    v of p, where ``pb`` is the polytope slice P_b of p (as from
+    ``quotient_slice(p.polytopal_part(), lin)``), in ambient coordinates.
 
-    The margin is computed over the vertices of the polytope slice P_b only;
-    this is valid because d_v <= 0 and <v, ·> >= 0 on the kernel cone, so the
+    The margin is computed over the candidate points of P_b only; this is
+    valid because d_v <= 0 and <v, ·> >= 0 on the kernel cone, so the
     recession part of the quotient cannot lower the minimum.
 
-    P_b is sliced from the memoised ``p.polytopal_part()``, as in
-    ``split_quotient``.  Its vertices are scaled once to integer vectors
-    over one common denominator, so each minimum is taken in int; only the
-    margin becomes a Fraction.
+    The points of P_b are scaled once to integer vectors over one common
+    denominator, so each minimum is taken in int; only the margin becomes a
+    Fraction.
     """
-    poly_slice = quotient_slice(p.polytopal_part(), lin)
-    if poly_slice.is_empty():
+    if pb.is_empty():
         raise EmptyQuotientError("empty quotient")
+    if pb.ambient_rank != p.ambient_rank:
+        raise ValueError("P_b must live in the ambient space of the polyhedron")
     consts = support_constants(p)
-    pts, den = _integer_points(poly_slice)
+    pts, den = _integer_points(pb)
     out = []
     for v, dv in sorted(consts.items()):
         margin = Fraction(min(sum(a * b for a, b in zip(v, pt)) for pt in pts), den) - dv

@@ -164,8 +164,13 @@ class CosetUnion:
     reps: tuple[Perm, ...]
     young: YoungSubgroup
 
-    def __len__(self) -> int:
+    def order(self) -> int:
+        """The number of elements, exact at any size."""
         return len(self.reps) * self.young.order()
+
+    def __len__(self) -> int:
+        # len() cannot return more than sys.maxsize; order() can
+        return self.order()
 
     def __iter__(self) -> Iterator[Perm]:
         for r in self.reps:
@@ -191,7 +196,7 @@ class CosetUnion:
         with ``count``, not with the number of elements.  When ``count``
         covers every element, sorting them is cheaper.
         """
-        if len(self) <= count:
+        if self.order() <= count:
             return sorted(self, key=cycle_notation)
         n = self.young.n
         order = sorted(range(n), key=lambda a: str(a + 1))

@@ -56,6 +56,13 @@ def _json_int(x, what: str) -> int:
     return int(x)
 
 
+def _json_str(x, what: str) -> str:
+    """A JSON string, or ValueError for anything else."""
+    if not isinstance(x, str):
+        raise ValueError(f"{what} must be a string, not {type(x).__name__}")
+    return x
+
+
 def _json_rows(obj, what: str, parse) -> list[tuple]:
     """A JSON list of lists, each entry read by ``parse``."""
     return [tuple(parse(x) for x in _json_list(row, what))
@@ -148,7 +155,7 @@ def configuration_from_json(obj: dict) -> CycleConfiguration:
             component=_json_int(p["component"], "component"),
             position=UnitValue(root=parse_rational(p.get("root", "0")),
                                generic=g + (0,) * (m - len(g))),
-            a1_label=str(p.get("a1", "")),
+            a1_label=_json_str(p.get("a1", ""), "a1"),
             multiplicity=_json_int(p.get("mult", 1), "mult")))
     return CycleConfiguration(n=n, I_t=I_t, points=tuple(pts))
 

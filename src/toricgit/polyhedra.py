@@ -13,12 +13,13 @@ monomials); the empty polyhedron is a first-class value.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, product
 from typing import Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone
 from .linalg import (Matrix, clear_denominators, dot, is_zero_vec, rank,
-                     scaled_primitive, solve_affine, vec, vsub)
+                     scaled_primitive, solve_affine, vadd, vec, vsub)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
 Equation = tuple[tuple[int, ...], Fraction]  # <n, x> == o
@@ -257,6 +258,103 @@ def affine_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePo
     return LatticePolyhedron(d, verts, Cone(d, rec_rays)).canonicalize()
 
 
+class InnerCertificateError(ValueError):
+    """A vertex of the cube-image slice is not shown to lie in conv(L(corners))."""
+
+
+def cube_blocks(m: Matrix) -> list[tuple[list[int], list[int]]]:
+    """(columns, rows) of each connected component of the nonzero pattern of m.
+
+    Two columns are joined when some row reads both.  A column that no row
+    reads is a block of its own with no rows; rows that read no column
+    belong to no block.  Blocks are ordered by their first column."""
+    parent = list(range(m.cols))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    support = [[j for j, x in enumerate(r) if x != 0] for r in m.entries]
+    for cols in support:
+        for j in cols[1:]:
+            parent[find(j)] = find(cols[0])
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for j in range(m.cols):
+        blocks.setdefault(find(j), ([], []))[0].append(j)
+    for i, cols in enumerate(support):
+        if cols:
+            blocks[find(cols[0])][1].append(i)
+    return sorted(blocks.values())
+
+
+def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
+                     corners: Iterable[Sequence[int]]) -> LatticePolyhedron:
+    """conv(L(corners)) ∩ {x : f·x = target}, canonical, for 0/1 points
+    ``corners`` of the cube [0,1]^cols(L); InnerCertificateError when the
+    certificate below fails.
+
+    The slice of L(cube) is L of the cube's slice by (f·L)·c = target.
+    That slice is the product of the slices of the cube blocks
+    (``cube_blocks`` of f·L), each cut with ``affine_slice``, so its image is
+    the Minkowski sum of the block images.  Summed block by block, each
+    vertex of the sum keeps its unique decomposition into block vertices,
+    which gives it a preimage c in the cube.
+
+    L(cube) only bounds conv(L(corners)) from outside, so each vertex L(c)
+    is certified from inside: L maps every corner of the smallest cube face
+    containing c (the coordinates of c strictly between 0 and 1 set to 0 or
+    1) into L(corners).  Then L(c) lies in their hull, every vertex of the
+    outer bound lies in conv(L(corners)), and the two slices are equal.
+
+    The 2^k corners of each block are listed, so blocks must be small."""
+    d = L.rows
+    if f.cols != d:
+        raise ValueError("rank mismatch")
+    t = vec(target)
+    empty = LatticePolyhedron(d).canonicalize()
+    m = f @ L
+    if any(is_zero_vec(r) and x != 0 for r, x in zip(m.entries, t)):
+        return empty
+    acc: dict[tuple, tuple] = {tuple([Fraction(0)] * d): ()}
+    for cols, rows in cube_blocks(m):
+        k = len(cols)
+        facets = [(tuple(s if i == j else 0 for i in range(k)), Fraction(min(s, 0)))
+                  for j in range(k) for s in (1, -1)]
+        sl = LatticePolyhedron(k, product((0, 1), repeat=k),
+                               _facets=tuple(sorted(facets)), _equations=())
+        if rows:
+            sl = affine_slice(sl, Matrix([[m.entries[i][j] for j in cols] for i in rows]),
+                              [t[i] for i in rows])
+            if sl.is_empty():
+                return empty
+        lb = Matrix.from_columns([L.column(j) for j in cols])
+        preimage = {}
+        for y in sl.vertex_candidates:
+            preimage.setdefault(lb @ y, tuple(zip(cols, y)))
+        image = linear_image(lb, sl).vertex_candidates
+        sums = {vadd(a, v): da + preimage[v] for a, da in acc.items() for v in image}
+        if len(acc) > 1 and len(image) > 1:
+            sums = {v: sums[v] for v in
+                    LatticePolyhedron(d, sums).canonicalize().vertex_candidates}
+        acc = sums
+    # L scaled to int by one common denominator, which the lookups share
+    flat, _ = clear_denominators([x for r in L.entries for x in r])
+    rows_l = [flat[i * L.cols:(i + 1) * L.cols] for i in range(d)]
+    images = {tuple(sum(compress(r, c)) for r in rows_l) for c in corners}
+    for v, c in acc.items():
+        face = {tuple(sum(r[j] for j, y in c if y == 1) for r in rows_l)}
+        for j, y in c:
+            if 0 < y < 1:
+                face |= {tuple(a + r[j] for a, r in zip(p, rows_l)) for p in face}
+        if not face <= images:
+            raise InnerCertificateError(
+                f"a corner of the cube face through the preimage of {v} maps "
+                "outside L(corners)")
+    return LatticePolyhedron(d, acc).canonicalize()
+
+
 def cone_over(p: LatticePolyhedron) -> Cone:
     """Cone in rank+1 generated by (v,1) and (r,0); slicing at height 1 gives p back."""
     if p.is_empty():
@@ -403,7 +501,6 @@ def check_semigroup_generation(p: LatticePolyhedron, extra_monomials: Sequence[S
 
 def _lattice_points_in_vertex_cone(active, eqs, grading, d, bound) -> list[tuple[int, ...]]:
     """Integer points x with active·x >= 0, eqs·x = 0, <grading, x> <= bound."""
-    from itertools import product
     from .linalg import Matrix, elementary_divisors
 
     lin_rays, rays = dd.cone_from_inequalities(

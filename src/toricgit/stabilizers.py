@@ -400,7 +400,7 @@ def verify_comparison(c: CycleConfiguration,
     sym = sym_stabilizers(project_to_quotient(c), brute_force_max=brute_force_max)
     return ComparisonReport(
         n=c.n, torus_side=torus, sym_side=sym.quotient,
-        stab_order=len(sym.stab), stab0_order=len(sym.stab0),
+        stab_order=sym.stab.order(), stab0_order=sym.stab0.order(),
         passed=torus.invariant_factors == sym.quotient.invariant_factors)
 
 

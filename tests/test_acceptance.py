@@ -10,7 +10,7 @@ from itertools import permutations
 import pytest
 
 from toricgit.cones import Cone, image_cone
-from toricgit.degeneration import (build_bundle, build_symmetric, checks_for,
+from toricgit.degeneration import (_pb, build_bundle, build_symmetric, checks_for,
                                    constant_tail, decode_ray_label,
                                    product_cone_ambient, slice_vertex_points,
                                    verify)
@@ -81,7 +81,7 @@ def test_criterion_05_unstable_locus():
     t0 = time.perf_counter()
     for n in range(2, 5):
         b = build_bundle(n)
-        data = unstable_rays(b.product_polyhedron, b.lin_product)
+        data = unstable_rays(b.product_polyhedron, _pb(n))
         assert len(data) == 2 ** n * (n + 1)
         for rd in data:
             I, j = decode_ray_label(n, rd.ray)

@@ -90,6 +90,15 @@ def test_verify_bad_args():
     assert run_cli(["verify", "--n", "1", "--check", "normal_fan"]).returncode == 2
 
 
+@pytest.mark.parametrize("args", [["--all"], ["--check", "pb_vertices"]])
+def test_verify_above_cap_exits_2(args):
+    # n = 5 is the largest verified n: at n = 6 the bundle has 7^6 chart vertices
+    r = run_cli(["verify", "--n", "6", *args])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 def test_verify_fuzz_seeded():
     env = {"DEGEN_SEED": "42", "DEGEN_FUZZ_TRIALS": "15"}
     r = run_cli(["verify", "--n", "3", "--check", "comparison_fuzz"], env=env)
@@ -190,6 +199,13 @@ def malformed_inputs(tmp_path):
     scalar_vertices.write_text(json.dumps({"ambient_rank": 2, "vertices": 5}))
     degree_zero = tmp_path / "degree_zero.json"
     degree_zero.write_text(json.dumps({"n": 0, "I_t": [], "points": []}))
+    # an a1 label that is not a string
+    a1_list = tmp_path / "a1_list.json"
+    a1_list.write_text(json.dumps({"n": 1, "I_t": [], "points": [
+        {"component": 0, "root": "0", "generic": [1], "a1": ["x"], "mult": 1}]}))
+    a1_int = tmp_path / "a1_int.json"
+    a1_int.write_text(json.dumps({"n": 1, "I_t": [], "points": [
+        {"component": 0, "root": "0", "generic": [1], "a1": 1, "mult": 1}]}))
     return {"zero denominator": ["quotient", str(poly), str(alpha), "1/0"],
             "polyhedron list": ["quotient", str(listed), str(alpha), "1/2"],
             "zero root": ["stab", str(zero_root)],
@@ -198,12 +214,14 @@ def malformed_inputs(tmp_path):
             "scalar points": ["stab", str(scalar_points)],
             "scalar generic": ["stab", str(scalar_generic)],
             "scalar vertices": ["quotient", str(scalar_vertices), str(slice_alpha), "1"],
-            "degree zero": ["stab", str(degree_zero)]}
+            "degree zero": ["stab", str(degree_zero)],
+            "a1 list": ["stab", str(a1_list)],
+            "a1 int": ["stab", str(a1_int)]}
 
 
 @pytest.mark.parametrize("name", ["zero denominator", "polyhedron list", "zero root",
                                   "configuration list", "scalar points", "scalar generic",
-                                  "scalar vertices", "degree zero"])
+                                  "scalar vertices", "degree zero", "a1 list", "a1 int"])
 def test_malformed_input_exits_2(tmp_path, name):
     r = run_cli(malformed_inputs(tmp_path)[name])
     assert r.returncode == 2, r.stderr
@@ -279,6 +297,20 @@ def test_stab_bound_exceeded(tmp_path):
         "n": 12, "I_t": [],
         "points": [{"component": 0, "root": "0", "generic": [1], "a1": "a", "mult": 12}]}))
     assert run_cli(["stab", str(cfg), "--brute-force-max", "9"]).returncode == 4
+
+
+def test_stab_order_beyond_len_limit(tmp_path):
+    # |Stab| = 21! exceeds what len() can return; the orders are exact ints
+    from math import factorial
+    cfg = tmp_path / "fold21.json"
+    cfg.write_text(json.dumps({
+        "n": 21, "I_t": [],
+        "points": [{"component": 0, "root": "0", "generic": [], "a1": "a", "mult": 21}]}))
+    r = run_cli(["stab", str(cfg), "--brute-force-max", "30"])
+    assert r.returncode == 0, r.stderr
+    obj = json.loads(r.stdout)
+    assert obj["stab_order"] == obj["stab0_order"] == factorial(21)
+    assert obj["comparison"] == "PASS" and len(obj["stab_generators"]) == 50
 
 
 def test_stab_parse_error(tmp_path):

@@ -3,14 +3,21 @@ from itertools import permutations, product
 
 import pytest
 
+from toricgit import degeneration
 from toricgit.cones import Cone, image_cone
-from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle,
+from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle, _pb,
                                    _symmetric, ambient_reflections, build_bundle,
                                    build_symmetric, chamber_cone, checks_for,
                                    constant_tail, decode_ray_label, head_vertex,
-                                   permutation_matrices, product_cone_ambient,
-                                   slice_vertex, verify, weight_reflections)
+                                   permutation_matrices, product_chart_corners,
+                                   product_chart_vertices, product_cone_ambient,
+                                   product_cube_map, product_linearization,
+                                   slice_vertex, slice_vertex_points, verify,
+                                   weight_reflections)
+from toricgit.git import quotient_slice
+from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, invert
+from toricgit.polyhedra import InnerCertificateError, cube_image_slice
 
 
 def test_bundle_shifts_and_vertices():
@@ -211,3 +218,96 @@ def test_cached_accessors_build_once_per_n():
         assert _symmetric(n) is _symmetric(n)
         assert _symmetric(n).fan == build_symmetric(n).fan
     assert _bundle(1) is not _bundle(2)
+
+
+# -- P_b from the cube -------------------------------------------------------
+
+
+def test_chart_vertices_are_images_of_chart_corners():
+    for n in (1, 2, 3, 4):
+        L = product_cube_map(n)
+        corners = product_chart_corners(n)
+        assert len(corners) == (n + 1) ** n
+        assert all(set(c) <= {0, 1} and len(c) == n * n for c in corners)
+        assert product_chart_vertices(n) == [L @ c for c in corners]
+
+
+def test_pb_from_cube_matches_product_slice():
+    # oracle: the slice of the product polytope's H-representation
+    for n in (1, 2, 3, 4):
+        b = _bundle(n)
+        want = quotient_slice(b.product_polyhedron.polytopal_part(), b.lin_product)
+        got = _pb(n)
+        assert got.vertex_candidates == want.vertex_candidates, n
+        assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want)), n
+
+
+def cube_pb(n, corners):
+    lin = product_linearization(n)
+    return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b], corners)
+
+
+def test_certificate_needs_every_face_corner():
+    # at n = 2 the vertices of P_b have preimages with block sums 2/3 and 4/3,
+    # one coordinate strictly between 0 and 1 per block; the faces through
+    # them have as corners exactly the chain corners whose block i holds
+    # floor or ceil of 2i/3 ones, so removing any of those must raise
+    n = 2
+    corners = product_chart_corners(n)
+    full = cube_pb(n, corners)
+    needed = 0
+    for c in corners:
+        rest = [x for x in corners if x != c]
+        sums = [sum(c[i * n:(i + 1) * n]) for i in range(n)]
+        if all(abs(s - F((i + 1) * n, n + 1)) < 1 for i, s in enumerate(sums)):
+            needed += 1
+            with pytest.raises(InnerCertificateError):
+                cube_pb(n, rest)
+        else:
+            assert cube_pb(n, rest) == full
+    assert needed == 7
+
+
+def test_pb_falls_back_when_certificate_fails(monkeypatch):
+    n = 2
+    b = _bundle(n)  # built from all chart vertices before the corners are cut
+    want = quotient_slice(b.product_polyhedron.polytopal_part(), b.lin_product)
+    corners = [c for c in product_chart_corners(n) if c != (1, 0, 1, 0)]
+    calls = []
+    real = degeneration.quotient_slice
+
+    def spy(p, lin):
+        calls.append(p)
+        return real(p, lin)
+
+    monkeypatch.setattr(degeneration, "product_chart_corners", lambda n: corners)
+    monkeypatch.setattr(degeneration, "quotient_slice", spy)
+    _pb.cache_clear()
+    try:
+        got = _pb(n)
+    finally:
+        _pb.cache_clear()
+    assert len(calls) == 1 and calls[0] is b.product_polyhedron.polytopal_part()
+    assert got.vertex_candidates == want.vertex_candidates
+    assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want))
+
+
+def test_pb_n5_from_cube_without_bundle(monkeypatch):
+    # the certificate holds at n = 5, so neither the fallback nor the
+    # 7776-vertex bundle is built
+    from types import SimpleNamespace
+
+    def no_bundle(n):
+        raise AssertionError("P_b at n = 5 must not need the bundle")
+
+    monkeypatch.setattr(degeneration, "_bundle", no_bundle)
+    _pb.cache_clear()
+    try:
+        got = _pb(5)
+    finally:
+        _pb.cache_clear()
+    fake = SimpleNamespace(n=5, cube_map=product_cube_map(5),
+                           slice_vertices=tuple(slice_vertex(5, i) for i in range(1, 6)))
+    expected = set(slice_vertex_points(fake).values())
+    assert len(expected) == 120
+    assert set(got.vertex_candidates) == expected

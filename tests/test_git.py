@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from toricgit.cones import Cone
-from toricgit.degeneration import (build_bundle, decode_ray_label,
+from toricgit.degeneration import (_pb, build_bundle, decode_ray_label,
                                    product_rec_dual_columns, projection_matrix)
 from toricgit.git import (Linearization, chart_invariants, kernel_cone,
                           quotient_polyhedron, quotient_slice, split_quotient,
@@ -121,9 +121,15 @@ def test_support_constants_rational_vertices():
         assert dv == min([F(0)] + [dot(v, pt) for pt in slice_pts])
 
 
+def general_pb(b):
+    """P_b along the general route: the slice of the product polytope's
+    H-representation."""
+    return quotient_slice(b.product_polyhedron.polytopal_part(), b.lin_product)
+
+
 def test_unstable_rays_n2():
     b = build_bundle(2)
-    data = {rd.ray: rd for rd in unstable_rays(b.product_polyhedron, b.lin_product)}
+    data = {rd.ray: rd for rd in unstable_rays(b.product_polyhedron, general_pb(b))}
     assert data[ray(2, (1,), 1)].margin == 0
     assert not data[ray(2, (1,), 1)].unstable
     assert data[ray(2, (), 1)].margin == F(2, 3)
@@ -136,7 +142,7 @@ def test_unstable_rays_n2():
 
 def test_margin_closed_form_n3():
     b = build_bundle(3)
-    for rd in unstable_rays(b.product_polyhedron, b.lin_product):
+    for rd in unstable_rays(b.product_polyhedron, general_pb(b)):
         I, j = decode_ray_label(3, rd.ray)
         k = len(I)
         assert rd.support_constant == F(-(3 - j) * k)
@@ -151,7 +157,7 @@ def test_integer_margins_match_fraction_margins():
         p = b.product_polyhedron
         verts = quotient_slice(LatticePolyhedron(p.ambient_rank, p.vertex_candidates)
                                .canonicalize(), b.lin_product).vertex_candidates
-        data = unstable_rays(p, b.lin_product)
+        data = unstable_rays(p, _pb(n))
         assert [rd.ray for rd in data] == sorted(p.recession.dual().rays)
         for rd in data:
             dv = min([F(0)] + [dot(rd.ray, m) for m in p.vertex_candidates])
@@ -160,9 +166,9 @@ def test_integer_margins_match_fraction_margins():
             assert isinstance(rd.margin, F) and rd.unstable == (margin > 0)
 
 
-def test_product_polytope_h_rep_computed_once(monkeypatch):
-    # pb_vertices and unstable_locus slice the same polytopal part of the
-    # cached bundle, so its one double description serves both checks
+def test_slice_checks_share_pb_without_product_dd(monkeypatch):
+    # pb_vertices and unstable_locus read one cached P_b, cut from the cube,
+    # so the product polytope's polytopal part is never double-described
     from toricgit import dd
     from toricgit.degeneration import _bundle, verify
     calls = []
@@ -173,14 +179,18 @@ def test_product_polytope_h_rep_computed_once(monkeypatch):
         return real(gens, d)
 
     _bundle.cache_clear()
+    _pb.cache_clear()
     monkeypatch.setattr(dd, "dual_rays", spy)
     try:
         assert verify(3, "pb_vertices").ok()
+        pb = _pb(3)
         assert verify(3, "unstable_locus").ok()
+        assert _pb(3) is pb
         part = set(_bundle(3).product_polyhedron.polytopal_part()._homogenized_generators())
-        assert calls.count(part) == 1
+        assert calls and calls.count(part) == 0
     finally:
         _bundle.cache_clear()
+        _pb.cache_clear()
 
 
 def test_shift_integrality():

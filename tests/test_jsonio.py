@@ -64,18 +64,29 @@ matrix = st.fixed_dictionaries(
 @example(obj={"n": 0, "I_t": [], "points": []})
 @example(obj={"n": None, "points": []})
 @example(obj={"n": 1, "points": [{"component": 0, "mult": []}]})
+@example(obj={"n": 1, "points": [{"component": 0, "a1": ["x"]}]})
+@example(obj={"n": 1, "points": [{"component": 0, "a1": 1}]})
 def test_parsers_raise_only_value_or_key_error(obj):
     for parse in PARSERS:
         try:
             parse(obj)
         except (ValueError, KeyError):
-            pass
+            continue
+        if parse is jsonio.configuration_from_json:
+            # an accepted point record carries its label as a string, or none
+            assert all(isinstance(p.get("a1", ""), str) for p in obj["points"])
 
 
 @pytest.mark.parametrize("field", [{"mult": 1.5}, {"mult": True}, {"component": 0.0},
-                                   {"root": True}, {"generic": [1.5]}, {"generic": "1"}])
+                                   {"root": True}, {"generic": [1.5]}, {"generic": "1"},
+                                   {"a1": ["x"]}, {"a1": 1}])
 def test_wrongly_typed_point_field_is_rejected(field):
     # a float or boolean is not an integer, and a string is not a list of digits
     record = {"component": 0, "root": "0", "generic": [1], "mult": 1, **field}
     with pytest.raises(ValueError):
         jsonio.configuration_from_json({"n": 1, "points": [record]})
+
+
+def test_missing_a1_label_defaults_to_empty():
+    c = jsonio.configuration_from_json({"n": 1, "points": [{"component": 0}]})
+    assert c.points[0].a1_label == ""

@@ -3,13 +3,16 @@ from fractions import Fraction as F
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot, in_cone_hull
 from toricgit.polyhedra import (Fan, LatticePolyhedron, affine_slice,
-                                check_semigroup_generation, cone_over,
-                                linear_image, minkowski_sum, normal_fan)
+                                check_semigroup_generation, cone_over, cube_blocks,
+                                cube_image_slice, linear_image, minkowski_sum,
+                                normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
 
@@ -77,6 +80,78 @@ def test_minkowski_identity_and_square():
 def test_linear_image_identity():
     p = cube(3)
     assert linear_image(Matrix.identity(3), p) == p
+
+
+# -- slices of cube images, block by block --------------------------------
+
+
+def cube_slice_oracle(L, f, target):
+    """The slice of the image of the whole cube, along the general route."""
+    return affine_slice(linear_image(L, cube(L.cols)), f, target)
+
+
+def assert_same_polytope(got, want):
+    assert got.vertex_candidates == want.vertex_candidates
+    assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want))
+
+
+def test_cube_blocks():
+    from toricgit.degeneration import product_cube_map, product_linearization
+    # row i of α·L reads exactly cube block i
+    for n in (2, 3):
+        m = product_linearization(n).alpha @ product_cube_map(n)
+        assert cube_blocks(m) == [(list(range(i * n, (i + 1) * n)), [i]) for i in range(n)]
+    # a row that reads two blocks joins them, an unread column is a block of
+    # its own, and a zero row belongs to no block
+    m = Matrix([[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0] * 6, [0, 1, 0, 0, 0, -1]])
+    assert cube_blocks(m) == [([0, 1, 5], [0, 3]), ([2], []), ([3, 4], [1])]
+
+
+def test_cube_image_slice_non_separable_matches_oracle():
+    rng = random.Random(11)
+    seen = 0
+    while seen < 6:
+        N, d = rng.randint(2, 4), rng.randint(2, 4)
+        L = Matrix([[rng.randint(-2, 2) for _ in range(N)] for _ in range(d)])
+        f = Matrix([[rng.randint(-2, 2) for _ in range(d)]])
+        if len(cube_blocks(f @ L)) != 1:
+            continue
+        seen += 1
+        c0 = [F(rng.randint(0, 4), 4) for _ in range(N)]
+        target = f @ (L @ c0)
+        corners = list(product((0, 1), repeat=N))
+        assert_same_polytope(cube_image_slice(L, f, target, corners),
+                             cube_slice_oracle(L, f, target))
+
+
+@st.composite
+def separable_slices(draw):
+    """(L, f, target): L = [M; R] and f = [I | 0], so f·L = M, a sparse
+    matrix whose nonzero pattern splits the cube into blocks."""
+    N = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 3))
+    r = draw(st.integers(0, 2))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    M = [[draw(entry) for _ in range(N)] for _ in range(k)]
+    R = [[draw(st.integers(-2, 2)) for _ in range(N)] for _ in range(r)]
+    L = Matrix(M + R)
+    f = Matrix([[1 if j == i else 0 for j in range(k + r)] for i in range(k)])
+    if draw(st.integers(0, 2)):
+        # through a point of the cube, so that most slices are not empty
+        c0 = [F(draw(st.integers(0, 3)), 3) for _ in range(N)]
+        target = Matrix(M) @ c0
+    else:
+        target = [F(draw(st.integers(-4, 4)), 2) for _ in range(k)]
+    return L, f, target
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=separable_slices())
+def test_cube_image_slice_matches_oracle(case):
+    L, f, target = case
+    corners = list(product((0, 1), repeat=L.cols))
+    assert_same_polytope(cube_image_slice(L, f, target, corners),
+                         cube_slice_oracle(L, f, target))
 
 
 def test_affine_slice_examples():

@@ -480,3 +480,17 @@ def test_stab0_young_and_normal_are_enforced(monkeypatch):
         m.setattr(stabilizers, "search_stabilizer", one_block)
         with pytest.raises(AssertionError, match="not normal"):
             sym_stabilizers(project_to_quotient(example_two()))
+
+
+def test_orders_beyond_len_limit():
+    # one point of multiplicity 21: |Stab| = |Stab0| = 21! > sys.maxsize, which
+    # len() cannot return, so every order is read from CosetUnion.order()
+    from math import factorial
+    c = CycleConfiguration(n=21, I_t=(), points=(
+        PointRecord(component=0, position=UnitValue(root=F(0), generic=()),
+                    a1_label="a", multiplicity=21),))
+    rep = verify_comparison(c, brute_force_max=30)
+    assert rep.passed
+    assert rep.stab_order == rep.stab0_order == factorial(21)
+    sym = sym_stabilizers(project_to_quotient(c), brute_force_max=30)
+    assert len(sym.stab.first_in_cycle_notation_order(3)) == 3
