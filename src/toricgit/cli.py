@@ -78,11 +78,15 @@ def cmd_build(args) -> int:
 def _fuzz_settings() -> tuple[int, int]:
     """(DEGEN_SEED, DEGEN_FUZZ_TRIALS) from the environment."""
     try:
-        return (int(os.environ.get("DEGEN_SEED", "0")),
-                int(os.environ.get("DEGEN_FUZZ_TRIALS", "200")))
+        seed = int(os.environ.get("DEGEN_SEED", "0"))
+        trials = int(os.environ.get("DEGEN_FUZZ_TRIALS", "200"))
     except ValueError as exc:
         raise ValueError("DEGEN_SEED and DEGEN_FUZZ_TRIALS must be integers: "
                          f"{exc}") from None
+    if trials < 1:
+        # zero trials would report a pass without checking anything
+        raise ValueError(f"DEGEN_FUZZ_TRIALS must be at least 1, got {trials}")
+    return seed, trials
 
 
 def _run_fuzz(n: int) -> tuple[str, dict]:

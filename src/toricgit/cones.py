@@ -11,12 +11,11 @@ first and extreme rays are canonical representatives modulo it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import dd
 from .linalg import (IntVec, Matrix, dot, elementary_divisors, is_zero_vec,
-                     kernel_basis, rank, scaled_primitive)
+                     kernel_basis, primitive, rank, scaled_primitive)
 
 
 class Cone:
@@ -78,21 +77,19 @@ class Cone:
             object.__setattr__(self, "_lineality", ())
             object.__setattr__(self, "_rays", ())
             return
-        # reduce generators modulo the lineality space, canonically via HNF pivots
+        # reduce generators modulo the lineality space, canonically via HNF
+        # pivots, in int: x <- p*x - x[pc]*row with the pivot p > 0 keeps the ray
         reduced = []
-        lin_rows = [tuple(map(Fraction, l)) for l in lin]
-        pivots = []
-        for row in lin_rows:
-            pc = next(j for j, x in enumerate(row) if x != 0)
-            pivots.append(pc)
+        pivots = [next(j for j, x in enumerate(row) if x != 0) for row in lin]
         for g in self.generators:
-            x = list(map(Fraction, g))
-            for row, pc in zip(lin_rows, pivots):
-                if x[pc] != 0:
-                    f = x[pc] / row[pc]
-                    x = [a - f * b for a, b in zip(x, row)]
+            x = g
+            for row, pc in zip(lin, pivots):
+                c = x[pc]
+                if c != 0:
+                    p = row[pc]
+                    x = [p * a - c * b for a, b in zip(x, row)]
             if any(v != 0 for v in x):
-                reduced.append(scaled_primitive(x))
+                reduced.append(primitive(x))
         reduced = list(dict.fromkeys(reduced))
         # extremeness: the minimal face containing g must be 1-dim mod lineality,
         # i.e. the active normals cut down to dimension len(lin) + 1

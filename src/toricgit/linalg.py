@@ -81,6 +81,14 @@ def clear_denominators(v: Sequence[Fraction]) -> tuple[IntVec, int]:
     return tuple(x.numerator * (d // x.denominator) for x in xs), d
 
 
+def _exact(x):
+    """An exact scalar as ``int`` when it is integral, else as ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def scaled_primitive(v: Sequence) -> IntVec:
     """Primitive integer vector spanning the same ray as the rational v."""
     w, _ = clear_denominators(v)
@@ -90,14 +98,24 @@ def scaled_primitive(v: Sequence) -> IntVec:
 class Matrix:
     """Immutable dense matrix with exact entries.
 
-    Entries are Fractions in general; for lattice maps they are checked to be
-    integers on demand.  Row-major, ``m.entries[i][j]``.
+    Every integral entry is stored as an ``int``; only an entry with a real
+    denominator stays a ``Fraction``.  Whether all entries are ``int`` is
+    recorded once at construction, so ``is_integral`` and ``int_rows`` cost
+    nothing.  Row-major, ``m.entries[i][j]``.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_int")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows = tuple(vec(row) for row in entries)
+        rows = []
+        integral = True
+        for row in entries:
+            row = tuple(row)
+            if not all(type(x) is int for x in row):
+                row = tuple(map(_exact, row))
+                integral = integral and all(type(x) is int for x in row)
+            rows.append(row)
+        rows = tuple(rows)
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -107,6 +125,7 @@ class Matrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", w)
+        object.__setattr__(self, "_int", integral)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Matrix is immutable")
@@ -121,39 +140,45 @@ class Matrix:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
-        cols = [vec(c) for c in cols]
-        if not cols:
-            return Matrix([])
-        return Matrix([[c[i] for c in cols] for i in range(len(cols[0]))])
+        cols = list(cols)
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("ragged matrix")
+        return Matrix(zip(*cols))
 
-    def column(self, j: int) -> Vec:
+    def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
 
-    def columns(self) -> list[Vec]:
+    def columns(self) -> list[tuple]:
         return [self.column(j) for j in range(self.cols)]
 
-    def row(self, i: int) -> Vec:
+    def row(self, i: int) -> tuple:
         return self.entries[i]
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix(zip(*self.entries))
 
     def __matmul__(self, other):
+        """Exact product, for int and rational entries alike.  Row i of
+        ``self @ other`` is the sum, over the nonzero ``a = self[i][j]``, of
+        ``a * other.row(j)``; a 1-entry takes the row as it is, so a
+        permutation row costs no arithmetic.  The matrix-vector product is a
+        plain sum of products."""
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matmul")
-            return Matrix(self._products([clear_denominators(c) for c in zip(*other.entries)]))
-        # matrix @ vector
-        v = clear_denominators(other)
-        if self.cols != len(v[0]):
+            out = []
+            for r in self.entries:
+                acc = None
+                for a, b in zip(r, other.entries):
+                    if a:
+                        if a != 1:
+                            b = [a * y for y in b]
+                        acc = b if acc is None else [x + y for x, y in zip(acc, b)]
+                out.append((0,) * other.cols if acc is None else acc)
+            return Matrix(out)
+        if self.cols != len(other):
             raise ValueError("shape mismatch in matvec")
-        return tuple(row[0] for row in self._products([v]))
-
-    def _products(self, right: list[tuple[IntVec, int]]) -> list[list[Fraction]]:
-        """Row-by-column products with integer-scaled columns (w, d): each row
-        is scaled by its common denominator too, so the sums run in int."""
-        return [[Fraction(sum(a * b for a, b in zip(r, w)), dr * d) for w, d in right]
-                for r, dr in map(clear_denominators, self.entries)]
+        return tuple(sum(a * x for a, x in zip(row, other)) for row in self.entries)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
@@ -165,12 +190,12 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.entries]})"
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.entries for x in r)
+        return self._int
 
     def int_rows(self) -> list[IntVec]:
-        if not self.is_integral():
+        if not self._int:
             raise ValueError("matrix is not integral")
-        return [tuple(int(x) for x in r) for r in self.entries]
+        return list(self.entries)
 
     def rank(self) -> int:
         return rank(self.entries)
@@ -344,28 +369,6 @@ def elementary_divisors(m: Matrix) -> list[int]:
     return out
 
 
-def det_unimodular(m: Matrix) -> int:
-    """Determinant of a square integer matrix (exact, via Q-elimination)."""
-    a = [list(map(Fraction, r)) for r in m.int_rows()]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    assert det.denominator == 1
-    return int(det)
-
-
 def kernel_basis(m: Matrix) -> list[IntVec]:
     """Basis of the saturated integer kernel ker(m) ∩ Z^cols, in row-HNF.
 
@@ -375,6 +378,8 @@ def kernel_basis(m: Matrix) -> list[IntVec]:
     if m.rows == 0 or m.cols == 0:
         basis = [tuple(1 if i == j else 0 for j in range(m.cols)) for i in range(m.cols)]
         return basis
+    if rank(m.entries) == m.cols:
+        return []  # injective, e.g. the facet normals of a pointed cone
     d, _, v = smith_normal_form(m)
     r = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0)
     cols = v.columns()[r:]
@@ -404,7 +409,8 @@ def solve_affine(m: Matrix, target: Sequence) -> Optional[AffineSolution]:
     t = vec(target)
     if len(t) != m.rows:
         raise ValueError("target length must equal row count")
-    a = [list(r) + [t[i]] for i, r in enumerate(m.entries)]
+    # eliminate in Fraction: int / int would give a float
+    a = [list(vec(r)) + [t[i]] for i, r in enumerate(m.entries)]
     nr, nc = m.rows, m.cols
     pivots: list[tuple[int, int]] = []  # (row, col)
     r = 0
@@ -447,7 +453,7 @@ def invert(m: Matrix) -> Matrix:
     n = m.rows
     if n != m.cols:
         raise ValueError("not square")
-    a = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+    a = [list(vec(r)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
          for i, r in enumerate(m.entries)]
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c] != 0), None)

@@ -9,6 +9,7 @@ from itertools import permutations
 
 import pytest
 
+from oracles import det_unimodular
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (_pb, build_bundle, build_symmetric, checks_for,
                                    constant_tail, decode_ray_label,
@@ -18,7 +19,7 @@ from toricgit.git import quotient_polyhedron, quotient_slice, split_quotient, \
     unstable_rays
 from toricgit.groups import compose, from_cycles, identity
 from toricgit.linalg import Matrix, hermite_normal_form, smith_normal_form, \
-    det_unimodular, elementary_divisors, kernel_basis
+    elementary_divisors, kernel_basis
 from toricgit.polyhedra import LatticePolyhedron, minkowski_sum, normal_fan
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   project_to_quotient, random_configuration,

@@ -109,7 +109,8 @@ def test_verify_fuzz_seeded():
     assert json.loads(r2.stdout)["witness"] == rep["witness"]
 
 
-@pytest.mark.parametrize("env", [{"DEGEN_SEED": "seven"}, {"DEGEN_FUZZ_TRIALS": "1.5"}])
+@pytest.mark.parametrize("env", [{"DEGEN_SEED": "seven"}, {"DEGEN_FUZZ_TRIALS": "1.5"},
+                                 {"DEGEN_FUZZ_TRIALS": "-5"}, {"DEGEN_FUZZ_TRIALS": "0"}])
 def test_verify_fuzz_bad_env(env):
     r = run_cli(["verify", "--n", "3", "--check", "comparison_fuzz"], env=env)
     assert r.returncode == 2

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import cone_rays_fraction
 from toricgit.cones import Cone, image_cone, positive_orthant
 from toricgit.linalg import Matrix, dot, feasible_nonneg_combination
 
@@ -135,3 +136,15 @@ def test_face_predicates():
     assert not Cone(3, [(2, 1, 1)]).is_face_of(DELTA_2)
     inter = DELTA_2.intersection(SIGMA_2)
     assert inter == DELTA_2  # delta is one of the maximal cones inside sigma
+
+
+def test_rays_mod_lineality_match_fraction_reduction():
+    rng = random.Random(1738)
+    for _ in range(80):
+        d = rng.randint(2, 5)
+        lin = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 2))]
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+        gens += lin + [tuple(-x for x in l) for l in lin]
+        c = Cone(d, [g for g in gens if any(g)] or [(1,) + (0,) * (d - 1)])
+        assert c.rays == cone_rays_fraction(c)
+        assert c.canonical_form().key() == c.key()

@@ -1,0 +1,75 @@
+"""Golden outputs: the sha256 of every small ``build`` payload and of the
+``verify --all`` report lines pin the program's deterministic output, so a
+refactor or an optimisation that changes a single byte fails here.
+
+The digests were recorded before the integer-first ``Matrix``.  To record
+them again after a deliberate output change, print ``build_digest`` and
+``verify_digest`` for the parameters below and say why in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from toricgit.cli import main
+
+BUILD_DIGESTS = {
+    ("expanded", 1): "3f04313bea67cebbb29a6a6846a9351976eda5d7b9cdee930aa96470d69d7d99",
+    ("expanded", 2): "ce50b063cc3cbd6f8c3184fc46d0e87e846290cbd7c630dbefb9c7b4b1b7d428",
+    ("expanded", 3): "ed2c067d3cec7c5d6417b9c09e3e284fd810230c9baf7d6a49c1726bd5f86d54",
+    ("expanded", 4): "e2df36086f350638022083e5d8dbc5681bfe70b4be1ffd73d4d64e6a5980f637",
+    ("permutahedron", 2): "cd8de274e7881d1c6ad5f9727b0ecd4075aff75d367f6def56bcc1636431ff0d",
+    ("permutahedron", 3): "89c220e24210a608384a7e8d2815ef8e4b8aa8eb3acc784d961a9cd4ce0a4d2b",
+    ("permutahedron", 4): "6c1207bf4efc12c2056758f3f5546abf73ec3b22cbab9bd4732451a51b6ee664",
+    ("permutahedron", 5): "7409eeb72d1892d2fcb3aae2243d78c1b0ad103ac459245d4f2d46323cba7b2a",
+    ("product", 1): "3f04313bea67cebbb29a6a6846a9351976eda5d7b9cdee930aa96470d69d7d99",
+    ("product", 2): "3fda58f70515776c9401ab7b2eaa2e32d688fefb6cea1b540d283f81620d284c",
+    ("product", 3): "44e48380f4937c7f82b3123ce1d8c543fe9981da15b6f6e8d08564db72d35ad3",
+    ("product", 4): "456d10933a2de5813231423cbec1c22224269d34de8c034e9ffaff4903481d29",
+    ("symmetric", 2): "6cd9c932987cd30d5383b568300f51651efe11e3aff0ba009580537892cc2816",
+    ("symmetric", 3): "a7804011c75b73166a7dcea9de5963a887e266043834b2655f8be1ebef973db8",
+    ("symmetric", 4): "c644e438fd257622ed46543e64b8361e214e23da461e11d7d0f8a55a0604b560",
+    ("symmetric", 5): "de430c52c7051a6d605c74d50c2da66ea1ec6f2bfd1d87720011248505802f89",
+}
+
+VERIFY_DIGESTS = {
+    1: "24f96be8f709e85193afafbd3aa173a11a0c027770554db2058eb479eeeb34f7",
+    2: "55f464c13f7f6ff223a0999edecacecbe9484efbea9984a813ddfa7dcd4f6b1c",
+    3: "5542a752e69d94d51f20aedac232c9aa970262599e0a06ccccf86ced002a9902",
+    4: "2f95543aeae06ad1fcae6fe0b2744c79a5bdad26fb81e0872d6d88f6866da2a7",
+}
+
+
+def _run(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0, err.getvalue()
+    return out.getvalue()
+
+
+def build_digest(obj: str, n: int) -> str:
+    text = _run(["build", "--n", str(n), "--object", obj])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def verify_digest(n: int) -> str:
+    """Digest of the ``verify --n n --all`` report lines, ``elapsed_ms`` removed."""
+    lines = []
+    for line in _run(["verify", "--n", str(n), "--all"]).splitlines():
+        rep = json.loads(line)
+        rep.pop("elapsed_ms")
+        lines.append(json.dumps(rep, sort_keys=True))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("obj,n", sorted(BUILD_DIGESTS))
+def test_build_output_unchanged(obj, n):
+    assert build_digest(obj, n) == BUILD_DIGESTS[obj, n]
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_DIGESTS))
+def test_verify_report_unchanged(n):
+    assert verify_digest(n) == VERIFY_DIGESTS[n]

@@ -3,10 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from toricgit.linalg import (Matrix, det_unimodular, elementary_divisors,
-                             feasible_nonneg_combination, hermite_normal_form,
-                             in_cone_hull, kernel_basis, rank, smith_normal_form,
-                             solve_affine)
+from oracles import det_unimodular, kernel_basis_snf, solve_affine_oracle
+from toricgit.linalg import (Matrix, elementary_divisors, feasible_nonneg_combination,
+                             hermite_normal_form, in_cone_hull, invert, kernel_basis,
+                             rank, smith_normal_form, solve_affine, solve_unique)
 
 ALPHA_W2 = Matrix([[0, 0, 1, -1, 0], [0, 0, 0, 1, -1]])
 PI_2 = Matrix([[0, -1, 1, 1, 1], [1, -1, 0, 0, 0], [0, 1, 0, 0, 0]])
@@ -213,20 +213,149 @@ def test_rank_small_cases():
     assert rank([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 3
 
 
+def _operand(rng, nr, nc, kind):
+    """Random nr x nc rows of one kind, with all-zero rows mixed in."""
+    if kind == "int":
+        entry = lambda: rng.randint(-7, 7)
+    elif kind == "sign":  # 0/±1, mostly one nonzero per row as in a permutation
+        entry = lambda: rng.choice((0, 0, 0, 1, -1))
+    elif kind == "mixed":
+        entry = lambda: rng.choice((rng.randint(-7, 7), F(rng.randint(-7, 7), rng.randint(1, 4))))
+    else:
+        entry = lambda: F(rng.randint(-7, 7), rng.choice((1, 1, 3)))
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    if kind == "sign":
+        for row in rows:
+            if rng.random() < 0.6:
+                row[:] = [0] * nc
+                row[rng.randrange(nc)] = rng.choice((1, -1))
+    for row in rows:
+        if rng.random() < 0.2:
+            row[:] = [0] * nc
+    return rows
+
+
+def _entries_are_canonical(m):
+    """Integral entries are int, the rest Fraction with a denominator > 1."""
+    return all(type(x) is int or (type(x) is F and x.denominator != 1)
+               for r in m.entries for x in r)
+
+
+def test_matrix_stores_int_unless_denominator():
+    m = Matrix([[F(4, 2), F(1, 3), 7]])
+    assert [type(x) for x in m.entries[0]] == [int, F, int]
+    assert m.entries == ((2, F(1, 3), 7),) and not m.is_integral()
+    assert Matrix([["6/3", F(-5, 5)]]).entries == ((2, -1),)
+    with pytest.raises(ValueError):
+        m.int_rows()
+    rng = random.Random(2718)
+    for kind in ("int", "sign", "mixed", "rational"):
+        for _ in range(25):
+            rows = _operand(rng, rng.randint(0, 4), rng.randint(1, 4), kind)
+            rows += [[F(x) for x in r] for r in rows[:1]]  # the same values as Fraction
+            m = Matrix(rows)
+            assert _entries_are_canonical(m)
+            assert m.entries == tuple(tuple(r) for r in rows)
+            full_scan = all(F(x).denominator == 1 for r in rows for x in r)
+            assert m.is_integral() == full_scan
+            if full_scan:
+                assert m.int_rows() == [tuple(r) for r in rows]
+            assert m.transpose().is_integral() == full_scan
+
+
 def test_matmul_matches_fraction_reference():
     rng = random.Random(4711)
-    for _ in range(60):
-        nr, nk, nc = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-        a = [[F(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(nk)] for _ in range(nr)]
-        b = [[F(rng.randint(-7, 7), rng.choice((1, 1, 3))) for _ in range(nc)]
-             for _ in range(nk)]
-        v = [rng.choice((rng.randint(-5, 5), F(rng.randint(-5, 5), 6))) for _ in range(nk)]
-        assert (Matrix(a) @ Matrix(b)).entries == tuple(
-            tuple(sum((a[i][k] * b[k][j] for k in range(nk)), F(0)) for j in range(nc))
-            for i in range(nr))
-        assert Matrix(a) @ v == tuple(sum((a[i][k] * v[k] for k in range(nk)), F(0))
-                                      for i in range(nr))
+    kinds = ("int", "sign", "mixed", "rational")
+    for left in kinds:
+        for right in kinds:
+            for _ in range(15):
+                nr, nk, nc = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+                a = _operand(rng, nr, nk, left)
+                b = _operand(rng, nk, nc, right)
+                v = _operand(rng, 1, nk, right)[0]
+                prod = Matrix(a) @ Matrix(b)
+                assert prod.entries == tuple(
+                    tuple(sum((a[i][k] * b[k][j] for k in range(nk)), F(0))
+                          for j in range(nc))
+                    for i in range(nr))
+                assert _entries_are_canonical(prod)
+                assert Matrix(a) @ v == tuple(sum((a[i][k] * v[k] for k in range(nk)), F(0))
+                                              for i in range(nr))
     with pytest.raises(ValueError):
         Matrix([[1, 2]]) @ (1, 2, 3)
     with pytest.raises(ValueError):
         Matrix([[1, 2]]) @ Matrix([[1, 2]])
+
+
+def _no_float(xs):
+    return not any(isinstance(x, float) for x in xs)
+
+
+def test_solve_on_integer_input_matches_fraction_oracle():
+    rng = random.Random(1801)
+    for _ in range(120):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        m = Matrix(_random_rows(rng, nr, nc, rational=False))
+        if rng.random() < 0.5:  # consistent by construction
+            target = m @ [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nc)]
+        else:
+            target = tuple(rng.randint(-5, 5) for _ in range(nr))
+        got = solve_affine(m, target)
+        expected = solve_affine_oracle(m, target)
+        if expected is None:
+            assert got is None
+            continue
+        assert _no_float(got.point) and all(_no_float(k) for k in got.kernel)
+        assert (got.point, got.kernel) == expected
+
+
+def test_solve_unique_and_invert_on_integer_input():
+    rng = random.Random(1802)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 5)
+        m = Matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        if m.rank() < n:
+            continue
+        checked += 1
+        x = tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+        sol = solve_unique(m, m @ x)
+        assert sol == x and _no_float(sol)
+        inv = invert(m)
+        assert _no_float(y for r in inv.entries for y in r)
+        assert inv == Matrix.from_columns([solve_affine_oracle(m, e)[0]
+                                           for e in Matrix.identity(n).entries])
+        assert inv @ m == Matrix.identity(n)
+    with pytest.raises(ValueError):
+        solve_unique(Matrix([[1, 1]]), (1,))
+
+
+def _rank_at_most(rng, nr, nc, k):
+    left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
+    right = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
+    return Matrix(left) @ Matrix(right) if k else Matrix.zero(nr, nc)
+
+
+def test_kernel_basis_matches_snf_route():
+    rng = random.Random(1969)
+    seen = set()
+    for nr in range(1, 7):
+        for nc in range(1, 7):
+            for k in range(min(nr, nc) + 1):
+                for _ in range(3):
+                    m = _rank_at_most(rng, nr, nc, k)
+                    seen.add(nc - m.rank())
+                    assert kernel_basis(m) == kernel_basis_snf(m)
+    assert {0, 1, 2} <= seen  # injective, and kernels of dimension 1 and 2
+
+
+def test_kernel_basis_of_injective_matrix_skips_snf(monkeypatch):
+    import toricgit.linalg as linalg
+
+    def no_snf(m):
+        raise AssertionError("the SNF ran on an injective matrix")
+    monkeypatch.setattr(linalg, "smith_normal_form", no_snf)
+    assert kernel_basis(Matrix([[1, 2], [3, 4], [5, 6]])) == []
+    assert kernel_basis(Matrix.identity(3)) == []
+    with pytest.raises(AssertionError):
+        kernel_basis(Matrix([[1, 2, 3]]))
