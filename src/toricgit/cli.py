@@ -21,12 +21,12 @@ from .degeneration import (VERIFY_CHECKS, build_bundle, build_symmetric,
 from .git import EmptyQuotientError, Linearization, quotient_polyhedron, split_quotient
 from .groups import cycle_notation
 from .jsonio import dumps
-from .stabilizers import (DEFAULT_BRUTE_FORCE_MAX, check_stability,
-                          random_configuration, sym_stabilizers,
+from .stabilizers import (check_stability, random_configuration, sym_stabilizers,
                           project_to_quotient, torus_stabilizer,
                           verify_comparison)
 
 FUZZ_CHECK = "comparison_fuzz"
+DEFAULT_BRUTE_FORCE_MAX = 9
 BUILD_OBJECTS = ("expanded", "product", "symmetric", "permutahedron")
 
 
@@ -206,7 +206,7 @@ def cmd_stab(args) -> int:
         return 4
     torus = torus_stabilizer(config)
     q = project_to_quotient(config)
-    sym = sym_stabilizers(q, brute_force_max=args.brute_force_max)
+    sym = sym_stabilizers(q)
     passed = torus.invariant_factors == sym.quotient.invariant_factors
     print(dumps({
         "torus": jsonio.group_to_json(torus),

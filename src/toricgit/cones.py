@@ -139,9 +139,11 @@ class Cone:
         return f"Cone(rank={self.ambient_rank}, rays={len(self.rays)}, lin={len(self.lineality_basis)})"
 
     def dual(self) -> "Cone":
-        """{m : <m, v> >= 0 for every v in the cone}."""
-        lin, rays = dd.dual_rays(self.generators, self.ambient_rank)
-        gens = list(rays) + list(lin) + [tuple(-x for x in l) for l in lin]
+        """{m : <m, v> >= 0 for every v in the cone}: generated by the facet
+        normals and ± the equations, so the cached H-representation is read
+        and no second double description runs."""
+        gens = list(self.facets) + list(self.equations) + \
+            [tuple(-x for x in e) for e in self.equations]
         return Cone(self.ambient_rank, gens)
 
     def contains(self, v: Sequence) -> bool:
@@ -173,42 +175,6 @@ class Cone:
             return False  # not simplicial
         return all(d == 1 for d in elementary_divisors(Matrix(rays)))
 
-    def intersection(self, other: "Cone") -> "Cone":
-        if self.ambient_rank != other.ambient_rank:
-            raise ValueError("dimension mismatch")
-        cons = list(self.facets) + list(other.facets)
-        for e in list(self.equations) + list(other.equations):
-            cons.append(e)
-            cons.append(tuple(-x for x in e))
-        lin, rays = dd.cone_from_inequalities(cons, self.ambient_rank)
-        return Cone(self.ambient_rank, list(rays) + list(lin) +
-                    [tuple(-x for x in l) for l in lin])
-
-    def facet_subcones(self) -> list["Cone"]:
-        """The codimension-1 faces, as cones (for fan support checks)."""
-        out = []
-        for f in self.facets:
-            gens = [r for r in self.rays if dot(f, r) == 0]
-            gens += list(self.lineality_basis)
-            gens += [tuple(-x for x in l) for l in self.lineality_basis]
-            out.append(Cone(self.ambient_rank, gens))
-        return out
-
-    def is_face_of(self, other: "Cone") -> bool:
-        """Is this cone a face of `other`?"""
-        if self.ambient_rank != other.ambient_rank:
-            return False
-        gens = list(self.rays) + list(self.lineality_basis)
-        if not all(other.contains(g) for g in gens) or \
-           not all(other.contains(tuple(-x for x in l)) for l in self.lineality_basis):
-            return False
-        # normals of `other` vanishing on all of self cut out the face
-        active = [f for f in other.facets if all(dot(f, g) == 0 for g in gens)]
-        face_gens = [r for r in other.rays if all(dot(f, r) == 0 for f in active)]
-        face_gens += list(other.lineality_basis)
-        face_gens += [tuple(-x for x in l) for l in other.lineality_basis]
-        return Cone(self.ambient_rank, face_gens) == self
-
 
 def image_cone(f: Matrix, c: Cone) -> Cone:
     """Image of a cone under a lattice map, canonicalized."""
@@ -218,7 +184,3 @@ def image_cone(f: Matrix, c: Cone) -> Cone:
     gens += [f @ l for l in c.lineality_basis]
     gens += [tuple(-x for x in (f @ l)) for l in c.lineality_basis]
     return Cone(f.rows, [scaled_primitive(g) for g in gens if not is_zero_vec(g)])
-
-
-def positive_orthant(d: int) -> Cone:
-    return Cone(d, [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)])

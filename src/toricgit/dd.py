@@ -27,17 +27,15 @@ def _as_int_vec(v: Sequence) -> IntVec:
     return tuple(int(x) for x in v)
 
 
-def cone_from_inequalities(constraints: Sequence[Sequence[int]], ambient: int,
-                           sort_constraints: bool = True) -> tuple[list[IntVec], list[IntVec]]:
+def cone_from_inequalities(constraints: Sequence[Sequence[int]], ambient: int
+                           ) -> tuple[list[IntVec], list[IntVec]]:
     """Minimal V-rep of the cone cut out by homogeneous inequalities.
 
     Returns (lineality_basis, extreme_rays).  The lineality basis spans
     C ∩ -C; the rays are primitive, pairwise non-proportional, and extreme
     modulo the lineality space.  For ambient == 0 returns ([], []).
     """
-    cons = [_as_int_vec(c) for c in constraints if any(x != 0 for x in c)]
-    if sort_constraints:
-        cons = sorted(set(cons))
+    cons = sorted({_as_int_vec(c) for c in constraints if any(x != 0 for x in c)})
     if ambient == 0:
         return [], []
 

@@ -28,10 +28,9 @@ from itertools import combinations, permutations, product
 from typing import Any, Sequence
 
 from .cones import Cone, image_cone
-from .git import Linearization, quotient_polyhedron, quotient_slice, unstable_rays
+from .git import Linearization, quotient_polyhedron, unstable_rays
 from .linalg import Matrix, solve_unique
-from .polyhedra import (Fan, InnerCertificateError, LatticePolyhedron, cube_image_slice,
-                        normal_fan)
+from .polyhedra import Fan, LatticePolyhedron, cube_image_slice, normal_fan
 
 VERIFY_CHECKS = ("conical_part", "pb_vertices", "quotient_theorem", "normal_fan",
                  "unstable_locus", "base_recovery", "fan_smooth_small")
@@ -195,25 +194,6 @@ def product_chart_vertices(n: int) -> list[tuple[int, ...]]:
     return verts
 
 
-def embedding_monomials(affine_cols, section_points) -> tuple[tuple[int, ...], ...]:
-    """Monomials generating every vertex chart of the blown-up family.
-
-    The affine coordinates are global functions and enter untranslated, so
-    alongside the section points themselves the products (affine coordinate)
-    × (section) are needed: the chart at a vertex section χ^v is generated by
-    the affine coordinates and the ratios χ^{m'-v}, i.e. by the translates of
-    this closure.
-    """
-    affine = [tuple(int(x) for x in c) for c in affine_cols]
-    sections = [tuple(int(x) for x in p) for p in section_points]
-    out = dict.fromkeys(affine)
-    for s in sections:
-        out.setdefault(s, None)
-        for a in affine:
-            out.setdefault(tuple(x + y for x, y in zip(a, s)), None)
-    return tuple(out)
-
-
 def head_vertex(n: int) -> tuple[Fraction, ...]:
     """u: the first n coordinates of the identity slice vertex; consecutive
     entries differ by exactly 1 + 1/(n+1)."""
@@ -245,7 +225,6 @@ class DegenerationBundle:
     base_cone: Cone                       # cone of the base-changed family, in N
     family_rec_dual: Cone                 # recession cone of the family polyhedron
     family_polyhedron: LatticePolyhedron  # polyhedron of the iterated blow-up
-    family_monomials: tuple               # exponents of the defining monomial map
     product_rec_dual: Cone                # recession cone of the product polyhedron
     product_cone: Cone                    # its dual, generated by the (e_I; e_j)
     cube_map: Matrix                      # L, cube -> product polytope
@@ -304,7 +283,6 @@ def build_bundle(n: int) -> DegenerationBundle:
     lx = family_cube_map(n)
     cube_pts = [lx @ v for v in product((0, 1), repeat=n)]
     fam_poly = LatticePolyhedron(n + 2, cube_pts, fam_rec).canonicalize()
-    monomials = embedding_monomials(family_rec_dual_columns(n), cube_pts)
     # product side, rank 2n+1
     prod_rec = Cone(2 * n + 1, product_rec_dual_columns(n))
     prod_cone = prod_rec.dual()
@@ -330,7 +308,7 @@ def build_bundle(n: int) -> DegenerationBundle:
         raise AssertionError("pi must be surjective")
     return DegenerationBundle(
         n=n, base_cone=base, family_rec_dual=fam_rec, family_polyhedron=fam_poly,
-        family_monomials=monomials, product_rec_dual=prod_rec, product_cone=prod_cone,
+        product_rec_dual=prod_rec, product_cone=prod_cone,
         cube_map=L, product_polyhedron=prod_poly, lin_family=lin_fam,
         lin_product=lin_prod, projection=pi, basis_change=basis_change_matrix(n),
         head=head_vertex(n), slice_vertices=tuple(slice_vertex(n, i) for i in range(1, n + 1)))
@@ -512,14 +490,12 @@ def _pb(n: int) -> LatticePolyhedron:
     It is sliced from the n^2-cube block by block (``cube_image_slice``),
     with the chart corners as the inner certificate's lookup set, so the
     (n+1)^n chart vertices are never double-described and the bundle is not
-    built.  When the certificate fails, P_b is sliced from the product
-    polytope's H-representation instead."""
+    built.  The certificate holds at every supported n; if it ever failed,
+    InnerCertificateError would make the checks that read P_b report an
+    error."""
     lin = product_linearization(n)
-    try:
-        return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b],
-                                product_chart_corners(n))
-    except InnerCertificateError:
-        return quotient_slice(_bundle(n).product_polyhedron.polytopal_part(), lin)
+    return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b],
+                            product_chart_corners(n))
 
 
 @dataclass

@@ -1,6 +1,5 @@
 """Subtorus actions on semi-projective toric data: fractional linearizations,
-quotient polyhedra, divisor support constants, unstable rays, and chart-level
-invariant monomials.
+quotient polyhedra, divisor support constants and unstable rays.
 
 The quotient of the polyhedron P by the linearization (α, b) is the slice
 P ∩ (α ⊗ R)^{-1}(-b), expressed in the HNF-reduced lattice basis of ker(α)
@@ -16,8 +15,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dd
-from .cones import Cone, image_cone
-from .linalg import (Matrix, Vec, clear_denominators, dot, invert, kernel_basis,
+from .cones import Cone
+from .linalg import (Matrix, Vec, clear_denominators, dot, kernel_basis,
                      scaled_primitive, solve_affine, solve_unique, vec, vsub)
 from .polyhedra import LatticePolyhedron, affine_slice
 
@@ -183,37 +182,4 @@ def unstable_rays(p: LatticePolyhedron, pb: LatticePolyhedron) -> list[RayDatum]
         margin = Fraction(min(sum(a * b for a, b in zip(v, pt)) for pt in pts), den) - dv
         out.append(RayDatum(ray=v, support_constant=dv, margin=margin,
                             unstable=margin > 0))
-    return out
-
-
-def chart_invariants(chart_dual: Cone, proj: Matrix
-                     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Invariant monomials of an affine chart under the subtorus action.
-
-    ``chart_dual`` is the monomial cone of the chart (inside M); ``proj`` is
-    the quotient projection on the dual side N -> N'.  The generators of the
-    image cone's dual are lifted through proj^T into M and expressed in the
-    chart's coordinate monomials.  Returns [(exponent vector in M, exponent
-    vector over chart coordinates)], ordered by the canonical (sorted) ray
-    order of the quotient chart cone's dual.
-    """
-    chart = chart_dual.dual()
-    if proj.cols != chart.ambient_rank:
-        raise ValueError("projection source must match chart ambient rank")
-    image = image_cone(proj, chart)
-    gens = image.dual().rays
-    # chart coordinates: the given monomial generators must form a lattice
-    # basis so that exponents are unique integers (exponents in their order)
-    wmat = Matrix.from_columns(chart_dual.generators)
-    if wmat.rows != wmat.cols or wmat.rank() != wmat.rows:
-        raise ValueError("chart monomial cone must be simplicial of full rank")
-    winv = invert(wmat)
-    out = []
-    pt = proj.transpose()
-    for g in gens:
-        m = pt @ g
-        expo = winv @ m
-        if any(x.denominator != 1 or x < 0 for x in expo):
-            raise ValueError(f"lift {m} is not in the chart semigroup")
-        out.append((tuple(int(x) for x in m), tuple(int(x) for x in expo)))
     return out

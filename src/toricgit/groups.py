@@ -24,13 +24,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[x] for x in q)
 
 
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def identity(n: int) -> Perm:
     return tuple(range(n))
 
@@ -59,15 +52,6 @@ def cycle_notation(p: Perm) -> str:
     if not cs:
         return "id"
     return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cs)
-
-
-def from_cycles(n: int, cycs: Sequence[Sequence[int]]) -> Perm:
-    """Permutation from 1-based cycles."""
-    out = list(range(n))
-    for c in cycs:
-        for a, b in zip(c, c[1:] + type(c)([c[0]])):
-            out[a - 1] = b - 1
-    return tuple(out)
 
 
 def invariant_factors(cyclic_orders: Iterable[int]) -> tuple[int, ...]:
@@ -121,9 +105,6 @@ class FiniteAbelianGroup:
         for f in self.invariant_factors:
             out *= f
         return out
-
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
 
 
 @dataclass(frozen=True)

@@ -69,11 +69,6 @@ def _json_rows(obj, what: str, parse) -> list[tuple]:
             for row in _json_list(obj, what)]
 
 
-def matrix_to_json(m: Matrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [[rational_str(x) for x in row] for row in m.entries]}
-
-
 def matrix_from_json(obj: dict) -> Matrix:
     _json_object(obj, "a matrix")
     m = Matrix(_json_rows(obj["entries"], "matrix entries", parse_rational))

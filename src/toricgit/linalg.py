@@ -53,10 +53,6 @@ def vsub(a: Sequence, b: Sequence) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(c, a: Sequence) -> tuple:
-    return tuple(c * x for x in a)
-
-
 def is_zero_vec(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 
@@ -448,27 +444,6 @@ def solve_affine(m: Matrix, target: Sequence) -> Optional[AffineSolution]:
     return AffineSolution(tuple(point), kernel)
 
 
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square rational matrix (exact); raises on singular."""
-    n = m.rows
-    if n != m.cols:
-        raise ValueError("not square")
-    a = [list(vec(r)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, r in enumerate(m.entries)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return Matrix([row[n:] for row in a])
-
-
 def solve_unique(m: Matrix, target: Sequence) -> Vec:
     """Solve m @ x = target when m has full column rank; raises otherwise."""
     sol = solve_affine(m, target)
@@ -477,80 +452,3 @@ def solve_unique(m: Matrix, target: Sequence) -> Vec:
     if sol.kernel:
         raise ValueError("solution not unique")
     return sol.point
-
-
-# ---------------------------------------------------------------------------
-# Exact feasibility LP (phase-1 simplex with Bland's rule)
-
-
-def feasible_nonneg_combination(columns: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
-    """Find λ >= 0 with Σ λ_i columns[i] = target, or None.
-
-    Small dense phase-1 simplex over Q; Bland's rule guarantees termination.
-    Used as the independent cross-check for cone/polyhedron membership.
-    """
-    tgt = [frac(x) for x in target]
-    cols = [vec(c) for c in columns]
-    m = len(tgt)
-    n = len(cols)
-    if any(len(c) != m for c in cols):
-        raise ValueError("column length mismatch")
-    # orient rows so the artificial basis starts feasible
-    sign = [1 if tgt[i] >= 0 else -1 for i in range(m)]
-    # tableau rows: for each constraint, coefficients of n real + m artificial
-    a = [[sign[i] * cols[j][i] for j in range(n)] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-         for i in range(m)]
-    b = [sign[i] * tgt[i] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    # cost row: sum of artificial rows (phase-1 objective)
-    cost = [sum(a[i][j] for i in range(m)) for j in range(n + m)]
-    z = sum(b)
-    while True:
-        enter = next((j for j in range(n) if cost[j] > 0), None)
-        if enter is None:
-            break
-        ratio = None
-        leave = None
-        for i in range(m):
-            if a[i][enter] > 0:
-                r = b[i] / a[i][enter]
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
-                    leave = i
-        if leave is None:
-            break  # unbounded phase-1 cannot happen, but stay safe
-        pv = a[leave][enter]
-        a[leave] = [x / pv for x in a[leave]]
-        b[leave] /= pv
-        for i in range(m):
-            if i != leave and a[i][enter] != 0:
-                f = a[i][enter]
-                a[i] = [x - f * y for x, y in zip(a[i], a[leave])]
-                b[i] -= f * b[leave]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, a[leave])]
-        z -= f * b[leave]
-        basis[leave] = enter
-    if z != 0:
-        return None
-    lam = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            lam[bi] = b[i]
-        elif b[i] != 0:
-            return None  # artificial stuck at positive level (z==0 excludes this)
-    return lam
-
-
-def in_cone_hull(point: Sequence, vertices: Sequence[Sequence], rays: Sequence[Sequence]) -> bool:
-    """Is point ∈ conv(vertices) + cone(rays)?  LP cross-check route."""
-    pt = vec(point)
-    if not vertices:
-        return False
-    d = len(pt)
-    cols = [tuple(v) + (Fraction(1),) for v in (vec(v) for v in vertices)]
-    cols += [tuple(r) + (Fraction(0),) for r in (vec(r) for r in rays)]
-    tgt = pt + (Fraction(1),)
-    if any(len(c) != d + 1 for c in cols):
-        raise ValueError("dimension mismatch")
-    return feasible_nonneg_combination(cols, tgt) is not None

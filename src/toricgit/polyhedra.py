@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone
-from .linalg import (Matrix, clear_denominators, dot, is_zero_vec, rank,
+from .linalg import (Matrix, clear_denominators, dot, is_zero_vec,
                      scaled_primitive, solve_affine, vadd, vec, vsub)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
@@ -174,24 +174,6 @@ class LatticePolyhedron:
             object.__setattr__(self, "_polytopal",
                                LatticePolyhedron(self.ambient_rank, self.vertex_candidates))
         return self._polytopal
-
-    def translate(self, t: Sequence) -> "LatticePolyhedron":
-        t = vec(t)
-        return LatticePolyhedron(self.ambient_rank,
-                                 [tuple(x + y for x, y in zip(p, t)) for p in self.vertex_candidates],
-                                 self.recession)
-
-
-def minkowski_sum(p: LatticePolyhedron, q: LatticePolyhedron) -> LatticePolyhedron:
-    """Pairwise candidate sums + sum of recession cones, canonicalized."""
-    if p.ambient_rank != q.ambient_rank:
-        raise ValueError("rank mismatch")
-    if p.is_empty() or q.is_empty():
-        return LatticePolyhedron(p.ambient_rank).canonicalize()
-    pts = [tuple(x + y for x, y in zip(a, b))
-           for a in p.vertex_candidates for b in q.vertex_candidates]
-    rec = Cone(p.ambient_rank, list(p.recession.generators) + list(q.recession.generators))
-    return LatticePolyhedron(p.ambient_rank, pts, rec).canonicalize()
 
 
 def linear_image(f: Matrix, p: LatticePolyhedron) -> LatticePolyhedron:
@@ -355,16 +337,6 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
     return LatticePolyhedron(d, acc).canonicalize()
 
 
-def cone_over(p: LatticePolyhedron) -> Cone:
-    """Cone in rank+1 generated by (v,1) and (r,0); slicing at height 1 gives p back."""
-    if p.is_empty():
-        return Cone(p.ambient_rank + 1, [])
-    q = p.canonicalize()
-    gens = [scaled_primitive(tuple(v) + (Fraction(1),)) for v in q.vertex_candidates]
-    gens += [tuple(r) + (0,) for r in q.recession.rays]
-    return Cone(p.ambient_rank + 1, gens)
-
-
 class Fan:
     """A collection of maximal cones with common support."""
 
@@ -396,42 +368,6 @@ class Fan:
             out.extend(c.rays)
         return sorted(set(out))
 
-    def validate_pairwise_faces(self) -> Optional[tuple[Cone, Cone]]:
-        """None if every pairwise intersection is a face of both; else a witness pair."""
-        cones = self.maximal_cones
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                inter = cones[i].intersection(cones[j])
-                if not (inter.is_face_of(cones[i]) and inter.is_face_of(cones[j])):
-                    return (cones[i], cones[j])
-        return None
-
-    def validate_support_cover(self) -> Optional[str]:
-        """Check that the union of the maximal cones is exactly the support.
-
-        Criterion: every maximal cone lies inside the support, and every
-        facet of every maximal cone is either shared with another maximal
-        cone or lies inside a facet of the support.  Together with closedness
-        this forces the union to fill the support.  Returns None on success
-        or a description of the violation.
-        """
-        sup = self.support
-        for c in self.maximal_cones:
-            for g in list(c.rays) + list(c.lineality_basis):
-                if not sup.contains(g):
-                    return f"cone ray {g} outside support"
-        for c in self.maximal_cones:
-            for facet in c.facet_subcones():
-                shared = any(other is not c and facet.is_face_of(other)
-                             for other in self.maximal_cones)
-                if shared:
-                    continue
-                on_boundary = any(all(dot(f, r) == 0 for r in facet.rays)
-                                  for f in sup.facets)
-                if not on_boundary:
-                    return f"unmatched interior facet with rays {facet.rays}"
-        return None
-
 
 def normal_fan(p: LatticePolyhedron) -> Fan:
     """Inner normal fan: one maximal cone per vertex, the dual of cone(P - v)."""
@@ -447,95 +383,3 @@ def normal_fan(p: LatticePolyhedron) -> Fan:
         cones.append(Cone(q.ambient_rank, list(rays) + list(lin) +
                           [tuple(-x for x in l) for l in lin]))
     return Fan(q.ambient_rank, cones, q.recession.dual())
-
-
-def check_semigroup_generation(p: LatticePolyhedron, extra_monomials: Sequence[Sequence],
-                               degree_bound: int) -> list[bool]:
-    """Bounded very-ampleness certificate, one verdict per canonical vertex.
-
-    For each vertex v the set {m - v} (m over extra_monomials) must generate,
-    as a semigroup, every lattice point of cone(P - v) whose degree under the
-    canonical grading is at most degree_bound * max generator degree.  The
-    grading is the sum of the active primitive facet normals at v, which is
-    strictly positive on cone(P - v) minus the origin.  This is a bounded
-    certificate, not a proof for unbounded degrees.
-    """
-    if degree_bound < 1:
-        raise ValueError("degree_bound must be >= 1")
-    q = p.canonicalize()
-    if q.is_empty():
-        return []
-    d = q.ambient_rank
-    mono = [vec(m) for m in extra_monomials]
-    verdicts = []
-    for v in q.vertex_candidates:
-        active = [n for n, o in q.facet_rep if dot(n, v) == o]
-        eqs = [n for n, _ in q.hull_equations]
-        grading = tuple(sum(col) for col in zip(*active)) if active else tuple([0] * d)
-        gens = []
-        for m in mono:
-            g = vsub(m, v)
-            if is_zero_vec(g):
-                continue
-            if any(x.denominator != 1 for x in g):
-                raise ValueError("monomial generators must be lattice points")
-            g = tuple(int(x) for x in g)
-            # translated generators must lie in the vertex cone (they do for
-            # points of the polyhedron); the sum-DP below relies on it
-            if any(dot(e, g) != 0 for e in eqs) or any(dot(a, g) < 0 for a in active):
-                raise ValueError(f"generator {g} lies outside the vertex cone at {v}")
-            gens.append(g)
-        degs = [dot(grading, g) for g in gens]
-        bound = degree_bound * min(degs, default=1)
-        pts = _lattice_points_in_vertex_cone(active, eqs, grading, d, bound)
-        origin = tuple([0] * d)
-        reachable = {origin}
-        for pt in sorted(pts, key=lambda x: dot(grading, x)):
-            if pt == origin:
-                continue
-            if any(tuple(a - b for a, b in zip(pt, g)) in reachable for g in gens):
-                reachable.add(pt)
-        verdicts.append(all(pt in reachable for pt in pts))
-    return verdicts
-
-
-def _lattice_points_in_vertex_cone(active, eqs, grading, d, bound) -> list[tuple[int, ...]]:
-    """Integer points x with active·x >= 0, eqs·x = 0, <grading, x> <= bound."""
-    from .linalg import Matrix, elementary_divisors
-
-    lin_rays, rays = dd.cone_from_inequalities(
-        list(active) + [e for pair in ((e, tuple(-x for x in e)) for e in eqs) for e in pair], d)
-    assert not lin_rays, "vertex cone must be pointed"
-    degs = []
-    for r in rays:
-        dg = dot(grading, r)
-        if dg <= 0:
-            raise ValueError("grading not positive on the vertex cone")
-        degs.append(int(dg))
-    # smooth cone: lattice points are exactly the N-combinations of the rays
-    if rays and len(rays) == rank(rays) and \
-            all(x == 1 for x in elementary_divisors(Matrix(rays))):
-        ranges = [range(bound // dg + 1) for dg in degs]
-        out = []
-        for y in product(*ranges):
-            if sum(c * dg for c, dg in zip(y, degs)) > bound:
-                continue
-            out.append(tuple(sum(c * r[i] for c, r in zip(y, rays)) for i in range(d)))
-        return out
-    # general pointed cone: bounding box of the grade-truncated cone
-    corners = [tuple([Fraction(0)] * d)]
-    for r, dg in zip(rays, degs):
-        corners.append(tuple(Fraction(bound * x, dg) for x in r))
-    los = [min(c[i] for c in corners) for i in range(d)]
-    his = [max(c[i] for c in corners) for i in range(d)]
-    ranges = [range(int(lo.__floor__()), int(hi.__ceil__()) + 1)
-              for lo, hi in zip(los, his)]
-    out = []
-    for x in product(*ranges):
-        if dot(grading, x) > bound:
-            continue
-        if any(dot(e, x) != 0 for e in eqs):
-            continue
-        if all(dot(a, x) >= 0 for a in active):
-            out.append(x)
-    return out

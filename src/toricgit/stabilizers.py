@@ -24,15 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Sequence
 
 from .groups import (CosetUnion, FiniteAbelianGroup, Perm, YoungSubgroup,
                      abelian_invariant_factors_of_group, compose, identity)
 from .stab_backends import (EncodedPoint, encode_point, search_stabilizer,
                             trivial_angle)
-
-DEFAULT_BRUTE_FORCE_MAX = 9
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +82,6 @@ class UnitValue:
 
 
 ZERO = UnitValue(kind="zero")
-
-
-def unit(root=0, generic: Sequence[int] = ()) -> UnitValue:
-    return UnitValue(root=Fraction(root), generic=tuple(generic))
-
-
-def root_of_unity(k: int, r: int) -> UnitValue:
-    return UnitValue(root=Fraction(k, r))
 
 
 @dataclass(frozen=True)
@@ -325,8 +314,7 @@ class SymStabilizers:
     quotient: FiniteAbelianGroup
 
 
-def sym_stabilizers(q: QuotientPoint, brute_force_max: int = DEFAULT_BRUTE_FORCE_MAX
-                    ) -> SymStabilizers:
+def sym_stabilizers(q: QuotientPoint) -> SymStabilizers:
     """Stabilizer of the quotient point in S_n, its trivial-angle part, and
     the quotient group in invariant-factor form.
 
@@ -344,8 +332,6 @@ def sym_stabilizers(q: QuotientPoint, brute_force_max: int = DEFAULT_BRUTE_FORCE
     is when the comparison theorem holds; we check rather than assume).
     """
     n = q.n
-    if n > brute_force_max:
-        raise ValueError(f"n={n} exceeds the brute-force bound {brute_force_max}")
     enc = q.encode()
     stab = search_stabilizer(enc)
     young = stab.young
@@ -392,110 +378,14 @@ class ComparisonReport:
     passed: bool
 
 
-def verify_comparison(c: CycleConfiguration,
-                      brute_force_max: int = DEFAULT_BRUTE_FORCE_MAX
-                      ) -> ComparisonReport:
+def verify_comparison(c: CycleConfiguration) -> ComparisonReport:
     """PASS iff the torus stabilizer and the quotient stabilizer agree."""
     torus = torus_stabilizer(c)
-    sym = sym_stabilizers(project_to_quotient(c), brute_force_max=brute_force_max)
+    sym = sym_stabilizers(project_to_quotient(c))
     return ComparisonReport(
         n=c.n, torus_side=torus, sym_side=sym.quotient,
         stab_order=sym.stab.order(), stab0_order=sym.stab0.order(),
         passed=torus.invariant_factors == sym.quotient.invariant_factors)
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-
-
-def instantiate(c: CycleConfiguration, seed: int,
-                prime: int = 2147483647) -> CycleConfiguration:
-    """Replace formal generic generators by random elements of Z/prime ⊂ Q/Z.
-
-    A second oracle for the whole pipeline: with overwhelming probability no
-    accidental relation is introduced, so every stabilizer computation must
-    come out the same as with formal generators.
-    """
-    rng = random.Random(seed)
-    m = c.generic_dim()
-    vals = [rng.randrange(1, prime) for _ in range(m)]
-    pts = []
-    for p in c.points:
-        g = p.position.generic + (0,) * (m - len(p.position.generic))
-        shift = Fraction(sum(x * v for x, v in zip(g, vals)) % prime, prime)
-        pts.append(PointRecord(component=p.component,
-                               position=UnitValue(root=p.position.root + shift),
-                               a1_label=p.a1_label, multiplicity=p.multiplicity))
-    return CycleConfiguration(n=c.n, I_t=c.I_t, points=tuple(pts))
-
-
-@cache
-def _ambient_permutation_matrices(n: int) -> dict:
-    """ρ(s) on Z^{n+1} for all s in S_n, built once per n for the repeated
-    calls of toric_fixed_points (read-only).  Not shared with
-    build_symmetric: a cached copy there would keep the n! matrices alive
-    through the JSON output of `build --object symmetric` (+1.7 MB peak RSS
-    at n=6)."""
-    from .degeneration import ambient_reflections, permutation_matrices
-    return permutation_matrices(n, ambient_reflections(n))
-
-
-def toric_fixed_points(q: QuotientPoint) -> set[Perm]:
-    """Chart-gluing oracle for the stabilizer, via the toric model.
-
-    The quotient point lives on the toric variety of the orbit fan; it is the
-    pair (orbit cone τ, group homomorphism λ on M ∩ τ⊥).  A permutation fixes
-    it iff its lattice matrix preserves τ and λ pulls back to itself on a
-    basis of M ∩ τ⊥, and the affine labels are invariant.  Independent of the
-    prefix-sum membership criterion; intended for n <= 5.
-    """
-    from .linalg import Matrix
-
-    n = q.n
-    if n < 2:
-        return {identity(n)}
-    mats = _ambient_permutation_matrices(n)
-    rays = []
-    for k in range(1, n + 1):
-        rays.append(tuple(1 if i < k else 0 for i in range(n)) + (0,))
-    rays.append(tuple([0] * n) + (1,))
-    raymat = Matrix.from_columns(rays)
-    from .linalg import invert
-    dual_basis = invert(raymat).entries  # row i pairs with ray i
-    zero_idx = {i for i, v in enumerate(q.values) if v.is_zero()}
-    unit_idx = [i for i in range(n + 1) if i not in zero_idx]
-    tau = {rays[i] for i in zero_idx}
-    out = set()
-    for s, mat in mats.items():
-        img = {tuple(int(x) for x in (mat @ r)) for r in tau}
-        if img != tau:
-            continue
-        if any(q.a1[s[i]] != q.a1[i] for i in range(n)):
-            continue
-        good = True
-        for i in unit_idx:
-            mi = dual_basis[i]
-            total = None
-            for j in unit_idx:
-                cj = sum(a * b for a, b in zip(mi, (mat @ rays[j])))
-                if cj == 0:
-                    continue
-                term = q.values[j]
-                acc = term
-                k = int(cj)
-                piece = acc if k > 0 else -acc
-                for _ in range(abs(k) - 1):
-                    piece = piece + (acc if k > 0 else -acc)
-                total = piece if total is None else total + piece
-            if total is None:
-                total = UnitValue(root=Fraction(0), generic=(0,) * len(q.values[i].generic))
-            if (total - q.values[i]).root % 1 != 0 or \
-                    any(x != 0 for x in (total - q.values[i]).generic):
-                good = False
-                break
-        if good:
-            out.add(s)
-    return out
 
 
 # ---------------------------------------------------------------------------

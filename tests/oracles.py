@@ -1,14 +1,32 @@
-"""Slow independent oracles for the exact linear algebra, shared by the tests.
+"""Independent oracles and test-only constructions, shared by the tests.
 
-Each one is the straightforward ``Fraction`` (or Smith-normal-form) route
-that an optimised path in ``toricgit`` replaced; the tests check that the
-fast path agrees with it on seeded inputs.
+The linear-algebra oracles are the straightforward ``Fraction`` (or
+Smith-normal-form) routes that an optimised path in ``toricgit`` replaced;
+the tests check that the fast path agrees with them on seeded inputs.  The
+rest is code that only the tests run: an exact feasibility LP for
+membership, cone and fan predicates, Minkowski sums, a bounded
+very-ampleness certificate, chart invariant monomials, and two oracles for
+the stabilizer pipeline (the toric chart-gluing test and the instantiation
+of formal generators).
 """
 
+import random
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from typing import Optional, Sequence
 
-from toricgit.linalg import (Matrix, hermite_normal_form, is_zero_vec, rank,
-                             scaled_primitive, smith_normal_form)
+from toricgit import dd
+from toricgit.cones import Cone, image_cone
+from toricgit.degeneration import ambient_reflections, permutation_matrices
+from toricgit.groups import FiniteAbelianGroup, Perm, identity
+from toricgit.jsonio import rational_str
+from toricgit.linalg import (Matrix, dot, elementary_divisors, frac,
+                             hermite_normal_form, is_zero_vec, rank,
+                             scaled_primitive, smith_normal_form, vec, vsub)
+from toricgit.polyhedra import Fan, LatticePolyhedron
+from toricgit.stabilizers import (CycleConfiguration, PointRecord, QuotientPoint,
+                                  UnitValue)
 
 
 def det_unimodular(m: Matrix) -> int:
@@ -108,3 +126,477 @@ def cone_rays_fraction(cone):
         if rank(list(cone.equations) + act) == cone.ambient_rank - len(lin) - 1:
             rays.add(g)
     return tuple(sorted(rays))
+
+
+# ---------------------------------------------------------------------------
+# exact feasibility LP (phase-1 simplex with Bland's rule) and inversion
+
+
+def invert(m: Matrix) -> Matrix:
+    """Inverse of a square rational matrix (exact); raises on singular."""
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("not square")
+    a = [list(vec(r)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i, r in enumerate(m.entries)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[c], a[piv] = a[piv], a[c]
+        pv = a[c][c]
+        a[c] = [x / pv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return Matrix([row[n:] for row in a])
+
+
+def feasible_nonneg_combination(columns: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
+    """Find λ >= 0 with Σ λ_i columns[i] = target, or None.
+
+    Small dense phase-1 simplex over Q; Bland's rule guarantees termination.
+    Used as the independent cross-check for cone/polyhedron membership.
+    """
+    tgt = [frac(x) for x in target]
+    cols = [vec(c) for c in columns]
+    m = len(tgt)
+    n = len(cols)
+    if any(len(c) != m for c in cols):
+        raise ValueError("column length mismatch")
+    # orient rows so the artificial basis starts feasible
+    sign = [1 if tgt[i] >= 0 else -1 for i in range(m)]
+    # tableau rows: for each constraint, coefficients of n real + m artificial
+    a = [[sign[i] * cols[j][i] for j in range(n)] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+         for i in range(m)]
+    b = [sign[i] * tgt[i] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # cost row: sum of artificial rows (phase-1 objective)
+    cost = [sum(a[i][j] for i in range(m)) for j in range(n + m)]
+    z = sum(b)
+    while True:
+        enter = next((j for j in range(n) if cost[j] > 0), None)
+        if enter is None:
+            break
+        ratio = None
+        leave = None
+        for i in range(m):
+            if a[i][enter] > 0:
+                r = b[i] / a[i][enter]
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio = r
+                    leave = i
+        if leave is None:
+            break  # unbounded phase-1 cannot happen, but stay safe
+        pv = a[leave][enter]
+        a[leave] = [x / pv for x in a[leave]]
+        b[leave] /= pv
+        for i in range(m):
+            if i != leave and a[i][enter] != 0:
+                f = a[i][enter]
+                a[i] = [x - f * y for x, y in zip(a[i], a[leave])]
+                b[i] -= f * b[leave]
+        f = cost[enter]
+        cost = [x - f * y for x, y in zip(cost, a[leave])]
+        z -= f * b[leave]
+        basis[leave] = enter
+    if z != 0:
+        return None
+    lam = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            lam[bi] = b[i]
+        elif b[i] != 0:
+            return None  # artificial stuck at positive level (z==0 excludes this)
+    return lam
+
+
+def in_cone_hull(point: Sequence, vertices: Sequence[Sequence], rays: Sequence[Sequence]) -> bool:
+    """Is point ∈ conv(vertices) + cone(rays)?  LP cross-check route."""
+    pt = vec(point)
+    if not vertices:
+        return False
+    d = len(pt)
+    cols = [tuple(v) + (Fraction(1),) for v in (vec(v) for v in vertices)]
+    cols += [tuple(r) + (Fraction(0),) for r in (vec(r) for r in rays)]
+    tgt = pt + (Fraction(1),)
+    if any(len(c) != d + 1 for c in cols):
+        raise ValueError("dimension mismatch")
+    return feasible_nonneg_combination(cols, tgt) is not None
+
+
+# ---------------------------------------------------------------------------
+# cone and fan predicates
+
+
+def positive_orthant(d: int) -> Cone:
+    return Cone(d, [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)])
+
+
+def intersection(c: Cone, other: Cone) -> Cone:
+    if c.ambient_rank != other.ambient_rank:
+        raise ValueError("dimension mismatch")
+    cons = list(c.facets) + list(other.facets)
+    for e in list(c.equations) + list(other.equations):
+        cons.append(e)
+        cons.append(tuple(-x for x in e))
+    lin, rays = dd.cone_from_inequalities(cons, c.ambient_rank)
+    return Cone(c.ambient_rank, list(rays) + list(lin) +
+                [tuple(-x for x in l) for l in lin])
+
+
+def facet_subcones(c: Cone) -> list[Cone]:
+    """The codimension-1 faces of c, as cones (for fan support checks)."""
+    out = []
+    for f in c.facets:
+        gens = [r for r in c.rays if dot(f, r) == 0]
+        gens += list(c.lineality_basis)
+        gens += [tuple(-x for x in l) for l in c.lineality_basis]
+        out.append(Cone(c.ambient_rank, gens))
+    return out
+
+
+def is_face_of(c: Cone, other: Cone) -> bool:
+    """Is the cone c a face of `other`?"""
+    if c.ambient_rank != other.ambient_rank:
+        return False
+    gens = list(c.rays) + list(c.lineality_basis)
+    if not all(other.contains(g) for g in gens) or \
+       not all(other.contains(tuple(-x for x in l)) for l in c.lineality_basis):
+        return False
+    # normals of `other` vanishing on all of c cut out the face
+    active = [f for f in other.facets if all(dot(f, g) == 0 for g in gens)]
+    face_gens = [r for r in other.rays if all(dot(f, r) == 0 for f in active)]
+    face_gens += list(other.lineality_basis)
+    face_gens += [tuple(-x for x in l) for l in other.lineality_basis]
+    return Cone(c.ambient_rank, face_gens) == c
+
+
+def validate_pairwise_faces(fan: Fan) -> Optional[tuple[Cone, Cone]]:
+    """None if every pairwise intersection is a face of both; else a witness pair."""
+    cones = fan.maximal_cones
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            inter = intersection(cones[i], cones[j])
+            if not (is_face_of(inter, cones[i]) and is_face_of(inter, cones[j])):
+                return (cones[i], cones[j])
+    return None
+
+
+def validate_support_cover(fan: Fan) -> Optional[str]:
+    """Check that the union of the fan's maximal cones is exactly its support.
+
+    Criterion: every maximal cone lies inside the support, and every
+    facet of every maximal cone is either shared with another maximal
+    cone or lies inside a facet of the support.  Together with closedness
+    this forces the union to fill the support.  Returns None on success
+    or a description of the violation.
+    """
+    sup = fan.support
+    for c in fan.maximal_cones:
+        for g in list(c.rays) + list(c.lineality_basis):
+            if not sup.contains(g):
+                return f"cone ray {g} outside support"
+    for c in fan.maximal_cones:
+        for facet in facet_subcones(c):
+            shared = any(other is not c and is_face_of(facet, other)
+                         for other in fan.maximal_cones)
+            if shared:
+                continue
+            on_boundary = any(all(dot(f, r) == 0 for r in facet.rays)
+                              for f in sup.facets)
+            if not on_boundary:
+                return f"unmatched interior facet with rays {facet.rays}"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# polyhedra: Minkowski sums, cone-over, bounded very-ampleness
+
+
+def minkowski_sum(p: LatticePolyhedron, q: LatticePolyhedron) -> LatticePolyhedron:
+    """Pairwise candidate sums + sum of recession cones, canonicalized."""
+    if p.ambient_rank != q.ambient_rank:
+        raise ValueError("rank mismatch")
+    if p.is_empty() or q.is_empty():
+        return LatticePolyhedron(p.ambient_rank).canonicalize()
+    pts = [tuple(x + y for x, y in zip(a, b))
+           for a in p.vertex_candidates for b in q.vertex_candidates]
+    rec = Cone(p.ambient_rank, list(p.recession.generators) + list(q.recession.generators))
+    return LatticePolyhedron(p.ambient_rank, pts, rec).canonicalize()
+
+
+def cone_over(p: LatticePolyhedron) -> Cone:
+    """Cone in rank+1 generated by (v,1) and (r,0); slicing at height 1 gives p back."""
+    if p.is_empty():
+        return Cone(p.ambient_rank + 1, [])
+    q = p.canonicalize()
+    gens = [scaled_primitive(tuple(v) + (Fraction(1),)) for v in q.vertex_candidates]
+    gens += [tuple(r) + (0,) for r in q.recession.rays]
+    return Cone(p.ambient_rank + 1, gens)
+
+
+def embedding_monomials(affine_cols, section_points) -> tuple[tuple[int, ...], ...]:
+    """Monomials generating every vertex chart of the blown-up family.
+
+    The affine coordinates are global functions and enter untranslated, so
+    alongside the section points themselves the products (affine coordinate)
+    × (section) are needed: the chart at a vertex section χ^v is generated by
+    the affine coordinates and the ratios χ^{m'-v}, i.e. by the translates of
+    this closure.
+    """
+    affine = [tuple(int(x) for x in c) for c in affine_cols]
+    sections = [tuple(int(x) for x in p) for p in section_points]
+    out = dict.fromkeys(affine)
+    for s in sections:
+        out.setdefault(s, None)
+        for a in affine:
+            out.setdefault(tuple(x + y for x, y in zip(a, s)), None)
+    return tuple(out)
+
+
+def check_semigroup_generation(p: LatticePolyhedron, extra_monomials: Sequence[Sequence],
+                               degree_bound: int) -> list[bool]:
+    """Bounded very-ampleness certificate, one verdict per canonical vertex.
+
+    For each vertex v the set {m - v} (m over extra_monomials) must generate,
+    as a semigroup, every lattice point of cone(P - v) whose degree under the
+    canonical grading is at most degree_bound * max generator degree.  The
+    grading is the sum of the active primitive facet normals at v, which is
+    strictly positive on cone(P - v) minus the origin.  This is a bounded
+    certificate, not a proof for unbounded degrees.
+    """
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
+    q = p.canonicalize()
+    if q.is_empty():
+        return []
+    d = q.ambient_rank
+    mono = [vec(m) for m in extra_monomials]
+    verdicts = []
+    for v in q.vertex_candidates:
+        active = [n for n, o in q.facet_rep if dot(n, v) == o]
+        eqs = [n for n, _ in q.hull_equations]
+        grading = tuple(sum(col) for col in zip(*active)) if active else tuple([0] * d)
+        gens = []
+        for m in mono:
+            g = vsub(m, v)
+            if is_zero_vec(g):
+                continue
+            if any(x.denominator != 1 for x in g):
+                raise ValueError("monomial generators must be lattice points")
+            g = tuple(int(x) for x in g)
+            # translated generators must lie in the vertex cone (they do for
+            # points of the polyhedron); the sum-DP below relies on it
+            if any(dot(e, g) != 0 for e in eqs) or any(dot(a, g) < 0 for a in active):
+                raise ValueError(f"generator {g} lies outside the vertex cone at {v}")
+            gens.append(g)
+        degs = [dot(grading, g) for g in gens]
+        bound = degree_bound * min(degs, default=1)
+        pts = _lattice_points_in_vertex_cone(active, eqs, grading, d, bound)
+        origin = tuple([0] * d)
+        reachable = {origin}
+        for pt in sorted(pts, key=lambda x: dot(grading, x)):
+            if pt == origin:
+                continue
+            if any(tuple(a - b for a, b in zip(pt, g)) in reachable for g in gens):
+                reachable.add(pt)
+        verdicts.append(all(pt in reachable for pt in pts))
+    return verdicts
+
+
+def _lattice_points_in_vertex_cone(active, eqs, grading, d, bound) -> list[tuple[int, ...]]:
+    """Integer points x with active·x >= 0, eqs·x = 0, <grading, x> <= bound."""
+    lin_rays, rays = dd.cone_from_inequalities(
+        list(active) + [e for pair in ((e, tuple(-x for x in e)) for e in eqs) for e in pair], d)
+    assert not lin_rays, "vertex cone must be pointed"
+    degs = []
+    for r in rays:
+        dg = dot(grading, r)
+        if dg <= 0:
+            raise ValueError("grading not positive on the vertex cone")
+        degs.append(int(dg))
+    # smooth cone: lattice points are exactly the N-combinations of the rays
+    if rays and len(rays) == rank(rays) and \
+            all(x == 1 for x in elementary_divisors(Matrix(rays))):
+        ranges = [range(bound // dg + 1) for dg in degs]
+        out = []
+        for y in product(*ranges):
+            if sum(c * dg for c, dg in zip(y, degs)) > bound:
+                continue
+            out.append(tuple(sum(c * r[i] for c, r in zip(y, rays)) for i in range(d)))
+        return out
+    # general pointed cone: bounding box of the grade-truncated cone
+    corners = [tuple([Fraction(0)] * d)]
+    for r, dg in zip(rays, degs):
+        corners.append(tuple(Fraction(bound * x, dg) for x in r))
+    los = [min(c[i] for c in corners) for i in range(d)]
+    his = [max(c[i] for c in corners) for i in range(d)]
+    ranges = [range(int(lo.__floor__()), int(hi.__ceil__()) + 1)
+              for lo, hi in zip(los, his)]
+    out = []
+    for x in product(*ranges):
+        if dot(grading, x) > bound:
+            continue
+        if any(dot(e, x) != 0 for e in eqs):
+            continue
+        if all(dot(a, x) >= 0 for a in active):
+            out.append(x)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# chart invariants, groups, JSON
+
+
+def chart_invariants(chart_dual: Cone, proj: Matrix
+                     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Invariant monomials of an affine chart under the subtorus action.
+
+    ``chart_dual`` is the monomial cone of the chart (inside M); ``proj`` is
+    the quotient projection on the dual side N -> N'.  The generators of the
+    image cone's dual are lifted through proj^T into M and expressed in the
+    chart's coordinate monomials.  Returns [(exponent vector in M, exponent
+    vector over chart coordinates)], ordered by the canonical (sorted) ray
+    order of the quotient chart cone's dual.
+    """
+    chart = chart_dual.dual()
+    if proj.cols != chart.ambient_rank:
+        raise ValueError("projection source must match chart ambient rank")
+    image = image_cone(proj, chart)
+    gens = image.dual().rays
+    # chart coordinates: the given monomial generators must form a lattice
+    # basis so that exponents are unique integers (exponents in their order)
+    wmat = Matrix.from_columns(chart_dual.generators)
+    if wmat.rows != wmat.cols or wmat.rank() != wmat.rows:
+        raise ValueError("chart monomial cone must be simplicial of full rank")
+    winv = invert(wmat)
+    out = []
+    pt = proj.transpose()
+    for g in gens:
+        m = pt @ g
+        expo = winv @ m
+        if any(x.denominator != 1 or x < 0 for x in expo):
+            raise ValueError(f"lift {m} is not in the chart semigroup")
+        out.append((tuple(int(x) for x in m), tuple(int(x) for x in expo)))
+    return out
+
+
+def inverse(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def from_cycles(n: int, cycs: Sequence[Sequence[int]]) -> Perm:
+    """Permutation from 1-based cycles."""
+    out = list(range(n))
+    for c in cycs:
+        for a, b in zip(c, c[1:] + type(c)([c[0]])):
+            out[a - 1] = b - 1
+    return tuple(out)
+
+
+def is_trivial(g: FiniteAbelianGroup) -> bool:
+    return not g.invariant_factors
+
+
+def matrix_to_json(m: Matrix) -> dict:
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": [[rational_str(x) for x in row] for row in m.entries]}
+
+
+# ---------------------------------------------------------------------------
+# stabilizer oracles
+
+
+def unit(root=0, generic: Sequence[int] = ()) -> UnitValue:
+    return UnitValue(root=Fraction(root), generic=tuple(generic))
+
+
+def instantiate(c: CycleConfiguration, seed: int,
+                prime: int = 2147483647) -> CycleConfiguration:
+    """Replace formal generic generators by random elements of Z/prime ⊂ Q/Z.
+
+    A second oracle for the whole pipeline: with overwhelming probability no
+    accidental relation is introduced, so every stabilizer computation must
+    come out the same as with formal generators.
+    """
+    rng = random.Random(seed)
+    m = c.generic_dim()
+    vals = [rng.randrange(1, prime) for _ in range(m)]
+    pts = []
+    for p in c.points:
+        g = p.position.generic + (0,) * (m - len(p.position.generic))
+        shift = Fraction(sum(x * v for x, v in zip(g, vals)) % prime, prime)
+        pts.append(PointRecord(component=p.component,
+                               position=UnitValue(root=p.position.root + shift),
+                               a1_label=p.a1_label, multiplicity=p.multiplicity))
+    return CycleConfiguration(n=c.n, I_t=c.I_t, points=tuple(pts))
+
+
+@cache
+def _ambient_permutation_matrices(n: int) -> dict:
+    """ρ(s) on Z^{n+1} for all s in S_n, built once per n for the repeated
+    calls of toric_fixed_points (read-only).  Not shared with
+    build_symmetric: a cached copy there would keep the n! matrices alive
+    through the JSON output of `build --object symmetric` (+1.7 MB peak RSS
+    at n=6)."""
+    return permutation_matrices(n, ambient_reflections(n))
+
+
+def toric_fixed_points(q: QuotientPoint) -> set[Perm]:
+    """Chart-gluing oracle for the stabilizer, via the toric model.
+
+    The quotient point lives on the toric variety of the orbit fan; it is the
+    pair (orbit cone τ, group homomorphism λ on M ∩ τ⊥).  A permutation fixes
+    it iff its lattice matrix preserves τ and λ pulls back to itself on a
+    basis of M ∩ τ⊥, and the affine labels are invariant.  Independent of the
+    prefix-sum membership criterion; intended for n <= 5.
+    """
+    n = q.n
+    if n < 2:
+        return {identity(n)}
+    mats = _ambient_permutation_matrices(n)
+    rays = []
+    for k in range(1, n + 1):
+        rays.append(tuple(1 if i < k else 0 for i in range(n)) + (0,))
+    rays.append(tuple([0] * n) + (1,))
+    raymat = Matrix.from_columns(rays)
+    dual_basis = invert(raymat).entries  # row i pairs with ray i
+    zero_idx = {i for i, v in enumerate(q.values) if v.is_zero()}
+    unit_idx = [i for i in range(n + 1) if i not in zero_idx]
+    tau = {rays[i] for i in zero_idx}
+    out = set()
+    for s, mat in mats.items():
+        img = {tuple(int(x) for x in (mat @ r)) for r in tau}
+        if img != tau:
+            continue
+        if any(q.a1[s[i]] != q.a1[i] for i in range(n)):
+            continue
+        good = True
+        for i in unit_idx:
+            mi = dual_basis[i]
+            total = None
+            for j in unit_idx:
+                cj = sum(a * b for a, b in zip(mi, (mat @ rays[j])))
+                if cj == 0:
+                    continue
+                term = q.values[j]
+                acc = term
+                k = int(cj)
+                piece = acc if k > 0 else -acc
+                for _ in range(abs(k) - 1):
+                    piece = piece + (acc if k > 0 else -acc)
+                total = piece if total is None else total + piece
+            if total is None:
+                total = UnitValue(root=Fraction(0), generic=(0,) * len(q.values[i].generic))
+            if (total - q.values[i]).root % 1 != 0 or \
+                    any(x != 0 for x in (total - q.values[i]).generic):
+                good = False
+                break
+        if good:
+            out.add(s)
+    return out

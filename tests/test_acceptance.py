@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import det_unimodular
+from oracles import det_unimodular, from_cycles, intersection, minkowski_sum
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (_pb, build_bundle, build_symmetric, checks_for,
                                    constant_tail, decode_ray_label,
@@ -17,10 +17,10 @@ from toricgit.degeneration import (_pb, build_bundle, build_symmetric, checks_fo
                                    verify)
 from toricgit.git import quotient_polyhedron, quotient_slice, split_quotient, \
     unstable_rays
-from toricgit.groups import compose, from_cycles, identity
+from toricgit.groups import compose, identity
 from toricgit.linalg import Matrix, hermite_normal_form, smith_normal_form, \
     elementary_divisors, kernel_basis
-from toricgit.polyhedra import LatticePolyhedron, minkowski_sum, normal_fan
+from toricgit.polyhedra import LatticePolyhedron, normal_fan
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   project_to_quotient, random_configuration,
                                   sym_stabilizers, torus_stabilizer,
@@ -210,7 +210,7 @@ def test_criterion_10_kernel_property_suites():
         ref = set()
         for c1 in normal_fan(p).maximal_cones:
             for c2 in normal_fan(q).maximal_cones:
-                inter = c1.intersection(c2)
+                inter = intersection(c1, c2)
                 if inter.dim() == dim:
                     ref.add(inter.key())
         assert nf_s == ref

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from oracles import matrix_to_json
 from toricgit import jsonio
 from toricgit.degeneration import build_bundle, checks_for, product_ray_vectors
 
@@ -123,7 +124,7 @@ def test_quotient_command(tmp_path):
     ppath = tmp_path / "poly.json"
     apath = tmp_path / "alpha.json"
     ppath.write_text(jsonio.dumps(jsonio.polyhedron_to_json(b.family_polyhedron)))
-    apath.write_text(jsonio.dumps(jsonio.matrix_to_json(b.lin_family.alpha)))
+    apath.write_text(jsonio.dumps(matrix_to_json(b.lin_family.alpha)))
     r = run_cli(["quotient", str(ppath), str(apath), "1/2"])
     assert r.returncode == 0
     obj = json.loads(r.stdout)
@@ -177,7 +178,7 @@ def malformed_inputs(tmp_path):
     poly = tmp_path / "poly.json"
     alpha = tmp_path / "alpha.json"
     poly.write_text(jsonio.dumps(jsonio.polyhedron_to_json(b.family_polyhedron)))
-    alpha.write_text(jsonio.dumps(jsonio.matrix_to_json(b.lin_family.alpha)))
+    alpha.write_text(jsonio.dumps(matrix_to_json(b.lin_family.alpha)))
     listed = tmp_path / "list.json"
     listed.write_text("[1,2]")
     zero_root = tmp_path / "zero_root.json"

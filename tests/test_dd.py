@@ -1,7 +1,7 @@
 import random
 
+from oracles import feasible_nonneg_combination
 from toricgit.dd import cone_from_inequalities
-from toricgit.linalg import feasible_nonneg_combination
 
 
 def _in_v_cone(lineality, rays, v):

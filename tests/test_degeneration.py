@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+from oracles import invert, minkowski_sum
 from toricgit import degeneration
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle, _pb,
@@ -16,7 +17,7 @@ from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle, _
                                    weight_reflections)
 from toricgit.git import quotient_slice
 from toricgit.jsonio import dumps, polyhedron_to_json
-from toricgit.linalg import Matrix, invert
+from toricgit.linalg import Matrix
 from toricgit.polyhedra import InnerCertificateError, cube_image_slice
 
 
@@ -69,7 +70,7 @@ def test_product_polyhedron_facets_vs_generic_dd():
 
 
 def test_product_polyhedron_against_brute_force_n2():
-    from toricgit.polyhedra import LatticePolyhedron, linear_image, minkowski_sum
+    from toricgit.polyhedra import LatticePolyhedron, linear_image
     b = build_bundle(2)
     cube = LatticePolyhedron(4, list(product((0, 1), repeat=4)))
     pw = linear_image(b.cube_map, cube.canonicalize())
@@ -268,33 +269,25 @@ def test_certificate_needs_every_face_corner():
     assert needed == 7
 
 
-def test_pb_falls_back_when_certificate_fails(monkeypatch):
+def test_pb_certificate_failure_is_an_error_report(monkeypatch):
+    # without the corner (1, 0, 1, 0) the inner certificate fails at n = 2
+    # (see test_certificate_needs_every_face_corner); P_b has no second
+    # route, so the check reports the error instead of a result
     n = 2
-    b = _bundle(n)  # built from all chart vertices before the corners are cut
-    want = quotient_slice(b.product_polyhedron.polytopal_part(), b.lin_product)
+    _bundle(n)  # built from all chart vertices before the corners are cut
     corners = [c for c in product_chart_corners(n) if c != (1, 0, 1, 0)]
-    calls = []
-    real = degeneration.quotient_slice
-
-    def spy(p, lin):
-        calls.append(p)
-        return real(p, lin)
-
     monkeypatch.setattr(degeneration, "product_chart_corners", lambda n: corners)
-    monkeypatch.setattr(degeneration, "quotient_slice", spy)
     _pb.cache_clear()
     try:
-        got = _pb(n)
+        rep = verify(n, "pb_vertices")
     finally:
         _pb.cache_clear()
-    assert len(calls) == 1 and calls[0] is b.product_polyhedron.polytopal_part()
-    assert got.vertex_candidates == want.vertex_candidates
-    assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want))
+    assert rep.status == "error"
+    assert "InnerCertificateError" in rep.witness["exception"]
 
 
 def test_pb_n5_from_cube_without_bundle(monkeypatch):
-    # the certificate holds at n = 5, so neither the fallback nor the
-    # 7776-vertex bundle is built
+    # the certificate holds at n = 5, so the 7776-vertex bundle is not built
     from types import SimpleNamespace
 
     def no_bundle(n):

@@ -2,14 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import chart_invariants, minkowski_sum
 from toricgit.cones import Cone
 from toricgit.degeneration import (_pb, build_bundle, decode_ray_label,
                                    product_rec_dual_columns, projection_matrix)
-from toricgit.git import (Linearization, chart_invariants, kernel_cone,
-                          quotient_polyhedron, quotient_slice, split_quotient,
-                          support_constants, unstable_rays)
+from toricgit.git import (Linearization, kernel_cone, quotient_polyhedron, quotient_slice,
+                          split_quotient, support_constants, unstable_rays)
 from toricgit.linalg import Matrix, dot
-from toricgit.polyhedra import LatticePolyhedron, minkowski_sum
+from toricgit.polyhedra import LatticePolyhedron
 
 
 def ray(n, I, j):

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import det_unimodular, kernel_basis_snf, solve_affine_oracle
-from toricgit.linalg import (Matrix, elementary_divisors, feasible_nonneg_combination,
-                             hermite_normal_form, in_cone_hull, invert, kernel_basis,
+from oracles import (det_unimodular, feasible_nonneg_combination, in_cone_hull,
+                     invert, kernel_basis_snf, solve_affine_oracle)
+from toricgit.linalg import (Matrix, elementary_divisors, hermite_normal_form, kernel_basis,
                              rank, smith_normal_form, solve_affine, solve_unique)
 
 ALPHA_W2 = Matrix([[0, 0, 1, -1, 0], [0, 0, 0, 1, -1]])

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (check_semigroup_generation, cone_over, embedding_monomials,
+                     in_cone_hull, intersection, minkowski_sum, validate_pairwise_faces,
+                     validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
-from toricgit.linalg import Matrix, dot, in_cone_hull
-from toricgit.polyhedra import (Fan, LatticePolyhedron, affine_slice,
-                                check_semigroup_generation, cone_over, cube_blocks,
-                                cube_image_slice, linear_image, minkowski_sum,
-                                normal_fan)
+from toricgit.linalg import Matrix, dot
+from toricgit.polyhedra import (Fan, LatticePolyhedron, affine_slice, cube_blocks,
+                                cube_image_slice, linear_image, normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
 
@@ -349,7 +350,7 @@ def test_normal_fan_of_sum_is_common_refinement():
         refinement = set()
         for c1 in normal_fan(p).maximal_cones:
             for c2 in normal_fan(q).maximal_cones:
-                inter = c1.intersection(c2)
+                inter = intersection(c1, c2)
                 if inter.dim() == d:
                     refinement.add(inter.key())
         assert nf_s == refinement
@@ -359,8 +360,8 @@ def test_fan_validity_small():
     from toricgit.degeneration import build_symmetric
     for n in (2, 3, 4):
         sym = build_symmetric(n)
-        assert sym.fan.validate_pairwise_faces() is None
-        assert sym.fan.validate_support_cover() is None
+        assert validate_pairwise_faces(sym.fan) is None
+        assert validate_support_cover(sym.fan) is None
         sigma = sym.product_cone
         for r in sym.fan.rays():
             assert sigma.contains(r)
@@ -368,9 +369,11 @@ def test_fan_validity_small():
 
 
 def test_semigroup_generation_family():
-    from toricgit.degeneration import build_bundle
+    from toricgit.degeneration import build_bundle, family_cube_map, family_rec_dual_columns
     b = build_bundle(1)
-    verdicts = check_semigroup_generation(b.family_polyhedron, b.family_monomials, 6)
+    cube_pts = [family_cube_map(1) @ v for v in product((0, 1), repeat=1)]
+    mono = embedding_monomials(family_rec_dual_columns(1), cube_pts)
+    verdicts = check_semigroup_generation(b.family_polyhedron, mono, 6)
     assert verdicts and all(verdicts)
 
 
@@ -382,8 +385,7 @@ def test_semigroup_generation_nonsaturated():
 
 
 def test_semigroup_generation_product():
-    from toricgit.degeneration import build_bundle, embedding_monomials, \
-        product_rec_dual_columns
+    from toricgit.degeneration import build_bundle, product_rec_dual_columns
     b = build_bundle(2)
     cube_pts = [b.cube_map @ v for v in product((0, 1), repeat=4)]
     mono = embedding_monomials(product_rec_dual_columns(2), cube_pts)
