@@ -2,7 +2,8 @@
 quotients, and analyze stabilizer configurations.
 
 Exit codes: 0 success / all checks pass; 1 a check or comparison failed;
-2 bad arguments or parse failure; 3 I/O failure; 4 brute-force bound exceeded.
+2 bad arguments or parse failure; 3 I/O failure; 4 the configuration's n is above
+the ``stab --brute-force-max`` size bound.
 """
 
 from __future__ import annotations
@@ -249,7 +250,9 @@ def main(argv=None) -> int:
 
     p_stab = sub.add_parser("stab", help="stabilizer analysis of a configuration")
     p_stab.add_argument("config", help="configuration JSON file")
-    p_stab.add_argument("--brute-force-max", type=int, default=DEFAULT_BRUTE_FORCE_MAX)
+    p_stab.add_argument("--brute-force-max", type=int, default=DEFAULT_BRUTE_FORCE_MAX,
+                        help="a size bound, not a brute-force scan: a configuration "
+                             "with a larger n exits 4 (default %(default)s)")
     p_stab.set_defaults(func=cmd_stab)
 
     args = parser.parse_args(argv)

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
+
+from .linalg import Matrix, elementary_divisors
 
 Perm = tuple[int, ...]
 
@@ -54,35 +56,6 @@ def cycle_notation(p: Perm) -> str:
     return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cs)
 
 
-def invariant_factors(cyclic_orders: Iterable[int]) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of a product of cyclic groups."""
-    powers: dict[int, list[int]] = {}
-    for m in cyclic_orders:
-        if m < 1:
-            raise ValueError("cyclic order must be positive")
-        d = 2
-        while d * d <= m:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            if e:
-                powers.setdefault(d, []).append(e)
-            d += 1
-        if m > 1:
-            powers.setdefault(m, []).append(1)
-    if not powers:
-        return ()
-    k = max(len(v) for v in powers.values())
-    factors = [1] * k
-    for p, exps in powers.items():
-        exps = sorted(exps, reverse=True)
-        for i, e in enumerate(exps):
-            factors[i] *= p ** e
-    factors = [f for f in factors if f > 1]
-    return tuple(sorted(factors))
-
-
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Invariant-factor form: factors ascending with d_i | d_{i+1}."""
@@ -98,7 +71,17 @@ class FiniteAbelianGroup:
 
     @staticmethod
     def from_cyclic_orders(orders: Iterable[int]) -> "FiniteAbelianGroup":
-        return FiniteAbelianGroup(invariant_factors(orders))
+        """The product of cyclic groups Z/m, one per order, folded in one at a
+        time by Z/a ⊕ Z/b ≅ Z/gcd(a, b) ⊕ Z/lcm(a, b)."""
+        factors: list[int] = []
+        for m in orders:
+            if m < 1:
+                raise ValueError("cyclic order must be positive")
+            for i in reversed(range(len(factors))):
+                factors[i], m = lcm(factors[i], m), gcd(factors[i], m)
+            if m > 1:
+                factors.insert(0, m)
+        return FiniteAbelianGroup(tuple(factors))
 
     def order(self) -> int:
         out = 1
@@ -284,48 +267,44 @@ def abelian_invariant_factors_of_group(elements: Sequence, mul: Callable,
                                        ident) -> tuple[int, ...]:
     """Invariant factors of a finite abelian group given by its multiplication.
 
-    Classical peeling: an element of maximal order spans a direct summand;
-    recurse on the quotient, taking minima over cosets as canonical
-    representatives.  Raises NonabelianQuotientError on a nonabelian input.
+    Cohen, GTM 138, §2.4.  Walking the sorted elements, an element outside
+    the span of the generators so far becomes the next generator g; the span
+    is closed by table, with each element's exponent vector, so the whole
+    table costs O(|Q|·k) multiplications for k generators.  g contributes
+    the relation m·e_g − log(g^m) for the least m with g^m in the old span,
+    and the Smith normal form of these relations gives the invariant factors.
+    Commutativity is checked on generator pairs only: commuting generators
+    span an abelian group, so a nonabelian input meets a non-commuting pair
+    (NonabelianQuotientError).  Raises ValueError when the table does not
+    cover exactly the given elements.
     """
     elems = sorted(elements)
-    for x in elems:
-        for y in elems:
-            if mul(x, y) != mul(y, x):
-                raise NonabelianQuotientError(f"non-commuting classes {x} and {y}")
 
-    def peel(elems, mul, ident):
-        if len(elems) == 1:
-            return []
+    def padded(v, k: int) -> list[int]:
+        return list(v) + [0] * (k - len(v))
 
-        def order_of(x):
-            k, acc = 1, x
-            while acc != ident:
-                acc = mul(acc, x)
-                k += 1
-            return k
-
-        orders = {x: order_of(x) for x in elems}
-        exponent = 1
-        for o in orders.values():
-            exponent = exponent * o // gcd(exponent, o)
-        gen = next(x for x in elems if orders[x] == exponent)
-        sub = [ident]
-        acc = gen
-        while acc != ident:
-            sub.append(acc)
-            acc = mul(acc, gen)
-        reps = sorted({min(mul(g, h) for h in sub) for g in elems})
-        qident = min(sub)
-
-        def qmul(a, b):
-            return min(mul(mul(a, b), h) for h in sub)
-
-        return peel(reps, qmul, qident) + [exponent]
-
-    factors = peel(elems, mul, ident)
-    total = 1
-    for f in factors:
-        total *= f
-    assert total == len(elems), "invariant factor product must equal group order"
+    log = {ident: ()}  # element -> exponents over the generators so far
+    gens: list = []
+    relations: list[list[int]] = []
+    for g in elems:
+        if g in log:
+            continue
+        for h in gens:
+            if mul(g, h) != mul(h, g):
+                raise NonabelianQuotientError(f"non-commuting classes {h} and {g}")
+        powers = [ident, g]
+        while powers[-1] not in log:
+            powers.append(mul(powers[-1], g))
+        m = len(powers) - 1
+        k = len(gens)
+        relations.append([-x for x in padded(log[powers[m]], k)] + [m])
+        for x, v in list(log.items()):
+            v = tuple(padded(v, k))
+            for j in range(1, m):
+                log[mul(x, powers[j])] = v + (j,)
+        gens.append(g)
+    if log.keys() != set(elems):
+        raise ValueError("the elements are not closed under the multiplication")
+    factors = elementary_divisors(Matrix(padded(r, len(gens)) for r in relations))
+    assert prod(factors) == len(elems), "invariant factor product must equal group order"
     return tuple(f for f in factors if f > 1)

@@ -5,21 +5,23 @@ Smith-normal-form) routes that an optimised path in ``toricgit`` replaced;
 the tests check that the fast path agrees with them on seeded inputs.  The
 rest is code that only the tests run: an exact feasibility LP for
 membership, cone and fan predicates, Minkowski sums, a bounded
-very-ampleness certificate, chart invariant monomials, and two oracles for
+very-ampleness certificate, chart invariant monomials, two oracles for
 the stabilizer pipeline (the toric chart-gluing test and the instantiation
-of formal generators).
+of formal generators), and the two invariant-factor routes the package
+replaced (trial division of cyclic orders, and the peel of a group table).
 """
 
 import random
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Optional, Sequence
+from math import gcd
+from typing import Callable, Iterable, Optional, Sequence
 
 from toricgit import dd
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import ambient_reflections, permutation_matrices
-from toricgit.groups import FiniteAbelianGroup, Perm, identity
+from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
 from toricgit.linalg import (Matrix, dot, elementary_divisors, frac,
                              hermite_normal_form, is_zero_vec, rank,
@@ -501,6 +503,86 @@ def from_cycles(n: int, cycs: Sequence[Sequence[int]]) -> Perm:
 
 def is_trivial(g: FiniteAbelianGroup) -> bool:
     return not g.invariant_factors
+
+
+def invariant_factors(cyclic_orders: Iterable[int]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... of a product of cyclic groups."""
+    powers: dict[int, list[int]] = {}
+    for m in cyclic_orders:
+        if m < 1:
+            raise ValueError("cyclic order must be positive")
+        d = 2
+        while d * d <= m:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            if e:
+                powers.setdefault(d, []).append(e)
+            d += 1
+        if m > 1:
+            powers.setdefault(m, []).append(1)
+    if not powers:
+        return ()
+    k = max(len(v) for v in powers.values())
+    factors = [1] * k
+    for p, exps in powers.items():
+        exps = sorted(exps, reverse=True)
+        for i, e in enumerate(exps):
+            factors[i] *= p ** e
+    factors = [f for f in factors if f > 1]
+    return tuple(sorted(factors))
+
+
+def abelian_invariant_factors_by_peeling(elements: Sequence, mul: Callable,
+                                         ident) -> tuple[int, ...]:
+    """Invariant factors of a finite abelian group given by its multiplication.
+
+    Classical peeling: an element of maximal order spans a direct summand;
+    recurse on the quotient, taking minima over cosets as canonical
+    representatives.  Raises NonabelianQuotientError on a nonabelian input.
+    """
+    elems = sorted(elements)
+    for x in elems:
+        for y in elems:
+            if mul(x, y) != mul(y, x):
+                raise NonabelianQuotientError(f"non-commuting classes {x} and {y}")
+
+    def peel(elems, mul, ident):
+        if len(elems) == 1:
+            return []
+
+        def order_of(x):
+            k, acc = 1, x
+            while acc != ident:
+                acc = mul(acc, x)
+                k += 1
+            return k
+
+        orders = {x: order_of(x) for x in elems}
+        exponent = 1
+        for o in orders.values():
+            exponent = exponent * o // gcd(exponent, o)
+        gen = next(x for x in elems if orders[x] == exponent)
+        sub = [ident]
+        acc = gen
+        while acc != ident:
+            sub.append(acc)
+            acc = mul(acc, gen)
+        reps = sorted({min(mul(g, h) for h in sub) for g in elems})
+        qident = min(sub)
+
+        def qmul(a, b):
+            return min(mul(mul(a, b), h) for h in sub)
+
+        return peel(reps, qmul, qident) + [exponent]
+
+    factors = peel(elems, mul, ident)
+    total = 1
+    for f in factors:
+        total *= f
+    assert total == len(elems), "invariant factor product must equal group order"
+    return tuple(f for f in factors if f > 1)
 
 
 def matrix_to_json(m: Matrix) -> dict:

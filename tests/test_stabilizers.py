@@ -4,16 +4,19 @@ import random
 from fractions import Fraction as F
 from functools import cache
 from itertools import permutations, product
+from math import ceil, log2, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (_ambient_permutation_matrices, from_cycles, instantiate, inverse,
-                     is_trivial, toric_fixed_points, unit)
+from oracles import (_ambient_permutation_matrices, abelian_invariant_factors_by_peeling,
+                     from_cycles, instantiate, invariant_factors, inverse, is_trivial,
+                     toric_fixed_points, unit)
 from toricgit import cli, jsonio, stabilizers
 from toricgit.groups import (CosetUnion, FiniteAbelianGroup, NonabelianQuotientError,
                              YoungSubgroup, abelian_invariant_factors_of_group, compose,
-                             cycle_notation, identity, invariant_factors,
-                             young_subgroup_of)
+                             cycle_notation, identity, young_subgroup_of)
 from toricgit.stab_backends import (EncodedPoint, ratio_is_one, search_stabilizer,
                                     trivial_angle, unit_matches)
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
@@ -119,7 +122,7 @@ def sym_stabilizers_oracle(q) -> OracleStabilizers:
         return tuple(out)
 
     reps = sorted({rep(s) for s in stab})
-    factors = abelian_invariant_factors_of_group(
+    factors = abelian_invariant_factors_by_peeling(
         reps, lambda a, b: rep(compose(a, b)), identity(n))
     return OracleStabilizers(stab, stab0, young, FiniteAbelianGroup(factors))
 
@@ -138,11 +141,13 @@ def oracle_configurations(degenerate=True):
 
 
 def test_invariant_factors():
-    assert invariant_factors([3, 3]) == (3, 3)
-    assert invariant_factors([2, 3]) == (6,)
-    assert invariant_factors([4, 6]) == (2, 12)
-    assert invariant_factors([]) == ()
+    for orders, factors in (([3, 3], (3, 3)), ([2, 3], (6,)), ([4, 6], (2, 12)),
+                            ([], ()), ([12, 8, 6], (2, 12, 24))):
+        assert invariant_factors(orders) == factors
+        assert FiniteAbelianGroup.from_cyclic_orders(orders).invariant_factors == factors
     assert is_trivial(FiniteAbelianGroup.from_cyclic_orders([1, 1]))
+    with pytest.raises(ValueError, match="positive"):
+        FiniteAbelianGroup.from_cyclic_orders([2, 0])
 
 
 def test_young_subgroup():
@@ -154,17 +159,87 @@ def test_young_subgroup():
         young_subgroup_of([(0, 1, 2, 3), (1, 2, 0, 3)], 4)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.integers(1, 10 ** 6), max_size=8))
+def test_cyclic_orders_merge_matches_trial_division(orders):
+    assert FiniteAbelianGroup.from_cyclic_orders(orders).invariant_factors == \
+        invariant_factors(orders)
+
+
+# the peel costs O(|Q|²) multiplications, so the examples are few (|Q| reaches 960)
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(st.lists(st.integers(1, 12), max_size=3), st.data())
+def test_group_table_routes_agree(orders, data):
+    """Z/a_1 × ... × Z/a_k with its elements relabelled by a random bijection:
+    the generator route, the peel and the cyclic-order merge agree."""
+    elems = list(product(*(range(a) for a in orders)))
+    labels = data.draw(st.permutations(range(len(elems))))
+    label = dict(zip(elems, labels))
+    elem = dict(zip(labels, elems))
+
+    def mul(x, y):
+        return label[tuple((a + b) % m for a, b, m in zip(elem[x], elem[y], orders))]
+
+    ident = label[(0,) * len(orders)]
+    factors = abelian_invariant_factors_of_group(labels, mul, ident)
+    assert factors == abelian_invariant_factors_by_peeling(labels, mul, ident)
+    assert factors == FiniteAbelianGroup.from_cyclic_orders(orders).invariant_factors
+
+
 def test_abelian_invariants_of_klein_group():
     elems = [(0, 0), (0, 1), (1, 0), (1, 1)]
     mul = lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
     assert abelian_invariant_factors_of_group(elems, mul, (0, 0)) == (2, 2)
 
 
+def dihedral_group_of_order_8():
+    """The symmetries of the square on its corners 0, 1, 2, 3."""
+    r, f = (1, 2, 3, 0), (0, 3, 2, 1)
+    out = {identity(4)}
+    while True:
+        grown = out | {compose(p, g) for p in out for g in (r, f)}
+        if grown == out:
+            return sorted(out)
+        out = grown
+
+
 def test_nonabelian_detection():
-    import itertools
-    elems = list(itertools.permutations(range(3)))
-    with pytest.raises(NonabelianQuotientError):
-        abelian_invariant_factors_of_group(elems, compose, identity(3))
+    for elems in (list(permutations(range(3))), dihedral_group_of_order_8()):
+        n = len(elems[0])
+        with pytest.raises(NonabelianQuotientError):
+            abelian_invariant_factors_of_group(elems, compose, identity(n))
+        with pytest.raises(NonabelianQuotientError):
+            abelian_invariant_factors_by_peeling(elems, compose, identity(n))
+
+
+def test_unclosed_elements_are_rejected():
+    for elems in ([0, 1, 2], [0, 2, 3], [0, 2]):
+        with pytest.raises(ValueError, match="not closed"):
+            abelian_invariant_factors_of_group(elems, lambda a, b: (a + b) % 6, 0)
+
+
+def test_quotient_multiplications_are_few(monkeypatch):
+    """An n = 30 draw with |Q| = 768: the quotient takes at most
+    |Q|·(⌈log₂|Q|⌉ + 2) multiplications (the all-pairs peel takes 1.5 M)."""
+    rng = random.Random(5)
+    for _ in range(19):
+        c = random_configuration(30, rng)
+    calls = 0
+    real = stabilizers.abelian_invariant_factors_of_group
+
+    def counting(elements, mul, ident):
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+        return real(elements, counted, ident)
+
+    monkeypatch.setattr(stabilizers, "abelian_invariant_factors_of_group", counting)
+    rep = verify_comparison(c)
+    q = rep.stab_order // rep.stab0_order
+    assert rep.passed and rep.sym_side.invariant_factors == (2, 2, 2, 2, 2, 2, 12)
+    assert q == prod(rep.sym_side.invariant_factors) == 768
+    assert calls <= q * (ceil(log2(q)) + 2)
 
 
 # ---------------------------------------------------------------------------
