@@ -22,7 +22,7 @@ class Cone:
     """Finitely generated rational polyhedral cone."""
 
     __slots__ = ("ambient_rank", "generators", "_lineality", "_rays", "_facets",
-                 "_equations", "_canonical")
+                 "_equations")
 
     def __init__(self, ambient_rank: int, generators: Iterable[Sequence] = (),
                  _facets=None, _lineality=None, _rays=None, _equations=None):
@@ -39,7 +39,6 @@ class Cone:
         object.__setattr__(self, "_lineality", _lineality)
         object.__setattr__(self, "_rays", _rays)
         object.__setattr__(self, "_equations", _equations)
-        object.__setattr__(self, "_canonical", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Cone is immutable")
@@ -118,12 +117,9 @@ class Cone:
         """Cone regenerated from its canonical minimal generator set."""
         gens = list(self.rays) + [l for l in self.lineality_basis] + \
                [tuple(-x for x in l) for l in self.lineality_basis]
-        c = Cone(self.ambient_rank, gens)
-        object.__setattr__(c, "_lineality", self.lineality_basis)
-        object.__setattr__(c, "_rays", self.rays)
-        object.__setattr__(c, "_facets", self.facets)
-        object.__setattr__(c, "_equations", self.equations)
-        return c
+        return Cone(self.ambient_rank, gens, _facets=self.facets,
+                    _lineality=self.lineality_basis, _rays=self.rays,
+                    _equations=self.equations)
 
     def key(self) -> tuple:
         """Canonical equality key."""

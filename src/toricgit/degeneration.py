@@ -228,7 +228,7 @@ class DegenerationBundle:
     product_rec_dual: Cone                # recession cone of the product polyhedron
     product_cone: Cone                    # its dual, generated by the (e_I; e_j)
     cube_map: Matrix                      # L, cube -> product polytope
-    product_polyhedron: LatticePolyhedron
+    product_polyhedron: LatticePolyhedron  # chart vertices + seeded facets, as built
     lin_family: Linearization
     lin_product: Linearization
     projection: Matrix                    # pi: dual-side quotient projection
@@ -298,7 +298,6 @@ def build_bundle(n: int) -> DegenerationBundle:
         facets.append((v, d))
     prod_poly = LatticePolyhedron(2 * n + 1, product_chart_vertices(n), prod_rec,
                                   _facets=tuple(sorted(facets)), _equations=())
-    prod_poly = prod_poly.canonicalize()
     lin_fam = Linearization(torus_shift_map(n, n + 2), fractional_shift_family(n))
     lin_prod = product_linearization(n)
     pi = projection_matrix(n)
@@ -317,29 +316,12 @@ def build_bundle(n: int) -> DegenerationBundle:
 @dataclass(frozen=True)
 class SymmetricModel:
     n: int
-    reflections_weight: tuple   # adjacent-transposition matrices on Z^{n-1}
-    reflections_ambient: tuple  # the same on Z^{n+1}
+    reflections_ambient: tuple  # adjacent-transposition matrices on Z^{n+1}
     chamber: Cone               # the distinguished maximal cone
     product_cone: Cone          # union of the orbit fan, rank n+1
     fan: Fan                    # the S_n-orbit fan of the chamber
     permutohedron: LatticePolyhedron
     resolution_polyhedron: LatticePolyhedron
-    edge_matrix: Matrix         # edge directions at the identity vertex
-
-
-def weight_reflections(n: int) -> list[Matrix]:
-    """Matrices of the simple reflections (k k+1) on the weight lattice Z^{n-1}."""
-    mats = []
-    for k in range(1, n - 1):
-        rows = [[1 if i == j else 0 for j in range(n - 1)] for i in range(n - 1)]
-        rows[k - 1][k - 1] = rows[k][k] = 0
-        rows[k - 1][k] = rows[k][k - 1] = 1
-        mats.append(Matrix(rows))
-    last = [[1 if i == j else 0 for j in range(n - 1)] for i in range(n - 1)]
-    for i in range(n - 1):
-        last[i][n - 2] = -1
-    mats.append(Matrix(last))
-    return mats
 
 
 def ambient_reflections(n: int) -> list[Matrix]:
@@ -424,25 +406,11 @@ def permutohedron_polytope(n: int) -> LatticePolyhedron:
     return LatticePolyhedron(n - 1, verts).canonicalize()
 
 
-def edge_matrix(n: int) -> Matrix:
-    cols = []
-    for k in range(1, n - 1):
-        c = [0] * (n - 1)
-        c[k - 1] = 1
-        c[k] = -1
-        cols.append(c)
-    c = [0] * (n - 1)
-    c[n - 2] = 1
-    cols.append(c)
-    return Matrix.from_columns(cols)
-
-
 def build_symmetric(n: int) -> SymmetricModel:
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > 6:
         raise ValueError("n must be <= 6 (the fan has n! maximal cones)")
-    wrefl = weight_reflections(n)
     arefl = ambient_reflections(n)
     chamber = chamber_cone(n)
     prod = product_cone_ambient(n)
@@ -458,9 +426,8 @@ def build_symmetric(n: int) -> SymmetricModel:
     iota_pts = [(Fraction(0),) + v + (Fraction(0),) for v in perm.vertex_candidates]
     respoly = LatticePolyhedron(n + 1, iota_pts, dual_display).canonicalize()
     return SymmetricModel(
-        n=n, reflections_weight=tuple(wrefl), reflections_ambient=tuple(arefl),
-        chamber=chamber, product_cone=prod, fan=fan, permutohedron=perm,
-        resolution_polyhedron=respoly, edge_matrix=edge_matrix(n))
+        n=n, reflections_ambient=tuple(arefl), chamber=chamber, product_cone=prod,
+        fan=fan, permutohedron=perm, resolution_polyhedron=respoly)
 
 
 # ---------------------------------------------------------------------------

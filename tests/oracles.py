@@ -7,8 +7,10 @@ rest is code that only the tests run: an exact feasibility LP for
 membership, cone and fan predicates, Minkowski sums, a bounded
 very-ampleness certificate, chart invariant monomials, two oracles for
 the stabilizer pipeline (the toric chart-gluing test and the instantiation
-of formal generators), and the two invariant-factor routes the package
-replaced (trial division of cyclic orders, and the peel of a group table).
+of formal generators), the two invariant-factor routes the package
+replaced (trial division of cyclic orders, and the peel of a group table),
+and the weight-lattice reflections and identity-vertex edge matrix of the
+symmetric model.
 """
 
 import random
@@ -617,6 +619,35 @@ def instantiate(c: CycleConfiguration, seed: int,
                                position=UnitValue(root=p.position.root + shift),
                                a1_label=p.a1_label, multiplicity=p.multiplicity))
     return CycleConfiguration(n=c.n, I_t=c.I_t, points=tuple(pts))
+
+
+def weight_reflections(n: int) -> list[Matrix]:
+    """Matrices of the simple reflections (k k+1) on the weight lattice Z^{n-1}."""
+    mats = []
+    for k in range(1, n - 1):
+        rows = [[1 if i == j else 0 for j in range(n - 1)] for i in range(n - 1)]
+        rows[k - 1][k - 1] = rows[k][k] = 0
+        rows[k - 1][k] = rows[k][k - 1] = 1
+        mats.append(Matrix(rows))
+    last = [[1 if i == j else 0 for j in range(n - 1)] for i in range(n - 1)]
+    for i in range(n - 1):
+        last[i][n - 2] = -1
+    mats.append(Matrix(last))
+    return mats
+
+
+def edge_matrix(n: int) -> Matrix:
+    """Edge directions of the permutohedron at the identity vertex, as columns."""
+    cols = []
+    for k in range(1, n - 1):
+        c = [0] * (n - 1)
+        c[k - 1] = 1
+        c[k] = -1
+        cols.append(c)
+    c = [0] * (n - 1)
+    c[n - 2] = 1
+    cols.append(c)
+    return Matrix.from_columns(cols)
 
 
 @cache

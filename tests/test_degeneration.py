@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from oracles import invert, minkowski_sum
+from oracles import edge_matrix, invert, minkowski_sum, weight_reflections
 from toricgit import degeneration
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle, _pb,
@@ -13,8 +13,7 @@ from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle, _
                                    permutation_matrices, product_chart_corners,
                                    product_chart_vertices, product_cone_ambient,
                                    product_cube_map, product_linearization,
-                                   slice_vertex, slice_vertex_points, verify,
-                                   weight_reflections)
+                                   slice_vertex, slice_vertex_points, verify)
 from toricgit.git import quotient_slice
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix
@@ -52,9 +51,10 @@ def test_head_vertex_steps():
 
 
 def test_product_polyhedron_vertex_count():
+    # every chart vertex is a vertex: the canonical form keeps all of them
     for n in (1, 2, 3):
         b = build_bundle(n)
-        assert len(b.product_polyhedron.vertex_candidates) == (n + 1) ** n
+        assert len(b.product_polyhedron.canonicalize().vertex_candidates) == (n + 1) ** n
 
 
 def test_product_polyhedron_facets_vs_generic_dd():
@@ -141,7 +141,7 @@ def test_normal_cone_at_identity_vertex_is_chamber():
         sym = build_symmetric(n)
         # dual of (product cone dual + iota edge cone) = the chamber
         gens = list(sym.product_cone.dual().generators)
-        for col in sym.edge_matrix.columns():
+        for col in edge_matrix(n).columns():
             gens.append((0,) + tuple(int(x) for x in col) + (0,))
         assert Cone(n + 1, gens).dual() == sym.chamber
 
@@ -219,6 +219,31 @@ def test_cached_accessors_build_once_per_n():
         assert _symmetric(n) is _symmetric(n)
         assert _symmetric(n).fan == build_symmetric(n).fan
     assert _bundle(1) is not _bundle(2)
+
+
+def test_product_polyhedron_is_never_canonicalized(monkeypatch):
+    # verify and `build --object expanded` read the product polyhedron as
+    # built: its 64 chart vertices at n = 3 are never re-derived as extreme
+    from toricgit.cli import main
+    from toricgit.polyhedra import LatticePolyhedron
+    seen = []
+    real = LatticePolyhedron.canonicalize
+
+    def spy(self):
+        seen.append((self.ambient_rank, len(self.vertex_candidates)))
+        return real(self)
+
+    _bundle.cache_clear()
+    _pb.cache_clear()
+    monkeypatch.setattr(LatticePolyhedron, "canonicalize", spy)
+    try:
+        for check in checks_for(3):
+            assert verify(3, check).ok(), check
+        assert main(["build", "--n", "3", "--object", "expanded"]) == 0
+        assert seen and (7, 64) not in seen
+    finally:
+        _bundle.cache_clear()
+        _pb.cache_clear()
 
 
 # -- P_b from the cube -------------------------------------------------------
