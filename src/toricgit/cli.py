@@ -17,8 +17,8 @@ import time
 
 from . import __version__
 from . import jsonio
-from .degeneration import (VERIFY_CHECKS, build_bundle, build_symmetric,
-                           checks_for, verify)
+from .degeneration import (VERIFY_CHECKS, VERIFY_MAX_N, build_bundle,
+                           build_symmetric, checks_for, verify)
 from .git import EmptyQuotientError, Linearization, quotient_polyhedron, split_quotient
 from .groups import cycle_notation
 from .jsonio import dumps
@@ -138,14 +138,14 @@ def cmd_verify(args) -> int:
                 print(f"error: unknown check {args.check!r}; choose from "
                       f"{', '.join(VERIFY_CHECKS + (FUZZ_CHECK,))}", file=sys.stderr)
                 return 2
-            if not 1 <= n <= 5 or args.check not in checks_for(n):
+            if not 1 <= n <= VERIFY_MAX_N or args.check not in checks_for(n):
                 print(f"error: check {args.check} is not available at n={n}",
                       file=sys.stderr)
                 return 2
             selected = [args.check]
     else:
-        if not 1 <= n <= 5:
-            print("error: --n must be in [1, 5] for verify", file=sys.stderr)
+        if not 1 <= n <= VERIFY_MAX_N:
+            print(f"error: --n must be in [1, {VERIFY_MAX_N}] for verify", file=sys.stderr)
             return 2
         selected = checks_for(n)
     results = []

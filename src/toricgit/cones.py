@@ -48,7 +48,8 @@ class Cone:
     def _compute_h_rep(self) -> None:
         if self._facets is not None and self._equations is not None:
             return
-        eqs, facets = dd.dual_rays(self.generators, self.ambient_rank)
+        # the dual cone's lineality spans the equations, its rays are the facets
+        eqs, facets = dd.cone_from_inequalities(self.generators, self.ambient_rank)
         object.__setattr__(self, "_equations", tuple(sorted(eqs)))
         object.__setattr__(self, "_facets", tuple(sorted(facets)))
 
@@ -68,14 +69,8 @@ class Cone:
         if self._lineality is not None and self._rays is not None:
             return
         self._compute_h_rep()
-        lin = kernel_basis(Matrix(list(self._facets) + list(self._equations))) \
-            if (self._facets or self._equations) else \
-            kernel_basis(Matrix.zero(1, self.ambient_rank))
         d = self.ambient_rank
-        if not self.generators:
-            object.__setattr__(self, "_lineality", ())
-            object.__setattr__(self, "_rays", ())
-            return
+        lin = kernel_basis(Matrix(self._facets + self._equations or [[0] * d]))
         # reduce generators modulo the lineality space, canonically via HNF
         # pivots, in int: x <- p*x - x[pc]*row with the pivot p > 0 keeps the ray
         reduced = []
@@ -90,15 +85,9 @@ class Cone:
             if any(v != 0 for v in x):
                 reduced.append(primitive(x))
         reduced = list(dict.fromkeys(reduced))
-        # extremeness: the minimal face containing g must be 1-dim mod lineality,
-        # i.e. the active normals cut down to dimension len(lin) + 1
-        rays = []
-        for g in reduced:
-            act = [f for f in self._facets if dot(f, g) == 0]
-            if rank(list(self._equations) + act) == d - len(lin) - 1:
-                rays.append(g)
+        idx = dd.extreme_generators(reduced, d - len(lin), self._equations, self._facets)
         object.__setattr__(self, "_lineality", tuple(lin))
-        object.__setattr__(self, "_rays", tuple(sorted(set(rays))))
+        object.__setattr__(self, "_rays", tuple(sorted(reduced[i] for i in idx)))
 
     @property
     def lineality_basis(self) -> tuple[IntVec, ...]:
@@ -179,4 +168,4 @@ def image_cone(f: Matrix, c: Cone) -> Cone:
     gens = [f @ g for g in c.generators]
     gens += [f @ l for l in c.lineality_basis]
     gens += [tuple(-x for x in (f @ l)) for l in c.lineality_basis]
-    return Cone(f.rows, [scaled_primitive(g) for g in gens if not is_zero_vec(g)])
+    return Cone(f.rows, gens)

@@ -127,23 +127,15 @@ def cone_from_inequalities(constraints: Sequence[Sequence[int]], ambient: int
     return lineality, rays_sorted
 
 
-def dual_rays(generators: Sequence[Sequence[int]], ambient: int) -> tuple[list[IntVec], list[IntVec]]:
-    """V-rep of the dual cone {φ : <φ, g> >= 0 for all generators g}.
-
-    Read the other way round it is the H-rep of cone(generators): the
-    lineality basis spans the equations of its linear hull, and the rays are
-    its inward facet normals.
-    """
-    return cone_from_inequalities(generators, ambient)
-
-
 def extreme_generators(generators: Sequence[Sequence[int]], ambient: int,
                        equations: Sequence[IntVec], facets: Sequence[IntVec]) -> list[int]:
     """Indices of generators that are extreme rays of the cone.
 
-    Assumes the cone is pointed (no lineality).  A nonzero generator is
-    extreme iff the minimal face containing it is one-dimensional, i.e. iff
-    the facet normals active at it together with all equations have rank
+    ``ambient`` is the dimension of the space modulo the cone's lineality:
+    the ambient rank minus dim(lineality), so that for a pointed cone it is
+    the ambient rank itself.  A nonzero generator is extreme iff the minimal
+    face containing it is one-dimensional modulo the lineality, i.e. iff the
+    facet normals active at it together with all equations have rank
     ambient - 1.  The rank is the integer (Bareiss) ``linalg.rank``; the
     normals are integer vectors, so no Fraction is built.
     """

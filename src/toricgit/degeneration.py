@@ -32,6 +32,9 @@ from .git import Linearization, quotient_polyhedron, unstable_rays
 from .linalg import Matrix, solve_unique
 from .polyhedra import Fan, LatticePolyhedron, cube_image_slice, normal_fan
 
+# the largest n that ``verify`` runs at
+VERIFY_MAX_N = 5
+
 VERIFY_CHECKS = ("conical_part", "pb_vertices", "quotient_theorem", "normal_fan",
                  "unstable_locus", "base_recovery", "fan_smooth_small")
 
@@ -618,8 +621,8 @@ def verify(n: int, check: str) -> VerifyReport:
     if check not in _CHECK_FUNCS:
         raise ValueError(f"unknown check name: {check}")
     func, nmin = _CHECK_FUNCS[check]
-    if not (nmin <= n <= 5):
-        raise ValueError(f"check {check} supports {nmin} <= n <= 5")
+    if not (nmin <= n <= VERIFY_MAX_N):
+        raise ValueError(f"check {check} supports {nmin} <= n <= {VERIFY_MAX_N}")
     t0 = time.perf_counter()
     try:
         ok, witness = func(n)

@@ -97,12 +97,12 @@ def cone_from_json(obj: dict) -> Cone:
     return Cone(rank, gens)
 
 
-def polyhedron_to_json(p: LatticePolyhedron, with_facets: bool = True) -> dict:
+def polyhedron_to_json(p: LatticePolyhedron) -> dict:
     q = p.canonicalize()
     out = {"ambient_rank": q.ambient_rank,
            "vertices": [[rational_str(x) for x in v] for v in q.vertex_candidates],
            "recession": cone_to_json(q.recession, with_facets=False)}
-    if with_facets and not q.is_empty():
+    if not q.is_empty():
         facets = [{"normal": [str(x) for x in n], "offset": rational_str(o)}
                   for n, o in q.facet_rep]
         for n, o in q.hull_equations:

@@ -87,6 +87,8 @@ def _exact(x):
 
 def scaled_primitive(v: Sequence) -> IntVec:
     """Primitive integer vector spanning the same ray as the rational v."""
+    if all(type(x) is int for x in v):
+        return primitive(v)
     w, _ = clear_denominators(v)
     return primitive(w)
 

@@ -1,9 +1,11 @@
 """Lattice polyhedra P = conv(points) + recession cone, and fans.
 
-The canonical form of a polyhedron is its true vertex set together with the
-canonical recession cone and a cached facet representation.  Everything is
-computed through one homogenization: the cone over the polyhedron in rank+1,
-whose H-representation comes from the double description method.
+Every representation of P is read off one cone, its homogenization over
+P × {1}: the facets (n, -o) give the facets <n, x> >= o (t >= 0 is dropped),
+the equations (n, -o) the affine hull, and the rays at height > 0 the
+vertices.  The normal cone at a vertex is spanned by the normals of the
+facets through it and ± the hull normals (Ziegler, *Lectures on
+Polytopes*, §7.1), so normal fans come from the same facets.
 
 Only polyhedra with strongly convex recession cones are supported (every
 recession cone in this package is a dual cone of a full-dimensional cone of
@@ -19,26 +21,28 @@ from typing import Iterable, Optional, Sequence
 from . import dd
 from .cones import Cone
 from .linalg import (Matrix, clear_denominators, dot, is_zero_vec,
-                     scaled_primitive, solve_affine, vadd, vec, vsub)
+                     scaled_primitive, solve_affine, vadd, vec)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
 Equation = tuple[tuple[int, ...], Fraction]  # <n, x> == o
 
 
 class LatticePolyhedron:
-    """conv(vertex_candidates) + recession.
+    """conv(vertex_candidates) + recession, a view on ``homogenization()``.
 
     ``vertex_candidates`` may be any finite generating set; ``canonicalize``
     reduces it to the true vertex set.  An empty candidate list is the empty
-    polyhedron.
+    polyhedron.  A caller that knows the H-representation of a
+    full-dimensional P passes it as ``_facets`` and ``_equations``; it
+    becomes the homogenization's, so no double description runs.
     """
 
     __slots__ = ("ambient_rank", "vertex_candidates", "recession",
-                 "_facets", "_equations", "_canonical", "_polytopal")
+                 "_seed", "_cone", "_canonical", "_polytopal")
 
     def __init__(self, ambient_rank: int, vertex_candidates: Iterable[Sequence] = (),
                  recession: Optional[Cone] = None,
-                 _facets=None, _equations=None, _canonical=False):
+                 _facets=None, _equations=None, _cone=None, _canonical=False):
         pts = []
         for p in vertex_candidates:
             p = vec(p)
@@ -52,8 +56,8 @@ class LatticePolyhedron:
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "vertex_candidates", tuple(dict.fromkeys(pts)))
         object.__setattr__(self, "recession", recession)
-        object.__setattr__(self, "_facets", _facets)
-        object.__setattr__(self, "_equations", _equations)
+        object.__setattr__(self, "_seed", None if _facets is None else (_facets, _equations))
+        object.__setattr__(self, "_cone", _cone)
         object.__setattr__(self, "_canonical", _canonical)
         object.__setattr__(self, "_polytopal", None)
 
@@ -67,51 +71,43 @@ class LatticePolyhedron:
         return (f"LatticePolyhedron(rank={self.ambient_rank}, "
                 f"points={len(self.vertex_candidates)}, canonical={self._canonical})")
 
-    # -- H-representation ----------------------------------------------------
+    # -- the homogenization and the H-representation read off it -------------
 
-    def _homogenized_generators(self) -> list[tuple[int, ...]]:
-        gens = [scaled_primitive(tuple(p) + (Fraction(1),)) for p in self.vertex_candidates]
-        for r in self.recession.rays:
-            gens.append(tuple(r) + (0,))
-        for l in self.recession.lineality_basis:
-            gens.append(tuple(l) + (0,))
-            gens.append(tuple(-x for x in l) + (0,))
-        return gens
+    def homogenization(self) -> Cone:
+        """The cone over P × {1}, built on first use: generated by (v, 1) for
+        the candidates v and (r, 0) for the recession cone; 0 when P is empty."""
+        if self._cone is None:
+            d, rec = self.ambient_rank, self.recession
+            gens, facets, eqs = [], None, None
+            if not self.is_empty():
+                gens = [p + (1,) for p in self.vertex_candidates]
+                gens += [r + (0,) for r in rec.rays]
+                gens += [tuple(s * x for x in l) + (0,)
+                         for l in rec.lineality_basis for s in (1, -1)]
+                if self._seed is not None:
+                    facets, eqs = ([scaled_primitive(tuple(n) + (-o,)) for n, o in rows]
+                                   for rows in self._seed)
+                    if rec.dim() == d - len(eqs):  # t >= 0 is a facet iff dim rec = dim P
+                        facets.append((0,) * d + (1,))
+                    facets, eqs = tuple(sorted(facets)), tuple(sorted(eqs))
+            object.__setattr__(self, "_cone",
+                               Cone(d + 1, gens, _facets=facets, _equations=eqs))
+        return self._cone
 
-    def _compute_h_rep(self) -> None:
-        if self._facets is not None and self._equations is not None:
-            return
-        if self.is_empty():
-            object.__setattr__(self, "_facets", ())
-            object.__setattr__(self, "_equations", ())
-            return
+    def _read_off(self, rows) -> tuple:
+        """(n, -c) for each row (n, c) of the homogenization with n != 0.  The
+        rows are sorted and no two share an n, so the result is sorted."""
         d = self.ambient_rank
-        eqs_h, facets_h = dd.dual_rays(self._homogenized_generators(), d + 1)
-        facets: list[Facet] = []
-        for f in facets_h:
-            normal, c = f[:d], f[d]
-            if is_zero_vec(normal):
-                continue  # the height facet t >= 0
-            facets.append((normal, Fraction(-c)))
-        eqs: list[Equation] = []
-        for e in eqs_h:
-            normal, c = e[:d], e[d]
-            if is_zero_vec(normal):
-                raise ValueError("inconsistent homogenization")  # cannot happen when nonempty
-            eqs.append((normal, Fraction(-c)))
-        object.__setattr__(self, "_facets", tuple(sorted(facets)))
-        object.__setattr__(self, "_equations", tuple(sorted(eqs)))
+        return tuple((r[:d], Fraction(-r[d])) for r in rows if not is_zero_vec(r[:d]))
 
     @property
     def facet_rep(self) -> tuple[Facet, ...]:
         """Inequalities <n, x> >= o; affine-hull equations are listed separately."""
-        self._compute_h_rep()
-        return self._facets
+        return self._read_off(self.homogenization().facets)
 
     @property
     def hull_equations(self) -> tuple[Equation, ...]:
-        self._compute_h_rep()
-        return self._equations
+        return () if self.is_empty() else self._read_off(self.homogenization().equations)
 
     def contains(self, point: Sequence) -> bool:
         p = vec(point)
@@ -125,33 +121,19 @@ class LatticePolyhedron:
     # -- canonicalization ----------------------------------------------------
 
     def canonicalize(self) -> "LatticePolyhedron":
+        """The vertices, read off the rays at height > 0 of the canonical
+        homogenization, which the result keeps."""
         if self._canonical:
             return self
+        d = self.ambient_rank
         if self.is_empty():
-            return LatticePolyhedron(self.ambient_rank, (), Cone(self.ambient_rank, []),
-                                     _facets=(), _equations=(), _canonical=True)
+            return LatticePolyhedron(d, _canonical=True)
         rec = self.recession.canonical_form()
         if not rec.is_pointed():
             raise ValueError("polyhedra with lineality in the recession cone are unsupported")
-        d = self.ambient_rank
-        self._compute_h_rep()
-        # extreme generators of the homogenized cone, via facet activity rank
-        gens = [scaled_primitive(tuple(p) + (Fraction(1),)) for p in self.vertex_candidates]
-        gens += [tuple(r) + (0,) for r in rec.rays]
-        facets_h = []
-        for n, o in self._facets:
-            row, _ = clear_denominators(tuple(map(Fraction, n)) + (-o,))
-            facets_h.append(row)
-        facets_h.append(tuple([0] * d + [1]))  # height >= 0
-        eqs_h = []
-        for n, o in self._equations:
-            row, _ = clear_denominators(tuple(map(Fraction, n)) + (-o,))
-            eqs_h.append(row)
-        idx = dd.extreme_generators(gens, d + 1, eqs_h, facets_h)
-        verts = sorted({tuple(Fraction(x, g[d]) for x in g[:d])
-                        for g in (gens[i] for i in idx) if g[d] > 0})
-        return LatticePolyhedron(d, verts, rec, _facets=self._facets,
-                                 _equations=self._equations, _canonical=True)
+        cone = self.homogenization().canonical_form()
+        verts = sorted(tuple(Fraction(x, r[d]) for x in r[:d]) for r in cone.rays if r[d] > 0)
+        return LatticePolyhedron(d, verts, rec, _cone=cone, _canonical=True)
 
     def key(self) -> tuple:
         p = self.canonicalize()
@@ -182,8 +164,7 @@ def linear_image(f: Matrix, p: LatticePolyhedron) -> LatticePolyhedron:
     if p.is_empty():
         return LatticePolyhedron(f.rows).canonicalize()
     pts = [f @ v for v in p.vertex_candidates]
-    gens = [f @ g for g in p.recession.generators]
-    rec = Cone(f.rows, [g for g in gens if not is_zero_vec(g)])
+    rec = Cone(f.rows, [f @ g for g in p.recession.generators])
     return LatticePolyhedron(f.rows, pts, rec).canonicalize()
 
 
@@ -370,16 +351,17 @@ class Fan:
 
 
 def normal_fan(p: LatticePolyhedron) -> Fan:
-    """Inner normal fan: one maximal cone per vertex, the dual of cone(P - v)."""
+    """Inner normal fan: one maximal cone per vertex v, spanned by the
+    normals of the facets through v and ± the affine-hull normals.
+
+    The facets through v are the facets of the homogenization that vanish on
+    its ray (v, 1), so only the canonical forms in ``Fan`` double-describe."""
     q = p.canonicalize()
     if q.is_empty():
         raise ValueError("empty polyhedron has no normal fan")
-    verts = q.vertex_candidates
-    cones = []
-    for v in verts:
-        gens = [scaled_primitive(vsub(w, v)) for w in verts if w != v]
-        gens += list(q.recession.rays)
-        lin, rays = dd.dual_rays([g for g in gens if not is_zero_vec(g)], q.ambient_rank)
-        cones.append(Cone(q.ambient_rank, list(rays) + list(lin) +
-                          [tuple(-x for x in l) for l in lin]))
-    return Fan(q.ambient_rank, cones, q.recession.dual())
+    c, d = q.homogenization(), q.ambient_rank
+    hull = [e[:d] for e in c.equations]
+    hull += [tuple(-x for x in e) for e in hull]
+    cones = [Cone(d, [f[:d] for f in c.facets if dot(f, r) == 0] + hull)
+             for r in c.rays if r[d] > 0]
+    return Fan(d, cones, q.recession.dual())

@@ -4,7 +4,8 @@ The linear-algebra oracles are the straightforward ``Fraction`` (or
 Smith-normal-form) routes that an optimised path in ``toricgit`` replaced;
 the tests check that the fast path agrees with them on seeded inputs.  The
 rest is code that only the tests run: an exact feasibility LP for
-membership, cone and fan predicates, Minkowski sums, a bounded
+membership, cone and fan predicates, Minkowski sums, the normal fan
+by one double description per vertex, a bounded
 very-ampleness certificate, chart invariant monomials, two oracles for
 the stabilizer pipeline (the toric chart-gluing test and the instantiation
 of formal generators), the two invariant-factor routes the package
@@ -339,6 +340,24 @@ def cone_over(p: LatticePolyhedron) -> Cone:
     gens = [scaled_primitive(tuple(v) + (Fraction(1),)) for v in q.vertex_candidates]
     gens += [tuple(r) + (0,) for r in q.recession.rays]
     return Cone(p.ambient_rank + 1, gens)
+
+
+def normal_fan_by_vertex_dd(p: LatticePolyhedron) -> Fan:
+    """Inner normal fan: one maximal cone per vertex, the dual of cone(P - v),
+    double-described at each vertex."""
+    q = p.canonicalize()
+    if q.is_empty():
+        raise ValueError("empty polyhedron has no normal fan")
+    verts = q.vertex_candidates
+    cones = []
+    for v in verts:
+        gens = [scaled_primitive(vsub(w, v)) for w in verts if w != v]
+        gens += list(q.recession.rays)
+        lin, rays = dd.cone_from_inequalities([g for g in gens if not is_zero_vec(g)],
+                                              q.ambient_rank)
+        cones.append(Cone(q.ambient_rank, list(rays) + list(lin) +
+                          [tuple(-x for x in l) for l in lin]))
+    return Fan(q.ambient_rank, cones, q.recession.dual())
 
 
 def embedding_monomials(affine_cols, section_points) -> tuple[tuple[int, ...], ...]:

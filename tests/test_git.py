@@ -172,22 +172,22 @@ def test_slice_checks_share_pb_without_product_dd(monkeypatch):
     from toricgit import dd
     from toricgit.degeneration import _bundle, verify
     calls = []
-    real = dd.dual_rays
+    real = dd.cone_from_inequalities
 
-    def spy(gens, d):
-        calls.append(set(gens))
-        return real(gens, d)
+    def spy(constraints, ambient):
+        calls.append({tuple(c) for c in constraints})
+        return real(constraints, ambient)
 
     _bundle.cache_clear()
     _pb.cache_clear()
-    monkeypatch.setattr(dd, "dual_rays", spy)
+    monkeypatch.setattr(dd, "cone_from_inequalities", spy)
     try:
         assert verify(3, "pb_vertices").ok()
         pb = _pb(3)
         assert verify(3, "unstable_locus").ok()
         assert _pb(3) is pb
-        part = set(_bundle(3).product_polyhedron.polytopal_part()._homogenized_generators())
-        assert calls and calls.count(part) == 0
+        part = _bundle(3).product_polyhedron.polytopal_part().homogenization()
+        assert calls and calls.count(set(part.generators)) == 0
     finally:
         _bundle.cache_clear()
         _pb.cache_clear()

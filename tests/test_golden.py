@@ -2,7 +2,8 @@
 ``verify --all`` report lines pin the program's deterministic output, so a
 refactor or an optimisation that changes a single byte fails here.
 
-The digests were recorded before the integer-first ``Matrix``.  To record
+The digests were recorded before the integer-first ``Matrix``, the n = 5
+verify digest before polyhedra were read off their homogenization.  To record
 them again after a deliberate output change, print ``build_digest`` and
 ``verify_digest`` for the parameters below and say why in CHANGES.md.
 """
@@ -41,6 +42,7 @@ VERIFY_DIGESTS = {
     2: "55f464c13f7f6ff223a0999edecacecbe9484efbea9984a813ddfa7dcd4f6b1c",
     3: "5542a752e69d94d51f20aedac232c9aa970262599e0a06ccccf86ced002a9902",
     4: "2f95543aeae06ad1fcae6fe0b2744c79a5bdad26fb81e0872d6d88f6866da2a7",
+    5: "e173cf028842ac314dfad0c2e810410bd64e8f43e17083bf5cb7c713c0d41879",
 }
 
 

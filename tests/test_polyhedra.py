@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (check_semigroup_generation, cone_over, embedding_monomials,
-                     in_cone_hull, intersection, minkowski_sum, validate_pairwise_faces,
-                     validate_support_cover)
+                     in_cone_hull, intersection, minkowski_sum, normal_fan_by_vertex_dd,
+                     validate_pairwise_faces, validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
-from toricgit.linalg import Matrix, dot
+from toricgit.linalg import Matrix, dot, vadd
 from toricgit.polyhedra import (Fan, LatticePolyhedron, affine_slice, cube_blocks,
                                 cube_image_slice, linear_image, normal_fan)
 
@@ -354,6 +354,65 @@ def test_normal_fan_of_sum_is_common_refinement():
                 if inter.dim() == d:
                     refinement.add(inter.key())
         assert nf_s == refinement
+
+
+def normal_fan_inputs(rng):
+    """Simple, non-simple, unbounded and lower-dimensional polyhedra."""
+    from toricgit.degeneration import build_bundle
+    yield cube(3)
+    yield LatticePolyhedron(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    octahedron = [tuple(s if i == j else 0 for i in range(3))
+                  for j in range(3) for s in (1, -1)]
+    yield LatticePolyhedron(3, octahedron)  # every vertex is on four facets
+    yield LatticePolyhedron(3, [(0, 0, 1)] + [(a, b, 0) for a in (0, 1) for b in (0, 1)])
+    yield LatticePolyhedron(3, [(0, 0, 0)], Cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]))
+    yield LatticePolyhedron(2, [(0, 0), (1, 0)], Cone(2, [(0, 1)]))  # a half-strip
+    yield LatticePolyhedron(3, [(1, 2, 3)])  # a point
+    yield build_bundle(2).product_polyhedron  # seeded facets, full-dimensional recession
+    for d in (2, 3):
+        for _ in range(3):
+            pts = random_polytope_points(rng, d)
+            rays = [tuple(rng.randint(0, 2) for _ in range(d))
+                    for _ in range(rng.randint(0, 2))]
+            yield LatticePolyhedron(d, pts, Cone(d, rays))
+            # the same polyhedron on an affine plane of rank d + 2
+            emb = Matrix([[1 if i == j else 0 for j in range(d)] for i in range(d)] +
+                         [[1, 2] + [0] * (d - 2), [rng.randint(-2, 2) for _ in range(d)]])
+            shift = (0,) * d + (-1, 3)
+            yield LatticePolyhedron(d + 2, [vadd(emb @ p, shift) for p in pts],
+                                    Cone(d + 2, [emb @ r for r in rays]))
+
+
+def test_normal_fan_matches_per_vertex_dd_oracle():
+    rng = random.Random(29)
+    seen = {"simple": set(), "unbounded": set(), "lower_dim": set()}
+    for p in normal_fan_inputs(rng):
+        q = p.canonicalize()
+        got = normal_fan(p)
+        assert got == normal_fan_by_vertex_dd(p)
+        assert len(got.maximal_cones) == len(q.vertex_candidates)
+        seen["simple"].add(all(len(c.rays) == c.dim() - len(c.lineality_basis)
+                               for c in got.maximal_cones))
+        seen["unbounded"].add(bool(q.recession.rays))
+        seen["lower_dim"].add(bool(q.hull_equations))
+    assert all(v == {False, True} for v in seen.values())
+
+
+def test_seeded_h_rep_is_the_computed_one():
+    # t >= 0 is added to a seeded H-representation exactly when it is a facet
+    from toricgit.degeneration import build_bundle
+    seeded = [build_bundle(2).product_polyhedron]
+    k = 3
+    facets = [(tuple(s if i == j else 0 for i in range(k)), F(min(s, 0)))
+              for j in range(k) for s in (1, -1)]
+    seeded.append(LatticePolyhedron(k, product((0, 1), repeat=k),
+                                    _facets=tuple(sorted(facets)), _equations=()))
+    for p in seeded:
+        fresh = LatticePolyhedron(p.ambient_rank, p.vertex_candidates, p.recession)
+        a, b = p.homogenization(), fresh.homogenization()
+        assert (a.facets, a.equations) == (b.facets, b.equations)
+        assert (p.facet_rep, p.hull_equations) == (fresh.facet_rep, fresh.hull_equations)
+        assert p.canonicalize() == fresh.canonicalize()
 
 
 def test_fan_validity_small():
