@@ -2,8 +2,9 @@
 
 A `Cone` is stored by integer generators; the canonical form (lineality
 basis in row-HNF, sorted primitive extreme rays, sorted facet normals) is
-computed once through the double description method and cached.  Cones are
-immutable values; equality means equality of canonical forms.
+computed once through the double description method and cached, the extreme
+rays read off its facet-generator incidence.  Cones are immutable values;
+equality means equality of canonical forms.
 
 Non-strongly-convex cones are supported: the lineality space is split off
 first and extreme rays are canonical representatives modulo it.
@@ -11,6 +12,7 @@ first and extreme rays are canonical representatives modulo it.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Sequence
 
 from . import dd
@@ -22,7 +24,7 @@ class Cone:
     """Finitely generated rational polyhedral cone."""
 
     __slots__ = ("ambient_rank", "generators", "_lineality", "_rays", "_facets",
-                 "_equations")
+                 "_equations", "_incidence")
 
     def __init__(self, ambient_rank: int, generators: Iterable[Sequence] = (),
                  _facets=None, _lineality=None, _rays=None, _equations=None):
@@ -39,6 +41,7 @@ class Cone:
         object.__setattr__(self, "_lineality", _lineality)
         object.__setattr__(self, "_rays", _rays)
         object.__setattr__(self, "_equations", _equations)
+        object.__setattr__(self, "_incidence", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Cone is immutable")
@@ -48,10 +51,12 @@ class Cone:
     def _compute_h_rep(self) -> None:
         if self._facets is not None and self._equations is not None:
             return
-        # the dual cone's lineality spans the equations, its rays are the facets
-        eqs, facets = dd.cone_from_inequalities(self.generators, self.ambient_rank)
+        # the dual cone's lineality spans the equations, its rays are the
+        # facets, and the generators on each are kept until _compute_v_rep
+        eqs, facets, incidence = dd.cone_from_inequalities(self.generators, self.ambient_rank)
         object.__setattr__(self, "_equations", tuple(sorted(eqs)))
-        object.__setattr__(self, "_facets", tuple(sorted(facets)))
+        object.__setattr__(self, "_facets", tuple(facets))
+        object.__setattr__(self, "_incidence", incidence)
 
     @property
     def facets(self) -> tuple[IntVec, ...]:
@@ -85,7 +90,12 @@ class Cone:
             if any(v != 0 for v in x):
                 reduced.append(primitive(x))
         reduced = list(dict.fromkeys(reduced))
-        idx = dd.extreme_generators(reduced, d - len(lin), self._equations, self._facets)
+        # without lineality the reduced generators are the generators
+        incidence = self._incidence
+        if incidence is None or lin:
+            incidence = _sparse_incidence(self._facets, reduced)
+        idx = dd.extreme_generators(reduced, incidence)
+        object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_lineality", tuple(lin))
         object.__setattr__(self, "_rays", tuple(sorted(reduced[i] for i in idx)))
 
@@ -159,6 +169,19 @@ class Cone:
         if rank(rays) != len(rays):
             return False  # not simplicial
         return all(d == 1 for d in elementary_divisors(Matrix(rays)))
+
+
+def _sparse_incidence(facets: Sequence[IntVec], generators: Sequence[IntVec]) -> list[int]:
+    """For each facet f, the bitmask of the generators g with <f, g> = 0; the
+    values for all g are summed column by column over the nonzeros of f."""
+    cols, out = list(zip(*generators)), []
+    for f in facets:
+        vals = [0] * len(generators)
+        for c, col in zip(f, cols):
+            if c:
+                vals = list(map(add, vals, col if c == 1 else [c * x for x in col]))
+        out.append(sum(1 << i for i, v in enumerate(vals) if v == 0))
+    return out
 
 
 def image_cone(f: Matrix, c: Cone) -> Cone:

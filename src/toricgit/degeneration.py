@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
@@ -379,6 +379,25 @@ def chamber_cone(n: int) -> Cone:
     return Cone(n + 1, cols)
 
 
+def orbit_cones(chamber: Cone, mats: dict[tuple[int, ...], Matrix]) -> Iterator[Cone]:
+    """ρ(s)·C for s in S_n in order, moved from the chamber C's one double
+    description: ρ is a unimodular homomorphism (``permutation_matrices``
+    checks the relations), so the rays r and facet normals f of C become the
+    primitive ρ(s)r and f·ρ(s⁻¹).  A pointed full-dimensional C has no
+    lineality basis or equations to bring back to normal form; the guard
+    checks that, and that C is simplicial as displayed."""
+    d, rays, facets = chamber.ambient_rank, chamber.rays, chamber.facets
+    if chamber.lineality_basis or chamber.equations or len(rays) != d:
+        raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
+    for s, m in sorted(mats.items()):
+        inv = mats[tuple(sorted(range(len(s)), key=s.__getitem__))].entries
+        s_facets = sorted(tuple(sum(a * row[j] for a, row in zip(f, inv) if a)
+                                for j in range(d)) for f in facets)
+        s_rays = sorted(m @ r for r in rays)
+        yield Cone(d, s_rays, _facets=tuple(s_facets), _lineality=(),
+                   _rays=tuple(s_rays), _equations=())
+
+
 def product_cone_ambient(n: int) -> Cone:
     """Rank-(n+1) cone with rays (1;0;0), (1; e_I; 0), (0; -e_I; 1), (0;0;1)."""
     gens = [(1,) + tuple([0] * (n - 1)) + (0,), (0,) + tuple([0] * (n - 1)) + (1,)]
@@ -417,11 +436,7 @@ def build_symmetric(n: int) -> SymmetricModel:
     arefl = ambient_reflections(n)
     chamber = chamber_cone(n)
     prod = product_cone_ambient(n)
-    mats = permutation_matrices(n, arefl)
-    cones = []
-    for s, m in sorted(mats.items()):
-        cones.append(Cone(n + 1, [m @ g for g in chamber.generators]))
-    fan = Fan(n + 1, cones, prod)
+    fan = Fan(n + 1, orbit_cones(chamber, permutation_matrices(n, arefl)), prod)
     perm = permutohedron_polytope(n)
     dual_display = Cone(n + 1, product_cone_dual_columns(n))
     if prod.dual() != dual_display:

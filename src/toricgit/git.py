@@ -107,7 +107,7 @@ def kernel_cone(p: LatticePolyhedron, lin: Linearization) -> Cone:
         cons.append(tuple(int(x) for x in row))
         if v in rec_dual.lineality_basis:
             cons.append(tuple(-int(x) for x in row))
-    lin_b, rays = dd.cone_from_inequalities(cons, k)
+    lin_b, rays, _ = dd.cone_from_inequalities(cons, k)
     return Cone(k, list(rays) + list(lin_b) + [tuple(-x for x in l) for l in lin_b])
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -42,7 +43,7 @@ def vec(entries: Iterable) -> Vec:
 def dot(a: Sequence, b: Sequence):
     if len(a) != len(b):
         raise ValueError("dimension mismatch in dot product")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a: Sequence, b: Sequence) -> tuple:
@@ -176,7 +177,7 @@ class Matrix:
             return Matrix(out)
         if self.cols != len(other):
             raise ValueError("shape mismatch in matvec")
-        return tuple(sum(a * x for a, x in zip(row, other)) for row in self.entries)
+        return tuple(sum(map(mul, row, other)) for row in self.entries)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries

@@ -1,7 +1,7 @@
 """Lattice polyhedra P = conv(points) + recession cone, and fans.
 
 Every representation of P is read off one cone, its homogenization over
-P × {1}: the facets (n, -o) give the facets <n, x> >= o (t >= 0 is dropped),
+P × {1}: the facets (n, -o) through some (v, 1) give the facets <n, x> >= o,
 the equations (n, -o) the affine hull, and the rays at height > 0 the
 vertices.  The normal cone at a vertex is spanned by the normals of the
 facets through it and ± the hull normals (Ziegler, *Lectures on
@@ -95,15 +95,24 @@ class LatticePolyhedron:
         return self._cone
 
     def _read_off(self, rows) -> tuple:
-        """(n, -c) for each row (n, c) of the homogenization with n != 0.  The
-        rows are sorted and no two share an n, so the result is sorted."""
+        """(n, -c) for each row (n, c) of the homogenization.  The rows are
+        sorted and no two share an n, so the result is sorted."""
         d = self.ambient_rank
-        return tuple((r[:d], Fraction(-r[d])) for r in rows if not is_zero_vec(r[:d]))
+        return tuple((r[:d], Fraction(-r[d])) for r in rows)
 
     @property
     def facet_rep(self) -> tuple[Facet, ...]:
-        """Inequalities <n, x> >= o; affine-hull equations are listed separately."""
-        return self._read_off(self.homogenization().facets)
+        """Inequalities <n, x> >= o; affine-hull equations are listed separately.
+
+        Every nonempty face of P has a candidate point, so only the face at
+        infinity rec × {0} of the homogenization has no (v, 1).  It is a
+        facet iff dim rec = dim P, and then the only one vanishing on rec."""
+        c, d, rec = self.homogenization(), self.ambient_rank, self.recession
+        facets = c.facets
+        if rec.dim() == d - len(c.equations):
+            gens = [g + (0,) for g in rec.generators]
+            facets = [f for f in facets if any(dot(f, g) for g in gens)]
+        return self._read_off(facets)
 
     @property
     def hull_equations(self) -> tuple[Equation, ...]:
@@ -201,7 +210,7 @@ def affine_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePo
         if is_eq:
             cons.append(tuple(-x for x in r))
     cons.append(tuple([0] * k + [1]))
-    lin, rays = dd.cone_from_inequalities(cons, k + 1)
+    lin, rays, _ = dd.cone_from_inequalities(cons, k + 1)
     if lin:
         raise ValueError("affine_slice needs a pointed recession cone: the slice "
                          "contains a line")

@@ -5,7 +5,8 @@ Smith-normal-form) routes that an optimised path in ``toricgit`` replaced;
 the tests check that the fast path agrees with them on seeded inputs.  The
 rest is code that only the tests run: an exact feasibility LP for
 membership, cone and fan predicates, Minkowski sums, the normal fan
-by one double description per vertex, a bounded
+by one double description per vertex, the extremeness test by the rank of
+the active facets, the orbit fan by one double description per cone, a bounded
 very-ampleness certificate, chart invariant monomials, two oracles for
 the stabilizer pipeline (the toric chart-gluing test and the instantiation
 of formal generators), the two invariant-factor routes the package
@@ -23,7 +24,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from toricgit import dd
 from toricgit.cones import Cone, image_cone
-from toricgit.degeneration import ambient_reflections, permutation_matrices
+from toricgit.degeneration import (ambient_reflections, chamber_cone,
+                                   permutation_matrices)
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
 from toricgit.linalg import (Matrix, dot, elementary_divisors, frac,
@@ -125,12 +127,32 @@ def cone_rays_fraction(cone):
                 x = [a - f * b for a, b in zip(x, row)]
         if any(v != 0 for v in x):
             reduced.append(scaled_primitive(x))
-    rays = set()
-    for g in dict.fromkeys(reduced):
-        act = [f for f in cone.facets if sum(a * b for a, b in zip(f, g)) == 0]
-        if rank(list(cone.equations) + act) == cone.ambient_rank - len(lin) - 1:
-            rays.add(g)
-    return tuple(sorted(rays))
+    reduced = list(dict.fromkeys(reduced))
+    idx = extreme_generators_by_rank(reduced, cone.ambient_rank - len(lin),
+                                     cone.equations, cone.facets)
+    return tuple(sorted(reduced[i] for i in idx))
+
+
+def extreme_generators_by_rank(generators: Sequence[Sequence[int]], ambient: int,
+                               equations: Sequence, facets: Sequence) -> list[int]:
+    """Indices of generators that are extreme rays of the cone.
+
+    ``ambient`` is the dimension of the space modulo the cone's lineality:
+    the ambient rank minus dim(lineality), so that for a pointed cone it is
+    the ambient rank itself.  A nonzero generator is extreme iff the minimal
+    face containing it is one-dimensional modulo the lineality, i.e. iff the
+    facet normals active at it together with all equations have rank
+    ambient - 1.  The rank is the integer (Bareiss) ``linalg.rank``; the
+    normals are integer vectors, so no Fraction is built.
+    """
+    out = []
+    for idx, g in enumerate(generators):
+        if all(x == 0 for x in g):
+            continue
+        act = [f for f in facets if sum(a * b for a, b in zip(f, g)) == 0]
+        if rank(list(equations) + act) == ambient - 1:
+            out.append(idx)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +268,7 @@ def intersection(c: Cone, other: Cone) -> Cone:
     for e in list(c.equations) + list(other.equations):
         cons.append(e)
         cons.append(tuple(-x for x in e))
-    lin, rays = dd.cone_from_inequalities(cons, c.ambient_rank)
+    lin, rays, _ = dd.cone_from_inequalities(cons, c.ambient_rank)
     return Cone(c.ambient_rank, list(rays) + list(lin) +
                 [tuple(-x for x in l) for l in lin])
 
@@ -332,6 +354,14 @@ def minkowski_sum(p: LatticePolyhedron, q: LatticePolyhedron) -> LatticePolyhedr
     return LatticePolyhedron(p.ambient_rank, pts, rec).canonicalize()
 
 
+def orbit_fan_by_cone_dd(n: int) -> list[Cone]:
+    """The cones ρ(s)·C of the S_n-orbit fan of the chamber C, in the order of
+    s, each double-described from the images of C's generators."""
+    chamber = chamber_cone(n)
+    mats = permutation_matrices(n, ambient_reflections(n))
+    return [Cone(n + 1, [m @ g for g in chamber.generators]) for _, m in sorted(mats.items())]
+
+
 def cone_over(p: LatticePolyhedron) -> Cone:
     """Cone in rank+1 generated by (v,1) and (r,0); slicing at height 1 gives p back."""
     if p.is_empty():
@@ -353,7 +383,7 @@ def normal_fan_by_vertex_dd(p: LatticePolyhedron) -> Fan:
     for v in verts:
         gens = [scaled_primitive(vsub(w, v)) for w in verts if w != v]
         gens += list(q.recession.rays)
-        lin, rays = dd.cone_from_inequalities([g for g in gens if not is_zero_vec(g)],
+        lin, rays, _ = dd.cone_from_inequalities([g for g in gens if not is_zero_vec(g)],
                                               q.ambient_rank)
         cones.append(Cone(q.ambient_rank, list(rays) + list(lin) +
                           [tuple(-x for x in l) for l in lin]))
@@ -431,7 +461,7 @@ def check_semigroup_generation(p: LatticePolyhedron, extra_monomials: Sequence[S
 
 def _lattice_points_in_vertex_cone(active, eqs, grading, d, bound) -> list[tuple[int, ...]]:
     """Integer points x with active·x >= 0, eqs·x = 0, <grading, x> <= bound."""
-    lin_rays, rays = dd.cone_from_inequalities(
+    lin_rays, rays, _ = dd.cone_from_inequalities(
         list(active) + [e for pair in ((e, tuple(-x for x in e)) for e in eqs) for e in pair], d)
     assert not lin_rays, "vertex cone must be pointed"
     degs = []

@@ -1,10 +1,13 @@
 import random
 from itertools import combinations
+from operator import add
 
 import pytest
 
-from oracles import (cone_rays_fraction, feasible_nonneg_combination, intersection,
-                     is_face_of, positive_orthant)
+from oracles import (cone_rays_fraction, extreme_generators_by_rank,
+                     feasible_nonneg_combination, intersection, is_face_of,
+                     positive_orthant)
+from toricgit import dd
 from toricgit.cones import Cone, image_cone
 from toricgit.linalg import Matrix, dot
 
@@ -149,3 +152,44 @@ def test_rays_mod_lineality_match_fraction_reduction():
         c = Cone(d, [g for g in gens if any(g)] or [(1,) + (0,) * (d - 1)])
         assert c.rays == cone_rays_fraction(c)
         assert c.canonical_form().key() == c.key()
+
+
+def _extremeness_cases(rng):
+    """(kind, cone) for each shape the incidence test must get right; the
+    generators include non-extreme ones (sums of others)."""
+    for trial in range(10):
+        d = rng.randint(3, 5)
+        k = d if trial % 2 else rng.randint(1, d - 1)
+        basis = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+        pts = [tuple(rng.randint(1, 3) if i == 0 else rng.randint(-3, 3) for i in range(k))
+               for _ in range(rng.randint(3, 8))]
+        pts += [tuple(map(add, a, b)) for a, b in zip(pts, pts[1:])]
+        gens = [tuple(sum(y * b[i] for y, b in zip(p, basis)) for i in range(d)) for p in pts]
+        gens = [g for g in gens if any(g)] or [(1,) + (0,) * (d - 1)]
+        c = Cone(d, gens)
+        yield ("lower-dimensional" if c.dim() < d else "full-dimensional"), c
+        yield "single ray", Cone(d, gens[:1])
+        yield "seeded H-rep", Cone(d, gens, _facets=c.facets, _equations=c.equations)
+        lin = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, 2))]
+        lin = [l for l in lin if any(l)] or [(0,) * (d - 1) + (1,)]
+        shifted = [tuple(x + 2 * y for x, y in zip(g, lin[0])) for g in gens]  # equal mod lin
+        inside = [tuple(x - y for x, y in zip(lin[0], lin[-1])), lin[0]]       # in the lineality
+        yield "non-pointed", Cone(d, gens + shifted + inside + lin + [tuple(-x for x in l) for l in lin])
+
+
+def test_incidence_extremeness_matches_rank_oracle():
+    rng = random.Random(1996)
+    kinds = set()
+    for kind, c in _extremeness_cases(rng):
+        kinds.add(kind)
+        assert c.rays == cone_rays_fraction(c), kind
+        if c.is_pointed():
+            # dd.extreme_generators on its own, with the incidence by dot products
+            gens, facets = c.generators, c.facets
+            inc = [sum(1 << i for i, g in enumerate(gens) if dot(f, g) == 0) for f in facets]
+            assert dd.extreme_generators(gens, inc) == \
+                extreme_generators_by_rank(gens, c.ambient_rank, c.equations, facets), kind
+        if kind == "seeded H-rep":
+            assert c.key() == Cone(c.ambient_rank, c.generators).key()
+    assert kinds == {"full-dimensional", "lower-dimensional", "single ray", "seeded H-rep",
+                     "non-pointed"}

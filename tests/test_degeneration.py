@@ -1,16 +1,19 @@
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import permutations, product
 
 import pytest
 
-from oracles import edge_matrix, invert, minkowski_sum, weight_reflections
+from oracles import (edge_matrix, invert, minkowski_sum, orbit_fan_by_cone_dd,
+                     weight_reflections)
 from toricgit import degeneration
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle, _pb,
                                    _symmetric, ambient_reflections, build_bundle,
                                    build_symmetric, chamber_cone, checks_for,
                                    constant_tail, decode_ray_label, head_vertex,
-                                   permutation_matrices, product_chart_corners,
+                                   orbit_cones, permutation_matrices, product_chart_corners,
                                    product_chart_vertices, product_cone_ambient,
                                    product_cube_map, product_linearization,
                                    slice_vertex, slice_vertex_points, verify)
@@ -152,6 +155,59 @@ def test_fan_cone_count():
         assert len(sym.fan.maximal_cones) == [1, 1, 2, 6, 24][n]
         for c in sym.fan.maximal_cones:
             assert c.is_smooth()
+
+
+def _reps(c):
+    return c.rays, c.lineality_basis, c.facets, c.equations
+
+
+def test_orbit_fan_matches_per_cone_dd_oracle():
+    # rays and facets transported from the chamber equal each cone's own DD
+    for n in range(2, 7):
+        mats = permutation_matrices(n, ambient_reflections(n))
+        got = [_reps(c) for c in orbit_cones(chamber_cone(n), mats)]
+        assert got == [_reps(c) for c in orbit_fan_by_cone_dd(n)], n
+
+
+def test_build_symmetric_dd_calls_do_not_grow_with_n(monkeypatch):
+    from toricgit import dd
+    real, calls = dd.cone_from_inequalities, []
+
+    def spy(constraints, ambient):
+        calls.append(ambient)
+        return real(constraints, ambient)
+
+    monkeypatch.setattr(dd, "cone_from_inequalities", spy)
+    counts = []
+    for n in (3, 5):
+        calls.clear()
+        build_symmetric(n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+BAD_CHAMBERS = {
+    "not pointed": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    "not full-dimensional": [(1, 0, 0), (0, 1, 0)],
+    "not simplicial": [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+}
+
+
+def test_orbit_transport_guards_hold_under_python_O():
+    mats = permutation_matrices(3, ambient_reflections(3))
+    for name, gens in BAD_CHAMBERS.items():
+        with pytest.raises(AssertionError):
+            next(orbit_cones(Cone(3, gens), mats))
+        code = ("from toricgit.cones import Cone\n"
+                "from toricgit.degeneration import (ambient_reflections, orbit_cones,\n"
+                "                                   permutation_matrices)\n"
+                "mats = permutation_matrices(3, ambient_reflections(3))\n"
+                "try:\n"
+                f"    next(orbit_cones(Cone(3, {gens!r}), mats))\n"
+                "except AssertionError:\n"
+                "    raise SystemExit(7)\n")
+        r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert r.returncode == 7, (name, r.stderr)
 
 
 def test_permutation_matrices_homomorphism():

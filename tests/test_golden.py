@@ -3,7 +3,8 @@
 refactor or an optimisation that changes a single byte fails here.
 
 The digests were recorded before the integer-first ``Matrix``, the n = 5
-verify digest before polyhedra were read off their homogenization.  To record
+verify digest before polyhedra were read off their homogenization, and the
+n = 6 build digests before the orbit fan was transported from the chamber.  To record
 them again after a deliberate output change, print ``build_digest`` and
 ``verify_digest`` for the parameters below and say why in CHANGES.md.
 """
@@ -27,6 +28,7 @@ BUILD_DIGESTS = {
     ("permutahedron", 3): "89c220e24210a608384a7e8d2815ef8e4b8aa8eb3acc784d961a9cd4ce0a4d2b",
     ("permutahedron", 4): "6c1207bf4efc12c2056758f3f5546abf73ec3b22cbab9bd4732451a51b6ee664",
     ("permutahedron", 5): "7409eeb72d1892d2fcb3aae2243d78c1b0ad103ac459245d4f2d46323cba7b2a",
+    ("permutahedron", 6): "c33b1e6cefaf13b40a161c4dfe197b0948870036b30de91016e5faf01d32051a",
     ("product", 1): "3f04313bea67cebbb29a6a6846a9351976eda5d7b9cdee930aa96470d69d7d99",
     ("product", 2): "3fda58f70515776c9401ab7b2eaa2e32d688fefb6cea1b540d283f81620d284c",
     ("product", 3): "44e48380f4937c7f82b3123ce1d8c543fe9981da15b6f6e8d08564db72d35ad3",
@@ -35,6 +37,7 @@ BUILD_DIGESTS = {
     ("symmetric", 3): "a7804011c75b73166a7dcea9de5963a887e266043834b2655f8be1ebef973db8",
     ("symmetric", 4): "c644e438fd257622ed46543e64b8361e214e23da461e11d7d0f8a55a0604b560",
     ("symmetric", 5): "de430c52c7051a6d605c74d50c2da66ea1ec6f2bfd1d87720011248505802f89",
+    ("symmetric", 6): "d44128f24add3138138ce73eb030452df37c425f4f539c2470cdd3c7f8235c8b",
 }
 
 VERIFY_DIGESTS = {

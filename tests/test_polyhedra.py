@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (check_semigroup_generation, cone_over, embedding_monomials,
-                     in_cone_hull, intersection, minkowski_sum, normal_fan_by_vertex_dd,
+                     feasible_nonneg_combination, in_cone_hull, intersection, minkowski_sum, normal_fan_by_vertex_dd,
                      validate_pairwise_faces, validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
@@ -413,6 +413,46 @@ def test_seeded_h_rep_is_the_computed_one():
         assert (a.facets, a.equations) == (b.facets, b.equations)
         assert (p.facet_rep, p.hull_equations) == (fresh.facet_rep, fresh.hull_equations)
         assert p.canonicalize() == fresh.canonicalize()
+
+
+def test_facet_rep_drops_the_face_at_infinity():
+    # P = (0,0,1) + cone(e1): z = 1 is a hull equation, so z >= 0 is no facet
+    p = LatticePolyhedron(3, [(0, 0, 1)], Cone(3, [(1, 0, 0)]))
+    assert p.facet_rep == (((1, 0, 0), F(0)),)
+    assert set(p.hull_equations) == {((0, 0, -1), F(-1)), ((0, 1, 0), F(0))}
+
+
+def test_lower_dimensional_h_rep_matches_lp_oracle():
+    # polyhedra on affine planes of codimension 2, half of them with
+    # dim rec = dim P: the H-representation gives LP membership, and no listed
+    # facet is implied (Farkas) by the others, the hull equations and t >= 0
+    rng = random.Random(1934)
+    seen = set()
+    for trial in range(12):
+        d = rng.randint(1, 3)
+        pts = random_polytope_points(rng, d)
+        k = d if trial % 2 else rng.randint(0, d - 1)
+        rays = [tuple(1 if i == j else rng.randint(0, 1) for i in range(d)) for j in range(k)]
+        emb = Matrix([[1 if i == j else 0 for j in range(d)] for i in range(d)] +
+                     [[rng.randint(-2, 2) for _ in range(d)] for _ in range(2)])
+        shift = (0,) * d + (1, rng.randint(-2, 2))
+        p = LatticePolyhedron(d + 2, [vadd(emb @ q, shift) for q in pts],
+                              Cone(d + 2, [emb @ r for r in rays]))
+        seen.add(p.recession.dim() == d)
+        eqs = [tuple(n) + (-o,) for n, o in p.hull_equations]
+        assert len(eqs) == 2
+        rows = [tuple(n) + (-o,) for n, o in p.facet_rep]
+        height = (0,) * (d + 2) + (1,)
+        for i, row in enumerate(rows):
+            rest = rows[:i] + rows[i + 1:] + eqs + [tuple(-x for x in e) for e in eqs]
+            assert feasible_nonneg_combination(rest + [height], row) is None, (trial, row)
+        q = p.canonicalize()
+        for _ in range(8):
+            y = tuple(F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(d))
+            x = vadd(emb @ y, shift) if rng.random() < 0.8 else \
+                vadd(emb @ y, (0,) * (d + 1) + (1,))
+            assert p.contains(x) == in_cone_hull(x, q.vertex_candidates, q.recession.rays)
+    assert seen == {False, True}
 
 
 def test_fan_validity_small():
