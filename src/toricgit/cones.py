@@ -93,7 +93,7 @@ class Cone:
         # without lineality the reduced generators are the generators
         incidence = self._incidence
         if incidence is None or lin:
-            incidence = _sparse_incidence(self._facets, reduced)
+            incidence = sparse_incidence(self._facets, reduced)
         idx = dd.extreme_generators(reduced, incidence)
         object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_lineality", tuple(lin))
@@ -113,7 +113,10 @@ class Cone:
     # -- operations ----------------------------------------------------------
 
     def canonical_form(self) -> "Cone":
-        """Cone regenerated from its canonical minimal generator set."""
+        """Cone regenerated from its canonical minimal generator set; the cone
+        itself when it has no lineality and its generators are its rays."""
+        if not self.lineality_basis and self.generators == self.rays:
+            return self
         gens = list(self.rays) + [l for l in self.lineality_basis] + \
                [tuple(-x for x in l) for l in self.lineality_basis]
         return Cone(self.ambient_rank, gens, _facets=self.facets,
@@ -171,17 +174,21 @@ class Cone:
         return all(d == 1 for d in elementary_divisors(Matrix(rays)))
 
 
-def _sparse_incidence(facets: Sequence[IntVec], generators: Sequence[IntVec]) -> list[int]:
-    """For each facet f, the bitmask of the generators g with <f, g> = 0; the
-    values for all g are summed column by column over the nonzeros of f."""
-    cols, out = list(zip(*generators)), []
-    for f in facets:
-        vals = [0] * len(generators)
-        for c, col in zip(f, cols):
-            if c:
-                vals = list(map(add, vals, col if c == 1 else [c * x for x in col]))
-        out.append(sum(1 << i for i, v in enumerate(vals) if v == 0))
-    return out
+def column_dots(f: Sequence[int], cols: Sequence[Sequence[int]], count: int) -> list[int]:
+    """<f, g> for the ``count`` integer vectors g whose columns are ``cols``,
+    summed column by column over the nonzeros of f."""
+    vals = [0] * count
+    for c, col in zip(f, cols):
+        if c:
+            vals = list(map(add, vals, col if c == 1 else [c * x for x in col]))
+    return vals
+
+
+def sparse_incidence(facets: Sequence[IntVec], generators: Sequence[IntVec]) -> list[int]:
+    """For each facet f, the bitmask of the generators g with <f, g> = 0."""
+    cols = list(zip(*generators))
+    return [sum(1 << i for i, v in enumerate(column_dots(f, cols, len(generators))) if v == 0)
+            for f in facets]
 
 
 def image_cone(f: Matrix, c: Cone) -> Cone:

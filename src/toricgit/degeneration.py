@@ -30,7 +30,8 @@ from typing import Any, Iterator, Sequence
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
 from .linalg import Matrix, solve_unique
-from .polyhedra import Fan, LatticePolyhedron, cube_image_slice, normal_fan
+from .polyhedra import (Fan, LatticePolyhedron, certified_polyhedron, cube_image_slice,
+                        normal_fan)
 
 # the largest n that ``verify`` runs at
 VERIFY_MAX_N = 5
@@ -421,14 +422,23 @@ def product_cone_dual_columns(n: int) -> list[tuple[int, ...]]:
     return cols
 
 
-def permutohedron_polytope(n: int) -> LatticePolyhedron:
-    verts = []
-    for s in permutations(range(1, n + 1)):
-        verts.append(tuple(s[i] - (i + 1) for i in range(n - 1)))
-    return LatticePolyhedron(n - 1, verts).canonicalize()
+def permutohedron_points(n: int) -> list[tuple[int, ...]]:
+    """The n! points (s_i - i)_{i < n} for the permutations s of 1..n."""
+    return [tuple(s[i] - (i + 1) for i in range(n - 1)) for s in permutations(range(1, n + 1))]
+
+
+def permutohedron_polytope(n: int, sigma: Cone) -> LatticePolyhedron:
+    """The permutohedron in Z^{n-1}, its facets certified from the nonzero
+    middle blocks ±e_I of the rays of σ = ``product_cone_ambient(n)``, one
+    per proper nonempty subset of [n]."""
+    normals = [r[1:-1] for r in sigma.rays if any(r[1:-1])]
+    return certified_polyhedron(n - 1, permutohedron_points(n), None, normals)
 
 
 def build_symmetric(n: int) -> SymmetricModel:
+    """The symmetric model.  The permutohedron and the resolution polyhedron
+    take their facets from the rays of σ (``certified_polyhedron``), so the
+    n! points are never double-described."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > 6:
@@ -437,12 +447,12 @@ def build_symmetric(n: int) -> SymmetricModel:
     chamber = chamber_cone(n)
     prod = product_cone_ambient(n)
     fan = Fan(n + 1, orbit_cones(chamber, permutation_matrices(n, arefl)), prod)
-    perm = permutohedron_polytope(n)
+    perm = permutohedron_polytope(n, prod)
     dual_display = Cone(n + 1, product_cone_dual_columns(n))
     if prod.dual() != dual_display:
         raise AssertionError("product cone dual display mismatch")
-    iota_pts = [(Fraction(0),) + v + (Fraction(0),) for v in perm.vertex_candidates]
-    respoly = LatticePolyhedron(n + 1, iota_pts, dual_display).canonicalize()
+    iota_pts = [(0,) + v + (0,) for v in permutohedron_points(n)]
+    respoly = certified_polyhedron(n + 1, iota_pts, dual_display, prod.rays)
     return SymmetricModel(
         n=n, reflections_ambient=tuple(arefl), chamber=chamber, product_cone=prod,
         fan=fan, permutohedron=perm, resolution_polyhedron=respoly)

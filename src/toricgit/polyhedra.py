@@ -19,8 +19,8 @@ from itertools import compress, product
 from typing import Iterable, Optional, Sequence
 
 from . import dd
-from .cones import Cone
-from .linalg import (Matrix, clear_denominators, dot, is_zero_vec,
+from .cones import Cone, column_dots, sparse_incidence
+from .linalg import (Matrix, clear_denominators, dot, is_zero_vec, primitive, rank,
                      scaled_primitive, solve_affine, vadd, vec)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
@@ -228,6 +228,82 @@ def affine_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePo
     if not verts:
         return empty()
     return LatticePolyhedron(d, verts, Cone(d, rec_rays)).canonicalize()
+
+
+class FacetCertificateError(ValueError):
+    """Candidate facet normals are not shown to be the facets of a polyhedron."""
+
+
+def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional[Cone],
+                         normals: Iterable[Sequence[int]]) -> LatticePolyhedron:
+    """P = conv(points) + recession, canonical, with its facets taken from
+    the candidate inward ``normals`` (up to positive multiples) instead of
+    a double description of the points; FacetCertificateError when the
+    certificate below fails.
+
+    Each normal ν must be >= 0 on the recession generators, and its offset
+    o_ν is the minimum of <ν, v> over the points, so <ν, x> >= o_ν is valid
+    on P and supporting: P ⊆ Q, the polyhedron the candidates cut out.  Q
+    is seeded as the homogenization's H-representation, whose rays at
+    height 1 are then the points W that the seeded incidence calls extreme.
+    The certificate checks, for each w in W and its tight set T(w):
+
+    (a) |T(w)| = d and T(w) has rank d, so w is a simple vertex of Q;
+    (b) for each f in T(w), the ridge T(w) \\ {f}, which cuts out the edge
+        of Q from w that leaves f, is tight at another ray: at some (w', 1),
+        and then w', a vertex of Q by (a), is the edge's other end, or at a
+        recession ray (r, 0), and then the edge is w + R≥0 r.
+
+    So W is a nonempty set of vertices of Q closed under the bounded edges
+    of Q.  The vertices and bounded edges of a pointed polyhedron form a
+    connected graph (Ziegler, *Lectures on Polytopes*, §3.5), so W is every
+    vertex of Q.  Each extreme ray of rec(Q) is the direction of an
+    unbounded edge, which (b) puts in the recession cone, so Q = conv(W) +
+    rec(Q) ⊆ P and Q = P.  A lower-dimensional Q fails (a): its implicit
+    equations are tight at every w and linearly dependent.  So P is
+    full-dimensional, each of its facets is a candidate, and a redundant
+    candidate, supporting P in a face that contains a vertex, would put
+    that vertex on d + 1 inequalities, which (a) rejects.  The facet list
+    is exact, and so is the extremeness read from its incidence.  Walking
+    from a simple vertex to its neighbours through its ridges is the pivot
+    step of reverse search (Avis & Fukuda, *DCG* 8, 1992).
+    """
+    rec = recession if recession is not None else Cone(d, [])
+    if not points:
+        raise FacetCertificateError("no points")
+    flat, den = clear_denominators([x for p in points for x in p])
+    cols = [flat[j::d] for j in range(d)]
+    seed = []
+    for nu in dict.fromkeys(primitive(nu) for nu in normals):
+        if any(dot(nu, g) < 0 for g in rec.generators):
+            raise FacetCertificateError(f"the normal {nu} is negative on the recession cone")
+        seed.append((nu, Fraction(min(column_dots(nu, cols, len(points))), den)))
+    q = LatticePolyhedron(d, points, rec, _facets=tuple(seed), _equations=()).canonicalize()
+    c = q.homogenization()
+    rays, facets = c.rays, c.facets
+    on = sparse_incidence(facets, rays)  # per facet, the rays on it
+    tight: list[list[int]] = [[] for _ in rays]  # per ray, the facets through it
+    for i, m in enumerate(on):
+        for k in dd.set_bits(m):
+            tight[k].append(i)
+    verts = sum(1 << k for k, r in enumerate(rays) if r[d] > 0)
+    if not verts:
+        raise FacetCertificateError("no point is a vertex of the candidate facets")
+    for k in dd.set_bits(verts):
+        t = tight[k]
+        if len(t) != d or rank([facets[i] for i in t]) != d:
+            raise FacetCertificateError(f"the vertex ray {rays[k]} is on {len(t)} facets, "
+                                        f"not on {d} independent ones")
+        for f in t:
+            ridge = (1 << len(rays)) - 1 & ~(1 << k)
+            for i in t:
+                if i != f:
+                    ridge &= on[i]
+            if not ridge:
+                raise FacetCertificateError(f"the edge from the vertex ray {rays[k]} leaving "
+                                            f"the facet {facets[f]} has no other end "
+                                            "and no recession ray")
+    return q
 
 
 class InnerCertificateError(ValueError):

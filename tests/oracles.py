@@ -6,10 +6,11 @@ the tests check that the fast path agrees with them on seeded inputs.  The
 rest is code that only the tests run: an exact feasibility LP for
 membership, cone and fan predicates, Minkowski sums, the normal fan
 by one double description per vertex, the extremeness test by the rank of
-the active facets, the orbit fan by one double description per cone, a bounded
-very-ampleness certificate, chart invariant monomials, two oracles for
-the stabilizer pipeline (the toric chart-gluing test and the instantiation
-of formal generators), the two invariant-factor routes the package
+the active facets, the orbit fan by one double description per cone, the
+permutohedron and the resolution polyhedron double-described from their n!
+points, a bounded very-ampleness certificate, chart invariant monomials, two
+oracles for the stabilizer pipeline (the toric chart-gluing test and the
+instantiation of formal generators), the two invariant-factor routes the package
 replaced (trial division of cyclic orders, and the peel of a group table),
 and the weight-lattice reflections and identity-vertex edge matrix of the
 symmetric model.
@@ -25,7 +26,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from toricgit import dd
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (ambient_reflections, chamber_cone,
-                                   permutation_matrices)
+                                   permutation_matrices, permutohedron_points,
+                                   product_cone_dual_columns)
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
 from toricgit.linalg import (Matrix, dot, elementary_divisors, frac,
@@ -360,6 +362,16 @@ def orbit_fan_by_cone_dd(n: int) -> list[Cone]:
     chamber = chamber_cone(n)
     mats = permutation_matrices(n, ambient_reflections(n))
     return [Cone(n + 1, [m @ g for g in chamber.generators]) for _, m in sorted(mats.items())]
+
+
+def symmetric_polyhedra_by_dd(n: int) -> tuple[LatticePolyhedron, LatticePolyhedron]:
+    """The permutohedron and the resolution polyhedron of the symmetric model,
+    each canonicalized by one double description of its points and recession
+    cone instead of from certified facets."""
+    perm = LatticePolyhedron(n - 1, permutohedron_points(n)).canonicalize()
+    iota_pts = [(Fraction(0),) + v + (Fraction(0),) for v in perm.vertex_candidates]
+    rec = Cone(n + 1, product_cone_dual_columns(n))
+    return perm, LatticePolyhedron(n + 1, iota_pts, rec).canonicalize()
 
 
 def cone_over(p: LatticePolyhedron) -> Cone:

@@ -154,6 +154,15 @@ def test_rays_mod_lineality_match_fraction_reduction():
         assert c.canonical_form().key() == c.key()
 
 
+def test_canonical_form_is_itself_once_generated_by_its_rays():
+    c = SIGMA_2.canonical_form()
+    assert c.canonical_form() is c
+    assert Cone(3, reversed(c.rays)).canonical_form() is not c
+    with_line = Cone(2, [(1, 0), (-1, 0), (0, 1)]).canonical_form()
+    again = with_line.canonical_form()
+    assert again is not with_line and again.key() == with_line.key()
+
+
 def _extremeness_cases(rng):
     """(kind, cone) for each shape the incidence test must get right; the
     generators include non-extreme ones (sums of others)."""

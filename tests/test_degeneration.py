@@ -6,21 +6,23 @@ from itertools import permutations, product
 import pytest
 
 from oracles import (edge_matrix, invert, minkowski_sum, orbit_fan_by_cone_dd,
-                     weight_reflections)
+                     symmetric_polyhedra_by_dd, weight_reflections)
 from toricgit import degeneration
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle, _pb,
                                    _symmetric, ambient_reflections, build_bundle,
                                    build_symmetric, chamber_cone, checks_for,
                                    constant_tail, decode_ray_label, head_vertex,
-                                   orbit_cones, permutation_matrices, product_chart_corners,
-                                   product_chart_vertices, product_cone_ambient,
+                                   orbit_cones, permutation_matrices, permutohedron_points,
+                                   product_chart_corners, product_chart_vertices,
+                                   product_cone_ambient, product_cone_dual_columns,
                                    product_cube_map, product_linearization,
                                    slice_vertex, slice_vertex_points, verify)
 from toricgit.git import quotient_slice
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix
-from toricgit.polyhedra import InnerCertificateError, cube_image_slice
+from toricgit.polyhedra import (FacetCertificateError, InnerCertificateError,
+                                certified_polyhedron, cube_image_slice)
 
 
 def test_bundle_shifts_and_vertices():
@@ -174,16 +176,75 @@ def test_build_symmetric_dd_calls_do_not_grow_with_n(monkeypatch):
     real, calls = dd.cone_from_inequalities, []
 
     def spy(constraints, ambient):
-        calls.append(ambient)
+        calls.append(len(constraints))
         return real(constraints, ambient)
 
     monkeypatch.setattr(dd, "cone_from_inequalities", spy)
     counts = []
-    for n in (3, 5):
+    for n in (3, 5, 6):
         calls.clear()
         build_symmetric(n)
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+        # no DD over the n! points: the largest input is σ's 2^n generators
+        assert max(calls) <= 2 ** n
+    assert counts[0] == counts[1] == counts[2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_certified_symmetric_polyhedra_match_dd_oracle(n):
+    sym = build_symmetric(n)
+    for got, want in zip((sym.permutohedron, sym.resolution_polyhedron),
+                         symmetric_polyhedra_by_dd(n)):
+        assert got.vertex_candidates == want.vertex_candidates
+        assert got.facet_rep == want.facet_rep
+        assert got.hull_equations == want.hull_equations
+        assert got.recession.key() == want.recession.key()
+
+
+def _symmetric_candidates(n):
+    """(d, points, recession, normals) of the permutohedron and the resolution
+    polyhedron, as ``build_symmetric`` passes them to ``certified_polyhedron``."""
+    rays = product_cone_ambient(n).rays
+    pts = permutohedron_points(n)
+    return {"permutohedron": (n - 1, pts, None, [r[1:-1] for r in rays if any(r[1:-1])]),
+            "resolution": (n + 1, [(0,) + v + (0,) for v in pts],
+                           Cone(n + 1, product_cone_dual_columns(n)), list(rays))}
+
+
+@pytest.mark.parametrize("name", ["permutohedron", "resolution"])
+def test_facet_certificate_rejects_each_dropped_normal(name):
+    d, pts, rec, normals = _symmetric_candidates(4)[name]
+    certified_polyhedron(d, pts, rec, normals)
+    for i in range(len(normals)):
+        with pytest.raises(FacetCertificateError):
+            certified_polyhedron(d, pts, rec, normals[:i] + normals[i + 1:])
+
+
+def test_facet_certificate_rejects_a_redundant_normal():
+    d, pts, rec, normals = _symmetric_candidates(4)["permutohedron"]
+    with pytest.raises(FacetCertificateError, match="on 4 facets"):
+        certified_polyhedron(d, pts, rec, normals + [(2, 1, 0)])
+
+
+def test_facet_certificate_rejects_a_non_simple_polytope():
+    octahedron = [tuple(s if i == j else 0 for i in range(3)) for j in range(3) for s in (1, -1)]
+    normals = list(product((1, -1), repeat=3))
+    with pytest.raises(FacetCertificateError, match="on 4 facets"):
+        certified_polyhedron(3, octahedron, None, normals)
+
+
+def test_facet_certificate_rejects_a_vertex_on_d_dependent_normals():
+    # at the origin of the unit cube, (1, 2, 1) = (1, 1, 0) + (0, 1, 1)
+    normals = [(1, 1, 0), (0, 1, 1), (1, 2, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    with pytest.raises(FacetCertificateError, match="on 3 facets"):
+        certified_polyhedron(3, list(product((0, 1), repeat=3)), None, normals)
+
+
+def test_facet_certificate_rejects_a_normal_negative_on_the_recession():
+    d, pts, rec, normals = _symmetric_candidates(3)["resolution"]
+    g = rec.generators[0]
+    with pytest.raises(FacetCertificateError, match="negative on the recession"):
+        certified_polyhedron(d, pts, rec, normals + [tuple(-x for x in g)])
 
 
 BAD_CHAMBERS = {
