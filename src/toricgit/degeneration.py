@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import matmul
 from typing import Any, Iterator, Sequence
 
 from .cones import Cone, image_cone
@@ -294,14 +295,12 @@ def build_bundle(n: int) -> DegenerationBundle:
     if set(prod_cone.rays) != expected_rays:
         raise AssertionError("product cone rays do not match the (e_I; e_j) description")
     L = product_cube_map(n)
+    # the facet with normal v has offset min of v over L(cube), which
+    # support_constants reads as d_v
     lt = L.transpose()
-    facets = []
-    for v in sorted(expected_rays):
-        w = lt @ v
-        d = Fraction(sum(min(x, Fraction(0)) for x in w))
-        facets.append((v, d))
+    facets = tuple((v, Fraction(sum(min(x, 0) for x in lt @ v))) for v in sorted(expected_rays))
     prod_poly = LatticePolyhedron(2 * n + 1, product_chart_vertices(n), prod_rec,
-                                  _facets=tuple(sorted(facets)), _equations=())
+                                  _facets=facets, _equations=())
     lin_fam = Linearization(torus_shift_map(n, n + 2), fractional_shift_family(n))
     lin_prod = product_linearization(n)
     pi = projection_matrix(n)
@@ -348,12 +347,18 @@ def ambient_reflections(n: int) -> list[Matrix]:
 def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Matrix]:
     """ρ(s) for all s in S_n, from the adjacent-transposition generators.
 
-    Built over the Cayley graph; a revisit along a different word must give
-    the same matrix (this re-verifies the Coxeter relations on the way)."""
-    size = gens[0].rows
-    ident = tuple(range(n))
-    out = {ident: Matrix.identity(size)}
-    frontier = [ident]
+    The generators must satisfy the Coxeter relations s_k² = 1,
+    (s_k s_{k+1})³ = 1 and s_k s_l = s_l s_k for |k - l| >= 2, which present
+    S_n, so ρ is a homomorphism and one word per permutation (a spanning
+    tree of the Cayley graph) gives its matrix."""
+    ident = Matrix.identity(gens[0].rows)
+    for k, l in combinations_with_replacement(range(n - 1), 2):
+        order = 1 if l == k else 3 if l == k + 1 else 2
+        if reduce(matmul, [gens[k] @ gens[l]] * order) != ident:
+            raise AssertionError("generator matrices violate the Coxeter relations")
+    start = tuple(range(n))
+    out = {start: ident}
+    frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
@@ -361,12 +366,8 @@ def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Ma
                 # left-compose with the transposition of the values k, k+1 so
                 # that p -> matrix is a genuine homomorphism
                 q = tuple(k + 1 if x == k else (k if x == k + 1 else x) for x in p)
-                m = gens[k] @ out[p]
-                if q in out:
-                    if out[q] != m:
-                        raise AssertionError("generator matrices violate the relations")
-                else:
-                    out[q] = m
+                if q not in out:
+                    out[q] = gens[k] @ out[p]
                     nxt.append(q)
         frontier = nxt
     return out
@@ -493,6 +494,12 @@ def _pb(n: int) -> LatticePolyhedron:
                             product_chart_corners(n))
 
 
+@cache
+def _slice_vertices(n: int) -> dict[tuple, tuple]:
+    """``slice_vertex_points`` of the bundle, for pb_vertices and quotient_theorem."""
+    return slice_vertex_points(_bundle(n))
+
+
 @dataclass
 class VerifyReport:
     check: str
@@ -530,14 +537,12 @@ def _check_conical_part(n: int) -> tuple[bool, Any]:
 
 def _check_pb_vertices(n: int) -> tuple[bool, Any]:
     b = _bundle(n)
-    ms = slice_vertex_points(b)
+    ms = _slice_vertices(n)
     got = set(_pb(n).vertex_candidates)
     if got != set(ms.values()):
         return False, {"unexpected": [list(map(str, v)) for v in sorted(got - set(ms.values()))]}
     heads = {v[:n] for v in got}
-    su = set()
-    for s in permutations(range(n)):
-        su.add(tuple(b.head[list(s).index(j)] for j in range(n)))
+    su = {tuple(b.head[s.index(j)] for j in range(n)) for s in permutations(range(n))}
     if heads != su:
         return False, {"heads": [list(map(str, h)) for h in sorted(heads)]}
     tail = constant_tail(n)
@@ -550,8 +555,7 @@ def _check_pb_vertices(n: int) -> tuple[bool, Any]:
 def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
     b = _bundle(n)
     sym = _symmetric(n)
-    ms = slice_vertex_points(b)
-    mid = ms[tuple(range(n))]
+    ms = _slice_vertices(n)
     tail = constant_tail(n)
     scale = Fraction(n + 1, n + 2)
     got = set()

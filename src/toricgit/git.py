@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from . import dd
 from .cones import Cone
-from .linalg import (Matrix, Vec, clear_denominators, dot, kernel_basis,
-                     scaled_primitive, solve_affine, solve_unique, vec, vsub)
-from .polyhedra import LatticePolyhedron, affine_slice
+from .linalg import (Matrix, Vec, dot, kernel_basis, scaled_primitive, solve_affine,
+                     solve_unique, vec, vsub)
+from .polyhedra import LatticePolyhedron, affine_slice, point_minima
 
 
 class EmptyQuotientError(ValueError):
@@ -78,8 +79,7 @@ def _to_kernel_coords(lin: Linearization, ambient_poly: LatticePolyhedron) -> La
     assert x0 is not None
     verts = [solve_unique(kmat, vsub(v, x0)) for v in ambient_poly.vertex_candidates]
     rays = [scaled_primitive(solve_unique(kmat, r)) for r in ambient_poly.recession.rays]
-    out = LatticePolyhedron(k, verts, Cone(k, rays))
-    return out.canonicalize()
+    return LatticePolyhedron(k, verts, Cone(k, rays)).canonicalize()
 
 
 def quotient_slice(p: LatticePolyhedron, lin: Linearization) -> LatticePolyhedron:
@@ -134,28 +134,26 @@ def split_quotient(p: LatticePolyhedron, lin: Linearization
     return _to_kernel_coords(lin, poly_slice), kernel_cone(p, lin)
 
 
-def _integer_points(p: LatticePolyhedron) -> tuple[list[tuple[int, ...]], int]:
-    """(den * point as ints for each candidate point of p, den) for the least
-    common denominator den of all their coordinates."""
-    d = p.ambient_rank
-    flat, den = clear_denominators([x for pt in p.vertex_candidates for x in pt])
-    return [flat[i * d:(i + 1) * d] for i in range(len(p.vertex_candidates))], den
-
-
 def support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:
-    """d_v = min(0, min over candidate points of <v, point>), per recession-dual
-    extreme ray v.  The minimum of a linear functional over the hull equals the
-    minimum over any generating point set, so p need not be canonicalized.
+    """d_v = min(0, min over p of <v, x>), per recession-dual extreme ray v,
+    read off the offset of the facet of p with normal v; ValueError unless
+    rec(p) is full-dimensional.
 
-    The points are scaled once to integer vectors over one common
-    denominator, so every inner product is an int; only the minimum becomes
-    a Fraction."""
-    pts, den = _integer_points(p)
-    out = {}
-    for v in p.recession.dual().rays:
-        m = min((sum(a * b for a, b in zip(v, pt)) for pt in pts), default=0)
-        out[v] = Fraction(min(0, m), den)
-    return out
+    That is enough: the face of p minimising v has recession cone rec ∩ v^⊥,
+    a facet of rec, so it is a facet of p with normal v.  The rays v are the
+    facet normals of rec, and a seeded H-representation (``build_bundle``'s
+    product polyhedron) is read as given, so no double description runs."""
+    rec = p.recession
+    if rec.dim() != p.ambient_rank:
+        raise ValueError("support constants need a full-dimensional recession cone")
+    rays = sorted(rec.facets)
+    if p.is_empty():  # the minimum over no point is +inf
+        return dict.fromkeys(rays, Fraction(0))
+    offsets = {}
+    for n, o in p.facet_rep:
+        g = gcd(*n)
+        offsets[tuple(x // g for x in n)] = o / g
+    return {v: min(Fraction(0), offsets[v]) for v in rays}
 
 
 def unstable_rays(p: LatticePolyhedron, pb: LatticePolyhedron) -> list[RayDatum]:
@@ -167,19 +165,13 @@ def unstable_rays(p: LatticePolyhedron, pb: LatticePolyhedron) -> list[RayDatum]
     valid because d_v <= 0 and <v, ·> >= 0 on the kernel cone, so the
     recession part of the quotient cannot lower the minimum.
 
-    The points of P_b are scaled once to integer vectors over one common
-    denominator, so each minimum is taken in int; only the margin becomes a
-    Fraction.
+    The minima over the points of P_b are taken in int (``point_minima``).
     """
     if pb.is_empty():
         raise EmptyQuotientError("empty quotient")
     if pb.ambient_rank != p.ambient_rank:
         raise ValueError("P_b must live in the ambient space of the polyhedron")
-    consts = support_constants(p)
-    pts, den = _integer_points(pb)
-    out = []
-    for v, dv in sorted(consts.items()):
-        margin = Fraction(min(sum(a * b for a, b in zip(v, pt)) for pt in pts), den) - dv
-        out.append(RayDatum(ray=v, support_constant=dv, margin=margin,
-                            unstable=margin > 0))
-    return out
+    consts = sorted(support_constants(p).items())
+    lows = point_minima(pb.vertex_candidates, [v for v, _ in consts])
+    return [RayDatum(ray=v, support_constant=dv, margin=low - dv, unstable=low > dv)
+            for (v, dv), low in zip(consts, lows)]

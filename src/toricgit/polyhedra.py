@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone, column_dots, sparse_incidence
-from .linalg import (Matrix, clear_denominators, dot, is_zero_vec, primitive, rank,
+from .linalg import (IntVec, Matrix, clear_denominators, dot, is_zero_vec, primitive, rank,
                      scaled_primitive, solve_affine, vadd, vec)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
@@ -196,19 +196,12 @@ def affine_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePo
         return LatticePolyhedron(d, [x0]).canonicalize() if p.contains(x0) else empty()
     k = len(kern)
     # constraints on slice coordinates y, homogenized: rows over (y, t)
-    rows = []
-    for n, o in p.facet_rep:
-        coeffs = [dot(n, b) for b in kern]
-        rows.append((tuple(coeffs) + (dot(n, x0) - o,), False))
+    def row(n, o):
+        return clear_denominators([dot(n, b) for b in kern] + [dot(n, x0) - o])[0]
+    cons = [row(n, o) for n, o in p.facet_rep]
     for n, o in p.hull_equations:
-        coeffs = [dot(n, b) for b in kern]
-        rows.append((tuple(coeffs) + (dot(n, x0) - o,), True))
-    cons = []
-    for row, is_eq in rows:
-        r, _ = clear_denominators(row)
-        cons.append(r)
-        if is_eq:
-            cons.append(tuple(-x for x in r))
+        r = row(n, o)
+        cons += [r, tuple(-x for x in r)]
     cons.append(tuple([0] * k + [1]))
     lin, rays, _ = dd.cone_from_inequalities(cons, k + 1)
     if lin:
@@ -228,6 +221,17 @@ def affine_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePo
     if not verts:
         return empty()
     return LatticePolyhedron(d, verts, Cone(d, rec_rays)).canonicalize()
+
+
+def point_minima(points: Sequence[Sequence], normals: Iterable[IntVec]) -> list[Fraction]:
+    """min of <ν, x> over the nonempty ``points``, for each integer ν in
+    ``normals``.  The points are scaled once to integers over one common
+    denominator and the dots taken column by column (``column_dots``), so
+    each minimum is taken in int and only it becomes a Fraction."""
+    d = len(points[0])
+    flat, den = clear_denominators([x for p in points for x in p])
+    cols = [flat[j::d] for j in range(d)]
+    return [Fraction(min(column_dots(nu, cols, len(points))), den) for nu in normals]
 
 
 class FacetCertificateError(ValueError):
@@ -271,14 +275,12 @@ def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional
     rec = recession if recession is not None else Cone(d, [])
     if not points:
         raise FacetCertificateError("no points")
-    flat, den = clear_denominators([x for p in points for x in p])
-    cols = [flat[j::d] for j in range(d)]
-    seed = []
-    for nu in dict.fromkeys(primitive(nu) for nu in normals):
+    nus = list(dict.fromkeys(primitive(nu) for nu in normals))
+    for nu in nus:
         if any(dot(nu, g) < 0 for g in rec.generators):
             raise FacetCertificateError(f"the normal {nu} is negative on the recession cone")
-        seed.append((nu, Fraction(min(column_dots(nu, cols, len(points))), den)))
-    q = LatticePolyhedron(d, points, rec, _facets=tuple(seed), _equations=()).canonicalize()
+    seed = tuple(zip(nus, point_minima(points, nus)))
+    q = LatticePolyhedron(d, points, rec, _facets=seed, _equations=()).canonicalize()
     c = q.homogenization()
     rays, facets = c.rays, c.facets
     on = sparse_incidence(facets, rays)  # per facet, the rays on it

@@ -4,7 +4,8 @@ The linear-algebra oracles are the straightforward ``Fraction`` (or
 Smith-normal-form) routes that an optimised path in ``toricgit`` replaced;
 the tests check that the fast path agrees with them on seeded inputs.  The
 rest is code that only the tests run: an exact feasibility LP for
-membership, cone and fan predicates, Minkowski sums, the normal fan
+membership, cone and fan predicates, Minkowski sums, the support
+constants by a scan of every candidate point, the normal fan
 by one double description per vertex, the extremeness test by the rank of
 the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
@@ -30,7 +31,7 @@ from toricgit.degeneration import (ambient_reflections, chamber_cone,
                                    product_cone_dual_columns)
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
-from toricgit.linalg import (Matrix, dot, elementary_divisors, frac,
+from toricgit.linalg import (Matrix, clear_denominators, dot, elementary_divisors, frac,
                              hermite_normal_form, is_zero_vec, rank,
                              scaled_primitive, smith_normal_form, vec, vsub)
 from toricgit.polyhedra import Fan, LatticePolyhedron
@@ -372,6 +373,25 @@ def symmetric_polyhedra_by_dd(n: int) -> tuple[LatticePolyhedron, LatticePolyhed
     iota_pts = [(Fraction(0),) + v + (Fraction(0),) for v in perm.vertex_candidates]
     rec = Cone(n + 1, product_cone_dual_columns(n))
     return perm, LatticePolyhedron(n + 1, iota_pts, rec).canonicalize()
+
+
+def support_constants_by_scan(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:
+    """d_v = min(0, min over candidate points of <v, point>), per recession-dual
+    extreme ray v, by a scan of every candidate point for every ray.  The
+    minimum of a linear functional over the hull equals the minimum over any
+    generating point set, so p need not be canonicalized.
+
+    The points are scaled once to integer vectors over one common
+    denominator, so every inner product is an int; only the minimum becomes
+    a Fraction."""
+    d = p.ambient_rank
+    flat, den = clear_denominators([x for pt in p.vertex_candidates for x in pt])
+    pts = [flat[i * d:(i + 1) * d] for i in range(len(p.vertex_candidates))]
+    out = {}
+    for v in p.recession.dual().rays:
+        m = min((sum(a * b for a, b in zip(v, pt)) for pt in pts), default=0)
+        out[v] = Fraction(min(0, m), den)
+    return out
 
 
 def cone_over(p: LatticePolyhedron) -> Cone:

@@ -101,6 +101,12 @@ def test_duality_involution_random():
         rank = rng.randint(1, 6)
         c = _random_cone(rng, rank)
         assert c.dual().dual() == c.canonical_form()
+    # every shape of _extremeness_cases, lower-dimensional and non-pointed too
+    kinds = set()
+    for kind, c in _extremeness_cases(random.Random(5)):
+        kinds.add(kind)
+        assert c.dual().dual() == Cone(c.ambient_rank, c.generators), kind
+    assert {"lower-dimensional", "non-pointed"} <= kinds
 
 
 def test_membership_cross_check_random():

@@ -10,7 +10,7 @@ from oracles import (edge_matrix, invert, minkowski_sum, orbit_fan_by_cone_dd,
 from toricgit import degeneration
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle, _pb,
-                                   _symmetric, ambient_reflections, build_bundle,
+                                   _slice_vertices, _symmetric, ambient_reflections, build_bundle,
                                    build_symmetric, chamber_cone, checks_for,
                                    constant_tail, decode_ray_label, head_vertex,
                                    orbit_cones, permutation_matrices, permutohedron_points,
@@ -284,6 +284,25 @@ def test_permutation_matrices_homomorphism():
             assert mats[compose(p, q)] == (mats[p] @ mats[q])
 
 
+COXETER_BREAKS = {
+    # a shear: s_1 is not an involution
+    "s_k^2 = 1": (2, [[[1, 1], [0, 1]]]),
+    # two reflections whose product turns by a quarter, not a third
+    "(s_k s_k+1)^3 = 1": (3, [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]),
+    # the transpositions (12), (23), (13) of S_3: s_1 and s_3 do not commute
+    "s_k s_l = s_l s_k": (4, [[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                              [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+                              [[0, 0, 1], [0, 1, 0], [1, 0, 0]]]),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(COXETER_BREAKS))
+def test_permutation_matrices_reject_generators_breaking_a_relation(relation):
+    n, gens = COXETER_BREAKS[relation]
+    with pytest.raises(AssertionError, match="Coxeter"):
+        permutation_matrices(n, [Matrix(g) for g in gens])
+
+
 def test_decode_ray_label():
     assert decode_ray_label(2, (1, 0, 0, 1, 0)) == ((1,), 1)
     assert decode_ray_label(2, (1, 1, 1, 0, 0)) == ((1, 2), 0)
@@ -332,6 +351,8 @@ def test_cached_accessors_build_once_per_n():
     for n in (1, 2):
         assert _bundle(n) is _bundle(n)
         assert _bundle(n).product_polyhedron == build_bundle(n).product_polyhedron
+        assert _slice_vertices(n) is _slice_vertices(n)
+        assert _slice_vertices(n) == slice_vertex_points(build_bundle(n))
     for n in (2, 3):
         assert _symmetric(n) is _symmetric(n)
         assert _symmetric(n).fan == build_symmetric(n).fan

@@ -1,14 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import chart_invariants, minkowski_sum
+from oracles import chart_invariants, minkowski_sum, support_constants_by_scan
 from toricgit.cones import Cone
 from toricgit.degeneration import (_pb, build_bundle, decode_ray_label,
                                    product_rec_dual_columns, projection_matrix)
 from toricgit.git import (Linearization, kernel_cone, quotient_polyhedron, quotient_slice,
                           split_quotient, support_constants, unstable_rays)
-from toricgit.linalg import Matrix, dot
+from toricgit.linalg import Matrix, dot, rank
 from toricgit.polyhedra import LatticePolyhedron
 
 
@@ -119,6 +121,50 @@ def test_support_constants_rational_vertices():
     assert any(x.denominator != 1 for pt in slice_pts for x in pt)
     for v, dv in support_constants(q).items():
         assert dv == min([F(0)] + [dot(v, pt) for pt in slice_pts])
+
+
+def test_support_constants_match_scan_oracle(monkeypatch):
+    # the seeded facet offsets of the product polyhedron, read with no double
+    # description, against a scan of its chart vertices
+    from toricgit import dd
+
+    def no_dd(constraints, ambient):
+        raise AssertionError("support_constants ran a double description")
+
+    for n in (1, 2, 3, 4):
+        p = build_bundle(n).product_polyhedron
+        monkeypatch.setattr(dd, "cone_from_inequalities", no_dd)
+        got = support_constants(p)
+        monkeypatch.undo()
+        assert list(got.items()) == list(support_constants_by_scan(p).items()), n
+
+
+@st.composite
+def polyhedra_with_full_recession(draw):
+    """conv(rational points) + a random full-dimensional pointed cone, whose
+    generators are turned to the positive side of a random functional w."""
+    d = draw(st.integers(1, 4))
+    coords = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    w = draw(coords.filter(any))
+    raw = draw(st.lists(coords, min_size=d, max_size=d + 3))
+    gens = [g if dot(w, g) > 0 else [-x for x in g] for g in raw if dot(w, g)]
+    assume(gens and rank(gens) == d)
+    point = st.tuples(*[st.builds(F, st.integers(-6, 6), st.integers(1, 4))] * d)
+    pts = draw(st.lists(point, min_size=1, max_size=5))
+    return LatticePolyhedron(d, pts, Cone(d, gens))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(p=polyhedra_with_full_recession())
+def test_support_constants_match_scan_on_random_polyhedra(p):
+    assert list(support_constants(p).items()) == list(support_constants_by_scan(p).items())
+
+
+def test_support_constants_need_a_full_dimensional_recession_cone():
+    for rec in (Cone(2, []), Cone(2, [(1, 0)]), Cone(3, [(1, 0, 0), (0, 1, 1)])):
+        p = LatticePolyhedron(rec.ambient_rank, [(0,) * rec.ambient_rank], rec)
+        with pytest.raises(ValueError, match="full-dimensional"):
+            support_constants(p)
 
 
 def general_pb(b):

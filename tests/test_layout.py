@@ -3,7 +3,7 @@
 Every public top-level function and every public method in
 ``src/toricgit`` must be referenced, as a name or an attribute, somewhere in
 the package outside its own definition.  Code that only tests call belongs
-in ``tests/oracles.py``.
+in ``tests/oracles.py``.  Every name a module imports must be used in it.
 """
 
 import ast
@@ -65,3 +65,17 @@ def test_every_public_name_is_used_by_the_package():
     assert unused == [], f"move these to tests/oracles.py or delete them: {unused}"
     # an exception that the package starts to use again no longer needs listing
     assert kept == set(KEPT)
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.stem}: {a.asname or a.name}" for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in names]
+    assert unused == [], f"delete these unused imports: {unused}"
