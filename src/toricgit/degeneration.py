@@ -30,7 +30,7 @@ from typing import Any, Iterator, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
-from .linalg import Matrix, solve_unique
+from .linalg import Matrix, clear_denominators, solve_unique
 from .polyhedra import (Fan, LatticePolyhedron, certified_polyhedron, cube_image_slice,
                         normal_fan)
 
@@ -513,15 +513,15 @@ class VerifyReport:
 
 
 def slice_vertex_points(bundle: DegenerationBundle) -> dict[tuple, tuple]:
-    """The expected slice-polytope vertices m_s = L(s w_1; ...; s w_n)."""
+    """The expected slice-polytope vertices m_s = L(s w_1; ...; s w_n),
+    taken in int as L((n+1) s w_1; ...) and divided by n + 1 once."""
     n = bundle.n
+    ws = [[int(x * (n + 1)) for x in w] for w in bundle.slice_vertices]
     out = {}
     for s in permutations(range(n)):
-        coords = []
-        for i in range(1, n + 1):
-            w = bundle.slice_vertices[i - 1]
-            coords.extend(w[list(s).index(j)] for j in range(n))
-        out[s] = tuple(bundle.cube_map @ coords)
+        inv = [s.index(j) for j in range(n)]
+        coords = [w[k] for w in ws for k in inv]
+        out[s] = tuple(Fraction(x, n + 1) for x in bundle.cube_map @ coords)
     return out
 
 
@@ -557,14 +557,13 @@ def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
     sym = _symmetric(n)
     ms = _slice_vertices(n)
     tail = constant_tail(n)
-    scale = Fraction(n + 1, n + 2)
     got = set()
     for v in ms.values():
         if v[n:] != tail:
             return False, {"bad_tail": list(map(str, v))}
-        d = tuple(x - u for x, u in zip(v[:n], b.head)) + (Fraction(0),)
-        c = b.basis_change @ d
-        got.add(tuple(scale * x for x in c))
+        # (n+1)/(n+2) Q'(v - u, 0), with v - u scaled to int by den
+        d, den = clear_denominators([x - u for x, u in zip(v[:n], b.head)] + [0])
+        got.add(tuple(Fraction(x * (n + 1), den * (n + 2)) for x in b.basis_change @ d))
     expected = set(sym.resolution_polyhedron.vertex_candidates)
     if got == expected:
         return True, {"vertices": len(got)}

@@ -142,7 +142,7 @@ def support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:
     That is enough: the face of p minimising v has recession cone rec ∩ v^⊥,
     a facet of rec, so it is a facet of p with normal v.  The rays v are the
     facet normals of rec, and a seeded H-representation (``build_bundle``'s
-    product polyhedron) is read as given, so no double description runs."""
+    product polyhedron) is read as given: no cone over its points is built."""
     rec = p.recession
     if rec.dim() != p.ambient_rank:
         raise ValueError("support constants need a full-dimensional recession cone")

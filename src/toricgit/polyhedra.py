@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, product
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone, column_dots, sparse_incidence
-from .linalg import (IntVec, Matrix, clear_denominators, dot, is_zero_vec, primitive, rank,
-                     scaled_primitive, solve_affine, vadd, vec)
+from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, is_zero_vec, primitive,
+                     rank, scaled_primitive, solve_affine, vadd, vec)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
 Equation = tuple[tuple[int, ...], Fraction]  # <n, x> == o
@@ -45,7 +46,9 @@ class LatticePolyhedron:
                  _facets=None, _equations=None, _cone=None, _canonical=False):
         pts = []
         for p in vertex_candidates:
-            p = vec(p)
+            p = tuple(p)
+            if not all(type(x) is int for x in p):
+                p = tuple(map(_exact, p))
             if len(p) != ambient_rank:
                 raise ValueError("point has wrong dimension")
             pts.append(p)
@@ -56,7 +59,10 @@ class LatticePolyhedron:
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "vertex_candidates", tuple(dict.fromkeys(pts)))
         object.__setattr__(self, "recession", recession)
-        object.__setattr__(self, "_seed", None if _facets is None else (_facets, _equations))
+        # a seed is kept as the homogenization's sorted primitive rows (n, -o)
+        object.__setattr__(self, "_seed", None if _facets is None or not pts else tuple(
+            tuple(sorted(scaled_primitive(tuple(n) + (-o,)) for n, o in rows))
+            for rows in (_facets, _equations)))
         object.__setattr__(self, "_cone", _cone)
         object.__setattr__(self, "_canonical", _canonical)
         object.__setattr__(self, "_polytopal", None)
@@ -85,11 +91,9 @@ class LatticePolyhedron:
                 gens += [tuple(s * x for x in l) + (0,)
                          for l in rec.lineality_basis for s in (1, -1)]
                 if self._seed is not None:
-                    facets, eqs = ([scaled_primitive(tuple(n) + (-o,)) for n, o in rows]
-                                   for rows in self._seed)
+                    facets, eqs = self._seed
                     if rec.dim() == d - len(eqs):  # t >= 0 is a facet iff dim rec = dim P
-                        facets.append((0,) * d + (1,))
-                    facets, eqs = tuple(sorted(facets)), tuple(sorted(eqs))
+                        facets = tuple(sorted(facets + ((0,) * d + (1,),)))
             object.__setattr__(self, "_cone",
                                Cone(d + 1, gens, _facets=facets, _equations=eqs))
         return self._cone
@@ -106,7 +110,10 @@ class LatticePolyhedron:
 
         Every nonempty face of P has a candidate point, so only the face at
         infinity rec × {0} of the homogenization has no (v, 1).  It is a
-        facet iff dim rec = dim P, and then the only one vanishing on rec."""
+        facet iff dim rec = dim P, and then the only one vanishing on rec.
+        A seeded H-representation is read as given, without the cone."""
+        if self._seed is not None:
+            return self._read_off(self._seed[0])
         c, d, rec = self.homogenization(), self.ambient_rank, self.recession
         facets = c.facets
         if rec.dim() == d - len(c.equations):
@@ -116,6 +123,8 @@ class LatticePolyhedron:
 
     @property
     def hull_equations(self) -> tuple[Equation, ...]:
+        if self._seed is not None:
+            return self._read_off(self._seed[1])
         return () if self.is_empty() else self._read_off(self.homogenization().equations)
 
     def contains(self, point: Sequence) -> bool:
@@ -141,7 +150,8 @@ class LatticePolyhedron:
         if not rec.is_pointed():
             raise ValueError("polyhedra with lineality in the recession cone are unsupported")
         cone = self.homogenization().canonical_form()
-        verts = sorted(tuple(Fraction(x, r[d]) for x in r[:d]) for r in cone.rays if r[d] > 0)
+        verts = sorted(r[:d] if r[d] == 1 else tuple(Fraction(x, r[d]) for x in r[:d])
+                       for r in cone.rays if r[d] > 0)
         return LatticePolyhedron(d, verts, rec, _cone=cone, _canonical=True)
 
     def key(self) -> tuple:
@@ -165,16 +175,6 @@ class LatticePolyhedron:
             object.__setattr__(self, "_polytopal",
                                LatticePolyhedron(self.ambient_rank, self.vertex_candidates))
         return self._polytopal
-
-
-def linear_image(f: Matrix, p: LatticePolyhedron) -> LatticePolyhedron:
-    if f.cols != p.ambient_rank:
-        raise ValueError("rank mismatch")
-    if p.is_empty():
-        return LatticePolyhedron(f.rows).canonicalize()
-    pts = [f @ v for v in p.vertex_candidates]
-    rec = Cone(f.rows, [f @ g for g in p.recession.generators])
-    return LatticePolyhedron(f.rows, pts, rec).canonicalize()
 
 
 def affine_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePolyhedron:
@@ -348,9 +348,11 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
     The slice of L(cube) is L of the cube's slice by (f·L)·c = target.
     That slice is the product of the slices of the cube blocks
     (``cube_blocks`` of f·L), each cut with ``affine_slice``, so its image is
-    the Minkowski sum of the block images.  Summed block by block, each
-    vertex of the sum keeps its unique decomposition into block vertices,
-    which gives it a preimage c in the cube.
+    the Minkowski sum of the block images.  Summed block by block, in int
+    over one common denominator and hulled after each block, each vertex of
+    the sum keeps its unique decomposition into block vertices, which gives
+    it a preimage c in the cube; the last hull is the result's
+    homogenization.
 
     L(cube) only bounds conv(L(corners)) from outside, so each vertex L(c)
     is certified from inside: L maps every corner of the smallest cube face
@@ -367,7 +369,7 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
     m = f @ L
     if any(is_zero_vec(r) and x != 0 for r, x in zip(m.entries, t)):
         return empty
-    acc: dict[tuple, tuple] = {tuple([Fraction(0)] * d): ()}
+    slices = []
     for cols, rows in cube_blocks(m):
         k = len(cols)
         facets = [(tuple(s if i == j else 0 for i in range(k)), Fraction(min(s, 0)))
@@ -379,19 +381,28 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
                               [t[i] for i in rows])
             if sl.is_empty():
                 return empty
-        lb = Matrix.from_columns([L.column(j) for j in cols])
-        preimage = {}
-        for y in sl.vertex_candidates:
-            preimage.setdefault(lb @ y, tuple(zip(cols, y)))
-        image = linear_image(lb, sl).vertex_candidates
-        sums = {vadd(a, v): da + preimage[v] for a, da in acc.items() for v in image}
-        if len(acc) > 1 and len(image) > 1:
-            sums = {v: sums[v] for v in
-                    LatticePolyhedron(d, sums).canonicalize().vertex_candidates}
-        acc = sums
-    # L scaled to int by one common denominator, which the lookups share
-    flat, _ = clear_denominators([x for r in L.entries for x in r])
+        slices.append((cols, sl.vertex_candidates))
+    # L and the slice points scaled to int by common denominators dl and dy,
+    # so the sums below hold h·x for h = dl·dy
+    flat, dl = clear_denominators([x for r in L.entries for x in r])
     rows_l = [flat[i * L.cols:(i + 1) * L.cols] for i in range(d)]
+    dy = lcm(*(x.denominator for _, ys in slices for y in ys for x in y))
+    h = dl * dy
+    acc, cone = {(0,) * d: ()}, None
+    for cols, ys in slices:
+        image = {}
+        for y in ys:
+            yi = [(x.numerator * (dy // x.denominator), j) for x, j in zip(y, cols)]
+            image.setdefault(tuple(sum(c * r[j] for c, j in yi) for r in rows_l),
+                             tuple(zip(cols, y)))
+        image = _int_hull(image, h)[1]
+        sums = {vadd(a, v): da + dv for a, da in acc.items() for v, dv in image.items()}
+        cone = None
+        if len(acc) > 1 and len(image) > 1:
+            cone, sums = _int_hull(sums, h)
+        acc = sums
+    if cone is None:  # the last sum is a translate of one hull
+        cone, acc = _int_hull(acc, h)
     images = {tuple(sum(compress(r, c)) for r in rows_l) for c in corners}
     for v, c in acc.items():
         face = {tuple(sum(r[j] for j, y in c if y == 1) for r in rows_l)}
@@ -400,9 +411,19 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
                 face |= {tuple(a + r[j] for a, r in zip(p, rows_l)) for p in face}
         if not face <= images:
             raise InnerCertificateError(
-                f"a corner of the cube face through the preimage of {v} maps "
+                f"a corner of the cube face through the preimage of {v} / {h} maps "
                 "outside L(corners)")
-    return LatticePolyhedron(d, acc).canonicalize()
+    return LatticePolyhedron(d, [tuple(Fraction(x, h) for x in v) for v in acc],
+                             _cone=cone).canonicalize()
+
+
+def _int_hull(points: dict[IntVec, tuple], h: int) -> tuple[Cone, dict[IntVec, tuple]]:
+    """The homogenization of conv(points) / h, generated by the integer
+    (p, h), and the points that are its vertices, with their values."""
+    d = len(next(iter(points)))
+    cone = Cone(d + 1, [p + (h,) for p in points])
+    return cone, {v: points[v] for v in
+                  (tuple(x * (h // r[d]) for x in r[:d]) for r in cone.rays)}
 
 
 class Fan:

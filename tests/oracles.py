@@ -4,8 +4,8 @@ The linear-algebra oracles are the straightforward ``Fraction`` (or
 Smith-normal-form) routes that an optimised path in ``toricgit`` replaced;
 the tests check that the fast path agrees with them on seeded inputs.  The
 rest is code that only the tests run: an exact feasibility LP for
-membership, cone and fan predicates, Minkowski sums, the support
-constants by a scan of every candidate point, the normal fan
+membership, cone and fan predicates, linear images and Minkowski sums, the
+support constants by a scan of every candidate point, the normal fan
 by one double description per vertex, the extremeness test by the rank of
 the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
@@ -342,7 +342,19 @@ def validate_support_cover(fan: Fan) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# polyhedra: Minkowski sums, cone-over, bounded very-ampleness
+# polyhedra: linear images, Minkowski sums, cone-over, bounded very-ampleness
+
+
+def linear_image(f: Matrix, p: LatticePolyhedron) -> LatticePolyhedron:
+    """f(p), canonicalized: the images of the candidate points and of the
+    recession generators."""
+    if f.cols != p.ambient_rank:
+        raise ValueError("rank mismatch")
+    if p.is_empty():
+        return LatticePolyhedron(f.rows).canonicalize()
+    pts = [f @ v for v in p.vertex_candidates]
+    rec = Cone(f.rows, [f @ g for g in p.recession.generators])
+    return LatticePolyhedron(f.rows, pts, rec).canonicalize()
 
 
 def minkowski_sum(p: LatticePolyhedron, q: LatticePolyhedron) -> LatticePolyhedron:

@@ -75,7 +75,8 @@ def test_product_polyhedron_facets_vs_generic_dd():
 
 
 def test_product_polyhedron_against_brute_force_n2():
-    from toricgit.polyhedra import LatticePolyhedron, linear_image
+    from oracles import linear_image
+    from toricgit.polyhedra import LatticePolyhedron
     b = build_bundle(2)
     cube = LatticePolyhedron(4, list(product((0, 1), repeat=4)))
     pw = linear_image(b.cube_map, cube.canonicalize())

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import chart_invariants, minkowski_sum, support_constants_by_scan
 from toricgit.cones import Cone
-from toricgit.degeneration import (_pb, build_bundle, decode_ray_label,
+from toricgit.degeneration import (_bundle, _pb, build_bundle, decode_ray_label,
                                    product_rec_dual_columns, projection_matrix)
 from toricgit.git import (Linearization, kernel_cone, quotient_polyhedron, quotient_slice,
                           split_quotient, support_constants, unstable_rays)
@@ -137,6 +137,20 @@ def test_support_constants_match_scan_oracle(monkeypatch):
         got = support_constants(p)
         monkeypatch.undo()
         assert list(got.items()) == list(support_constants_by_scan(p).items()), n
+
+
+def test_support_constants_build_no_homogenization(monkeypatch):
+    # the seeded facets are read as given: the 4^3 chart vertices of the
+    # n = 3 product polyhedron are never homogenized into a Cone
+    p = _bundle(3).product_polyhedron
+
+    def no_cone(self):
+        raise AssertionError("support_constants built the homogenization")
+
+    monkeypatch.setattr(LatticePolyhedron, "homogenization", no_cone)
+    got = support_constants(p)
+    monkeypatch.undo()
+    assert list(got.items()) == list(support_constants_by_scan(p).items())
 
 
 @st.composite

@@ -3,10 +3,12 @@
 refactor or an optimisation that changes a single byte fails here.
 
 The digests were recorded before the integer-first ``Matrix``, the n = 5
-verify digest before polyhedra were read off their homogenization, and the
-n = 6 build digests before the orbit fan was transported from the chamber.  To record
-them again after a deliberate output change, print ``build_digest`` and
-``verify_digest`` for the parameters below and say why in CHANGES.md.
+verify digest before polyhedra were read off their homogenization, the n = 6
+build digests before the orbit fan was transported from the chamber, and the
+product n = 5 digest (the 7776-point canonical form) before integral
+coordinates were kept as ``int``.  To record them again after a deliberate
+output change, print ``build_digest`` and ``verify_digest`` for the
+parameters below and say why in CHANGES.md.
 """
 
 import contextlib
@@ -33,6 +35,7 @@ BUILD_DIGESTS = {
     ("product", 2): "3fda58f70515776c9401ab7b2eaa2e32d688fefb6cea1b540d283f81620d284c",
     ("product", 3): "44e48380f4937c7f82b3123ce1d8c543fe9981da15b6f6e8d08564db72d35ad3",
     ("product", 4): "456d10933a2de5813231423cbec1c22224269d34de8c034e9ffaff4903481d29",
+    ("product", 5): "3e0bf254007017f630f8adee36bb5a8bd0ff0d6f588f5f80ec491557f19ebc81",
     ("symmetric", 2): "6cd9c932987cd30d5383b568300f51651efe11e3aff0ba009580537892cc2816",
     ("symmetric", 3): "a7804011c75b73166a7dcea9de5963a887e266043834b2655f8be1ebef973db8",
     ("symmetric", 4): "c644e438fd257622ed46543e64b8361e214e23da461e11d7d0f8a55a0604b560",

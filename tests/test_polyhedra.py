@@ -3,17 +3,18 @@ from fractions import Fraction as F
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (check_semigroup_generation, cone_over, embedding_monomials,
-                     feasible_nonneg_combination, in_cone_hull, intersection, minkowski_sum, normal_fan_by_vertex_dd,
+                     feasible_nonneg_combination, in_cone_hull, intersection, linear_image,
+                     minkowski_sum, normal_fan_by_vertex_dd,
                      validate_pairwise_faces, validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
-from toricgit.linalg import Matrix, dot, vadd
+from toricgit.linalg import Matrix, dot, rank, vadd
 from toricgit.polyhedra import (Fan, LatticePolyhedron, affine_slice, cube_blocks,
-                                cube_image_slice, linear_image, normal_fan)
+                                cube_image_slice, normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
 
@@ -128,13 +129,15 @@ def test_cube_image_slice_non_separable_matches_oracle():
 @st.composite
 def separable_slices(draw):
     """(L, f, target): L = [M; R] and f = [I | 0], so f·L = M, a sparse
-    matrix whose nonzero pattern splits the cube into blocks."""
+    matrix whose nonzero pattern splits the cube into blocks.  Half the
+    draws give L entries over 2 and 3."""
     N = draw(st.integers(2, 6))
     k = draw(st.integers(1, 3))
     r = draw(st.integers(0, 2))
-    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    den = st.sampled_from([1, 2, 3]) if draw(st.booleans()) else st.just(1)
+    entry = st.builds(F, st.sampled_from([0, 0, 0, 1, -1, 2]), den)
     M = [[draw(entry) for _ in range(N)] for _ in range(k)]
-    R = [[draw(st.integers(-2, 2)) for _ in range(N)] for _ in range(r)]
+    R = [[draw(st.builds(F, st.integers(-2, 2), den)) for _ in range(N)] for _ in range(r)]
     L = Matrix(M + R)
     f = Matrix([[1 if j == i else 0 for j in range(k + r)] for i in range(k)])
     if draw(st.integers(0, 2)):
@@ -413,6 +416,64 @@ def test_seeded_h_rep_is_the_computed_one():
         assert (a.facets, a.equations) == (b.facets, b.equations)
         assert (p.facet_rep, p.hull_equations) == (fresh.facet_rep, fresh.hull_equations)
         assert p.canonicalize() == fresh.canonicalize()
+
+
+@st.composite
+def full_dimensional_polyhedra(draw):
+    """(points, recession): integer points whose hull is full-dimensional,
+    plus a pointed cone in the nonnegative orthant, full-dimensional or not."""
+    d = draw(st.integers(2, 4))
+    coords = st.tuples(*[st.integers(-3, 3)] * d)
+    pts = draw(st.lists(coords, min_size=d + 1, max_size=d + 5))
+    assume(rank([p + (1,) for p in pts]) == d + 1)
+    rays = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), max_size=d + 1))
+    return pts, Cone(d, rays)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=full_dimensional_polyhedra(), data=st.data())
+def test_seeded_h_rep_matches_dd_read(case, data):
+    # the seed, each row scaled by a positive integer and listed in any
+    # order, is read to the facets and equations the double description gives
+    pts, rec = case
+    fresh = LatticePolyhedron(len(pts[0]), pts, rec)
+    seed = []
+    for n, o in fresh.facet_rep:
+        k = data.draw(st.integers(1, 4))
+        seed.append((tuple(k * x for x in n), k * o))
+    seed = data.draw(st.permutations(seed))
+    seeded = LatticePolyhedron(len(pts[0]), pts, rec, _facets=seed, _equations=())
+    assert seeded.facet_rep == fresh.facet_rep
+    assert seeded.hull_equations == fresh.hull_equations == ()
+    assert seeded._cone is None  # read without building the homogenization
+    a, b = seeded.homogenization(), fresh.homogenization()
+    assert (a.facets, a.equations) == (b.facets, b.equations)
+    assert seeded.canonicalize() == fresh.canonicalize()
+
+
+def test_integral_coordinates_are_int():
+    from toricgit.degeneration import _symmetric, build_bundle
+    for p in (build_bundle(3).product_polyhedron, _symmetric(4).permutohedron,
+              _symmetric(4).resolution_polyhedron):
+        assert all(type(x) is int for v in p.vertex_candidates for x in v)
+    # a coordinate with a denominator stays a Fraction, an integral one,
+    # whatever its type, becomes an int, in the candidates and the vertices
+    p = LatticePolyhedron(2, [(F(1, 2), F(4, 2)), ("5/3", 3), (0, 0)])
+    assert [tuple(map(type, v)) for v in p.vertex_candidates] == \
+        [(F, int), (F, int), (int, int)]
+    q = p.canonicalize()
+    assert q.vertex_candidates == ((0, 0), (F(1, 2), 2), (F(5, 3), 3))
+    assert [tuple(map(type, v)) for v in q.vertex_candidates] == \
+        [(int, int), (F, int), (F, int)]
+
+
+def test_fraction_and_int_coordinates_are_equal():
+    a = LatticePolyhedron(2, [(F(3), F(0)), (F(0), F(1)), (F(1, 2), F(1, 2))])
+    b = LatticePolyhedron(2, [(3, 0), (0, 1), (F(1, 2), F(1, 2))])
+    assert a.vertex_candidates == b.vertex_candidates
+    assert a == b and hash(a) == hash(b)
+    assert LatticePolyhedron(1, [(F(3),)]) == LatticePolyhedron(1, [(3,)])
+    assert hash(LatticePolyhedron(1, [(F(3),)])) == hash(LatticePolyhedron(1, [(3,)]))
 
 
 def test_facet_rep_drops_the_face_at_infinity():
