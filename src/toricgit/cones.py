@@ -87,8 +87,8 @@ class Cone:
                 if c != 0:
                     p = row[pc]
                     x = [p * a - c * b for a, b in zip(x, row)]
-            if any(v != 0 for v in x):
-                reduced.append(primitive(x))
+            if any(v != 0 for v in x):  # without lineality x is g, primitive already
+                reduced.append(primitive(x) if lin else x)
         reduced = list(dict.fromkeys(reduced))
         # without lineality the reduced generators are the generators
         incidence = self._incidence

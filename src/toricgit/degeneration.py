@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from operator import matmul
+from operator import le, matmul
 from typing import Any, Iterator, Sequence
 
 from .cones import Cone, image_cone
@@ -175,6 +175,13 @@ def product_chart_corners(n: int) -> list[tuple[int, ...]]:
             for c in product(range(1, n + 2), repeat=n)]
 
 
+def chart_box(n: int, lo: Sequence[int], hi: Sequence[int]) -> bool:
+    """Is every 0/1 point c with lo <= c <= hi a chart corner?  c is one iff
+    each block is at most the next, so iff each block of hi is at most the
+    next block of lo (the box's coordinates vary independently)."""
+    return all(map(le, hi, lo[n:]))
+
+
 def product_chart_vertices(n: int) -> list[tuple[int, ...]]:
     """All (n+1)^n vertices L(c) of the product polyhedron, one per chart
     corner c of ``product_chart_corners``, in the same order.
@@ -185,26 +192,17 @@ def product_chart_vertices(n: int) -> list[tuple[int, ...]]:
     S_i = {j : a_j > T_i}, and the chain S_1 ⊆ ... ⊆ S_n is encoded by the
     thresholds c_j = min{i : j ∈ S_i}.  Every threshold vector in
     {1..n+1}^n is realizable on a full-dimensional region, so this list is
-    exactly the vertex set (cross-checked against the brute-force hull at
-    small n in the tests).
-    """
-    tails = [_tail(n, i) for i in range(1, n + 1)]
-    verts = []
-    for c in product_chart_corners(n):
-        blocks = [c[i * n:(i + 1) * n] for i in range(n)]
-        sizes = [sum(blk) for blk in blocks]
-        head = tuple(-sum(col) for col in zip(*blocks))
-        tail = tuple(sum(s * t[m] for s, t in zip(sizes, tails)) for m in range(n + 1))
-        verts.append(head + tail)
-    return verts
+    exactly the vertex set (the tests compare it with the hull)."""
+    L = product_cube_map(n)
+    return [L @ c for c in product_chart_corners(n)]
 
 
 def head_vertex(n: int) -> tuple[Fraction, ...]:
     """u: the first n coordinates of the identity slice vertex; consecutive
     entries differ by exactly 1 + 1/(n+1)."""
     u = tuple(-Fraction((n - j) * (n + 2) + 1, n + 1) for j in range(1, n + 1))
-    step = 1 + Fraction(1, n + 1)
-    assert all(u[k + 1] - u[k] == step for k in range(n - 1))
+    if any(u[k + 1] - u[k] != 1 + Fraction(1, n + 1) for k in range(n - 1)):
+        raise AssertionError("consecutive head entries must differ by 1 + 1/(n+1)")
     return u
 
 
@@ -238,8 +236,6 @@ class DegenerationBundle:
     lin_product: Linearization
     projection: Matrix                    # pi: dual-side quotient projection
     basis_change: Matrix                  # Q': kernel-basis change, integral
-    head: tuple                           # u
-    slice_vertices: tuple                 # (w_1, ..., w_n)
 
 
 def projection_matrix(n: int) -> Matrix:
@@ -312,8 +308,7 @@ def build_bundle(n: int) -> DegenerationBundle:
         n=n, base_cone=base, family_rec_dual=fam_rec, family_polyhedron=fam_poly,
         product_rec_dual=prod_rec, product_cone=prod_cone,
         cube_map=L, product_polyhedron=prod_poly, lin_family=lin_fam,
-        lin_product=lin_prod, projection=pi, basis_change=basis_change_matrix(n),
-        head=head_vertex(n), slice_vertices=tuple(slice_vertex(n, i) for i in range(1, n + 1)))
+        lin_product=lin_prod, projection=pi, basis_change=basis_change_matrix(n))
 
 
 @dataclass(frozen=True)
@@ -483,21 +478,15 @@ def _pb(n: int) -> LatticePolyhedron:
     """The slice polytope P_b = conv(chart vertices) ∩ {α x = -b} of the
     product, read by ``pb_vertices`` and ``unstable_locus``.
 
-    It is sliced from the n^2-cube block by block (``cube_image_slice``),
-    with the chart corners as the inner certificate's lookup set, so the
-    (n+1)^n chart vertices are never double-described and the bundle is not
-    built.  The certificate holds at every supported n; if it ever failed,
-    InnerCertificateError would make the checks that read P_b report an
-    error."""
+    ``cube_image_slice`` cuts it from the n^2-cube with the 2^n - 2
+    candidate facet normals (e_I; 0), I a proper nonempty subset of [n] (P_b
+    is a generalized permutohedron; Postnikov, IMRN 2009), and ``chart_box``
+    as the corner test, so neither the bundle nor the (n+1)^n chart corners
+    are listed.  If a certificate failed, the checks would report an error."""
     lin = product_linearization(n)
-    return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b],
-                            product_chart_corners(n))
-
-
-@cache
-def _slice_vertices(n: int) -> dict[tuple, tuple]:
-    """``slice_vertex_points`` of the bundle, for pb_vertices and quotient_theorem."""
-    return slice_vertex_points(_bundle(n))
+    normals = [e + (0,) * (n + 1) for e in product((0, 1), repeat=n) if 0 < sum(e) < n]
+    return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b], normals,
+                            lambda lo, hi: chart_box(n, lo, hi))
 
 
 @dataclass
@@ -512,16 +501,18 @@ class VerifyReport:
         return self.status == "pass"
 
 
-def slice_vertex_points(bundle: DegenerationBundle) -> dict[tuple, tuple]:
+@cache
+def slice_vertex_points(n: int) -> dict[tuple, tuple]:
     """The expected slice-polytope vertices m_s = L(s w_1; ...; s w_n),
-    taken in int as L((n+1) s w_1; ...) and divided by n + 1 once."""
-    n = bundle.n
-    ws = [[int(x * (n + 1)) for x in w] for w in bundle.slice_vertices]
+    taken in int as L((n+1) s w_1; ...) and divided by n + 1 once; one dict
+    per n, shared by pb_vertices and quotient_theorem."""
+    L = product_cube_map(n)
+    ws = [[int(x * (n + 1)) for x in slice_vertex(n, i)] for i in range(1, n + 1)]
     out = {}
     for s in permutations(range(n)):
         inv = [s.index(j) for j in range(n)]
         coords = [w[k] for w in ws for k in inv]
-        out[s] = tuple(Fraction(x, n + 1) for x in bundle.cube_map @ coords)
+        out[s] = tuple(Fraction(x, n + 1) for x in L @ coords)
     return out
 
 
@@ -536,13 +527,13 @@ def _check_conical_part(n: int) -> tuple[bool, Any]:
 
 
 def _check_pb_vertices(n: int) -> tuple[bool, Any]:
-    b = _bundle(n)
-    ms = _slice_vertices(n)
+    u = head_vertex(n)
+    ms = slice_vertex_points(n)
     got = set(_pb(n).vertex_candidates)
     if got != set(ms.values()):
         return False, {"unexpected": [list(map(str, v)) for v in sorted(got - set(ms.values()))]}
     heads = {v[:n] for v in got}
-    su = {tuple(b.head[s.index(j)] for j in range(n)) for s in permutations(range(n))}
+    su = {tuple(u[s.index(j)] for j in range(n)) for s in permutations(range(n))}
     if heads != su:
         return False, {"heads": [list(map(str, h)) for h in sorted(heads)]}
     tail = constant_tail(n)
@@ -553,16 +544,16 @@ def _check_pb_vertices(n: int) -> tuple[bool, Any]:
 
 
 def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
-    b = _bundle(n)
+    b, u = _bundle(n), head_vertex(n)
     sym = _symmetric(n)
-    ms = _slice_vertices(n)
+    ms = slice_vertex_points(n)
     tail = constant_tail(n)
     got = set()
     for v in ms.values():
         if v[n:] != tail:
             return False, {"bad_tail": list(map(str, v))}
         # (n+1)/(n+2) Q'(v - u, 0), with v - u scaled to int by den
-        d, den = clear_denominators([x - u for x, u in zip(v[:n], b.head)] + [0])
+        d, den = clear_denominators([x - y for x, y in zip(v[:n], u)] + [0])
         got.add(tuple(Fraction(x * (n + 1), den * (n + 2)) for x in b.basis_change @ d))
     expected = set(sym.resolution_polyhedron.vertex_candidates)
     if got == expected:

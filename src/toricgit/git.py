@@ -76,7 +76,8 @@ def _to_kernel_coords(lin: Linearization, ambient_poly: LatticePolyhedron) -> La
     k = len(kern)
     kmat = Matrix(kern).transpose()  # columns = kernel basis
     x0 = lin.base_point()
-    assert x0 is not None
+    if x0 is None:
+        raise AssertionError("a nonempty slice must have a base point")
     verts = [solve_unique(kmat, vsub(v, x0)) for v in ambient_poly.vertex_candidates]
     rays = [scaled_primitive(solve_unique(kmat, r)) for r in ambient_poly.recession.rays]
     return LatticePolyhedron(k, verts, Cone(k, rays)).canonicalize()

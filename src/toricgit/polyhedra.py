@@ -15,14 +15,14 @@ monomials); the empty polyhedron is a first-class value.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product
-from math import lcm
-from typing import Iterable, Optional, Sequence
+from itertools import product
+from math import ceil, floor, lcm
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone, column_dots, sparse_incidence
 from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, is_zero_vec, primitive,
-                     rank, scaled_primitive, solve_affine, vadd, vec)
+                     rank, scaled_primitive, solve_affine, vadd, vec, vsub)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
 Equation = tuple[tuple[int, ...], Fraction]  # <n, x> == o
@@ -339,28 +339,26 @@ def cube_blocks(m: Matrix) -> list[tuple[list[int], list[int]]]:
     return sorted(blocks.values())
 
 
-def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
-                     corners: Iterable[Sequence[int]]) -> LatticePolyhedron:
-    """conv(L(corners)) ∩ {x : f·x = target}, canonical, for 0/1 points
-    ``corners`` of the cube [0,1]^cols(L); InnerCertificateError when the
-    certificate below fails.
+def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[Sequence[int]],
+                     corner_box: Callable[[IntVec, IntVec], bool]) -> LatticePolyhedron:
+    """conv(L(corners)) ∩ {x : f·x = target}, canonical, for the 0/1 points
+    of the cube [0,1]^cols(L) that ``corner_box(lo, hi)`` tells apart: is
+    every 0/1 point between lo and hi a corner?  The inward ``normals`` must
+    include the facet normals; FacetCertificateError or InnerCertificateError
+    when the certificate fails.
 
-    The slice of L(cube) is L of the cube's slice by (f·L)·c = target.
-    That slice is the product of the slices of the cube blocks
-    (``cube_blocks`` of f·L), each cut with ``affine_slice``, so its image is
-    the Minkowski sum of the block images.  Summed block by block, in int
-    over one common denominator and hulled after each block, each vertex of
-    the sum keeps its unique decomposition into block vertices, which gives
-    it a preimage c in the cube; the last hull is the result's
-    homogenization.
-
-    L(cube) only bounds conv(L(corners)) from outside, so each vertex L(c)
-    is certified from inside: L maps every corner of the smallest cube face
-    containing c (the coordinates of c strictly between 0 and 1 set to 0 or
-    1) into L(corners).  Then L(c) lies in their hull, every vertex of the
-    outer bound lies in conv(L(corners)), and the two slices are equal.
-
-    The 2^k corners of each block are listed, so blocks must be small."""
+    The slice of L(cube) is the Minkowski sum of the images of the cube
+    blocks' slices (``cube_blocks`` of f·L, each cut by ``affine_slice``),
+    in int over one common denominator h, and support functions add over a
+    Minkowski sum (Schneider, *Convex Bodies*, §1.7).  With the minima as
+    offsets the normals cut out Q ⊇ slice; one double description on the
+    affine hull gives its vertices.  Q must be bounded, and at each vertex
+    w: (a) the normals through w have rank dim Q, so their sum c is interior
+    to the normal cone of Q at w; (b) the argmin of c is w, so w is in the
+    slice and Q = slice; (c) ``corner_box`` holds on the cube face through
+    w's preimage (its coordinates in (0, 1) set to 0 or 1), so w is in
+    conv(L(corners)), which L(cube) bounds from outside.  Blocks must be
+    small: their 2^k corners are listed."""
     d = L.rows
     if f.cols != d:
         raise ValueError("rank mismatch")
@@ -382,48 +380,58 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
             if sl.is_empty():
                 return empty
         slices.append((cols, sl.vertex_candidates))
-    # L and the slice points scaled to int by common denominators dl and dy,
-    # so the sums below hold h·x for h = dl·dy
+    # L and the slice points in int over dl and dy: the images hold h·x, h = dl·dy
     flat, dl = clear_denominators([x for r in L.entries for x in r])
     rows_l = [flat[i * L.cols:(i + 1) * L.cols] for i in range(d)]
     dy = lcm(*(x.denominator for _, ys in slices for y in ys for x in y))
     h = dl * dy
-    acc, cone = {(0,) * d: ()}, None
+    # per block: its image points, their columns and their preimages; the
+    # oracle gives min of <c, h·x> over the slice, an argmin and its preimage
+    blocks = []
     for cols, ys in slices:
         image = {}
         for y in ys:
             yi = [(x.numerator * (dy // x.denominator), j) for x, j in zip(y, cols)]
             image.setdefault(tuple(sum(c * r[j] for c, j in yi) for r in rows_l),
                              tuple(zip(cols, y)))
-        image = _int_hull(image, h)[1]
-        sums = {vadd(a, v): da + dv for a, da in acc.items() for v, dv in image.items()}
-        cone = None
-        if len(acc) > 1 and len(image) > 1:
-            cone, sums = _int_hull(sums, h)
-        acc = sums
-    if cone is None:  # the last sum is a translate of one hull
-        cone, acc = _int_hull(acc, h)
-    images = {tuple(sum(compress(r, c)) for r in rows_l) for c in corners}
-    for v, c in acc.items():
-        face = {tuple(sum(r[j] for j, y in c if y == 1) for r in rows_l)}
-        for j, y in c:
-            if 0 < y < 1:
-                face |= {tuple(a + r[j] for a, r in zip(p, rows_l)) for p in face}
-        if not face <= images:
-            raise InnerCertificateError(
-                f"a corner of the cube face through the preimage of {v} / {h} maps "
-                "outside L(corners)")
-    return LatticePolyhedron(d, [tuple(Fraction(x, h) for x in v) for v in acc],
-                             _cone=cone).canonicalize()
+        blocks.append((list(image), list(zip(*image)), list(image.values())))
 
+    def oracle(c):
+        low, arg, pre = 0, (0,) * d, {}
+        for pts, cols, ys in blocks:
+            vals = column_dots(c, cols, len(pts))
+            i = vals.index(min(vals))
+            low, arg = low + vals[i], vadd(arg, pts[i])
+            pre.update(ys[i])
+        return low, arg, pre
 
-def _int_hull(points: dict[IntVec, tuple], h: int) -> tuple[Cone, dict[IntVec, tuple]]:
-    """The homogenization of conv(points) / h, generated by the integer
-    (p, h), and the points that are its vertices, with their values."""
-    d = len(next(iter(points)))
-    cone = Cone(d + 1, [p + (h,) for p in points])
-    return cone, {v: points[v] for v in
-                  (tuple(x * (h // r[d]) for x in r[:d]) for r in cone.rays)}
+    base = oracle(())[1]  # the sum of the first image points
+    basis: list[IntVec] = []
+    for v in (vsub(p, pts[0]) for pts, _, _ in blocks for p in pts[1:]):
+        if rank(basis + [v]) > len(basis):
+            basis.append(v)
+    k = len(basis)
+    nus = list(dict.fromkeys(primitive(nu) for nu in normals))
+    rows = [primitive([dot(nu, b) for b in basis] + [dot(nu, base) - oracle(nu)[0]])
+            for nu in nus]
+    lin, rays, incidence = dd.cone_from_inequalities(rows + [(0,) * k + (1,)], k + 1)
+    if lin or any(r[k] == 0 for r in rays):
+        raise FacetCertificateError("the candidate facets do not bound the slice")
+    verts = []
+    for r, mask in zip(rays, incidence):
+        tight = dd.set_bits(mask)
+        if rank([rows[i] for i in tight]) != k:
+            raise FacetCertificateError(f"the candidates through {r} do not have rank {k}")
+        _, arg, pre = oracle(tuple(map(sum, zip(*(nus[i] for i in tight)))))
+        w = [r[k] * x + sum(y * b[i] for y, b in zip(r, basis)) for i, x in enumerate(base)]
+        if [r[k] * x for x in arg] != w:
+            raise FacetCertificateError(f"the candidate vertex {r} is not in the slice")
+        lo, hi = (tuple(rnd(pre[j]) for j in range(L.cols)) for rnd in (floor, ceil))
+        if not corner_box(lo, hi):
+            raise InnerCertificateError(f"the cube face through the preimage of {arg} / {h} "
+                                        "has a point that is not a corner")
+        verts.append(tuple(Fraction(x, h) for x in arg))
+    return LatticePolyhedron(d, sorted(verts), _canonical=True)
 
 
 class Fan:

@@ -5,8 +5,10 @@ Smith-normal-form) routes that an optimised path in ``toricgit`` replaced;
 the tests check that the fast path agrees with them on seeded inputs.  The
 rest is code that only the tests run: an exact feasibility LP for
 membership, cone and fan predicates, linear images and Minkowski sums, the
-support constants by a scan of every candidate point, the normal fan
-by one double description per vertex, the extremeness test by the rank of
+support constants by a scan of every candidate point, two routes to the
+slice of a cube image (the slice of the hulled image, and the sum of the
+block slices' images hulled after each block, with a corner lookup), the
+normal fan by one double description per vertex, the extremeness test by the rank of
 the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
 points, a bounded very-ampleness certificate, chart invariant monomials, two
@@ -20,8 +22,8 @@ symmetric model.
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import gcd
+from itertools import compress, product
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from toricgit import dd
@@ -31,10 +33,11 @@ from toricgit.degeneration import (ambient_reflections, chamber_cone,
                                    product_cone_dual_columns)
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
-from toricgit.linalg import (Matrix, clear_denominators, dot, elementary_divisors, frac,
-                             hermite_normal_form, is_zero_vec, rank,
-                             scaled_primitive, smith_normal_form, vec, vsub)
-from toricgit.polyhedra import Fan, LatticePolyhedron
+from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot, elementary_divisors,
+                             frac, hermite_normal_form, is_zero_vec, rank,
+                             scaled_primitive, smith_normal_form, vadd, vec, vsub)
+from toricgit.polyhedra import (Fan, InnerCertificateError, LatticePolyhedron, affine_slice,
+                                cube_blocks)
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, QuotientPoint,
                                   UnitValue)
 
@@ -367,6 +370,101 @@ def minkowski_sum(p: LatticePolyhedron, q: LatticePolyhedron) -> LatticePolyhedr
            for a in p.vertex_candidates for b in q.vertex_candidates]
     rec = Cone(p.ambient_rank, list(p.recession.generators) + list(q.recession.generators))
     return LatticePolyhedron(p.ambient_rank, pts, rec).canonicalize()
+
+
+def cube_slice_oracle(L: Matrix, f: Matrix, target) -> LatticePolyhedron:
+    """The slice of the image of the whole cube, along the general route."""
+    cube = LatticePolyhedron(L.cols, product((0, 1), repeat=L.cols)).canonicalize()
+    return affine_slice(linear_image(L, cube), f, target)
+
+
+def cube_image_slice_by_sums(L: Matrix, f: Matrix, target: Sequence,
+                             corners: Iterable[Sequence[int]]) -> LatticePolyhedron:
+    """conv(L(corners)) ∩ {x : f·x = target}, canonical, for 0/1 points
+    ``corners`` of the cube [0,1]^cols(L); InnerCertificateError when the
+    certificate below fails.
+
+    The slice of L(cube) is L of the cube's slice by (f·L)·c = target.
+    That slice is the product of the slices of the cube blocks
+    (``cube_blocks`` of f·L), each cut with ``affine_slice``, so its image is
+    the Minkowski sum of the block images.  Summed block by block, in int
+    over one common denominator and hulled after each block, each vertex of
+    the sum keeps its unique decomposition into block vertices, which gives
+    it a preimage c in the cube; the last hull is the result's
+    homogenization.
+
+    L(cube) only bounds conv(L(corners)) from outside, so each vertex L(c)
+    is certified from inside: L maps every corner of the smallest cube face
+    containing c (the coordinates of c strictly between 0 and 1 set to 0 or
+    1) into L(corners).  Then L(c) lies in their hull, every vertex of the
+    outer bound lies in conv(L(corners)), and the two slices are equal.
+
+    The 2^k corners of each block are listed, so blocks must be small.  This
+    is the route ``polyhedra.cube_image_slice`` replaced: every partial sum is
+    double-described, and the inner certificate looks up a set of corners."""
+    d = L.rows
+    if f.cols != d:
+        raise ValueError("rank mismatch")
+    t = vec(target)
+    empty = LatticePolyhedron(d).canonicalize()
+    m = f @ L
+    if any(is_zero_vec(r) and x != 0 for r, x in zip(m.entries, t)):
+        return empty
+    slices = []
+    for cols, rows in cube_blocks(m):
+        k = len(cols)
+        facets = [(tuple(s if i == j else 0 for i in range(k)), Fraction(min(s, 0)))
+                  for j in range(k) for s in (1, -1)]
+        sl = LatticePolyhedron(k, product((0, 1), repeat=k),
+                               _facets=tuple(sorted(facets)), _equations=())
+        if rows:
+            sl = affine_slice(sl, Matrix([[m.entries[i][j] for j in cols] for i in rows]),
+                              [t[i] for i in rows])
+            if sl.is_empty():
+                return empty
+        slices.append((cols, sl.vertex_candidates))
+    # L and the slice points scaled to int by common denominators dl and dy,
+    # so the sums below hold h·x for h = dl·dy
+    flat, dl = clear_denominators([x for r in L.entries for x in r])
+    rows_l = [flat[i * L.cols:(i + 1) * L.cols] for i in range(d)]
+    dy = lcm(*(x.denominator for _, ys in slices for y in ys for x in y))
+    h = dl * dy
+    acc, cone = {(0,) * d: ()}, None
+    for cols, ys in slices:
+        image = {}
+        for y in ys:
+            yi = [(x.numerator * (dy // x.denominator), j) for x, j in zip(y, cols)]
+            image.setdefault(tuple(sum(c * r[j] for c, j in yi) for r in rows_l),
+                             tuple(zip(cols, y)))
+        image = _int_hull(image, h)[1]
+        sums = {vadd(a, v): da + dv for a, da in acc.items() for v, dv in image.items()}
+        cone = None
+        if len(acc) > 1 and len(image) > 1:
+            cone, sums = _int_hull(sums, h)
+        acc = sums
+    if cone is None:  # the last sum is a translate of one hull
+        cone, acc = _int_hull(acc, h)
+    images = {tuple(sum(compress(r, c)) for r in rows_l) for c in corners}
+    for v, c in acc.items():
+        face = {tuple(sum(r[j] for j, y in c if y == 1) for r in rows_l)}
+        for j, y in c:
+            if 0 < y < 1:
+                face |= {tuple(a + r[j] for a, r in zip(p, rows_l)) for p in face}
+        if not face <= images:
+            raise InnerCertificateError(
+                f"a corner of the cube face through the preimage of {v} / {h} maps "
+                "outside L(corners)")
+    return LatticePolyhedron(d, [tuple(Fraction(x, h) for x in v) for v in acc],
+                             _cone=cone).canonicalize()
+
+
+def _int_hull(points: dict[IntVec, tuple], h: int) -> tuple[Cone, dict[IntVec, tuple]]:
+    """The homogenization of conv(points) / h, generated by the integer
+    (p, h), and the points that are its vertices, with their values."""
+    d = len(next(iter(points)))
+    cone = Cone(d + 1, [p + (h,) for p in points])
+    return cone, {v: points[v] for v in
+                  (tuple(x * (h // r[d]) for x in r[:d]) for r in cone.rays)}
 
 
 def orbit_fan_by_cone_dd(n: int) -> list[Cone]:

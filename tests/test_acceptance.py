@@ -12,7 +12,7 @@ import pytest
 from oracles import det_unimodular, from_cycles, intersection, minkowski_sum
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (_pb, build_bundle, build_symmetric, checks_for,
-                                   constant_tail, decode_ray_label,
+                                   constant_tail, decode_ray_label, head_vertex,
                                    product_cone_ambient, slice_vertex_points,
                                    verify)
 from toricgit.git import quotient_polyhedron, quotient_slice, split_quotient, \
@@ -48,10 +48,10 @@ def test_criterion_02_slice_vertices():
         sl = quotient_slice(b.product_polyhedron.polytopal_part().canonicalize(),
                             b.lin_product)
         got = set(sl.vertex_candidates)
-        expected = set(slice_vertex_points(b).values())
+        expected = set(slice_vertex_points(n).values())
         assert got == expected, n
         heads = {v[:n] for v in got}
-        su = {tuple(b.head[list(s).index(j)] for j in range(n))
+        su = {tuple(head_vertex(n)[list(s).index(j)] for j in range(n))
               for s in permutations(range(n))}
         assert heads == su, n
         tail = constant_tail(n)

@@ -208,3 +208,21 @@ def test_incidence_extremeness_matches_rank_oracle():
             assert c.key() == Cone(c.ambient_rank, c.generators).key()
     assert kinds == {"full-dimensional", "lower-dimensional", "single ray", "seeded H-rep",
                      "non-pointed"}
+
+
+def test_rays_of_a_pointed_cone_take_no_second_primitive_pass(monkeypatch):
+    # Cone.__init__ makes every generator primitive; only a reduction modulo
+    # the lineality space can make one non-primitive again
+    from toricgit import cones
+    real, calls = cones.primitive, []
+
+    def spy(v):
+        calls.append(tuple(v))
+        return real(v)
+
+    monkeypatch.setattr(cones, "primitive", spy)
+    pointed = Cone(5, product_ray_vectors(2) + [(2, 2, 1, 1, 0)])
+    assert pointed.rays == tuple(sorted(product_ray_vectors(2)))
+    assert calls == []
+    with_line = Cone(2, [(1, 0), (-1, 0), (1, 1)])
+    assert with_line.rays == ((0, 1),) and calls

@@ -5,13 +5,13 @@ from itertools import permutations, product
 
 import pytest
 
-from oracles import (edge_matrix, invert, minkowski_sum, orbit_fan_by_cone_dd,
-                     symmetric_polyhedra_by_dd, weight_reflections)
+from oracles import (cube_image_slice_by_sums, edge_matrix, invert, minkowski_sum,
+                     orbit_fan_by_cone_dd, symmetric_polyhedra_by_dd, weight_reflections)
 from toricgit import degeneration
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle, _pb,
-                                   _slice_vertices, _symmetric, ambient_reflections, build_bundle,
-                                   build_symmetric, chamber_cone, checks_for,
+                                   _symmetric, ambient_reflections, build_bundle,
+                                   build_symmetric, chamber_cone, chart_box, checks_for,
                                    constant_tail, decode_ray_label, head_vertex,
                                    orbit_cones, permutation_matrices, permutohedron_points,
                                    product_chart_corners, product_chart_vertices,
@@ -352,8 +352,7 @@ def test_cached_accessors_build_once_per_n():
     for n in (1, 2):
         assert _bundle(n) is _bundle(n)
         assert _bundle(n).product_polyhedron == build_bundle(n).product_polyhedron
-        assert _slice_vertices(n) is _slice_vertices(n)
-        assert _slice_vertices(n) == slice_vertex_points(build_bundle(n))
+        assert slice_vertex_points(n) is slice_vertex_points(n)
     for n in (2, 3):
         assert _symmetric(n) is _symmetric(n)
         assert _symmetric(n).fan == build_symmetric(n).fan
@@ -407,9 +406,70 @@ def test_pb_from_cube_matches_product_slice():
         assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want)), n
 
 
-def cube_pb(n, corners):
+def box_corners(lo, hi):
+    return product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+
+
+def test_chart_box_is_a_chart_corner_lookup():
+    # every box [lo, hi] of the n^2-cube at n = 2, 3
+    for n in (2, 3):
+        corners = set(product_chart_corners(n))
+        for lo in product((0, 1), repeat=n * n):
+            for hi in box_corners(lo, (1,) * (n * n)):
+                assert chart_box(n, lo, hi) == all(c in corners for c in box_corners(lo, hi))
+
+
+def pb_normals(n):
+    """``_pb``'s candidate facet normals: (e_I; 0) for 0 < |I| < n."""
+    return [e + (0,) * (n + 1) for e in product((0, 1), repeat=n) if 0 < sum(e) < n]
+
+
+def cube_pb(n, normals=None, corner_box=None):
+    """P_b along ``_pb``'s route, with other candidates or another corner test."""
     lin = product_linearization(n)
-    return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b], corners)
+    return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b],
+                            pb_normals(n) if normals is None else normals,
+                            corner_box or (lambda lo, hi: chart_box(n, lo, hi)))
+
+
+def test_pb_matches_the_route_by_sums():
+    # the route it replaced: every partial sum hulled, the corners looked up
+    for n in (1, 2, 3, 4):
+        lin = product_linearization(n)
+        want = cube_image_slice_by_sums(product_cube_map(n), lin.alpha,
+                                        [-x for x in lin.b], product_chart_corners(n))
+        assert _pb(n) == want and _pb(n).vertex_candidates == want.vertex_candidates, n
+
+
+def test_pb_n6_is_the_closed_form():
+    try:
+        got = _pb(6)
+    finally:
+        _pb.cache_clear()
+    assert got.vertex_candidates == tuple(sorted(slice_vertex_points(6).values()))
+    assert len(got.vertex_candidates) == 720
+
+
+def test_pb_certificate_rejects_each_dropped_normal():
+    normals = pb_normals(4)
+    assert len(normals) == 14
+    assert cube_pb(4) == _pb(4)
+    for i in range(len(normals)):
+        with pytest.raises(FacetCertificateError):
+            cube_pb(4, normals[:i] + normals[i + 1:])
+
+
+def test_pb_never_lists_the_chart_corners(monkeypatch):
+    def no_corners(n):
+        raise AssertionError("P_b must not list the chart corners")
+
+    monkeypatch.setattr(degeneration, "product_chart_corners", no_corners)
+    _pb.cache_clear()
+    try:
+        for n in (1, 2, 3, 4):
+            assert set(_pb(n).vertex_candidates) == set(slice_vertex_points(n).values())
+    finally:
+        _pb.cache_clear()
 
 
 def test_certificate_needs_every_face_corner():
@@ -419,17 +479,18 @@ def test_certificate_needs_every_face_corner():
     # floor or ceil of 2i/3 ones, so removing any of those must raise
     n = 2
     corners = product_chart_corners(n)
-    full = cube_pb(n, corners)
+    full = cube_pb(n)
     needed = 0
     for c in corners:
-        rest = [x for x in corners if x != c]
+        rest = set(corners) - {c}
+        lookup = lambda lo, hi: all(x in rest for x in box_corners(lo, hi))
         sums = [sum(c[i * n:(i + 1) * n]) for i in range(n)]
         if all(abs(s - F((i + 1) * n, n + 1)) < 1 for i, s in enumerate(sums)):
             needed += 1
             with pytest.raises(InnerCertificateError):
-                cube_pb(n, rest)
+                cube_pb(n, corner_box=lookup)
         else:
-            assert cube_pb(n, rest) == full
+            assert cube_pb(n, corner_box=lookup) == full
     assert needed == 7
 
 
@@ -438,9 +499,9 @@ def test_pb_certificate_failure_is_an_error_report(monkeypatch):
     # (see test_certificate_needs_every_face_corner); P_b has no second
     # route, so the check reports the error instead of a result
     n = 2
-    _bundle(n)  # built from all chart vertices before the corners are cut
-    corners = [c for c in product_chart_corners(n) if c != (1, 0, 1, 0)]
-    monkeypatch.setattr(degeneration, "product_chart_corners", lambda n: corners)
+    real = degeneration.chart_box
+    cut = lambda n, lo, hi: real(n, lo, hi) and (1, 0, 1, 0) not in box_corners(lo, hi)
+    monkeypatch.setattr(degeneration, "chart_box", cut)
     _pb.cache_clear()
     try:
         rep = verify(n, "pb_vertices")
@@ -451,20 +512,17 @@ def test_pb_certificate_failure_is_an_error_report(monkeypatch):
 
 
 def test_pb_n5_from_cube_without_bundle(monkeypatch):
-    # the certificate holds at n = 5, so the 7776-vertex bundle is not built
-    from types import SimpleNamespace
-
+    # neither P_b nor the closed-form vertices need the 7776-vertex bundle
     def no_bundle(n):
-        raise AssertionError("P_b at n = 5 must not need the bundle")
+        raise AssertionError("pb_vertices must not need the bundle")
 
     monkeypatch.setattr(degeneration, "_bundle", no_bundle)
     _pb.cache_clear()
+    slice_vertex_points.cache_clear()
     try:
-        got = _pb(5)
+        rep = verify(5, "pb_vertices")
     finally:
         _pb.cache_clear()
-    fake = SimpleNamespace(n=5, cube_map=product_cube_map(5),
-                           slice_vertices=tuple(slice_vertex(5, i) for i in range(1, 6)))
-    expected = set(slice_vertex_points(fake).values())
-    assert len(expected) == 120
-    assert set(got.vertex_candidates) == expected
+        slice_vertex_points.cache_clear()
+    assert rep.status == "pass", rep.witness
+    assert rep.witness == {"vertices": 120}

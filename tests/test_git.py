@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import chart_invariants, minkowski_sum, support_constants_by_scan
 from toricgit.cones import Cone
-from toricgit.degeneration import (_bundle, _pb, build_bundle, decode_ray_label,
+from toricgit.degeneration import (_bundle, _pb, build_bundle, decode_ray_label, head_vertex,
                                    product_rec_dual_columns, projection_matrix)
 from toricgit.git import (Linearization, kernel_cone, quotient_polyhedron, quotient_slice,
                           split_quotient, support_constants, unstable_rays)
@@ -43,7 +43,7 @@ def test_quotient_product_n2():
     # ambient-side head projections are u and its swap
     sl = quotient_slice(b.product_polyhedron, b.lin_product)
     heads = {v[:2] for v in sl.vertex_candidates}
-    u = b.head
+    u = head_vertex(2)
     assert heads == {u, (u[1], u[0])}
 
 

@@ -79,3 +79,14 @@ def test_every_import_is_used():
                 unused += [f"{path.stem}: {a.asname or a.name}" for a in node.names
                            if (a.asname or a.name).split(".")[0] not in names]
     assert unused == [], f"delete these unused imports: {unused}"
+
+
+def test_checked_modules_hold_no_assert_statement():
+    # these modules check theorem-shaped facts; python -O strips an assert
+    # statement, so each check is an explicit raise
+    found = []
+    for name in ("degeneration", "polyhedra", "git"):
+        path = SRC / f"{name}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{name}.py:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == [], f"make these explicit raises: {found}"

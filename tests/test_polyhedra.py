@@ -6,15 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (check_semigroup_generation, cone_over, embedding_monomials,
-                     feasible_nonneg_combination, in_cone_hull, intersection, linear_image,
-                     minkowski_sum, normal_fan_by_vertex_dd,
-                     validate_pairwise_faces, validate_support_cover)
+from oracles import (check_semigroup_generation, cone_over, cube_image_slice_by_sums,
+                     cube_slice_oracle, embedding_monomials, feasible_nonneg_combination,
+                     in_cone_hull, intersection, linear_image, minkowski_sum,
+                     normal_fan_by_vertex_dd, validate_pairwise_faces, validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot, rank, vadd
-from toricgit.polyhedra import (Fan, LatticePolyhedron, affine_slice, cube_blocks,
-                                cube_image_slice, normal_fan)
+from toricgit.polyhedra import (Fan, FacetCertificateError, LatticePolyhedron, affine_slice,
+                                cube_blocks, cube_image_slice, normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
 
@@ -87,14 +87,21 @@ def test_linear_image_identity():
 # -- slices of cube images, block by block --------------------------------
 
 
-def cube_slice_oracle(L, f, target):
-    """The slice of the image of the whole cube, along the general route."""
-    return affine_slice(linear_image(L, cube(L.cols)), f, target)
-
-
 def assert_same_polytope(got, want):
     assert got.vertex_candidates == want.vertex_candidates
     assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want))
+
+
+def every_corner(lo, hi):
+    return True
+
+
+def certified_cube_slice(L, f, target):
+    """``cube_image_slice`` of the whole cube, its candidate normals the
+    facet normals of ``cube_slice_oracle``; returns both."""
+    want = cube_slice_oracle(L, f, target)
+    normals = [] if want.is_empty() else [n for n, _ in want.facet_rep]
+    return cube_image_slice(L, f, target, normals, every_corner), want
 
 
 def test_cube_blocks():
@@ -121,9 +128,10 @@ def test_cube_image_slice_non_separable_matches_oracle():
         seen += 1
         c0 = [F(rng.randint(0, 4), 4) for _ in range(N)]
         target = f @ (L @ c0)
+        got, want = certified_cube_slice(L, f, target)
+        assert_same_polytope(got, want)
         corners = list(product((0, 1), repeat=N))
-        assert_same_polytope(cube_image_slice(L, f, target, corners),
-                             cube_slice_oracle(L, f, target))
+        assert_same_polytope(cube_image_slice_by_sums(L, f, target, corners), want)
 
 
 @st.composite
@@ -152,10 +160,25 @@ def separable_slices(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(case=separable_slices())
 def test_cube_image_slice_matches_oracle(case):
-    L, f, target = case
-    corners = list(product((0, 1), repeat=L.cols))
-    assert_same_polytope(cube_image_slice(L, f, target, corners),
-                         cube_slice_oracle(L, f, target))
+    assert_same_polytope(*certified_cube_slice(*case))
+
+
+def test_cube_image_slice_certificate_needs_every_facet():
+    # the slice of the 3-cube by x + y + z = 3/2 is a hexagon with the facet
+    # normals ±e_1, ±e_2, ±e_3 on its plane
+    L, f, target = Matrix.identity(3), Matrix([[1, 1, 1]]), [F(3, 2)]
+    normals = [tuple(s if i == j else 0 for i in range(3)) for j in range(3) for s in (1, -1)]
+    got = cube_image_slice(L, f, target, normals, every_corner)
+    assert len(got.vertex_candidates) == 6
+    assert_same_polytope(got, cube_slice_oracle(L, f, target))
+    # a dropped facet leaves a vertex of the candidates outside the slice,
+    # and fewer leave them unbounded; a redundant one changes nothing
+    for i in range(6):
+        with pytest.raises(FacetCertificateError, match="not in the slice"):
+            cube_image_slice(L, f, target, normals[:i] + normals[i + 1:], every_corner)
+    with pytest.raises(FacetCertificateError, match="do not bound"):
+        cube_image_slice(L, f, target, normals[:2], every_corner)
+    assert cube_image_slice(L, f, target, normals + [(1, 1, 0)], every_corner) == got
 
 
 def test_affine_slice_examples():
