@@ -18,7 +18,7 @@ import time
 from . import __version__
 from . import jsonio
 from .degeneration import (VERIFY_CHECKS, VERIFY_MAX_N, build_bundle,
-                           build_symmetric, checks_for, verify)
+                           build_symmetric, checks_for, product_polyhedron, verify)
 from .git import EmptyQuotientError, Linearization, quotient_polyhedron, split_quotient
 from .groups import cycle_notation
 from .jsonio import dumps
@@ -46,10 +46,10 @@ def cmd_build(args) -> int:
     if not lo <= n <= hi:
         print(f"error: --n must be in [{lo}, {hi}] for {obj}", file=sys.stderr)
         return 2
-    if obj in ("expanded", "product"):
-        bundle = build_bundle(n)
-        poly = bundle.family_polyhedron if obj == "expanded" else bundle.product_polyhedron
-        payload = jsonio.polyhedron_to_json(poly)
+    if obj == "expanded":
+        payload = jsonio.polyhedron_to_json(build_bundle(n).family_polyhedron)
+    elif obj == "product":
+        payload = jsonio.polyhedron_to_json(product_polyhedron(n))
     elif obj == "permutahedron":
         payload = jsonio.polyhedron_to_json(build_symmetric(n).permutohedron)
     else:

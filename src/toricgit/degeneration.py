@@ -30,12 +30,12 @@ from typing import Any, Iterator, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
-from .linalg import Matrix, clear_denominators, solve_unique
-from .polyhedra import (Fan, LatticePolyhedron, certified_polyhedron, cube_image_slice,
-                        normal_fan)
+from .linalg import Matrix, clear_denominators, solve_unique_columns
+from .polyhedra import (Facet, Fan, LatticePolyhedron, certified_polyhedron,
+                        cube_image_slice, normal_fan)
 
 # the largest n that ``verify`` runs at
-VERIFY_MAX_N = 5
+VERIFY_MAX_N = 6
 
 VERIFY_CHECKS = ("conical_part", "pb_vertices", "quotient_theorem", "normal_fan",
                  "unstable_locus", "base_recovery", "fan_smooth_small")
@@ -231,7 +231,7 @@ class DegenerationBundle:
     product_rec_dual: Cone                # recession cone of the product polyhedron
     product_cone: Cone                    # its dual, generated by the (e_I; e_j)
     cube_map: Matrix                      # L, cube -> product polytope
-    product_polyhedron: LatticePolyhedron  # chart vertices + seeded facets, as built
+    product_facets: tuple[Facet, ...]     # facet rows (v, o_v) of the product polyhedron
     lin_family: Linearization
     lin_product: Linearization
     projection: Matrix                    # pi: dual-side quotient projection
@@ -256,26 +256,20 @@ def projection_matrix(n: int) -> Matrix:
 
 def basis_change_matrix(n: int) -> Matrix:
     """Q': the unique solution of pi^T Q' = [e_1 | ... | e_n | (0; 1...1)],
-    computed exactly rather than hard-coded."""
-    pit = projection_matrix(n).transpose()
-    cols = []
-    for a in range(n):
-        target = [0] * (2 * n + 1)
-        target[a] = 1
-        cols.append(solve_unique(pit, target))
-    cols.append(solve_unique(pit, [0] * n + [1] * (n + 1)))
-    q = Matrix.from_columns(cols)
+    computed exactly rather than hard-coded, from one elimination of pi^T."""
+    targets = [_unit(2 * n + 1, a) for a in range(n)] + [(0,) * n + (1,) * (n + 1)]
+    q = Matrix.from_columns(solve_unique_columns(projection_matrix(n).transpose(), targets))
     if not q.is_integral():
         raise AssertionError("basis change must be integral")
     return q
 
 
 def build_bundle(n: int) -> DegenerationBundle:
-    """All displayed toric data of the expanded family and its self-product."""
+    """All displayed toric data of the expanded family and its self-product.
+    The product polyhedron is kept as its facet rows; ``product_polyhedron``
+    adds its (n+1)^n chart vertices."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 5:
-        raise ValueError("n must be <= 5 (vertex counts grow as (n+1)^n)")
     # family side, rank n+2
     fam_rec = Cone(n + 2, family_rec_dual_columns(n))
     base = Cone(n + 2, base_cone_columns(n))
@@ -292,11 +286,9 @@ def build_bundle(n: int) -> DegenerationBundle:
         raise AssertionError("product cone rays do not match the (e_I; e_j) description")
     L = product_cube_map(n)
     # the facet with normal v has offset min of v over L(cube), which
-    # support_constants reads as d_v
+    # support_constants reads as d_v; no chart vertex is listed
     lt = L.transpose()
     facets = tuple((v, Fraction(sum(min(x, 0) for x in lt @ v))) for v in sorted(expected_rays))
-    prod_poly = LatticePolyhedron(2 * n + 1, product_chart_vertices(n), prod_rec,
-                                  _facets=facets, _equations=())
     lin_fam = Linearization(torus_shift_map(n, n + 2), fractional_shift_family(n))
     lin_prod = product_linearization(n)
     pi = projection_matrix(n)
@@ -307,8 +299,18 @@ def build_bundle(n: int) -> DegenerationBundle:
     return DegenerationBundle(
         n=n, base_cone=base, family_rec_dual=fam_rec, family_polyhedron=fam_poly,
         product_rec_dual=prod_rec, product_cone=prod_cone,
-        cube_map=L, product_polyhedron=prod_poly, lin_family=lin_fam,
+        cube_map=L, product_facets=facets, lin_family=lin_fam,
         lin_product=lin_prod, projection=pi, basis_change=basis_change_matrix(n))
+
+
+def product_polyhedron(n: int) -> LatticePolyhedron:
+    """The product polyhedron: its (n+1)^n chart vertices, the recession
+    cone and the bundle's facet rows as its seeded H-representation."""
+    if n > 5:
+        raise ValueError("n must be <= 5 (vertex counts grow as (n+1)^n)")
+    b = _bundle(n)
+    return LatticePolyhedron(2 * n + 1, product_chart_vertices(n), b.product_rec_dual,
+                             _facets=b.product_facets, _equations=())
 
 
 @dataclass(frozen=True)
@@ -572,7 +574,7 @@ def _check_normal_fan(n: int) -> tuple[bool, Any]:
 
 def _check_unstable_locus(n: int) -> tuple[bool, Any]:
     b = _bundle(n)
-    data = unstable_rays(b.product_polyhedron, _pb(n))
+    data = unstable_rays(b.product_facets, _pb(n))
     rows = []
     for rd in data:
         I, j = decode_ray_label(n, rd.ray)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone
 from .linalg import (Matrix, Vec, dot, kernel_basis, scaled_primitive, solve_affine,
                      solve_unique, vec, vsub)
-from .polyhedra import LatticePolyhedron, affine_slice, point_minima
+from .polyhedra import Facet, LatticePolyhedron, affine_slice, point_minima
 
 
 class EmptyQuotientError(ValueError):
@@ -135,32 +134,24 @@ def split_quotient(p: LatticePolyhedron, lin: Linearization
     return _to_kernel_coords(lin, poly_slice), kernel_cone(p, lin)
 
 
-def support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:
-    """d_v = min(0, min over p of <v, x>), per recession-dual extreme ray v,
-    read off the offset of the facet of p with normal v; ValueError unless
-    rec(p) is full-dimensional.
+def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], Fraction]:
+    """d_v = min(0, o_v) for each facet row (v, o_v), v primitive.
 
-    That is enough: the face of p minimising v has recession cone rec ∩ v^⊥,
-    a facet of rec, so it is a facet of p with normal v.  The rays v are the
-    facet normals of rec, and a seeded H-representation (``build_bundle``'s
-    product polyhedron) is read as given: no cone over its points is built."""
-    rec = p.recession
-    if rec.dim() != p.ambient_rank:
-        raise ValueError("support constants need a full-dimensional recession cone")
-    rays = sorted(rec.facets)
-    if p.is_empty():  # the minimum over no point is +inf
-        return dict.fromkeys(rays, Fraction(0))
-    offsets = {}
-    for n, o in p.facet_rep:
-        g = gcd(*n)
-        offsets[tuple(x // g for x in n)] = o / g
-    return {v: min(Fraction(0), offsets[v]) for v in rays}
+    For a polyhedron p with a full-dimensional recession cone, the face of p
+    minimising a recession-dual extreme ray v has recession cone rec ∩ v^⊥,
+    a facet of rec, so it is a facet of p with normal v and offset
+    o_v = min over p of <v, x>.  Given those rows, d_v = min(0, o_v) is read
+    off them: no point of p is visited (``build_bundle`` keeps the product
+    polyhedron's rows and lists none of its chart vertices)."""
+    return {v: min(Fraction(0), o) for v, o in facets}
 
 
-def unstable_rays(p: LatticePolyhedron, pb: LatticePolyhedron) -> list[RayDatum]:
-    """Margins min_{m in P_b} <v, m> - d_v for every recession-dual extreme ray
-    v of p, where ``pb`` is the polytope slice P_b of p (as from
-    ``quotient_slice(p.polytopal_part(), lin)``), in ambient coordinates.
+def unstable_rays(facets: Iterable[Facet], pb: LatticePolyhedron) -> list[RayDatum]:
+    """Margins min_{m in P_b} <v, m> - d_v for every facet row (v, o_v) of a
+    polyhedron p whose normals v are the recession-dual extreme rays of p
+    (``support_constants``), where ``pb`` is the polytope slice P_b of p (as
+    from ``quotient_slice(p.polytopal_part(), lin)``), in ambient
+    coordinates.
 
     The margin is computed over the candidate points of P_b only; this is
     valid because d_v <= 0 and <v, ·> >= 0 on the kernel cone, so the
@@ -170,9 +161,9 @@ def unstable_rays(p: LatticePolyhedron, pb: LatticePolyhedron) -> list[RayDatum]
     """
     if pb.is_empty():
         raise EmptyQuotientError("empty quotient")
-    if pb.ambient_rank != p.ambient_rank:
+    consts = sorted(support_constants(facets).items())
+    if any(len(v) != pb.ambient_rank for v, _ in consts):
         raise ValueError("P_b must live in the ambient space of the polyhedron")
-    consts = sorted(support_constants(p).items())
     lows = point_minima(pb.vertex_candidates, [v for v, _ in consts])
     return [RayDatum(ray=v, support_constant=dv, margin=low - dv, unstable=low > dv)
             for (v, dv), low in zip(consts, lows)]

@@ -398,6 +398,32 @@ class AffineSolution:
         self.kernel = kernel
 
 
+def row_reduce(a: list[list[Fraction]], cols: Iterable[int]) -> list[int]:
+    """Gauss-Jordan over Q, in place on the Fraction rows ``a``: pivot on the
+    columns ``cols`` in the order given, scale each pivot row to 1 and clear
+    its column in every other row.  Returns the pivot columns; row i of the
+    result holds the pivot of the i-th of them, and the rows below the last
+    pivot are 0 on every column of ``cols``."""
+    pivots: list[int] = []
+    nr = len(a)
+    for c in cols:
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots
+
+
 def solve_affine(m: Matrix, target: Sequence) -> Optional[AffineSolution]:
     """Solve m @ x = target over Q.
 
@@ -410,27 +436,10 @@ def solve_affine(m: Matrix, target: Sequence) -> Optional[AffineSolution]:
         raise ValueError("target length must equal row count")
     # eliminate in Fraction: int / int would give a float
     a = [list(vec(r)) + [t[i]] for i, r in enumerate(m.entries)]
-    nr, nc = m.rows, m.cols
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if a[i][nc] != 0:
-            return None
+    nc = m.cols
+    pivots = list(enumerate(row_reduce(a, range(nc))))  # (row, col)
+    if any(row[nc] != 0 for row in a[len(pivots):]):
+        return None
     pivot_cols = {c for _, c in pivots}
     point = [Fraction(0)] * nc
     for i, c in pivots:
@@ -445,6 +454,19 @@ def solve_affine(m: Matrix, target: Sequence) -> Optional[AffineSolution]:
             k[pc] = -a[i][c]
         kernel.append(tuple(k))
     return AffineSolution(tuple(point), kernel)
+
+
+def solve_unique_columns(m: Matrix, targets: Sequence[Sequence]) -> list[Vec]:
+    """The solutions x of m @ x = t for each t in ``targets``, from one
+    elimination of m with every target appended; raises unless m has full
+    column rank and every system is consistent."""
+    nc = m.cols
+    a = [list(vec(r)) + [frac(t[i]) for t in targets] for i, r in enumerate(m.entries)]
+    if len(row_reduce(a, range(nc))) != nc:
+        raise ValueError("solution not unique")
+    if any(x != 0 for row in a[nc:] for x in row[nc:]):
+        raise ValueError("inconsistent system")
+    return [tuple(a[i][nc + j] for i in range(nc)) for j in range(len(targets))]
 
 
 def solve_unique(m: Matrix, target: Sequence) -> Vec:

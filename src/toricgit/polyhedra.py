@@ -15,14 +15,16 @@ monomials); the empty polyhedron is a first-class value.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import ceil, floor, lcm
+from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone, column_dots, sparse_incidence
-from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, is_zero_vec, primitive,
-                     rank, scaled_primitive, solve_affine, vadd, vec, vsub)
+from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, frac, is_zero_vec,
+                     primitive, rank, row_reduce, scaled_primitive, solve_affine, vadd, vec,
+                     vsub)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
 Equation = tuple[tuple[int, ...], Fraction]  # <n, x> == o
@@ -339,6 +341,45 @@ def cube_blocks(m: Matrix) -> list[tuple[list[int], list[int]]]:
     return sorted(blocks.values())
 
 
+def cube_slice_vertices(k: int, m: Sequence[Sequence], t: Sequence) -> list[tuple]:
+    """The vertices of {y ∈ [0,1]^k : m·y = t}, sorted; [] when it is empty.
+
+    Let r be the rank of m.  A point of the slice is a vertex iff its
+    coordinates strictly between 0 and 1 index independent columns of m
+    (Ziegler, *Lectures on Polytopes*, §2-3).  Extend those to r
+    independent columns J: the other coordinates are 0 or 1, and they fix
+    y_J.  So the vertices are the solutions in [0,1]^J of
+    m_J y_J = t - m_rest c, one for each nonsingular r-set J and each 0/1
+    point c off J: the points where the r-faces of the cube meet the cut.
+    Dependent rows are dropped and inconsistent ones give []; each
+    solution is taken in int over one common denominator per J."""
+    a = [[frac(x) for x in row] + [frac(x)] for row, x in zip(m, t)]
+    r = len(row_reduce(a, range(k)))
+    if any(row[k] for row in a[r:]):
+        return []
+    out = set()
+    for cols in combinations(range(k), r):
+        b = a[:r]  # row_reduce rebinds rows, so a keeps its own
+        if len(row_reduce(b, cols)) < r:
+            continue
+        rest = [j for j in range(k) if j not in cols]
+        # y_cols = (rhs - sum of the rest columns that c sets to 1) / q
+        flat, q = clear_denominators([x for row in b for x in row])
+        rows = [flat[i * (k + 1):(i + 1) * (k + 1)] for i in range(r)]
+        rhs = [row[k] for row in rows]
+        rest_cols = [[row[j] for row in rows] for j in rest]
+        for c in product((0, 1), repeat=len(rest)):
+            y = rhs
+            for cj, col in zip(c, rest_cols):
+                if cj:
+                    y = list(map(sub, y, col))
+            if all(0 <= v <= q for v in y):
+                pt = dict(zip(rest, c))
+                pt.update((j, Fraction(v, q)) for j, v in zip(cols, y))
+                out.add(tuple(pt[j] for j in range(k)))
+    return sorted(out)
+
+
 def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[Sequence[int]],
                      corner_box: Callable[[IntVec, IntVec], bool]) -> LatticePolyhedron:
     """conv(L(corners)) ∩ {x : f·x = target}, canonical, for the 0/1 points
@@ -348,9 +389,10 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[S
     when the certificate fails.
 
     The slice of L(cube) is the Minkowski sum of the images of the cube
-    blocks' slices (``cube_blocks`` of f·L, each cut by ``affine_slice``),
-    in int over one common denominator h, and support functions add over a
-    Minkowski sum (Schneider, *Convex Bodies*, §1.7).  With the minima as
+    blocks' slices (``cube_blocks`` of f·L, the vertices of each from
+    ``cube_slice_vertices``), in int over one common denominator h, and
+    support functions add over a Minkowski sum (Schneider, *Convex Bodies*,
+    §1.7).  With the minima as
     offsets the normals cut out Q ⊇ slice; one double description on the
     affine hull gives its vertices.  Q must be bounded, and at each vertex
     w: (a) the normals through w have rank dim Q, so their sum c is interior
@@ -358,7 +400,7 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[S
     slice and Q = slice; (c) ``corner_box`` holds on the cube face through
     w's preimage (its coordinates in (0, 1) set to 0 or 1), so w is in
     conv(L(corners)), which L(cube) bounds from outside.  Blocks must be
-    small: their 2^k corners are listed."""
+    small: a block of k columns and rank r tries C(k, r) 2^(k-r) points."""
     d = L.rows
     if f.cols != d:
         raise ValueError("rank mismatch")
@@ -369,17 +411,11 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[S
         return empty
     slices = []
     for cols, rows in cube_blocks(m):
-        k = len(cols)
-        facets = [(tuple(s if i == j else 0 for i in range(k)), Fraction(min(s, 0)))
-                  for j in range(k) for s in (1, -1)]
-        sl = LatticePolyhedron(k, product((0, 1), repeat=k),
-                               _facets=tuple(sorted(facets)), _equations=())
-        if rows:
-            sl = affine_slice(sl, Matrix([[m.entries[i][j] for j in cols] for i in rows]),
-                              [t[i] for i in rows])
-            if sl.is_empty():
-                return empty
-        slices.append((cols, sl.vertex_candidates))
+        ys = cube_slice_vertices(len(cols), [[m.entries[i][j] for j in cols] for i in rows],
+                                 [t[i] for i in rows])
+        if not ys:
+            return empty
+        slices.append((cols, ys))
     # L and the slice points in int over dl and dy: the images hold h·x, h = dl·dy
     flat, dl = clear_denominators([x for r in L.entries for x in r])
     rows_l = [flat[i * L.cols:(i + 1) * L.cols] for i in range(d)]

@@ -5,8 +5,9 @@ Smith-normal-form) routes that an optimised path in ``toricgit`` replaced;
 the tests check that the fast path agrees with them on seeded inputs.  The
 rest is code that only the tests run: an exact feasibility LP for
 membership, cone and fan predicates, linear images and Minkowski sums, the
-support constants by a scan of every candidate point, two routes to the
-slice of a cube image (the slice of the hulled image, and the sum of the
+support constants of a polyhedron read off its facets and by a scan of every
+candidate point, two routes to the slice of a cube image (the slice of the
+hulled image, and the sum of the
 block slices' images hulled after each block, with a corner lookup), the
 normal fan by one double description per vertex, the extremeness test by the rank of
 the active facets, the orbit fan by one double description per cone, the
@@ -31,6 +32,7 @@ from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (ambient_reflections, chamber_cone,
                                    permutation_matrices, permutohedron_points,
                                    product_cone_dual_columns)
+from toricgit.git import support_constants
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
 from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot, elementary_divisors,
@@ -483,6 +485,25 @@ def symmetric_polyhedra_by_dd(n: int) -> tuple[LatticePolyhedron, LatticePolyhed
     iota_pts = [(Fraction(0),) + v + (Fraction(0),) for v in perm.vertex_candidates]
     rec = Cone(n + 1, product_cone_dual_columns(n))
     return perm, LatticePolyhedron(n + 1, iota_pts, rec).canonicalize()
+
+
+def polyhedron_support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:
+    """d_v = min(0, min over p of <v, x>), per recession-dual extreme ray v,
+    read off the offset of the facet of p with normal v
+    (``git.support_constants`` of those rows); ValueError unless rec(p) is
+    full-dimensional.  A seeded H-representation is read as given: no cone
+    over the points is built."""
+    rec = p.recession
+    if rec.dim() != p.ambient_rank:
+        raise ValueError("support constants need a full-dimensional recession cone")
+    rays = sorted(rec.facets)
+    if p.is_empty():  # the minimum over no point is +inf
+        return dict.fromkeys(rays, Fraction(0))
+    offsets = {}
+    for n, o in p.facet_rep:
+        g = gcd(*n)
+        offsets[tuple(x // g for x in n)] = o / g
+    return support_constants((v, offsets[v]) for v in rays)
 
 
 def support_constants_by_scan(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:

@@ -7,16 +7,12 @@ import time
 from fractions import Fraction as F
 from itertools import permutations
 
-import pytest
-
 from oracles import det_unimodular, from_cycles, intersection, minkowski_sum
 from toricgit.cones import Cone, image_cone
-from toricgit.degeneration import (_pb, build_bundle, build_symmetric, checks_for,
-                                   constant_tail, decode_ray_label, head_vertex,
-                                   product_cone_ambient, slice_vertex_points,
-                                   verify)
-from toricgit.git import quotient_polyhedron, quotient_slice, split_quotient, \
-    unstable_rays
+from toricgit.degeneration import (_pb, build_bundle, build_symmetric, constant_tail,
+                                   decode_ray_label, head_vertex, product_cone_ambient,
+                                   product_polyhedron, slice_vertex_points, verify)
+from toricgit.git import quotient_polyhedron, quotient_slice, unstable_rays
 from toricgit.groups import compose, identity
 from toricgit.linalg import Matrix, hermite_normal_form, smith_normal_form, \
     elementary_divisors, kernel_basis
@@ -45,7 +41,7 @@ def test_criterion_02_slice_vertices():
     t0 = time.perf_counter()
     for n in range(2, 5):
         b = build_bundle(n)
-        sl = quotient_slice(b.product_polyhedron.polytopal_part().canonicalize(),
+        sl = quotient_slice(product_polyhedron(n).polytopal_part().canonicalize(),
                             b.lin_product)
         got = set(sl.vertex_candidates)
         expected = set(slice_vertex_points(n).values())
@@ -82,7 +78,7 @@ def test_criterion_05_unstable_locus():
     t0 = time.perf_counter()
     for n in range(2, 5):
         b = build_bundle(n)
-        data = unstable_rays(b.product_polyhedron, _pb(n))
+        data = unstable_rays(b.product_facets, _pb(n))
         assert len(data) == 2 ** n * (n + 1)
         for rd in data:
             I, j = decode_ray_label(n, rd.ray)

@@ -93,8 +93,9 @@ def test_verify_bad_args():
 
 @pytest.mark.parametrize("args", [["--all"], ["--check", "pb_vertices"]])
 def test_verify_above_cap_exits_2(args):
-    # n = 5 is the largest verified n: at n = 6 the bundle has 7^6 chart vertices
-    r = run_cli(["verify", "--n", "6", *args])
+    # n = 6 is the largest verified n: at n = 7 the symmetric model's orbit
+    # fan would have 7! = 5040 maximal cones
+    r = run_cli(["verify", "--n", "7", *args])
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1

@@ -8,19 +8,20 @@ import pytest
 from oracles import (cube_image_slice_by_sums, edge_matrix, invert, minkowski_sum,
                      orbit_fan_by_cone_dd, symmetric_polyhedra_by_dd, weight_reflections)
 from toricgit import degeneration
-from toricgit.cones import Cone, image_cone
-from toricgit.degeneration import (DegenerationBundle, VERIFY_CHECKS, _bundle, _pb,
-                                   _symmetric, ambient_reflections, build_bundle,
-                                   build_symmetric, chamber_cone, chart_box, checks_for,
-                                   constant_tail, decode_ray_label, head_vertex,
-                                   orbit_cones, permutation_matrices, permutohedron_points,
+from toricgit.cones import Cone
+from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections,
+                                   basis_change_matrix, build_bundle, build_symmetric,
+                                   chamber_cone, chart_box, checks_for, constant_tail,
+                                   decode_ray_label, head_vertex, orbit_cones,
+                                   permutation_matrices, permutohedron_points,
                                    product_chart_corners, product_chart_vertices,
                                    product_cone_ambient, product_cone_dual_columns,
                                    product_cube_map, product_linearization,
-                                   slice_vertex, slice_vertex_points, verify)
+                                   product_polyhedron, projection_matrix, slice_vertex,
+                                   slice_vertex_points, verify)
 from toricgit.git import quotient_slice
 from toricgit.jsonio import dumps, polyhedron_to_json
-from toricgit.linalg import Matrix
+from toricgit.linalg import Matrix, solve_unique
 from toricgit.polyhedra import (FacetCertificateError, InnerCertificateError,
                                 certified_polyhedron, cube_image_slice)
 
@@ -41,7 +42,7 @@ def test_bundle_bounds():
     with pytest.raises(ValueError):
         build_bundle(0)
     with pytest.raises(ValueError):
-        build_bundle(6)
+        product_polyhedron(6)
     with pytest.raises(ValueError):
         build_symmetric(1)
     with pytest.raises(ValueError):
@@ -58,15 +59,13 @@ def test_head_vertex_steps():
 def test_product_polyhedron_vertex_count():
     # every chart vertex is a vertex: the canonical form keeps all of them
     for n in (1, 2, 3):
-        b = build_bundle(n)
-        assert len(b.product_polyhedron.canonicalize().vertex_candidates) == (n + 1) ** n
+        assert len(product_polyhedron(n).canonicalize().vertex_candidates) == (n + 1) ** n
 
 
 def test_product_polyhedron_facets_vs_generic_dd():
     # seeded support-function facets must agree with the generic computation
     for n in (1, 2, 3):
-        b = build_bundle(n)
-        fresh = b.product_polyhedron
+        fresh = product_polyhedron(n)
         from toricgit.polyhedra import LatticePolyhedron
         generic = LatticePolyhedron(fresh.ambient_rank, fresh.vertex_candidates,
                                     fresh.recession).canonicalize()
@@ -81,7 +80,7 @@ def test_product_polyhedron_against_brute_force_n2():
     cube = LatticePolyhedron(4, list(product((0, 1), repeat=4)))
     pw = linear_image(b.cube_map, cube.canonicalize())
     brute = minkowski_sum(pw, LatticePolyhedron(5, [(0,) * 5], b.product_rec_dual))
-    assert brute == b.product_polyhedron
+    assert brute == product_polyhedron(2)
 
 
 def test_permutohedron_n3_vertices():
@@ -351,7 +350,7 @@ def test_constant_tail_values():
 def test_cached_accessors_build_once_per_n():
     for n in (1, 2):
         assert _bundle(n) is _bundle(n)
-        assert _bundle(n).product_polyhedron == build_bundle(n).product_polyhedron
+        assert _bundle(n).product_facets == build_bundle(n).product_facets
         assert slice_vertex_points(n) is slice_vertex_points(n)
     for n in (2, 3):
         assert _symmetric(n) is _symmetric(n)
@@ -359,9 +358,35 @@ def test_cached_accessors_build_once_per_n():
     assert _bundle(1) is not _bundle(2)
 
 
+def test_basis_change_matches_the_per_column_solves():
+    # one elimination of pi^T for all n + 1 targets, against one solve each
+    for n in range(1, 7):
+        pit = projection_matrix(n).transpose()
+        targets = [[1 if i == a else 0 for i in range(2 * n + 1)] for a in range(n)]
+        targets.append([0] * n + [1] * (n + 1))
+        want = Matrix.from_columns([solve_unique(pit, t) for t in targets])
+        assert basis_change_matrix(n) == want, n
+
+
+def test_verify_never_lists_the_chart_vertices(monkeypatch):
+    # no check reads the (n+1)^n chart corners or their images, at any
+    # verified n; a check that called them would report an error
+    def no_chart(n):
+        raise AssertionError("verify must not list the chart corners or vertices")
+
+    monkeypatch.setattr(degeneration, "product_chart_corners", no_chart)
+    monkeypatch.setattr(degeneration, "product_chart_vertices", no_chart)
+    _bundle.cache_clear()
+    _pb.cache_clear()
+    for n in range(1, 7):
+        for check in checks_for(n):
+            rep = verify(n, check)
+            assert rep.ok(), (n, check, rep.witness)
+
+
 def test_product_polyhedron_is_never_canonicalized(monkeypatch):
-    # verify and `build --object expanded` read the product polyhedron as
-    # built: its 64 chart vertices at n = 3 are never re-derived as extreme
+    # verify and `build --object expanded` never canonicalize the product
+    # polyhedron: its 64 chart vertices at n = 3 are never re-derived as extreme
     from toricgit.cli import main
     from toricgit.polyhedra import LatticePolyhedron
     seen = []
@@ -399,8 +424,7 @@ def test_chart_vertices_are_images_of_chart_corners():
 def test_pb_from_cube_matches_product_slice():
     # oracle: the slice of the product polytope's H-representation
     for n in (1, 2, 3, 4):
-        b = _bundle(n)
-        want = quotient_slice(b.product_polyhedron.polytopal_part(), b.lin_product)
+        want = quotient_slice(product_polyhedron(n).polytopal_part(), _bundle(n).lin_product)
         got = _pb(n)
         assert got.vertex_candidates == want.vertex_candidates, n
         assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want)), n

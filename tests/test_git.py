@@ -4,12 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import chart_invariants, minkowski_sum, support_constants_by_scan
+from oracles import (chart_invariants, minkowski_sum, polyhedron_support_constants,
+                     support_constants_by_scan)
 from toricgit.cones import Cone
-from toricgit.degeneration import (_bundle, _pb, build_bundle, decode_ray_label, head_vertex,
-                                   product_rec_dual_columns, projection_matrix)
-from toricgit.git import (Linearization, kernel_cone, quotient_polyhedron, quotient_slice,
-                          split_quotient, support_constants, unstable_rays)
+from toricgit.degeneration import (_pb, build_bundle, decode_ray_label, head_vertex,
+                                   product_polyhedron, projection_matrix)
+from toricgit.git import (Linearization, quotient_polyhedron, quotient_slice, split_quotient,
+                          unstable_rays)
 from toricgit.linalg import Matrix, dot, rank
 from toricgit.polyhedra import LatticePolyhedron
 
@@ -38,10 +39,10 @@ def test_quotient_family_recovers_plane():
 
 def test_quotient_product_n2():
     b = build_bundle(2)
-    q = quotient_polyhedron(b.product_polyhedron, b.lin_product)
+    q = quotient_polyhedron(product_polyhedron(2), b.lin_product)
     assert len(q.vertex_candidates) == 2
     # ambient-side head projections are u and its swap
-    sl = quotient_slice(b.product_polyhedron, b.lin_product)
+    sl = quotient_slice(product_polyhedron(2), b.lin_product)
     heads = {v[:2] for v in sl.vertex_candidates}
     u = head_vertex(2)
     assert heads == {u, (u[1], u[0])}
@@ -57,7 +58,7 @@ def test_quotient_empty_for_unreachable_shift():
 def test_split_quotient_sum_identity():
     for n in (1, 2, 3):
         b = build_bundle(n)
-        for poly, lin in ((b.product_polyhedron, b.lin_product),
+        for poly, lin in ((product_polyhedron(n), b.lin_product),
                           (b.family_polyhedron, b.lin_family)):
             q = quotient_polyhedron(poly, lin)
             polytopal, conical = split_quotient(poly, lin)
@@ -93,13 +94,11 @@ def test_split_quotient_empty_raises():
 
 
 def test_support_constants():
-    b2 = build_bundle(2)
-    d2 = support_constants(b2.product_polyhedron)
+    d2 = polyhedron_support_constants(product_polyhedron(2))
     assert d2[ray(2, (1,), 1)] == F(-1)       # -(n-j)#I at n=2, I={1}, j=1
     for j in range(3):
         assert d2[ray(2, (), j)] == 0
-    b3 = build_bundle(3)
-    d3 = support_constants(b3.product_polyhedron)
+    d3 = polyhedron_support_constants(product_polyhedron(3))
     assert d3[ray(3, (1, 2), 1)] == F(-4)     # -(3-1)*2
 
 
@@ -109,17 +108,17 @@ def test_support_constants_rational_vertices():
     pts = [(F(1, 2), F(-1, 3), F(0)), (F(-5, 6), F(2), F(1, 4)), (F(3), F(-7, 5), F(-2, 9))]
     rec = Cone(3, [(1, 0, 0), (1, 1, 0), (0, -1, 1), (0, 0, 1)]).dual()
     p = LatticePolyhedron(3, pts, rec)
-    got = support_constants(p)
+    got = polyhedron_support_constants(p)
     assert set(got) == set(rec.dual().rays)
     for v, dv in got.items():
         assert dv == min([F(0)] + [sum((F(a) * b for a, b in zip(v, pt)), F(0)) for pt in pts])
         assert isinstance(dv, F)
     b3 = build_bundle(3)
-    slice_pts = quotient_slice(b3.product_polyhedron.polytopal_part().canonicalize(),
+    slice_pts = quotient_slice(product_polyhedron(3).polytopal_part().canonicalize(),
                                b3.lin_product).vertex_candidates
     q = LatticePolyhedron(7, slice_pts, b3.product_rec_dual)
     assert any(x.denominator != 1 for pt in slice_pts for x in pt)
-    for v, dv in support_constants(q).items():
+    for v, dv in polyhedron_support_constants(q).items():
         assert dv == min([F(0)] + [dot(v, pt) for pt in slice_pts])
 
 
@@ -132,9 +131,9 @@ def test_support_constants_match_scan_oracle(monkeypatch):
         raise AssertionError("support_constants ran a double description")
 
     for n in (1, 2, 3, 4):
-        p = build_bundle(n).product_polyhedron
+        p = product_polyhedron(n)
         monkeypatch.setattr(dd, "cone_from_inequalities", no_dd)
-        got = support_constants(p)
+        got = polyhedron_support_constants(p)
         monkeypatch.undo()
         assert list(got.items()) == list(support_constants_by_scan(p).items()), n
 
@@ -142,13 +141,13 @@ def test_support_constants_match_scan_oracle(monkeypatch):
 def test_support_constants_build_no_homogenization(monkeypatch):
     # the seeded facets are read as given: the 4^3 chart vertices of the
     # n = 3 product polyhedron are never homogenized into a Cone
-    p = _bundle(3).product_polyhedron
+    p = product_polyhedron(3)
 
     def no_cone(self):
         raise AssertionError("support_constants built the homogenization")
 
     monkeypatch.setattr(LatticePolyhedron, "homogenization", no_cone)
-    got = support_constants(p)
+    got = polyhedron_support_constants(p)
     monkeypatch.undo()
     assert list(got.items()) == list(support_constants_by_scan(p).items())
 
@@ -171,25 +170,26 @@ def polyhedra_with_full_recession(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(p=polyhedra_with_full_recession())
 def test_support_constants_match_scan_on_random_polyhedra(p):
-    assert list(support_constants(p).items()) == list(support_constants_by_scan(p).items())
+    got = polyhedron_support_constants(p)
+    assert list(got.items()) == list(support_constants_by_scan(p).items())
 
 
 def test_support_constants_need_a_full_dimensional_recession_cone():
     for rec in (Cone(2, []), Cone(2, [(1, 0)]), Cone(3, [(1, 0, 0), (0, 1, 1)])):
         p = LatticePolyhedron(rec.ambient_rank, [(0,) * rec.ambient_rank], rec)
         with pytest.raises(ValueError, match="full-dimensional"):
-            support_constants(p)
+            polyhedron_support_constants(p)
 
 
 def general_pb(b):
     """P_b along the general route: the slice of the product polytope's
     H-representation."""
-    return quotient_slice(b.product_polyhedron.polytopal_part(), b.lin_product)
+    return quotient_slice(product_polyhedron(b.n).polytopal_part(), b.lin_product)
 
 
 def test_unstable_rays_n2():
     b = build_bundle(2)
-    data = {rd.ray: rd for rd in unstable_rays(b.product_polyhedron, general_pb(b))}
+    data = {rd.ray: rd for rd in unstable_rays(b.product_facets, general_pb(b))}
     assert data[ray(2, (1,), 1)].margin == 0
     assert not data[ray(2, (1,), 1)].unstable
     assert data[ray(2, (), 1)].margin == F(2, 3)
@@ -202,7 +202,7 @@ def test_unstable_rays_n2():
 
 def test_margin_closed_form_n3():
     b = build_bundle(3)
-    for rd in unstable_rays(b.product_polyhedron, general_pb(b)):
+    for rd in unstable_rays(b.product_facets, general_pb(b)):
         I, j = decode_ray_label(3, rd.ray)
         k = len(I)
         assert rd.support_constant == F(-(3 - j) * k)
@@ -214,10 +214,10 @@ def test_integer_margins_match_fraction_margins():
     # products, and d_v from the definition
     for n in (1, 2, 3):
         b = build_bundle(n)
-        p = b.product_polyhedron
+        p = product_polyhedron(n)
         verts = quotient_slice(LatticePolyhedron(p.ambient_rank, p.vertex_candidates)
                                .canonicalize(), b.lin_product).vertex_candidates
-        data = unstable_rays(p, _pb(n))
+        data = unstable_rays(b.product_facets, _pb(n))
         assert [rd.ray for rd in data] == sorted(p.recession.dual().rays)
         for rd in data:
             dv = min([F(0)] + [dot(rd.ray, m) for m in p.vertex_candidates])
@@ -246,7 +246,7 @@ def test_slice_checks_share_pb_without_product_dd(monkeypatch):
         pb = _pb(3)
         assert verify(3, "unstable_locus").ok()
         assert _pb(3) is pb
-        part = _bundle(3).product_polyhedron.polytopal_part().homogenization()
+        part = product_polyhedron(3).polytopal_part().homogenization()
         assert calls and calls.count(set(part.generators)) == 0
     finally:
         _bundle.cache_clear()
@@ -267,7 +267,7 @@ def test_kernel_cone_duality_relation():
     from toricgit.cones import image_cone
     for n in (2, 3):
         b = build_bundle(n)
-        q = quotient_polyhedron(b.product_polyhedron, b.lin_product)
+        q = quotient_polyhedron(product_polyhedron(n), b.lin_product)
         kern = Matrix(b.lin_product.kernel())
         proj = kern  # rows = kernel basis: N-side projection is its matrix
         assert image_cone(proj, b.product_cone) == q.recession.dual()

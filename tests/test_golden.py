@@ -4,9 +4,11 @@ refactor or an optimisation that changes a single byte fails here.
 
 The digests were recorded before the integer-first ``Matrix``, the n = 5
 verify digest before polyhedra were read off their homogenization, the n = 6
-build digests before the orbit fan was transported from the chamber, and the
+build digests before the orbit fan was transported from the chamber, the
 product n = 5 digest (the 7776-point canonical form) before integral
-coordinates were kept as ``int``.  To record them again after a deliberate
+coordinates were kept as ``int``, and the n = 6 verify digest on the code
+that still listed the 7^6 chart vertices in the bundle and sliced each cube
+block by a double description.  To record them again after a deliberate
 output change, print ``build_digest`` and ``verify_digest`` for the
 parameters below and say why in CHANGES.md.
 """
@@ -49,6 +51,7 @@ VERIFY_DIGESTS = {
     3: "5542a752e69d94d51f20aedac232c9aa970262599e0a06ccccf86ced002a9902",
     4: "2f95543aeae06ad1fcae6fe0b2744c79a5bdad26fb81e0872d6d88f6866da2a7",
     5: "e173cf028842ac314dfad0c2e810410bd64e8f43e17083bf5cb7c713c0d41879",
+    6: "7446743177d01c7f416df2d422d197b440b7a3086a791c17b265313657bcd1b4",
 }
 
 

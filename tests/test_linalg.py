@@ -6,7 +6,8 @@ import pytest
 from oracles import (det_unimodular, feasible_nonneg_combination, in_cone_hull,
                      invert, kernel_basis_snf, solve_affine_oracle)
 from toricgit.linalg import (Matrix, elementary_divisors, hermite_normal_form, kernel_basis,
-                             rank, smith_normal_form, solve_affine, solve_unique)
+                             rank, smith_normal_form, solve_affine, solve_unique,
+                             solve_unique_columns)
 
 ALPHA_W2 = Matrix([[0, 0, 1, -1, 0], [0, 0, 0, 1, -1]])
 PI_2 = Matrix([[0, -1, 1, 1, 1], [1, -1, 0, 0, 0], [0, 1, 0, 0, 0]])
@@ -328,6 +329,26 @@ def test_solve_unique_and_invert_on_integer_input():
         assert inv @ m == Matrix.identity(n)
     with pytest.raises(ValueError):
         solve_unique(Matrix([[1, 1]]), (1,))
+
+
+def test_solve_unique_columns_is_one_solve_per_target():
+    rng = random.Random(17)
+    checked = 0
+    while checked < 30:
+        nr, nc = rng.randint(1, 5), rng.randint(1, 4)
+        m = Matrix([[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)])
+        if m.rank() < nc:
+            continue
+        checked += 1
+        xs = [tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nc))
+              for _ in range(rng.randint(1, 4))]
+        got = solve_unique_columns(m, [m @ x for x in xs])
+        assert got == xs == [solve_unique(m, m @ x) for x in xs]
+        assert _no_float(y for x in got for y in x)
+    with pytest.raises(ValueError, match="not unique"):
+        solve_unique_columns(Matrix([[1, 1]]), [(1,)])
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_unique_columns(Matrix([[1], [1]]), [(1, 1), (1, 2)])
 
 
 def _rank_at_most(rng, nr, nc, k):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import permutations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (check_semigroup_generation, cone_over, cube_image_slice_by_sums,
@@ -13,8 +13,9 @@ from oracles import (check_semigroup_generation, cone_over, cube_image_slice_by_
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot, rank, vadd
-from toricgit.polyhedra import (Fan, FacetCertificateError, LatticePolyhedron, affine_slice,
-                                cube_blocks, cube_image_slice, normal_fan)
+from toricgit.polyhedra import (FacetCertificateError, LatticePolyhedron, affine_slice,
+                                cube_blocks, cube_image_slice, cube_slice_vertices,
+                                normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
 
@@ -163,6 +164,50 @@ def test_cube_image_slice_matches_oracle(case):
     assert_same_polytope(*certified_cube_slice(*case))
 
 
+@st.composite
+def cube_block_cuts(draw):
+    """(k, m, t): a cut {m·y = t} of the k-cube by up to four rows, through
+    a point of the cube or a corner of it, with a dependent or an
+    inconsistent row appended, or anywhere (then often missing the cube)."""
+    k = draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 1, -1, 2, -2, F(1, 2)])
+    m = [[draw(entry) for _ in range(k)] for _ in range(draw(st.integers(1, 3)))]
+    kind = draw(st.sampled_from(["point", "corner", "dependent", "inconsistent", "anywhere"]))
+    if kind == "corner":
+        point = [draw(st.integers(0, 1)) for _ in range(k)]
+    else:
+        point = [F(draw(st.integers(0, 3)), 3) for _ in range(k)]
+    t = [dot(r, point) for r in m]
+    if kind in ("dependent", "inconsistent"):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        m.append([a * x + b * y for x, y in zip(m[0], m[-1])])
+        t.append(a * t[0] + b * t[-1] + (F(1, 2) if kind == "inconsistent" else 0))
+    elif kind == "anywhere":
+        t = [F(draw(st.integers(-6, 6)), 2) for _ in m]
+    return k, m, t
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(cut=cube_block_cuts())
+@example(cut=(3, [[1, 1, 1]], [F(3, 2)]))  # a hexagon
+@example(cut=(3, [[1, 1, 1]], [1]))  # three corners on the plane
+@example(cut=(4, [[1, 1, 0, 0], [0, 1, 1, 1]], [1, F(3, 2)]))  # two rows
+@example(cut=(3, [[1, 1, 1], [2, 2, 2]], [1, 2]))  # dependent rows
+@example(cut=(3, [[1, 1, 1], [2, 2, 2]], [1, 3]))  # inconsistent rows
+@example(cut=(2, [[1, 1], [0, 0]], [1, 1]))  # a zero row with a nonzero target
+@example(cut=(3, [[1, 1, 1]], [4]))  # the plane misses the cube
+def test_cube_slice_vertices_match_the_affine_slice(cut):
+    # each block of cube_image_slice, against the double description of the
+    # cube cut by the rows
+    k, m, t = cut
+    want = cube_slice_oracle(Matrix.identity(k), Matrix(m), t).vertex_candidates
+    assert cube_slice_vertices(k, m, t) == list(want)
+
+
+def test_cube_slice_vertices_without_rows_are_the_corners():
+    assert cube_slice_vertices(2, [], []) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 def test_cube_image_slice_certificate_needs_every_facet():
     # the slice of the 3-cube by x + y + z = 3/2 is a hexagon with the facet
     # normals ±e_1, ±e_2, ±e_3 on its plane
@@ -267,25 +312,25 @@ def test_slice_of_polytopal_part_needs_no_canonical_form():
 
 
 def test_slice_of_product_polytope_needs_no_canonical_form():
-    from toricgit.degeneration import build_bundle
+    from toricgit.degeneration import build_bundle, product_polyhedron
     for n in (1, 2, 3):
         b = build_bundle(n)
-        q = b.product_polyhedron.polytopal_part()
+        q = product_polyhedron(n).polytopal_part()
         sl = assert_slice_independent_of_canonical_form(q, b.lin_product.alpha,
                                                         [-x for x in b.lin_product.b])
         assert len(sl.vertex_candidates) == len(list(permutations(range(n))))
 
 
 def test_polytopal_part_is_memoised():
-    from toricgit.degeneration import build_bundle
+    from toricgit.degeneration import product_polyhedron
     rng = random.Random(3)
     for d in (2, 3, 4):
         p = LatticePolyhedron(d, random_polytope_points(rng, d), Cone(d, [(1,) * d]))
         q = p.polytopal_part()
         assert q is p.polytopal_part()
         assert q.vertex_candidates == p.vertex_candidates and not q.recession.rays
-    b = build_bundle(2)
-    assert b.product_polyhedron.polytopal_part() is b.product_polyhedron.polytopal_part()
+    p2 = product_polyhedron(2)
+    assert p2.polytopal_part() is p2.polytopal_part()
 
 
 def test_normal_fan_segment():
@@ -384,7 +429,7 @@ def test_normal_fan_of_sum_is_common_refinement():
 
 def normal_fan_inputs(rng):
     """Simple, non-simple, unbounded and lower-dimensional polyhedra."""
-    from toricgit.degeneration import build_bundle
+    from toricgit.degeneration import product_polyhedron
     yield cube(3)
     yield LatticePolyhedron(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     octahedron = [tuple(s if i == j else 0 for i in range(3))
@@ -394,7 +439,7 @@ def normal_fan_inputs(rng):
     yield LatticePolyhedron(3, [(0, 0, 0)], Cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]))
     yield LatticePolyhedron(2, [(0, 0), (1, 0)], Cone(2, [(0, 1)]))  # a half-strip
     yield LatticePolyhedron(3, [(1, 2, 3)])  # a point
-    yield build_bundle(2).product_polyhedron  # seeded facets, full-dimensional recession
+    yield product_polyhedron(2)  # seeded facets, full-dimensional recession
     for d in (2, 3):
         for _ in range(3):
             pts = random_polytope_points(rng, d)
@@ -426,8 +471,8 @@ def test_normal_fan_matches_per_vertex_dd_oracle():
 
 def test_seeded_h_rep_is_the_computed_one():
     # t >= 0 is added to a seeded H-representation exactly when it is a facet
-    from toricgit.degeneration import build_bundle
-    seeded = [build_bundle(2).product_polyhedron]
+    from toricgit.degeneration import product_polyhedron
+    seeded = [product_polyhedron(2)]
     k = 3
     facets = [(tuple(s if i == j else 0 for i in range(k)), F(min(s, 0)))
               for j in range(k) for s in (1, -1)]
@@ -475,8 +520,8 @@ def test_seeded_h_rep_matches_dd_read(case, data):
 
 
 def test_integral_coordinates_are_int():
-    from toricgit.degeneration import _symmetric, build_bundle
-    for p in (build_bundle(3).product_polyhedron, _symmetric(4).permutohedron,
+    from toricgit.degeneration import _symmetric, product_polyhedron
+    for p in (product_polyhedron(3), _symmetric(4).permutohedron,
               _symmetric(4).resolution_polyhedron):
         assert all(type(x) is int for v in p.vertex_candidates for x in v)
     # a coordinate with a denominator stays a Fraction, an integral one,
@@ -568,9 +613,10 @@ def test_semigroup_generation_nonsaturated():
 
 
 def test_semigroup_generation_product():
-    from toricgit.degeneration import build_bundle, product_rec_dual_columns
+    from toricgit.degeneration import (build_bundle, product_polyhedron,
+                                       product_rec_dual_columns)
     b = build_bundle(2)
     cube_pts = [b.cube_map @ v for v in product((0, 1), repeat=4)]
     mono = embedding_monomials(product_rec_dual_columns(2), cube_pts)
-    verdicts = check_semigroup_generation(b.product_polyhedron, mono, 4)
+    verdicts = check_semigroup_generation(product_polyhedron(2), mono, 4)
     assert verdicts and all(verdicts)
