@@ -53,7 +53,12 @@ class Cone:
             return
         # the dual cone's lineality spans the equations, its rays are the
         # facets, and the generators on each are kept until _compute_v_rep
-        eqs, facets, incidence = dd.cone_from_inequalities(self.generators, self.ambient_rank)
+        d = self.ambient_rank
+        if self.generators:
+            eqs, facets, incidence = dd.cone_from_inequalities(self.generators, d)
+        else:  # {0}: no facets, and every unit vector is an equation
+            eqs = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+            facets, incidence = [], []
         object.__setattr__(self, "_equations", tuple(sorted(eqs)))
         object.__setattr__(self, "_facets", tuple(facets))
         object.__setattr__(self, "_incidence", incidence)

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from . import dd
 from .cones import Cone
-from .linalg import (Matrix, Vec, dot, kernel_basis, scaled_primitive, solve_affine,
-                     solve_unique, vec, vsub)
+from .linalg import Matrix, Vec, kernel_basis, solve_affine, vec
 from .polyhedra import Facet, LatticePolyhedron, affine_slice, point_minima
 
 
@@ -51,10 +49,10 @@ class Linearization:
         """HNF-reduced lattice basis of ker(alpha)."""
         return kernel_basis(self.alpha)
 
-    def base_point(self) -> Optional[Vec]:
-        """Canonical rational solution of alpha·x = -b (None if inconsistent)."""
-        sol = solve_affine(self.alpha, [-x for x in self.b])
-        return None if sol is None else sol.point
+    def base_point(self) -> Vec:
+        """Canonical rational solution of alpha·x = -b; alpha is surjective,
+        so there is one."""
+        return solve_affine(self.alpha, [-x for x in self.b])
 
 
 @dataclass(frozen=True)
@@ -67,48 +65,26 @@ class RayDatum:
     unstable: bool
 
 
-def _to_kernel_coords(lin: Linearization, ambient_poly: LatticePolyhedron) -> LatticePolyhedron:
-    """Rewrite a polyhedron inside the slice in ker(alpha) coordinates."""
-    if ambient_poly.is_empty():
-        return LatticePolyhedron(len(lin.kernel())).canonicalize()
-    kern = lin.kernel()
-    k = len(kern)
-    kmat = Matrix(kern).transpose()  # columns = kernel basis
-    x0 = lin.base_point()
-    if x0 is None:
-        raise AssertionError("a nonempty slice must have a base point")
-    verts = [solve_unique(kmat, vsub(v, x0)) for v in ambient_poly.vertex_candidates]
-    rays = [scaled_primitive(solve_unique(kmat, r)) for r in ambient_poly.recession.rays]
-    return LatticePolyhedron(k, verts, Cone(k, rays)).canonicalize()
-
-
 def quotient_slice(p: LatticePolyhedron, lin: Linearization) -> LatticePolyhedron:
-    """The slice P ∩ (α⊗R)^{-1}(-b), in ambient coordinates."""
+    """The slice P ∩ (α⊗R)^{-1}(-b), in ker(alpha) coordinates: the point
+    y stands for base_point() + Σ y_i k_i over the kernel basis k."""
     if lin.source_rank() != p.ambient_rank:
         raise ValueError("alpha source rank must match the polyhedron ambient rank")
-    return affine_slice(p, lin.alpha, [-x for x in lin.b])
+    return affine_slice(p, lin.base_point(), lin.kernel())
 
 
 def quotient_polyhedron(p: LatticePolyhedron, lin: Linearization) -> LatticePolyhedron:
     """GIT quotient polyhedron in ker(alpha) coordinates (empty allowed)."""
-    return _to_kernel_coords(lin, quotient_slice(p, lin))
+    return quotient_slice(p, lin)
 
 
 def kernel_cone(p: LatticePolyhedron, lin: Linearization) -> Cone:
-    """σ̄^∨ = rec(P)^... the recession dual-side cone rec(P) ∩ ker(α)⊗R,
-    in ker(alpha) coordinates."""
-    kern = lin.kernel()
-    k = len(kern)
-    # rec(P) = {x : <v, x> >= 0 for v in dual generators}; restrict to x = K·y
-    rec_dual = p.recession.dual()
-    cons = []
-    for v in list(rec_dual.rays) + list(rec_dual.lineality_basis):
-        row = tuple(dot(v, b) for b in kern)
-        cons.append(tuple(int(x) for x in row))
-        if v in rec_dual.lineality_basis:
-            cons.append(tuple(-int(x) for x in row))
-    lin_b, rays, _ = dd.cone_from_inequalities(cons, k)
-    return Cone(k, list(rays) + list(lin_b) + [tuple(-x for x in l) for l in lin_b])
+    """σ̄^∨ = rec(P) ∩ ker(α)⊗R, the recession cone of P in the kernel
+    directions, in ker(alpha) coordinates: the recession cone of the slice
+    of rec(P), as a polyhedron, through 0."""
+    d = p.ambient_rank
+    rec = LatticePolyhedron(d, [(0,) * d], p.recession)
+    return affine_slice(rec, (0,) * d, lin.kernel()).recession
 
 
 def split_quotient(p: LatticePolyhedron, lin: Linearization
@@ -123,15 +99,14 @@ def split_quotient(p: LatticePolyhedron, lin: Linearization
     input: when conv(points) misses the slice, EmptyQuotientError is raised
     even if the quotient itself is non-empty.
 
-    P_b is sliced from the memoised ``p.polytopal_part()`` as it stands:
-    the slice reads only its H-representation, so its vertices are never
-    enumerated, and the one double description is shared with every other
-    slice of the same polytope.
+    P_b is sliced from ``p.polytopal_part()`` as it stands: the slice reads
+    only its H-representation, so the candidate points are double-described
+    once, and no vertex of the polytope is enumerated first.
     """
-    poly_slice = quotient_slice(p.polytopal_part(), lin)
-    if poly_slice.is_empty():
+    pb = quotient_slice(p.polytopal_part(), lin)
+    if pb.is_empty():
         raise EmptyQuotientError("empty quotient")
-    return _to_kernel_coords(lin, poly_slice), kernel_cone(p, lin)
+    return pb, kernel_cone(p, lin)
 
 
 def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], Fraction]:
@@ -149,9 +124,10 @@ def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], Fraction
 def unstable_rays(facets: Iterable[Facet], pb: LatticePolyhedron) -> list[RayDatum]:
     """Margins min_{m in P_b} <v, m> - d_v for every facet row (v, o_v) of a
     polyhedron p whose normals v are the recession-dual extreme rays of p
-    (``support_constants``), where ``pb`` is the polytope slice P_b of p (as
-    from ``quotient_slice(p.polytopal_part(), lin)``), in ambient
-    coordinates.
+    (``support_constants``), where ``pb`` is the polytope slice
+    conv(points of p) ∩ (α⊗R)^{-1}(-b) in the ambient coordinates of p (as
+    ``degeneration._pb`` cuts it from the cube), not the ker(α) coordinates
+    of ``quotient_slice``.
 
     The margin is computed over the candidate points of P_b only; this is
     valid because d_v <= 0 and <v, ·> >= 0 on the kernel cone, so the

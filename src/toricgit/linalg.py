@@ -388,16 +388,6 @@ def kernel_basis(m: Matrix) -> list[IntVec]:
     return [tuple(int(x) for x in row) for row in h.entries if not is_zero_vec(row)]
 
 
-class AffineSolution:
-    """A particular solution plus a basis of the rational kernel."""
-
-    __slots__ = ("point", "kernel")
-
-    def __init__(self, point: Vec, kernel: list[Vec]):
-        self.point = point
-        self.kernel = kernel
-
-
 def row_reduce(a: list[list[Fraction]], cols: Iterable[int]) -> list[int]:
     """Gauss-Jordan over Q, in place on the Fraction rows ``a``: pivot on the
     columns ``cols`` in the order given, scale each pivot row to 1 and clear
@@ -424,36 +414,24 @@ def row_reduce(a: list[list[Fraction]], cols: Iterable[int]) -> list[int]:
     return pivots
 
 
-def solve_affine(m: Matrix, target: Sequence) -> Optional[AffineSolution]:
-    """Solve m @ x = target over Q.
-
-    Returns None when the system is inconsistent.  The particular solution is
-    canonical: free (non-pivot) variables are set to 0 and pivots are solved
-    by back-substitution, so repeated runs are bit-identical.
-    """
+def solve_affine(m: Matrix, target: Sequence) -> Optional[Vec]:
+    """A solution of m @ x = target over Q, or None when the system is
+    inconsistent.  The solution is canonical: free (non-pivot) variables are
+    0 and each pivot variable is read off its reduced row, so repeated runs
+    are bit-identical."""
     t = vec(target)
     if len(t) != m.rows:
         raise ValueError("target length must equal row count")
     # eliminate in Fraction: int / int would give a float
     a = [list(vec(r)) + [t[i]] for i, r in enumerate(m.entries)]
     nc = m.cols
-    pivots = list(enumerate(row_reduce(a, range(nc))))  # (row, col)
+    pivots = row_reduce(a, range(nc))
     if any(row[nc] != 0 for row in a[len(pivots):]):
         return None
-    pivot_cols = {c for _, c in pivots}
     point = [Fraction(0)] * nc
-    for i, c in pivots:
-        point[c] = a[i][nc]
-    kernel: list[Vec] = []
-    for c in range(nc):
-        if c in pivot_cols:
-            continue
-        k = [Fraction(0)] * nc
-        k[c] = Fraction(1)
-        for i, pc in pivots:
-            k[pc] = -a[i][c]
-        kernel.append(tuple(k))
-    return AffineSolution(tuple(point), kernel)
+    for row, c in zip(a, pivots):
+        point[c] = row[nc]
+    return tuple(point)
 
 
 def solve_unique_columns(m: Matrix, targets: Sequence[Sequence]) -> list[Vec]:
@@ -468,12 +446,3 @@ def solve_unique_columns(m: Matrix, targets: Sequence[Sequence]) -> list[Vec]:
         raise ValueError("inconsistent system")
     return [tuple(a[i][nc + j] for i in range(nc)) for j in range(len(targets))]
 
-
-def solve_unique(m: Matrix, target: Sequence) -> Vec:
-    """Solve m @ x = target when m has full column rank; raises otherwise."""
-    sol = solve_affine(m, target)
-    if sol is None:
-        raise ValueError("inconsistent system")
-    if sol.kernel:
-        raise ValueError("solution not unique")
-    return sol.point

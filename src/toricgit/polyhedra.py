@@ -23,8 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import dd
 from .cones import Cone, column_dots, sparse_incidence
 from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, frac, is_zero_vec,
-                     primitive, rank, row_reduce, scaled_primitive, solve_affine, vadd, vec,
-                     vsub)
+                     primitive, rank, row_reduce, scaled_primitive, vadd, vec, vsub)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
 Equation = tuple[tuple[int, ...], Fraction]  # <n, x> == o
@@ -41,7 +40,7 @@ class LatticePolyhedron:
     """
 
     __slots__ = ("ambient_rank", "vertex_candidates", "recession",
-                 "_seed", "_cone", "_canonical", "_polytopal")
+                 "_seed", "_cone", "_canonical")
 
     def __init__(self, ambient_rank: int, vertex_candidates: Iterable[Sequence] = (),
                  recession: Optional[Cone] = None,
@@ -67,7 +66,6 @@ class LatticePolyhedron:
             for rows in (_facets, _equations)))
         object.__setattr__(self, "_cone", _cone)
         object.__setattr__(self, "_canonical", _canonical)
-        object.__setattr__(self, "_polytopal", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LatticePolyhedron is immutable")
@@ -169,60 +167,39 @@ class LatticePolyhedron:
     # -- derived objects ------------------------------------------------------
 
     def polytopal_part(self) -> "LatticePolyhedron":
-        """conv of the stored candidate points, with trivial recession.
-
-        Memoised on the instance, so its lazily computed H-representation is
-        shared by every caller that slices it."""
-        if self._polytopal is None:
-            object.__setattr__(self, "_polytopal",
-                               LatticePolyhedron(self.ambient_rank, self.vertex_candidates))
-        return self._polytopal
+        """conv of the stored candidate points, with trivial recession."""
+        return LatticePolyhedron(self.ambient_rank, self.vertex_candidates)
 
 
-def affine_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePolyhedron:
-    """p ∩ {x : f·x = target}, in ambient coordinates (empty is a value).
+def affine_slice(p: LatticePolyhedron, x0: Sequence, basis: Sequence[Sequence]
+                 ) -> LatticePolyhedron:
+    """p ∩ (x0 + span basis), canonical, in the coordinates y of the point
+    x0 + Σ y_i b_i (empty is a value); ``basis`` must be independent.
 
-    Only the H-representation of p is read, so p need not be canonical; the
-    result is."""
-    if f.cols != p.ambient_rank:
-        raise ValueError("rank mismatch")
-    d = p.ambient_rank
-    empty = lambda: LatticePolyhedron(d).canonicalize()
+    Only the H-representation of p is read, so p need not be canonical.  Each
+    facet or hull row (n, o) of p becomes the integer row of
+    (<n, b_1>, ..., <n, b_k>, <n, x0> - o) on (y, t), and with t >= 0 one
+    double description gives the vertices (t > 0) and the recession rays
+    (t = 0) of the slice."""
+    k = len(basis)
     if p.is_empty():
-        return empty()
-    sol = solve_affine(f, target)
-    if sol is None:
-        return empty()
-    x0, kern = sol.point, sol.kernel
-    if not kern:
-        return LatticePolyhedron(d, [x0]).canonicalize() if p.contains(x0) else empty()
-    k = len(kern)
-    # constraints on slice coordinates y, homogenized: rows over (y, t)
+        return LatticePolyhedron(k).canonicalize()
+
     def row(n, o):
-        return clear_denominators([dot(n, b) for b in kern] + [dot(n, x0) - o])[0]
+        return clear_denominators([dot(n, b) for b in basis] + [dot(n, x0) - o])[0]
+
     cons = [row(n, o) for n, o in p.facet_rep]
     for n, o in p.hull_equations:
         r = row(n, o)
         cons += [r, tuple(-x for x in r)]
-    cons.append(tuple([0] * k + [1]))
+    cons.append((0,) * k + (1,))
     lin, rays, _ = dd.cone_from_inequalities(cons, k + 1)
     if lin:
         raise ValueError("affine_slice needs a pointed recession cone: the slice "
                          "contains a line")
-    verts = []
-    rec_rays = []
-    for r in rays:
-        if r[k] > 0:
-            y = [Fraction(x, r[k]) for x in r[:k]]
-            pt = tuple(x + sum(c * b[i] for c, b in zip(y, kern)) for i, x in enumerate(x0))
-            verts.append(pt)
-        else:
-            y = r[:k]
-            direction = tuple(sum(c * b[i] for c, b in zip(y, kern)) for i in range(d))
-            rec_rays.append(scaled_primitive(direction))
-    if not verts:
-        return empty()
-    return LatticePolyhedron(d, verts, Cone(d, rec_rays)).canonicalize()
+    verts = [tuple(Fraction(x, r[k]) for x in r[:k]) for r in rays if r[k] > 0]
+    return LatticePolyhedron(k, verts, Cone(k, [r[:k] for r in rays if r[k] == 0])
+                             ).canonicalize()
 
 
 def point_minima(points: Sequence[Sequence], normals: Iterable[IntVec]) -> list[Fraction]:

@@ -2,7 +2,10 @@
 
 The linear-algebra oracles are the straightforward ``Fraction`` (or
 Smith-normal-form) routes that an optimised path in ``toricgit`` replaced;
-the tests check that the fast path agrees with them on seeded inputs.  The
+the tests check that the fast path agrees with them on seeded inputs.  So
+is the quotient route that ``git`` replaced: the slice in ambient
+coordinates, mapped to ker(α) by one unique solve per vertex and ray, and
+σ̄^∨ from its own double description.  The
 rest is code that only the tests run: an exact feasibility LP for
 membership, cone and fan predicates, linear images and Minkowski sums, the
 support constants of a polyhedron read off its facets and by a scan of every
@@ -23,7 +26,7 @@ symmetric model.
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import compress, product
+from itertools import combinations, compress, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -32,14 +35,13 @@ from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (ambient_reflections, chamber_cone,
                                    permutation_matrices, permutohedron_points,
                                    product_cone_dual_columns)
-from toricgit.git import support_constants
+from toricgit.git import EmptyQuotientError, Linearization, support_constants
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
 from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot, elementary_divisors,
                              frac, hermite_normal_form, is_zero_vec, rank,
                              scaled_primitive, smith_normal_form, vadd, vec, vsub)
-from toricgit.polyhedra import (Fan, InnerCertificateError, LatticePolyhedron, affine_slice,
-                                cube_blocks)
+from toricgit.polyhedra import Fan, InnerCertificateError, LatticePolyhedron, cube_blocks
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, QuotientPoint,
                                   UnitValue)
 
@@ -106,6 +108,16 @@ def solve_affine_oracle(m: Matrix, target):
                 k[pc] = -row[c]
             kernel.append(tuple(k))
     return tuple(point), kernel
+
+
+def solve_unique(m: Matrix, target) -> tuple:
+    """Solve m @ x = target when m has full column rank; raises otherwise."""
+    sol = solve_affine_oracle(m, vec(target))
+    if sol is None:
+        raise ValueError("inconsistent system")
+    if sol[1]:
+        raise ValueError("solution not unique")
+    return sol[0]
 
 
 def kernel_basis_snf(m: Matrix):
@@ -374,10 +386,98 @@ def minkowski_sum(p: LatticePolyhedron, q: LatticePolyhedron) -> LatticePolyhedr
     return LatticePolyhedron(p.ambient_rank, pts, rec).canonicalize()
 
 
+def ambient_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePolyhedron:
+    """p ∩ {x : f·x = target}, canonical, in the ambient coordinates of p.
+
+    The route ``polyhedra.affine_slice`` replaced: the facets are cut in the
+    coordinates of the rational kernel of f from Gauss-Jordan
+    (``solve_affine_oracle``), each vertex and ray is mapped back to the
+    ambient space, and a slice through a single point is a membership test."""
+    if f.cols != p.ambient_rank:
+        raise ValueError("rank mismatch")
+    d = p.ambient_rank
+    empty = LatticePolyhedron(d).canonicalize()
+    sol = None if p.is_empty() else solve_affine_oracle(f, vec(target))
+    if sol is None:
+        return empty
+    x0, kern = sol
+    if not kern:
+        return LatticePolyhedron(d, [x0]).canonicalize() if p.contains(x0) else empty
+    k = len(kern)
+
+    def row(n, o):
+        return clear_denominators([dot(n, b) for b in kern] + [dot(n, x0) - o])[0]
+
+    cons = [row(n, o) for n, o in p.facet_rep]
+    for n, o in p.hull_equations:
+        r = row(n, o)
+        cons += [r, tuple(-x for x in r)]
+    cons.append(tuple([0] * k + [1]))
+    lin, rays, _ = dd.cone_from_inequalities(cons, k + 1)
+    if lin:
+        raise ValueError("the slice contains a line")
+    verts, rec = [], []
+    for r in rays:
+        y = [Fraction(x, r[k]) for x in r[:k]] if r[k] > 0 else r[:k]
+        x = tuple(sum(c * b[i] for c, b in zip(y, kern)) for i in range(d))
+        if r[k] > 0:
+            verts.append(vadd(x0, x))
+        else:
+            rec.append(scaled_primitive(x))
+    if not verts:
+        return empty
+    return LatticePolyhedron(d, verts, Cone(d, rec)).canonicalize()
+
+
+def ambient_quotient_slice(p: LatticePolyhedron, lin: Linearization) -> LatticePolyhedron:
+    """The slice P ∩ (α⊗R)^{-1}(-b), in the ambient coordinates of P."""
+    return ambient_slice(p, lin.alpha, [-x for x in lin.b])
+
+
+def to_kernel_coords(lin: Linearization, q: LatticePolyhedron) -> LatticePolyhedron:
+    """An ambient polyhedron inside the slice of ``lin``, rewritten in the
+    ker(α) coordinates y of base_point + Σ y_i k_i by one unique solve per
+    vertex and per ray."""
+    kern = lin.kernel()
+    k = len(kern)
+    if q.is_empty():
+        return LatticePolyhedron(k).canonicalize()
+    kmat = Matrix(kern).transpose()
+    x0 = solve_affine_oracle(lin.alpha, [-x for x in lin.b])[0]
+    verts = [solve_unique(kmat, vsub(v, x0)) for v in q.vertex_candidates]
+    rays = [scaled_primitive(solve_unique(kmat, r)) for r in q.recession.rays]
+    return LatticePolyhedron(k, verts, Cone(k, rays)).canonicalize()
+
+
+def quotient_by_ambient_slice(p: LatticePolyhedron, lin: Linearization) -> LatticePolyhedron:
+    """``git.quotient_polyhedron`` by the ambient slice and a solve per vertex."""
+    return to_kernel_coords(lin, ambient_quotient_slice(p, lin))
+
+
+def split_by_ambient_slice(p: LatticePolyhedron, lin: Linearization
+                           ) -> tuple[LatticePolyhedron, Cone]:
+    """``git.split_quotient`` by the ambient slice of the polytopal part, and
+    σ̄^∨ from the dual of rec(P) restricted to ker(α), by its own double
+    description."""
+    pb = ambient_quotient_slice(LatticePolyhedron(p.ambient_rank, p.vertex_candidates), lin)
+    if pb.is_empty():
+        raise EmptyQuotientError("empty quotient")
+    kern = lin.kernel()
+    rec_dual = p.recession.dual()
+    cons = [tuple(dot(v, b) for b in kern) for v in rec_dual.rays]
+    for v in rec_dual.lineality_basis:
+        row = tuple(dot(v, b) for b in kern)
+        cons += [row, tuple(-x for x in row)]
+    lin_b, rays, _ = dd.cone_from_inequalities(cons, len(kern))
+    if lin_b:
+        raise ValueError("rec(P) ∩ ker(α) contains a line")
+    return to_kernel_coords(lin, pb), Cone(len(kern), rays)
+
+
 def cube_slice_oracle(L: Matrix, f: Matrix, target) -> LatticePolyhedron:
     """The slice of the image of the whole cube, along the general route."""
     cube = LatticePolyhedron(L.cols, product((0, 1), repeat=L.cols)).canonicalize()
-    return affine_slice(linear_image(L, cube), f, target)
+    return ambient_slice(linear_image(L, cube), f, target)
 
 
 def cube_image_slice_by_sums(L: Matrix, f: Matrix, target: Sequence,
@@ -388,7 +488,7 @@ def cube_image_slice_by_sums(L: Matrix, f: Matrix, target: Sequence,
 
     The slice of L(cube) is L of the cube's slice by (f·L)·c = target.
     That slice is the product of the slices of the cube blocks
-    (``cube_blocks`` of f·L), each cut with ``affine_slice``, so its image is
+    (``cube_blocks`` of f·L), each cut with ``ambient_slice``, so its image is
     the Minkowski sum of the block images.  Summed block by block, in int
     over one common denominator and hulled after each block, each vertex of
     the sum keeps its unique decomposition into block vertices, which gives
@@ -420,8 +520,8 @@ def cube_image_slice_by_sums(L: Matrix, f: Matrix, target: Sequence,
         sl = LatticePolyhedron(k, product((0, 1), repeat=k),
                                _facets=tuple(sorted(facets)), _equations=())
         if rows:
-            sl = affine_slice(sl, Matrix([[m.entries[i][j] for j in cols] for i in rows]),
-                              [t[i] for i in rows])
+            sl = ambient_slice(sl, Matrix([[m.entries[i][j] for j in cols] for i in rows]),
+                               [t[i] for i in rows])
             if sl.is_empty():
                 return empty
         slices.append((cols, sl.vertex_candidates))
@@ -757,10 +857,9 @@ def abelian_invariant_factors_by_peeling(elements: Sequence, mul: Callable,
     representatives.  Raises NonabelianQuotientError on a nonabelian input.
     """
     elems = sorted(elements)
-    for x in elems:
-        for y in elems:
-            if mul(x, y) != mul(y, x):
-                raise NonabelianQuotientError(f"non-commuting classes {x} and {y}")
+    for x, y in combinations(elems, 2):  # each unordered pair x < y once
+        if mul(x, y) != mul(y, x):
+            raise NonabelianQuotientError(f"non-commuting classes {x} and {y}")
 
     def peel(elems, mul, ident):
         if len(elems) == 1:

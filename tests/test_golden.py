@@ -8,9 +8,11 @@ build digests before the orbit fan was transported from the chamber, the
 product n = 5 digest (the 7776-point canonical form) before integral
 coordinates were kept as ``int``, and the n = 6 verify digest on the code
 that still listed the 7^6 chart vertices in the bundle and sliced each cube
-block by a double description.  To record them again after a deliberate
-output change, print ``build_digest`` and ``verify_digest`` for the
-parameters below and say why in CHANGES.md.
+block by a double description.  The ``quotient`` digests were recorded on
+the code that sliced P in ambient coordinates and solved one system per
+vertex for its ker(α) coordinates.  To record them again after a deliberate
+output change, print ``build_digest``, ``verify_digest`` and
+``quotient_digest`` for the parameters below and say why in CHANGES.md.
 """
 
 import contextlib
@@ -20,7 +22,9 @@ import json
 
 import pytest
 
+from toricgit import jsonio
 from toricgit.cli import main
+from toricgit.degeneration import build_bundle, product_polyhedron
 
 BUILD_DIGESTS = {
     ("expanded", 1): "3f04313bea67cebbb29a6a6846a9351976eda5d7b9cdee930aa96470d69d7d99",
@@ -54,6 +58,19 @@ VERIFY_DIGESTS = {
     6: "7446743177d01c7f416df2d422d197b440b7a3086a791c17b265313657bcd1b4",
 }
 
+QUOTIENT_DIGESTS = {
+    ("expanded", 1): "3738e8c99023ce87c606ea2d4a81e16b0b707f9bb5dd14aec3ac871c9ef72312",
+    ("expanded", 2): "ed51a952813073a971d966870486c10eda0b0f2e7fec52599e696998ceca1723",
+    ("expanded", 3): "bea4e9cc2dba0895aa2a9788272f1c6af3587074a014dda0abec04487ab637a3",
+    ("expanded", 4): "9a969ee62ed65221d0cdd78f7dc5a9b3c5bf68fc8f86c48c9bfa5e9aa98a4b1c",
+    ("expanded", 5): "e71227c871c382d2af325c9149f21813cb7f2705ee9c3d88365176aabe92b924",
+    ("product", 1): "3738e8c99023ce87c606ea2d4a81e16b0b707f9bb5dd14aec3ac871c9ef72312",
+    ("product", 2): "7ba37f17b838ef4c3e822a3149e2ffdd1f26e39f62cabfc44c2f22aed1d62113",
+    ("product", 3): "635b51c8be57e1c7edc745521f42568e9463c7b3f7af31b3067cb892b918c977",
+    ("empty square", 0): "1053e6abfa8f92ed24086add87bff4efdcdd6abc2389bfa869df6a000d0b1514",
+    ("split not applicable", 0): "dca5a23945a9bde5e382f82be3f9f8ea1417ca5ea73abd79f5a225e7f33d251c",
+}
+
 
 def _run(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -77,6 +94,40 @@ def verify_digest(n: int) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def quotient_inputs(name: str, n: int) -> tuple[dict, dict, str]:
+    """(polyhedron JSON, alpha JSON, b) of a ``toricgit quotient`` run: the
+    expanded family with its own (alpha, b), the product polyhedron with the
+    product linearization, and the empty-square and split-not-applicable
+    inputs of the CLI tests."""
+    if name == "expanded":
+        poly = json.loads(_run(["build", "--n", str(n), "--object", "expanded"]))
+        lin = build_bundle(n).lin_family
+    elif name == "product":
+        poly = jsonio.polyhedron_to_json(product_polyhedron(n))
+        lin = build_bundle(n).lin_product
+    elif name == "empty square":
+        return ({"ambient_rank": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
+                 "recession": {"ambient_rank": 2, "rays": [], "lineality": []}},
+                {"rows": 1, "cols": 2, "entries": [["1", "0"]]}, "-5")
+    else:
+        return ({"ambient_rank": 2, "vertices": [["0", "0"]],
+                 "recession": {"ambient_rank": 2, "rays": [["1", "0"], ["0", "1"]],
+                               "lineality": []}},
+                {"rows": 1, "cols": 2, "entries": [["1", "1"]]}, "-3")
+    alpha = {"rows": lin.alpha.rows, "cols": lin.alpha.cols,
+             "entries": [[jsonio.rational_str(x) for x in r] for r in lin.alpha.entries]}
+    return poly, alpha, ",".join(jsonio.rational_str(x) for x in lin.b)
+
+
+def quotient_digest(tmp_path, name: str, n: int) -> str:
+    poly, alpha, b = quotient_inputs(name, n)
+    ppath, apath = tmp_path / "poly.json", tmp_path / "alpha.json"
+    ppath.write_text(json.dumps(poly))
+    apath.write_text(json.dumps(alpha))
+    text = _run(["quotient", str(ppath), str(apath), b])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("obj,n", sorted(BUILD_DIGESTS))
 def test_build_output_unchanged(obj, n):
     assert build_digest(obj, n) == BUILD_DIGESTS[obj, n]
@@ -85,3 +136,8 @@ def test_build_output_unchanged(obj, n):
 @pytest.mark.parametrize("n", sorted(VERIFY_DIGESTS))
 def test_verify_report_unchanged(n):
     assert verify_digest(n) == VERIFY_DIGESTS[n]
+
+
+@pytest.mark.parametrize("name,n", sorted(QUOTIENT_DIGESTS))
+def test_quotient_output_unchanged(tmp_path, name, n):
+    assert quotient_digest(tmp_path, name, n) == QUOTIENT_DIGESTS[name, n]

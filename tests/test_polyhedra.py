@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from oracles import (check_semigroup_generation, cone_over, cube_image_slice_by_sums,
                      cube_slice_oracle, embedding_monomials, feasible_nonneg_combination,
                      in_cone_hull, intersection, linear_image, minkowski_sum,
-                     normal_fan_by_vertex_dd, validate_pairwise_faces, validate_support_cover)
+                     normal_fan_by_vertex_dd, solve_affine_oracle, validate_pairwise_faces,
+                     validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot, rank, vadd
@@ -227,19 +228,39 @@ def test_cube_image_slice_certificate_needs_every_facet():
 
 
 def test_affine_slice_examples():
+    # the square cut by x + y = t, in the coordinate y of (t, 0) + y·(1, -1)
     sq = cube(2)
-    r1 = affine_slice(sq, Matrix([[1, 1]]), [F(2, 3)])
-    assert set(r1.vertex_candidates) == {(F(2, 3), F(0)), (F(0), F(2, 3))}
-    r2 = affine_slice(sq, Matrix([[1, 1]]), [F(4, 3)])
-    assert set(r2.vertex_candidates) == {(F(1), F(1, 3)), (F(1, 3), F(1))}
-    assert affine_slice(sq, Matrix([[1, 1]]), [5]).is_empty()
+    r1 = affine_slice(sq, (F(2, 3), 0), [(1, -1)])
+    assert r1.vertex_candidates == ((F(-2, 3),), (0,))
+    r2 = affine_slice(sq, (F(4, 3), 0), [(1, -1)])
+    assert r2.vertex_candidates == ((-1,), (F(-1, 3),))
+    assert affine_slice(sq, (5, 0), [(1, -1)]).is_empty()
+    # k = 0: the slice is the point x0 or empty, with no special case
+    for x0, inside in (((F(1, 2), F(1, 3)), True), ((1, 0), True), ((2, 0), False),
+                       ((F(1, 2), F(-1, 2)), False)):
+        pt = affine_slice(sq, x0, [])
+        assert pt.ambient_rank == 0 and pt.is_empty() != inside
+        assert pt.vertex_candidates == (((),) if inside else ())
+    # a lower-dimensional p: its hull equations cut too
+    seg = LatticePolyhedron(2, [(0, 0), (2, 2)])
+    assert affine_slice(seg, (0, 1), [(1, 0)]).vertex_candidates == ((1,),)
+    assert affine_slice(seg, (0, 1), []).is_empty()
+    # rays at t = 0 are the recession cone of the slice: the x-axis meets
+    # the wedge in (1, 0) + y·(1, 0) for y >= -1
+    wedge = LatticePolyhedron(2, [(0, 0)], Cone(2, [(1, 0), (1, 1)]))
+    sl = affine_slice(wedge, (1, 0), [(1, 0)])
+    assert sl.vertex_candidates == ((-1,),) and sl.recession.rays == ((1,),)
+    assert affine_slice(LatticePolyhedron(2), (0, 0), [(1, 0)]) == LatticePolyhedron(1)
 
 
 def test_affine_slice_rejects_lineality():
     # P = {0} + R·e1 + cone(e2) sliced by y = 1 is a line, not the point (0, 1)
     p = LatticePolyhedron(2, [(0, 0)], Cone(2, [(1, 0), (-1, 0), (0, 1)]))
     with pytest.raises(ValueError, match="pointed"):
-        affine_slice(p, Matrix([[0, 1]]), [1])
+        affine_slice(p, (0, 1), [(1, 0)])
+    # cut across the line, the slice is the ray (0, 1) + cone(e2)
+    sl = affine_slice(p, (0, 0), [(0, 1)])
+    assert sl.vertex_candidates == ((0,),) and sl.recession.rays == ((1,),)
 
 
 def test_affine_slice_vertices_on_low_faces():
@@ -256,20 +277,22 @@ def test_affine_slice_vertices_on_low_faces():
             a[0] = 1
         interior = tuple(F(sum(c[i] for c in p.vertex_candidates), len(p.vertex_candidates))
                          for i in range(d))
-        t = dot(a, interior)
-        sl = affine_slice(p, Matrix([a]), [t])
-        for v in sl.vertex_candidates:
+        x0, basis = solve_affine_oracle(Matrix([a]), [dot(a, interior)])
+        sl = affine_slice(p, x0, basis)
+        for y in sl.vertex_candidates:
+            v = [x + sum(c * b[i] for c, b in zip(y, basis)) for i, x in enumerate(x0)]
+            assert dot(a, v) == dot(a, interior)
             active = [n for n, o in p.facet_rep if dot(n, v) == o]
             face_dim = d - Matrix(active + [list(e[0]) for e in p.hull_equations]).rank() \
                 if active else d
             assert face_dim <= 1
 
 
-def assert_slice_independent_of_canonical_form(q, f, target):
+def assert_slice_independent_of_canonical_form(q, x0, basis):
     """Slicing q and slicing q.canonicalize() give the same vertices, recession,
     H-representation and JSON bytes; returns the slice."""
-    got = affine_slice(q, f, target)
-    want = affine_slice(q.canonicalize(), f, target)
+    got = affine_slice(q, x0, basis)
+    want = affine_slice(q.canonicalize(), x0, basis)
     assert got.vertex_candidates == want.vertex_candidates
     assert got.recession.key() == want.recession.key()
     assert got.facet_rep == want.facet_rep
@@ -307,30 +330,18 @@ def test_slice_of_polytopal_part_needs_no_canonical_form():
         through = rng.choice([pts[-2], rng.choice(pts), None])
         target = (f @ through if through is not None
                   else [F(rng.randint(-6, 6), 2) for _ in range(f.rows)])
-        nonempty += not assert_slice_independent_of_canonical_form(q, f, target).is_empty()
+        x0, basis = solve_affine_oracle(f, target)
+        nonempty += not assert_slice_independent_of_canonical_form(q, x0, basis).is_empty()
     assert nonempty >= 20
 
 
 def test_slice_of_product_polytope_needs_no_canonical_form():
     from toricgit.degeneration import build_bundle, product_polyhedron
     for n in (1, 2, 3):
-        b = build_bundle(n)
+        lin = build_bundle(n).lin_product
         q = product_polyhedron(n).polytopal_part()
-        sl = assert_slice_independent_of_canonical_form(q, b.lin_product.alpha,
-                                                        [-x for x in b.lin_product.b])
+        sl = assert_slice_independent_of_canonical_form(q, lin.base_point(), lin.kernel())
         assert len(sl.vertex_candidates) == len(list(permutations(range(n))))
-
-
-def test_polytopal_part_is_memoised():
-    from toricgit.degeneration import product_polyhedron
-    rng = random.Random(3)
-    for d in (2, 3, 4):
-        p = LatticePolyhedron(d, random_polytope_points(rng, d), Cone(d, [(1,) * d]))
-        q = p.polytopal_part()
-        assert q is p.polytopal_part()
-        assert q.vertex_candidates == p.vertex_candidates and not q.recession.rays
-    p2 = product_polyhedron(2)
-    assert p2.polytopal_part() is p2.polytopal_part()
 
 
 def test_normal_fan_segment():
@@ -372,9 +383,7 @@ def test_cone_over_slice_back():
     p = minkowski_sum(iota, LatticePolyhedron(3, [(0, 0, 0)], SIGMA2_DUAL))
     c = cone_over(p)
     hp = LatticePolyhedron(4, [(0, 0, 0, 0)], c)
-    sl = affine_slice(hp, Matrix([[0, 0, 0, 1]]), [1])
-    back = LatticePolyhedron(3, [v[:3] for v in sl.vertex_candidates],
-                             Cone(3, [r[:3] for r in sl.recession.rays]))
+    back = affine_slice(hp, (0, 0, 0, 1), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
     assert back == p
     # recession = height-0 slice of the cone over p
     zero_slice = [r[:3] for r in c.rays if r[3] == 0]
