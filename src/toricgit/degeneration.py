@@ -225,8 +225,6 @@ def constant_tail(n: int) -> tuple[Fraction, ...]:
 @dataclass(frozen=True)
 class DegenerationBundle:
     n: int
-    base_cone: Cone                       # cone of the base-changed family, in N
-    family_rec_dual: Cone                 # recession cone of the family polyhedron
     family_polyhedron: LatticePolyhedron  # polyhedron of the iterated blow-up
     product_rec_dual: Cone                # recession cone of the product polyhedron
     product_cone: Cone                    # its dual, generated by the (e_I; e_j)
@@ -270,10 +268,10 @@ def build_bundle(n: int) -> DegenerationBundle:
     adds its (n+1)^n chart vertices."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # family side, rank n+2
+    # family side, rank n+2: the recession cone of the family polyhedron is
+    # the dual of the cone of the base-changed family
     fam_rec = Cone(n + 2, family_rec_dual_columns(n))
-    base = Cone(n + 2, base_cone_columns(n))
-    if base.dual() != fam_rec:
+    if Cone(n + 2, base_cone_columns(n)).dual() != fam_rec:
         raise AssertionError("base cone display inconsistent with its dual display")
     lx = family_cube_map(n)
     cube_pts = [lx @ v for v in product((0, 1), repeat=n)]
@@ -297,7 +295,7 @@ def build_bundle(n: int) -> DegenerationBundle:
     if pi.rank() != n + 1:
         raise AssertionError("pi must be surjective")
     return DegenerationBundle(
-        n=n, base_cone=base, family_rec_dual=fam_rec, family_polyhedron=fam_poly,
+        n=n, family_polyhedron=fam_poly,
         product_rec_dual=prod_rec, product_cone=prod_cone,
         cube_map=L, product_facets=facets, lin_family=lin_fam,
         lin_product=lin_prod, projection=pi, basis_change=basis_change_matrix(n))
@@ -480,11 +478,15 @@ def _pb(n: int) -> LatticePolyhedron:
     """The slice polytope P_b = conv(chart vertices) ∩ {α x = -b} of the
     product, read by ``pb_vertices`` and ``unstable_locus``.
 
-    ``cube_image_slice`` cuts it from the n^2-cube with the 2^n - 2
-    candidate facet normals (e_I; 0), I a proper nonempty subset of [n] (P_b
-    is a generalized permutohedron; Postnikov, IMRN 2009), and ``chart_box``
-    as the corner test, so neither the bundle nor the (n+1)^n chart corners
-    are listed.  If a certificate failed, the checks would report an error."""
+    ``cube_image_slice`` cuts it from the n^2-cube.  Row i of α·L reads
+    cube block i, each of its n columns with coefficient -1, so the block's
+    slice is the hypersimplex slice {y ∈ [0,1]^n : Σ y = i·n/(n+1)} and P_b
+    is the Minkowski sum of their images, a generalized permutohedron
+    (Postnikov, IMRN 2009).  So the 2^n - 2 normals (e_I; 0), I a proper
+    nonempty subset of [n], are the candidate facet normals, and
+    ``chart_box`` is the corner test: neither the bundle nor the (n+1)^n
+    chart corners are listed.  If a certificate failed, the checks would
+    report an error."""
     lin = product_linearization(n)
     normals = [e + (0,) * (n + 1) for e in product((0, 1), repeat=n) if 0 < sum(e) < n]
     return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b], normals,

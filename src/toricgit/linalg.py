@@ -46,14 +46,6 @@ def dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
 
 
-def vadd(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def is_zero_vec(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 
@@ -134,10 +126,6 @@ class Matrix:
         return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(r: int, c: int) -> "Matrix":
-        return Matrix([[0] * c for _ in range(r)])
-
-    @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
         cols = list(cols)
         if any(len(c) != len(cols[0]) for c in cols):
@@ -150,16 +138,13 @@ class Matrix:
     def columns(self) -> list[tuple]:
         return [self.column(j) for j in range(self.cols)]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.entries))
 
     def __matmul__(self, other):
         """Exact product, for int and rational entries alike.  Row i of
         ``self @ other`` is the sum, over the nonzero ``a = self[i][j]``, of
-        ``a * other.row(j)``; a 1-entry takes the row as it is, so a
+        ``a`` times row j of ``other``; a 1-entry takes the row as it is, so a
         permutation row costs no arithmetic.  The matrix-vector product is a
         plain sum of products."""
         if isinstance(other, Matrix):

@@ -15,15 +15,14 @@ monomials); the empty polyhedron is a first-class value.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, floor, lcm
-from operator import sub
+from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone, column_dots, sparse_incidence
-from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, frac, is_zero_vec,
-                     primitive, rank, row_reduce, scaled_primitive, vadd, vec, vsub)
+from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, primitive, rank,
+                     scaled_primitive, vec)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
 Equation = tuple[tuple[int, ...], Fraction]  # <n, x> == o
@@ -126,15 +125,6 @@ class LatticePolyhedron:
         if self._seed is not None:
             return self._read_off(self._seed[1])
         return () if self.is_empty() else self._read_off(self.homogenization().equations)
-
-    def contains(self, point: Sequence) -> bool:
-        p = vec(point)
-        if len(p) != self.ambient_rank:
-            raise ValueError("dimension mismatch")
-        if self.is_empty():
-            return False
-        return all(dot(n, p) == o for n, o in self.hull_equations) and \
-               all(dot(n, p) >= o for n, o in self.facet_rep)
 
     # -- canonicalization ----------------------------------------------------
 
@@ -291,72 +281,6 @@ class InnerCertificateError(ValueError):
     """A vertex of the cube-image slice is not shown to lie in conv(L(corners))."""
 
 
-def cube_blocks(m: Matrix) -> list[tuple[list[int], list[int]]]:
-    """(columns, rows) of each connected component of the nonzero pattern of m.
-
-    Two columns are joined when some row reads both.  A column that no row
-    reads is a block of its own with no rows; rows that read no column
-    belong to no block.  Blocks are ordered by their first column."""
-    parent = list(range(m.cols))
-
-    def find(j):
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    support = [[j for j, x in enumerate(r) if x != 0] for r in m.entries]
-    for cols in support:
-        for j in cols[1:]:
-            parent[find(j)] = find(cols[0])
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
-    for j in range(m.cols):
-        blocks.setdefault(find(j), ([], []))[0].append(j)
-    for i, cols in enumerate(support):
-        if cols:
-            blocks[find(cols[0])][1].append(i)
-    return sorted(blocks.values())
-
-
-def cube_slice_vertices(k: int, m: Sequence[Sequence], t: Sequence) -> list[tuple]:
-    """The vertices of {y ∈ [0,1]^k : m·y = t}, sorted; [] when it is empty.
-
-    Let r be the rank of m.  A point of the slice is a vertex iff its
-    coordinates strictly between 0 and 1 index independent columns of m
-    (Ziegler, *Lectures on Polytopes*, §2-3).  Extend those to r
-    independent columns J: the other coordinates are 0 or 1, and they fix
-    y_J.  So the vertices are the solutions in [0,1]^J of
-    m_J y_J = t - m_rest c, one for each nonsingular r-set J and each 0/1
-    point c off J: the points where the r-faces of the cube meet the cut.
-    Dependent rows are dropped and inconsistent ones give []; each
-    solution is taken in int over one common denominator per J."""
-    a = [[frac(x) for x in row] + [frac(x)] for row, x in zip(m, t)]
-    r = len(row_reduce(a, range(k)))
-    if any(row[k] for row in a[r:]):
-        return []
-    out = set()
-    for cols in combinations(range(k), r):
-        b = a[:r]  # row_reduce rebinds rows, so a keeps its own
-        if len(row_reduce(b, cols)) < r:
-            continue
-        rest = [j for j in range(k) if j not in cols]
-        # y_cols = (rhs - sum of the rest columns that c sets to 1) / q
-        flat, q = clear_denominators([x for row in b for x in row])
-        rows = [flat[i * (k + 1):(i + 1) * (k + 1)] for i in range(r)]
-        rhs = [row[k] for row in rows]
-        rest_cols = [[row[j] for row in rows] for j in rest]
-        for c in product((0, 1), repeat=len(rest)):
-            y = rhs
-            for cj, col in zip(c, rest_cols):
-                if cj:
-                    y = list(map(sub, y, col))
-            if all(0 <= v <= q for v in y):
-                pt = dict(zip(rest, c))
-                pt.update((j, Fraction(v, q)) for j, v in zip(cols, y))
-                out.add(tuple(pt[j] for j in range(k)))
-    return sorted(out)
-
-
 def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[Sequence[int]],
                      corner_box: Callable[[IntVec, IntVec], bool]) -> LatticePolyhedron:
     """conv(L(corners)) ∩ {x : f·x = target}, canonical, for the 0/1 points
@@ -365,64 +289,69 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[S
     include the facet normals; FacetCertificateError or InnerCertificateError
     when the certificate fails.
 
-    The slice of L(cube) is the Minkowski sum of the images of the cube
-    blocks' slices (``cube_blocks`` of f·L, the vertices of each from
-    ``cube_slice_vertices``), in int over one common denominator h, and
-    support functions add over a Minkowski sum (Schneider, *Convex Bodies*,
-    §1.7).  With the minima as
+    f·L must cut the cube in hypersimplex blocks: row i reads its own
+    nonempty set B_i of columns, all with one coefficient a_i, and every
+    column is read; ValueError otherwise.  The cube's slice is then the
+    product of the slices {y ∈ [0,1]^B_i : Σ y = s_i}, s_i = target_i / a_i,
+    empty unless 0 <= s_i <= |B_i|, and its image under L is the Minkowski
+    sum of their images, whose support function is the sum of theirs
+    (Schneider, *Convex Bodies*, §1.7).  A functional is least on a
+    hypersimplex slice at the greedy point (Edmonds, 1970): weight 1 on the
+    ⌊s_i⌋ columns of B_i with least value, ties broken by column, and the
+    fractional part of s_i on the next one.  So the oracle takes Lᵀc once,
+    sorts each block, and gives the minimum of c, an argmin and its
+    preimage in int over one common denominator h.  With the minima as
     offsets the normals cut out Q ⊇ slice; one double description on the
-    affine hull gives its vertices.  Q must be bounded, and at each vertex
-    w: (a) the normals through w have rank dim Q, so their sum c is interior
-    to the normal cone of Q at w; (b) the argmin of c is w, so w is in the
-    slice and Q = slice; (c) ``corner_box`` holds on the cube face through
-    w's preimage (its coordinates in (0, 1) set to 0 or 1), so w is in
-    conv(L(corners)), which L(cube) bounds from outside.  Blocks must be
-    small: a block of k columns and rank r tries C(k, r) 2^(k-r) points."""
-    d = L.rows
+    affine hull, spanned by the images of e_j - e_j' in the blocks with
+    0 < s_i < |B_i|, gives its vertices.  Q must be bounded, and at each
+    vertex w: (a) the normals through w have rank dim Q, so their sum c is
+    interior to the normal cone of Q at w; (b) the argmin of c is w, so w is
+    in the slice and Q = slice; (c) ``corner_box`` holds on the cube face
+    through w's preimage (its coordinates in (0, 1) set to 0 or 1), so w is
+    in conv(L(corners)), which L(cube) bounds from outside."""
+    d, nc = L.rows, L.cols
     if f.cols != d:
         raise ValueError("rank mismatch")
-    t = vec(target)
-    empty = LatticePolyhedron(d).canonicalize()
-    m = f @ L
-    if any(is_zero_vec(r) and x != 0 for r, x in zip(m.entries, t)):
-        return empty
-    slices = []
-    for cols, rows in cube_blocks(m):
-        ys = cube_slice_vertices(len(cols), [[m.entries[i][j] for j in cols] for i in rows],
-                                 [t[i] for i in rows])
-        if not ys:
-            return empty
-        slices.append((cols, ys))
-    # L and the slice points in int over dl and dy: the images hold h·x, h = dl·dy
+    blocks, read = [], set()
+    for r, x in zip((f @ L).entries, vec(target)):
+        cols = [j for j, a in enumerate(r) if a != 0]
+        if not cols or len({r[j] for j in cols}) > 1 or read.intersection(cols):
+            raise ValueError("each row of f·L must read its own columns with one coefficient")
+        read.update(cols)
+        blocks.append((cols, x / r[cols[0]]))
+    if len(read) != nc:
+        raise ValueError("every column of L must be read by a row of f·L")
+    if not all(0 <= s <= len(cols) for cols, s in blocks):
+        return LatticePolyhedron(d).canonicalize()
+    # L in int over dl, the slice in int over ds: the images hold h·x, h = dl·ds
     flat, dl = clear_denominators([x for r in L.entries for x in r])
-    rows_l = [flat[i * L.cols:(i + 1) * L.cols] for i in range(d)]
-    dy = lcm(*(x.denominator for _, ys in slices for y in ys for x in y))
-    h = dl * dy
-    # per block: its image points, their columns and their preimages; the
-    # oracle gives min of <c, h·x> over the slice, an argmin and its preimage
-    blocks = []
-    for cols, ys in slices:
-        image = {}
-        for y in ys:
-            yi = [(x.numerator * (dy // x.denominator), j) for x, j in zip(y, cols)]
-            image.setdefault(tuple(sum(c * r[j] for c, j in yi) for r in rows_l),
-                             tuple(zip(cols, y)))
-        blocks.append((list(image), list(zip(*image)), list(image.values())))
+    rows_l = [flat[i * nc:(i + 1) * nc] for i in range(d)]
+    ds = lcm(*(s.denominator for _, s in blocks))
+    h = dl * ds
+    # s_i·ds = whole·ds + part: weight ds on ``whole`` columns, part on one more
+    cuts = [(cols, *divmod(s.numerator * (ds // s.denominator), ds)) for cols, s in blocks]
 
     def oracle(c):
-        low, arg, pre = 0, (0,) * d, {}
-        for pts, cols, ys in blocks:
-            vals = column_dots(c, cols, len(pts))
-            i = vals.index(min(vals))
-            low, arg = low + vals[i], vadd(arg, pts[i])
-            pre.update(ys[i])
-        return low, arg, pre
+        """min of <c, h·x> over the slice, an argmin h·x and its preimage
+        times ds."""
+        vals = column_dots(c, rows_l, nc)
+        y = [0] * nc
+        for cols, whole, part in cuts:
+            order = sorted(cols, key=vals.__getitem__)  # stable: ties by column
+            for j in order[:whole]:
+                y[j] = ds
+            if part:
+                y[order[whole]] = part
+        return sum(map(mul, vals, y)), tuple(sum(map(mul, r, y)) for r in rows_l), y
 
-    base = oracle(())[1]  # the sum of the first image points
+    base = oracle(())[1]  # the greedy point of c = 0: each block's first columns
     basis: list[IntVec] = []
-    for v in (vsub(p, pts[0]) for pts, _, _ in blocks for p in pts[1:]):
-        if rank(basis + [v]) > len(basis):
-            basis.append(v)
+    for cols, s in blocks:
+        if 0 < s < len(cols):
+            for j in cols[1:]:
+                v = tuple(r[j] - r[cols[0]] for r in rows_l)
+                if rank(basis + [v]) > len(basis):
+                    basis.append(v)
     k = len(basis)
     nus = list(dict.fromkeys(primitive(nu) for nu in normals))
     rows = [primitive([dot(nu, b) for b in basis] + [dot(nu, base) - oracle(nu)[0]])
@@ -439,8 +368,7 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[S
         w = [r[k] * x + sum(y * b[i] for y, b in zip(r, basis)) for i, x in enumerate(base)]
         if [r[k] * x for x in arg] != w:
             raise FacetCertificateError(f"the candidate vertex {r} is not in the slice")
-        lo, hi = (tuple(rnd(pre[j]) for j in range(L.cols)) for rnd in (floor, ceil))
-        if not corner_box(lo, hi):
+        if not corner_box(tuple(y // ds for y in pre), tuple(-(-y // ds) for y in pre)):
             raise InnerCertificateError(f"the cube face through the preimage of {arg} / {h} "
                                         "has a point that is not a corner")
         verts.append(tuple(Fraction(x, h) for x in arg))

@@ -7,11 +7,12 @@ is the quotient route that ``git`` replaced: the slice in ambient
 coordinates, mapped to ker(α) by one unique solve per vertex and ray, and
 σ̄^∨ from its own double description.  The
 rest is code that only the tests run: an exact feasibility LP for
-membership, cone and fan predicates, linear images and Minkowski sums, the
-support constants of a polyhedron read off its facets and by a scan of every
-candidate point, two routes to the slice of a cube image (the slice of the
-hulled image, and the sum of the
-block slices' images hulled after each block, with a corner lookup), the
+membership, polyhedron membership read off the facets, cone and fan
+predicates, linear images and Minkowski sums, the support constants of a
+polyhedron read off its facets and by a scan of every candidate point, two
+routes to the slice of a cube image (the slice of the hulled image, and the
+sum of the images of the slices of the connected blocks of any sparsity
+pattern, hulled after each block, with a corner lookup), the
 normal fan by one double description per vertex, the extremeness test by the rank of
 the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
@@ -40,10 +41,18 @@ from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, i
 from toricgit.jsonio import rational_str
 from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot, elementary_divisors,
                              frac, hermite_normal_form, is_zero_vec, rank,
-                             scaled_primitive, smith_normal_form, vadd, vec, vsub)
-from toricgit.polyhedra import Fan, InnerCertificateError, LatticePolyhedron, cube_blocks
+                             scaled_primitive, smith_normal_form, vec)
+from toricgit.polyhedra import Fan, InnerCertificateError, LatticePolyhedron
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, QuotientPoint,
                                   UnitValue)
+
+
+def vadd(a: Sequence, b: Sequence) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vsub(a: Sequence, b: Sequence) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def det_unimodular(m: Matrix) -> int:
@@ -386,6 +395,17 @@ def minkowski_sum(p: LatticePolyhedron, q: LatticePolyhedron) -> LatticePolyhedr
     return LatticePolyhedron(p.ambient_rank, pts, rec).canonicalize()
 
 
+def contains(p: LatticePolyhedron, point: Sequence) -> bool:
+    """Is the point in p?  Read off the H-representation of p."""
+    x = vec(point)
+    if len(x) != p.ambient_rank:
+        raise ValueError("dimension mismatch")
+    if p.is_empty():
+        return False
+    return all(dot(n, x) == o for n, o in p.hull_equations) and \
+           all(dot(n, x) >= o for n, o in p.facet_rep)
+
+
 def ambient_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticePolyhedron:
     """p ∩ {x : f·x = target}, canonical, in the ambient coordinates of p.
 
@@ -402,7 +422,7 @@ def ambient_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticeP
         return empty
     x0, kern = sol
     if not kern:
-        return LatticePolyhedron(d, [x0]).canonicalize() if p.contains(x0) else empty
+        return LatticePolyhedron(d, [x0]).canonicalize() if contains(p, x0) else empty
     k = len(kern)
 
     def row(n, o):
@@ -478,6 +498,33 @@ def cube_slice_oracle(L: Matrix, f: Matrix, target) -> LatticePolyhedron:
     """The slice of the image of the whole cube, along the general route."""
     cube = LatticePolyhedron(L.cols, product((0, 1), repeat=L.cols)).canonicalize()
     return ambient_slice(linear_image(L, cube), f, target)
+
+
+def cube_blocks(m: Matrix) -> list[tuple[list[int], list[int]]]:
+    """(columns, rows) of each connected component of the nonzero pattern of m.
+
+    Two columns are joined when some row reads both.  A column that no row
+    reads is a block of its own with no rows; rows that read no column
+    belong to no block.  Blocks are ordered by their first column."""
+    parent = list(range(m.cols))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    support = [[j for j, x in enumerate(r) if x != 0] for r in m.entries]
+    for cols in support:
+        for j in cols[1:]:
+            parent[find(j)] = find(cols[0])
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for j in range(m.cols):
+        blocks.setdefault(find(j), ([], []))[0].append(j)
+    for i, cols in enumerate(support):
+        if cols:
+            blocks[find(cols[0])][1].append(i)
+    return sorted(blocks.values())
 
 
 def cube_image_slice_by_sums(L: Matrix, f: Matrix, target: Sequence,

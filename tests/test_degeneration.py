@@ -466,6 +466,17 @@ def test_pb_matches_the_route_by_sums():
         assert _pb(n) == want and _pb(n).vertex_candidates == want.vertex_candidates, n
 
 
+def test_pb_cut_has_hypersimplex_blocks():
+    # row i of α·L reads cube block i, each column with coefficient -1, and
+    # s_i = i·n/(n+1) lies inside (0, n): the contract of cube_image_slice
+    for n in range(1, 8):
+        lin = product_linearization(n)
+        m = lin.alpha @ product_cube_map(n)
+        assert m.entries == tuple(tuple(-1 if j // n == i else 0 for j in range(n * n))
+                                  for i in range(n)), n
+        assert all(0 < b < n for b in lin.b), n
+
+
 def test_pb_n6_is_the_closed_form():
     try:
         got = _pb(6)

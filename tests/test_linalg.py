@@ -345,7 +345,7 @@ def test_solve_unique_columns_is_one_solve_per_target():
 def _rank_at_most(rng, nr, nc, k):
     left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
     right = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
-    return Matrix(left) @ Matrix(right) if k else Matrix.zero(nr, nc)
+    return Matrix(left) @ Matrix(right) if k else Matrix([[0] * nc] * nr)
 
 
 def test_kernel_basis_matches_snf_route():

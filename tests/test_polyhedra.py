@@ -3,20 +3,19 @@ from fractions import Fraction as F
 from itertools import permutations, product
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import (check_semigroup_generation, cone_over, cube_image_slice_by_sums,
-                     cube_slice_oracle, embedding_monomials, feasible_nonneg_combination,
+from oracles import (check_semigroup_generation, cone_over, contains, cube_slice_oracle,
+                     embedding_monomials, feasible_nonneg_combination,
                      in_cone_hull, intersection, linear_image, minkowski_sum,
-                     normal_fan_by_vertex_dd, solve_affine_oracle, validate_pairwise_faces,
+                     normal_fan_by_vertex_dd, solve_affine_oracle, vadd, validate_pairwise_faces,
                      validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
-from toricgit.linalg import Matrix, dot, rank, vadd
+from toricgit.linalg import Matrix, dot, rank
 from toricgit.polyhedra import (FacetCertificateError, LatticePolyhedron, affine_slice,
-                                cube_blocks, cube_image_slice, cube_slice_vertices,
-                                normal_fan)
+                                cube_image_slice, normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
 
@@ -67,7 +66,7 @@ def test_canonicalize_cube_image_against_oracle():
 def test_canonicalize_empty():
     p = LatticePolyhedron(3).canonicalize()
     assert p.is_empty()
-    assert not p.contains((0, 0, 0))
+    assert not contains(p, (0, 0, 0))
 
 
 def test_minkowski_identity_and_square():
@@ -106,107 +105,63 @@ def certified_cube_slice(L, f, target):
     return cube_image_slice(L, f, target, normals, every_corner), want
 
 
-def test_cube_blocks():
-    from toricgit.degeneration import product_cube_map, product_linearization
-    # row i of α·L reads exactly cube block i
-    for n in (2, 3):
-        m = product_linearization(n).alpha @ product_cube_map(n)
-        assert cube_blocks(m) == [(list(range(i * n, (i + 1) * n)), [i]) for i in range(n)]
-    # a row that reads two blocks joins them, an unread column is a block of
-    # its own, and a zero row belongs to no block
-    m = Matrix([[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0] * 6, [0, 1, 0, 0, 0, -1]])
-    assert cube_blocks(m) == [([0, 1, 5], [0, 3]), ([2], []), ([3, 4], [1])]
-
-
-def test_cube_image_slice_non_separable_matches_oracle():
-    rng = random.Random(11)
-    seen = 0
-    while seen < 6:
-        N, d = rng.randint(2, 4), rng.randint(2, 4)
-        L = Matrix([[rng.randint(-2, 2) for _ in range(N)] for _ in range(d)])
-        f = Matrix([[rng.randint(-2, 2) for _ in range(d)]])
-        if len(cube_blocks(f @ L)) != 1:
-            continue
-        seen += 1
-        c0 = [F(rng.randint(0, 4), 4) for _ in range(N)]
-        target = f @ (L @ c0)
-        got, want = certified_cube_slice(L, f, target)
-        assert_same_polytope(got, want)
-        corners = list(product((0, 1), repeat=N))
-        assert_same_polytope(cube_image_slice_by_sums(L, f, target, corners), want)
-
-
 @st.composite
-def separable_slices(draw):
-    """(L, f, target): L = [M; R] and f = [I | 0], so f·L = M, a sparse
-    matrix whose nonzero pattern splits the cube into blocks.  Half the
-    draws give L entries over 2 and 3."""
+def hypersimplex_slices(draw):
+    """(L, f, target): L = [M; R] and f = [I | 0], so f·L = M, whose row i
+    reads the columns of block i, the blocks a random partition of the
+    columns into one to three sets, with one coefficient a_i.  Each
+    s_i = target_i / a_i lies strictly between 0 and k_i, at one of them,
+    on an integer, or outside [0, k_i].  M is constant on the slice, so the
+    one to three rows R give the image its shape.  Half the draws give L
+    entries over 2 and 3."""
     N = draw(st.integers(2, 6))
-    k = draw(st.integers(1, 3))
-    r = draw(st.integers(0, 2))
+    order = draw(st.permutations(range(N)))
+    nb = draw(st.integers(1, min(3, N)))
+    cuts = sorted(draw(st.sets(st.integers(1, N - 1), min_size=nb - 1, max_size=nb - 1)))
+    blocks = [order[i:j] for i, j in zip([0] + cuts, cuts + [N])]
     den = st.sampled_from([1, 2, 3]) if draw(st.booleans()) else st.just(1)
-    entry = st.builds(F, st.sampled_from([0, 0, 0, 1, -1, 2]), den)
-    M = [[draw(entry) for _ in range(N)] for _ in range(k)]
-    R = [[draw(st.builds(F, st.integers(-2, 2), den)) for _ in range(N)] for _ in range(r)]
-    L = Matrix(M + R)
-    f = Matrix([[1 if j == i else 0 for j in range(k + r)] for i in range(k)])
-    if draw(st.integers(0, 2)):
-        # through a point of the cube, so that most slices are not empty
-        c0 = [F(draw(st.integers(0, 3)), 3) for _ in range(N)]
-        target = Matrix(M) @ c0
-    else:
-        target = [F(draw(st.integers(-4, 4)), 2) for _ in range(k)]
-    return L, f, target
+    M, target = [], []
+    for block in blocks:
+        k = len(block)
+        a = draw(st.builds(F, st.sampled_from([1, -1, 2, -3]), den))
+        kind = draw(st.sampled_from(["inside"] * 3 + ["end", "integral", "outside"]))
+        if kind == "inside":
+            s = F(draw(st.integers(1, 6 * k - 1)), 6)
+        elif kind == "end":
+            s = F(draw(st.sampled_from([0, k])))
+        elif kind == "integral":
+            s = F(draw(st.integers(0, k)))
+        else:
+            s = draw(st.sampled_from([F(-1), F(-1, 2), k + F(1, 3), F(k + 1)]))
+        event(f"s {kind}")
+        M.append([a if j in block else 0 for j in range(N)])
+        target.append(a * s)
+    R = [[draw(st.builds(F, st.integers(-2, 2), den)) for _ in range(N)]
+         for _ in range(draw(st.integers(1, 3)))]
+    f = Matrix([[1 if j == i else 0 for j in range(len(M) + len(R))] for i in range(len(M))])
+    event(f"{len(blocks)} blocks")
+    return Matrix(M + R), f, target
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(case=separable_slices())
-def test_cube_image_slice_matches_oracle(case):
-    assert_same_polytope(*certified_cube_slice(*case))
+@given(case=hypersimplex_slices())
+def test_cube_image_slice_matches_oracle_on_hypersimplex_blocks(case):
+    got, want = certified_cube_slice(*case)
+    assert_same_polytope(got, want)
+    event("empty" if got.is_empty() else f"dim {got.ambient_rank - len(got.hull_equations)}")
 
 
-@st.composite
-def cube_block_cuts(draw):
-    """(k, m, t): a cut {m·y = t} of the k-cube by up to four rows, through
-    a point of the cube or a corner of it, with a dependent or an
-    inconsistent row appended, or anywhere (then often missing the cube)."""
-    k = draw(st.integers(1, 5))
-    entry = st.sampled_from([0, 0, 1, -1, 2, -2, F(1, 2)])
-    m = [[draw(entry) for _ in range(k)] for _ in range(draw(st.integers(1, 3)))]
-    kind = draw(st.sampled_from(["point", "corner", "dependent", "inconsistent", "anywhere"]))
-    if kind == "corner":
-        point = [draw(st.integers(0, 1)) for _ in range(k)]
-    else:
-        point = [F(draw(st.integers(0, 3)), 3) for _ in range(k)]
-    t = [dot(r, point) for r in m]
-    if kind in ("dependent", "inconsistent"):
-        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-        m.append([a * x + b * y for x, y in zip(m[0], m[-1])])
-        t.append(a * t[0] + b * t[-1] + (F(1, 2) if kind == "inconsistent" else 0))
-    elif kind == "anywhere":
-        t = [F(draw(st.integers(-6, 6)), 2) for _ in m]
-    return k, m, t
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(cut=cube_block_cuts())
-@example(cut=(3, [[1, 1, 1]], [F(3, 2)]))  # a hexagon
-@example(cut=(3, [[1, 1, 1]], [1]))  # three corners on the plane
-@example(cut=(4, [[1, 1, 0, 0], [0, 1, 1, 1]], [1, F(3, 2)]))  # two rows
-@example(cut=(3, [[1, 1, 1], [2, 2, 2]], [1, 2]))  # dependent rows
-@example(cut=(3, [[1, 1, 1], [2, 2, 2]], [1, 3]))  # inconsistent rows
-@example(cut=(2, [[1, 1], [0, 0]], [1, 1]))  # a zero row with a nonzero target
-@example(cut=(3, [[1, 1, 1]], [4]))  # the plane misses the cube
-def test_cube_slice_vertices_match_the_affine_slice(cut):
-    # each block of cube_image_slice, against the double description of the
-    # cube cut by the rows
-    k, m, t = cut
-    want = cube_slice_oracle(Matrix.identity(k), Matrix(m), t).vertex_candidates
-    assert cube_slice_vertices(k, m, t) == list(want)
-
-
-def test_cube_slice_vertices_without_rows_are_the_corners():
-    assert cube_slice_vertices(2, [], []) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+def test_cube_image_slice_guards_block_shape():
+    # each row of f·L must read its own nonempty set of columns with one
+    # coefficient, and every column must be read
+    L = Matrix.identity(3)
+    for rows, target, match in (
+            ([[1, 1, 0], [0, 1, 1]], [1, 1], "its own columns"),  # a shared column
+            ([[1, 2, 0], [0, 0, 1]], [1, 1], "its own columns"),  # two coefficients
+            ([[1, 1, 1], [0, 0, 0]], [1, 0], "its own columns"),  # a zero row
+            ([[1, 1, 0]], [1], "every column")):  # an unread column
+        with pytest.raises(ValueError, match=match):
+            cube_image_slice(L, Matrix(rows), target, [], every_corner)
 
 
 def test_cube_image_slice_certificate_needs_every_facet():
@@ -412,7 +367,7 @@ def test_vh_consistency_random():
         p = LatticePolyhedron(d, pts, Cone(d, rays)).canonicalize()
         for _ in range(12):
             x = tuple(F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(d))
-            by_h = p.contains(x)
+            by_h = contains(p, x)
             by_lp = in_cone_hull(x, p.vertex_candidates, p.recession.rays)
             assert by_h == by_lp
 
@@ -589,7 +544,7 @@ def test_lower_dimensional_h_rep_matches_lp_oracle():
             y = tuple(F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(d))
             x = vadd(emb @ y, shift) if rng.random() < 0.8 else \
                 vadd(emb @ y, (0,) * (d + 1) + (1,))
-            assert p.contains(x) == in_cone_hull(x, q.vertex_candidates, q.recession.rays)
+            assert contains(p, x) == in_cone_hull(x, q.vertex_candidates, q.recession.rays)
     assert seen == {False, True}
 
 
