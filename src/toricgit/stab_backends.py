@@ -2,18 +2,23 @@
 
 A permutation fixes the point when slot labels match, the two end
 coordinates f_0 and f_n are kept, and each consecutive slot ratio under the
-permutation equals the chart coordinate f_k.  These are a handful of integer
-comparisons against prefix sums of the encoded coordinates.  Every condition
-involves at most two adjacent slots, so ``search_stabilizer`` tabulates the
-admissible images of each slot once, given the image of the slot before, and
+permutation equals the chart coordinate f_k.  Every condition involves at
+most two adjacent slots.  The slots fall into ratio classes, keyed by their
+segment (the run of slots between two zero coordinates), their integer
+prefix sum and their label; a nonzero f_k sends the image of one slot to one
+class.  So ``search_stabilizer`` fills the table of admissible images of each
+slot, given the image of the slot before, with one dict lookup per entry.  It
 then runs a depth-first search that only has to keep the images distinct,
-and increasing inside each block of the trivial-angle Young subgroup.
+each in its slot's own segment, increasing inside each block of the
+trivial-angle Young subgroup, and inside the ratio class that takes the
+block's images: it visits one representative per coset of that subgroup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from typing import Sequence
 
 from .groups import CosetUnion, Perm, YoungSubgroup
 
@@ -59,9 +64,7 @@ def encode_point(n, values, a1_labels) -> EncodedPoint:
             pg.append(pg[-1])
             zc.append(zc[-1] + 1)
         else:
-            r = v.root * denom
-            assert r.denominator == 1
-            pr.append((pr[-1] + int(r)) % denom)
+            pr.append((pr[-1] + v.root.numerator * (denom // v.root.denominator)) % denom)
             g = tuple(v.generic) + (0,) * (m - len(v.generic))
             pg.append(tuple(x + y for x, y in zip(pg[-1], g)))
             zc.append(zc[-1])
@@ -69,23 +72,6 @@ def encode_point(n, values, a1_labels) -> EncodedPoint:
     a1 = tuple(codes.setdefault(lbl, len(codes)) for lbl in a1_labels)
     return EncodedPoint(n=n, denom=denom, zero=zero, prefix_root=tuple(pr),
                         prefix_gen=tuple(pg), zero_count=tuple(zc), a1_codes=a1)
-
-
-def unit_matches(enc: EncodedPoint, k: int, a: int, b: int) -> bool:
-    """Does f_k equal the slot ratio R(a, b)?  Slots a, b are 0-based here."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    nozero = enc.zero_count[hi] == enc.zero_count[lo]
-    if enc.zero[k]:
-        return a < b and not nozero
-    if not nozero:
-        return False
-    sign = 1 if a <= b else -1
-    dr = (sign * (enc.prefix_root[hi] - enc.prefix_root[lo])) % enc.denom
-    # f_k's own encoding, recovered from the prefixes (f_k is not zero here)
-    fr = (enc.prefix_root[k] - enc.prefix_root[k - 1]) % enc.denom
-    fg = tuple(x - y for x, y in zip(enc.prefix_gen[k], enc.prefix_gen[k - 1]))
-    dg = tuple(sign * (x - y) for x, y in zip(enc.prefix_gen[hi], enc.prefix_gen[lo]))
-    return dr == fr and dg == fg
 
 
 def ratio_is_one(enc: EncodedPoint, a: int, b: int) -> bool:
@@ -111,50 +97,78 @@ def resolve_backend() -> str:
     return "python"
 
 
-def _image_tables(enc: EncodedPoint) -> tuple[list[int], list[list[list[int]]]]:
-    """Ascending admissible images: ``first`` for slot 0, and ``follow[i][a]``
-    for slot i >= 1 when slot i-1 maps to a (``follow[0]`` is unused).
+def _image_tables(enc: EncodedPoint
+                  ) -> tuple[list[int], list[list[Sequence[int]]], list[list[int]]]:
+    """Ascending admissible images: ``first`` for slot 0, ``follow[i][a]`` for
+    slot i >= 1 when slot i-1 maps to a (``follow[0]`` is unused), and the
+    ratio classes.
 
     Everything but distinctness is decided here: the a1 label, f_0 at slot 0,
-    the ratio f_i between consecutive images, and f_n at the last slot.
+    the ratio f_i between consecutive images, and f_n at the last slot.  A
+    slot's ratio class is its key (segment, prefix, a1 label), where the
+    segments are the runs of slots with no zero coordinate between them.  For
+    a nonzero f_i, R(a, x) = f_i exactly when a and x share a segment and
+    P[x] = P[a] + f_i, whichever of a, x is larger, so ``follow[i][a]`` is the
+    class of one key, found by one dict lookup.  For a zero f_i it is every
+    slot with slot i's label in a later segment than a's.
     """
-    n = enc.n
-    a1 = enc.a1_codes
+    n, zero, denom = enc.n, enc.zero, enc.denom
+    zc, pr, pg, a1 = enc.zero_count, enc.prefix_root, enc.prefix_gen, enc.a1_codes
+    keys = [(zc[x], pr[x], pg[x], a1[x]) for x in range(n)]
+    classes: dict[tuple, list[int]] = {}
+    labelled: dict[int, list[int]] = {}
+    for x, key in enumerate(keys):
+        classes.setdefault(key, []).append(x)
+        labelled.setdefault(a1[x], []).append(x)
+    last = keys[n - 1]
+    # f_n != 0 keeps the last slot's position: its image lies in its class
+    last_fixed = not zero[n]
 
-    def fits(i: int, x: int) -> bool:
-        if a1[x] != a1[i]:
-            return False
-        return i < n - 1 or enc.zero[n] or ratio_is_one(enc, x, n - 1)
+    def images(i: int) -> list[int]:
+        """Slot i's images as far as its label and f_n tell."""
+        return classes[last] if i == n - 1 and last_fixed else labelled[a1[i]]
 
-    first = [x for x in range(n)
-             if fits(0, x) and (enc.zero[0] or ratio_is_one(enc, 0, x))]
-    follow = [[]] + [[[x for x in range(n) if fits(i, x) and unit_matches(enc, i, a, x)]
-                      for a in range(n)]
-                     for i in range(1, n)]
-    return first, follow
+    first = images(0) if zero[0] else classes[keys[0]]
+    follow: list[list] = [[]]
+    for i in range(1, n):
+        if zero[i]:
+            later_segment = {s: [x for x in images(i) if zc[x] > s] for s in set(zc)}
+            follow.append([later_segment[zc[a]] for a in range(n)])
+            continue
+        fr = pr[i] - pr[i - 1]
+        fg = tuple(x - y for x, y in zip(pg[i], pg[i - 1]))
+        fixed_last = i == n - 1 and last_fixed
+        row = []
+        for a in range(n):
+            key = (zc[a], (pr[a] + fr) % denom, tuple(x + y for x, y in zip(pg[a], fg)),
+                   a1[i])
+            row.append(() if fixed_last and key != last else classes.get(key, ()))
+        follow.append(row)
+    return first, follow, list(classes.values())
 
 
-def _fixes(p: Perm, first: list[int], follow: list[list[list[int]]]) -> bool:
+def _fixes(p: Perm, first, follow) -> bool:
     """Membership of one permutation, read off the image tables."""
     return p[0] in first and all(p[i] in follow[i][p[i - 1]] for i in range(1, len(p)))
 
 
-def _trivial_angle_young(enc: EncodedPoint, first: list[int],
-                         follow: list[list[list[int]]]) -> YoungSubgroup:
+def _trivial_angle_young(n: int, first, follow, classes: list[list[int]]) -> YoungSubgroup:
     """The Young subgroup generated by the trivial-angle transpositions that
     fix the point: its blocks are the connected components of those
-    transpositions, found with O(n²) membership tests on the image tables."""
-    n = enc.n
+    transpositions.  A transposition with slot ratio 1 that keeps the labels
+    swaps two slots of one ratio class, so only those pairs are tested, each
+    with one membership test on the image tables."""
     comp = list(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if comp[i] == comp[j] or not ratio_is_one(enc, i, j):
-                continue
-            t = list(range(n))
-            t[i], t[j] = j, i
-            if _fixes(t, first, follow):
-                old = comp[j]
-                comp = [comp[i] if c == old else c for c in comp]
+    for cls in classes:
+        for k, i in enumerate(cls):
+            for j in cls[k + 1:]:
+                if comp[i] == comp[j]:
+                    continue
+                t = list(range(n))
+                t[i], t[j] = j, i
+                if _fixes(t, first, follow):
+                    old = comp[j]
+                    comp = [comp[i] if c == old else c for c in comp]
     blocks = [[i for i in range(n) if comp[i] == c] for c in sorted(set(comp))]
     return YoungSubgroup(n, tuple(tuple(b) for b in blocks if len(b) >= 2))
 
@@ -167,30 +181,44 @@ def search_stabilizer(enc: EncodedPoint) -> CosetUnion:
     coset the images of a block's slots come in every order.  The search keeps
     them increasing, so it visits one representative per coset, the
     lexicographically smallest element, and returns the representatives in
-    lexicographic order (one-line notation).  Its cost grows with the number of
-    cosets, not with the order of the stabilizer.  Whether Y is all of the
-    trivial-angle part, and normal, is for the caller to check.
+    lexicographic order (one-line notation).
+
+    Two bounds cut the branches that cannot be completed.  A stabilizer
+    element maps each segment into itself: a nonzero f_i keeps the images of
+    slots i-1 and i in one segment, a zero one puts the image of slot i in a
+    later segment, and there are as many segments as targets.  It also keeps
+    slot labels and ratios, so it maps a block of Y into one ratio class; a
+    block slot takes an image x only if x's class has an unused slot above x
+    for each later slot of the block.  With both, the search's cost grows
+    with the number of cosets, not with the order of the stabilizer, on
+    trivial quotients too.  Whether Y is all of the trivial-angle part, and
+    normal, is for the caller to check.
     """
     n = enc.n
-    first, follow = _image_tables(enc)
-    young = _trivial_angle_young(enc, first, follow)
+    first, follow, classes = _image_tables(enc)
+    young = _trivial_angle_young(n, first, follow, classes)
     prev = [-1] * n   # the slot before i in i's block, or -1
     later = [0] * n   # the slots after i in i's block
     for b in young.blocks:
         for k, i in enumerate(b):
             prev[i] = b[k - 1] if k else -1
             later[i] = len(b) - 1 - k
+    above: list[list[int]] = [[]] * n   # the slots of x's ratio class after x
+    for cls in classes:
+        for k, x in enumerate(cls):
+            above[x] = cls[k + 1:]
+    zc = enc.zero_count
     reps: list[Perm] = []
     used = [False] * n
 
-    def extend(prefix: Perm, choices: list[int]) -> None:
+    def extend(prefix: Perm, choices) -> None:
         i = len(prefix)
         lo = prefix[prev[i]] if prev[i] >= 0 else -1
-        hi = n - 1 - later[i]   # the later slots of the block need larger images
+        need = later[i]
         for x in choices:
-            if x > hi:
-                break
-            if x <= lo or used[x]:
+            if x <= lo or used[x] or zc[x] != zc[i]:
+                continue
+            if need and sum(not used[y] for y in above[x]) < need:
                 continue
             image = prefix + (x,)
             if i == n - 1:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .groups import (CosetUnion, FiniteAbelianGroup, Perm, YoungSubgroup,
@@ -51,7 +52,7 @@ class UnitValue:
     def __post_init__(self):
         if self.kind not in ("unit", "zero"):
             raise ValueError("kind must be 'unit' or 'zero'")
-        if self.kind == "unit":
+        if self.kind == "unit" and not 0 <= self.root < 1:
             object.__setattr__(self, "root", self.root % 1)
 
     def is_zero(self) -> bool:
@@ -96,9 +97,6 @@ class PointRecord:
             raise ValueError("positions must be unit values")
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-
-    def sort_key(self):
-        return (self.position.root, self.position.generic, self.a1_label)
 
 
 @dataclass(frozen=True)
@@ -171,26 +169,33 @@ def _component_shift_order(records: Sequence[PointRecord]) -> int:
     """Order of the cyclic group of shifts preserving the record multiset.
 
     A shift ρ ∈ Q/Z acts by adding ρ to every position's root part; it must
-    permute the (position, a1, multiplicity) records.  The valid shifts form
-    a finite cyclic subgroup of Q/Z; its order is returned.
+    permute the (position, a1, multiplicity) records.  A valid shift moves one
+    root onto another, so it lies in (1/d)Z/Z for d the lcm of the root
+    denominators: the roots and shifts are scaled by d and compared as ints
+    modulo d.  The valid shifts form a finite cyclic subgroup of Q/Z; its
+    order is returned.
     """
     if not records:
         raise ValueError("component carries no points")
-    classes: dict[tuple, set[Fraction]] = {}
+    d = lcm(*(p.position.root.denominator for p in records))
+    classes: dict[tuple, set[int]] = {}
     for p in records:
+        root = p.position.root
         key = (p.position.generic, p.a1_label, p.multiplicity)
-        classes.setdefault(key, set()).add(p.position.root)
+        classes.setdefault(key, set()).add(root.numerator * (d // root.denominator))
     smallest = min(classes.values(), key=len)
     base = min(smallest)
-    candidates = {(r - base) % 1 for r in smallest}
-    valid = []
-    for rho in sorted(candidates):
-        if all({(r + rho) % 1 for r in roots} == roots for roots in classes.values()):
-            valid.append(rho)
+    valid = [k for k in sorted((r - base) % d for r in smallest)
+             if all({(r + k) % d for r in roots} == roots for roots in classes.values())]
     order = len(valid)
-    assert sorted(valid) == [Fraction(k, order) for k in range(order)], \
-        "valid shifts must form a cyclic subgroup of Q/Z"
+    if d % order or valid != list(range(0, d, d // order)):
+        raise AssertionError("valid shifts must form a cyclic subgroup of Q/Z")
     return order
+
+
+def _shift_orders(components: Sequence[Sequence[PointRecord]]) -> list[int]:
+    """``_component_shift_order`` of each component, 1 for an empty one."""
+    return [_component_shift_order(records) if records else 1 for records in components]
 
 
 def torus_stabilizer(c: CycleConfiguration) -> FiniteAbelianGroup:
@@ -201,12 +206,7 @@ def torus_stabilizer(c: CycleConfiguration) -> FiniteAbelianGroup:
     """
     if not check_stability(c):
         raise ValueError("configuration is not semistable")
-    comps = c.components()
-    r = len(c.I_t)
-    orders = []
-    for l in range(1, r):
-        orders.append(_component_shift_order(comps[l]))
-    return FiniteAbelianGroup.from_cyclic_orders(orders)
+    return FiniteAbelianGroup.from_cyclic_orders(_shift_orders(c.components()[1:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,42 +226,42 @@ class QuotientPoint:
         return encode_point(self.n, self.values, self.a1)
 
 
-def _layout_component(records: list[PointRecord], orbit_major: bool
-                      ) -> list[PointRecord]:
-    """Slot order inside one component.
+def _layout_component(records: list[PointRecord], order: int, denom: int
+                      ) -> list[tuple[int, tuple[int, ...], str, int]]:
+    """Slot order inside one component whose shift group has order ``order``,
+    as one (root·denom, generic, a1 label, multiplicity) row per record;
+    ``denom`` is a common denominator of the roots.
 
-    ``orbit_major`` follows the comparison-theorem layout: multiplicity
-    classes descending, each class split into shift-orbits, each orbit listed
-    as base, base+ρ, base+2ρ, ...; repeated points of one record stay
-    adjacent.  The alternative layout just sorts records inside multiplicity
-    classes, which still keeps component blocks and descending multiplicity
-    (any such order yields a conjugate stabilizer; tests assert that).
+    Multiplicity classes descending, rows sorted inside each.  With order > 1
+    this is the comparison-theorem layout: each class is split into
+    shift-orbits, each orbit listed as base, base+ρ, base+2ρ, ... for
+    ρ = 1/order, which scales to the int denom/order; repeated points of one
+    record stay adjacent.  Order 1 keeps the sorted rows, which still keeps
+    component blocks and descending multiplicity (any such order yields a
+    conjugate stabilizer; tests assert that).
     """
-    order = _component_shift_order(records)
-    rho = Fraction(1, order)
-    by_mult: dict[int, list[PointRecord]] = {}
+    by_mult: dict[int, list[tuple]] = {}
     for p in records:
-        by_mult.setdefault(p.multiplicity, []).append(p)
+        root = p.position.root
+        by_mult.setdefault(p.multiplicity, []).append(
+            (root.numerator * (denom // root.denominator), p.position.generic,
+             p.a1_label, p.multiplicity))
+    step = denom // order
     out = []
     for mult in sorted(by_mult, reverse=True):
-        cls = sorted(by_mult[mult], key=lambda p: p.sort_key())
-        if not orbit_major or order == 1:
-            out.extend(cls)
+        cls = sorted(by_mult[mult])
+        if order == 1:
+            out += cls
             continue
-        index = {(p.position.root, p.position.generic, p.a1_label): p for p in cls}
-        used = set()
-        for p in cls:
-            k0 = (p.position.root, p.position.generic, p.a1_label)
-            if k0 in used:
+        unplaced = {row[:3]: row for row in cls}
+        for root, generic, label, _ in cls:
+            if (root, generic, label) not in unplaced:
                 continue
-            orbit = []
             for k in range(order):
-                key = ((p.position.root + k * rho) % 1, p.position.generic, p.a1_label)
-                if key not in index:
+                key = ((root + k * step) % denom, generic, label)
+                if key not in unplaced:
                     raise AssertionError("shift orbit is not closed")
-                orbit.append(index[key])
-                used.add(key)
-            out.extend(orbit)
+                out.append(unplaced.pop(key))
     return out
 
 
@@ -273,32 +273,41 @@ def project_to_quotient(c: CycleConfiguration, orbit_major: bool = True,
     first base coordinate does (1 ∈ I_t); f_k for 0 < k < n is the position
     ratio of slots k and k+1, and vanishes iff a node separates them; f_n
     vanishes iff n+1 ∈ I_t, and otherwise is the last slot's position times a
-    fresh generic unit (the last base coordinate).
+    fresh generic unit (the last base coordinate).  ``orbit_major`` lays each
+    component out by shift-orbits (``_layout_component``), else by sorting.
     """
     if not check_stability(c):
         raise ValueError("configuration is not semistable")
+    comps = c.components()
+    return _project(c, comps, _shift_orders(comps) if orbit_major else [1] * len(comps))
+
+
+def _project(c: CycleConfiguration, comps: list[list[PointRecord]],
+             orders: list[int]) -> QuotientPoint:
+    """``project_to_quotient`` with each component's layout order given."""
     n = c.n
-    m = c.generic_dim()
-    slots: list[tuple[int, UnitValue, str]] = []
-    for l, records in enumerate(c.components()):
+    m = c.generic_dim() + 2   # the last two generators: the two end base coordinates
+    denom = lcm(*(p.position.root.denominator for p in c.points))
+    # one (component, root·denom, generic, a1 label) row per slot
+    slots: list[tuple[int, int, tuple[int, ...], str]] = []
+    for l, records in enumerate(comps):
         if not records:
             continue
-        for p in _layout_component(records, orbit_major):
-            for _ in range(p.multiplicity):
-                slots.append((l, p.position.padded(m + 2), p.a1_label))
+        for root, generic, label, mult in _layout_component(records, orders[l], denom):
+            slots += [(l, root, generic + (0,) * (m - len(generic)), label)] * mult
     assert len(slots) == n
-    aux_head = UnitValue(root=Fraction(0),
-                         generic=tuple(1 if i == m else 0 for i in range(m + 2)))
-    aux_tail = UnitValue(root=Fraction(0),
-                         generic=tuple(1 if i == m + 1 else 0 for i in range(m + 2)))
-    values: list[UnitValue] = []
-    values.append(ZERO if 1 in c.I_t else aux_head)
-    for k in range(1, n):
-        (la, pa, _), (lb, pb, _) = slots[k - 1], slots[k]
-        values.append(pa - pb if la == lb else ZERO)
-    values.append(ZERO if (n + 1) in c.I_t else slots[n - 1][1] + aux_tail)
+
+    def unit(root: int, generic: tuple[int, ...]) -> UnitValue:
+        return UnitValue(root=Fraction(root, denom), generic=generic)
+
+    values = [ZERO if 1 in c.I_t else unit(0, tuple(int(i == m - 2) for i in range(m)))]
+    for (la, ra, ga, _), (lb, rb, gb, _) in zip(slots, slots[1:]):
+        values.append(unit((ra - rb) % denom, tuple(x - y for x, y in zip(ga, gb)))
+                      if la == lb else ZERO)
+    _, root, generic, _ = slots[-1]
+    values.append(ZERO if (n + 1) in c.I_t else unit(root, generic[:-1] + (generic[-1] + 1,)))
     return QuotientPoint(n=n, values=tuple(values),
-                         a1=tuple(s[2] for s in slots),
+                         a1=tuple(s[3] for s in slots),
                          slot_components=tuple(s[0] for s in slots))
 
 
@@ -379,9 +388,17 @@ class ComparisonReport:
 
 
 def verify_comparison(c: CycleConfiguration) -> ComparisonReport:
-    """PASS iff the torus stabilizer and the quotient stabilizer agree."""
-    torus = torus_stabilizer(c)
-    sym = sym_stabilizers(project_to_quotient(c))
+    """PASS iff the torus stabilizer and the quotient stabilizer agree.
+
+    Each component's shift group is found once: its order is a torus factor
+    (interior components) and sets the component's slot layout.
+    """
+    if not check_stability(c):
+        raise ValueError("configuration is not semistable")
+    comps = c.components()
+    orders = _shift_orders(comps)
+    torus = FiniteAbelianGroup.from_cyclic_orders(orders[1:-1])
+    sym = sym_stabilizers(_project(c, comps, orders))
     return ComparisonReport(
         n=c.n, torus_side=torus, sym_side=sym.quotient,
         stab_order=sym.stab.order(), stab0_order=sym.stab0.order(),

@@ -18,7 +18,9 @@ the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
 points, a bounded very-ampleness certificate, chart invariant monomials, two
 oracles for the stabilizer pipeline (the toric chart-gluing test and the
-instantiation of formal generators), the two invariant-factor routes the package
+instantiation of formal generators), the two routes the stabilizer search
+replaced (the shift-group order over ``Fraction`` roots, and the image tables
+from one slot-ratio test per slot pair), the two invariant-factor routes the package
 replaced (trial division of cyclic orders, and the peel of a group table),
 and the weight-lattice reflections and identity-vertex edge matrix of the
 symmetric model.
@@ -43,6 +45,7 @@ from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot, elementary
                              frac, hermite_normal_form, is_zero_vec, rank,
                              scaled_primitive, smith_normal_form, vec)
 from toricgit.polyhedra import Fan, InnerCertificateError, LatticePolyhedron
+from toricgit.stab_backends import EncodedPoint, ratio_is_one
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, QuotientPoint,
                                   UnitValue)
 
@@ -977,6 +980,60 @@ def instantiate(c: CycleConfiguration, seed: int,
                                position=UnitValue(root=p.position.root + shift),
                                a1_label=p.a1_label, multiplicity=p.multiplicity))
     return CycleConfiguration(n=c.n, I_t=c.I_t, points=tuple(pts))
+
+
+def component_shift_order_by_fractions(records: Sequence[PointRecord]) -> int:
+    """The shift-group order of one component with ``Fraction`` roots: every
+    candidate shift ρ (a root minus the least root of the smallest class) is
+    tested by adding it to every root modulo 1, as ``stabilizers`` did before
+    it scaled the roots to ints."""
+    classes: dict[tuple, set[Fraction]] = {}
+    for p in records:
+        key = (p.position.generic, p.a1_label, p.multiplicity)
+        classes.setdefault(key, set()).add(p.position.root)
+    smallest = min(classes.values(), key=len)
+    base = min(smallest)
+    valid = [rho for rho in sorted({(r - base) % 1 for r in smallest})
+             if all({(r + rho) % 1 for r in roots} == roots for roots in classes.values())]
+    order = len(valid)
+    assert valid == [Fraction(k, order) for k in range(order)]
+    return order
+
+
+def unit_matches(enc: EncodedPoint, k: int, a: int, b: int) -> bool:
+    """Does f_k equal the slot ratio R(a, b)?  Slots a, b are 0-based here."""
+    lo, hi = (a, b) if a <= b else (b, a)
+    nozero = enc.zero_count[hi] == enc.zero_count[lo]
+    if enc.zero[k]:
+        return a < b and not nozero
+    if not nozero:
+        return False
+    sign = 1 if a <= b else -1
+    dr = (sign * (enc.prefix_root[hi] - enc.prefix_root[lo])) % enc.denom
+    # f_k's own encoding, recovered from the prefixes (f_k is not zero here)
+    fr = (enc.prefix_root[k] - enc.prefix_root[k - 1]) % enc.denom
+    fg = tuple(x - y for x, y in zip(enc.prefix_gen[k], enc.prefix_gen[k - 1]))
+    dg = tuple(sign * (x - y) for x, y in zip(enc.prefix_gen[hi], enc.prefix_gen[lo]))
+    return dr == fr and dg == fg
+
+
+def image_tables_by_pairs(enc: EncodedPoint) -> tuple[list[int], list[list[list[int]]]]:
+    """``first`` and ``follow`` of ``stab_backends._image_tables``, one
+    ``unit_matches`` call per (slot, image of the slot before, image) triple."""
+    n = enc.n
+    a1 = enc.a1_codes
+
+    def fits(i: int, x: int) -> bool:
+        if a1[x] != a1[i]:
+            return False
+        return i < n - 1 or enc.zero[n] or ratio_is_one(enc, x, n - 1)
+
+    first = [x for x in range(n)
+             if fits(0, x) and (enc.zero[0] or ratio_is_one(enc, 0, x))]
+    follow = [[]] + [[[x for x in range(n) if fits(i, x) and unit_matches(enc, i, a, x)]
+                      for a in range(n)]
+                     for i in range(1, n)]
+    return first, follow
 
 
 def weight_reflections(n: int) -> list[Matrix]:

@@ -1,24 +1,26 @@
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction as F
 from functools import cache
 from itertools import permutations, product
 from math import ceil, log2, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (_ambient_permutation_matrices, abelian_invariant_factors_by_peeling,
-                     from_cycles, instantiate, invariant_factors, inverse, is_trivial,
-                     toric_fixed_points, unit)
-from toricgit import cli, jsonio, stabilizers
+                     component_shift_order_by_fractions, from_cycles, image_tables_by_pairs,
+                     instantiate, invariant_factors, inverse, is_trivial, toric_fixed_points,
+                     unit, unit_matches)
+from toricgit import cli, jsonio, stab_backends, stabilizers
 from toricgit.groups import (CosetUnion, FiniteAbelianGroup, NonabelianQuotientError,
                              YoungSubgroup, abelian_invariant_factors_of_group, compose,
                              cycle_notation, identity, young_subgroup_of)
-from toricgit.stab_backends import (EncodedPoint, ratio_is_one, search_stabilizer,
-                                    trivial_angle, unit_matches)
+from toricgit.stab_backends import (EncodedPoint, _image_tables, ratio_is_one,
+                                    search_stabilizer, trivial_angle)
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   check_stability, fiber_degrees, project_to_quotient,
                                   random_configuration, sym_stabilizers,
@@ -57,6 +59,15 @@ def shared_position():
     slots have ratio 1, but swapping an "a" slot with a "b" slot moves a label."""
     pts = (PointRecord(1, unit(0, (1,)), "a", 2), PointRecord(1, unit(0, (1,)), "b", 2),
            PointRecord(1, unit(F(1, 2), (1,)), "a", 1))
+    return CycleConfiguration(n=5, I_t=(1, 6), points=pts)
+
+
+def mixed_shifts():
+    """Label "a" at 0 and 1/2 is kept by the shift 1/2, label "b" at 0, 1/4
+    and 1/2 is not: only the identity shift keeps every label class."""
+    pts = tuple(PointRecord(1, unit(r, (1,)), lbl, 1)
+                for lbl, roots in (("a", (0, F(1, 2))), ("b", (0, F(1, 4), F(1, 2))))
+                for r in roots)
     return CycleConfiguration(n=5, I_t=(1, 6), points=pts)
 
 
@@ -416,6 +427,83 @@ def test_verify_comparison_examples():
     assert r1.passed and r1.torus_side.invariant_factors == (3, 3)
     r2 = verify_comparison(example_two())
     assert r2.passed and r2.sym_side.invariant_factors == (3,)
+
+
+def assert_tables_and_orders_match_oracles(c):
+    """The int shift orders and the hash-lookup image tables, on both slot
+    layouts, equal the Fraction and the per-pair routes."""
+    for records in c.components():
+        if records:
+            assert stabilizers._component_shift_order(records) == \
+                component_shift_order_by_fractions(records), c
+    for orbit_major in (True, False):
+        enc = project_to_quotient(c, orbit_major).encode()
+        first, follow, _ = _image_tables(enc)
+        tables = (list(first), [[list(images) for images in row] for row in follow])
+        assert tables == image_tables_by_pairs(enc), c
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 30), st.integers(0, 2 ** 32 - 1), st.booleans())
+@example(30, 5, False)
+@example(30, 5, True)
+def test_hash_tables_and_int_shift_orders_match_oracles(n, seed, instantiated):
+    c = random_configuration(n, random.Random(seed))
+    assert_tables_and_orders_match_oracles(instantiate(c, seed) if instantiated else c)
+
+
+def test_hash_tables_and_int_shift_orders_match_oracles_on_fixed_points():
+    for c in (shared_position(), mixed_shifts(), example_one(), example_two(),
+              *(degenerate_fiber(m) for m in ((8,), (7, 1), (4, 4), (5, 4)))):
+        assert_tables_and_orders_match_oracles(c)
+    assert is_trivial(torus_stabilizer(mixed_shifts())) and verify_comparison(mixed_shifts()).passed
+
+
+def search_calls(enc: EncodedPoint) -> int:
+    """How often ``search_stabilizer`` enters its recursive ``extend``."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "extend" and \
+                frame.f_code.co_filename == stab_backends.__file__:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        search_stabilizer(enc)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_search_follows_the_cosets_on_a_trivial_quotient():
+    """Blocks of 5, 16, 3, 2 and 2 slots and |Stab/Stab0| = 1: each block
+    slot's image needs room above it in its ratio class, so the search does
+    not try the ways to start the 16-slot block that leave it no room, and
+    it enters ``extend`` once per slot (50 688 times without the bound)."""
+    rng = random.Random(5)
+    for _ in range(3):
+        c = random_configuration(30, rng)
+    q = project_to_quotient(c)
+    s = sym_stabilizers(q)
+    assert sorted(map(len, s.stab0_young.blocks)) == [2, 2, 3, 5, 16]
+    assert s.stab.reps == (identity(30),) and is_trivial(s.quotient)
+    assert search_calls(q.encode()) == 30
+    rep = verify_comparison(c)
+    assert rep.passed
+    assert rep.stab_order == rep.stab0_order == 60_257_634_877_440_000
+
+
+def test_search_cost_follows_the_cosets():
+    """Every image stays in its slot's segment, so long runs of zero
+    coordinates leave the search no dead end to wander into: the n = 26 draw
+    here has 24 zeros and one coset, and enters ``extend`` 2620 times when
+    an image may go to any later segment."""
+    rng = random.Random(14)
+    for n in range(2, 27):
+        enc = project_to_quotient(random_configuration(n, rng)).encode()
+        assert search_calls(enc) <= 2 * n * len(search_stabilizer(enc).reps), n
 
 
 def test_search_matches_full_enumeration():
