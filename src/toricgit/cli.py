@@ -22,9 +22,7 @@ from .degeneration import (VERIFY_CHECKS, VERIFY_MAX_N, build_bundle,
 from .git import EmptyQuotientError, Linearization, quotient_polyhedron, split_quotient
 from .groups import cycle_notation
 from .jsonio import dumps
-from .stabilizers import (check_stability, random_configuration, sym_stabilizers,
-                          project_to_quotient, torus_stabilizer,
-                          verify_comparison)
+from .stabilizers import check_stability, random_configuration, verify_comparison
 
 FUZZ_CHECK = "comparison_fuzz"
 DEFAULT_BRUTE_FORCE_MAX = 9
@@ -205,21 +203,18 @@ def cmd_stab(args) -> int:
         print(f"error: n={config.n} exceeds --brute-force-max {args.brute_force_max}",
               file=sys.stderr)
         return 4
-    torus = torus_stabilizer(config)
-    q = project_to_quotient(config)
-    sym = sym_stabilizers(q)
-    passed = torus.invariant_factors == sym.quotient.invariant_factors
+    rep = verify_comparison(config)  # one pass over the shift groups
     print(dumps({
-        "torus": jsonio.group_to_json(torus),
-        "stab_order": sym.stab.order(),
+        "torus": jsonio.group_to_json(rep.torus_side),
+        "stab_order": rep.stab_order,
         "stab_generators": [cycle_notation(p)
-                            for p in sym.stab.first_in_cycle_notation_order(50)],
-        "stab0_order": sym.stab0.order(),
-        "stab0_blocks": sym.stab0_young.blocks_one_based(),
-        "quotient": jsonio.group_to_json(sym.quotient),
-        "comparison": "PASS" if passed else "FAIL",
+                            for p in rep.sym.stab.first_in_cycle_notation_order(50)],
+        "stab0_order": rep.stab0_order,
+        "stab0_blocks": rep.sym.stab0_young.blocks_one_based(),
+        "quotient": jsonio.group_to_json(rep.sym_side),
+        "comparison": "PASS" if rep.passed else "FAIL",
     }))
-    return 0 if passed else 1
+    return 0 if rep.passed else 1
 
 
 def main(argv=None) -> int:

@@ -16,8 +16,8 @@ from operator import add
 from typing import Iterable, Sequence
 
 from . import dd
-from .linalg import (IntVec, Matrix, dot, elementary_divisors, is_zero_vec,
-                     kernel_basis, primitive, rank, scaled_primitive)
+from .linalg import (IntVec, Matrix, dot, elementary_divisors, kernel_basis, primitive,
+                     rank, scaled_primitive)
 
 
 class Cone:
@@ -33,7 +33,7 @@ class Cone:
             g = scaled_primitive(g)
             if len(g) != ambient_rank:
                 raise ValueError("generator has wrong dimension")
-            if not is_zero_vec(g):
+            if any(g):
                 gens.append(g)
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "generators", tuple(dict.fromkeys(gens)))
@@ -97,8 +97,10 @@ class Cone:
         reduced = list(dict.fromkeys(reduced))
         # without lineality the reduced generators are the generators
         incidence = self._incidence
-        if incidence is None or lin:
-            incidence = sparse_incidence(self._facets, reduced)
+        if incidence is None or lin:  # per facet, the bitmask of the generators on it
+            cols = list(zip(*reduced))
+            incidence = [sum(1 << i for i, v in enumerate(column_dots(f, cols, len(reduced)))
+                             if v == 0) for f in self._facets]
         idx = dd.extreme_generators(reduced, incidence)
         object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_lineality", tuple(lin))
@@ -187,13 +189,6 @@ def column_dots(f: Sequence[int], cols: Sequence[Sequence[int]], count: int) -> 
         if c:
             vals = list(map(add, vals, col if c == 1 else [c * x for x in col]))
     return vals
-
-
-def sparse_incidence(facets: Sequence[IntVec], generators: Sequence[IntVec]) -> list[int]:
-    """For each facet f, the bitmask of the generators g with <f, g> = 0."""
-    cols = list(zip(*generators))
-    return [sum(1 << i for i, v in enumerate(column_dots(f, cols, len(generators))) if v == 0)
-            for f in facets]
 
 
 def image_cone(f: Matrix, c: Cone) -> Cone:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from operator import le, matmul
+from operator import itemgetter, le, matmul
 from typing import Any, Iterator, Sequence
 
 from .cones import Cone, image_cone
@@ -333,39 +333,8 @@ def ambient_reflections(n: int) -> list[Matrix]:
     last = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
     for i in range(n + 1):
         last[i][n - 1] = -1 if i != n else 1
-    last[n - 1][n - 1] = -1
-    last[n][n - 1] = 1
     mats.append(Matrix(last))
     return mats
-
-
-def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Matrix]:
-    """ρ(s) for all s in S_n, from the adjacent-transposition generators.
-
-    The generators must satisfy the Coxeter relations s_k² = 1,
-    (s_k s_{k+1})³ = 1 and s_k s_l = s_l s_k for |k - l| >= 2, which present
-    S_n, so ρ is a homomorphism and one word per permutation (a spanning
-    tree of the Cayley graph) gives its matrix."""
-    ident = Matrix.identity(gens[0].rows)
-    for k, l in combinations_with_replacement(range(n - 1), 2):
-        order = 1 if l == k else 3 if l == k + 1 else 2
-        if reduce(matmul, [gens[k] @ gens[l]] * order) != ident:
-            raise AssertionError("generator matrices violate the Coxeter relations")
-    start = tuple(range(n))
-    out = {start: ident}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for k in range(n - 1):
-                # left-compose with the transposition of the values k, k+1 so
-                # that p -> matrix is a genuine homomorphism
-                q = tuple(k + 1 if x == k else (k if x == k + 1 else x) for x in p)
-                if q not in out:
-                    out[q] = gens[k] @ out[p]
-                    nxt.append(q)
-        frontier = nxt
-    return out
 
 
 def chamber_cone(n: int) -> Cone:
@@ -376,23 +345,61 @@ def chamber_cone(n: int) -> Cone:
     return Cone(n + 1, cols)
 
 
-def orbit_cones(chamber: Cone, mats: dict[tuple[int, ...], Matrix]) -> Iterator[Cone]:
-    """ρ(s)·C for s in S_n in order, moved from the chamber C's one double
-    description: ρ is a unimodular homomorphism (``permutation_matrices``
-    checks the relations), so the rays r and facet normals f of C become the
-    primitive ρ(s)r and f·ρ(s⁻¹).  A pointed full-dimensional C has no
-    lineality basis or equations to bring back to normal form; the guard
-    checks that, and that C is simplicial as displayed."""
+def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequence) -> dict:
+    """{s: (ρ(s)·c for the ``columns`` c, r·ρ(s)⁻¹ for the ``rows`` r)} for
+    s in S_n, from the adjacent-transposition generators g_k = ρ(s_k).  They
+    must satisfy the Coxeter relations s_k² = 1, (s_k s_{k+1})³ = 1 and
+    s_k s_l = s_l s_k for |k - l| >= 2, which present S_n, so ρ is a
+    homomorphism and a walk of the Cayley graph from the identity reaches
+    each s once, whatever the path.  A step from p to q = s_k p moves ρ(p)·c
+    to g_k·ρ(p)·c and r·ρ(p)⁻¹ to r·ρ(p)⁻¹·g_k, as g_k² = 1; a coordinate
+    swap moves a vector without arithmetic."""
+    d = gens[0].rows
+    ident = Matrix.identity(d)
+    for k, l in combinations_with_replacement(range(n - 1), 2):
+        order = 1 if l == k else 3 if l == k + 1 else 2
+        if reduce(matmul, [gens[k] @ gens[l]] * order) != ident:
+            raise AssertionError("generator matrices violate the Coxeter relations")
+
+    def move(g: Matrix):  # v -> g·v; itemgetter returns a tuple for two or more indices
+        rows = [[(j, a) for j, a in enumerate(r) if a] for r in g.entries]
+        if d > 1 and all(len(r) == 1 and r[0][1] == 1 for r in rows):
+            return itemgetter(*(r[0][0] for r in rows))
+        return lambda v: tuple(sum(a * v[j] for j, a in r) for r in rows)
+
+    moves = [(move(g), move(g.transpose())) for g in gens]
+    out = {tuple(range(n)): (list(columns), list(rows))}
+    frontier = list(out)
+    for p in frontier:  # the list grows as it is read: a breadth-first walk
+        p_cols, p_rows = out[p]
+        for k, (on_col, on_row) in enumerate(moves):
+            # left-compose with the transposition of the values k, k+1
+            q = tuple(k + 1 if x == k else (k if x == k + 1 else x) for x in p)
+            if q not in out:
+                out[q] = (list(map(on_col, p_cols)), list(map(on_row, p_rows)))
+                frontier.append(q)
+    return out
+
+
+def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Matrix]:
+    """ρ(s) for all s in S_n, the identity's columns moved by ``_cayley_walk``.
+    The symmetric model forms none of them; the tests read them."""
+    walk = _cayley_walk(n, gens, Matrix.identity(gens[0].rows).columns(), ())
+    return {s: Matrix.from_columns(cols) for s, (cols, _) in walk.items()}
+
+
+def orbit_cones(chamber: Cone, gens: Sequence[Matrix]) -> Iterator[Cone]:
+    """ρ(s)·C for s in S_n in order: the rays r and facet normals f of the
+    chamber C's one double description become the primitive ρ(s)r and
+    f·ρ(s)⁻¹ (``_cayley_walk``).  The guard checks that C is pointed,
+    full-dimensional and simplicial as displayed, so that it has no
+    lineality basis or equations to bring back to normal form."""
     d, rays, facets = chamber.ambient_rank, chamber.rays, chamber.facets
     if chamber.lineality_basis or chamber.equations or len(rays) != d:
         raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
-    for s, m in sorted(mats.items()):
-        inv = mats[tuple(sorted(range(len(s)), key=s.__getitem__))].entries
-        s_facets = sorted(tuple(sum(a * row[j] for a, row in zip(f, inv) if a)
-                                for j in range(d)) for f in facets)
-        s_rays = sorted(m @ r for r in rays)
-        yield Cone(d, s_rays, _facets=tuple(s_facets), _lineality=(),
-                   _rays=tuple(s_rays), _equations=())
+    for _, (s_rays, s_facets) in sorted(_cayley_walk(len(gens) + 1, gens, rays, facets).items()):
+        s_rays, s_facets = tuple(sorted(s_rays)), tuple(sorted(s_facets))
+        yield Cone(d, s_rays, _facets=s_facets, _lineality=(), _rays=s_rays, _equations=())
 
 
 def product_cone_ambient(n: int) -> Cone:
@@ -432,9 +439,11 @@ def permutohedron_polytope(n: int, sigma: Cone) -> LatticePolyhedron:
 
 
 def build_symmetric(n: int) -> SymmetricModel:
-    """The symmetric model.  The permutohedron and the resolution polyhedron
-    take their facets from the rays of σ (``certified_polyhedron``), so the
-    n! points are never double-described."""
+    """The symmetric model.  The n! orbit-fan cones are moved from the
+    chamber by the n - 1 generators ρ(s_k) (``orbit_cones``), so no ρ(s) is
+    formed; the permutohedron and the resolution polyhedron take their
+    facets from the rays of σ (``certified_polyhedron``), so the n! points
+    are never double-described and no homogenization is built."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > 6:
@@ -442,7 +451,7 @@ def build_symmetric(n: int) -> SymmetricModel:
     arefl = ambient_reflections(n)
     chamber = chamber_cone(n)
     prod = product_cone_ambient(n)
-    fan = Fan(n + 1, orbit_cones(chamber, permutation_matrices(n, arefl)), prod)
+    fan = Fan(n + 1, orbit_cones(chamber, arefl), prod)
     perm = permutohedron_polytope(n, prod)
     dual_display = Cone(n + 1, product_cone_dual_columns(n))
     if prod.dual() != dual_display:

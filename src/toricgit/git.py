@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cones import Cone
-from .linalg import Matrix, Vec, kernel_basis, solve_affine, vec
-from .polyhedra import Facet, LatticePolyhedron, affine_slice, point_minima
+from .cones import Cone, column_dots
+from .linalg import Matrix, Vec, clear_denominators, kernel_basis, solve_affine, vec
+from .polyhedra import Facet, LatticePolyhedron, affine_slice
 
 
 class EmptyQuotientError(ValueError):
@@ -133,13 +133,18 @@ def unstable_rays(facets: Iterable[Facet], pb: LatticePolyhedron) -> list[RayDat
     valid because d_v <= 0 and <v, ·> >= 0 on the kernel cone, so the
     recession part of the quotient cannot lower the minimum.
 
-    The minima over the points of P_b are taken in int (``point_minima``).
+    The points of P_b are scaled once to integers over one common
+    denominator and the dots taken column by column (``column_dots``), so
+    each minimum is taken in int and only it becomes a Fraction.
     """
     if pb.is_empty():
         raise EmptyQuotientError("empty quotient")
     consts = sorted(support_constants(facets).items())
     if any(len(v) != pb.ambient_rank for v, _ in consts):
         raise ValueError("P_b must live in the ambient space of the polyhedron")
-    lows = point_minima(pb.vertex_candidates, [v for v, _ in consts])
+    pts, d = pb.vertex_candidates, pb.ambient_rank
+    flat, den = clear_denominators([x for p in pts for x in p])
+    cols = [flat[j::d] for j in range(d)]
+    lows = [Fraction(min(column_dots(v, cols, len(pts))), den) for v, _ in consts]
     return [RayDatum(ray=v, support_constant=dv, margin=low - dv, unstable=low > dv)
             for (v, dv), low in zip(consts, lows)]

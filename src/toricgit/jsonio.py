@@ -19,8 +19,7 @@ from .stabilizers import CycleConfiguration, PointRecord, UnitValue
 
 
 def rational_str(x) -> str:
-    x = frac(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(x if type(x) is int else frac(x))  # a Fraction prints as "p" or "p/q"
 
 
 def parse_rational(s) -> Fraction:

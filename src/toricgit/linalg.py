@@ -46,18 +46,10 @@ def dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
 
 
-def is_zero_vec(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
-
-
 def primitive(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries (0 stays 0)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(int(x) for x in v)
-    return tuple(int(x) // g for x in v)
+    g = gcd(*v)
+    return tuple(v) if g < 2 else tuple(x // g for x in v)
 
 
 def clear_denominators(v: Sequence[Fraction]) -> tuple[IntVec, int]:
@@ -80,10 +72,10 @@ def _exact(x):
 
 def scaled_primitive(v: Sequence) -> IntVec:
     """Primitive integer vector spanning the same ray as the rational v."""
-    if all(type(x) is int for x in v):
+    try:
         return primitive(v)
-    w, _ = clear_denominators(v)
-    return primitive(w)
+    except TypeError:  # a Fraction entry: gcd takes integers only
+        return primitive(clear_denominators(v)[0])
 
 
 class Matrix:
@@ -370,7 +362,7 @@ def kernel_basis(m: Matrix) -> list[IntVec]:
     if not cols:
         return []
     h, _ = hermite_normal_form(Matrix([[int(x) for x in c] for c in cols]))
-    return [tuple(int(x) for x in row) for row in h.entries if not is_zero_vec(row)]
+    return [tuple(int(x) for x in row) for row in h.entries if any(row)]
 
 
 def row_reduce(a: list[list[Fraction]], cols: Iterable[int]) -> list[int]:

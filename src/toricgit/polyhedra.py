@@ -20,7 +20,7 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import dd
-from .cones import Cone, column_dots, sparse_incidence
+from .cones import Cone, column_dots
 from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, primitive, rank,
                      scaled_primitive, vec)
 
@@ -192,17 +192,6 @@ def affine_slice(p: LatticePolyhedron, x0: Sequence, basis: Sequence[Sequence]
                              ).canonicalize()
 
 
-def point_minima(points: Sequence[Sequence], normals: Iterable[IntVec]) -> list[Fraction]:
-    """min of <ν, x> over the nonempty ``points``, for each integer ν in
-    ``normals``.  The points are scaled once to integers over one common
-    denominator and the dots taken column by column (``column_dots``), so
-    each minimum is taken in int and only it becomes a Fraction."""
-    d = len(points[0])
-    flat, den = clear_denominators([x for p in points for x in p])
-    cols = [flat[j::d] for j in range(d)]
-    return [Fraction(min(column_dots(nu, cols, len(points))), den) for nu in normals]
-
-
 class FacetCertificateError(ValueError):
     """Candidate facet normals are not shown to be the facets of a polyhedron."""
 
@@ -214,67 +203,80 @@ def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional
     a double description of the points; FacetCertificateError when the
     certificate below fails.
 
-    Each normal ν must be >= 0 on the recession generators, and its offset
-    o_ν is the minimum of <ν, v> over the points, so <ν, x> >= o_ν is valid
-    on P and supporting: P ⊆ Q, the polyhedron the candidates cut out.  Q
-    is seeded as the homogenization's H-representation, whose rays at
-    height 1 are then the points W that the seeded incidence calls extreme.
-    The certificate checks, for each w in W and its tight set T(w):
+    Each normal ν must be >= 0 on the recession cone.  One ``column_dots``
+    pass over the points gives its offset o_ν, the minimum of <ν, v>, and
+    the points that reach it, so <ν, x> >= o_ν is valid on P and
+    supporting: P ⊆ Q, the polyhedron the candidates cut out.  With the
+    recession rays r ⊥ ν (and t >= 0 when rec is full-dimensional) that is
+    Q's incidence with the generators (v, 1), (r, 0) of P's homogenization,
+    and the points W it calls extreme (``dd.extreme_generators``) are the
+    candidate vertices.  The certificate checks, for each w in W and its
+    tight set T(w):
 
     (a) |T(w)| = d and T(w) has rank d, so w is a simple vertex of Q;
     (b) for each f in T(w), the ridge T(w) \\ {f}, which cuts out the edge
-        of Q from w that leaves f, is tight at another ray: at some (w', 1),
-        and then w', a vertex of Q by (a), is the edge's other end, or at a
-        recession ray (r, 0), and then the edge is w + R≥0 r.
+        of Q from w that leaves f, is tight at another extreme generator: at
+        some (w', 1), and then w', a vertex of Q by (a), is the edge's other
+        end, or at a recession ray (r, 0), and then the edge is w + R≥0 r.
 
     So W is a nonempty set of vertices of Q closed under the bounded edges
     of Q.  The vertices and bounded edges of a pointed polyhedron form a
     connected graph (Ziegler, *Lectures on Polytopes*, §3.5), so W is every
     vertex of Q.  Each extreme ray of rec(Q) is the direction of an
     unbounded edge, which (b) puts in the recession cone, so Q = conv(W) +
-    rec(Q) ⊆ P and Q = P.  A lower-dimensional Q fails (a): its implicit
-    equations are tight at every w and linearly dependent.  So P is
-    full-dimensional, each of its facets is a candidate, and a redundant
-    candidate, supporting P in a face that contains a vertex, would put
-    that vertex on d + 1 inequalities, which (a) rejects.  The facet list
-    is exact, and so is the extremeness read from its incidence.  Walking
-    from a simple vertex to its neighbours through its ridges is the pivot
-    step of reverse search (Avis & Fukuda, *DCG* 8, 1992).
-    """
-    rec = recession if recession is not None else Cone(d, [])
+    rec(Q) ⊆ P and Q = P.  A lower-dimensional Q, or a rec with lineality
+    (every ν is normal to it), fails (a): the normals tight at w are
+    dependent.  So P is full-dimensional, each of its facets is a
+    candidate, and a redundant candidate, supporting P in a face that
+    contains a vertex, would put that vertex on d + 1 inequalities, which
+    (a) rejects.  The facet list is exact, and so is the extremeness read
+    from its incidence; the result keeps the facets as its seed, with no
+    homogenization.  Walking from a simple vertex to its neighbours through
+    its ridges is the pivot step of reverse search (Avis & Fukuda, *DCG* 8,
+    1992)."""
     if not points:
         raise FacetCertificateError("no points")
-    nus = list(dict.fromkeys(primitive(nu) for nu in normals))
-    for nu in nus:
+    p = LatticePolyhedron(d, points, recession)
+    pts, rec = p.vertex_candidates, p.recession.canonical_form()
+    m, rays = len(pts), rec.rays
+    flat, den = clear_denominators([x for v in pts for x in v])
+    cols = [flat[j::d] for j in range(d)]
+    seed, on = [], []  # per candidate, (ν, o_ν) and the generators on it
+    tight: list[list[int]] = [[] for _ in pts]  # per point, the candidates through it
+    for nu in dict.fromkeys(primitive(nu) for nu in normals):
         if any(dot(nu, g) < 0 for g in rec.generators):
             raise FacetCertificateError(f"the normal {nu} is negative on the recession cone")
-    seed = tuple(zip(nus, point_minima(points, nus)))
-    q = LatticePolyhedron(d, points, rec, _facets=seed, _equations=()).canonicalize()
-    c = q.homogenization()
-    rays, facets = c.rays, c.facets
-    on = sparse_incidence(facets, rays)  # per facet, the rays on it
-    tight: list[list[int]] = [[] for _ in rays]  # per ray, the facets through it
-    for i, m in enumerate(on):
-        for k in dd.set_bits(m):
-            tight[k].append(i)
-    verts = sum(1 << k for k, r in enumerate(rays) if r[d] > 0)
+        vals = column_dots(nu, cols, m)
+        low = min(vals)
+        hits = [k for k, v in enumerate(vals) if v == low]
+        for k in hits:
+            tight[k].append(len(on))
+        seed.append((nu, Fraction(low, den)))
+        on.append(sum(1 << k for k in hits) + sum(1 << m + k for k, r in enumerate(rays)
+                                                  if not dot(nu, r)))
+    if rec.dim() == d:  # then t >= 0 is a facet, on the recession rays
+        on.append((1 << m + len(rays)) - (1 << m))
+    extreme = dd.extreme_generators(pts + rays, on)
+    keep, verts = sum(1 << i for i in extreme), [k for k in extreme if k < m]
     if not verts:
         raise FacetCertificateError("no point is a vertex of the candidate facets")
-    for k in dd.set_bits(verts):
+    for k in verts:
         t = tight[k]
-        if len(t) != d or rank([facets[i] for i in t]) != d:
-            raise FacetCertificateError(f"the vertex ray {rays[k]} is on {len(t)} facets, "
-                                        f"not on {d} independent ones")
+        if len(t) != d or rank([seed[i][0] for i in t]) != d:
+            raise FacetCertificateError(f"the vertex ray {scaled_primitive(pts[k] + (1,))} is "
+                                        f"on {len(t)} facets, not on {d} independent ones")
         for f in t:
-            ridge = (1 << len(rays)) - 1 & ~(1 << k)
+            ridge = keep & ~(1 << k)
             for i in t:
                 if i != f:
                     ridge &= on[i]
             if not ridge:
-                raise FacetCertificateError(f"the edge from the vertex ray {rays[k]} leaving "
-                                            f"the facet {facets[f]} has no other end "
-                                            "and no recession ray")
-    return q
+                raise FacetCertificateError(
+                    f"the edge from the vertex ray {scaled_primitive(pts[k] + (1,))} leaving the "
+                    f"facet {scaled_primitive(seed[f][0] + (-seed[f][1],))} has no other end "
+                    "and no recession ray")
+    return LatticePolyhedron(d, sorted(pts[k] for k in verts), rec, _facets=seed,
+                             _equations=(), _canonical=True)
 
 
 class InnerCertificateError(ValueError):

@@ -385,6 +385,7 @@ class ComparisonReport:
     stab_order: int
     stab0_order: int
     passed: bool
+    sym: SymStabilizers  # the whole S_n side, as ``toricgit stab`` prints it
 
 
 def verify_comparison(c: CycleConfiguration) -> ComparisonReport:
@@ -402,7 +403,7 @@ def verify_comparison(c: CycleConfiguration) -> ComparisonReport:
     return ComparisonReport(
         n=c.n, torus_side=torus, sym_side=sym.quotient,
         stab_order=sym.stab.order(), stab0_order=sym.stab0.order(),
-        passed=torus.invariant_factors == sym.quotient.invariant_factors)
+        passed=torus.invariant_factors == sym.quotient.invariant_factors, sym=sym)
 
 
 # ---------------------------------------------------------------------------

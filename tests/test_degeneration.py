@@ -1,7 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -23,7 +23,8 @@ from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix
 from toricgit.polyhedra import (FacetCertificateError, InnerCertificateError,
-                                certified_polyhedron, cube_image_slice)
+                                LatticePolyhedron, certified_polyhedron, cube_image_slice,
+                                normal_fan)
 
 
 def test_bundle_shifts_and_vertices():
@@ -166,8 +167,7 @@ def _reps(c):
 def test_orbit_fan_matches_per_cone_dd_oracle():
     # rays and facets transported from the chamber equal each cone's own DD
     for n in range(2, 7):
-        mats = permutation_matrices(n, ambient_reflections(n))
-        got = [_reps(c) for c in orbit_cones(chamber_cone(n), mats)]
+        got = [_reps(c) for c in orbit_cones(chamber_cone(n), ambient_reflections(n))]
         assert got == [_reps(c) for c in orbit_fan_by_cone_dd(n)], n
 
 
@@ -188,6 +188,45 @@ def test_build_symmetric_dd_calls_do_not_grow_with_n(monkeypatch):
         # no DD over the n! points: the largest input is σ's 2^n generators
         assert max(calls) <= 2 ** n
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_build_symmetric_moves_the_fan_by_generators(monkeypatch):
+    # no ρ(s) per permutation: permutation_matrices is never called, and the
+    # only matrix products are the Coxeter relation check, order(s_k s_l) of
+    # them for each pair k <= l
+    def no_matrices(n, gens):
+        raise AssertionError("build_symmetric formed the n! matrices")
+
+    monkeypatch.setattr(degeneration, "permutation_matrices", no_matrices)
+    real, calls = Matrix.__matmul__, []
+
+    def spy(a, b):
+        if isinstance(b, Matrix):
+            calls.append(a.rows)
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", spy)
+    for n in (3, 4, 5, 6):
+        calls.clear()
+        build_symmetric(n)
+        pairs = combinations_with_replacement(range(n - 1), 2)
+        assert len(calls) == sum(1 if l == k else 3 if l == k + 1 else 2 for k, l in pairs)
+
+
+def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
+    # the certificate reads one incidence pass; the cone over P × {1} is
+    # left to whoever asks for it (normal_fan)
+    def no_cone(self):
+        raise AssertionError("certified_polyhedron built the homogenization")
+
+    with monkeypatch.context() as m:
+        m.setattr(LatticePolyhedron, "homogenization", no_cone)
+        models = [build_symmetric(n) for n in (3, 4, 5, 6)]
+    for sym in models:
+        for p in (sym.permutohedron, sym.resolution_polyhedron):
+            assert p._canonical and p._cone is None
+            assert p.facet_rep and p.hull_equations == ()
+    assert normal_fan(models[0].resolution_polyhedron) == models[0].fan
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -255,16 +294,13 @@ BAD_CHAMBERS = {
 
 
 def test_orbit_transport_guards_hold_under_python_O():
-    mats = permutation_matrices(3, ambient_reflections(3))
     for name, gens in BAD_CHAMBERS.items():
         with pytest.raises(AssertionError):
-            next(orbit_cones(Cone(3, gens), mats))
+            next(orbit_cones(Cone(3, gens), ambient_reflections(2)))
         code = ("from toricgit.cones import Cone\n"
-                "from toricgit.degeneration import (ambient_reflections, orbit_cones,\n"
-                "                                   permutation_matrices)\n"
-                "mats = permutation_matrices(3, ambient_reflections(3))\n"
+                "from toricgit.degeneration import ambient_reflections, orbit_cones\n"
                 "try:\n"
-                f"    next(orbit_cones(Cone(3, {gens!r}), mats))\n"
+                f"    next(orbit_cones(Cone(3, {gens!r}), ambient_reflections(2)))\n"
                 "except AssertionError:\n"
                 "    raise SystemExit(7)\n")
         r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
@@ -301,6 +337,11 @@ def test_permutation_matrices_reject_generators_breaking_a_relation(relation):
     n, gens = COXETER_BREAKS[relation]
     with pytest.raises(AssertionError, match="Coxeter"):
         permutation_matrices(n, [Matrix(g) for g in gens])
+    # the orbit fan walks the same Cayley graph, behind the same check
+    d = len(gens[0])
+    orthant = Cone(d, [tuple(int(i == j) for j in range(d)) for i in range(d)])
+    with pytest.raises(AssertionError, match="Coxeter"):
+        next(orbit_cones(orthant, [Matrix(g) for g in gens]))
 
 
 def test_decode_ray_label():

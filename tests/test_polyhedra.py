@@ -13,9 +13,9 @@ from oracles import (check_semigroup_generation, cone_over, contains, cube_slice
                      validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
-from toricgit.linalg import Matrix, dot, rank
+from toricgit.linalg import Matrix, dot, primitive, rank
 from toricgit.polyhedra import (FacetCertificateError, LatticePolyhedron, affine_slice,
-                                cube_image_slice, normal_fan)
+                                certified_polyhedron, cube_image_slice, normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
 
@@ -481,6 +481,84 @@ def test_seeded_h_rep_matches_dd_read(case, data):
     a, b = seeded.homogenization(), fresh.homogenization()
     assert (a.facets, a.equations) == (b.facets, b.equations)
     assert seeded.canonicalize() == fresh.canonicalize()
+
+
+def _product_of(factors):
+    """(points, rays, normals) of the product of the factors' polyhedra."""
+    dims = [len(f[0][0]) for f in factors]
+    pts, rays, normals = [()], [], []
+    for i, (fpts, frays, fnormals) in enumerate(factors):
+        before, after = sum(dims[:i]), sum(dims[i + 1:])
+        pts = [p + q for p in pts for q in fpts]
+        rays += [(0,) * before + r + (0,) * after for r in frays]
+        normals += [(0,) * before + v + (0,) * after for v in fnormals]
+    return pts, rays, normals
+
+
+@st.composite
+def simple_polyhedra(draw):
+    """(d, points, recession rays, facet normals) of a simple polyhedron: a
+    box, a product of simplices or a permutohedron of distinct integer
+    weights, times a half-line in some draws (a pointed recession cone).
+    The box's sides may be half-lines too, so that the recession cone may
+    be full-dimensional.  Each factor's facets are known, so the product's
+    are too; a few midpoints of two points join the points and are no
+    vertices."""
+    shift = st.integers(-3, 3)
+
+    def half_line():  # [a, ∞) or (-∞, a]
+        sign = draw(st.sampled_from([1, -1]))
+        return [(draw(shift),)], [(sign,)], [(sign,)]
+
+    kind = draw(st.sampled_from(["box", "simplices", "permutohedron"]))
+    if kind == "permutohedron":
+        n = draw(st.integers(3, 4))
+        w = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))
+        subsets = [I for I in product((0, 1), repeat=n - 1) if any(I)]
+        factors = [([tuple(w[i] for i in s[:-1]) for s in permutations(range(n))], [],
+                    subsets + [tuple(-x for x in I) for I in subsets])]
+    else:
+        factors = []
+        for _ in range(draw(st.integers(1, 3 if kind == "box" else 2))):
+            if kind == "box" and draw(st.booleans()):
+                factors.append(half_line())
+                continue
+            k = 1 if kind == "box" else draw(st.integers(1, 3))
+            t, size = draw(st.tuples(*[shift] * k)), draw(st.integers(1, 3))
+            corners = [t] + [tuple(x + size * (i == j) for j, x in enumerate(t))
+                             for i in range(k)]
+            units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+            factors.append((corners, [], units + [(-1,) * k]))
+    if draw(st.booleans()):
+        factors.append(half_line())
+    pts, rays, normals = _product_of(draw(st.permutations(factors)))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        pts.append(tuple(F(x + y, 2) for x, y in zip(a, b)))
+    return len(pts[0]), pts, rays, normals
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=simple_polyhedra(), data=st.data())
+def test_certified_polyhedron_matches_dd_oracle(case, data):
+    d, pts, rays, normals = case
+    got = certified_polyhedron(d, pts, Cone(d, rays), data.draw(st.permutations(normals)))
+    want = LatticePolyhedron(d, pts, Cone(d, rays)).canonicalize()
+    event(f"d = {d}, recession rank {len(rays)}")
+    assert got.vertex_candidates == want.vertex_candidates
+    assert got.facet_rep == want.facet_rep
+    assert got.hull_equations == want.hull_equations == ()
+    assert got.recession.key() == want.recession.key()
+    # every facet is needed, and a normal that is no facet's is redundant
+    i = data.draw(st.integers(0, len(normals) - 1))
+    with pytest.raises(FacetCertificateError):
+        certified_polyhedron(d, pts, Cone(d, rays), normals[:i] + normals[i + 1:])
+    facets = {primitive(v) for v in normals}
+    others = [v for v in product((-1, 0, 1), repeat=d) if any(v) and v not in facets]
+    if others:  # none when d = 1 and both directions are facets
+        extra = data.draw(st.sampled_from(others))
+        with pytest.raises(FacetCertificateError):
+            certified_polyhedron(d, pts, Cone(d, rays), normals + [extra])
 
 
 def test_integral_coordinates_are_int():

@@ -177,7 +177,8 @@ def test_cyclic_orders_merge_matches_trial_division(orders):
         invariant_factors(orders)
 
 
-# the peel costs O(|Q|²) multiplications, so the examples are few (|Q| reaches 960)
+# the peel takes the order of every element at each level, so the examples are
+# few (|Q| reaches 960)
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
 @given(st.lists(st.integers(1, 12), max_size=3), st.data())
 def test_group_table_routes_agree(orders, data):
@@ -427,6 +428,23 @@ def test_verify_comparison_examples():
     assert r1.passed and r1.torus_side.invariant_factors == (3, 3)
     r2 = verify_comparison(example_two())
     assert r2.passed and r2.sym_side.invariant_factors == (3,)
+
+
+def test_stab_finds_each_shift_group_once(tmp_path, capsys, monkeypatch):
+    # the order-9 example has two occupied components: one shift group each,
+    # shared by the torus factors and the slot layout
+    real, calls = stabilizers._component_shift_order, []
+
+    def spy(records):
+        calls.append(len(records))
+        return real(records)
+
+    monkeypatch.setattr(stabilizers, "_component_shift_order", spy)
+    path = tmp_path / "order9.json"
+    path.write_text(json.dumps(jsonio.configuration_to_json(example_one())))
+    assert cli.main(["stab", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["stab_order"] == 9
+    assert len(calls) == 2
 
 
 def assert_tables_and_orders_match_oracles(c):
