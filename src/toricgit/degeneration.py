@@ -491,15 +491,24 @@ def _pb(n: int) -> LatticePolyhedron:
     cube block i, each of its n columns with coefficient -1, so the block's
     slice is the hypersimplex slice {y ∈ [0,1]^n : Σ y = i·n/(n+1)} and P_b
     is the Minkowski sum of their images, a generalized permutohedron
-    (Postnikov, IMRN 2009).  So the 2^n - 2 normals (e_I; 0), I a proper
-    nonempty subset of [n], are the candidate facet normals, and
-    ``chart_box`` is the corner test: neither the bundle nor the (n+1)^n
-    chart corners are listed.  If a certificate failed, the checks would
-    report an error."""
+    (Postnikov, IMRN 2009) whose normal fan the braid fan refines.  So the
+    chambers are the n! maximal chains (e_{σ(1)}; 0), (e_{σ(1)σ(2)}; 0), ...,
+    and the lineality is (1^n; 0) and (0; e_j).  The certificate shows
+    (1) P_b constant along the lineality, (2) one minimum w_σ per chain
+    sum, a vertex, (3) each chain normal tight at w_σ, so the chamber lies
+    in N(w_σ), and (4), as the chambers cover the space, every vertex among
+    the w_σ.  ``chart_box`` is the corner test: neither the bundle nor the
+    (n+1)^n chart corners are listed, and no double description runs.  If
+    a certificate failed, the checks would report an error."""
     lin = product_linearization(n)
-    normals = [e + (0,) * (n + 1) for e in product((0, 1), repeat=n) if 0 < sum(e) < n]
-    return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b], normals,
-                            lambda lo, hi: chart_box(n, lo, hi))
+    tail = (0,) * (n + 1)
+    # one chain per σ, made lazily; pos[j] is j's place in σ, so e_{σ(1..k)} is pos < k
+    chambers = ([tuple(int(p < k) for p in pos) + tail for k in range(1, n)]
+                for pos in permutations(range(n)))
+    lineality = [(1,) * n + tail] + [(0,) * n + tuple(int(i == j) for i in range(n + 1))
+                                     for j in range(n + 1)]
+    return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b], chambers,
+                            lineality, lambda lo, hi: chart_box(n, lo, hi))
 
 
 @dataclass

@@ -306,5 +306,6 @@ def abelian_invariant_factors_of_group(elements: Sequence, mul: Callable,
     if log.keys() != set(elems):
         raise ValueError("the elements are not closed under the multiplication")
     factors = elementary_divisors(Matrix(padded(r, len(gens)) for r in relations))
-    assert prod(factors) == len(elems), "invariant factor product must equal group order"
+    if prod(factors) != len(elems):
+        raise AssertionError("invariant factor product must equal group order")
     return tuple(f for f in factors if f > 1)

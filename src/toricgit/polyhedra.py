@@ -283,12 +283,19 @@ class InnerCertificateError(ValueError):
     """A vertex of the cube-image slice is not shown to lie in conv(L(corners))."""
 
 
-def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[Sequence[int]],
+class ChamberCertificateError(ValueError):
+    """A chamber of normals is not shown to lie in the normal cone of one vertex."""
+
+
+def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
+                     chambers: Iterable[Sequence[IntVec]], lineality: Iterable[IntVec],
                      corner_box: Callable[[IntVec, IntVec], bool]) -> LatticePolyhedron:
     """conv(L(corners)) ∩ {x : f·x = target}, canonical, for the 0/1 points
     of the cube [0,1]^cols(L) that ``corner_box(lo, hi)`` tells apart: is
-    every 0/1 point between lo and hi a corner?  The inward ``normals`` must
-    include the facet normals; FacetCertificateError or InnerCertificateError
+    every 0/1 point between lo and hi a corner?  Each chamber is a list of
+    integer normals, as tuples.  The chambers plus span(``lineality``) must
+    cover the space; that is the caller's to know, and a missing chamber
+    can lose a vertex.  ChamberCertificateError or InnerCertificateError
     when the certificate fails.
 
     f·L must cut the cube in hypersimplex blocks: row i reads its own
@@ -302,15 +309,19 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[S
     ⌊s_i⌋ columns of B_i with least value, ties broken by column, and the
     fractional part of s_i on the next one.  So the oracle takes Lᵀc once,
     sorts each block, and gives the minimum of c, an argmin and its
-    preimage in int over one common denominator h.  With the minima as
-    offsets the normals cut out Q ⊇ slice; one double description on the
-    affine hull, spanned by the images of e_j - e_j' in the blocks with
-    0 < s_i < |B_i|, gives its vertices.  Q must be bounded, and at each
-    vertex w: (a) the normals through w have rank dim Q, so their sum c is
-    interior to the normal cone of Q at w; (b) the argmin of c is w, so w is
-    in the slice and Q = slice; (c) ``corner_box`` holds on the cube face
-    through w's preimage (its coordinates in (0, 1) set to 0 or 1), so w is
-    in conv(L(corners)), which L(cube) bounds from outside."""
+    preimage in int over one common denominator h.  The argmin is the only
+    one iff in every block the columns tied in value across a change of
+    weight are equal columns of L.  The certificate: (1) each lineality
+    direction ℓ is constant on the slice, min ℓ = -min(-ℓ); (2) each
+    chamber's sum has a unique argmin w, so w is an exposed vertex; (3)
+    each normal of the chamber is tight at w (its minimum is taken once per
+    distinct normal), so the chamber plus span(lineality) lies in the
+    normal cone N(w); (4) a functional interior to N(v), v a vertex, lies
+    in some chamber, whose w is then v: the distinct w are every vertex,
+    with no double description and no rank.  Last, ``corner_box`` holds on
+    the cube face through each vertex's preimage (its coordinates in (0, 1)
+    set to 0 or 1), so the vertex is in conv(L(corners)), which L(cube)
+    bounds from outside."""
     d, nc = L.rows, L.cols
     if f.cols != d:
         raise ValueError("rank mismatch")
@@ -328,53 +339,51 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, normals: Iterable[S
     # L in int over dl, the slice in int over ds: the images hold h·x, h = dl·ds
     flat, dl = clear_denominators([x for r in L.entries for x in r])
     rows_l = [flat[i * nc:(i + 1) * nc] for i in range(d)]
+    columns = list(zip(*rows_l))
     ds = lcm(*(s.denominator for _, s in blocks))
     h = dl * ds
     # s_i·ds = whole·ds + part: weight ds on ``whole`` columns, part on one more
     cuts = [(cols, *divmod(s.numerator * (ds // s.denominator), ds)) for cols, s in blocks]
 
     def oracle(c):
-        """min of <c, h·x> over the slice, an argmin h·x and its preimage
-        times ds."""
+        """min of <c, h·x> over the slice, an argmin h·x, its preimage
+        times ds, and whether that argmin is the only one."""
         vals = column_dots(c, rows_l, nc)
         y = [0] * nc
+        unique = True
         for cols, whole, part in cuts:
             order = sorted(cols, key=vals.__getitem__)  # stable: ties by column
             for j in order[:whole]:
                 y[j] = ds
             if part:
                 y[order[whole]] = part
-        return sum(map(mul, vals, y)), tuple(sum(map(mul, r, y)) for r in rows_l), y
+            for a, b in zip(order, order[1:]):
+                if y[a] != y[b] and vals[a] == vals[b]:
+                    unique &= len({columns[j] for j in cols if vals[j] == vals[a]}) == 1
+        return sum(map(mul, vals, y)), tuple(sum(map(mul, r, y)) for r in rows_l), y, unique
 
-    base = oracle(())[1]  # the greedy point of c = 0: each block's first columns
-    basis: list[IntVec] = []
-    for cols, s in blocks:
-        if 0 < s < len(cols):
-            for j in cols[1:]:
-                v = tuple(r[j] - r[cols[0]] for r in rows_l)
-                if rank(basis + [v]) > len(basis):
-                    basis.append(v)
-    k = len(basis)
-    nus = list(dict.fromkeys(primitive(nu) for nu in normals))
-    rows = [primitive([dot(nu, b) for b in basis] + [dot(nu, base) - oracle(nu)[0]])
-            for nu in nus]
-    lin, rays, incidence = dd.cone_from_inequalities(rows + [(0,) * k + (1,)], k + 1)
-    if lin or any(r[k] == 0 for r in rays):
-        raise FacetCertificateError("the candidate facets do not bound the slice")
-    verts = []
-    for r, mask in zip(rays, incidence):
-        tight = dd.set_bits(mask)
-        if rank([rows[i] for i in tight]) != k:
-            raise FacetCertificateError(f"the candidates through {r} do not have rank {k}")
-        _, arg, pre = oracle(tuple(map(sum, zip(*(nus[i] for i in tight)))))
-        w = [r[k] * x + sum(y * b[i] for y, b in zip(r, basis)) for i, x in enumerate(base)]
-        if [r[k] * x for x in arg] != w:
-            raise FacetCertificateError(f"the candidate vertex {r} is not in the slice")
+    for l in lineality:
+        if oracle(l)[0] != -oracle([-x for x in l])[0]:
+            raise ChamberCertificateError(f"the lineality direction {l} is not constant")
+    low: dict[tuple, int] = {}  # the minimum of each chamber normal
+    found: dict[tuple, list[int]] = {}  # h·w -> its preimage
+    for chamber in chambers:
+        _, arg, pre, unique = oracle([sum(x) for x in zip(*chamber)])
+        if not unique:
+            raise ChamberCertificateError(f"the chamber {chamber} has no unique minimum")
+        for nu in chamber:
+            if nu not in low:
+                low[nu] = oracle(nu)[0]
+            if dot(nu, arg) != low[nu]:
+                raise ChamberCertificateError(f"the normal {nu} of {chamber} is not tight")
+        found.setdefault(arg, pre)
+    for arg, pre in found.items():
         if not corner_box(tuple(y // ds for y in pre), tuple(-(-y // ds) for y in pre)):
             raise InnerCertificateError(f"the cube face through the preimage of {arg} / {h} "
                                         "has a point that is not a corner")
-        verts.append(tuple(Fraction(x, h) for x in arg))
-    return LatticePolyhedron(d, sorted(verts), _canonical=True)
+    # h > 0, so the vertices sort as their int images do
+    return LatticePolyhedron(d, [tuple(Fraction(x, h) for x in arg) for arg in sorted(found)],
+                             _canonical=True)
 
 
 class Fan:

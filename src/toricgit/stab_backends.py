@@ -44,7 +44,6 @@ class EncodedPoint:
 
 def encode_point(n, values, a1_labels) -> EncodedPoint:
     """Encode UnitValue coordinates (f_0..f_n) into integer prefix data."""
-    assert len(values) == n + 1 and len(a1_labels) == n
     denom = 1
     for v in values[1:n]:
         if not v.is_zero():

@@ -58,23 +58,6 @@ class UnitValue:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def __add__(self, other: "UnitValue") -> "UnitValue":
-        if self.is_zero() or other.is_zero():
-            raise ValueError("zero values are not invertible group elements")
-        m = max(len(self.generic), len(other.generic))
-        a = self.generic + (0,) * (m - len(self.generic))
-        b = other.generic + (0,) * (m - len(other.generic))
-        return UnitValue(root=self.root + other.root,
-                         generic=tuple(x + y for x, y in zip(a, b)))
-
-    def __neg__(self) -> "UnitValue":
-        if self.is_zero():
-            raise ValueError("zero values are not invertible group elements")
-        return UnitValue(root=-self.root, generic=tuple(-x for x in self.generic))
-
-    def __sub__(self, other: "UnitValue") -> "UnitValue":
-        return self + (-other)
-
     def padded(self, m: int) -> "UnitValue":
         if self.is_zero():
             return self
@@ -147,9 +130,7 @@ def fiber_degrees(n: int, I_t: Sequence[int]) -> list[int]:
     if any(not 1 <= i <= n + 1 for i in idx):
         raise ValueError("I_t must be a subset of 1..n+1")
     ext = [1] + idx + [n + 1]
-    degs = [ext[1] - 1] + [ext[l + 1] - ext[l] for l in range(1, len(idx) + 1)]
-    assert sum(degs) == n
-    return degs
+    return [ext[1] - 1] + [ext[l + 1] - ext[l] for l in range(1, len(idx) + 1)]
 
 
 def check_stability(c: CycleConfiguration) -> bool:
@@ -295,7 +276,6 @@ def _project(c: CycleConfiguration, comps: list[list[PointRecord]],
             continue
         for root, generic, label, mult in _layout_component(records, orders[l], denom):
             slots += [(l, root, generic + (0,) * (m - len(generic)), label)] * mult
-    assert len(slots) == n
 
     def unit(root: int, generic: tuple[int, ...]) -> UnitValue:
         return UnitValue(root=Fraction(root, denom), generic=generic)

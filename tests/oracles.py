@@ -1092,6 +1092,21 @@ def _ambient_permutation_matrices(n: int) -> dict:
     return permutation_matrices(n, ambient_reflections(n))
 
 
+def unit_combination(terms) -> tuple[Fraction, tuple[int, ...]]:
+    """Σ k·v over the (k, v) in ``terms``, v a unit value of (Q/Z) ⊕ Z^m
+    written additively: the root part mod 1 and the generic part, the
+    shorter generic parts padded with zeros."""
+    m = max((len(v.generic) for _, v in terms), default=0)
+    root, generic = Fraction(0), [0] * m
+    for k, v in terms:
+        if v.is_zero():
+            raise ValueError("zero values are not invertible group elements")
+        root += k * v.root
+        for t, x in enumerate(v.generic):
+            generic[t] += k * x
+    return root % 1, tuple(generic)
+
+
 def toric_fixed_points(q: QuotientPoint) -> set[Perm]:
     """Chart-gluing oracle for the stabilizer, via the toric model.
 
@@ -1124,22 +1139,13 @@ def toric_fixed_points(q: QuotientPoint) -> set[Perm]:
         good = True
         for i in unit_idx:
             mi = dual_basis[i]
-            total = None
+            terms = [(-1, q.values[i])]
             for j in unit_idx:
                 cj = sum(a * b for a, b in zip(mi, (mat @ rays[j])))
-                if cj == 0:
-                    continue
-                term = q.values[j]
-                acc = term
-                k = int(cj)
-                piece = acc if k > 0 else -acc
-                for _ in range(abs(k) - 1):
-                    piece = piece + (acc if k > 0 else -acc)
-                total = piece if total is None else total + piece
-            if total is None:
-                total = UnitValue(root=Fraction(0), generic=(0,) * len(q.values[i].generic))
-            if (total - q.values[i]).root % 1 != 0 or \
-                    any(x != 0 for x in (total - q.values[i]).generic):
+                if cj != 0:
+                    terms.append((int(cj), q.values[j]))
+            root, generic = unit_combination(terms)
+            if root or any(generic):
                 good = False
                 break
         if good:

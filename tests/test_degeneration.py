@@ -1,14 +1,16 @@
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial
 
 import pytest
 
 from oracles import (ambient_quotient_slice, cube_image_slice_by_sums, edge_matrix, invert,
                      minkowski_sum, orbit_fan_by_cone_dd, solve_unique,
                      symmetric_polyhedra_by_dd, weight_reflections)
-from toricgit import degeneration
+from toricgit import dd, degeneration, polyhedra
 from toricgit.cones import Cone
 from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections,
                                    basis_change_matrix, build_bundle, build_symmetric,
@@ -485,17 +487,31 @@ def test_chart_box_is_a_chart_corner_lookup():
                 assert chart_box(n, lo, hi) == all(c in corners for c in box_corners(lo, hi))
 
 
-def pb_normals(n):
-    """``_pb``'s candidate facet normals: (e_I; 0) for 0 < |I| < n."""
-    return [e + (0,) * (n + 1) for e in product((0, 1), repeat=n) if 0 < sum(e) < n]
+def pb_arguments(n):
+    """The arguments ``_pb(n)`` hands to ``cube_image_slice``, its chambers
+    as a list."""
+    seen = []
+
+    def spy(L, f, target, chambers, *rest):
+        seen.append((L, f, target, list(chambers), *rest))
+        return cube_image_slice(*seen[-1])
+
+    _pb.cache_clear()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(degeneration, "cube_image_slice", spy)
+        try:
+            _pb(n)
+        finally:
+            _pb.cache_clear()
+    return seen[0]
 
 
-def cube_pb(n, normals=None, corner_box=None):
-    """P_b along ``_pb``'s route, with other candidates or another corner test."""
-    lin = product_linearization(n)
-    return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b],
-                            pb_normals(n) if normals is None else normals,
-                            corner_box or (lambda lo, hi: chart_box(n, lo, hi)))
+def cube_pb(n, corner_box=None, drop=None):
+    """P_b along ``_pb``'s route, with another corner test or a chamber dropped."""
+    L, f, target, chambers, lineality, box = pb_arguments(n)
+    if drop is not None:
+        chambers = chambers[:drop] + chambers[drop + 1:]
+    return cube_image_slice(L, f, target, chambers, lineality, corner_box or box)
 
 
 def test_pb_matches_the_route_by_sums():
@@ -527,13 +543,46 @@ def test_pb_n6_is_the_closed_form():
     assert len(got.vertex_candidates) == 720
 
 
-def test_pb_certificate_rejects_each_dropped_normal():
-    normals = pb_normals(4)
-    assert len(normals) == 14
+def test_pb_runs_no_double_description_and_no_rank(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("P_b must come from the greedy oracle alone")
+
+    monkeypatch.setattr(dd, "cone_from_inequalities", forbidden)
+    monkeypatch.setattr(polyhedra, "rank", forbidden)
+    _pb.cache_clear()
+    try:
+        for n in range(1, 7):
+            assert set(_pb(n).vertex_candidates) == set(slice_vertex_points(n).values()), n
+    finally:
+        _pb.cache_clear()
+
+
+def test_pb_passes_every_braid_chamber():
+    # the n! maximal chains of proper nonempty subsets, tail 0, each ridge (a
+    # chain less one subset) shared by exactly two: the braid fan, complete
+    # modulo the lineality (1^n; 0) and (0; e_j)
+    for n in range(1, 6):
+        _, _, _, chambers, lineality, _ = pb_arguments(n)
+        tail = (0,) * (n + 1)
+        assert len({tuple(ch) for ch in chambers}) == len(chambers) == factorial(n), n
+        for ch in chambers:
+            assert [sum(nu) for nu in ch] == list(range(1, n)), n
+            assert all(nu[n:] == tail and set(nu) <= {0, 1} for nu in ch), n
+            assert all(x <= y for a, b in zip(ch, ch[1:]) for x, y in zip(a, b)), n
+        ridges = Counter(tuple(ch[:k] + ch[k + 1:]) for ch in chambers for k in range(n - 1))
+        assert set(ridges.values()) <= {2}, n
+        assert sorted(lineality) == sorted([(1,) * n + tail] + [
+            (0,) * n + tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]), n
+
+
+def test_pb_chamber_certificate_leaves_completeness_to_the_caller():
+    # each vertex of P_b is the argmin of exactly one braid chamber, so a
+    # dropped chamber drops its vertex and the certificate cannot tell
+    full = set(_pb(4).vertex_candidates)
     assert cube_pb(4) == _pb(4)
-    for i in range(len(normals)):
-        with pytest.raises(FacetCertificateError):
-            cube_pb(4, normals[:i] + normals[i + 1:])
+    for i in range(24):
+        part = set(cube_pb(4, drop=i).vertex_candidates)
+        assert len(part) == 23 and part < full, i
 
 
 def test_pb_never_lists_the_chart_corners(monkeypatch):
@@ -565,9 +614,9 @@ def test_certificate_needs_every_face_corner():
         if all(abs(s - F((i + 1) * n, n + 1)) < 1 for i, s in enumerate(sums)):
             needed += 1
             with pytest.raises(InnerCertificateError):
-                cube_pb(n, corner_box=lookup)
+                cube_pb(n, lookup)
         else:
-            assert cube_pb(n, corner_box=lookup) == full
+            assert cube_pb(n, lookup) == full
     assert needed == 7
 
 

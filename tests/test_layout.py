@@ -95,7 +95,8 @@ def test_checked_modules_hold_no_assert_statement():
     # these modules check theorem-shaped facts; python -O strips an assert
     # statement, so each check is an explicit raise
     found = []
-    for name in ("degeneration", "polyhedra", "git"):
+    for name in ("degeneration", "polyhedra", "git", "stabilizers", "stab_backends",
+                 "groups"):
         path = SRC / f"{name}.py"
         tree = ast.parse(path.read_text(), str(path))
         found += [f"{name}.py:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations, product
+from operator import add
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -14,8 +15,9 @@ from oracles import (check_semigroup_generation, cone_over, contains, cube_slice
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot, primitive, rank
-from toricgit.polyhedra import (FacetCertificateError, LatticePolyhedron, affine_slice,
-                                certified_polyhedron, cube_image_slice, normal_fan)
+from toricgit.polyhedra import (ChamberCertificateError, FacetCertificateError,
+                                LatticePolyhedron, affine_slice, certified_polyhedron,
+                                cube_image_slice, normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
 
@@ -98,11 +100,31 @@ def every_corner(lo, hi):
 
 
 def certified_cube_slice(L, f, target):
-    """``cube_image_slice`` of the whole cube, its candidate normals the
-    facet normals of ``cube_slice_oracle``; returns both."""
+    """``cube_image_slice`` of the whole cube, a chamber per vertex of
+    ``cube_slice_oracle``: the rays of its normal cone, with the oracle's
+    hull normals as the lineality; returns both and the chambers."""
     want = cube_slice_oracle(L, f, target)
-    normals = [] if want.is_empty() else [n for n, _ in want.facet_rep]
-    return cube_image_slice(L, f, target, normals, every_corner), want
+    chambers, lineality = [], []
+    if not want.is_empty():
+        chambers = [c.rays for c in normal_fan(want).maximal_cones]
+        lineality = [e for e, _ in want.hull_equations]
+    return cube_image_slice(L, f, target, chambers, lineality, every_corner), want, chambers
+
+
+def ties_across_a_cut(L, f, target, c):
+    """Do the values of Lᵀc tie across a change of the greedy weight in some
+    block: lo < s < hi for the columns below and up to some value, two or
+    more of them tied at it?"""
+    vals = [sum(a * b for a, b in zip(c, col)) for col in zip(*L.entries)]
+    for r, t in zip((f @ L).entries, target):
+        cols = [j for j, a in enumerate(r) if a != 0]
+        s = t / r[cols[0]]
+        for v in {vals[j] for j in cols}:
+            lo = sum(vals[j] < v for j in cols)
+            hi = sum(vals[j] <= v for j in cols)
+            if lo < s < hi and hi - lo >= 2:
+                return True
+    return False
 
 
 @st.composite
@@ -146,8 +168,11 @@ def hypersimplex_slices(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(case=hypersimplex_slices())
 def test_cube_image_slice_matches_oracle_on_hypersimplex_blocks(case):
-    got, want = certified_cube_slice(*case)
+    got, want, chambers = certified_cube_slice(*case)
     assert_same_polytope(got, want)
+    # the unique argmin of such a tie needs the tied columns to be equal
+    if any(ties_across_a_cut(*case, [sum(x) for x in zip(*ch)]) for ch in chambers):
+        event("tie resolved by equal columns")
     event("empty" if got.is_empty() else f"dim {got.ambient_rank - len(got.hull_equations)}")
 
 
@@ -161,25 +186,33 @@ def test_cube_image_slice_guards_block_shape():
             ([[1, 1, 1], [0, 0, 0]], [1, 0], "its own columns"),  # a zero row
             ([[1, 1, 0]], [1], "every column")):  # an unread column
         with pytest.raises(ValueError, match=match):
-            cube_image_slice(L, Matrix(rows), target, [], every_corner)
+            cube_image_slice(L, Matrix(rows), target, [], [], every_corner)
 
 
-def test_cube_image_slice_certificate_needs_every_facet():
-    # the slice of the 3-cube by x + y + z = 3/2 is a hexagon with the facet
-    # normals ±e_1, ±e_2, ±e_3 on its plane
+def test_cube_image_slice_chamber_certificate_on_the_hexagon():
+    # the slice of the 3-cube by x + y + z = 3/2 is a hexagon whose normal
+    # fan is the braid fan of S_3, with lineality (1, 1, 1)
     L, f, target = Matrix.identity(3), Matrix([[1, 1, 1]]), [F(3, 2)]
-    normals = [tuple(s if i == j else 0 for i in range(3)) for j in range(3) for s in (1, -1)]
-    got = cube_image_slice(L, f, target, normals, every_corner)
+    units = Matrix.identity(3).entries
+    chambers = [[units[s[0]], tuple(map(add, units[s[0]], units[s[1]]))]
+                for s in permutations(range(3))]
+    got = cube_image_slice(L, f, target, chambers, [(1, 1, 1)], every_corner)
     assert len(got.vertex_candidates) == 6
     assert_same_polytope(got, cube_slice_oracle(L, f, target))
-    # a dropped facet leaves a vertex of the candidates outside the slice,
-    # and fewer leave them unbounded; a redundant one changes nothing
+    # e_1 alone ties y and z across the cut of the sum: an edge is least
+    with pytest.raises(ChamberCertificateError, match="no unique minimum"):
+        cube_image_slice(L, f, target, [[(1, 0, 0)]], [(1, 1, 1)], every_corner)
+    # (3, 1, 0) + (0, 1, 0) is least at (0, 1/2, 1), where y is not least
+    with pytest.raises(ChamberCertificateError, match="not tight"):
+        cube_image_slice(L, f, target, [[(3, 1, 0), (0, 1, 0)]], [(1, 1, 1)], every_corner)
+    with pytest.raises(ChamberCertificateError, match="not constant"):
+        cube_image_slice(L, f, target, chambers, [(1, 0, 0)], every_corner)
+    # completeness is the caller's: a dropped chamber drops its vertex
     for i in range(6):
-        with pytest.raises(FacetCertificateError, match="not in the slice"):
-            cube_image_slice(L, f, target, normals[:i] + normals[i + 1:], every_corner)
-    with pytest.raises(FacetCertificateError, match="do not bound"):
-        cube_image_slice(L, f, target, normals[:2], every_corner)
-    assert cube_image_slice(L, f, target, normals + [(1, 1, 0)], every_corner) == got
+        part = cube_image_slice(L, f, target, chambers[:i] + chambers[i + 1:], [(1, 1, 1)],
+                                every_corner)
+        assert len(part.vertex_candidates) == 5
+        assert set(part.vertex_candidates) < set(got.vertex_candidates)
 
 
 def test_affine_slice_examples():

@@ -15,7 +15,7 @@ from oracles import (_ambient_permutation_matrices, abelian_invariant_factors_by
                      component_shift_order_by_fractions, from_cycles, image_tables_by_pairs,
                      instantiate, invariant_factors, inverse, is_trivial, toric_fixed_points,
                      unit, unit_matches)
-from toricgit import cli, jsonio, stab_backends, stabilizers
+from toricgit import cli, groups, jsonio, stab_backends, stabilizers
 from toricgit.groups import (CosetUnion, FiniteAbelianGroup, NonabelianQuotientError,
                              YoungSubgroup, abelian_invariant_factors_of_group, compose,
                              cycle_notation, identity, young_subgroup_of)
@@ -202,6 +202,16 @@ def test_abelian_invariants_of_klein_group():
     elems = [(0, 0), (0, 1), (1, 0), (1, 1)]
     mul = lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
     assert abelian_invariant_factors_of_group(elems, mul, (0, 0)) == (2, 2)
+
+
+def test_invariant_factor_product_is_enforced(monkeypatch):
+    # the factors must multiply to |Q|: drop one, and the check raises
+    real = groups.elementary_divisors
+    monkeypatch.setattr(groups, "elementary_divisors", lambda m: real(m)[1:])
+    elems = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    mul = lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
+    with pytest.raises(AssertionError, match="group order"):
+        abelian_invariant_factors_of_group(elems, mul, (0, 0))
 
 
 def dihedral_group_of_order_8():
