@@ -1,9 +1,11 @@
-"""Exact fixed-point search over S_n for an encoded quotient point.
+"""Exact fixed-point search over S_n for a quotient point.
 
-A permutation fixes the point when slot labels match, the two end
-coordinates f_0 and f_n are kept, and each consecutive slot ratio under the
-permutation equals the chart coordinate f_k.  Every condition involves at
-most two adjacent slots.  The slots fall into ratio classes, keyed by their
+``quotient_point`` builds the point in ``int`` from the slot rows, as prefix
+sums over one common denominator; the search reads it as it is.  A
+permutation fixes the point when slot labels match, the two end coordinates
+f_0 and f_n are kept, and each consecutive slot ratio under the permutation
+equals the chart coordinate f_k.  Every condition involves at most two
+adjacent slots.  The slots fall into ratio classes, keyed by their
 segment (the run of slots between two zero coordinates), their integer
 prefix sum and their label; a nonzero f_k sends the image of one slot to one
 class.  So ``search_stabilizer`` fills the table of admissible images of each
@@ -17,75 +19,71 @@ block's images: it visits one representative per coset of that subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Sequence
 
 from .groups import CosetUnion, Perm, YoungSubgroup
 
 
 @dataclass(frozen=True)
-class EncodedPoint:
-    """Integer encoding of a quotient point for the S_n search.
+class QuotientPoint:
+    """A point of the quotient chart, in integer prefix data.
 
-    f_1 .. f_{n-1} are the consecutive-slot coordinates; index k of the
-    prefix arrays is the number of initial coordinates summed, so the
-    group-valued ratio of slots a < b (1-based) is prefix[b-1] - prefix[a-1]
-    when zeros[a..b-1] has no entry, and the zero value otherwise.
+    f_0 and f_n are the end coordinates, f_1 .. f_{n-1} the consecutive-slot
+    coordinates; index k of the prefix arrays is the number of initial
+    coordinates summed, so the group-valued ratio of slots a < b (1-based) is
+    prefix[b-1] - prefix[a-1] when zeros[a..b-1] has no entry, and the zero
+    value otherwise.  Only whether f_0 and f_n vanish enters the search.
     """
 
     n: int
     denom: int                 # common root-part denominator D
     zero: tuple[bool, ...]     # length n+1: is f_k the zero value (k = 0..n)
-    prefix_root: tuple[int, ...]   # length n: scaled root-part prefix sums
+    prefix_root: tuple[int, ...]   # length n: root-part prefix sums, times D, mod D
     prefix_gen: tuple[tuple[int, ...], ...]  # length n: generic prefix sums
-    zero_count: tuple[int, ...]    # length n: zeros among f_1..f_k
+    zero_count: tuple[int, ...]    # length n: zeros among f_1..f_k, the slot's segment
     a1_codes: tuple[int, ...]      # length n: interned slot labels
 
 
-def encode_point(n, values, a1_labels) -> EncodedPoint:
-    """Encode UnitValue coordinates (f_0..f_n) into integer prefix data."""
-    denom = 1
-    for v in values[1:n]:
-        if not v.is_zero():
-            denom = lcm(denom, v.root.denominator)
-    m = 0
-    for v in values:
-        if not v.is_zero():
-            m = max(m, len(v.generic))
-    zero = tuple(v.is_zero() for v in values)
+def quotient_point(slots: Sequence[tuple[int, int, tuple[int, ...], str]], denom: int,
+                   first_zero: bool, last_zero: bool) -> QuotientPoint:
+    """The point of the slot rows (component, root·denom, generic, a1 label).
+
+    f_k for 0 < k < n is the position ratio of slots k and k+1: the zero value
+    when a node separates them (they lie on different components), else the
+    difference of their rows.  ``first_zero`` and ``last_zero`` say whether f_0
+    and f_n vanish.  Everything stays in ``int``.
+    """
+    n = len(slots)
+    zero = [first_zero]
     pr = [0]
-    pg = [tuple([0] * m)]
+    pg = [(0,) * len(slots[0][2])]
     zc = [0]
-    for k in range(1, n):
-        v = values[k]
-        if v.is_zero():
-            pr.append(pr[-1])
-            pg.append(pg[-1])
-            zc.append(zc[-1] + 1)
-        else:
-            pr.append((pr[-1] + v.root.numerator * (denom // v.root.denominator)) % denom)
-            g = tuple(v.generic) + (0,) * (m - len(v.generic))
-            pg.append(tuple(x + y for x, y in zip(pg[-1], g)))
-            zc.append(zc[-1])
-    codes = {}
-    a1 = tuple(codes.setdefault(lbl, len(codes)) for lbl in a1_labels)
-    return EncodedPoint(n=n, denom=denom, zero=zero, prefix_root=tuple(pr),
-                        prefix_gen=tuple(pg), zero_count=tuple(zc), a1_codes=a1)
+    for (la, ra, ga, _), (lb, rb, gb, _) in zip(slots, slots[1:]):
+        node = la != lb
+        zero.append(node)
+        zc.append(zc[-1] + node)
+        pr.append(pr[-1] if node else (pr[-1] + ra - rb) % denom)
+        pg.append(pg[-1] if node else tuple(x + y - z for x, y, z in zip(pg[-1], ga, gb)))
+    zero.append(last_zero)
+    codes: dict[str, int] = {}
+    a1 = tuple(codes.setdefault(s[3], len(codes)) for s in slots)
+    return QuotientPoint(n=n, denom=denom, zero=tuple(zero), prefix_root=tuple(pr),
+                         prefix_gen=tuple(pg), zero_count=tuple(zc), a1_codes=a1)
 
 
-def ratio_is_one(enc: EncodedPoint, a: int, b: int) -> bool:
+def ratio_is_one(q: QuotientPoint, a: int, b: int) -> bool:
     """Is R(a, b) the unit 1?  (0-based slots; requires no zero in between.)"""
     lo, hi = (a, b) if a <= b else (b, a)
-    if enc.zero_count[hi] != enc.zero_count[lo]:
+    if q.zero_count[hi] != q.zero_count[lo]:
         return False
-    if (enc.prefix_root[hi] - enc.prefix_root[lo]) % enc.denom != 0:
+    if (q.prefix_root[hi] - q.prefix_root[lo]) % q.denom != 0:
         return False
-    return enc.prefix_gen[hi] == enc.prefix_gen[lo]
+    return q.prefix_gen[hi] == q.prefix_gen[lo]
 
 
-def trivial_angle(enc: EncodedPoint, p: Perm) -> bool:
+def trivial_angle(q: QuotientPoint, p: Perm) -> bool:
     """All forced slot ratios equal 1 (membership is assumed separately)."""
-    return all(p[i] == i or ratio_is_one(enc, i, p[i]) for i in range(enc.n))
+    return all(p[i] == i or ratio_is_one(q, i, p[i]) for i in range(q.n))
 
 
 # perfbench reads these two in its run metadata; there is one search.
@@ -96,7 +94,7 @@ def resolve_backend() -> str:
     return "python"
 
 
-def _image_tables(enc: EncodedPoint
+def _image_tables(q: QuotientPoint
                   ) -> tuple[list[int], list[list[Sequence[int]]], list[list[int]]]:
     """Ascending admissible images: ``first`` for slot 0, ``follow[i][a]`` for
     slot i >= 1 when slot i-1 maps to a (``follow[0]`` is unused), and the
@@ -111,8 +109,8 @@ def _image_tables(enc: EncodedPoint
     class of one key, found by one dict lookup.  For a zero f_i it is every
     slot with slot i's label in a later segment than a's.
     """
-    n, zero, denom = enc.n, enc.zero, enc.denom
-    zc, pr, pg, a1 = enc.zero_count, enc.prefix_root, enc.prefix_gen, enc.a1_codes
+    n, zero, denom = q.n, q.zero, q.denom
+    zc, pr, pg, a1 = q.zero_count, q.prefix_root, q.prefix_gen, q.a1_codes
     keys = [(zc[x], pr[x], pg[x], a1[x]) for x in range(n)]
     classes: dict[tuple, list[int]] = {}
     labelled: dict[int, list[int]] = {}
@@ -172,8 +170,11 @@ def _trivial_angle_young(n: int, first, follow, classes: list[list[int]]) -> You
     return YoungSubgroup(n, tuple(tuple(b) for b in blocks if len(b) >= 2))
 
 
-def search_stabilizer(enc: EncodedPoint) -> CosetUnion:
-    """The permutations fixing the encoded point, as a union of cosets r∘Y.
+def search_stabilizer(q: QuotientPoint) -> CosetUnion:
+    """The permutations fixing the quotient point, as a union of cosets r∘Y.
+
+    The point is read as ``quotient_point`` built it from the slot rows: its
+    int prefix sums key the ratio classes, and its zero counts the segments.
 
     Y is the Young subgroup generated by the trivial-angle transpositions that
     fix the point, so the stabilizer is a union of cosets r∘Y, and inside one
@@ -193,8 +194,8 @@ def search_stabilizer(enc: EncodedPoint) -> CosetUnion:
     trivial quotients too.  Whether Y is all of the trivial-angle part, and
     normal, is for the caller to check.
     """
-    n = enc.n
-    first, follow, classes = _image_tables(enc)
+    n = q.n
+    first, follow, classes = _image_tables(q)
     young = _trivial_angle_young(n, first, follow, classes)
     prev = [-1] * n   # the slot before i in i's block, or -1
     later = [0] * n   # the slots after i in i's block
@@ -206,7 +207,7 @@ def search_stabilizer(enc: EncodedPoint) -> CosetUnion:
     for cls in classes:
         for k, x in enumerate(cls):
             above[x] = cls[k + 1:]
-    zc = enc.zero_count
+    zc = q.zero_count
     reps: list[Perm] = []
     used = [False] * n
 

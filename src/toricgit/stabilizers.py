@@ -12,7 +12,8 @@ The three computations:
 * ``torus_stabilizer``: the residual-torus stabilizer, a product of cyclic
   shift groups, one per interior chain component;
 * ``project_to_quotient`` + ``sym_stabilizers``: the image point in the
-  quotient chart, its symmetric-group stabilizer, the trivial-angle (Young)
+  quotient chart, built in ``int`` from the slot rows over one common
+  denominator, its symmetric-group stabilizer, the trivial-angle (Young)
   subgroup, and the quotient in invariant-factor form;
 * ``verify_comparison``: the two sides must agree — this is the machine check
   of the stabilizer comparison underlying the isomorphism of the two
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from .groups import (CosetUnion, FiniteAbelianGroup, Perm, YoungSubgroup,
                      abelian_invariant_factors_of_group, compose, identity)
-from .stab_backends import (EncodedPoint, encode_point, search_stabilizer,
+from .stab_backends import (QuotientPoint, quotient_point, search_stabilizer,
                             trivial_angle)
 
 
@@ -39,33 +40,22 @@ from .stab_backends import (EncodedPoint, encode_point, search_stabilizer,
 
 @dataclass(frozen=True)
 class UnitValue:
-    """Zero, or an element of the abelian group (Q/Z) ⊕ Z^m written additively.
+    """An element of the abelian group (Q/Z) ⊕ Z^m written additively.
 
     The root part k/r stands for the root of unity exp(2πik/r); the generic
     part is an exponent vector over formal generators with no relations.
     """
 
-    kind: str = "unit"                      # "unit" | "zero"
     root: Fraction = Fraction(0)            # reduced, in [0, 1)
     generic: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("unit", "zero"):
-            raise ValueError("kind must be 'unit' or 'zero'")
-        if self.kind == "unit" and not 0 <= self.root < 1:
+        if not 0 <= self.root < 1:
             object.__setattr__(self, "root", self.root % 1)
 
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
     def padded(self, m: int) -> "UnitValue":
-        if self.is_zero():
-            return self
         return UnitValue(root=self.root,
                          generic=self.generic + (0,) * (m - len(self.generic)))
-
-
-ZERO = UnitValue(kind="zero")
 
 
 @dataclass(frozen=True)
@@ -76,8 +66,6 @@ class PointRecord:
     multiplicity: int
 
     def __post_init__(self):
-        if self.position.is_zero():
-            raise ValueError("positions must be unit values")
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be positive")
 
@@ -194,19 +182,6 @@ def torus_stabilizer(c: CycleConfiguration) -> FiniteAbelianGroup:
 # projection to the quotient chart
 
 
-@dataclass(frozen=True)
-class QuotientPoint:
-    """Chart coordinates (f_0, ..., f_n) plus the per-slot affine labels."""
-
-    n: int
-    values: tuple[UnitValue, ...]
-    a1: tuple[str, ...]
-    slot_components: tuple[int, ...]
-
-    def encode(self) -> EncodedPoint:
-        return encode_point(self.n, self.values, self.a1)
-
-
 def _layout_component(records: list[PointRecord], order: int, denom: int
                       ) -> list[tuple[int, tuple[int, ...], str, int]]:
     """Slot order inside one component whose shift group has order ``order``,
@@ -246,49 +221,36 @@ def _layout_component(records: list[PointRecord], order: int, denom: int
     return out
 
 
-def project_to_quotient(c: CycleConfiguration, orbit_major: bool = True,
-                        ) -> QuotientPoint:
-    """Order the cycle into chart slots and read off the chart coordinates.
+def project_to_quotient(c: CycleConfiguration) -> QuotientPoint:
+    """Order the cycle into chart slots and return its quotient-chart point.
 
-    Slots run through the components in chain order.  f_0 vanishes iff the
-    first base coordinate does (1 ∈ I_t); f_k for 0 < k < n is the position
-    ratio of slots k and k+1, and vanishes iff a node separates them; f_n
-    vanishes iff n+1 ∈ I_t, and otherwise is the last slot's position times a
-    fresh generic unit (the last base coordinate).  ``orbit_major`` lays each
-    component out by shift-orbits (``_layout_component``), else by sorting.
+    Slots run through the components in chain order, each component laid out
+    by its shift orbits (``_layout_component``).  f_0 vanishes iff the first
+    base coordinate does (1 ∈ I_t); f_k for 0 < k < n is the position ratio
+    of slots k and k+1, and vanishes iff a node separates them; f_n vanishes
+    iff n+1 ∈ I_t, and otherwise is the last slot's position times a fresh
+    generic unit (the last base coordinate).
     """
     if not check_stability(c):
         raise ValueError("configuration is not semistable")
     comps = c.components()
-    return _project(c, comps, _shift_orders(comps) if orbit_major else [1] * len(comps))
+    return _project(c, comps, _shift_orders(comps))
 
 
 def _project(c: CycleConfiguration, comps: list[list[PointRecord]],
              orders: list[int]) -> QuotientPoint:
-    """``project_to_quotient`` with each component's layout order given."""
-    n = c.n
-    m = c.generic_dim() + 2   # the last two generators: the two end base coordinates
+    """``project_to_quotient`` with each component's layout order given: one
+    (component, root·denom, generic, a1 label) row per slot, with denom the
+    lcm of all root denominators, handed to ``quotient_point``."""
+    m = c.generic_dim()
     denom = lcm(*(p.position.root.denominator for p in c.points))
-    # one (component, root·denom, generic, a1 label) row per slot
     slots: list[tuple[int, int, tuple[int, ...], str]] = []
     for l, records in enumerate(comps):
         if not records:
             continue
         for root, generic, label, mult in _layout_component(records, orders[l], denom):
             slots += [(l, root, generic + (0,) * (m - len(generic)), label)] * mult
-
-    def unit(root: int, generic: tuple[int, ...]) -> UnitValue:
-        return UnitValue(root=Fraction(root, denom), generic=generic)
-
-    values = [ZERO if 1 in c.I_t else unit(0, tuple(int(i == m - 2) for i in range(m)))]
-    for (la, ra, ga, _), (lb, rb, gb, _) in zip(slots, slots[1:]):
-        values.append(unit((ra - rb) % denom, tuple(x - y for x, y in zip(ga, gb)))
-                      if la == lb else ZERO)
-    _, root, generic, _ = slots[-1]
-    values.append(ZERO if (n + 1) in c.I_t else unit(root, generic[:-1] + (generic[-1] + 1,)))
-    return QuotientPoint(n=n, values=tuple(values),
-                         a1=tuple(s[3] for s in slots),
-                         slot_components=tuple(s[0] for s in slots))
+    return quotient_point(slots, denom, 1 in c.I_t, c.n + 1 in c.I_t)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +283,11 @@ def sym_stabilizers(q: QuotientPoint) -> SymStabilizers:
     is when the comparison theorem holds; we check rather than assume).
     """
     n = q.n
-    enc = q.encode()
-    stab = search_stabilizer(enc)
+    stab = search_stabilizer(q)
     young = stab.young
     blocks = young.blocks
     ident = identity(n)
-    if [r for r in stab.reps if trivial_angle(enc, r)] != [ident]:
+    if [r for r in stab.reps if trivial_angle(q, r)] != [ident]:
         raise ValueError("permutation set is not a Young subgroup")
     block_of = [-1] * n
     for k, b in enumerate(blocks):

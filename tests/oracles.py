@@ -18,15 +18,17 @@ the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
 points, a bounded very-ampleness certificate, chart invariant monomials, two
 oracles for the stabilizer pipeline (the toric chart-gluing test and the
-instantiation of formal generators), the two routes the stabilizer search
-replaced (the shift-group order over ``Fraction`` roots, and the image tables
-from one slot-ratio test per slot pair), the two invariant-factor routes the package
+instantiation of formal generators), the three routes the stabilizer search
+replaced (the shift-group order over ``Fraction`` roots, the image tables
+from one slot-ratio test per slot pair, and the chart coordinates as unit
+values, encoded into prefix sums afterwards), the two invariant-factor routes the package
 replaced (trial division of cyclic orders, and the peel of a group table),
 and the weight-lattice reflections and identity-vertex edge matrix of the
 symmetric model.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress, product
@@ -45,9 +47,9 @@ from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot, elementary
                              frac, hermite_normal_form, rank, scaled_primitive,
                              smith_normal_form, vec)
 from toricgit.polyhedra import Fan, InnerCertificateError, LatticePolyhedron
-from toricgit.stab_backends import EncodedPoint, ratio_is_one
-from toricgit.stabilizers import (CycleConfiguration, PointRecord, QuotientPoint,
-                                  UnitValue)
+from toricgit.stab_backends import QuotientPoint, ratio_is_one
+from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
+                                  _layout_component, _shift_orders)
 
 
 def vadd(a: Sequence, b: Sequence) -> tuple:
@@ -215,8 +217,12 @@ def invert(m: Matrix) -> Matrix:
 def feasible_nonneg_combination(columns: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
     """Find λ >= 0 with Σ λ_i columns[i] = target, or None.
 
-    Small dense phase-1 simplex over Q; Bland's rule guarantees termination.
+    Small phase-1 simplex over Q; Bland's rule guarantees termination.
     Used as the independent cross-check for cone/polyhedron membership.
+    Each tableau row is held as ints over its own positive denominator, so a
+    pivot only gives the pivot row a new denominator and rewrites only the
+    rows whose entering entry is nonzero; the arithmetic stays exact, so the
+    pivots and λ are those of a ``Fraction`` tableau.
     """
     tgt = [frac(x) for x in target]
     cols = [vec(c) for c in columns]
@@ -224,49 +230,61 @@ def feasible_nonneg_combination(columns: Sequence[Sequence], target: Sequence) -
     n = len(cols)
     if any(len(c) != m for c in cols):
         raise ValueError("column length mismatch")
-    # orient rows so the artificial basis starts feasible
-    sign = [1 if tgt[i] >= 0 else -1 for i in range(m)]
-    # tableau rows: for each constraint, coefficients of n real + m artificial
-    a = [[sign[i] * cols[j][i] for j in range(n)] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-         for i in range(m)]
-    b = [sign[i] * tgt[i] for i in range(m)]
+    rows, dens = [], []
+    for i in range(m):
+        # orient the row so the artificial basis starts feasible; its entries
+        # are n real and m artificial coefficients, then the right-hand side
+        sign = 1 if tgt[i] >= 0 else -1
+        entries = [sign * c[i] for c in cols] + [Fraction(int(k == i)) for k in range(m)] \
+            + [sign * tgt[i]]
+        den = lcm(*(x.denominator for x in entries))
+        rows.append([x.numerator * (den // x.denominator) for x in entries])
+        dens.append(den)
     basis = [n + i for i in range(m)]
-    # cost row: sum of artificial rows (phase-1 objective)
-    cost = [sum(a[i][j] for i in range(m)) for j in range(n + m)]
-    z = sum(b)
+    # cost row: sum of the artificial rows (phase-1 objective); its last entry is z
+    cden = lcm(*dens)
+    cost = [sum(r[j] * (cden // d) for r, d in zip(rows, dens)) for j in range(n + m + 1)]
+
+    def reduced(row: list[int], den: int) -> tuple[list[int], int]:
+        g = gcd(den, *row)
+        return ([x // g for x in row], den // g) if g > 1 else (row, den)
+
     while True:
         enter = next((j for j in range(n) if cost[j] > 0), None)
         if enter is None:
             break
-        ratio = None
         leave = None
         for i in range(m):
-            if a[i][enter] > 0:
-                r = b[i] / a[i][enter]
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
-                    leave = i
+            a = rows[i][enter]
+            if a <= 0:
+                continue
+            if leave is None:
+                leave = i
+                continue
+            # Bland: the least ratio b/a, ties to the least basic index (a
+            # row's denominator cancels in its ratio)
+            lhs, rhs = rows[i][-1] * rows[leave][enter], rows[leave][-1] * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
         if leave is None:
             break  # unbounded phase-1 cannot happen, but stay safe
-        pv = a[leave][enter]
-        a[leave] = [x / pv for x in a[leave]]
-        b[leave] /= pv
+        row, p = reduced(rows[leave], rows[leave][enter])
+        rows[leave], dens[leave] = row, p
         for i in range(m):
-            if i != leave and a[i][enter] != 0:
-                f = a[i][enter]
-                a[i] = [x - f * y for x, y in zip(a[i], a[leave])]
-                b[i] -= f * b[leave]
+            f = rows[i][enter]
+            if i != leave and f:
+                rows[i], dens[i] = reduced([x * p - f * y for x, y in zip(rows[i], row)],
+                                           dens[i] * p)
         f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, a[leave])]
-        z -= f * b[leave]
+        cost, cden = reduced([x * p - f * y for x, y in zip(cost, row)], cden * p)
         basis[leave] = enter
-    if z != 0:
+    if cost[-1] != 0:
         return None
     lam = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            lam[bi] = b[i]
-        elif b[i] != 0:
+            lam[bi] = Fraction(rows[i][-1], dens[i])
+        elif rows[i][-1] != 0:
             return None  # artificial stuck at positive level (z==0 excludes this)
     return lam
 
@@ -1020,7 +1038,7 @@ def component_shift_order_by_fractions(records: Sequence[PointRecord]) -> int:
     return order
 
 
-def unit_matches(enc: EncodedPoint, k: int, a: int, b: int) -> bool:
+def unit_matches(enc: QuotientPoint, k: int, a: int, b: int) -> bool:
     """Does f_k equal the slot ratio R(a, b)?  Slots a, b are 0-based here."""
     lo, hi = (a, b) if a <= b else (b, a)
     nozero = enc.zero_count[hi] == enc.zero_count[lo]
@@ -1037,7 +1055,7 @@ def unit_matches(enc: EncodedPoint, k: int, a: int, b: int) -> bool:
     return dr == fr and dg == fg
 
 
-def image_tables_by_pairs(enc: EncodedPoint) -> tuple[list[int], list[list[list[int]]]]:
+def image_tables_by_pairs(enc: QuotientPoint) -> tuple[list[int], list[list[list[int]]]]:
     """``first`` and ``follow`` of ``stab_backends._image_tables``, one
     ``unit_matches`` call per (slot, image of the slot before, image) triple."""
     n = enc.n
@@ -1099,15 +1117,75 @@ def unit_combination(terms) -> tuple[Fraction, tuple[int, ...]]:
     m = max((len(v.generic) for _, v in terms), default=0)
     root, generic = Fraction(0), [0] * m
     for k, v in terms:
-        if v.is_zero():
-            raise ValueError("zero values are not invertible group elements")
         root += k * v.root
         for t, x in enumerate(v.generic):
             generic[t] += k * x
     return root % 1, tuple(generic)
 
 
-def toric_fixed_points(q: QuotientPoint) -> set[Perm]:
+@dataclass(frozen=True)
+class ChartPoint:
+    """Chart coordinates (f_0, ..., f_n), None for the zero value, and the
+    per-slot affine labels."""
+
+    n: int
+    values: tuple[Optional[UnitValue], ...]
+    a1: tuple[str, ...]
+
+
+def chart_values(c: CycleConfiguration, orders: Optional[Sequence[int]] = None
+                 ) -> ChartPoint:
+    """The chart coordinates of ``stabilizers.project_to_quotient`` as unit
+    values: the slots in the layout of the given shift orders (default: each
+    component's own), f_0 the unit of the first end generator unless
+    1 ∈ I_t, f_k the ratio of slots k and k+1 or zero across a node, and f_n
+    the last slot's position times the second end generator unless
+    n+1 ∈ I_t.  The two end generators are two extra generic coordinates."""
+    comps = c.components()
+    if orders is None:
+        orders = _shift_orders(comps)
+    n, m = c.n, c.generic_dim() + 2
+    denom = lcm(*(p.position.root.denominator for p in c.points))
+    slots = []
+    for l, records in enumerate(comps):
+        if records:
+            for root, generic, label, mult in _layout_component(records, orders[l], denom):
+                slots += [(l, Fraction(root, denom),
+                           generic + (0,) * (m - len(generic)), label)] * mult
+    values = [None if 1 in c.I_t else UnitValue(generic=(0,) * (m - 2) + (1, 0))]
+    for (la, ra, ga, _), (lb, rb, gb, _) in zip(slots, slots[1:]):
+        values.append(UnitValue(ra - rb, vsub(ga, gb)) if la == lb else None)
+    _, root, generic, _ = slots[-1]
+    values.append(None if n + 1 in c.I_t else
+                  UnitValue(root, generic[:-1] + (generic[-1] + 1,)))
+    return ChartPoint(n, tuple(values), tuple(s[3] for s in slots))
+
+
+def encode_chart_values(chart: ChartPoint) -> QuotientPoint:
+    """The chart coordinates summed into integer prefix data, over the lcm of
+    the denominators of f_1 .. f_{n-1} and with the end generators' two
+    coordinates kept."""
+    n, values = chart.n, chart.values
+    denom = lcm(*(v.root.denominator for v in values[1:n] if v is not None))
+    m = max((len(v.generic) for v in values if v is not None), default=0)
+    pr, pg, zc = [0], [(0,) * m], [0]
+    for v in values[1:n]:
+        if v is None:
+            pr.append(pr[-1])
+            pg.append(pg[-1])
+            zc.append(zc[-1] + 1)
+        else:
+            pr.append((pr[-1] + v.root.numerator * (denom // v.root.denominator)) % denom)
+            pg.append(vadd(pg[-1], v.generic + (0,) * (m - len(v.generic))))
+            zc.append(zc[-1])
+    codes: dict[str, int] = {}
+    a1 = tuple(codes.setdefault(lbl, len(codes)) for lbl in chart.a1)
+    return QuotientPoint(n=n, denom=denom, zero=tuple(v is None for v in values),
+                         prefix_root=tuple(pr), prefix_gen=tuple(pg),
+                         zero_count=tuple(zc), a1_codes=a1)
+
+
+def toric_fixed_points(q: ChartPoint) -> set[Perm]:
     """Chart-gluing oracle for the stabilizer, via the toric model.
 
     The quotient point lives on the toric variety of the orbit fan; it is the
@@ -1126,7 +1204,7 @@ def toric_fixed_points(q: QuotientPoint) -> set[Perm]:
     rays.append(tuple([0] * n) + (1,))
     raymat = Matrix.from_columns(rays)
     dual_basis = invert(raymat).entries  # row i pairs with ray i
-    zero_idx = {i for i, v in enumerate(q.values) if v.is_zero()}
+    zero_idx = {i for i, v in enumerate(q.values) if v is None}
     unit_idx = [i for i in range(n + 1) if i not in zero_idx]
     tau = {rays[i] for i in zero_idx}
     out = set()

@@ -12,14 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (_ambient_permutation_matrices, abelian_invariant_factors_by_peeling,
-                     component_shift_order_by_fractions, from_cycles, image_tables_by_pairs,
-                     instantiate, invariant_factors, inverse, is_trivial, toric_fixed_points,
-                     unit, unit_matches)
+                     chart_values, component_shift_order_by_fractions, encode_chart_values,
+                     from_cycles, image_tables_by_pairs, instantiate, invariant_factors,
+                     inverse, is_trivial, toric_fixed_points, unit, unit_matches)
 from toricgit import cli, groups, jsonio, stab_backends, stabilizers
 from toricgit.groups import (CosetUnion, FiniteAbelianGroup, NonabelianQuotientError,
                              YoungSubgroup, abelian_invariant_factors_of_group, compose,
                              cycle_notation, identity, young_subgroup_of)
-from toricgit.stab_backends import (EncodedPoint, _image_tables, ratio_is_one,
+from toricgit.stab_backends import (QuotientPoint, _image_tables, ratio_is_one,
                                     search_stabilizer, trivial_angle)
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   check_stability, fiber_degrees, project_to_quotient,
@@ -71,7 +71,7 @@ def mixed_shifts():
     return CycleConfiguration(n=5, I_t=(1, 6), points=pts)
 
 
-def is_member(enc: EncodedPoint, p) -> bool:
+def is_member(enc: QuotientPoint, p) -> bool:
     """Full membership test for one permutation, condition by condition."""
     n = enc.n
     for i in range(n):
@@ -88,7 +88,7 @@ def is_member(enc: EncodedPoint, p) -> bool:
 
 
 @cache
-def full_enumeration(enc: EncodedPoint):
+def full_enumeration(enc: QuotientPoint):
     """Reference stabilizer: every permutation of S_n, tested one by one, in
     lexicographic order (cached per point: callers must not mutate it)."""
     return [p for p in permutations(range(enc.n)) if is_member(enc, p)]
@@ -107,9 +107,8 @@ def sym_stabilizers_oracle(q) -> OracleStabilizers:
     as its trivial-angle elements, Young and normal checked element by element,
     and the quotient peeled from the sorted coset representatives."""
     n = q.n
-    enc = q.encode()
-    stab = full_enumeration(enc)
-    stab0 = sorted(p for p in stab if trivial_angle(enc, p))
+    stab = full_enumeration(q)
+    stab0 = sorted(p for p in stab if trivial_angle(q, p))
     young = young_subgroup_of(stab0, n)
     # normality: conjugating the Young generators (adjacent transpositions
     # inside blocks) suffices
@@ -333,19 +332,17 @@ def test_torus_stabilizer_rotation_and_relabel_invariance():
 
 
 def test_projection_example_one():
-    q = project_to_quotient(example_one())
-    v = q.values
-    assert v[0].is_zero() and v[6].is_zero() and v[9].is_zero()
+    v = chart_values(example_one()).values
+    assert v[0] is None and v[6] is None and v[9] is None
     for k in (1, 2, 4, 5, 7, 8):
         assert v[k].root == F(2, 3) and all(x == 0 for x in v[k].generic)
     # the cross-orbit ratio is generic: nonzero generic part
-    assert not v[3].is_zero() and any(x != 0 for x in v[3].generic)
+    assert v[3] is not None and any(x != 0 for x in v[3].generic)
 
 
 def test_projection_example_two():
-    q = project_to_quotient(example_two())
-    v = q.values
-    assert v[0].is_zero() and v[6].is_zero()
+    v = chart_values(example_two()).values
+    assert v[0] is None and v[6] is None
     pattern = [v[k].root for k in range(1, 6)]
     assert pattern == [F(0), F(2, 3), F(0), F(2, 3), F(0)]
     assert all(all(x == 0 for x in v[k].generic) for k in range(1, 6))
@@ -353,9 +350,9 @@ def test_projection_example_two():
 
 def test_projection_trivial_n1():
     c = CycleConfiguration(n=1, I_t=(), points=(PointRecord(0, unit(0, (1,)), "a", 1),))
-    q = project_to_quotient(c)
-    assert len(q.values) == 2
-    assert not q.values[0].is_zero() and not q.values[1].is_zero()
+    v = chart_values(c).values
+    assert len(v) == 2
+    assert v[0] is not None and v[1] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +406,7 @@ def test_block_preservation():
         s = sym_stabilizers(q)
         for p in s.stab:
             for i in range(c.n):
-                assert q.slot_components[p[i]] == q.slot_components[i]
+                assert q.zero_count[p[i]] == q.zero_count[i]
 
 
 def test_free_action_when_no_degeneration():
@@ -457,6 +454,12 @@ def test_stab_finds_each_shift_group_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def sorted_layout(c):
+    """The quotient point with every component's rows in sorted order, not
+    split into shift orbits: another layout with the blocks in chain order."""
+    return stabilizers._project(c, c.components(), [1] * (len(c.I_t) + 1))
+
+
 def assert_tables_and_orders_match_oracles(c):
     """The int shift orders and the hash-lookup image tables, on both slot
     layouts, equal the Fraction and the per-pair routes."""
@@ -464,8 +467,7 @@ def assert_tables_and_orders_match_oracles(c):
         if records:
             assert stabilizers._component_shift_order(records) == \
                 component_shift_order_by_fractions(records), c
-    for orbit_major in (True, False):
-        enc = project_to_quotient(c, orbit_major).encode()
+    for enc in (project_to_quotient(c), sorted_layout(c)):
         first, follow, _ = _image_tables(enc)
         tables = (list(first), [[list(images) for images in row] for row in follow])
         assert tables == image_tables_by_pairs(enc), c
@@ -487,7 +489,110 @@ def test_hash_tables_and_int_shift_orders_match_oracles_on_fixed_points():
     assert is_trivial(torus_stabilizer(mixed_shifts())) and verify_comparison(mixed_shifts()).passed
 
 
-def search_calls(enc: EncodedPoint) -> int:
+# ---------------------------------------------------------------------------
+# the quotient point from slot rows
+
+
+def point_configurations():
+    """Seeded draws at n = 1..30 and their instantiated copies, the two label
+    and shift corner cases, both worked examples and the degenerate fibers."""
+    rng = random.Random(24)
+    draws = [random_configuration(n, rng) for n in range(1, 31)]
+    return (draws + [instantiate(c, seed=k) for k, c in enumerate(draws)]
+            + [shared_position(), mixed_shifts(), example_one(), example_two()]
+            + [degenerate_fiber(m) for m in ((8,), (7, 1), (4, 4), (5, 4))])
+
+
+def assert_point_matches_chart_route(q, old):
+    """The point built from slot rows against the chart values encoded: the
+    same zeros, segments and labels, the root prefixes rescaled from the
+    chart route's denominator to the lcm of all root denominators, the same
+    generic prefixes, and the same image tables and search result."""
+    assert (q.n, q.zero, q.zero_count, q.a1_codes) == \
+        (old.n, old.zero, old.zero_count, old.a1_codes)
+    assert q.denom % old.denom == 0
+    assert q.prefix_root == tuple(x * (q.denom // old.denom) for x in old.prefix_root)
+    # the chart route adds the two end generators' coordinates, 0 in every
+    # prefix, and keeps no coordinate when every f_k is zero
+    m = len(q.prefix_gen[0])
+    old_gen = [g + (0,) * (m + 2 - len(g)) for g in old.prefix_gen]
+    assert q.prefix_gen == tuple(g[:m] for g in old_gen)
+    assert not any(x for g in old_gen for x in g[m:])
+    assert _image_tables(q) == _image_tables(old)
+    assert search_stabilizer(q) == search_stabilizer(old)
+
+
+def test_point_from_slot_rows_matches_chart_route():
+    for c in point_configurations():
+        comps = c.components()
+        for orders in (stabilizers._shift_orders(comps), [1] * len(comps)):
+            q = stabilizers._project(c, comps, orders)
+            assert_point_matches_chart_route(q, encode_chart_values(chart_values(c, orders)))
+
+
+def test_comparison_builds_no_unit_value(monkeypatch):
+    # the point is built in int from the slot rows: once the configuration
+    # exists, its comparison constructs no UnitValue
+    rng = random.Random(31)
+    configs = [example_one(), example_two(), *point_configurations()[:30],
+               *(random_configuration(n, rng) for n in range(2, 9) for _ in range(5))]
+    calls = 0
+    real = UnitValue.__post_init__
+
+    def spy(self):
+        nonlocal calls
+        calls += 1
+        real(self)
+
+    monkeypatch.setattr(UnitValue, "__post_init__", spy)
+    unit(F(1, 2))
+    assert calls == 1   # the spy sees a construction
+    calls = 0
+    for c in configs:
+        assert verify_comparison(c).passed
+    assert calls == 0
+
+
+ROOT_DENOMINATORS = (1, 2, 3, 4, 6, 12)
+
+
+@st.composite
+def semistable_configurations(draw, sizes=st.integers(1, 9)):
+    """Any semistable configuration: roots with denominators in
+    ROOT_DENOMINATORS that need not form shift orbits, generic vectors with
+    entries in {-1, 0, 1} drawn from one pool shared by all components, labels
+    "a" and "b", and multiplicities summing to each component's degree."""
+    n = draw(sizes)
+    I_t = tuple(sorted(draw(st.sets(st.integers(1, n + 1)))))
+    width = draw(st.integers(0, 2))
+    pool = draw(st.lists(st.tuples(*[st.sampled_from((-1, 0, 1))] * width),
+                         min_size=1, max_size=3))
+    root = st.sampled_from(ROOT_DENOMINATORS).flatmap(
+        lambda d: st.integers(0, d - 1).map(lambda k: F(k, d)))
+    position = st.tuples(root, st.sampled_from(pool), st.sampled_from("ab"))
+    points = []
+    for comp, degree in enumerate(fiber_degrees(n, I_t)):
+        mults = []
+        while sum(mults) < degree:
+            mults.append(draw(st.integers(1, degree - sum(mults))))
+        spots = draw(st.lists(position, min_size=len(mults), max_size=len(mults),
+                              unique=True))
+        points += [PointRecord(comp, UnitValue(r, g), label, mult)
+                   for (r, g, label), mult in zip(spots, mults)]
+    return CycleConfiguration(n=n, I_t=I_t, points=tuple(points))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(semistable_configurations())
+def test_comparison_on_arbitrary_semistable_configurations(c):
+    rep = verify_comparison(c)
+    assert rep.passed, c
+    assert rep.stab_order == rep.stab0_order * prod(rep.sym_side.invariant_factors), c
+    assert_point_matches_chart_route(project_to_quotient(c),
+                                     encode_chart_values(chart_values(c)))
+
+
+def search_calls(enc: QuotientPoint) -> int:
     """How often ``search_stabilizer`` enters its recursive ``extend``."""
     calls = 0
 
@@ -517,7 +622,7 @@ def test_search_follows_the_cosets_on_a_trivial_quotient():
     s = sym_stabilizers(q)
     assert sorted(map(len, s.stab0_young.blocks)) == [2, 2, 3, 5, 16]
     assert s.stab.reps == (identity(30),) and is_trivial(s.quotient)
-    assert search_calls(q.encode()) == 30
+    assert search_calls(q) == 30
     rep = verify_comparison(c)
     assert rep.passed
     assert rep.stab_order == rep.stab0_order == 60_257_634_877_440_000
@@ -530,13 +635,13 @@ def test_search_cost_follows_the_cosets():
     an image may go to any later segment."""
     rng = random.Random(14)
     for n in range(2, 27):
-        enc = project_to_quotient(random_configuration(n, rng)).encode()
+        enc = project_to_quotient(random_configuration(n, rng))
         assert search_calls(enc) <= 2 * n * len(search_stabilizer(enc).reps), n
 
 
 def test_search_matches_full_enumeration():
     for c in oracle_configurations():
-        enc = project_to_quotient(c).encode()
+        enc = project_to_quotient(c)
         stab = search_stabilizer(enc)
         assert sorted(stab) == full_enumeration(enc), c
         assert len(stab) == len(full_enumeration(enc))
@@ -571,7 +676,7 @@ def test_sym_stabilizers_match_oracle():
 def test_stab_generators_two_digit_labels(tmp_path, capsys):
     # "(1 10)" < "(1 2)" as strings: the listing must follow string order
     c = degenerate_fiber((4, 3, 3))
-    enc = project_to_quotient(c).encode()
+    enc = project_to_quotient(c)
     blocks = [range(0, 4), range(4, 7), range(7, 10)]
     stab = []
     for images in product(*(permutations(b) for b in blocks)):
@@ -591,15 +696,14 @@ def test_toric_oracle_agrees():
     for _ in range(40):
         n = rng.randrange(2, 6)
         c = random_configuration(n, rng)
-        q = project_to_quotient(c)
-        enc = q.encode()
-        assert toric_fixed_points(q) == set(search_stabilizer(enc))
+        enc = project_to_quotient(c)
+        assert toric_fixed_points(chart_values(c)) == set(search_stabilizer(enc))
         count += 1
     assert count == 40
     for c in (example_one(), example_two()):
         q = project_to_quotient(c)
         if q.n <= 6:
-            assert toric_fixed_points(q) == set(search_stabilizer(q.encode()))
+            assert toric_fixed_points(chart_values(c)) == set(search_stabilizer(q))
 
 
 def test_oracle_matrices_built_once_per_n():
@@ -626,8 +730,8 @@ def test_layout_conjugacy_invariance():
     rng = random.Random(99)
     for _ in range(20):
         c = random_configuration(rng.randrange(2, 7), rng)
-        s1 = sym_stabilizers(project_to_quotient(c, orbit_major=True))
-        s2 = sym_stabilizers(project_to_quotient(c, orbit_major=False))
+        s1 = sym_stabilizers(project_to_quotient(c))
+        s2 = sym_stabilizers(sorted_layout(c))
         assert len(s1.stab) == len(s2.stab)
         assert len(s1.stab0) == len(s2.stab0)
         assert s1.quotient == s2.quotient
