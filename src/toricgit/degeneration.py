@@ -30,7 +30,7 @@ from typing import Any, Iterator, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
-from .linalg import Matrix, clear_denominators, solve_unique_columns
+from .linalg import Matrix, clear_denominators, solve_affine
 from .polyhedra import (Facet, Fan, LatticePolyhedron, certified_polyhedron,
                         cube_image_slice, normal_fan)
 
@@ -228,10 +228,8 @@ class DegenerationBundle:
     family_polyhedron: LatticePolyhedron  # polyhedron of the iterated blow-up
     product_rec_dual: Cone                # recession cone of the product polyhedron
     product_cone: Cone                    # its dual, generated by the (e_I; e_j)
-    cube_map: Matrix                      # L, cube -> product polytope
     product_facets: tuple[Facet, ...]     # facet rows (v, o_v) of the product polyhedron
     lin_family: Linearization
-    lin_product: Linearization
     projection: Matrix                    # pi: dual-side quotient projection
     basis_change: Matrix                  # Q': kernel-basis change, integral
 
@@ -253,10 +251,16 @@ def projection_matrix(n: int) -> Matrix:
 
 
 def basis_change_matrix(n: int) -> Matrix:
-    """Q': the unique solution of pi^T Q' = [e_1 | ... | e_n | (0; 1...1)],
-    computed exactly rather than hard-coded, from one elimination of pi^T."""
+    """Q': the solution of pi^T Q' = [e_1 | ... | e_n | (0; 1...1)], computed
+    exactly rather than hard-coded, one ``solve_affine`` per target column.
+    pi is surjective (``build_bundle`` checks it), so pi^T is injective and
+    each solution is unique."""
+    pit = projection_matrix(n).transpose()
     targets = [_unit(2 * n + 1, a) for a in range(n)] + [(0,) * n + (1,) * (n + 1)]
-    q = Matrix.from_columns(solve_unique_columns(projection_matrix(n).transpose(), targets))
+    cols = [solve_affine(pit, t) for t in targets]
+    if any(c is None for c in cols):
+        raise AssertionError("pi^T Q' = targets has no solution")
+    q = Matrix.from_columns(cols)
     if not q.is_integral():
         raise AssertionError("basis change must be integral")
     return q
@@ -288,17 +292,17 @@ def build_bundle(n: int) -> DegenerationBundle:
     lt = L.transpose()
     facets = tuple((v, Fraction(sum(min(x, 0) for x in lt @ v))) for v in sorted(expected_rays))
     lin_fam = Linearization(torus_shift_map(n, n + 2), fractional_shift_family(n))
-    lin_prod = product_linearization(n)
+    alpha = torus_shift_map(n, 2 * n + 1)
     pi = projection_matrix(n)
-    if any(any(x != 0 for x in (lin_prod.alpha @ col)) for col in pi.transpose().columns()):
+    if any(any(x != 0 for x in (alpha @ col)) for col in pi.transpose().columns()):
         raise AssertionError("rows of pi must lie in the kernel of the product shift map")
     if pi.rank() != n + 1:
         raise AssertionError("pi must be surjective")
     return DegenerationBundle(
         n=n, family_polyhedron=fam_poly,
         product_rec_dual=prod_rec, product_cone=prod_cone,
-        cube_map=L, product_facets=facets, lin_family=lin_fam,
-        lin_product=lin_prod, projection=pi, basis_change=basis_change_matrix(n))
+        product_facets=facets, lin_family=lin_fam, projection=pi,
+        basis_change=basis_change_matrix(n))
 
 
 def product_polyhedron(n: int) -> LatticePolyhedron:
@@ -314,7 +318,6 @@ def product_polyhedron(n: int) -> LatticePolyhedron:
 @dataclass(frozen=True)
 class SymmetricModel:
     n: int
-    reflections_ambient: tuple  # adjacent-transposition matrices on Z^{n+1}
     chamber: Cone               # the distinguished maximal cone
     product_cone: Cone          # union of the orbit fan, rank n+1
     fan: Fan                    # the S_n-orbit fan of the chamber
@@ -448,10 +451,9 @@ def build_symmetric(n: int) -> SymmetricModel:
         raise ValueError("n must be >= 2")
     if n > 6:
         raise ValueError("n must be <= 6 (the fan has n! maximal cones)")
-    arefl = ambient_reflections(n)
     chamber = chamber_cone(n)
     prod = product_cone_ambient(n)
-    fan = Fan(n + 1, orbit_cones(chamber, arefl), prod)
+    fan = Fan(n + 1, orbit_cones(chamber, ambient_reflections(n)), prod)
     perm = permutohedron_polytope(n, prod)
     dual_display = Cone(n + 1, product_cone_dual_columns(n))
     if prod.dual() != dual_display:
@@ -459,8 +461,8 @@ def build_symmetric(n: int) -> SymmetricModel:
     iota_pts = [(0,) + v + (0,) for v in permutohedron_points(n)]
     respoly = certified_polyhedron(n + 1, iota_pts, dual_display, prod.rays)
     return SymmetricModel(
-        n=n, reflections_ambient=tuple(arefl), chamber=chamber, product_cone=prod,
-        fan=fan, permutohedron=perm, resolution_polyhedron=respoly)
+        n=n, chamber=chamber, product_cone=prod, fan=fan, permutohedron=perm,
+        resolution_polyhedron=respoly)
 
 
 # ---------------------------------------------------------------------------

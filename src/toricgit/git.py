@@ -26,7 +26,7 @@ class EmptyQuotientError(ValueError):
 class Linearization:
     """A subtorus projection α: M -> M_G plus a fractional shift b in M_G⊗Q."""
 
-    __slots__ = ("alpha", "b")
+    __slots__ = ("alpha", "b", "_kernel", "_base")
 
     def __init__(self, alpha: Matrix, b: Sequence):
         if not alpha.is_integral():
@@ -38,6 +38,8 @@ class Linearization:
             raise ValueError("b must live in the target of alpha")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "b", bb)
+        object.__setattr__(self, "_kernel", tuple(kernel_basis(alpha)))
+        object.__setattr__(self, "_base", solve_affine(alpha, [-x for x in bb]))
 
     def __setattr__(self, *a):
         raise AttributeError("Linearization is immutable")
@@ -46,13 +48,13 @@ class Linearization:
         return self.alpha.cols
 
     def kernel(self) -> list[tuple[int, ...]]:
-        """HNF-reduced lattice basis of ker(alpha)."""
-        return kernel_basis(self.alpha)
+        """HNF-reduced lattice basis of ker(alpha), computed once."""
+        return list(self._kernel)
 
     def base_point(self) -> Vec:
-        """Canonical rational solution of alpha·x = -b; alpha is surjective,
-        so there is one."""
-        return solve_affine(self.alpha, [-x for x in self.b])
+        """Canonical rational solution of alpha·x = -b, computed once; alpha
+        is surjective, so there is one."""
+        return self._base
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,18 @@
 Everything here is built on Python's arbitrary-precision ``int`` and
 ``fractions.Fraction``; no floating point is used anywhere in the package.
 Vectors are plain tuples, matrices are small immutable wrappers around
-tuples of row tuples.  The normal forms fix canonical representatives:
+tuples of row tuples.  One fraction-free integer elimination (Bareiss) gives
+both ``rank`` and the canonical solution of ``solve_affine``.  The normal
+forms fix canonical representatives:
 
 * ``hermite_normal_form`` returns the row-style HNF with nonnegative pivots
   and entries above each pivot reduced into ``[0, pivot)``, together with a
   unimodular transform ``u`` such that ``u @ m == h``.
 * ``smith_normal_form`` returns ``(d, u, v)`` with ``u @ m @ v == d`` diagonal
   and ``d_1 | d_2 | ...``.
-* ``kernel_basis`` returns the saturated integer kernel in row-HNF, so equal
-  lattices always get bit-identical bases.
+* ``kernel_basis`` returns the saturated integer kernel in row-HNF, read off
+  the HNF transform of the transpose, so equal lattices always get
+  bit-identical bases.
 """
 
 from __future__ import annotations
@@ -177,24 +180,22 @@ class Matrix:
         return rank(self.entries)
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q by Bareiss fraction-free elimination, entirely in int.
-
-    Integer rows are used as they are; a row with non-integral entries is
-    first scaled by its common denominator (``clear_denominators``), which
-    does not change the rank.  Each elimination step divides exactly by the
-    previous pivot (Bareiss 1968), so entries stay minors of the input.
-    """
-    mat = [list(r) if all(type(x) is int for x in r) else list(clear_denominators(r)[0])
-           for r in rows]
-    if not mat:
-        return 0
-    m, n = len(mat), len(mat[0])
+def _echelon(mat: list[list[int]], ncols: int) -> list[int]:
+    """Bareiss fraction-free elimination (Bareiss 1968), in place on the int
+    rows ``mat``, pivoting on the first ``ncols`` columns only.  Each step
+    divides exactly by the previous pivot, so every entry, in the trailing
+    columns too, stays a minor of the input.  Returns the pivot columns: row
+    i holds the pivot of the i-th of them, and the rows past the last pivot
+    are 0 on the first ``ncols`` columns."""
+    m = len(mat)
+    pivots: list[int] = []
     r = 0
     prev = 1
-    for c in range(n):
-        piv = next((i for i in range(r, m) if mat[i][c]), None)
-        if piv is None:
+    for c in range(ncols):
+        for piv in range(r, m):
+            if mat[piv][c]:
+                break
+        else:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         top = mat[r]
@@ -207,10 +208,23 @@ def rank(rows: Sequence[Sequence]) -> int:
             elif pv != prev:
                 mat[i] = [pv * a // prev for a in row]
         prev = pv
+        pivots.append(c)
         r += 1
         if r == m:
             break
-    return r
+    return pivots
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q by ``_echelon``, entirely in int.
+
+    Integer rows are used as they are; a row with non-integral entries is
+    first scaled by its common denominator (``clear_denominators``), which
+    does not change the rank.
+    """
+    mat = [list(r) if all(type(x) is int for x in r) else list(clear_denominators(r)[0])
+           for r in rows]
+    return len(_echelon(mat, len(mat[0]))) if mat else 0
 
 
 # ---------------------------------------------------------------------------
@@ -348,78 +362,38 @@ def elementary_divisors(m: Matrix) -> list[int]:
 def kernel_basis(m: Matrix) -> list[IntVec]:
     """Basis of the saturated integer kernel ker(m) ∩ Z^cols, in row-HNF.
 
-    The input must have integer entries.  The result is canonical: the rows
-    of the returned basis are the Hermite normal form of any kernel basis.
+    The input must have integer entries.  With u @ mᵀ == h the row-HNF of
+    mᵀ (``hermite_normal_form``), the rows of u past the rank r map to the
+    zero rows of h, so they lie in the kernel; u is unimodular, so they span
+    its saturation (Cohen, GTM 138, §2.4).  Their own HNF is the result, so
+    equal lattices always get bit-identical bases.
     """
     if m.rows == 0 or m.cols == 0:
-        basis = [tuple(1 if i == j else 0 for j in range(m.cols)) for i in range(m.cols)]
-        return basis
-    if rank(m.entries) == m.cols:
+        return [tuple(1 if i == j else 0 for j in range(m.cols)) for i in range(m.cols)]
+    r = rank(m.entries)
+    if r == m.cols:
         return []  # injective, e.g. the facet normals of a pointed cone
-    d, _, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0)
-    cols = v.columns()[r:]
-    if not cols:
-        return []
-    h, _ = hermite_normal_form(Matrix([[int(x) for x in c] for c in cols]))
-    return [tuple(int(x) for x in row) for row in h.entries if any(row)]
-
-
-def row_reduce(a: list[list[Fraction]], cols: Iterable[int]) -> list[int]:
-    """Gauss-Jordan over Q, in place on the Fraction rows ``a``: pivot on the
-    columns ``cols`` in the order given, scale each pivot row to 1 and clear
-    its column in every other row.  Returns the pivot columns; row i of the
-    result holds the pivot of the i-th of them, and the rows below the last
-    pivot are 0 on every column of ``cols``."""
-    pivots: list[int] = []
-    nr = len(a)
-    for c in cols:
-        r = len(pivots)
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return pivots
+    _, u = hermite_normal_form(m.transpose())
+    h, _ = hermite_normal_form(Matrix(u.entries[r:]))
+    return list(h.entries)
 
 
 def solve_affine(m: Matrix, target: Sequence) -> Optional[Vec]:
     """A solution of m @ x = target over Q, or None when the system is
-    inconsistent.  The solution is canonical: free (non-pivot) variables are
-    0 and each pivot variable is read off its reduced row, so repeated runs
-    are bit-identical."""
+    inconsistent.  The rows [m | target], each scaled to int by
+    ``clear_denominators``, go through ``_echelon``; the solution is
+    canonical: free (non-pivot) variables are 0 and the pivot variables are
+    back-substituted in Fraction, so repeated runs are bit-identical."""
     t = vec(target)
     if len(t) != m.rows:
         raise ValueError("target length must equal row count")
-    # eliminate in Fraction: int / int would give a float
-    a = [list(vec(r)) + [t[i]] for i, r in enumerate(m.entries)]
     nc = m.cols
-    pivots = row_reduce(a, range(nc))
-    if any(row[nc] != 0 for row in a[len(pivots):]):
+    a = [list(clear_denominators(r + (x,))[0]) for r, x in zip(m.entries, t)]
+    pivots = _echelon(a, nc)
+    if any(row[nc] for row in a[len(pivots):]):
         return None
     point = [Fraction(0)] * nc
-    for row, c in zip(a, pivots):
-        point[c] = row[nc]
+    for row, c in reversed(list(zip(a, pivots))):
+        # Fraction first: int / int would give a float
+        point[c] = (row[nc] - sum(map(mul, row[c + 1:nc], point[c + 1:]))) / Fraction(row[c])
     return tuple(point)
-
-
-def solve_unique_columns(m: Matrix, targets: Sequence[Sequence]) -> list[Vec]:
-    """The solutions x of m @ x = t for each t in ``targets``, from one
-    elimination of m with every target appended; raises unless m has full
-    column rank and every system is consistent."""
-    nc = m.cols
-    a = [list(vec(r)) + [frac(t[i]) for t in targets] for i, r in enumerate(m.entries)]
-    if len(row_reduce(a, range(nc))) != nc:
-        raise ValueError("solution not unique")
-    if any(x != 0 for row in a[nc:] for x in row[nc:]):
-        raise ValueError("inconsistent system")
-    return [tuple(a[i][nc + j] for i in range(nc)) for j in range(len(targets))]
-

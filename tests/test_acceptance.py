@@ -12,7 +12,8 @@ from oracles import (ambient_quotient_slice, ambient_slice, det_unimodular, from
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (_pb, build_bundle, build_symmetric, constant_tail,
                                    decode_ray_label, head_vertex, product_cone_ambient,
-                                   product_polyhedron, slice_vertex_points, verify)
+                                   product_linearization, product_polyhedron,
+                                   slice_vertex_points, verify)
 from toricgit.git import quotient_polyhedron, unstable_rays
 from toricgit.groups import compose, identity
 from toricgit.linalg import Matrix, hermite_normal_form, smith_normal_form, \
@@ -41,9 +42,8 @@ def test_criterion_01_conical_part():
 def test_criterion_02_slice_vertices():
     t0 = time.perf_counter()
     for n in range(2, 5):
-        b = build_bundle(n)
         sl = ambient_quotient_slice(product_polyhedron(n).polytopal_part().canonicalize(),
-                                    b.lin_product)
+                                    product_linearization(n))
         got = set(sl.vertex_candidates)
         expected = set(slice_vertex_points(n).values())
         assert got == expected, n

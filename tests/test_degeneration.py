@@ -33,7 +33,7 @@ def test_bundle_shifts_and_vertices():
     b2 = build_bundle(2)
     assert b2.lin_family.b == (F(1, 3), F(2, 3))
     b3 = build_bundle(3)
-    assert b3.lin_product.b == (F(3, 4), F(6, 4), F(9, 4))
+    assert product_linearization(3).b == (F(3, 4), F(6, 4), F(9, 4))
     assert slice_vertex(2, 1) == (F(2, 3), F(0))
     assert slice_vertex(2, 2) == (F(1), F(1, 3))
     for n in (2, 3, 4):
@@ -81,7 +81,7 @@ def test_product_polyhedron_against_brute_force_n2():
     from toricgit.polyhedra import LatticePolyhedron
     b = build_bundle(2)
     cube = LatticePolyhedron(4, list(product((0, 1), repeat=4)))
-    pw = linear_image(b.cube_map, cube.canonicalize())
+    pw = linear_image(product_cube_map(2), cube.canonicalize())
     brute = minkowski_sum(pw, LatticePolyhedron(5, [(0,) * 5], b.product_rec_dual))
     assert brute == product_polyhedron(2)
 
@@ -94,8 +94,7 @@ def test_permutohedron_n3_vertices():
 
 
 def test_ambient_reflection_n2():
-    sym = build_symmetric(2)
-    m = sym.reflections_ambient[0]
+    m = ambient_reflections(2)[0]
     assert [[int(x) for x in r] for r in m.entries] == [[1, -1, 0], [0, -1, 0], [0, 1, 1]]
     assert (m @ m) == Matrix.identity(3)
 
@@ -402,7 +401,7 @@ def test_cached_accessors_build_once_per_n():
 
 
 def test_basis_change_matches_the_per_column_solves():
-    # one elimination of pi^T for all n + 1 targets, against one solve each
+    # the Bareiss solves of pi^T against the Fraction oracle, one per target
     for n in range(1, 7):
         pit = projection_matrix(n).transpose()
         targets = [[1 if i == a else 0 for i in range(2 * n + 1)] for a in range(n)]
@@ -468,7 +467,7 @@ def test_pb_from_cube_matches_product_slice():
     # oracle: the ambient slice of the product polytope's H-representation
     for n in (1, 2, 3, 4):
         want = ambient_quotient_slice(product_polyhedron(n).polytopal_part(),
-                                      _bundle(n).lin_product)
+                                      product_linearization(n))
         got = _pb(n)
         assert got.vertex_candidates == want.vertex_candidates, n
         assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want)), n

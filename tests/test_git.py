@@ -10,7 +10,8 @@ from oracles import (ambient_quotient_slice, chart_invariants, minkowski_sum,
                      split_by_ambient_slice, support_constants_by_scan)
 from toricgit.cones import Cone
 from toricgit.degeneration import (_pb, build_bundle, decode_ray_label, head_vertex,
-                                   product_polyhedron, projection_matrix)
+                                   product_linearization, product_polyhedron,
+                                   projection_matrix)
 from toricgit.git import (EmptyQuotientError, Linearization, quotient_polyhedron,
                           split_quotient, unstable_rays)
 from toricgit.linalg import Matrix, dot, rank
@@ -30,6 +31,23 @@ def test_linearization_validation():
         Linearization(Matrix([[1, 0]]), (0, 0))  # b has wrong length
 
 
+def test_linearization_computes_kernel_and_base_point_once(monkeypatch):
+    from toricgit import git
+    poly = build_bundle(2).family_polyhedron
+    calls = []
+    for name in ("kernel_basis", "solve_affine"):
+        real = getattr(git, name)
+        monkeypatch.setattr(git, name, lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a))
+    lin = Linearization(Matrix([[0, 1, -1, 0], [0, 0, 1, -1]]), (F(1, 3), F(2, 3)))
+    quotient_polyhedron(poly, lin)
+    split_quotient(poly, lin)
+    assert calls == ["kernel_basis", "solve_affine"]
+    k = lin.kernel()
+    k.append(None)  # the caller's list is its own
+    assert lin.kernel() == [(1, 0, 0, 0), (0, 1, 1, 1)]
+    assert lin.base_point() == (0, -1, F(-2, 3), 0)
+
+
 def test_quotient_family_recovers_plane():
     b = build_bundle(1)
     q = quotient_polyhedron(b.family_polyhedron, b.lin_family)
@@ -40,11 +58,11 @@ def test_quotient_family_recovers_plane():
 
 
 def test_quotient_product_n2():
-    b = build_bundle(2)
-    q = quotient_polyhedron(product_polyhedron(2), b.lin_product)
+    lin = product_linearization(2)
+    q = quotient_polyhedron(product_polyhedron(2), lin)
     assert len(q.vertex_candidates) == 2
     # ambient-side head projections are u and its swap
-    sl = ambient_quotient_slice(product_polyhedron(2), b.lin_product)
+    sl = ambient_quotient_slice(product_polyhedron(2), lin)
     heads = {v[:2] for v in sl.vertex_candidates}
     u = head_vertex(2)
     assert heads == {u, (u[1], u[0])}
@@ -60,7 +78,7 @@ def test_quotient_empty_for_unreachable_shift():
 def test_split_quotient_sum_identity():
     for n in (1, 2, 3):
         b = build_bundle(n)
-        for poly, lin in ((product_polyhedron(n), b.lin_product),
+        for poly, lin in ((product_polyhedron(n), product_linearization(n)),
                           (b.family_polyhedron, b.lin_family)):
             q = quotient_polyhedron(poly, lin)
             polytopal, conical = split_quotient(poly, lin)
@@ -154,7 +172,7 @@ def test_quotient_runs_few_double_descriptions(monkeypatch):
     # one slice and the two canonical forms of its result; split_quotient
     # adds the polytope's hull and the slice of rec(P)
     from toricgit import dd
-    b3, b4, p3 = build_bundle(3), build_bundle(4), product_polyhedron(3)
+    b4, p3 = build_bundle(4), product_polyhedron(3)
     calls = []
     real = dd.cone_from_inequalities
 
@@ -166,7 +184,7 @@ def test_quotient_runs_few_double_descriptions(monkeypatch):
     quotient_polyhedron(b4.family_polyhedron, b4.lin_family)
     assert len(calls) <= 3, calls
     calls.clear()
-    split_quotient(p3, b3.lin_product)
+    split_quotient(p3, product_linearization(3))
     assert len(calls) <= 7, calls
 
 
@@ -192,7 +210,7 @@ def test_support_constants_rational_vertices():
         assert isinstance(dv, F)
     b3 = build_bundle(3)
     slice_pts = ambient_quotient_slice(product_polyhedron(3).polytopal_part().canonicalize(),
-                                       b3.lin_product).vertex_candidates
+                                       product_linearization(3)).vertex_candidates
     q = LatticePolyhedron(7, slice_pts, b3.product_rec_dual)
     assert any(x.denominator != 1 for pt in slice_pts for x in pt)
     for v, dv in polyhedron_support_constants(q).items():
@@ -261,7 +279,8 @@ def test_support_constants_need_a_full_dimensional_recession_cone():
 def general_pb(b):
     """P_b along the general route: the ambient slice of the product
     polytope's H-representation."""
-    return ambient_quotient_slice(product_polyhedron(b.n).polytopal_part(), b.lin_product)
+    return ambient_quotient_slice(product_polyhedron(b.n).polytopal_part(),
+                                  product_linearization(b.n))
 
 
 def test_unstable_rays_n2():
@@ -293,7 +312,7 @@ def test_integer_margins_match_fraction_margins():
         b = build_bundle(n)
         p = product_polyhedron(n)
         verts = ambient_quotient_slice(LatticePolyhedron(p.ambient_rank, p.vertex_candidates)
-                                       .canonicalize(), b.lin_product).vertex_candidates
+                                       .canonicalize(), product_linearization(n)).vertex_candidates
         data = unstable_rays(b.product_facets, _pb(n))
         assert [rd.ray for rd in data] == sorted(p.recession.dual().rays)
         for rd in data:
@@ -335,7 +354,7 @@ def test_shift_integrality():
     for n in (1, 2, 3, 4):
         b = build_bundle(n)
         assert all(((n + 1) * x).denominator == 1 for x in b.lin_family.b)
-        assert all(((n + 1) * x).denominator == 1 for x in b.lin_product.b)
+        assert all(((n + 1) * x).denominator == 1 for x in product_linearization(n).b)
 
 
 def test_kernel_cone_duality_relation():
@@ -344,8 +363,9 @@ def test_kernel_cone_duality_relation():
     from toricgit.cones import image_cone
     for n in (2, 3):
         b = build_bundle(n)
-        q = quotient_polyhedron(product_polyhedron(n), b.lin_product)
-        kern = Matrix(b.lin_product.kernel())
+        lin = product_linearization(n)
+        q = quotient_polyhedron(product_polyhedron(n), lin)
+        kern = Matrix(lin.kernel())
         proj = kern  # rows = kernel basis: N-side projection is its matrix
         assert image_cone(proj, b.product_cone) == q.recession.dual()
 
@@ -413,4 +433,4 @@ def test_chart_invariants_killed_by_shift():
     cols.append((0, 0) + (0, 0, 1))
     chart = Cone(2 * n + 1, cols)
     for m, _ in chart_invariants(chart, b.projection):
-        assert all(x == 0 for x in (b.lin_product.alpha @ m))
+        assert all(x == 0 for x in (product_linearization(n).alpha @ m))

@@ -24,7 +24,7 @@ import pytest
 
 from toricgit import jsonio
 from toricgit.cli import main
-from toricgit.degeneration import build_bundle, product_polyhedron
+from toricgit.degeneration import build_bundle, product_linearization, product_polyhedron
 
 BUILD_DIGESTS = {
     ("expanded", 1): "3f04313bea67cebbb29a6a6846a9351976eda5d7b9cdee930aa96470d69d7d99",
@@ -104,7 +104,7 @@ def quotient_inputs(name: str, n: int) -> tuple[dict, dict, str]:
         lin = build_bundle(n).lin_family
     elif name == "product":
         poly = jsonio.polyhedron_to_json(product_polyhedron(n))
-        lin = build_bundle(n).lin_product
+        lin = product_linearization(n)
     elif name == "empty square":
         return ({"ambient_rank": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
                  "recession": {"ambient_rank": 2, "rays": [], "lineality": []}},

@@ -3,7 +3,8 @@
 Every public top-level function and every public method in
 ``src/toricgit`` must be referenced, as a name or an attribute, somewhere in
 the package outside its own definition.  Code that only tests call belongs
-in ``tests/oracles.py``.  Every name a module of the package or of the tests
+in ``tests/oracles.py``.  Every field of a dataclass in the package must be
+read by the package.  Every name a module of the package or of the tests
 imports must be used in it.
 """
 
@@ -75,6 +76,29 @@ def test_every_public_name_is_used_by_the_package():
     assert unused == [], f"move these to tests/oracles.py or delete them: {unused}"
     # an exception that the package starts to use again no longer needs listing
     assert kept == set(KEPT)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    # a field that no package code reads as an attribute is data the
+    # builders keep for the tests only; the tests rebuild it instead
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    attributes = {n.attr for tree in trees.values() for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)}
+    unread = [f"{module}.{node.name}.{f.target.id}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for f in node.body
+              if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+              and f.target.id not in attributes]
+    assert unread == [], f"drop these fields or read them in the package: {unread}"
 
 
 def test_every_import_is_used():

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from oracles import (det_unimodular, feasible_nonneg_combination, in_cone_hull,
                      invert, kernel_basis_snf, solve_affine_oracle, solve_unique)
 from toricgit.linalg import (Matrix, elementary_divisors, hermite_normal_form, kernel_basis,
-                             rank, smith_normal_form, solve_affine, solve_unique_columns)
+                             rank, smith_normal_form, solve_affine)
 
 ALPHA_W2 = Matrix([[0, 0, 1, -1, 0], [0, 0, 0, 1, -1]])
 PI_2 = Matrix([[0, -1, 1, 1, 1], [1, -1, 0, 0, 0], [0, 1, 0, 0, 0]])
@@ -322,26 +324,6 @@ def test_solve_unique_and_invert_on_integer_input():
         solve_unique(Matrix([[1, 1]]), (1,))
 
 
-def test_solve_unique_columns_is_one_solve_per_target():
-    rng = random.Random(17)
-    checked = 0
-    while checked < 30:
-        nr, nc = rng.randint(1, 5), rng.randint(1, 4)
-        m = Matrix([[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)])
-        if m.rank() < nc:
-            continue
-        checked += 1
-        xs = [tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nc))
-              for _ in range(rng.randint(1, 4))]
-        got = solve_unique_columns(m, [m @ x for x in xs])
-        assert got == xs == [solve_unique(m, m @ x) for x in xs]
-        assert _no_float(y for x in got for y in x)
-    with pytest.raises(ValueError, match="not unique"):
-        solve_unique_columns(Matrix([[1, 1]]), [(1,)])
-    with pytest.raises(ValueError, match="inconsistent"):
-        solve_unique_columns(Matrix([[1], [1]]), [(1, 1), (1, 2)])
-
-
 def _rank_at_most(rng, nr, nc, k):
     left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
     right = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
@@ -363,11 +345,82 @@ def test_kernel_basis_matches_snf_route():
 
 def test_kernel_basis_of_injective_matrix_skips_snf(monkeypatch):
     import toricgit.linalg as linalg
+    hnf_calls = []
+    real_hnf = linalg.hermite_normal_form
+
+    def spy_hnf(m):
+        hnf_calls.append(m)
+        return real_hnf(m)
 
     def no_snf(m):
-        raise AssertionError("the SNF ran on an injective matrix")
+        raise AssertionError("kernel_basis ran the SNF")
+    monkeypatch.setattr(linalg, "hermite_normal_form", spy_hnf)
     monkeypatch.setattr(linalg, "smith_normal_form", no_snf)
     assert kernel_basis(Matrix([[1, 2], [3, 4], [5, 6]])) == []
     assert kernel_basis(Matrix.identity(3)) == []
-    with pytest.raises(AssertionError):
-        kernel_basis(Matrix([[1, 2, 3]]))
+    assert hnf_calls == []  # the injective shortcut runs no normal form
+    # positive control: a kernel of dimension 2, from the HNF of mᵀ and the
+    # HNF of the kernel rows of its transform
+    assert kernel_basis(Matrix([[1, 2, 3], [2, 4, 6]])) == [(1, 1, -1), (0, 3, -2)]
+    assert len(hnf_calls) == 2
+
+
+# -- properties of the normal forms, the kernel and the solve ------------------
+
+
+@st.composite
+def low_rank_systems(draw, rational: bool):
+    """(m, target): m = left @ right of rank at most k, integer or rational,
+    and a target that is m @ x for a rational x (consistent) or drawn freely
+    (consistent or not)."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(nr, nc)))
+    ints = st.integers(-4, 4)
+    entry = st.builds(F, ints, st.sampled_from((2, 3, 4))) if rational else ints
+    left = draw(st.lists(st.lists(ints, min_size=k, max_size=k), min_size=nr, max_size=nr))
+    right = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=k, max_size=k))
+    m = Matrix(left) @ Matrix(right) if k else Matrix([[0] * nc] * nr)
+    if draw(st.booleans()):
+        target = m @ draw(st.lists(st.fractions(-5, 5, max_denominator=3),
+                                   min_size=nc, max_size=nc))
+    else:
+        target = tuple(draw(st.lists(entry, min_size=nr, max_size=nr)))
+    event(f"rank deficit {min(nr, nc) - m.rank()}")
+    return m, target
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(system=low_rank_systems(rational=False))
+def test_normal_form_and_kernel_contracts(system):
+    m, _ = system
+    h, u = hermite_normal_form(m)
+    assert u @ m == h and abs(det_unimodular(u)) == 1 and is_hnf(h)
+    assert all(not any(r) for r in h.entries[m.rank():])  # zero rows at the bottom
+    d, uu, vv = smith_normal_form(m)
+    assert uu @ m @ vv == d
+    assert abs(det_unimodular(uu)) == 1 and abs(det_unimodular(vv)) == 1
+    assert all(d.entries[i][j] == 0 for i in range(d.rows) for j in range(d.cols) if i != j)
+    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+    assert all(x >= 0 for x in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    kb = kernel_basis(m)
+    assert kb == kernel_basis_snf(m)
+    assert all(not any(m @ k) for k in kb)
+    event(f"kernel dimension {len(kb)}")
+
+
+@pytest.mark.parametrize("rational", (False, True))
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_solve_affine_matches_oracle_on_rank_deficient_systems(rational, data):
+    m, target = data.draw(low_rank_systems(rational))
+    got = solve_affine(m, target)
+    expected = solve_affine_oracle(m, target)
+    kind = "integral" if m.is_integral() else "rational"
+    if expected is None:
+        event(f"{kind}, inconsistent")
+        assert got is None
+        return
+    event(f"{kind}, consistent")
+    assert got == expected[0] and all(type(x) is F for x in got)
+    assert m @ got == tuple(map(F, target))

@@ -324,9 +324,9 @@ def test_slice_of_polytopal_part_needs_no_canonical_form():
 
 
 def test_slice_of_product_polytope_needs_no_canonical_form():
-    from toricgit.degeneration import build_bundle, product_polyhedron
+    from toricgit.degeneration import product_linearization, product_polyhedron
     for n in (1, 2, 3):
-        lin = build_bundle(n).lin_product
+        lin = product_linearization(n)
         q = product_polyhedron(n).polytopal_part()
         sl = assert_slice_independent_of_canonical_form(q, lin.base_point(), lin.kernel())
         assert len(sl.vertex_candidates) == len(list(permutations(range(n))))
@@ -688,10 +688,9 @@ def test_semigroup_generation_nonsaturated():
 
 
 def test_semigroup_generation_product():
-    from toricgit.degeneration import (build_bundle, product_polyhedron,
+    from toricgit.degeneration import (product_cube_map, product_polyhedron,
                                        product_rec_dual_columns)
-    b = build_bundle(2)
-    cube_pts = [b.cube_map @ v for v in product((0, 1), repeat=4)]
+    cube_pts = [product_cube_map(2) @ v for v in product((0, 1), repeat=4)]
     mono = embedding_monomials(product_rec_dual_columns(2), cube_pts)
     verdicts = check_semigroup_generation(product_polyhedron(2), mono, 4)
     assert verdicts and all(verdicts)
