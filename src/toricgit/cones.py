@@ -12,12 +12,12 @@ first and extreme rays are canonical representatives modulo it.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from . import dd
-from .linalg import (IntVec, Matrix, dot, elementary_divisors, kernel_basis, primitive,
-                     rank, scaled_primitive)
+from .linalg import (IntVec, Matrix, abs_det, dot, elementary_divisors, kernel_basis,
+                     primitive, rank, scaled_primitive)
 
 
 class Cone:
@@ -170,12 +170,15 @@ class Cone:
         return self.ambient_rank - len(self.equations)
 
     def is_smooth(self) -> bool:
-        """Extreme rays extend to a Z-basis (general case via SNF)."""
+        """Extreme rays extend to a Z-basis: d rays iff their determinant is
+        ±1, fewer iff they are independent with elementary divisors 1."""
         if not self.is_pointed():
             raise ValueError("smoothness is defined for strongly convex cones")
         rays = self.rays
         if not rays:
             return True
+        if len(rays) == self.ambient_rank:
+            return abs_det(rays) == 1
         if rank(rays) != len(rays):
             return False  # not simplicial
         return all(d == 1 for d in elementary_divisors(Matrix(rays)))
@@ -186,7 +189,9 @@ def column_dots(f: Sequence[int], cols: Sequence[Sequence[int]], count: int) -> 
     summed column by column over the nonzeros of f."""
     vals = [0] * count
     for c, col in zip(f, cols):
-        if c:
+        if c == -1:
+            vals = list(map(sub, vals, col))
+        elif c:
             vals = list(map(add, vals, col if c == 1 else [c * x for x in col]))
     return vals
 

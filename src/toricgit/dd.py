@@ -22,6 +22,7 @@ immediately, which keeps coefficient growth under control.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
@@ -120,6 +121,11 @@ def extreme_generators(generators: Sequence[Sequence[int]],
     return [i for i, f in enumerate(face) if f == 1 << i]
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def set_bits(m: int) -> list[int]:
-    """The indices of the set bits of m, ascending."""
-    return [i for i, b in enumerate(bin(m)[:1:-1]) if b == "1"]
+    """The indices of the set bits of m, ascending: m's binary digits, low
+    first, as 0/1 bytes select from the indices."""
+    digits = bin(m)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(compress(range(len(digits)), digits))

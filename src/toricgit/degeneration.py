@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from operator import itemgetter, le, matmul
+from operator import le, matmul
 from typing import Any, Iterator, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
-from .linalg import Matrix, clear_denominators, solve_affine
+from .linalg import Matrix, clear_denominators, left_action, solve_affine
 from .polyhedra import (Facet, Fan, LatticePolyhedron, certified_polyhedron,
                         cube_image_slice, normal_fan)
 
@@ -349,14 +349,14 @@ def chamber_cone(n: int) -> Cone:
 
 
 def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequence) -> dict:
-    """{s: (ρ(s)·c for the ``columns`` c, r·ρ(s)⁻¹ for the ``rows`` r)} for
-    s in S_n, from the adjacent-transposition generators g_k = ρ(s_k).  They
-    must satisfy the Coxeter relations s_k² = 1, (s_k s_{k+1})³ = 1 and
-    s_k s_l = s_l s_k for |k - l| >= 2, which present S_n, so ρ is a
-    homomorphism and a walk of the Cayley graph from the identity reaches
-    each s once, whatever the path.  A step from p to q = s_k p moves ρ(p)·c
-    to g_k·ρ(p)·c and r·ρ(p)⁻¹ to r·ρ(p)⁻¹·g_k, as g_k² = 1; a coordinate
-    swap moves a vector without arithmetic."""
+    """{s: (ρ(s)·C, (R·ρ(s)⁻¹)ᵀ)} for s in S_n, C with the ``columns`` and R
+    with the ``rows``, from the generators g_k = ρ(s_k).  They must satisfy
+    the Coxeter relations s_k² = 1, (s_k s_{k+1})³ = 1 and s_k s_l = s_l s_k
+    for |k - l| >= 2, which present S_n, so ρ is a homomorphism and a walk
+    of the Cayley graph from the identity reaches each s once, whatever the
+    path.  A step from p to q = s_k p moves ρ(p)·C to g_k·ρ(p)·C and
+    (R·ρ(p)⁻¹)ᵀ to g_kᵀ·(R·ρ(p)⁻¹)ᵀ, as g_k² = 1: it combines the rows of
+    each matrix (tuples of row tuples), and a coordinate swap reorders them."""
     d = gens[0].rows
     ident = Matrix.identity(d)
     for k, l in combinations_with_replacement(range(n - 1), 2):
@@ -364,44 +364,38 @@ def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequen
         if reduce(matmul, [gens[k] @ gens[l]] * order) != ident:
             raise AssertionError("generator matrices violate the Coxeter relations")
 
-    def move(g: Matrix):  # v -> g·v; itemgetter returns a tuple for two or more indices
-        rows = [[(j, a) for j, a in enumerate(r) if a] for r in g.entries]
-        if d > 1 and all(len(r) == 1 and r[0][1] == 1 for r in rows):
-            return itemgetter(*(r[0][0] for r in rows))
-        return lambda v: tuple(sum(a * v[j] for j, a in r) for r in rows)
-
-    moves = [(move(g), move(g.transpose())) for g in gens]
-    out = {tuple(range(n)): (list(columns), list(rows))}
+    moves = [(left_action(g), left_action(g.transpose())) for g in gens]
+    swaps = [bytes.maketrans(bytes([k, k + 1]), bytes([k + 1, k])) for k in range(n - 1)]
+    out = {bytes(range(n)): (tuple(zip(*columns)), tuple(zip(*rows)) or ((),) * d)}
     frontier = list(out)
     for p in frontier:  # the list grows as it is read: a breadth-first walk
         p_cols, p_rows = out[p]
-        for k, (on_col, on_row) in enumerate(moves):
-            # left-compose with the transposition of the values k, k+1
-            q = tuple(k + 1 if x == k else (k if x == k + 1 else x) for x in p)
+        for swap, (on_cols, on_rows) in zip(swaps, moves):
+            q = p.translate(swap)  # s_k p: the bytes k, k + 1 swapped
             if q not in out:
-                out[q] = (list(map(on_col, p_cols)), list(map(on_row, p_rows)))
+                out[q] = (on_cols(p_cols), on_rows(p_rows))
                 frontier.append(q)
-    return out
+    return {tuple(p): mats for p, mats in out.items()}
 
 
 def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Matrix]:
-    """ρ(s) for all s in S_n, the identity's columns moved by ``_cayley_walk``.
-    The symmetric model forms none of them; the tests read them."""
+    """ρ(s) for all s in S_n, the identity moved by ``_cayley_walk``.  The
+    symmetric model forms none of them; the tests read them."""
     walk = _cayley_walk(n, gens, Matrix.identity(gens[0].rows).columns(), ())
-    return {s: Matrix.from_columns(cols) for s, (cols, _) in walk.items()}
+    return {s: Matrix(mat) for s, (mat, _) in walk.items()}
 
 
 def orbit_cones(chamber: Cone, gens: Sequence[Matrix]) -> Iterator[Cone]:
     """ρ(s)·C for s in S_n in order: the rays r and facet normals f of the
     chamber C's one double description become the primitive ρ(s)r and
-    f·ρ(s)⁻¹ (``_cayley_walk``).  The guard checks that C is pointed,
-    full-dimensional and simplicial as displayed, so that it has no
-    lineality basis or equations to bring back to normal form."""
+    f·ρ(s)⁻¹, the columns that ``_cayley_walk`` moves.  The guard checks that
+    C is pointed, full-dimensional and simplicial as displayed, so that it
+    has no lineality basis or equations to bring back to normal form."""
     d, rays, facets = chamber.ambient_rank, chamber.rays, chamber.facets
     if chamber.lineality_basis or chamber.equations or len(rays) != d:
         raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
     for _, (s_rays, s_facets) in sorted(_cayley_walk(len(gens) + 1, gens, rays, facets).items()):
-        s_rays, s_facets = tuple(sorted(s_rays)), tuple(sorted(s_facets))
+        s_rays, s_facets = tuple(sorted(zip(*s_rays))), tuple(sorted(zip(*s_facets)))
         yield Cone(d, s_rays, _facets=s_facets, _lineality=(), _rays=s_rays, _equations=())
 
 

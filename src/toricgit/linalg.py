@@ -10,8 +10,8 @@ forms fix canonical representatives:
 * ``hermite_normal_form`` returns the row-style HNF with nonnegative pivots
   and entries above each pivot reduced into ``[0, pivot)``, together with a
   unimodular transform ``u`` such that ``u @ m == h``.
-* ``smith_normal_form`` returns ``(d, u, v)`` with ``u @ m @ v == d`` diagonal
-  and ``d_1 | d_2 | ...``.
+* ``elementary_divisors`` returns the nonzero diagonal ``d_1 | d_2 | ...``
+  of the Smith normal form, with no transform built.
 * ``kernel_basis`` returns the saturated integer kernel in row-HNF, read off
   the HNF transform of the transpose, so equal lattices always get
   bit-identical bases.
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -180,6 +180,17 @@ class Matrix:
         return rank(self.entries)
 
 
+def left_action(g: Matrix) -> Callable[[tuple], tuple]:
+    """M -> g·M for M a tuple of row tuples, with the work split off once per
+    g: row i of g·M is the sum of g_ij·M_j over the nonzero g_ij, and a g
+    that permutes coordinates (of two or more) only reorders the rows."""
+    terms = [[(j, a) for j, a in enumerate(r) if a] for r in g.entries]
+    if g.rows > 1 and all(len(t) == 1 and t[0][1] == 1 for t in terms):
+        return itemgetter(*(t[0][0] for t in terms))  # a tuple, as there are two or more
+    return lambda m: tuple(tuple(map(sum, zip(*(m[j] if a == 1 else [a * x for x in m[j]]
+                                                 for j, a in t)))) for t in terms)
+
+
 def _echelon(mat: list[list[int]], ncols: int) -> list[int]:
     """Bareiss fraction-free elimination (Bareiss 1968), in place on the int
     rows ``mat``, pivoting on the first ``ncols`` columns only.  Each step
@@ -225,6 +236,16 @@ def rank(rows: Sequence[Sequence]) -> int:
     mat = [list(r) if all(type(x) is int for x in r) else list(clear_denominators(r)[0])
            for r in rows]
     return len(_echelon(mat, len(mat[0]))) if mat else 0
+
+
+def abs_det(rows: Sequence[Sequence[int]]) -> int:
+    """|det| of a square int matrix by ``_echelon``: its last Bareiss pivot
+    is ±det when the rows are independent, and the matrix is singular
+    otherwise."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return 1
+    return abs(mat[-1][-1]) if len(_echelon(mat, len(mat))) == len(mat) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +299,10 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def _snf_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -> None:
+    """Smith normal form in place: ``a`` becomes diagonal, d_1 | d_2 | ...,
+    its row operations repeated on the rows of ``u`` and its column
+    operations on the columns of the rows of ``v``, so u·m·v = d when they
+    start as identities.  Empty rows for u and no rows for v skip both."""
     # minimal-pivot strategy: each retry strictly shrinks |pivot|, so this
     # terminates without the sign-cycling the naive row/column sweep can hit
     nr, nc = len(a), len(a[0]) if a else 0
@@ -338,25 +363,13 @@ def _snf_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -> 
         t += 1
 
 
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: (d, u, v) with u @ m @ v == d, d_1 | d_2 | ..."""
-    a = _int_rows(m)
-    nr, nc = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    if nr and nc:
-        _snf_inplace(a, u, v)
-    return Matrix(a), Matrix(u), Matrix(v)
-
-
 def elementary_divisors(m: Matrix) -> list[int]:
-    d, _, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(d.rows, d.cols)):
-        x = int(d.entries[i][i])
-        if x != 0:
-            out.append(abs(x))
-    return out
+    """The nonzero diagonal of the Smith normal form.  ``_snf_inplace`` runs
+    on empty rows for u and no rows for v, so no transform is built."""
+    a = _int_rows(m)
+    if a and a[0]:
+        _snf_inplace(a, [[] for _ in a], [])
+    return [abs(a[i][i]) for i in range(min(m.rows, m.cols)) if a[i][i]]
 
 
 def kernel_basis(m: Matrix) -> list[IntVec]:

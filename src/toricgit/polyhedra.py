@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone, column_dots
-from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, primitive, rank,
+from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, primitive,
                      scaled_primitive, vec)
 
 Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
@@ -192,6 +192,15 @@ def affine_slice(p: LatticePolyhedron, x0: Sequence, basis: Sequence[Sequence]
                              ).canonicalize()
 
 
+def _argmins(vals: list[int]) -> tuple[int, list[int]]:
+    """The least value and its positions, found by C-level scans."""
+    low, hits, k = min(vals), [], -1
+    for _ in range(vals.count(low)):
+        k = vals.index(low, k + 1)
+        hits.append(k)
+    return low, hits
+
+
 class FacetCertificateError(ValueError):
     """Candidate facet normals are not shown to be the facets of a polyhedron."""
 
@@ -213,11 +222,19 @@ def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional
     candidate vertices.  The certificate checks, for each w in W and its
     tight set T(w):
 
-    (a) |T(w)| = d and T(w) has rank d, so w is a simple vertex of Q;
-    (b) for each f in T(w), the ridge T(w) \\ {f}, which cuts out the edge
-        of Q from w that leaves f, is tight at another extreme generator: at
-        some (w', 1), and then w', a vertex of Q by (a), is the edge's other
-        end, or at a recession ray (r, 0), and then the edge is w + R≥0 r.
+    (a) |T(w)| = d;
+    (b) for each f in T(w), the ridge T(w) \\ {f} is tight at another
+        extreme generator g_f: some (w', 1) or a recession ray (r, 0).
+
+    Then T(w) is independent, with no rank taken.  The extremeness read off
+    the same masks says that w's face, the AND of the masks of T(w), is
+    {w}; g_f is on every facet of T(w) but f and is not w, so it is not on
+    f.  Set e_f = w' - w for a point and e_f = r for a ray: then <ν_i, e_f>
+    = 0 for i ≠ f and <ν_f, e_f> > 0, so N·E, with the normals of T(w) as
+    the rows of N and the e_f as the columns of E, is diagonal and
+    positive, and N has rank d.  So w is a simple vertex of Q, and the
+    ridge T(w) \\ {f} cuts out the edge of Q from w that leaves f: its other
+    end is w', a vertex of Q as w is, or it is w + R≥0 r.
 
     So W is a nonempty set of vertices of Q closed under the bounded edges
     of Q.  The vertices and bounded edges of a pointed polyhedron form a
@@ -225,8 +242,8 @@ def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional
     vertex of Q.  Each extreme ray of rec(Q) is the direction of an
     unbounded edge, which (b) puts in the recession cone, so Q = conv(W) +
     rec(Q) ⊆ P and Q = P.  A lower-dimensional Q, or a rec with lineality
-    (every ν is normal to it), fails (a): the normals tight at w are
-    dependent.  So P is full-dimensional, each of its facets is a
+    (every ν is normal to it), has no vertex on d independent normals, so
+    (a) or (b) fails.  So P is full-dimensional, each of its facets is a
     candidate, and a redundant candidate, supporting P in a face that
     contains a vertex, would put that vertex on d + 1 inequalities, which
     (a) rejects.  The facet list is exact, and so is the extremeness read
@@ -246,14 +263,12 @@ def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional
     for nu in dict.fromkeys(primitive(nu) for nu in normals):
         if any(dot(nu, g) < 0 for g in rec.generators):
             raise FacetCertificateError(f"the normal {nu} is negative on the recession cone")
-        vals = column_dots(nu, cols, m)
-        low = min(vals)
-        hits = [k for k, v in enumerate(vals) if v == low]
+        low, hits = _argmins(column_dots(nu, cols, m))
         for k in hits:
             tight[k].append(len(on))
         seed.append((nu, Fraction(low, den)))
-        on.append(sum(1 << k for k in hits) + sum(1 << m + k for k, r in enumerate(rays)
-                                                  if not dot(nu, r)))
+        on.append(sum(map((1).__lshift__, hits)) + sum(1 << m + k for k, r in enumerate(rays)
+                                                        if not dot(nu, r)))
     if rec.dim() == d:  # then t >= 0 is a facet, on the recession rays
         on.append((1 << m + len(rays)) - (1 << m))
     extreme = dd.extreme_generators(pts + rays, on)
@@ -262,19 +277,21 @@ def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional
         raise FacetCertificateError("no point is a vertex of the candidate facets")
     for k in verts:
         t = tight[k]
-        if len(t) != d or rank([seed[i][0] for i in t]) != d:
+        if len(t) != d:
             raise FacetCertificateError(f"the vertex ray {scaled_primitive(pts[k] + (1,))} is "
-                                        f"on {len(t)} facets, not on {d} independent ones")
-        for f in t:
-            ridge = keep & ~(1 << k)
-            for i in t:
-                if i != f:
-                    ridge &= on[i]
-            if not ridge:
+                                        f"on {len(t)} facets, not on {d}")
+        # ridge f is the AND of the masks of T(w) but f: suffix ANDs, then prefix
+        after = [-1] * d
+        for j in range(d - 1, 0, -1):
+            after[j - 1] = after[j] & on[t[j]]
+        ridge = keep & ~(1 << k)
+        for f, rest in zip(t, after):
+            if not ridge & rest:
                 raise FacetCertificateError(
                     f"the edge from the vertex ray {scaled_primitive(pts[k] + (1,))} leaving the "
                     f"facet {scaled_primitive(seed[f][0] + (-seed[f][1],))} has no other end "
                     "and no recession ray")
+            ridge &= on[f]
     return LatticePolyhedron(d, sorted(pts[k] for k in verts), rec, _facets=seed,
                              _equations=(), _canonical=True)
 
@@ -420,16 +437,34 @@ class Fan:
 
 def normal_fan(p: LatticePolyhedron) -> Fan:
     """Inner normal fan: one maximal cone per vertex v, spanned by the
-    normals of the facets through v and ± the affine-hull normals.
+    normals of the facets through v and ± the affine-hull normals
+    (Ziegler, *Lectures on Polytopes*, §7.1).
 
-    The facets through v are the facets of the homogenization that vanish on
-    its ray (v, 1), so only the canonical forms in ``Fan`` double-describe."""
+    Only ``facet_rep``, ``hull_equations`` and the vertices are read, so a
+    seeded polyhedron builds no homogenization.  One ``column_dots`` pass
+    per facet finds the vertices on it: P is pointed, so every facet holds
+    a vertex and its offset is its least value over the vertices.  When P
+    is full-dimensional, N(v) is the dual of the tangent cone of P at v, a
+    full-dimensional pointed cone whose facets are the facets of P through
+    v, so their primitive normals are exactly the rays of N(v), whether v
+    is simple or not, and no double description runs.  A lower-dimensional
+    P adds ± the hull normals, a lineality space, and its cones are
+    double-described from their generators."""
     q = p.canonicalize()
     if q.is_empty():
         raise ValueError("empty polyhedron has no normal fan")
-    c, d = q.homogenization(), q.ambient_rank
-    hull = [e[:d] for e in c.equations]
+    d, verts = q.ambient_rank, q.vertex_candidates
+    hull = [n for n, _ in q.hull_equations]
     hull += [tuple(-x for x in e) for e in hull]
-    cones = [Cone(d, [f[:d] for f in c.facets if dot(f, r) == 0] + hull)
-             for r in c.rays if r[d] > 0]
+    flat, _ = clear_denominators([x for v in verts for x in v])
+    cols = [flat[j::d] for j in range(d)]
+    through: list[list[IntVec]] = [[] for _ in verts]  # per vertex, the facets on it
+    for n, _ in q.facet_rep:
+        n = primitive(n)
+        for k in _argmins(column_dots(n, cols, len(verts)))[1]:
+            through[k].append(n)
+    if hull:
+        cones = [Cone(d, t + hull) for t in through]
+    else:
+        cones = [Cone(d, t, _rays=tuple(sorted(t)), _lineality=()) for t in through]
     return Fan(d, cones, q.recession.dual())

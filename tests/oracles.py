@@ -43,9 +43,9 @@ from toricgit.degeneration import (ambient_reflections, chamber_cone,
 from toricgit.git import EmptyQuotientError, Linearization, support_constants
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
-from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot, elementary_divisors,
-                             frac, hermite_normal_form, rank, scaled_primitive,
-                             smith_normal_form, vec)
+from toricgit.linalg import (IntVec, Matrix, _snf_inplace, clear_denominators, dot,
+                             elementary_divisors, frac, hermite_normal_form, rank,
+                             scaled_primitive, vec)
 from toricgit.polyhedra import Fan, InnerCertificateError, LatticePolyhedron
 from toricgit.stab_backends import QuotientPoint, ratio_is_one
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
@@ -132,6 +132,17 @@ def solve_unique(m: Matrix, target) -> tuple:
     if sol[1]:
         raise ValueError("solution not unique")
     return sol[0]
+
+
+def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """Smith normal form with its transforms: (d, u, v) with u @ m @ v == d,
+    d_1 | d_2 | ..., from the package's ``_snf_inplace`` on identities."""
+    a = [list(r) for r in m.int_rows()]
+    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
+    if m.rows and m.cols:
+        _snf_inplace(a, u, v)
+    return Matrix(a), Matrix(u), Matrix(v)
 
 
 def kernel_basis_snf(m: Matrix):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 from oracles import (ambient_quotient_slice, ambient_slice, det_unimodular, from_cycles,
-                     intersection, minkowski_sum)
+                     intersection, minkowski_sum, smith_normal_form)
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (_pb, build_bundle, build_symmetric, constant_tail,
                                    decode_ray_label, head_vertex, product_cone_ambient,
@@ -16,8 +16,7 @@ from toricgit.degeneration import (_pb, build_bundle, build_symmetric, constant_
                                    slice_vertex_points, verify)
 from toricgit.git import quotient_polyhedron, unstable_rays
 from toricgit.groups import compose, identity
-from toricgit.linalg import Matrix, hermite_normal_form, smith_normal_form, \
-    elementary_divisors, kernel_basis
+from toricgit.linalg import Matrix, hermite_normal_form, elementary_divisors, kernel_basis
 from toricgit.polyhedra import LatticePolyhedron, normal_fan
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   project_to_quotient, random_configuration,

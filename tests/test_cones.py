@@ -9,7 +9,7 @@ from oracles import (cone_rays_fraction, extreme_generators_by_rank,
                      positive_orthant)
 from toricgit import dd
 from toricgit.cones import Cone, image_cone
-from toricgit.linalg import Matrix, dot
+from toricgit.linalg import Matrix, dot, elementary_divisors, rank
 
 SIGMA_2 = Cone(3, [(1, 0, 0), (1, 1, 0), (0, -1, 1), (0, 0, 1)])
 DELTA_2 = Cone(3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)])
@@ -87,6 +87,24 @@ def test_is_smooth():
     assert not Cone(2, [(1, 0), (1, 2)]).is_smooth()
     with pytest.raises(ValueError):
         Cone(2, [(1, 0), (-1, 0)]).is_smooth()
+
+
+def test_is_smooth_matches_snf_oracle():
+    # d rays: the last Bareiss pivot is ±det; fewer rays: the SNF
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        c = Cone(d, [tuple(rng.randint(-2, 2) for _ in range(d))
+                     for _ in range(rng.randint(1, d))])
+        if not c.is_pointed():
+            continue
+        rays = c.rays
+        want = not rays or (rank(rays) == len(rays) and
+                            all(x == 1 for x in elementary_divisors(Matrix(rays))))
+        assert c.is_smooth() == want, rays
+        seen.add((len(rays) == d, want))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _random_cone(rng, rank):

@@ -10,7 +10,7 @@ import pytest
 from oracles import (ambient_quotient_slice, cube_image_slice_by_sums, edge_matrix, invert,
                      minkowski_sum, orbit_fan_by_cone_dd, solve_unique,
                      symmetric_polyhedra_by_dd, weight_reflections)
-from toricgit import dd, degeneration, polyhedra
+from toricgit import dd, degeneration, linalg
 from toricgit.cones import Cone
 from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections,
                                    basis_change_matrix, build_bundle, build_symmetric,
@@ -215,8 +215,9 @@ def test_build_symmetric_moves_the_fan_by_generators(monkeypatch):
 
 
 def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
-    # the certificate reads one incidence pass; the cone over P × {1} is
-    # left to whoever asks for it (normal_fan)
+    # the certificate reads one incidence pass, and normal_fan reads the
+    # seeded facets: only an explicit homogenization() builds the cone over
+    # P × {1}
     def no_cone(self):
         raise AssertionError("certified_polyhedron built the homogenization")
 
@@ -228,6 +229,38 @@ def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
             assert p._canonical and p._cone is None
             assert p.facet_rep and p.hull_equations == ()
     assert normal_fan(models[0].resolution_polyhedron) == models[0].fan
+
+
+def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monkeypatch):
+    # the certificate proves independence from its masks, and a simple
+    # vertex's normal cone is simplicial on its tight normals
+    def forbidden(*args):
+        raise AssertionError("a rank ran")
+
+    for n in (3, 4, 5, 6):
+        for d, pts, rec, normals in _symmetric_candidates(n).values():
+            rec = (rec or Cone(d, [])).canonical_form()  # its own DD and kernel, before the spy
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "_echelon", forbidden)
+                certified_polyhedron(d, pts, rec, normals)
+    real, calls = dd.cone_from_inequalities, []
+
+    def spy(constraints, ambient):
+        calls.append(len(constraints))
+        return real(constraints, ambient)
+
+    def no_cone(self):
+        raise AssertionError("normal_fan built the homogenization")
+
+    for n in (3, 4, 5, 6):
+        sym = build_symmetric(n)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(dd, "cone_from_inequalities", spy)
+            m.setattr(LatticePolyhedron, "homogenization", no_cone)
+            nf = normal_fan(sym.resolution_polyhedron)
+        assert len(calls) <= 1, n  # the support, the dual of the recession cone
+        assert nf == sym.fan, n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -274,9 +307,10 @@ def test_facet_certificate_rejects_a_non_simple_polytope():
 
 
 def test_facet_certificate_rejects_a_vertex_on_d_dependent_normals():
-    # at the origin of the unit cube, (1, 2, 1) = (1, 1, 0) + (0, 1, 1)
+    # at the origin of the unit cube, (1, 2, 1) = (1, 1, 0) + (0, 1, 1): the
+    # origin is on 3 facets, but a ridge through it reaches no other vertex
     normals = [(1, 1, 0), (0, 1, 1), (1, 2, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-    with pytest.raises(FacetCertificateError, match="on 3 facets"):
+    with pytest.raises(FacetCertificateError, match="has no other end"):
         certified_polyhedron(3, list(product((0, 1), repeat=3)), None, normals)
 
 
@@ -547,11 +581,20 @@ def test_pb_runs_no_double_description_and_no_rank(monkeypatch):
         raise AssertionError("P_b must come from the greedy oracle alone")
 
     monkeypatch.setattr(dd, "cone_from_inequalities", forbidden)
-    monkeypatch.setattr(polyhedra, "rank", forbidden)
+    # every rank runs linalg._echelon; the only eliminations are those that
+    # making the linearization takes on its own
+    real, calls = linalg._echelon, []
+    monkeypatch.setattr(linalg, "_echelon", lambda mat, ncols: calls.append(len(mat)) or
+                        real(mat, ncols))
     _pb.cache_clear()
     try:
         for n in range(1, 7):
+            calls.clear()
+            product_linearization(n)
+            alone = calls[:]
+            calls.clear()
             assert set(_pb(n).vertex_candidates) == set(slice_vertex_points(n).values()), n
+            assert calls == alone, n
     finally:
         _pb.cache_clear()
 

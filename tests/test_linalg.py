@@ -6,9 +6,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import (det_unimodular, feasible_nonneg_combination, in_cone_hull,
-                     invert, kernel_basis_snf, solve_affine_oracle, solve_unique)
-from toricgit.linalg import (Matrix, elementary_divisors, hermite_normal_form, kernel_basis,
-                             rank, smith_normal_form, solve_affine)
+                     invert, kernel_basis_snf, smith_normal_form, solve_affine_oracle,
+                     solve_unique)
+from toricgit.linalg import (Matrix, abs_det, elementary_divisors, hermite_normal_form,
+                             kernel_basis, rank, solve_affine)
 
 ALPHA_W2 = Matrix([[0, 0, 1, -1, 0], [0, 0, 0, 1, -1]])
 PI_2 = Matrix([[0, -1, 1, 1, 1], [1, -1, 0, 0, 0], [0, 1, 0, 0, 0]])
@@ -199,6 +200,20 @@ def test_rank_matches_fraction_oracle():
                     assert Matrix(rows).rank() == expected
 
 
+def test_abs_det_matches_fraction_oracle():
+    # the last Bareiss pivot is ±det, whatever rows the pivoting swapped
+    rng = random.Random(1968)
+    seen = set()
+    for n in range(1, 7):
+        for _ in range(40):
+            rows = _random_rows(rng, n, n, False)
+            want = abs(det_unimodular(Matrix(rows)))
+            assert abs_det(rows) == want, rows
+            seen.add(bool(want))
+    assert abs_det([]) == 1
+    assert seen == {False, True}
+
+
 def test_rank_small_cases():
     assert rank([]) == 0
     assert rank([[0, 0], [0, 0]]) == 0
@@ -352,10 +367,10 @@ def test_kernel_basis_of_injective_matrix_skips_snf(monkeypatch):
         hnf_calls.append(m)
         return real_hnf(m)
 
-    def no_snf(m):
+    def no_snf(*args):
         raise AssertionError("kernel_basis ran the SNF")
     monkeypatch.setattr(linalg, "hermite_normal_form", spy_hnf)
-    monkeypatch.setattr(linalg, "smith_normal_form", no_snf)
+    monkeypatch.setattr(linalg, "_snf_inplace", no_snf)
     assert kernel_basis(Matrix([[1, 2], [3, 4], [5, 6]])) == []
     assert kernel_basis(Matrix.identity(3)) == []
     assert hnf_calls == []  # the injective shortcut runs no normal form
@@ -403,6 +418,7 @@ def test_normal_form_and_kernel_contracts(system):
     diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
     assert all(x >= 0 for x in diag)
     assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    assert elementary_divisors(m) == [x for x in diag if x]  # with no transform built
     kb = kernel_basis(m)
     assert kb == kernel_basis_snf(m)
     assert all(not any(m @ k) for k in kb)

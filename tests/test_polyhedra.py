@@ -582,6 +582,10 @@ def test_certified_polyhedron_matches_dd_oracle(case, data):
     assert got.facet_rep == want.facet_rep
     assert got.hull_equations == want.hull_equations == ()
     assert got.recession.key() == want.recession.key()
+    # the independence that the certificate proves from its masks: each
+    # vertex's tight normals have rank d
+    for v in got.vertex_candidates:
+        assert rank([n for n, o in got.facet_rep if dot(n, v) == o]) == d
     # every facet is needed, and a normal that is no facet's is redundant
     i = data.draw(st.integers(0, len(normals) - 1))
     with pytest.raises(FacetCertificateError):
