@@ -61,16 +61,11 @@ def cmd_build(args) -> int:
             "permutahedron": jsonio.polyhedron_to_json(sym.permutohedron),
             "resolution_polyhedron": jsonio.polyhedron_to_json(sym.resolution_polyhedron),
         }
-    text = dumps(payload) + "\n"
-    try:
-        if args.out and args.out != "-":
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 3
+    if args.out and args.out != "-":
+        with open(args.out, "w") as fh:
+            fh.write(dumps(payload) + "\n")
+    else:
+        print(dumps(payload), flush=True)
     return 0
 
 
@@ -175,7 +170,7 @@ def cmd_quotient(args) -> int:
         return 2
     q = quotient_polyhedron(poly, lin)
     if q.is_empty():
-        print(dumps({"empty": True}))
+        print(dumps({"empty": True}), flush=True)
         return 0
     try:
         polytopal, conical = split_quotient(poly, lin)
@@ -185,7 +180,7 @@ def cmd_quotient(args) -> int:
     else:
         parts = {"polytopal": jsonio.polyhedron_to_json(polytopal),
                  "conical": jsonio.cone_to_json(conical)}
-    print(dumps({"quotient": jsonio.polyhedron_to_json(q), **parts}))
+    print(dumps({"quotient": jsonio.polyhedron_to_json(q), **parts}), flush=True)
     return 0
 
 
@@ -213,7 +208,7 @@ def cmd_stab(args) -> int:
         "stab0_blocks": rep.sym.stab0_young.blocks_one_based(),
         "quotient": jsonio.group_to_json(rep.sym_side),
         "comparison": "PASS" if rep.passed else "FAIL",
-    }))
+    }), flush=True)
     return 0 if rep.passed else 1
 
 
@@ -251,7 +246,15 @@ def main(argv=None) -> int:
     p_stab.set_defaults(func=cmd_stab)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:  # the commands read their inputs themselves (exit 2) and flush what they print
+        return args.func(args)
+    except OSError as exc:  # so this is output that could not be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # a full or closed stdout: drop what it holds, or exit flushes it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ first and extreme rays are canonical representatives modulo it.
 from __future__ import annotations
 
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import dd
 from .linalg import (IntVec, Matrix, abs_det, dot, elementary_divisors, kernel_basis,
@@ -26,17 +26,20 @@ class Cone:
     __slots__ = ("ambient_rank", "generators", "_lineality", "_rays", "_facets",
                  "_equations", "_incidence")
 
-    def __init__(self, ambient_rank: int, generators: Iterable[Sequence] = (),
+    def __init__(self, ambient_rank: int, generators: Optional[Iterable[Sequence]] = None,
                  _facets=None, _lineality=None, _rays=None, _equations=None):
-        gens = []
-        for g in generators:
-            g = scaled_primitive(g)
-            if len(g) != ambient_rank:
-                raise ValueError("generator has wrong dimension")
-            if any(g):
-                gens.append(g)
+        # given by ``_rays`` alone, which are primitive, distinct and sorted: the generators
+        gens = _rays or ()
+        if generators is not None:
+            gens = {}  # distinct, in order
+            for g in generators:
+                g = scaled_primitive(g)
+                if len(g) != ambient_rank:
+                    raise ValueError("generator has wrong dimension")
+                if any(g):
+                    gens[g] = None
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "generators", tuple(dict.fromkeys(gens)))
+        object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "_facets", _facets)
         object.__setattr__(self, "_lineality", _lineality)
         object.__setattr__(self, "_rays", _rays)
@@ -144,9 +147,12 @@ class Cone:
         return f"Cone(rank={self.ambient_rank}, rays={len(self.rays)}, lin={len(self.lineality_basis)})"
 
     def dual(self) -> "Cone":
-        """{m : <m, v> >= 0 for every v in the cone}: generated by the facet
-        normals and ± the equations, so the cached H-representation is read
-        and no second double description runs."""
+        """{m : <m, v> >= 0 on the cone}; for a full-dimensional pointed cone its rays are
+        the facets and its facets the rays (polarity: Ziegler, *Lectures on Polytopes*,
+        §2.3), else it is double-described from the facet normals and ± the equations."""
+        if not self.equations and not self.lineality_basis:
+            return Cone(self.ambient_rank, _rays=tuple(sorted(self.facets)), _lineality=(),
+                        _facets=self.rays, _equations=())
         gens = list(self.facets) + list(self.equations) + \
             [tuple(-x for x in e) for e in self.equations]
         return Cone(self.ambient_rank, gens)

@@ -26,16 +26,16 @@ from functools import cache, reduce
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import le, matmul
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
-from .linalg import Matrix, clear_denominators, left_action, solve_affine
+from .linalg import Matrix, left_action, solve_affine
 from .polyhedra import (Facet, Fan, LatticePolyhedron, certified_polyhedron,
                         cube_image_slice, normal_fan)
 
 # the largest n that ``verify`` runs at
-VERIFY_MAX_N = 6
+VERIFY_MAX_N = 7
 
 VERIFY_CHECKS = ("conical_part", "pb_vertices", "quotient_theorem", "normal_fan",
                  "unstable_locus", "base_recovery", "fan_smooth_small")
@@ -197,25 +197,24 @@ def product_chart_vertices(n: int) -> list[tuple[int, ...]]:
     return [L @ c for c in product_chart_corners(n)]
 
 
-def head_vertex(n: int) -> tuple[Fraction, ...]:
-    """u: the first n coordinates of the identity slice vertex; consecutive
-    entries differ by exactly 1 + 1/(n+1)."""
-    u = tuple(-Fraction((n - j) * (n + 2) + 1, n + 1) for j in range(1, n + 1))
-    if any(u[k + 1] - u[k] != 1 + Fraction(1, n + 1) for k in range(n - 1)):
+def head_vertex(n: int) -> tuple[int, ...]:
+    """(n+1)·u, u the first n coordinates of the identity slice vertex;
+    consecutive entries of u differ by exactly 1 + 1/(n+1)."""
+    u = tuple(-((n - j) * (n + 2) + 1) for j in range(1, n + 1))
+    if any(u[k + 1] - u[k] != n + 2 for k in range(n - 1)):
         raise AssertionError("consecutive head entries must differ by 1 + 1/(n+1)")
     return u
 
 
-def slice_vertex(n: int, i: int) -> tuple[Fraction, ...]:
-    """w_i: (1,...,1, (n-i+1)/(n+1), 0,...,0) with i-1 leading ones."""
-    return tuple([Fraction(1)] * (i - 1) + [Fraction(n - i + 1, n + 1)] +
-                 [Fraction(0)] * (n - i))
+def slice_vertex(n: int, i: int) -> tuple[int, ...]:
+    """(n+1)·w_i, w_i = (1,...,1, (n-i+1)/(n+1), 0,...,0) with i-1 leading ones."""
+    return tuple([n + 1] * (i - 1) + [n - i + 1] + [0] * (n - i))
 
 
-def constant_tail(n: int) -> tuple[Fraction, ...]:
-    """(0, n/(n+1), 3n/(n+1), ..., n^2/2): the shared t-block of all slice
-    polytope vertices."""
-    return tuple(Fraction((m - 1) * m // 2 * n, n + 1) for m in range(1, n + 2))
+def constant_tail(n: int) -> tuple[int, ...]:
+    """(n+1)·(0, n/(n+1), 3n/(n+1), ..., n^2/2): the shared t-block of all
+    slice polytope vertices, scaled."""
+    return tuple((m - 1) * m // 2 * n for m in range(1, n + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +395,7 @@ def orbit_cones(chamber: Cone, gens: Sequence[Matrix]) -> Iterator[Cone]:
         raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
     for _, (s_rays, s_facets) in sorted(_cayley_walk(len(gens) + 1, gens, rays, facets).items()):
         s_rays, s_facets = tuple(sorted(zip(*s_rays))), tuple(sorted(zip(*s_facets)))
-        yield Cone(d, s_rays, _facets=s_facets, _lineality=(), _rays=s_rays, _equations=())
+        yield Cone(d, _rays=s_rays, _facets=s_facets, _lineality=(), _equations=())
 
 
 def product_cone_ambient(n: int) -> Cone:
@@ -443,8 +442,8 @@ def build_symmetric(n: int) -> SymmetricModel:
     are never double-described and no homogenization is built."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n > 6:
-        raise ValueError("n must be <= 6 (the fan has n! maximal cones)")
+    if n > 7:
+        raise ValueError("n must be <= 7 (the fan has n! maximal cones)")
     chamber = chamber_cone(n)
     prod = product_cone_ambient(n)
     fan = Fan(n + 1, orbit_cones(chamber, ambient_reflections(n)), prod)
@@ -479,9 +478,9 @@ def _symmetric(n: int) -> SymmetricModel:
 
 
 @cache
-def _pb(n: int) -> LatticePolyhedron:
+def _pb(n: int) -> tuple[list[tuple[int, ...]], int, Callable[[Sequence[int]], int]]:
     """The slice polytope P_b = conv(chart vertices) ∩ {α x = -b} of the
-    product, read by ``pb_vertices`` and ``unstable_locus``.
+    product, in int, read by ``pb_vertices`` and ``unstable_locus``.
 
     ``cube_image_slice`` cuts it from the n^2-cube.  Row i of α·L reads
     cube block i, each of its n columns with coefficient -1, so the block's
@@ -520,18 +519,18 @@ class VerifyReport:
 
 
 @cache
-def slice_vertex_points(n: int) -> dict[tuple, tuple]:
-    """The expected slice-polytope vertices m_s = L(s w_1; ...; s w_n),
-    taken in int as L((n+1) s w_1; ...) and divided by n + 1 once; one dict
-    per n, shared by pb_vertices and quotient_theorem."""
+def slice_vertex_points(n: int) -> list[tuple[int, ...]]:
+    """The expected slice-polytope vertices m_s = L(s w_1; ...; s w_n), s in
+    S_n, as the int (n+1)·m_s, (s w)_j = w_p(j) for p = s⁻¹, which runs over
+    S_n too; one list per n, shared by pb_vertices and quotient_theorem."""
     L = product_cube_map(n)
-    ws = [[int(x * (n + 1)) for x in slice_vertex(n, i)] for i in range(1, n + 1)]
-    out = {}
-    for s in permutations(range(n)):
-        inv = [s.index(j) for j in range(n)]
-        coords = [w[k] for w in ws for k in inv]
-        out[s] = tuple(Fraction(x, n + 1) for x in L @ coords)
-    return out
+    ws = [slice_vertex(n, i) for i in range(1, n + 1)]
+    return [L @ [w[k] for w in ws for k in p] for p in permutations(range(n))]
+
+
+def _strs(v: Sequence[int], den: int) -> list[str]:
+    """The coordinates of v / den as witness strings."""
+    return [str(Fraction(x, den)) for x in v]
 
 
 def _check_conical_part(n: int) -> tuple[bool, Any]:
@@ -545,39 +544,37 @@ def _check_conical_part(n: int) -> tuple[bool, Any]:
 
 
 def _check_pb_vertices(n: int) -> tuple[bool, Any]:
-    u = head_vertex(n)
+    images, h, _ = _pb(n)  # the vertices h·w, against the closed form (n+1)·m_s
     ms = slice_vertex_points(n)
-    got = set(_pb(n).vertex_candidates)
-    if got != set(ms.values()):
-        return False, {"unexpected": [list(map(str, v)) for v in sorted(got - set(ms.values()))]}
-    heads = {v[:n] for v in got}
-    su = {tuple(u[s.index(j)] for j in range(n)) for s in permutations(range(n))}
-    if heads != su:
-        return False, {"heads": [list(map(str, h)) for h in sorted(heads)]}
+    want = {tuple(h * x for x in m) for m in ms}
+    got = {tuple((n + 1) * x for x in v) for v in images}
+    if got != want:
+        return False, {"unexpected": [_strs(v, h * (n + 1)) for v in sorted(got - want)]}
+    u = head_vertex(n)
+    heads = {m[:n] for m in ms}
+    if heads != {tuple(u[s.index(j)] for j in range(n)) for s in permutations(range(n))}:
+        return False, {"heads": [_strs(v, n + 1) for v in sorted(heads)]}
     tail = constant_tail(n)
-    bad = [v for v in got if v[n:] != tail]
+    bad = [_strs(m, n + 1) for m in ms if m[n:] != tail]
     if bad:
-        return False, {"bad_tail": [list(map(str, v)) for v in bad]}
+        return False, {"bad_tail": bad}
     return True, {"vertices": len(got)}
 
 
 def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
-    b, u = _bundle(n), head_vertex(n)
-    sym = _symmetric(n)
-    ms = slice_vertex_points(n)
-    tail = constant_tail(n)
+    # (n+1)/(n+2)·Q'(m_s - u, 0) = Q'·(n+1)(m_s - u, 0) / (n+2), against v
+    b, u, tail = _bundle(n), head_vertex(n), constant_tail(n)
     got = set()
-    for v in ms.values():
-        if v[n:] != tail:
-            return False, {"bad_tail": list(map(str, v))}
-        # (n+1)/(n+2) Q'(v - u, 0), with v - u scaled to int by den
-        d, den = clear_denominators([x - y for x, y in zip(v[:n], u)] + [0])
-        got.add(tuple(Fraction(x * (n + 1), den * (n + 2)) for x in b.basis_change @ d))
-    expected = set(sym.resolution_polyhedron.vertex_candidates)
+    for m in slice_vertex_points(n):
+        if m[n:] != tail:
+            return False, {"bad_tail": _strs(m, n + 1)}
+        got.add(b.basis_change @ ([x - y for x, y in zip(m, u)] + [0]))
+    expected = {tuple((n + 2) * x for x in v)
+                for v in _symmetric(n).resolution_polyhedron.vertex_candidates}
     if got == expected:
         return True, {"vertices": len(got)}
-    return False, {"got": sorted([list(map(str, v)) for v in got]),
-                   "expected": sorted([list(map(str, v)) for v in expected])}
+    return False, {"got": sorted(_strs(v, n + 2) for v in got),
+                   "expected": sorted(_strs(v, n + 2) for v in expected)}
 
 
 def _check_normal_fan(n: int) -> tuple[bool, Any]:
@@ -589,22 +586,23 @@ def _check_normal_fan(n: int) -> tuple[bool, Any]:
 
 
 def _check_unstable_locus(n: int) -> tuple[bool, Any]:
-    b = _bundle(n)
-    data = unstable_rays(b.product_facets, _pb(n))
+    _, h, support = _pb(n)
     rows = []
-    for rd in data:
+    for rd in unstable_rays(_bundle(n).product_facets, support, h):
         I, j = decode_ray_label(n, rd.ray)
         k = len(I)
-        d_expected = Fraction(-(n - j) * k)
-        m_expected = Fraction((j - k) * ((j - k) * n + n - 2 * k), 2 * (n + 1))
-        ok = (rd.support_constant == d_expected and rd.margin == m_expected
-              and rd.margin >= 0 and (rd.margin == 0) == (j == k)
+        # d and the margin against their closed forms, as numerators over 2(n+1)
+        d, m, den = -(n - j) * k, (j - k) * ((j - k) * n + n - 2 * k), 2 * (n + 1)
+        dv, mv = rd.support_constant, rd.margin
+        ok = (dv.numerator == d * dv.denominator
+              and mv.numerator * den == m * mv.denominator
+              and mv.numerator >= 0 and (mv.numerator == 0) == (j == k)
               and rd.unstable == (j != k))
-        rows.append({"I": list(I), "j": j, "d": str(rd.support_constant),
-                     "margin": str(rd.margin), "unstable": rd.unstable})
+        rows.append({"I": list(I), "j": j, "d": str(dv), "margin": str(mv),
+                     "unstable": rd.unstable})
         if not ok:
             return False, {"ray": rows[-1],
-                           "expected": {"d": str(d_expected), "margin": str(m_expected)}}
+                           "expected": {"d": str(d), "margin": str(Fraction(m, den))}}
     return True, {"rays": rows}
 
 

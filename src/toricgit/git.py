@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .cones import Cone, column_dots
-from .linalg import Matrix, Vec, clear_denominators, kernel_basis, solve_affine, vec
+from .cones import Cone
+from .linalg import Matrix, Vec, kernel_basis, solve_affine, vec
 from .polyhedra import Facet, LatticePolyhedron, affine_slice
 
 
@@ -123,30 +123,21 @@ def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], Fraction
     return {v: min(Fraction(0), o) for v, o in facets}
 
 
-def unstable_rays(facets: Iterable[Facet], pb: LatticePolyhedron) -> list[RayDatum]:
+def unstable_rays(facets: Iterable[Facet], support: Optional[Callable], h: int) -> list[RayDatum]:
     """Margins min_{m in P_b} <v, m> - d_v for every facet row (v, o_v) of a
     polyhedron p whose normals v are the recession-dual extreme rays of p
-    (``support_constants``), where ``pb`` is the polytope slice
-    conv(points of p) ∩ (α⊗R)^{-1}(-b) in the ambient coordinates of p (as
-    ``degeneration._pb`` cuts it from the cube), not the ker(α) coordinates
-    of ``quotient_slice``.
-
-    The margin is computed over the candidate points of P_b only; this is
-    valid because d_v <= 0 and <v, ·> >= 0 on the kernel cone, so the
-    recession part of the quotient cannot lower the minimum.
-
-    The points of P_b are scaled once to integers over one common
-    denominator and the dots taken column by column (``column_dots``), so
-    each minimum is taken in int and only it becomes a Fraction.
-    """
-    if pb.is_empty():
+    (``support_constants``).  P_b = conv(points of p) ∩ (α⊗R)^{-1}(-b), in
+    the ambient coordinates of p, is given by its support function in int,
+    support(v) = h·min <v, m> over P_b (None if P_b is empty), as
+    ``polyhedra.cube_image_slice`` returns it.  The minimum over P_b is the
+    margin because d_v <= 0 and <v, ·> >= 0 on the kernel cone.  Each margin
+    is one support call, with no vertex of P_b visited, and for d_v = p/q it
+    is (q·support(v) - p·h) / (q·h), the only Fraction built."""
+    if support is None:
         raise EmptyQuotientError("empty quotient")
-    consts = sorted(support_constants(facets).items())
-    if any(len(v) != pb.ambient_rank for v, _ in consts):
-        raise ValueError("P_b must live in the ambient space of the polyhedron")
-    pts, d = pb.vertex_candidates, pb.ambient_rank
-    flat, den = clear_denominators([x for p in pts for x in p])
-    cols = [flat[j::d] for j in range(d)]
-    lows = [Fraction(min(column_dots(v, cols, len(pts))), den) for v, _ in consts]
-    return [RayDatum(ray=v, support_constant=dv, margin=low - dv, unstable=low > dv)
-            for (v, dv), low in zip(consts, lows)]
+    out = []
+    for v, dv in sorted(support_constants(facets).items()):
+        num = support(v) * dv.denominator - dv.numerator * h
+        out.append(RayDatum(ray=v, support_constant=dv, margin=Fraction(num, dv.denominator * h),
+                            unstable=num > 0))
+    return out

@@ -31,11 +31,11 @@ Equation = tuple[tuple[int, ...], Fraction]  # <n, x> == o
 class LatticePolyhedron:
     """conv(vertex_candidates) + recession, a view on ``homogenization()``.
 
-    ``vertex_candidates`` may be any finite generating set; ``canonicalize``
-    reduces it to the true vertex set.  An empty candidate list is the empty
-    polyhedron.  A caller that knows the H-representation of a
-    full-dimensional P passes it as ``_facets`` and ``_equations``; it
-    becomes the homogenization's, so no double description runs.
+    ``vertex_candidates`` may be any finite generating set; ``canonicalize`` reduces
+    it to the true vertex set.  An empty candidate list is the empty polyhedron.  A
+    caller that knows the H-representation of a full-dimensional P passes it as
+    ``_facets`` and ``_equations``; it becomes the homogenization's, so no double
+    description runs.  Sorted vertices passed with ``_canonical=True`` are kept unchecked.
     """
 
     __slots__ = ("ambient_rank", "vertex_candidates", "recession",
@@ -44,20 +44,22 @@ class LatticePolyhedron:
     def __init__(self, ambient_rank: int, vertex_candidates: Iterable[Sequence] = (),
                  recession: Optional[Cone] = None,
                  _facets=None, _equations=None, _cone=None, _canonical=False):
-        pts = []
-        for p in vertex_candidates:
-            p = tuple(p)
-            if not all(type(x) is int for x in p):
-                p = tuple(map(_exact, p))
-            if len(p) != ambient_rank:
-                raise ValueError("point has wrong dimension")
-            pts.append(p)
+        pts = vertex_candidates
+        if not _canonical:
+            pts = {}  # distinct, in order
+            for p in vertex_candidates:
+                p = tuple(p)
+                if not all(type(x) is int for x in p):
+                    p = tuple(map(_exact, p))
+                if len(p) != ambient_rank:
+                    raise ValueError("point has wrong dimension")
+                pts[p] = None
         if recession is None:
             recession = Cone(ambient_rank, [])
         if recession.ambient_rank != ambient_rank:
             raise ValueError("recession cone has wrong dimension")
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "vertex_candidates", tuple(dict.fromkeys(pts)))
+        object.__setattr__(self, "vertex_candidates", tuple(pts))
         object.__setattr__(self, "recession", recession)
         # a seed is kept as the homogenization's sorted primitive rows (n, -o)
         object.__setattr__(self, "_seed", None if _facets is None or not pts else tuple(
@@ -140,7 +142,7 @@ class LatticePolyhedron:
         if not rec.is_pointed():
             raise ValueError("polyhedra with lineality in the recession cone are unsupported")
         cone = self.homogenization().canonical_form()
-        verts = sorted(r[:d] if r[d] == 1 else tuple(Fraction(x, r[d]) for x in r[:d])
+        verts = sorted(r[:d] if r[d] == 1 else tuple(_exact(Fraction(x, r[d])) for x in r[:d])
                        for r in cone.rays if r[d] > 0)
         return LatticePolyhedron(d, verts, rec, _cone=cone, _canonical=True)
 
@@ -306,14 +308,15 @@ class ChamberCertificateError(ValueError):
 
 def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
                      chambers: Iterable[Sequence[IntVec]], lineality: Iterable[IntVec],
-                     corner_box: Callable[[IntVec, IntVec], bool]) -> LatticePolyhedron:
-    """conv(L(corners)) ∩ {x : f·x = target}, canonical, for the 0/1 points
-    of the cube [0,1]^cols(L) that ``corner_box(lo, hi)`` tells apart: is
-    every 0/1 point between lo and hi a corner?  Each chamber is a list of
-    integer normals, as tuples.  The chambers plus span(``lineality``) must
-    cover the space; that is the caller's to know, and a missing chamber
-    can lose a vertex.  ChamberCertificateError or InnerCertificateError
-    when the certificate fails.
+                     corner_box: Callable[[IntVec, IntVec], bool]) -> tuple:
+    """conv(L(corners)) ∩ {x : f·x = target} in int, for the 0/1 points of
+    the cube [0,1]^cols(L) that ``corner_box(lo, hi)`` tells apart: is every
+    0/1 point between lo and hi a corner?  Returns the sorted vertices w as
+    int points h·w, h, and support(c) = h·min <c, x> for integer c, or ([],
+    1, None) if empty.  The chambers, lists of integer normals as tuples,
+    plus span(``lineality``) must cover the space, which is the caller's to
+    know: a missing chamber can lose a vertex.  A failed certificate raises
+    ChamberCertificateError or InnerCertificateError.
 
     f·L must cut the cube in hypersimplex blocks: row i reads its own
     nonempty set B_i of columns, all with one coefficient a_i, and every
@@ -325,8 +328,8 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
     hypersimplex slice at the greedy point (Edmonds, 1970): weight 1 on the
     ⌊s_i⌋ columns of B_i with least value, ties broken by column, and the
     fractional part of s_i on the next one.  So the oracle takes Lᵀc once,
-    sorts each block, and gives the minimum of c, an argmin and its
-    preimage in int over one common denominator h.  The argmin is the only
+    sorts each block, and gives the minimum of c and the preimage of an
+    argmin in int over one common denominator h.  The argmin is the only
     one iff in every block the columns tied in value across a change of
     weight are equal columns of L.  The certificate: (1) each lineality
     direction ℓ is constant on the slice, min ℓ = -min(-ℓ); (2) each
@@ -352,7 +355,7 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
     if len(read) != nc:
         raise ValueError("every column of L must be read by a row of f·L")
     if not all(0 <= s <= len(cols) for cols, s in blocks):
-        return LatticePolyhedron(d).canonicalize()
+        return [], 1, None
     # L in int over dl, the slice in int over ds: the images hold h·x, h = dl·ds
     flat, dl = clear_denominators([x for r in L.entries for x in r])
     rows_l = [flat[i * nc:(i + 1) * nc] for i in range(d)]
@@ -363,8 +366,8 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
     cuts = [(cols, *divmod(s.numerator * (ds // s.denominator), ds)) for cols, s in blocks]
 
     def oracle(c):
-        """min of <c, h·x> over the slice, an argmin h·x, its preimage
-        times ds, and whether that argmin is the only one."""
+        """min of <c, h·x> over the slice, the preimage of an argmin times
+        ds, and whether that argmin is the only one."""
         vals = column_dots(c, rows_l, nc)
         y = [0] * nc
         unique = True
@@ -377,7 +380,7 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
             for a, b in zip(order, order[1:]):
                 if y[a] != y[b] and vals[a] == vals[b]:
                     unique &= len({columns[j] for j in cols if vals[j] == vals[a]}) == 1
-        return sum(map(mul, vals, y)), tuple(sum(map(mul, r, y)) for r in rows_l), y, unique
+        return sum(map(mul, vals, y)), y, unique
 
     for l in lineality:
         if oracle(l)[0] != -oracle([-x for x in l])[0]:
@@ -385,9 +388,10 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
     low: dict[tuple, int] = {}  # the minimum of each chamber normal
     found: dict[tuple, list[int]] = {}  # h·w -> its preimage
     for chamber in chambers:
-        _, arg, pre, unique = oracle([sum(x) for x in zip(*chamber)])
+        _, pre, unique = oracle([sum(x) for x in zip(*chamber)])
         if not unique:
             raise ChamberCertificateError(f"the chamber {chamber} has no unique minimum")
+        arg = tuple(sum(map(mul, r, pre)) for r in rows_l)
         for nu in chamber:
             if nu not in low:
                 low[nu] = oracle(nu)[0]
@@ -398,9 +402,7 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
         if not corner_box(tuple(y // ds for y in pre), tuple(-(-y // ds) for y in pre)):
             raise InnerCertificateError(f"the cube face through the preimage of {arg} / {h} "
                                         "has a point that is not a corner")
-    # h > 0, so the vertices sort as their int images do
-    return LatticePolyhedron(d, [tuple(Fraction(x, h) for x in arg) for arg in sorted(found)],
-                             _canonical=True)
+    return sorted(found), h, lambda c: oracle(c)[0]
 
 
 class Fan:
@@ -466,5 +468,5 @@ def normal_fan(p: LatticePolyhedron) -> Fan:
     if hull:
         cones = [Cone(d, t + hull) for t in through]
     else:
-        cones = [Cone(d, t, _rays=tuple(sorted(t)), _lineality=()) for t in through]
+        cones = [Cone(d, _rays=tuple(sorted(t)), _lineality=()) for t in through]
     return Fan(d, cones, q.recession.dual())

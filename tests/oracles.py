@@ -16,9 +16,13 @@ pattern, hulled after each block, with a corner lookup), the
 normal fan by one double description per vertex, the extremeness test by the rank of
 the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
-points, a bounded very-ampleness certificate, chart invariant monomials, two
-oracles for the stabilizer pipeline (the toric chart-gluing test and the
-instantiation of formal generators), the three routes the stabilizer search
+points, the ``Fraction`` and vertex-scan routes that the slice checks
+replaced (the closed-form slice vertices and their quotient images in
+``Fraction``, and each margin as the least value of a ray over the vertices
+of P_b), the dual cone double-described from the facet normals, a bounded
+very-ampleness certificate, chart invariant monomials, two oracles for the
+stabilizer pipeline (the toric chart-gluing test and the instantiation of
+formal generators), the three routes the stabilizer search
 replaced (the shift-group order over ``Fraction`` roots, the image tables
 from one slot-ratio test per slot pair, and the chart coordinates as unit
 values, encoded into prefix sums afterwards), the two invariant-factor routes the package
@@ -31,16 +35,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress, product
+from itertools import compress, permutations, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from toricgit import dd
-from toricgit.cones import Cone, image_cone
-from toricgit.degeneration import (ambient_reflections, chamber_cone,
+from toricgit.cones import Cone, column_dots, image_cone
+from toricgit.degeneration import (_bundle, _pb, ambient_reflections, chamber_cone,
                                    permutation_matrices, permutohedron_points,
-                                   product_cone_dual_columns)
-from toricgit.git import EmptyQuotientError, Linearization, support_constants
+                                   product_cone_dual_columns, product_cube_map)
+from toricgit.git import EmptyQuotientError, Linearization, RayDatum, support_constants
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
 from toricgit.linalg import (IntVec, Matrix, _snf_inplace, clear_denominators, dot,
@@ -557,6 +561,65 @@ def cube_blocks(m: Matrix) -> list[tuple[list[int], list[int]]]:
         if cols:
             blocks[find(cols[0])][1].append(i)
     return sorted(blocks.values())
+
+
+def slice_polyhedron(d: int, images: Sequence[IntVec], h: int) -> LatticePolyhedron:
+    """The canonical polyhedron whose vertices are the sorted integer points
+    h·w that ``polyhedra.cube_image_slice`` returns, over h."""
+    return LatticePolyhedron(d, [tuple(Fraction(x, h) for x in v) for v in images],
+                             _canonical=True)
+
+
+def pb_polyhedron(n: int) -> LatticePolyhedron:
+    """P_b of ``degeneration._pb`` as a polyhedron."""
+    return slice_polyhedron(2 * n + 1, *_pb(n)[:2])
+
+
+def slice_vertex_by_fractions(n: int, s: Sequence[int]) -> tuple[Fraction, ...]:
+    """m_s = L(s w_1; ...; s w_n) in ``Fraction``, (s w)_j = w_{s⁻¹(j)}, with
+    w_i = (1, ..., 1, (n-i+1)/(n+1), 0, ..., 0), i - 1 leading ones."""
+    ws = [[1] * (i - 1) + [Fraction(n - i + 1, n + 1)] + [0] * (n - i)
+          for i in range(1, n + 1)]
+    return product_cube_map(n) @ [w[s.index(j)] for w in ws for j in range(n)]
+
+
+def slice_vertex_points_by_fractions(n: int) -> list[tuple[Fraction, ...]]:
+    """m_s for the s in S_n."""
+    return [slice_vertex_by_fractions(n, s) for s in permutations(range(n))]
+
+
+def quotient_images_by_fractions(n: int, points: Sequence[Sequence[Fraction]]
+                                 ) -> set[tuple[Fraction, ...]]:
+    """(n+1)/(n+2) Q'(m - u, 0) for the ``points`` m, in ``Fraction``, u the
+    head of the identity's slice vertex: for the slice vertices m_s, the
+    images that the quotient theorem says are the vertices of the
+    resolution polyhedron."""
+    u, q = slice_vertex_by_fractions(n, range(n))[:n], _bundle(n).basis_change
+    return {tuple(x * (n + 1) / (n + 2) for x in q @ ([a - b for a, b in zip(m, u)] + [0]))
+            for m in points}
+
+
+def dual_by_generator_dd(c: Cone) -> Cone:
+    """The dual of c generated by its facet normals and ± its equations, and
+    double-described from them, whatever the shape of c."""
+    return Cone(c.ambient_rank, list(c.facets) + list(c.equations) +
+                [tuple(-x for x in e) for e in c.equations])
+
+
+def unstable_rays_by_vertices(facets: Iterable[tuple], pb: LatticePolyhedron
+                              ) -> list[RayDatum]:
+    """``git.unstable_rays`` along the route it replaced: each margin is the
+    least value of the ray over the vertices of P_b, ``column_dots`` over
+    the vertices scaled to int over one common denominator."""
+    if pb.is_empty():
+        raise EmptyQuotientError("empty quotient")
+    consts = sorted(support_constants(facets).items())
+    pts, d = pb.vertex_candidates, pb.ambient_rank
+    flat, den = clear_denominators([x for p in pts for x in p])
+    cols = [flat[j::d] for j in range(d)]
+    lows = [Fraction(min(column_dots(v, cols, len(pts))), den) for v, _ in consts]
+    return [RayDatum(ray=v, support_constant=dv, margin=low - dv, unstable=low > dv)
+            for (v, dv), low in zip(consts, lows)]
 
 
 def cube_image_slice_by_sums(L: Matrix, f: Matrix, target: Sequence,

@@ -44,13 +44,14 @@ def test_criterion_02_slice_vertices():
         sl = ambient_quotient_slice(product_polyhedron(n).polytopal_part().canonicalize(),
                                     product_linearization(n))
         got = set(sl.vertex_candidates)
-        expected = set(slice_vertex_points(n).values())
+        # the closed forms are scaled by n + 1
+        expected = {tuple(F(x, n + 1) for x in m) for m in slice_vertex_points(n)}
         assert got == expected, n
         heads = {v[:n] for v in got}
-        su = {tuple(head_vertex(n)[list(s).index(j)] for j in range(n))
+        su = {tuple(F(head_vertex(n)[list(s).index(j)], n + 1) for j in range(n))
               for s in permutations(range(n))}
         assert heads == su, n
-        tail = constant_tail(n)
+        tail = tuple(F(x, n + 1) for x in constant_tail(n))
         assert all(v[n:] == tail for v in got), n
     report(2, "slice polytope vertices and constant tail, n=2..4", t0, 30)
 
@@ -78,7 +79,8 @@ def test_criterion_05_unstable_locus():
     t0 = time.perf_counter()
     for n in range(2, 5):
         b = build_bundle(n)
-        data = unstable_rays(b.product_facets, _pb(n))
+        _, h, support = _pb(n)
+        data = unstable_rays(b.product_facets, support, h)
         assert len(data) == 2 ** n * (n + 1)
         for rd in data:
             I, j = decode_ray_label(n, rd.ray)

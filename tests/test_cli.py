@@ -10,11 +10,11 @@ from toricgit import jsonio
 from toricgit.degeneration import build_bundle, checks_for, product_ray_vectors
 
 
-def run_cli(args, env=None, flags=()):
+def run_cli(args, env=None, flags=(), stdout=subprocess.PIPE):
     e = dict(os.environ)
     e.update(env or {})
     return subprocess.run([sys.executable, *flags, "-m", "toricgit.cli"] + args,
-                          capture_output=True, text=True, env=e)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=e)
 
 
 def test_build_permutahedron_n2():
@@ -93,9 +93,9 @@ def test_verify_bad_args():
 
 @pytest.mark.parametrize("args", [["--all"], ["--check", "pb_vertices"]])
 def test_verify_above_cap_exits_2(args):
-    # n = 6 is the largest verified n: at n = 7 the symmetric model's orbit
-    # fan would have 7! = 5040 maximal cones
-    r = run_cli(["verify", "--n", "7", *args])
+    # n = 7 is the largest verified n: at n = 8 the symmetric model's orbit
+    # fan would have 8! = 40320 maximal cones
+    r = run_cli(["verify", "--n", "8", *args])
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
@@ -343,3 +343,34 @@ def test_config_roundtrip(tmp_path):
     c = jsonio.configuration_from_json(EX1)
     again = jsonio.configuration_from_json(jsonio.configuration_to_json(c))
     assert c == again
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("sink", ["full disk", "closed pipe"])
+@pytest.mark.parametrize("command", ["build", "verify", "stab", "quotient"])
+def test_write_failure_exits_3(tmp_path, command, sink):
+    # a stdout that takes no output is an I/O failure (exit 3), not a failed
+    # check (exit 1) and not a traceback; stdout is buffered, as by default,
+    # so the output it still holds must not fail again at exit
+    b = build_bundle(1)
+    files = {name: tmp_path / f"{name}.json" for name in ("config", "poly", "alpha")}
+    files["config"].write_text(json.dumps(EX2))
+    files["poly"].write_text(jsonio.dumps(jsonio.polyhedron_to_json(b.family_polyhedron)))
+    files["alpha"].write_text(jsonio.dumps(matrix_to_json(b.lin_family.alpha)))
+    args = {"build": ["build", "--n", "2", "--object", "permutahedron"],
+            "verify": ["verify", "--n", "2", "--all"],
+            "stab": ["stab", str(files["config"])],
+            "quotient": ["quotient", str(files["poly"]), str(files["alpha"]), "1/2"]}[command]
+    buffered = {"PYTHONUNBUFFERED": ""}
+    if sink == "full disk":
+        with open("/dev/full", "w") as out:
+            r = run_cli(args, env=buffered, stdout=out)
+    else:  # the reader is gone before the first line
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = run_cli(args, env=buffered, stdout=write)
+        finally:
+            os.close(write)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: cannot write output") and r.stderr.count("\n") == 1

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from itertools import combinations
 from operator import add
 
 import pytest
 
-from oracles import (cone_rays_fraction, extreme_generators_by_rank,
+from oracles import (cone_rays_fraction, dual_by_generator_dd, extreme_generators_by_rank,
                      feasible_nonneg_combination, intersection, is_face_of,
                      positive_orthant)
 from toricgit import dd
@@ -125,6 +126,54 @@ def test_duality_involution_random():
         kinds.add(kind)
         assert c.dual().dual() == Cone(c.ambient_rank, c.generators), kind
     assert {"lower-dimensional", "non-pointed"} <= kinds
+
+
+def test_dual_matches_generator_dd_oracle():
+    # a full-dimensional pointed cone takes its dual by polarity, any other
+    # by the DD of its facet normals and ± its equations: every
+    # representation agrees with the DD oracle, and the dual of the dual is c
+    rng = random.Random(27)
+    cases = list(_extremeness_cases(rng))
+    cases += [("random", _random_cone(rng, rng.randint(1, 6))) for _ in range(60)]
+    polar = Counter()
+    for kind, c in cases:
+        got, want = c.dual(), dual_by_generator_dd(c)
+        polar[not c.equations and not c.lineality_basis] += 1
+        assert (got.rays, got.lineality_basis, got.facets, got.equations) == \
+            (want.rays, want.lineality_basis, want.facets, want.equations), kind
+        assert got.dual() == c, kind
+    assert polar[True] >= 20 and polar[False] >= 20, polar
+
+
+def test_builders_take_full_dimensional_duals_without_dd(monkeypatch):
+    # the base cone, the product recession cone and σ are full-dimensional
+    # and pointed, so their duals come with both representations and no
+    # double description runs for them, however much of them is read
+    from toricgit.degeneration import build_bundle, build_symmetric
+    duals, described = [], []
+    real_dual, real_h_rep = Cone.dual, Cone._compute_h_rep
+
+    def dual(self):
+        duals.append(real_dual(self))
+        return duals[-1]
+
+    def h_rep(self):
+        if self._facets is None or self._equations is None:
+            described.append(self)
+        return real_h_rep(self)
+
+    monkeypatch.setattr(Cone, "dual", dual)
+    monkeypatch.setattr(Cone, "_compute_h_rep", h_rep)
+    for n in range(1, 6):
+        duals.clear()
+        described.clear()
+        build_bundle(n)
+        if n >= 2:
+            build_symmetric(n)
+        for c in duals:
+            assert c.rays and c.facets and not c.equations and not c.lineality_basis
+        assert len(duals) == (2 if n == 1 else 3), n
+        assert not any(c is d for c in duals for d in described), n
 
 
 def test_membership_cross_check_random():

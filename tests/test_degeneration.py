@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from collections import Counter
@@ -8,9 +9,12 @@ from math import factorial
 import pytest
 
 from oracles import (ambient_quotient_slice, cube_image_slice_by_sums, edge_matrix, invert,
-                     minkowski_sum, orbit_fan_by_cone_dd, solve_unique,
-                     symmetric_polyhedra_by_dd, weight_reflections)
-from toricgit import dd, degeneration, linalg
+                     minkowski_sum, orbit_fan_by_cone_dd, pb_polyhedron,
+                     quotient_images_by_fractions, slice_polyhedron,
+                     slice_vertex_points_by_fractions, solve_unique,
+                     symmetric_polyhedra_by_dd, unstable_rays_by_vertices,
+                     weight_reflections)
+from toricgit import cones, dd, degeneration, linalg, polyhedra
 from toricgit.cones import Cone
 from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections,
                                    basis_change_matrix, build_bundle, build_symmetric,
@@ -22,6 +26,7 @@ from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections
                                    product_cube_map, product_linearization,
                                    product_polyhedron, projection_matrix, slice_vertex,
                                    slice_vertex_points, verify)
+from toricgit.git import unstable_rays
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix
 from toricgit.polyhedra import (FacetCertificateError, InnerCertificateError,
@@ -34,11 +39,12 @@ def test_bundle_shifts_and_vertices():
     assert b2.lin_family.b == (F(1, 3), F(2, 3))
     b3 = build_bundle(3)
     assert product_linearization(3).b == (F(3, 4), F(6, 4), F(9, 4))
-    assert slice_vertex(2, 1) == (F(2, 3), F(0))
-    assert slice_vertex(2, 2) == (F(1), F(1, 3))
+    # slice_vertex(n, i) is (n+1)·w_i
+    assert slice_vertex(2, 1) == (2, 0)
+    assert slice_vertex(2, 2) == (3, 1)
     for n in (2, 3, 4):
         for i in range(1, n + 1):
-            assert sum(slice_vertex(n, i)) == F(i * n, n + 1)
+            assert sum(slice_vertex(n, i)) == i * n
 
 
 def test_bundle_bounds():
@@ -49,13 +55,14 @@ def test_bundle_bounds():
     with pytest.raises(ValueError):
         build_symmetric(1)
     with pytest.raises(ValueError):
-        build_symmetric(7)
+        build_symmetric(8)
 
 
 def test_head_vertex_steps():
-    assert head_vertex(2) == (F(-5, 3), F(-1, 3))
+    # head_vertex(n) is (n+1)·u
+    assert head_vertex(2) == (-5, -1)
     for n in (2, 3, 4):
-        u = head_vertex(n)
+        u = [F(x, n + 1) for x in head_vertex(n)]
         assert all(u[k + 1] - u[k] == 1 + F(1, n + 1) for k in range(n - 1))
 
 
@@ -413,14 +420,15 @@ def test_hyperplane_constants():
     # vertices of the i-th cube slice sum to in/(n+1)
     for n in (2, 3, 4):
         for i in range(1, n + 1):
-            w = slice_vertex(n, i)
+            w = [F(x, n + 1) for x in slice_vertex(n, i)]
             for s in permutations(range(n)):
                 assert sum(w[k] for k in s) == F(i * n, n + 1)
 
 
 def test_constant_tail_values():
-    assert constant_tail(2) == (F(0), F(2, 3), F(2))
-    assert constant_tail(3) == (F(0), F(3, 4), F(9, 4), F(9, 2))
+    # constant_tail(n) is scaled by n + 1
+    assert constant_tail(2) == (0, 2, 6)
+    assert constant_tail(3) == (0, 3, 9, 18)
 
 
 def test_cached_accessors_build_once_per_n():
@@ -502,7 +510,7 @@ def test_pb_from_cube_matches_product_slice():
     for n in (1, 2, 3, 4):
         want = ambient_quotient_slice(product_polyhedron(n).polytopal_part(),
                                       product_linearization(n))
-        got = _pb(n)
+        got = pb_polyhedron(n)
         assert got.vertex_candidates == want.vertex_candidates, n
         assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want)), n
 
@@ -540,11 +548,13 @@ def pb_arguments(n):
 
 
 def cube_pb(n, corner_box=None, drop=None):
-    """P_b along ``_pb``'s route, with another corner test or a chamber dropped."""
+    """P_b along ``_pb``'s route, with another corner test or a chamber
+    dropped, as a polyhedron."""
     L, f, target, chambers, lineality, box = pb_arguments(n)
     if drop is not None:
         chambers = chambers[:drop] + chambers[drop + 1:]
-    return cube_image_slice(L, f, target, chambers, lineality, corner_box or box)
+    images, h, _ = cube_image_slice(L, f, target, chambers, lineality, corner_box or box)
+    return slice_polyhedron(L.rows, images, h)
 
 
 def test_pb_matches_the_route_by_sums():
@@ -553,7 +563,8 @@ def test_pb_matches_the_route_by_sums():
         lin = product_linearization(n)
         want = cube_image_slice_by_sums(product_cube_map(n), lin.alpha,
                                         [-x for x in lin.b], product_chart_corners(n))
-        assert _pb(n) == want and _pb(n).vertex_candidates == want.vertex_candidates, n
+        got = pb_polyhedron(n)
+        assert got == want and got.vertex_candidates == want.vertex_candidates, n
 
 
 def test_pb_cut_has_hypersimplex_blocks():
@@ -569,11 +580,13 @@ def test_pb_cut_has_hypersimplex_blocks():
 
 def test_pb_n6_is_the_closed_form():
     try:
-        got = _pb(6)
+        images, h, _ = _pb(6)
     finally:
         _pb.cache_clear()
-    assert got.vertex_candidates == tuple(sorted(slice_vertex_points(6).values()))
-    assert len(got.vertex_candidates) == 720
+    # the vertices h·w against the closed form 7·m_s, in order
+    assert [tuple(7 * x for x in v) for v in images] == \
+        sorted(tuple(h * x for x in m) for m in slice_vertex_points(6))
+    assert len(images) == 720
 
 
 def test_pb_runs_no_double_description_and_no_rank(monkeypatch):
@@ -593,7 +606,8 @@ def test_pb_runs_no_double_description_and_no_rank(monkeypatch):
             product_linearization(n)
             alone = calls[:]
             calls.clear()
-            assert set(_pb(n).vertex_candidates) == set(slice_vertex_points(n).values()), n
+            assert set(pb_polyhedron(n).vertex_candidates) == \
+                set(slice_vertex_points_by_fractions(n)), n
             assert calls == alone, n
     finally:
         _pb.cache_clear()
@@ -620,8 +634,8 @@ def test_pb_passes_every_braid_chamber():
 def test_pb_chamber_certificate_leaves_completeness_to_the_caller():
     # each vertex of P_b is the argmin of exactly one braid chamber, so a
     # dropped chamber drops its vertex and the certificate cannot tell
-    full = set(_pb(4).vertex_candidates)
-    assert cube_pb(4) == _pb(4)
+    full = set(pb_polyhedron(4).vertex_candidates)
+    assert cube_pb(4) == pb_polyhedron(4)
     for i in range(24):
         part = set(cube_pb(4, drop=i).vertex_candidates)
         assert len(part) == 23 and part < full, i
@@ -635,7 +649,8 @@ def test_pb_never_lists_the_chart_corners(monkeypatch):
     _pb.cache_clear()
     try:
         for n in (1, 2, 3, 4):
-            assert set(_pb(n).vertex_candidates) == set(slice_vertex_points(n).values())
+            assert set(pb_polyhedron(n).vertex_candidates) == \
+                set(slice_vertex_points_by_fractions(n))
     finally:
         _pb.cache_clear()
 
@@ -694,3 +709,105 @@ def test_pb_n5_from_cube_without_bundle(monkeypatch):
         slice_vertex_points.cache_clear()
     assert rep.status == "pass", rep.witness
     assert rep.witness == {"vertices": 120}
+
+
+# -- the int slice checks against their Fraction routes ----------------------
+
+
+def test_int_slice_checks_match_fraction_oracles():
+    # the margins from P_b's support function against column_dots over its
+    # vertices, the int closed form over n + 1 against the Fraction one, and
+    # the Fraction quotient images against the resolution polyhedron
+    for n in range(1, 7):
+        facets = _bundle(n).product_facets
+        _, h, support = _pb(n)
+        assert unstable_rays(facets, support, h) == \
+            unstable_rays_by_vertices(facets, pb_polyhedron(n)), n
+        pts = slice_vertex_points_by_fractions(n)
+        assert sorted(tuple(F(x, n + 1) for x in m) for m in slice_vertex_points(n)) \
+            == sorted(pts), n
+        assert set(pb_polyhedron(n).vertex_candidates) == set(pts), n
+        if n >= 2:
+            assert quotient_images_by_fractions(n, pts) == \
+                set(_symmetric(n).resolution_polyhedron.vertex_candidates), n
+
+
+def test_int_slice_checks_fail_like_their_fraction_routes(monkeypatch):
+    # one closed-form vertex moved off P_b, one tail moved on both, and one
+    # support constant lowered by 1/3: each check fails, and its witness is
+    # what the Fraction route gives
+    for n in (2, 3, 4):
+        moved = list(slice_vertex_points(n))
+        moved[0] = (moved[0][0] + 1,) + moved[0][1:]
+        monkeypatch.setattr(degeneration, "slice_vertex_points", lambda n: moved)
+        pts = [tuple(F(x, n + 1) for x in m) for m in moved]
+        rep = verify(n, "pb_vertices")
+        assert rep.status == "fail"
+        extra = set(pb_polyhedron(n).vertex_candidates) - set(pts)
+        assert rep.witness == {"unexpected": [list(map(str, v)) for v in sorted(extra)]}
+        rep = verify(n, "quotient_theorem")
+        assert rep.status == "fail"
+        got = quotient_images_by_fractions(n, pts)
+        want = _symmetric(n).resolution_polyhedron.vertex_candidates
+        assert rep.witness == {"got": sorted(list(map(str, v)) for v in got),
+                               "expected": sorted(list(map(str, v)) for v in want)}
+        monkeypatch.undo()
+        # a tail moved on P_b and on the closed form alike: the tail test fails
+        moved = list(slice_vertex_points(n))
+        moved[0] = moved[0][:n] + (moved[0][n] + 1,) + moved[0][n + 1:]
+        _, _, support = _pb(n)
+        monkeypatch.setattr(degeneration, "slice_vertex_points", lambda n: moved)
+        monkeypatch.setattr(degeneration, "_pb", lambda n: (sorted(moved), n + 1, support))
+        bad = [str(F(x, n + 1)) for x in moved[0]]
+        assert verify(n, "pb_vertices").witness == {"bad_tail": [bad]}
+        assert verify(n, "quotient_theorem").witness == {"bad_tail": bad}
+        monkeypatch.undo()
+        b = _bundle(n)
+        (v, o), rest = b.product_facets[-1], b.product_facets[:-1]
+        lowered = rest + ((v, o - F(1, 3)),)
+        monkeypatch.setattr(degeneration, "_bundle",
+                            lambda n: dataclasses.replace(b, product_facets=lowered))
+        rep = verify(n, "unstable_locus")
+        monkeypatch.undo()
+        assert rep.status == "fail"
+        data = unstable_rays_by_vertices(lowered, pb_polyhedron(n))
+        assert rep.witness["ray"]["d"] == str(data[-1].support_constant) == str(o - F(1, 3))
+        assert rep.witness["ray"]["margin"] == str(data[-1].margin)
+
+
+def test_unstable_locus_compares_each_margin_and_d_exactly(monkeypatch):
+    # a margin raised on an unstable ray, and a d lowered by 1/3 with its
+    # margin kept (h = 3 at n = 2): the sign tests still hold, and the check
+    # fails on the exact comparisons alone
+    n = 2
+    b, (images, h, support) = _bundle(n), _pb(n)
+    assert h == 3
+    v = next(v for v, _ in b.product_facets
+             if decode_ray_label(n, v)[1] != len(decode_ray_label(n, v)[0]))
+    raised = lambda c: support(c) + (c == v)
+    monkeypatch.setattr(degeneration, "_pb", lambda n: (images, h, raised))
+    assert verify(n, "unstable_locus").status == "fail"
+    lowered = tuple((w, o - F(1, 3) if w == v else o) for w, o in b.product_facets)
+    kept = lambda c: support(c) - (c == v)
+    monkeypatch.setattr(degeneration, "_pb", lambda n: (images, h, kept))
+    monkeypatch.setattr(degeneration, "_bundle",
+                        lambda n: dataclasses.replace(b, product_facets=lowered))
+    rep = verify(n, "unstable_locus")
+    assert rep.status == "fail"
+    assert rep.witness["ray"]["margin"] == rep.witness["expected"]["margin"]
+
+
+def test_unstable_locus_visits_no_vertex_of_pb(monkeypatch):
+    # each margin is one call of P_b's support function: column_dots runs
+    # over the n^2 columns of L, never over the n! vertices of P_b
+    for n in (3, 4, 5):
+        _bundle(n), _pb(n)  # built, with their own checks, before the spy
+        counts = []
+        for mod in (cones, polyhedra):
+            real = mod.column_dots
+            monkeypatch.setattr(mod, "column_dots", lambda f, cols, count, real=real:
+                                counts.append(count) or real(f, cols, count))
+        assert verify(n, "unstable_locus").ok()
+        monkeypatch.undo()
+        assert set(counts) == {n * n}, n
+        assert len(counts) == 2 ** n * (n + 1), n

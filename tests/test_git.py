@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (ambient_quotient_slice, chart_invariants, minkowski_sum,
                      polyhedron_support_constants, quotient_by_ambient_slice,
-                     split_by_ambient_slice, support_constants_by_scan)
+                     split_by_ambient_slice, support_constants_by_scan,
+                     unstable_rays_by_vertices)
 from toricgit.cones import Cone
 from toricgit.degeneration import (_pb, build_bundle, decode_ray_label, head_vertex,
                                    product_linearization, product_polyhedron,
@@ -64,7 +65,7 @@ def test_quotient_product_n2():
     # ambient-side head projections are u and its swap
     sl = ambient_quotient_slice(product_polyhedron(2), lin)
     heads = {v[:2] for v in sl.vertex_candidates}
-    u = head_vertex(2)
+    u = tuple(F(x, 3) for x in head_vertex(2))  # head_vertex(2) is 3·u
     assert heads == {u, (u[1], u[0])}
 
 
@@ -285,7 +286,9 @@ def general_pb(b):
 
 def test_unstable_rays_n2():
     b = build_bundle(2)
-    data = {rd.ray: rd for rd in unstable_rays(b.product_facets, general_pb(b))}
+    data = {rd.ray: rd for rd in unstable_rays_by_vertices(b.product_facets, general_pb(b))}
+    _, h, support = _pb(2)
+    assert list(data.values()) == unstable_rays(b.product_facets, support, h)
     assert data[ray(2, (1,), 1)].margin == 0
     assert not data[ray(2, (1,), 1)].unstable
     assert data[ray(2, (), 1)].margin == F(2, 3)
@@ -298,7 +301,10 @@ def test_unstable_rays_n2():
 
 def test_margin_closed_form_n3():
     b = build_bundle(3)
-    for rd in unstable_rays(b.product_facets, general_pb(b)):
+    _, h, support = _pb(3)
+    data = unstable_rays(b.product_facets, support, h)
+    assert data == unstable_rays_by_vertices(b.product_facets, general_pb(b))
+    for rd in data:
         I, j = decode_ray_label(3, rd.ray)
         k = len(I)
         assert rd.support_constant == F(-(3 - j) * k)
@@ -313,7 +319,8 @@ def test_integer_margins_match_fraction_margins():
         p = product_polyhedron(n)
         verts = ambient_quotient_slice(LatticePolyhedron(p.ambient_rank, p.vertex_candidates)
                                        .canonicalize(), product_linearization(n)).vertex_candidates
-        data = unstable_rays(b.product_facets, _pb(n))
+        _, h, support = _pb(n)
+        data = unstable_rays(b.product_facets, support, h)
         assert [rd.ray for rd in data] == sorted(p.recession.dual().rays)
         for rd in data:
             dv = min([F(0)] + [dot(rd.ray, m) for m in p.vertex_candidates])

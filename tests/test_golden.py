@@ -8,7 +8,9 @@ build digests before the orbit fan was transported from the chamber, the
 product n = 5 digest (the 7776-point canonical form) before integral
 coordinates were kept as ``int``, and the n = 6 verify digest on the code
 that still listed the 7^6 chart vertices in the bundle and sliced each cube
-block by a double description.  The ``quotient`` digests were recorded on
+block by a double description.  The n = 7 verify digest was recorded on
+the code that still enumerated P_b's vertices in ``Fraction``, with the
+verify cap lifted from 6 on a copy.  The ``quotient`` digests were recorded on
 the code that sliced P in ambient coordinates and solved one system per
 vertex for its ker(α) coordinates.  To record them again after a deliberate
 output change, print ``build_digest``, ``verify_digest`` and
@@ -56,6 +58,7 @@ VERIFY_DIGESTS = {
     4: "2f95543aeae06ad1fcae6fe0b2744c79a5bdad26fb81e0872d6d88f6866da2a7",
     5: "e173cf028842ac314dfad0c2e810410bd64e8f43e17083bf5cb7c713c0d41879",
     6: "7446743177d01c7f416df2d422d197b440b7a3086a791c17b265313657bcd1b4",
+    7: "7f4a5a0877796dd53d4ffd4ba179703feb176fe3074cec1fbe186d45f36a19ff",
 }
 
 QUOTIENT_DIGESTS = {

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracles import (check_semigroup_generation, cone_over, contains, cube_slice_oracle,
                      embedding_monomials, feasible_nonneg_combination,
                      in_cone_hull, intersection, linear_image, minkowski_sum,
-                     normal_fan_by_vertex_dd, solve_affine_oracle, vadd, validate_pairwise_faces,
-                     validate_support_cover)
+                     normal_fan_by_vertex_dd, slice_polyhedron, solve_affine_oracle, vadd,
+                     validate_pairwise_faces, validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot, primitive, rank
@@ -99,16 +99,24 @@ def every_corner(lo, hi):
     return True
 
 
+def cube_slice(L, f, target, chambers, lineality):
+    """``cube_image_slice`` with every 0/1 point a corner, its vertices as a
+    polyhedron, then h and the support function."""
+    images, h, support = cube_image_slice(L, f, target, chambers, lineality, every_corner)
+    return slice_polyhedron(L.rows, images, h), h, support
+
+
 def certified_cube_slice(L, f, target):
     """``cube_image_slice`` of the whole cube, a chamber per vertex of
     ``cube_slice_oracle``: the rays of its normal cone, with the oracle's
-    hull normals as the lineality; returns both and the chambers."""
+    hull normals as the lineality; returns ``cube_slice``'s three values,
+    the oracle and the chambers."""
     want = cube_slice_oracle(L, f, target)
     chambers, lineality = [], []
     if not want.is_empty():
         chambers = [c.rays for c in normal_fan(want).maximal_cones]
         lineality = [e for e, _ in want.hull_equations]
-    return cube_image_slice(L, f, target, chambers, lineality, every_corner), want, chambers
+    return (*cube_slice(L, f, target, chambers, lineality), want, chambers)
 
 
 def ties_across_a_cut(L, f, target, c):
@@ -168,8 +176,15 @@ def hypersimplex_slices(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(case=hypersimplex_slices())
 def test_cube_image_slice_matches_oracle_on_hypersimplex_blocks(case):
-    got, want, chambers = certified_cube_slice(*case)
+    got, h, support, want, chambers = certified_cube_slice(*case)
     assert_same_polytope(got, want)
+    # h·min over the oracle's vertices: the chamber sums, ± the unit vectors
+    assert (support is None) == want.is_empty()
+    d = got.ambient_rank
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    for c in [tuple(map(sum, zip(*ch))) for ch in chambers if ch] + units + \
+            [tuple(-x for x in u) for u in units] if support else []:
+        assert support(c) == h * min(dot(c, v) for v in want.vertex_candidates)
     # the unique argmin of such a tie needs the tied columns to be equal
     if any(ties_across_a_cut(*case, [sum(x) for x in zip(*ch)]) for ch in chambers):
         event("tie resolved by equal columns")
@@ -196,7 +211,7 @@ def test_cube_image_slice_chamber_certificate_on_the_hexagon():
     units = Matrix.identity(3).entries
     chambers = [[units[s[0]], tuple(map(add, units[s[0]], units[s[1]]))]
                 for s in permutations(range(3))]
-    got = cube_image_slice(L, f, target, chambers, [(1, 1, 1)], every_corner)
+    got, _, _ = cube_slice(L, f, target, chambers, [(1, 1, 1)])
     assert len(got.vertex_candidates) == 6
     assert_same_polytope(got, cube_slice_oracle(L, f, target))
     # e_1 alone ties y and z across the cut of the sum: an edge is least
@@ -209,8 +224,7 @@ def test_cube_image_slice_chamber_certificate_on_the_hexagon():
         cube_image_slice(L, f, target, chambers, [(1, 0, 0)], every_corner)
     # completeness is the caller's: a dropped chamber drops its vertex
     for i in range(6):
-        part = cube_image_slice(L, f, target, chambers[:i] + chambers[i + 1:], [(1, 1, 1)],
-                                every_corner)
+        part, _, _ = cube_slice(L, f, target, chambers[:i] + chambers[i + 1:], [(1, 1, 1)])
         assert len(part.vertex_candidates) == 5
         assert set(part.vertex_candidates) < set(got.vertex_candidates)
 
