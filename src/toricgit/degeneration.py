@@ -289,7 +289,7 @@ def build_bundle(n: int) -> DegenerationBundle:
     # the facet with normal v has offset min of v over L(cube), which
     # support_constants reads as d_v; no chart vertex is listed
     lt = L.transpose()
-    facets = tuple((v, Fraction(sum(min(x, 0) for x in lt @ v))) for v in sorted(expected_rays))
+    facets = tuple((v, sum(min(x, 0) for x in lt @ v)) for v in sorted(expected_rays))
     lin_fam = Linearization(torus_shift_map(n, n + 2), fractional_shift_family(n))
     alpha = torus_shift_map(n, 2 * n + 1)
     pi = projection_matrix(n)
@@ -513,9 +513,6 @@ class VerifyReport:
     status: str            # "pass" | "fail" | "error"
     witness: Any = None
     elapsed_ms: float = 0.0
-
-    def ok(self) -> bool:
-        return self.status == "pass"
 
 
 @cache

@@ -62,7 +62,7 @@ class RayDatum:
     """Stability data of one recession-dual extreme ray."""
 
     ray: tuple[int, ...]
-    support_constant: Fraction
+    support_constant: int | Fraction
     margin: Fraction
     unstable: bool
 
@@ -111,7 +111,7 @@ def split_quotient(p: LatticePolyhedron, lin: Linearization
     return pb, kernel_cone(p, lin)
 
 
-def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], Fraction]:
+def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], int | Fraction]:
     """d_v = min(0, o_v) for each facet row (v, o_v), v primitive.
 
     For a polyhedron p with a full-dimensional recession cone, the face of p
@@ -120,7 +120,7 @@ def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], Fraction
     o_v = min over p of <v, x>.  Given those rows, d_v = min(0, o_v) is read
     off them: no point of p is visited (``build_bundle`` keeps the product
     polyhedron's rows and lists none of its chart vertices)."""
-    return {v: min(Fraction(0), o) for v, o in facets}
+    return {v: min(0, o) for v, o in facets}
 
 
 def unstable_rays(facets: Iterable[Facet], support: Optional[Callable], h: int) -> list[RayDatum]:

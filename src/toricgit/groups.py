@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .linalg import Matrix, elementary_divisors
+from .linalg import Matrix, divisor_chain, elementary_divisors
 
 Perm = tuple[int, ...]
 
@@ -71,17 +71,11 @@ class FiniteAbelianGroup:
 
     @staticmethod
     def from_cyclic_orders(orders: Iterable[int]) -> "FiniteAbelianGroup":
-        """The product of cyclic groups Z/m, one per order, folded in one at a
-        time by Z/a ⊕ Z/b ≅ Z/gcd(a, b) ⊕ Z/lcm(a, b)."""
-        factors: list[int] = []
-        for m in orders:
-            if m < 1:
-                raise ValueError("cyclic order must be positive")
-            for i in reversed(range(len(factors))):
-                factors[i], m = lcm(factors[i], m), gcd(factors[i], m)
-            if m > 1:
-                factors.insert(0, m)
-        return FiniteAbelianGroup(tuple(factors))
+        """The product of cyclic groups Z/m, one per order (``divisor_chain``)."""
+        orders = tuple(orders)
+        if any(m < 1 for m in orders):
+            raise ValueError("cyclic order must be positive")
+        return FiniteAbelianGroup(tuple(divisor_chain(orders)))
 
     def order(self) -> int:
         out = 1

@@ -139,16 +139,14 @@ def configuration_from_json(obj: dict) -> CycleConfiguration:
     n = _json_int(obj["n"], "n")
     I_t = tuple(_json_int(i, "an I_t entry") for i in _json_list(obj.get("I_t", []), "I_t"))
     records = [_json_object(p, "a point record") for p in _json_list(obj["points"], "points")]
-    generic = [tuple(_json_int(x, "a generic entry")
-                     for x in _json_list(p.get("generic", []), "generic"))
-               for p in records]
-    m = max(map(len, generic), default=0)
     pts = []
-    for p, g in zip(records, generic):
+    for p in records:
         pts.append(PointRecord(
             component=_json_int(p["component"], "component"),
             position=UnitValue(root=parse_rational(p.get("root", "0")),
-                               generic=g + (0,) * (m - len(g))),
+                               generic=tuple(_json_int(x, "a generic entry")
+                                             for x in _json_list(p.get("generic", []),
+                                                                 "generic"))),
             a1_label=_json_str(p.get("a1", ""), "a1"),
             multiplicity=_json_int(p.get("mult", 1), "mult")))
     return CycleConfiguration(n=n, I_t=I_t, points=tuple(pts))

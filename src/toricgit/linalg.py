@@ -11,7 +11,9 @@ forms fix canonical representatives:
   and entries above each pivot reduced into ``[0, pivot)``, together with a
   unimodular transform ``u`` such that ``u @ m == h``.
 * ``elementary_divisors`` returns the nonzero diagonal ``d_1 | d_2 | ...``
-  of the Smith normal form, with no transform built.
+  of the Smith normal form, with no transform built: the HNF alternates on
+  the matrix and its transpose until it is diagonal, and ``divisor_chain``
+  folds the diagonal into a divisibility chain.
 * ``kernel_basis`` returns the saturated integer kernel in row-HNF, read off
   the HNF transform of the transpose, so equal lattices always get
   bit-identical bases.
@@ -256,15 +258,11 @@ def _int_rows(m: Matrix) -> list[list[int]]:
     return [list(r) for r in m.int_rows()]
 
 
-def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Row-style Hermite normal form.
-
-    Returns (h, u) with u unimodular, u @ m == h, pivots positive, entries
-    above each pivot reduced into [0, pivot), and zero rows at the bottom.
-    """
-    a = _int_rows(m)
-    nr, nc = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+def _hnf_inplace(a: list[list[int]], u: list[list[int]]) -> None:
+    """Row-style Hermite normal form in place: ``a`` becomes the HNF, its row
+    operations repeated on the rows of ``u``, so u·m = h when u starts as the
+    identity.  Empty rows for u build no transform."""
+    nr, nc = len(a), len(a[0]) if a else 0
     r = 0
     for c in range(nc):
         # gcd-reduce column c below row r by extended Euclid on row pairs
@@ -295,81 +293,51 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
         r += 1
         if r == nr:
             break
+
+
+def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
+    """Row-style Hermite normal form.
+
+    Returns (h, u) with u unimodular, u @ m == h, pivots positive, entries
+    above each pivot reduced into [0, pivot), and zero rows at the bottom.
+    """
+    a = _int_rows(m)
+    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    _hnf_inplace(a, u)
     return Matrix(a), Matrix(u)
 
 
-def _snf_inplace(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -> None:
-    """Smith normal form in place: ``a`` becomes diagonal, d_1 | d_2 | ...,
-    its row operations repeated on the rows of ``u`` and its column
-    operations on the columns of the rows of ``v``, so u·m·v = d when they
-    start as identities.  Empty rows for u and no rows for v skip both."""
-    # minimal-pivot strategy: each retry strictly shrinks |pivot|, so this
-    # terminates without the sign-cycling the naive row/column sweep can hit
-    nr, nc = len(a), len(a[0]) if a else 0
-    t = 0
-    while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-            u[t], u[i] = u[i], u[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            for vr in v:
-                vr[t], vr[j] = vr[j], vr[t]
-        p = a[t][t]
-        dirty = False
-        for i in range(t + 1, nr):
-            q = a[i][t] // p
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-            if a[i][t] != 0:
-                dirty = True
-        for j in range(t + 1, nc):
-            q = a[t][j] // p
-            if q:
-                for row in a:
-                    row[j] -= q * row[t]
-                for vr in v:
-                    vr[j] -= q * vr[t]
-            if a[t][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        # divisibility: fold a violating row into row t and retry
-        viol = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % p != 0:
-                    viol = i
-                    break
-            if viol is not None:
-                break
-        if viol is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[viol])]
-            u[t] = [x + y for x, y in zip(u[t], u[viol])]
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
+def divisor_chain(orders: Iterable[int]) -> list[int]:
+    """The invariant factors d_1 | d_2 | ... (each > 1) of the product of the
+    cyclic groups Z/m, m >= 1, one per order, folded in one at a time by
+    Z/a ⊕ Z/b ≅ Z/gcd(a, b) ⊕ Z/lcm(a, b)."""
+    factors: list[int] = []
+    for m in orders:
+        for i in reversed(range(len(factors))):
+            factors[i], m = lcm(factors[i], m), gcd(factors[i], m)
+        if m > 1:
+            factors.insert(0, m)
+    return factors
 
 
 def elementary_divisors(m: Matrix) -> list[int]:
-    """The nonzero diagonal of the Smith normal form.  ``_snf_inplace`` runs
-    on empty rows for u and no rows for v, so no transform is built."""
+    """The nonzero diagonal d_1 | d_2 | ... of the Smith normal form, with no
+    transform built.  The row HNF, with empty transform rows, alternates on
+    the matrix and its transpose until every row holds at most one nonzero,
+    which the HNF makes positive and puts in a column of its own (Kannan &
+    Bachem 1979): each pass shrinks the leading pivot or clears its row and
+    column.  The diagonal left, up to order, is equivalent to the SNF, so its
+    entries folded by ``divisor_chain`` and padded with 1s up to the rank are
+    the elementary divisors."""
     a = _int_rows(m)
-    if a and a[0]:
-        _snf_inplace(a, [[] for _ in a], [])
-    return [abs(a[i][i]) for i in range(min(m.rows, m.cols)) if a[i][i]]
+    while True:
+        _hnf_inplace(a, [[]] * len(a))
+        if all(len(row) - row.count(0) < 2 for row in a):
+            break
+        a = [list(col) for col in zip(*a)]
+    diagonal = [x for row in a for x in row if x]
+    chain = divisor_chain(diagonal)
+    return [1] * (len(diagonal) - len(chain)) + chain
 
 
 def kernel_basis(m: Matrix) -> list[IntVec]:

@@ -24,8 +24,8 @@ from .cones import Cone, column_dots
 from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, primitive,
                      scaled_primitive, vec)
 
-Facet = tuple[tuple[int, ...], Fraction]  # (inward normal, offset): <n, x> >= o
-Equation = tuple[tuple[int, ...], Fraction]  # <n, x> == o
+Facet = tuple[tuple[int, ...], int | Fraction]  # (inward normal, offset): <n, x> >= o
+Equation = tuple[tuple[int, ...], int | Fraction]  # <n, x> == o
 
 
 class LatticePolyhedron:
@@ -101,9 +101,10 @@ class LatticePolyhedron:
 
     def _read_off(self, rows) -> tuple:
         """(n, -c) for each row (n, c) of the homogenization.  The rows are
+        primitive integer vectors, so every offset is an ``int``.  They are
         sorted and no two share an n, so the result is sorted."""
         d = self.ambient_rank
-        return tuple((r[:d], Fraction(-r[d])) for r in rows)
+        return tuple((r[:d], -r[d]) for r in rows)
 
     @property
     def facet_rep(self) -> tuple[Facet, ...]:

@@ -53,10 +53,6 @@ class UnitValue:
         if not 0 <= self.root < 1:
             object.__setattr__(self, "root", self.root % 1)
 
-    def padded(self, m: int) -> "UnitValue":
-        return UnitValue(root=self.root,
-                         generic=self.generic + (0,) * (m - len(self.generic)))
-
 
 @dataclass(frozen=True)
 class PointRecord:
@@ -72,13 +68,24 @@ class PointRecord:
 
 @dataclass(frozen=True)
 class CycleConfiguration:
-    """A degree-n cycle on the fiber chain over a base point with zero set I_t."""
+    """A degree-n cycle on the fiber chain over a base point with zero set I_t.
+
+    Every generic vector is padded with zeros to the longest one, so a
+    position has one spelling and the duplicate check sees it."""
 
     n: int
     I_t: tuple[int, ...]
     points: tuple[PointRecord, ...]
 
     def __post_init__(self):
+        m = max((len(p.position.generic) for p in self.points), default=0)
+        if any(len(p.position.generic) < m for p in self.points):
+            object.__setattr__(self, "points", tuple(
+                PointRecord(p.component,
+                            UnitValue(p.position.root,
+                                      p.position.generic + (0,) * (m - len(p.position.generic))),
+                            p.a1_label, p.multiplicity)
+                for p in self.points))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if list(self.I_t) != sorted(set(self.I_t)) or \
@@ -95,9 +102,6 @@ class CycleConfiguration:
         r = len(self.I_t)
         if any(not 0 <= p.component <= r for p in self.points):
             raise ValueError("component index out of range for this I_t")
-
-    def generic_dim(self) -> int:
-        return max((len(p.position.generic) for p in self.points), default=0)
 
     def components(self) -> list[list[PointRecord]]:
         r = len(self.I_t)
@@ -242,14 +246,13 @@ def _project(c: CycleConfiguration, comps: list[list[PointRecord]],
     """``project_to_quotient`` with each component's layout order given: one
     (component, root·denom, generic, a1 label) row per slot, with denom the
     lcm of all root denominators, handed to ``quotient_point``."""
-    m = c.generic_dim()
     denom = lcm(*(p.position.root.denominator for p in c.points))
     slots: list[tuple[int, int, tuple[int, ...], str]] = []
     for l, records in enumerate(comps):
         if not records:
             continue
         for root, generic, label, mult in _layout_component(records, orders[l], denom):
-            slots += [(l, root, generic + (0,) * (m - len(generic)), label)] * mult
+            slots += [(l, root, generic, label)] * mult
     return quotient_point(slots, denom, 1 in c.I_t, c.n + 1 in c.I_t)
 
 
@@ -382,7 +385,4 @@ def random_configuration(n: int, rng: random.Random) -> CycleConfiguration:
                     position=UnitValue(root=base_root + Fraction(j, r), generic=g),
                     a1_label=label, multiplicity=mult))
             remaining -= mult
-    m = max(len(p.position.generic) for p in pts)
-    pts = [PointRecord(p.component, p.position.padded(m), p.a1_label, p.multiplicity)
-           for p in pts]
     return CycleConfiguration(n=n, I_t=I_t, points=tuple(pts))

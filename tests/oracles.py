@@ -47,7 +47,7 @@ from toricgit.degeneration import (_bundle, _pb, ambient_reflections, chamber_co
 from toricgit.git import EmptyQuotientError, Linearization, RayDatum, support_constants
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
-from toricgit.linalg import (IntVec, Matrix, _snf_inplace, clear_denominators, dot,
+from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot,
                              elementary_divisors, frac, hermite_normal_form, rank,
                              scaled_primitive, vec)
 from toricgit.polyhedra import Fan, InnerCertificateError, LatticePolyhedron
@@ -140,12 +140,70 @@ def solve_unique(m: Matrix, target) -> tuple:
 
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form with its transforms: (d, u, v) with u @ m @ v == d,
-    d_1 | d_2 | ..., from the package's ``_snf_inplace`` on identities."""
+    d_1 | d_2 | ..., by the minimal-pivot elimination, independent of the
+    package's alternating HNF.  Row operations on ``a`` are repeated on the
+    rows of ``u``, column operations on the columns of the rows of ``v``."""
     a = [list(r) for r in m.int_rows()]
     u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
     v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
-    if m.rows and m.cols:
-        _snf_inplace(a, u, v)
+    # minimal-pivot strategy: each retry strictly shrinks |pivot|, so this
+    # terminates without the sign-cycling the naive row/column sweep can hit
+    nr, nc = len(a), len(a[0]) if a else 0
+    t = 0
+    while t < min(nr, nc):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i, j = best
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            u[t], u[i] = u[i], u[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            for vr in v:
+                vr[t], vr[j] = vr[j], vr[t]
+        p = a[t][t]
+        dirty = False
+        for i in range(t + 1, nr):
+            q = a[i][t] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            if a[i][t] != 0:
+                dirty = True
+        for j in range(t + 1, nc):
+            q = a[t][j] // p
+            if q:
+                for row in a:
+                    row[j] -= q * row[t]
+                for vr in v:
+                    vr[j] -= q * vr[t]
+            if a[t][j] != 0:
+                dirty = True
+        if dirty:
+            continue
+        # divisibility: fold a violating row into row t and retry
+        viol = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if a[i][j] % p != 0:
+                    viol = i
+                    break
+            if viol is not None:
+                break
+        if viol is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[viol])]
+            u[t] = [x + y for x, y in zip(u[t], u[viol])]
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
     return Matrix(a), Matrix(u), Matrix(v)
 
 
@@ -744,7 +802,7 @@ def polyhedron_support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], 
     offsets = {}
     for n, o in p.facet_rep:
         g = gcd(*n)
-        offsets[tuple(x // g for x in n)] = o / g
+        offsets[tuple(x // g for x in n)] = Fraction(o, g)  # o is an int
     return support_constants((v, offsets[v]) for v in rays)
 
 
@@ -1082,12 +1140,10 @@ def instantiate(c: CycleConfiguration, seed: int,
     come out the same as with formal generators.
     """
     rng = random.Random(seed)
-    m = c.generic_dim()
-    vals = [rng.randrange(1, prime) for _ in range(m)]
+    vals = [rng.randrange(1, prime) for _ in c.points[0].position.generic]
     pts = []
     for p in c.points:
-        g = p.position.generic + (0,) * (m - len(p.position.generic))
-        shift = Fraction(sum(x * v for x, v in zip(g, vals)) % prime, prime)
+        shift = Fraction(sum(x * v for x, v in zip(p.position.generic, vals)) % prime, prime)
         pts.append(PointRecord(component=p.component,
                                position=UnitValue(root=p.position.root + shift),
                                a1_label=p.a1_label, multiplicity=p.multiplicity))
@@ -1218,7 +1274,7 @@ def chart_values(c: CycleConfiguration, orders: Optional[Sequence[int]] = None
     comps = c.components()
     if orders is None:
         orders = _shift_orders(comps)
-    n, m = c.n, c.generic_dim() + 2
+    n, m = c.n, len(c.points[0].position.generic) + 2  # padded to one length
     denom = lcm(*(p.position.root.denominator for p in c.points))
     slots = []
     for l, records in enumerate(comps):

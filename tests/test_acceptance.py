@@ -60,7 +60,7 @@ def test_criterion_03_quotient_theorem():
     t0 = time.perf_counter()
     for n in range(2, 5):
         rep = verify(n, "quotient_theorem")
-        assert rep.ok(), (n, rep.witness)
+        assert rep.status == "pass", (n, rep.witness)
     report(3, "scaled basis-changed slice equals the resolution polytope, n=2..4", t0, 30)
 
 

@@ -397,14 +397,14 @@ def test_verify_all_checks_pass_n2_n3():
     for n in (2, 3):
         for chk in checks_for(n):
             rep = verify(n, chk)
-            assert rep.ok(), (n, chk, rep.witness)
+            assert rep.status == "pass", (n, chk, rep.witness)
 
 
 def test_verify_check_n1_subset():
     assert checks_for(1) == ["conical_part", "pb_vertices", "unstable_locus",
                              "base_recovery"]
     for chk in checks_for(1):
-        assert verify(1, chk).ok()
+        assert verify(1, chk).status == "pass"
 
 
 def test_verify_unknown_check():
@@ -465,7 +465,7 @@ def test_verify_never_lists_the_chart_vertices(monkeypatch):
     for n in range(1, 7):
         for check in checks_for(n):
             rep = verify(n, check)
-            assert rep.ok(), (n, check, rep.witness)
+            assert rep.status == "pass", (n, check, rep.witness)
 
 
 def test_product_polyhedron_is_never_canonicalized(monkeypatch):
@@ -485,7 +485,7 @@ def test_product_polyhedron_is_never_canonicalized(monkeypatch):
     monkeypatch.setattr(LatticePolyhedron, "canonicalize", spy)
     try:
         for check in checks_for(3):
-            assert verify(3, check).ok(), check
+            assert verify(3, check).status == "pass", check
         assert main(["build", "--n", "3", "--object", "expanded"]) == 0
         assert seen and (7, 64) not in seen
     finally:
@@ -807,7 +807,7 @@ def test_unstable_locus_visits_no_vertex_of_pb(monkeypatch):
             real = mod.column_dots
             monkeypatch.setattr(mod, "column_dots", lambda f, cols, count, real=real:
                                 counts.append(count) or real(f, cols, count))
-        assert verify(n, "unstable_locus").ok()
+        assert verify(n, "unstable_locus").status == "pass"
         monkeypatch.undo()
         assert set(counts) == {n * n}, n
         assert len(counts) == 2 ** n * (n + 1), n

@@ -1,7 +1,7 @@
 """The shipped package holds only code that the package itself runs.
 
-Every public top-level function and every public method in
-``src/toricgit`` must be referenced, as a name or an attribute, somewhere in
+Every public top-level function in ``src/toricgit`` must be loaded, as a
+name or an attribute, and every public method as an attribute, somewhere in
 the package outside its own definition.  Code that only tests call belongs
 in ``tests/oracles.py``.  Every field of a dataclass in the package must be
 read by the package.  Every name a module of the package or of the tests
@@ -49,33 +49,53 @@ def _definitions(trees):
                         yield module, f"{node.name}.{m.name}", m
 
 
-def _references(nodes) -> Counter:
-    """How often each identifier is used as an ast.Name or ast.Attribute."""
+def _loads(nodes, names: bool) -> Counter:
+    """How often each identifier is loaded as an ast.Attribute and, with
+    ``names``, as an ast.Name.  A store such as ``ok = ...`` is no use of a
+    function ``ok``, and a local ``ok`` is no use of a method ``ok``."""
     out = Counter()
     for n in nodes:
-        if isinstance(n, ast.Name):
-            out[n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             out[n.attr] += 1
+        elif names and isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
     return out
 
 
-def test_every_public_name_is_used_by_the_package():
-    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
-    everywhere = _references(n for tree in trees.values() for n in ast.walk(tree))
+def _unused(trees) -> tuple[list[str], set[str]]:
+    """The public names nothing else in ``trees`` uses, and the KEPT ones
+    among them.  A method counts as used only through attribute loads, a
+    function through name or attribute loads."""
+    nodes = [n for tree in trees.values() for n in ast.walk(tree)]
+    attributes, loads = _loads(nodes, False), _loads(nodes, True)
     unused = []
     kept = set()
     for module, qualname, node in _definitions(trees):
-        name = qualname.rsplit(".", 1)[-1]
-        if everywhere[name] > _references(ast.walk(node))[name]:
+        method, name = "." in qualname, qualname.rsplit(".", 1)[-1]
+        if (attributes if method else loads)[name] > _loads(ast.walk(node), not method)[name]:
             continue
         if name in KEPT:
             kept.add(name)
             continue
         unused.append(f"{module}.{qualname}")
+    return unused, kept
+
+
+def test_every_public_name_is_used_by_the_package():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    unused, kept = _unused(trees)
     assert unused == [], f"move these to tests/oracles.py or delete them: {unused}"
     # an exception that the package starts to use again no longer needs listing
     assert kept == set(KEPT)
+
+
+def test_a_local_variable_is_no_use_of_a_method():
+    # ``check`` loads a local ``ok`` and stores a local ``total``: neither is
+    # a use of the method ``R.ok`` or of the function ``total``
+    tree = ast.parse("class R:\n    def ok(self):\n        return 1\n"
+                     "def total():\n    return 0\n"
+                     "def check():\n    ok = total = 2\n    return ok\n")
+    assert _unused({"m": tree})[0] == ["m.R.ok", "m.total", "m.check"]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

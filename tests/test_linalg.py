@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (det_unimodular, feasible_nonneg_combination, in_cone_hull,
@@ -113,12 +113,19 @@ def test_solve_affine_inconsistent():
     assert solve_affine(Matrix([[1, 1], [1, 1]]), (0, 1)) is None
 
 
+def _with_zero_lines(rng, nr, nc):
+    """An nr × nc integer matrix whose rows and columns are each zero with
+    probability 1/4, the rest of its entries drawn from [-9, 9]."""
+    rows = [rng.random() < 0.25 for _ in range(nr)]
+    cols = [rng.random() < 0.25 for _ in range(nc)]
+    return Matrix([[0 if zr or zc else rng.randint(-9, 9) for zc in cols] for zr in rows])
+
+
 def test_random_contracts():
     rng = random.Random(20240817)
-    for _ in range(150):
-        nr = rng.randint(1, 8)
-        nc = rng.randint(1, 8)
-        m = Matrix([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)])
+    shapes = [(0, 0), (3, 0)] + [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(150)]
+    for nr, nc in shapes:
+        m = _with_zero_lines(rng, nr, nc)
         h, u = hermite_normal_form(m)
         assert (u @ m) == h and abs(det_unimodular(u)) == 1 and is_hnf(h)
         d, uu, vv = smith_normal_form(m)
@@ -127,6 +134,7 @@ def test_random_contracts():
         divs = [abs(int(d.entries[i][i])) for i in range(min(nr, nc))]
         nz = [x for x in divs if x != 0]
         assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
+        assert elementary_divisors(m) == nz
         kb = kernel_basis(m)
         for k in kb:
             assert all(x == 0 for x in (m @ k))
@@ -367,10 +375,7 @@ def test_kernel_basis_of_injective_matrix_skips_snf(monkeypatch):
         hnf_calls.append(m)
         return real_hnf(m)
 
-    def no_snf(*args):
-        raise AssertionError("kernel_basis ran the SNF")
     monkeypatch.setattr(linalg, "hermite_normal_form", spy_hnf)
-    monkeypatch.setattr(linalg, "_snf_inplace", no_snf)
     assert kernel_basis(Matrix([[1, 2], [3, 4], [5, 6]])) == []
     assert kernel_basis(Matrix.identity(3)) == []
     assert hnf_calls == []  # the injective shortcut runs no normal form
@@ -378,6 +383,26 @@ def test_kernel_basis_of_injective_matrix_skips_snf(monkeypatch):
     # HNF of the kernel rows of its transform
     assert kernel_basis(Matrix([[1, 2, 3], [2, 4, 6]])) == [(1, 1, -1), (0, 3, -2)]
     assert len(hnf_calls) == 2
+
+
+def test_elementary_divisors_builds_no_transform(monkeypatch):
+    import toricgit.linalg as linalg
+    transforms = []
+    real_hnf = linalg._hnf_inplace
+
+    def spy_hnf(a, u):
+        real_hnf(a, u)
+        transforms.append(u)
+
+    monkeypatch.setattr(linalg, "_hnf_inplace", spy_hnf)
+    m = Matrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    assert elementary_divisors(m) == [2, 6, 12]
+    assert len(transforms) >= 2  # the matrix and its transpose, at least
+    assert all(u == [[]] * 3 for u in transforms)
+    # positive control: hermite_normal_form runs the same routine on the identity
+    transforms.clear()
+    _, u = hermite_normal_form(m)
+    assert transforms == [[list(r) for r in u.entries]] and u != Matrix([[]] * 3)
 
 
 # -- properties of the normal forms, the kernel and the solve ------------------
@@ -404,10 +429,26 @@ def low_rank_systems(draw, rational: bool):
     return m, target
 
 
+@st.composite
+def zero_padded_matrices(draw):
+    """An integer matrix of ``low_rank_systems``, at most 5 × 5, with up to
+    three zero rows and three zero columns inserted: shapes up to 8 × 8."""
+    m, _ = draw(low_rank_systems(rational=False))
+    rows = [list(r) for r in m.entries]
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, len(rows[0])))
+        for r in rows:
+            r.insert(j, 0)
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(rows[0]))
+    return Matrix(rows)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
-@given(system=low_rank_systems(rational=False))
-def test_normal_form_and_kernel_contracts(system):
-    m, _ = system
+@given(m=zero_padded_matrices())
+@example(m=Matrix([]))
+@example(m=Matrix([[], []]))
+def test_normal_form_and_kernel_contracts(m):
     h, u = hermite_normal_form(m)
     assert u @ m == h and abs(det_unimodular(u)) == 1 and is_hnf(h)
     assert all(not any(r) for r in h.entries[m.rank():])  # zero rows at the bottom

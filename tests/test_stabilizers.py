@@ -315,7 +315,7 @@ def test_torus_stabilizer_rotation_and_relabel_invariance():
                         p.a1_label, p.multiplicity) for p in c.points))
         assert torus_stabilizer(rotated) == base
         # relabeling of the generic generators (a permutation of coordinates)
-        m = c.generic_dim()
+        m = len(c.points[0].position.generic)
         perm = list(range(m))
         rng.shuffle(perm)
         relabeled = CycleConfiguration(n=c.n, I_t=c.I_t, points=tuple(
@@ -435,6 +435,24 @@ def test_verify_comparison_examples():
     assert r1.passed and r1.torus_side.invariant_factors == (3, 3)
     r2 = verify_comparison(example_two())
     assert r2.passed and r2.sym_side.invariant_factors == (3,)
+
+
+def test_ragged_generic_vectors_name_one_position():
+    # (1,) and (1, 0) are one generic position: the a-pair and the b-pair
+    # are each one shift orbit, so the torus side is Z/2, as for the padded twin
+    def config(a_generics):
+        pts = [PointRecord(1, UnitValue(F(j, 2), g), "a", 1) for j, g in enumerate(a_generics)]
+        pts += [PointRecord(1, UnitValue(F(j, 2), (0, 1)), "b", 1) for j in range(2)]
+        return CycleConfiguration(n=4, I_t=(1, 5), points=tuple(pts))
+
+    for c in (config([(1,), (1, 0)]), config([(1, 0), (1, 0)])):
+        rep = verify_comparison(c)
+        assert rep.passed
+        assert rep.torus_side.invariant_factors == rep.sym_side.invariant_factors == (2,)
+    assert config([(1,), (1, 0)]) == config([(1, 0), (1, 0)])
+    with pytest.raises(ValueError, match="duplicate"):
+        CycleConfiguration(n=2, I_t=(), points=(PointRecord(0, UnitValue(F(0), (1,)), "a", 1),
+                                                PointRecord(0, UnitValue(F(0), (1, 0)), "a", 1)))
 
 
 def test_stab_finds_each_shift_group_once(tmp_path, capsys, monkeypatch):
