@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
-from .linalg import Matrix, left_action, solve_affine
+from .linalg import Matrix, left_action
 from .polyhedra import (Facet, Fan, LatticePolyhedron, certified_polyhedron,
                         cube_image_slice, normal_fan)
 
@@ -250,18 +250,16 @@ def projection_matrix(n: int) -> Matrix:
 
 
 def basis_change_matrix(n: int) -> Matrix:
-    """Q': the solution of pi^T Q' = [e_1 | ... | e_n | (0; 1...1)], computed
-    exactly rather than hard-coded, one ``solve_affine`` per target column.
-    pi is surjective (``build_bundle`` checks it), so pi^T is injective and
-    each solution is unique."""
-    pit = projection_matrix(n).transpose()
+    """Q' in closed form, rows indexed 0..n: row 0 is e_n, row k is e_{k-1}
+    for 0 < k < n, and row n is (1, ..., 1).  One product certifies it:
+    pi^T Q' = [e_1 | ... | e_n | (0; 1...1)].  pi is surjective
+    (``build_bundle`` checks it), so pi^T is injective and that product
+    determines Q'."""
+    q = Matrix([_unit(n + 1, n)] + [_unit(n + 1, k - 1) for k in range(1, n)]
+               + [(1,) * (n + 1)])
     targets = [_unit(2 * n + 1, a) for a in range(n)] + [(0,) * n + (1,) * (n + 1)]
-    cols = [solve_affine(pit, t) for t in targets]
-    if any(c is None for c in cols):
-        raise AssertionError("pi^T Q' = targets has no solution")
-    q = Matrix.from_columns(cols)
-    if not q.is_integral():
-        raise AssertionError("basis change must be integral")
+    if projection_matrix(n).transpose() @ q != Matrix.from_columns(targets):
+        raise AssertionError("pi^T Q' does not match its targets")
     return q
 
 
@@ -588,12 +586,10 @@ def _check_unstable_locus(n: int) -> tuple[bool, Any]:
     for rd in unstable_rays(_bundle(n).product_facets, support, h):
         I, j = decode_ray_label(n, rd.ray)
         k = len(I)
-        # d and the margin against their closed forms, as numerators over 2(n+1)
+        # d and the margin against their closed forms, the margin as m / 2(n+1)
         d, m, den = -(n - j) * k, (j - k) * ((j - k) * n + n - 2 * k), 2 * (n + 1)
         dv, mv = rd.support_constant, rd.margin
-        ok = (dv.numerator == d * dv.denominator
-              and mv.numerator * den == m * mv.denominator
-              and mv.numerator >= 0 and (mv.numerator == 0) == (j == k)
+        ok = (dv == d and mv * den == m and mv >= 0 and (mv == 0) == (j == k)
               and rd.unstable == (j != k))
         rows.append({"I": list(I), "j": j, "d": str(dv), "margin": str(mv),
                      "unstable": rd.unstable})

@@ -24,13 +24,12 @@ class EmptyQuotientError(ValueError):
 
 
 class Linearization:
-    """A subtorus projection α: M -> M_G plus a fractional shift b in M_G⊗Q."""
+    """A subtorus projection α: M -> M_G, an integer ``Matrix``, plus a
+    fractional shift b in M_G⊗Q."""
 
     __slots__ = ("alpha", "b", "_kernel", "_base")
 
     def __init__(self, alpha: Matrix, b: Sequence):
-        if not alpha.is_integral():
-            raise ValueError("alpha must be an integer matrix")
         if alpha.rank() != alpha.rows:
             raise ValueError("alpha must be surjective over Q")
         bb = vec(b)
@@ -62,7 +61,7 @@ class RayDatum:
     """Stability data of one recession-dual extreme ray."""
 
     ray: tuple[int, ...]
-    support_constant: int | Fraction
+    support_constant: int
     margin: Fraction
     unstable: bool
 
@@ -111,7 +110,7 @@ def split_quotient(p: LatticePolyhedron, lin: Linearization
     return pb, kernel_cone(p, lin)
 
 
-def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], int | Fraction]:
+def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], int]:
     """d_v = min(0, o_v) for each facet row (v, o_v), v primitive.
 
     For a polyhedron p with a full-dimensional recession cone, the face of p
@@ -131,13 +130,13 @@ def unstable_rays(facets: Iterable[Facet], support: Optional[Callable], h: int) 
     support(v) = h·min <v, m> over P_b (None if P_b is empty), as
     ``polyhedra.cube_image_slice`` returns it.  The minimum over P_b is the
     margin because d_v <= 0 and <v, ·> >= 0 on the kernel cone.  Each margin
-    is one support call, with no vertex of P_b visited, and for d_v = p/q it
-    is (q·support(v) - p·h) / (q·h), the only Fraction built."""
+    is one support call, with no vertex of P_b visited: it is
+    (support(v) - d_v·h) / h, the only Fraction built, and exact for a
+    rational d_v too."""
     if support is None:
         raise EmptyQuotientError("empty quotient")
     out = []
     for v, dv in sorted(support_constants(facets).items()):
-        num = support(v) * dv.denominator - dv.numerator * h
-        out.append(RayDatum(ray=v, support_constant=dv, margin=Fraction(num, dv.denominator * h),
-                            unstable=num > 0))
+        margin = Fraction(support(v) - dv * h, h)
+        out.append(RayDatum(ray=v, support_constant=dv, margin=margin, unstable=margin > 0))
     return out

@@ -68,10 +68,20 @@ def _json_rows(obj, what: str, parse) -> list[tuple]:
             for row in _json_list(obj, what)]
 
 
+def _integral(s) -> int:
+    """A matrix entry, read as a rational ("4/2" reads as 2), or ValueError
+    when it is not an integer: the only matrix the CLI reads is α."""
+    x = parse_rational(s)
+    if x.denominator != 1:
+        raise ValueError("alpha must be an integer matrix")
+    return x.numerator
+
+
 def matrix_from_json(obj: dict) -> Matrix:
+    """The integer ``Matrix`` of ``obj``; integrality is decided here, once."""
     _json_object(obj, "a matrix")
-    m = Matrix(_json_rows(obj["entries"], "matrix entries", parse_rational))
-    if m.rows != obj["rows"] or m.cols != obj["cols"]:
+    m = Matrix(_json_rows(obj["entries"], "matrix entries", _integral))
+    if m.rows != _json_int(obj["rows"], "rows") or m.cols != _json_int(obj["cols"], "cols"):
         raise ValueError("matrix shape does not match the declared size")
     return m
 

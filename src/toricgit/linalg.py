@@ -2,10 +2,10 @@
 
 Everything here is built on Python's arbitrary-precision ``int`` and
 ``fractions.Fraction``; no floating point is used anywhere in the package.
-Vectors are plain tuples, matrices are small immutable wrappers around
-tuples of row tuples.  One fraction-free integer elimination (Bareiss) gives
-both ``rank`` and the canonical solution of ``solve_affine``.  The normal
-forms fix canonical representatives:
+Vectors are plain tuples of ``int`` or ``Fraction``; matrices are small
+immutable wrappers around tuples of ``int`` row tuples.  One fraction-free
+integer elimination (Bareiss) gives both ``rank`` and the canonical solution
+of ``solve_affine``.  The normal forms fix canonical representatives:
 
 * ``hermite_normal_form`` returns the row-style HNF with nonnegative pivots
   and entries above each pivot reduced into ``[0, pivot)``, together with a
@@ -67,14 +67,6 @@ def clear_denominators(v: Sequence[Fraction]) -> tuple[IntVec, int]:
     return tuple(x.numerator * (d // x.denominator) for x in xs), d
 
 
-def _exact(x):
-    """An exact scalar as ``int`` when it is integral, else as ``Fraction``."""
-    if type(x) is int:
-        return x
-    x = frac(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def scaled_primitive(v: Sequence) -> IntVec:
     """Primitive integer vector spanning the same ray as the rational v."""
     try:
@@ -84,36 +76,28 @@ def scaled_primitive(v: Sequence) -> IntVec:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries.
+    """Immutable dense integer matrix, row-major, ``m.entries[i][j]``.
 
-    Every integral entry is stored as an ``int``; only an entry with a real
-    denominator stays a ``Fraction``.  Whether all entries are ``int`` is
-    recorded once at construction, so ``is_integral`` and ``int_rows`` cost
-    nothing.  Row-major, ``m.entries[i][j]``.
+    Every entry is an ``int``: the toric data (character maps, cube maps,
+    basis changes, reflections and relation matrices) is integral, and the
+    normal forms are defined over Z only.  Whether input data is integral is
+    decided where it is read (``jsonio.matrix_from_json``); rational data
+    lives in vectors (points, targets, shifts, solutions).
     """
 
-    __slots__ = ("rows", "cols", "entries", "_int")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable[Iterable]):
-        rows = []
-        integral = True
-        for row in entries:
-            row = tuple(row)
+    def __init__(self, entries: Iterable[Iterable[int]]):
+        rows = tuple(map(tuple, entries))
+        for row in rows:
             if not all(type(x) is int for x in row):
-                row = tuple(map(_exact, row))
-                integral = integral and all(type(x) is int for x in row)
-            rows.append(row)
-        rows = tuple(rows)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise ValueError("ragged matrix")
-        else:
-            w = 0
+                raise TypeError(f"matrix entries must be int: {row!r}")
+        w = len(rows[0]) if rows else 0
+        if any(len(r) != w for r in rows):
+            raise ValueError("ragged matrix")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", w)
-        object.__setattr__(self, "_int", integral)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Matrix is immutable")
@@ -139,10 +123,10 @@ class Matrix:
         return Matrix(zip(*self.entries))
 
     def __matmul__(self, other):
-        """Exact product, for int and rational entries alike.  Row i of
-        ``self @ other`` is the sum, over the nonzero ``a = self[i][j]``, of
-        ``a`` times row j of ``other``; a 1-entry takes the row as it is, so a
-        permutation row costs no arithmetic.  The matrix-vector product is a
+        """Exact product with an int matrix, or with an int or rational
+        vector.  Row i of ``self @ other`` is the sum, over the nonzero
+        ``a = self[i][j]``, of ``a`` times row j of ``other``; a 1-entry takes
+        the row as it is, so a permutation row costs no arithmetic.  The matrix-vector product is a
         plain sum of products."""
         if isinstance(other, Matrix):
             if self.cols != other.rows:
@@ -169,14 +153,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[list(map(str, r)) for r in self.entries]})"
-
-    def is_integral(self) -> bool:
-        return self._int
-
-    def int_rows(self) -> list[IntVec]:
-        if not self._int:
-            raise ValueError("matrix is not integral")
-        return list(self.entries)
 
     def rank(self) -> int:
         return rank(self.entries)
@@ -228,15 +204,9 @@ def _echelon(mat: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q by ``_echelon``, entirely in int.
-
-    Integer rows are used as they are; a row with non-integral entries is
-    first scaled by its common denominator (``clear_denominators``), which
-    does not change the rank.
-    """
-    mat = [list(r) if all(type(x) is int for x in r) else list(clear_denominators(r)[0])
-           for r in rows]
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of int rows by ``_echelon``."""
+    mat = [list(r) for r in rows]
     return len(_echelon(mat, len(mat[0]))) if mat else 0
 
 
@@ -252,10 +222,6 @@ def abs_det(rows: Sequence[Sequence[int]]) -> int:
 
 # ---------------------------------------------------------------------------
 # Integer normal forms
-
-
-def _int_rows(m: Matrix) -> list[list[int]]:
-    return [list(r) for r in m.int_rows()]
 
 
 def _hnf_inplace(a: list[list[int]], u: list[list[int]]) -> None:
@@ -301,7 +267,7 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
     Returns (h, u) with u unimodular, u @ m == h, pivots positive, entries
     above each pivot reduced into [0, pivot), and zero rows at the bottom.
     """
-    a = _int_rows(m)
+    a = [list(r) for r in m.entries]
     u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
     _hnf_inplace(a, u)
     return Matrix(a), Matrix(u)
@@ -329,7 +295,7 @@ def elementary_divisors(m: Matrix) -> list[int]:
     column.  The diagonal left, up to order, is equivalent to the SNF, so its
     entries folded by ``divisor_chain`` and padded with 1s up to the rank are
     the elementary divisors."""
-    a = _int_rows(m)
+    a = [list(r) for r in m.entries]
     while True:
         _hnf_inplace(a, [[]] * len(a))
         if all(len(row) - row.count(0) < 2 for row in a):
@@ -343,11 +309,11 @@ def elementary_divisors(m: Matrix) -> list[int]:
 def kernel_basis(m: Matrix) -> list[IntVec]:
     """Basis of the saturated integer kernel ker(m) ∩ Z^cols, in row-HNF.
 
-    The input must have integer entries.  With u @ mᵀ == h the row-HNF of
-    mᵀ (``hermite_normal_form``), the rows of u past the rank r map to the
-    zero rows of h, so they lie in the kernel; u is unimodular, so they span
-    its saturation (Cohen, GTM 138, §2.4).  Their own HNF is the result, so
-    equal lattices always get bit-identical bases.
+    With u @ mᵀ == h the row-HNF of mᵀ (``hermite_normal_form``), the rows
+    of u past the rank r map to the zero rows of h, so they lie in the
+    kernel; u is unimodular, so they span its saturation (Cohen, GTM 138,
+    §2.4).  Their own HNF is the result, so equal lattices always get
+    bit-identical bases.
     """
     if m.rows == 0 or m.cols == 0:
         return [tuple(1 if i == j else 0 for j in range(m.cols)) for i in range(m.cols)]

@@ -21,11 +21,19 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone, column_dots
-from .linalg import (IntVec, Matrix, _exact, clear_denominators, dot, primitive,
+from .linalg import (IntVec, Matrix, clear_denominators, dot, frac, primitive,
                      scaled_primitive, vec)
 
-Facet = tuple[tuple[int, ...], int | Fraction]  # (inward normal, offset): <n, x> >= o
-Equation = tuple[tuple[int, ...], int | Fraction]  # <n, x> == o
+Facet = tuple[tuple[int, ...], int]  # (inward normal, offset): <n, x> >= o
+Equation = tuple[tuple[int, ...], int]  # <n, x> == o
+
+
+def _exact(x):
+    """A coordinate as ``int`` when it is integral, else as ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = frac(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class LatticePolyhedron:
@@ -269,7 +277,8 @@ def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional
         low, hits = _argmins(column_dots(nu, cols, m))
         for k in hits:
             tight[k].append(len(on))
-        seed.append((nu, Fraction(low, den)))
+        # <ν, x> >= low / den, kept in int as <den·ν, x> >= low
+        seed.append((nu if den == 1 else tuple(den * x for x in nu), low))
         on.append(sum(map((1).__lshift__, hits)) + sum(1 << m + k for k, r in enumerate(rays)
                                                         if not dot(nu, r)))
     if rec.dim() == d:  # then t >= 0 is a facet, on the recession rays
@@ -292,7 +301,7 @@ def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional
             if not ridge & rest:
                 raise FacetCertificateError(
                     f"the edge from the vertex ray {scaled_primitive(pts[k] + (1,))} leaving the "
-                    f"facet {scaled_primitive(seed[f][0] + (-seed[f][1],))} has no other end "
+                    f"facet {primitive(seed[f][0] + (-seed[f][1],))} has no other end "
                     "and no recession ray")
             ridge &= on[f]
     return LatticePolyhedron(d, sorted(pts[k] for k in verts), rec, _facets=seed,
@@ -357,25 +366,23 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
         raise ValueError("every column of L must be read by a row of f·L")
     if not all(0 <= s <= len(cols) for cols, s in blocks):
         return [], 1, None
-    # L in int over dl, the slice in int over ds: the images hold h·x, h = dl·ds
-    flat, dl = clear_denominators([x for r in L.entries for x in r])
-    rows_l = [flat[i * nc:(i + 1) * nc] for i in range(d)]
+    # the slice in int over h, so the images hold h·x
+    rows_l = L.entries
     columns = list(zip(*rows_l))
-    ds = lcm(*(s.denominator for _, s in blocks))
-    h = dl * ds
-    # s_i·ds = whole·ds + part: weight ds on ``whole`` columns, part on one more
-    cuts = [(cols, *divmod(s.numerator * (ds // s.denominator), ds)) for cols, s in blocks]
+    h = lcm(*(s.denominator for _, s in blocks))
+    # s_i·h = whole·h + part: weight h on ``whole`` columns, part on one more
+    cuts = [(cols, *divmod(s.numerator * (h // s.denominator), h)) for cols, s in blocks]
 
     def oracle(c):
         """min of <c, h·x> over the slice, the preimage of an argmin times
-        ds, and whether that argmin is the only one."""
+        h, and whether that argmin is the only one."""
         vals = column_dots(c, rows_l, nc)
         y = [0] * nc
         unique = True
         for cols, whole, part in cuts:
             order = sorted(cols, key=vals.__getitem__)  # stable: ties by column
             for j in order[:whole]:
-                y[j] = ds
+                y[j] = h
             if part:
                 y[order[whole]] = part
             for a, b in zip(order, order[1:]):
@@ -400,7 +407,7 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
                 raise ChamberCertificateError(f"the normal {nu} of {chamber} is not tight")
         found.setdefault(arg, pre)
     for arg, pre in found.items():
-        if not corner_box(tuple(y // ds for y in pre), tuple(-(-y // ds) for y in pre)):
+        if not corner_box(tuple(y // h for y in pre), tuple(-(-y // h) for y in pre)):
             raise InnerCertificateError(f"the cube face through the preimage of {arg} / {h} "
                                         "has a point that is not a corner")
     return sorted(found), h, lambda c: oracle(c)[0]

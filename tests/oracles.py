@@ -66,7 +66,7 @@ def vsub(a: Sequence, b: Sequence) -> tuple:
 
 def det_unimodular(m: Matrix) -> int:
     """Determinant of a square integer matrix (exact, via Q-elimination)."""
-    a = [list(map(Fraction, r)) for r in m.int_rows()]
+    a = [list(map(Fraction, r)) for r in m.entries]
     n = len(a)
     det = Fraction(1)
     for c in range(n):
@@ -143,7 +143,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     d_1 | d_2 | ..., by the minimal-pivot elimination, independent of the
     package's alternating HNF.  Row operations on ``a`` are repeated on the
     rows of ``u``, column operations on the columns of the rows of ``v``."""
-    a = [list(r) for r in m.int_rows()]
+    a = [list(r) for r in m.entries]
     u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
     v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
     # minimal-pivot strategy: each retry strictly shrinks |pivot|, so this
@@ -266,8 +266,9 @@ def extreme_generators_by_rank(generators: Sequence[Sequence[int]], ambient: int
 # exact feasibility LP (phase-1 simplex with Bland's rule) and inversion
 
 
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square rational matrix (exact); raises on singular."""
+def invert(m: Matrix) -> list[tuple[Fraction, ...]]:
+    """Rows of the inverse of a square integer matrix (exact ``Fraction``);
+    raises on singular."""
     n = m.rows
     if n != m.cols:
         raise ValueError("not square")
@@ -284,7 +285,7 @@ def invert(m: Matrix) -> Matrix:
             if i != c and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return Matrix([row[n:] for row in a])
+    return [tuple(row[n:]) for row in a]
 
 
 def feasible_nonneg_combination(columns: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
@@ -992,7 +993,7 @@ def chart_invariants(chart_dual: Cone, proj: Matrix
     pt = proj.transpose()
     for g in gens:
         m = pt @ g
-        expo = winv @ m
+        expo = [dot(r, m) for r in winv]
         if any(x.denominator != 1 or x < 0 for x in expo):
             raise ValueError(f"lift {m} is not in the chart semigroup")
         out.append((tuple(int(x) for x in m), tuple(int(x) for x in expo)))
@@ -1333,7 +1334,7 @@ def toric_fixed_points(q: ChartPoint) -> set[Perm]:
         rays.append(tuple(1 if i < k else 0 for i in range(n)) + (0,))
     rays.append(tuple([0] * n) + (1,))
     raymat = Matrix.from_columns(rays)
-    dual_basis = invert(raymat).entries  # row i pairs with ray i
+    dual_basis = invert(raymat)  # row i pairs with ray i
     zero_idx = {i for i, v in enumerate(q.values) if v is None}
     unit_idx = [i for i in range(n + 1) if i not in zero_idx]
     tau = {rays[i] for i in zero_idx}

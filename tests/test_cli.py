@@ -1,20 +1,32 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from oracles import matrix_to_json
-from toricgit import jsonio
+from toricgit import cli, jsonio
 from toricgit.degeneration import build_bundle, checks_for, product_ray_vectors
 
 
-def run_cli(args, env=None, flags=(), stdout=subprocess.PIPE):
+def run_cli(args, env=None, stdout=subprocess.PIPE):
     e = dict(os.environ)
     e.update(env or {})
-    return subprocess.run([sys.executable, *flags, "-m", "toricgit.cli"] + args,
+    return subprocess.run([sys.executable, "-m", "toricgit.cli"] + args,
                           stdout=stdout, stderr=subprocess.PIPE, text=True, env=e)
+
+
+def run_main(args):
+    """``cli.main(args)`` in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(args)
+    return rc, out.getvalue(), err.getvalue()
 
 
 def test_build_permutahedron_n2():
@@ -140,6 +152,22 @@ def test_quotient_command(tmp_path):
     assert run_cli(["quotient", str(bad), str(apath), "1/2"]).returncode == 2
 
 
+def test_quotient_reads_an_integral_rational_alpha_as_int(tmp_path):
+    # α entries "0", "2/2", "-4/4" are the integers 0, 1, -1: the same bytes
+    # as the integer file, the n = 1 family's single vertex (-1/2, 1/2)
+    ppath = tmp_path / "poly.json"
+    ppath.write_text(jsonio.dumps(jsonio.polyhedron_to_json(build_bundle(1).family_polyhedron)))
+    outs = []
+    for row in (["0", "1", "-1"], ["0", "2/2", "-4/4"]):
+        apath = tmp_path / "alpha.json"
+        apath.write_text(json.dumps({"rows": 1, "cols": 3, "entries": [row]}))
+        rc, out, _ = run_main(["quotient", str(ppath), str(apath), "1/2"])
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["quotient"]["vertices"] == [["-1/2", "1/2"]]
+
+
 def test_quotient_empty(tmp_path):
     square = {"ambient_rank": 2,
               "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
@@ -173,8 +201,8 @@ def malformed_inputs(tmp_path):
     """CLI argument lists that must exit 2 with one ``error:`` line: a zero
     denominator and a non-object JSON value for each of ``quotient`` and
     ``stab``, a polyhedron whose recession cone has lineality, a scalar where
-    a list belongs (``points``, ``generic``, ``vertices``) and a
-    configuration with n = 0."""
+    a list belongs (``points``, ``generic``, ``vertices``), a configuration
+    with n = 0, and an α that is not an integer matrix or not surjective."""
     b = build_bundle(1)
     poly = tmp_path / "poly.json"
     alpha = tmp_path / "alpha.json"
@@ -192,6 +220,11 @@ def malformed_inputs(tmp_path):
                       "lineality": []}}))
     slice_alpha = tmp_path / "slice_alpha.json"
     slice_alpha.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["0", "1"]]}))
+    rational_alpha = tmp_path / "rational_alpha.json"
+    rational_alpha.write_text(json.dumps({"rows": 1, "cols": 3, "entries": [["0", "1/2", "-1"]]}))
+    flat_alpha = tmp_path / "flat_alpha.json"
+    flat_alpha.write_text(json.dumps({"rows": 2, "cols": 3,
+                                      "entries": [["0", "1", "-1"], ["0", "-2", "2"]]}))
     # a scalar where a list belongs, and a configuration of degree zero
     scalar_points = tmp_path / "scalar_points.json"
     scalar_points.write_text(json.dumps({"n": 1, "I_t": [], "points": 5}))
@@ -219,12 +252,15 @@ def malformed_inputs(tmp_path):
             "scalar vertices": ["quotient", str(scalar_vertices), str(slice_alpha), "1"],
             "degree zero": ["stab", str(degree_zero)],
             "a1 list": ["stab", str(a1_list)],
-            "a1 int": ["stab", str(a1_int)]}
+            "a1 int": ["stab", str(a1_int)],
+            "rational alpha": ["quotient", str(poly), str(rational_alpha), "1/2"],
+            "non-surjective alpha": ["quotient", str(poly), str(flat_alpha), "1/2,1"]}
 
 
 @pytest.mark.parametrize("name", ["zero denominator", "polyhedron list", "zero root",
                                   "configuration list", "scalar points", "scalar generic",
-                                  "scalar vertices", "degree zero", "a1 list", "a1 int"])
+                                  "scalar vertices", "degree zero", "a1 list", "a1 int",
+                                  "rational alpha", "non-surjective alpha"])
 def test_malformed_input_exits_2(tmp_path, name):
     r = run_cli(malformed_inputs(tmp_path)[name])
     assert r.returncode == 2, r.stderr
@@ -232,12 +268,79 @@ def test_malformed_input_exits_2(tmp_path, name):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+# cli.main on each argument list read from stdin, in one interpreter
+MAIN_ON_EACH = """
+import contextlib, io, json, sys
+from toricgit import cli
+if __debug__:
+    sys.exit("assert statements are on")
+results = []
+for args in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(args)
+    results.append((rc, out.getvalue(), err.getvalue()))
+print(json.dumps(results))
+"""
+
+
 def test_malformed_input_exits_2_without_asserts(tmp_path):
     # python -O strips assert statements: no input check may rest on one
-    for name, args in malformed_inputs(tmp_path).items():
-        r = run_cli(args, flags=("-O",))
-        assert r.returncode == 2, (name, r.stderr)
-        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, name
+    cases = malformed_inputs(tmp_path)
+    r = subprocess.run([sys.executable, "-O", "-c", MAIN_ON_EACH],
+                       input=json.dumps(list(cases.values())), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    results = json.loads(r.stdout)
+    assert len(results) == len(cases)
+    for name, (rc, out, err) in zip(cases, results):
+        assert rc == 2, (name, err)
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, name
+
+
+entries = st.sampled_from(["0", "1", "-1", "2", "2/2", 3, -2] * 4 + ["-3/2", "1/2"])
+shifts = st.sampled_from(["0", "1", "-1", "1/2", "-2/3", "3"] * 4 + ["1/0", "x"])
+
+
+@st.composite
+def quotient_inputs(draw):
+    """(polyhedron, alpha, b) for ``toricgit quotient``: a small polyhedron
+    of rank 1 to 3 with up to four vertices and three rays, an α of up to
+    two rows, its size declared right or wrong, and a shift b that may
+    have the wrong length or a bad entry."""
+    d = draw(st.integers(1, 3))
+    point = st.lists(st.sampled_from(["0", "1", "-1", "1/2", "2", "-3/2"]),
+                     min_size=d, max_size=d)
+    ray = st.lists(st.integers(-1, 1), min_size=d, max_size=d)
+    poly = {"ambient_rank": d, "vertices": draw(st.lists(point, max_size=4)),
+            "recession": {"ambient_rank": d, "rays": draw(st.lists(ray, max_size=3))}}
+    k = draw(st.sampled_from([1, 1, 2, 2, 0]))
+    cols = draw(st.sampled_from([d] * 8 + [d + 1, d - 1]))
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=k, max_size=k))
+    alpha = {"rows": draw(st.sampled_from([k] * 8 + [k + 1])), "cols": cols, "entries": rows}
+    b = draw(st.lists(shifts, min_size=max(k, 1),
+                      max_size=max(k, 1) + draw(st.sampled_from([0] * 8 + [1]))))
+    return poly, alpha, ",".join(b)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(case=quotient_inputs())
+def test_quotient_exits_0_or_2_in_process(tmp_path_factory, case):
+    # whatever parses, quotient prints one JSON line (exit 0) or one error
+    # line (exit 2), and raises nothing
+    poly, alpha, b = case
+    where = tmp_path_factory.mktemp("quotient")
+    p, a = where / "poly.json", where / "alpha.json"
+    p.write_text(json.dumps(poly))
+    a.write_text(json.dumps(alpha))
+    rc, out, err = run_main(["quotient", "--", str(p), str(a), b])  # "--": b may start with "-"
+    event(f"exit {rc} {err.strip()[:40]}")
+    assert rc in (0, 2)
+    if rc == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and out.count("\n") == 1
+        json.loads(out)
 
 
 def test_quotient_split_not_applicable(tmp_path):

@@ -145,7 +145,7 @@ def test_dual_product_cone_invariant_under_dual_action():
         dual = sym.product_cone.dual()
         for m in ambient_reflections(n):
             mt_inv = invert(m.transpose())
-            moved = Cone(n + 1, [tuple(int(x) for x in (mt_inv @ g))
+            moved = Cone(n + 1, [tuple(int(linalg.dot(r, g)) for r in mt_inv)
                                  for g in dual.generators])
             assert moved == dual
 
@@ -236,6 +236,24 @@ def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
             assert p._canonical and p._cone is None
             assert p.facet_rep and p.hull_equations == ()
     assert normal_fan(models[0].resolution_polyhedron) == models[0].fan
+
+
+def test_certified_symmetric_polyhedra_seed_int_rows(monkeypatch):
+    # each facet row (ν, o) is seeded in int, so no seeded row takes
+    # scaled_primitive's Fraction detour through clear_denominators
+    real, calls = linalg.clear_denominators, []
+
+    def counting(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(linalg, "clear_denominators", counting)
+    sym = build_symmetric(5)
+    assert calls == []
+    for p in (sym.permutohedron, sym.resolution_polyhedron):
+        assert all(type(o) is int for _, o in p.facet_rep)
+    # positive control: a row with a denominator still takes the detour
+    assert linalg.scaled_primitive((F(1, 2), 1)) == (1, 2) and len(calls) == 1
 
 
 def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monkeypatch):
@@ -443,13 +461,34 @@ def test_cached_accessors_build_once_per_n():
 
 
 def test_basis_change_matches_the_per_column_solves():
-    # the Bareiss solves of pi^T against the Fraction oracle, one per target
-    for n in range(1, 7):
+    # the closed form against the Fraction oracle, one solve of pi^T per target
+    for n in range(1, 8):
         pit = projection_matrix(n).transpose()
         targets = [[1 if i == a else 0 for i in range(2 * n + 1)] for a in range(n)]
         targets.append([0] * n + [1] * (n + 1))
-        want = Matrix.from_columns([solve_unique(pit, t) for t in targets])
-        assert basis_change_matrix(n) == want, n
+        want = list(zip(*(solve_unique(pit, t) for t in targets)))
+        assert list(basis_change_matrix(n).entries) == want, n
+
+
+def test_basis_change_certificate_rejects_each_changed_entry(monkeypatch):
+    # the product pi^T Q' determines Q', so one entry of the closed form
+    # changed by one fails the certificate, a raise that python -O keeps
+    n = 3
+    for i, j in product(range(n + 1), repeat=2):
+        class Changed(Matrix):
+            __slots__ = ()
+
+            def __init__(self, rows, i=i, j=j):
+                rows = [list(r) for r in rows]
+                if len(rows) == n + 1 == len(rows[0]):  # Q' is the only square one
+                    rows[i][j] += 1
+                super().__init__(rows)
+
+        monkeypatch.setattr(degeneration, "Matrix", Changed)
+        with pytest.raises(AssertionError, match="pi\\^T Q'"):
+            basis_change_matrix(n)
+    monkeypatch.undo()
+    assert basis_change_matrix(n).entries[n] == (1,) * (n + 1)
 
 
 def test_verify_never_lists_the_chart_vertices(monkeypatch):

@@ -87,6 +87,23 @@ def test_wrongly_typed_point_field_is_rejected(field):
         jsonio.configuration_from_json({"n": 1, "points": [record]})
 
 
+@pytest.mark.parametrize("size", [{"rows": True}, {"cols": 2.0}, {"rows": 1.0},
+                                  {"cols": None}, {"rows": True, "cols": 2.0}])
+def test_wrongly_typed_matrix_size_is_rejected(size):
+    # rows and cols are read like every other integer field: no bool or float
+    obj = {"rows": 1, "cols": 2, "entries": [["1", "0"]], **size}
+    with pytest.raises(ValueError, match="must be an integer"):
+        jsonio.matrix_from_json(obj)
+
+
+def test_matrix_entries_are_read_as_integers():
+    # an entry is read as a rational and kept only when it is an integer
+    m = jsonio.matrix_from_json({"rows": "1", "cols": 3, "entries": [["4/2", -3, "0"]]})
+    assert m.entries == ((2, -3, 0),) and all(type(x) is int for x in m.entries[0])
+    with pytest.raises(ValueError, match="alpha must be an integer matrix"):
+        jsonio.matrix_from_json({"rows": 1, "cols": 2, "entries": [["1/2", "0"]]})
+
+
 def test_missing_a1_label_defaults_to_empty():
     c = jsonio.configuration_from_json({"n": 1, "points": [{"component": 0}]})
     assert c.points[0].a1_label == ""
