@@ -245,6 +245,12 @@ def main(argv=None) -> int:
                              "with a larger n exits 4 (default %(default)s)")
     p_stab.set_defaults(func=cmd_stab)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a word that starts with "-" as an option unless it is an
+    # int or a decimal, so a negative rational shift ("-1/2,3/4") goes after "--"
+    neg = [i for i, a in enumerate(argv) if a[:1] == "-" and (a[1:2].isdigit() or a[1:2] == ".")]
+    if argv[:1] == ["quotient"] and neg and "--" not in argv:
+        argv.insert(neg[0], "--")
     args = parser.parse_args(argv)
     try:  # the commands read their inputs themselves (exit 2) and flush what they print
         return args.func(args)

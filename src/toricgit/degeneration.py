@@ -31,8 +31,8 @@ from typing import Any, Callable, Iterator, Sequence
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
 from .linalg import Matrix, left_action
-from .polyhedra import (Facet, Fan, LatticePolyhedron, certified_polyhedron,
-                        cube_image_slice, normal_fan)
+from .polyhedra import (Facet, Fan, LatticePolyhedron, cube_image_slice, normal_fan,
+                        orbit_polyhedron)
 
 # the largest n that ``verify`` runs at
 VERIFY_MAX_N = 7
@@ -324,25 +324,15 @@ class SymmetricModel:
 
 def ambient_reflections(n: int) -> list[Matrix]:
     """Matrices of the simple reflections on Z^{n+1} = Z ⊕ Z^{n-1} ⊕ Z."""
-    mats = []
-    for k in range(1, n - 1):
-        rows = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-        rows[k][k] = rows[k + 1][k + 1] = 0
-        rows[k][k + 1] = rows[k + 1][k] = 1
-        mats.append(Matrix(rows))
-    last = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-    for i in range(n + 1):
-        last[i][n - 1] = -1 if i != n else 1
-    mats.append(Matrix(last))
-    return mats
+    eye = [_unit(n + 1, i) for i in range(n + 1)]
+    swaps = [eye[:k] + [eye[k + 1], eye[k]] + eye[k + 2:] for k in range(1, n - 1)]
+    last = [e[:n - 1] + (1 if i == n else -1,) + e[n:] for i, e in enumerate(eye)]
+    return [Matrix(rows) for rows in swaps + [last]]
 
 
 def chamber_cone(n: int) -> Cone:
-    cols = []
-    for k in range(1, n + 1):
-        cols.append(tuple(1 if i < k else 0 for i in range(n)) + (0,))
-    cols.append(tuple([0] * n) + (1,))
-    return Cone(n + 1, cols)
+    return Cone(n + 1, [tuple(int(i < k) for i in range(n)) + (0,) for k in range(1, n + 1)]
+                + [_unit(n + 1, n)])
 
 
 def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequence) -> dict:
@@ -382,75 +372,73 @@ def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Ma
     return {s: Matrix(mat) for s, (mat, _) in walk.items()}
 
 
-def orbit_cones(chamber: Cone, gens: Sequence[Matrix]) -> Iterator[Cone]:
-    """ρ(s)·C for s in S_n in order: the rays r and facet normals f of the
-    chamber C's one double description become the primitive ρ(s)r and
-    f·ρ(s)⁻¹, the columns that ``_cayley_walk`` moves.  The guard checks that
-    C is pointed, full-dimensional and simplicial as displayed, so that it
-    has no lineality basis or equations to bring back to normal form."""
+def orbit_cones(chamber: Cone, gens: Sequence[Matrix], point: Sequence[int]
+                ) -> Iterator[tuple[Cone, tuple[int, ...]]]:
+    """(ρ(s)·C, ρ(s)⁻ᵀ·point) for s in S_n in order: the rays r and facet
+    normals f of the chamber C's one double description become the
+    primitive ρ(s)r and f·ρ(s)⁻¹, the columns that ``_cayley_walk`` moves,
+    and the point, one more row beside the facets, moves with them.  The
+    guard checks that C is pointed, full-dimensional and simplicial as
+    displayed, so that it has no lineality basis or equations to bring back
+    to normal form."""
     d, rays, facets = chamber.ambient_rank, chamber.rays, chamber.facets
     if chamber.lineality_basis or chamber.equations or len(rays) != d:
         raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
-    for _, (s_rays, s_facets) in sorted(_cayley_walk(len(gens) + 1, gens, rays, facets).items()):
-        s_rays, s_facets = tuple(sorted(zip(*s_rays))), tuple(sorted(zip(*s_facets)))
-        yield Cone(d, _rays=s_rays, _facets=s_facets, _lineality=(), _equations=())
+    walk = _cayley_walk(len(gens) + 1, gens, rays, facets + (tuple(point),))
+    for _, (s_rays, s_rows) in sorted(walk.items()):
+        *s_facets, y = zip(*s_rows)
+        yield Cone(d, _rays=tuple(sorted(zip(*s_rays))), _facets=tuple(sorted(s_facets)),
+                   _lineality=(), _equations=()), y
 
 
 def product_cone_ambient(n: int) -> Cone:
     """Rank-(n+1) cone with rays (1;0;0), (1; e_I; 0), (0; -e_I; 1), (0;0;1)."""
-    gens = [(1,) + tuple([0] * (n - 1)) + (0,), (0,) + tuple([0] * (n - 1)) + (1,)]
+    gens = [_unit(n + 1, 0), _unit(n + 1, n)]
     for r in range(1, n):
         for I in combinations(range(n - 1), r):
-            e = tuple(1 if i in I else 0 for i in range(n - 1))
-            gens.append((1,) + e + (0,))
-            gens.append((0,) + tuple(-x for x in e) + (1,))
+            e = tuple(int(i in I) for i in range(n - 1))
+            gens += [(1,) + e + (0,), (0,) + tuple(-x for x in e) + (1,)]
     return Cone(n + 1, gens)
 
 
 def product_cone_dual_columns(n: int) -> list[tuple[int, ...]]:
     """Displayed generators of the dual: (1, -u, 0) and (0, u, 1) for u in
     {0, e_1, ..., e_{n-1}}."""
-    cols = []
-    units = [tuple([0] * (n - 1))] + [_unit(n - 1, i) for i in range(n - 1)]
-    for u in units:
-        cols.append((1,) + tuple(-x for x in u) + (0,))
-    for u in units:
-        cols.append((0,) + u + (1,))
-    return cols
-
-
-def permutohedron_points(n: int) -> list[tuple[int, ...]]:
-    """The n! points (s_i - i)_{i < n} for the permutations s of 1..n."""
-    return [tuple(s[i] - (i + 1) for i in range(n - 1)) for s in permutations(range(1, n + 1))]
-
-
-def permutohedron_polytope(n: int, sigma: Cone) -> LatticePolyhedron:
-    """The permutohedron in Z^{n-1}, its facets certified from the nonzero
-    middle blocks ±e_I of the rays of σ = ``product_cone_ambient(n)``, one
-    per proper nonempty subset of [n]."""
-    normals = [r[1:-1] for r in sigma.rays if any(r[1:-1])]
-    return certified_polyhedron(n - 1, permutohedron_points(n), None, normals)
+    units = [(0,) * (n - 1)] + [_unit(n - 1, i) for i in range(n - 1)]
+    return [(1,) + tuple(-x for x in u) + (0,) for u in units] + [(0,) + u + (1,) for u in units]
 
 
 def build_symmetric(n: int) -> SymmetricModel:
-    """The symmetric model.  The n! orbit-fan cones are moved from the
-    chamber by the n - 1 generators ρ(s_k) (``orbit_cones``), so no ρ(s) is
-    formed; the permutohedron and the resolution polyhedron take their
-    facets from the rays of σ (``certified_polyhedron``), so the n! points
-    are never double-described and no homogenization is built."""
+    """The symmetric model, with no pass over its n! points.  One walk of
+    the Cayley graph (``orbit_cones``) moves the chamber and y₀ = (0; 2i - n
+    - 1; 0), the identity's vertex of the resolution polyhedron centred at
+    the barycentre and doubled, by the generators g_k = ρ(s_k), so no ρ(s)
+    is formed; its Coxeter check makes the points it returns the orbit of
+    y₀, the (0; 2s_i - n - 1; 0) of the permutations s.  ``orbit_polyhedron``
+    certifies at y₀ the rays ν of σ as the facets, with c_ν = -k(n - k), k
+    the support of ν's middle block (the k least 2j - n - 1 sum to it), and
+    the permutohedron on the middle blocks: each g_kᵀ fixes the outer
+    coordinates (columns 0 and n of g_k are e_0 and e_n, checked), so their
+    orbit is that of y₀'s under the middle blocks of the g_k."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > 7:
         raise ValueError("n must be <= 7 (the fan has n! maximal cones)")
     chamber = chamber_cone(n)
     prod = product_cone_ambient(n)
-    fan = Fan(n + 1, orbit_cones(chamber, ambient_reflections(n)), prod)
-    perm = permutohedron_polytope(n, prod)
+    gens = ambient_reflections(n)
+    cones, orbit = zip(*orbit_cones(chamber, gens, (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)))
+    fan = Fan(n + 1, cones, prod)
     dual_display = Cone(n + 1, product_cone_dual_columns(n))
     if prod.dual() != dual_display:
         raise AssertionError("product cone dual display mismatch")
-    iota_pts = [(0,) + v + (0,) for v in permutohedron_points(n)]
-    respoly = certified_polyhedron(n + 1, iota_pts, dual_display, prod.rays)
+    offsets = {nu: k * (k - n) for nu in prod.rays for k in [sum(map(abs, nu[1:-1]))]}
+    respoly = orbit_polyhedron(orbit, gens, offsets, dual_display)
+    if any(g.column(0) != _unit(n + 1, 0) or g.column(n) != _unit(n + 1, n) for g in gens):
+        raise AssertionError("a generator moves the outer coordinates of the points")
+    perm = orbit_polyhedron([y[1:-1] for y in orbit],
+                            [Matrix([r[1:-1] for r in g.entries[1:-1]]) for g in gens],
+                            {nu[1:-1]: c for nu, c in offsets.items() if any(nu[1:-1])}, None)
     return SymmetricModel(
         n=n, chamber=chamber, product_cone=prod, fan=fan, permutohedron=perm,
         resolution_polyhedron=respoly)

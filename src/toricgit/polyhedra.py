@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import lt, mul, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone, column_dots
-from .linalg import (IntVec, Matrix, clear_denominators, dot, frac, primitive,
-                     scaled_primitive, vec)
+from .linalg import (IntVec, Matrix, clear_denominators, dot, frac, left_action,
+                     primitive, scaled_primitive, vec)
 
 Facet = tuple[tuple[int, ...], int]  # (inward normal, offset): <n, x> >= o
 Equation = tuple[tuple[int, ...], int]  # <n, x> == o
@@ -216,96 +216,100 @@ class FacetCertificateError(ValueError):
     """Candidate facet normals are not shown to be the facets of a polyhedron."""
 
 
-def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional[Cone],
-                         normals: Iterable[Sequence[int]]) -> LatticePolyhedron:
-    """P = conv(points) + recession, canonical, with its facets taken from
-    the candidate inward ``normals`` (up to positive multiples) instead of
-    a double description of the points; FacetCertificateError when the
-    certificate below fails.
+def orbit_polyhedron(orbit: Sequence[IntVec], gens: Sequence[Matrix],
+                     offsets: dict[IntVec, int], recession: Optional[Cone]) -> LatticePolyhedron:
+    """P = conv(orbit) + recession, canonical, in the coordinates x = (y -
+    y₀) / 2 of its points y, given doubled and centred so that G acts on
+    them linearly, its facets the candidates <ν, y> >= c_ν of ``offsets``,
+    certified at y₀ = orbit[0] alone; FacetCertificateError when the
+    certificate fails.  ``orbit`` must be the orbit of y₀ under the group G
+    the integer ``gens`` generate, acting by y ↦ gᵀy on points and
+    ν ↦ gν on normals (<gν, y> = <ν, gᵀy>), which is the caller's to know
+    (``orbit_cones`` walks it).  Q is the polyhedron the candidates cut out,
+    C the recession cone, which must be pointed.  The checks:
 
-    Each normal ν must be >= 0 on the recession cone.  One ``column_dots``
-    pass over the points gives its offset o_ν, the minimum of <ν, v>, and
-    the points that reach it, so <ν, x> >= o_ν is valid on P and
-    supporting: P ⊆ Q, the polyhedron the candidates cut out.  With the
-    recession rays r ⊥ ν (and t >= 0 when rec is full-dimensional) that is
-    Q's incidence with the generators (v, 1), (r, 0) of P's homogenization,
-    and the points W it calls extreme (``dd.extreme_generators``) are the
-    candidate vertices.  The certificate checks, for each w in W and its
-    tight set T(w):
+    (1) each g permutes the normals with c_gν = c_ν, each gᵀ the rays of C,
+        and gᵀy₀ - y₀ is even;
+    (2) y₀ satisfies every candidate and is on exactly d, the set T, whose
+        normals are >= 0 on C;
+    (3) for each f in T, the ridge T \\ {f} holds a neighbour gᵀy₀, or a ray
+        of C, off f;
+    (4) every candidate is in the G-orbit of T.
 
-    (a) |T(w)| = d;
-    (b) for each f in T(w), the ridge T(w) \\ {f} is tight at another
-        extreme generator g_f: some (w', 1) or a recession ray (r, 0).
-
-    Then T(w) is independent, with no rank taken.  The extremeness read off
-    the same masks says that w's face, the AND of the masks of T(w), is
-    {w}; g_f is on every facet of T(w) but f and is not w, so it is not on
-    f.  Set e_f = w' - w for a point and e_f = r for a ray: then <ν_i, e_f>
-    = 0 for i ≠ f and <ν_f, e_f> > 0, so N·E, with the normals of T(w) as
-    the rows of N and the e_f as the columns of E, is diagonal and
-    positive, and N has rank d.  So w is a simple vertex of Q, and the
-    ridge T(w) \\ {f} cuts out the edge of Q from w that leaves f: its other
-    end is w', a vertex of Q as w is, or it is w + R≥0 r.
-
-    So W is a nonempty set of vertices of Q closed under the bounded edges
-    of Q.  The vertices and bounded edges of a pointed polyhedron form a
-    connected graph (Ziegler, *Lectures on Polytopes*, §3.5), so W is every
-    vertex of Q.  Each extreme ray of rec(Q) is the direction of an
-    unbounded edge, which (b) puts in the recession cone, so Q = conv(W) +
-    rec(Q) ⊆ P and Q = P.  A lower-dimensional Q, or a rec with lineality
-    (every ν is normal to it), has no vertex on d independent normals, so
-    (a) or (b) fails.  So P is full-dimensional, each of its facets is a
-    candidate, and a redundant candidate, supporting P in a face that
-    contains a vertex, would put that vertex on d + 1 inequalities, which
-    (a) rejects.  The facet list is exact, and so is the extremeness read
-    from its incidence; the result keeps the facets as its seed, with no
-    homogenization.  Walking from a simple vertex to its neighbours through
-    its ridges is the pivot step of reverse search (Avis & Fukuda, *DCG* 8,
-    1992)."""
-    if not points:
-        raise FacetCertificateError("no points")
-    p = LatticePolyhedron(d, points, recession)
-    pts, rec = p.vertex_candidates, p.recession.canonical_form()
-    m, rays = len(pts), rec.rays
-    flat, den = clear_denominators([x for v in pts for x in v])
-    cols = [flat[j::d] for j in range(d)]
-    seed, on = [], []  # per candidate, (ν, o_ν) and the generators on it
-    tight: list[list[int]] = [[] for _ in pts]  # per point, the candidates through it
-    for nu in dict.fromkeys(primitive(nu) for nu in normals):
-        if any(dot(nu, g) < 0 for g in rec.generators):
-            raise FacetCertificateError(f"the normal {nu} is negative on the recession cone")
-        low, hits = _argmins(column_dots(nu, cols, m))
-        for k in hits:
-            tight[k].append(len(on))
-        # <ν, x> >= low / den, kept in int as <den·ν, x> >= low
-        seed.append((nu if den == 1 else tuple(den * x for x in nu), low))
-        on.append(sum(map((1).__lshift__, hits)) + sum(1 << m + k for k, r in enumerate(rays)
-                                                        if not dot(nu, r)))
-    if rec.dim() == d:  # then t >= 0 is a facet, on the recession rays
-        on.append((1 << m + len(rays)) - (1 << m))
-    extreme = dd.extreme_generators(pts + rays, on)
-    keep, verts = sum(1 << i for i in extreme), [k for k in extreme if k < m]
-    if not verts:
-        raise FacetCertificateError("no point is a vertex of the candidate facets")
-    for k in verts:
-        t = tight[k]
-        if len(t) != d:
-            raise FacetCertificateError(f"the vertex ray {scaled_primitive(pts[k] + (1,))} is "
-                                        f"on {len(t)} facets, not on {d}")
-        # ridge f is the AND of the masks of T(w) but f: suffix ANDs, then prefix
-        after = [-1] * d
-        for j in range(d - 1, 0, -1):
-            after[j - 1] = after[j] & on[t[j]]
-        ridge = keep & ~(1 << k)
-        for f, rest in zip(t, after):
-            if not ridge & rest:
-                raise FacetCertificateError(
-                    f"the edge from the vertex ray {scaled_primitive(pts[k] + (1,))} leaving the "
-                    f"facet {primitive(seed[f][0] + (-seed[f][1],))} has no other end "
-                    "and no recession ray")
-            ridge &= on[f]
-    return LatticePolyhedron(d, sorted(pts[k] for k in verts), rec, _facets=seed,
-                             _equations=(), _canonical=True)
+    By (1), gᵀQ ⊆ Q, as <ν, gᵀy> = <gν, y> >= c_ν.  With e_f = gᵀy₀ - y₀
+    (gᵀy₀ is in Q) or e_f = r, <ν_i, e_f> = 0 for i ≠ f and <ν_f, e_f> > 0:
+    N·E, the normals of T as rows of N and the e_f as columns of E, is
+    diagonal and positive, so N has rank d with no rank taken, y₀ is a
+    simple vertex of Q, and the ridge T \\ {f} cuts out the edge from y₀
+    that ends at gᵀy₀ or is y₀ + R≥0 r.  The normals span and g permutes
+    them, so g is invertible, gᵀQ = Q, and the finite G acts on Q by
+    automorphisms: each aᵀy₀ in the orbit W is a vertex, on the independent
+    a⁻¹T, and its edges, images of those at y₀, end in W or run along aᵀr,
+    a ray of C by (1).  The vertices and bounded edges of a pointed
+    polyhedron form a connected graph (Ziegler, *Lectures on Polytopes*,
+    §3.5), so W is every vertex of Q, and each extreme ray of rec(Q), an
+    unbounded edge's direction, is in C.  By (4) a candidate is aν, ν in T,
+    and <aν, r> = <ν, aᵀr> >= 0 on C, so rec(Q) = C and Q = conv(W) + C = P.
+    Each ν in T cuts out a facet at the simple y₀, which (a⁻¹)ᵀ maps to the
+    facet of aν: by (4) every candidate is a facet, no two the same one, as
+    the d at a vertex are independent.  A redundant candidate is tight at
+    y₀, which (2) rejects, or outside the orbit of T, which (4) rejects.  The
+    exact facet list is kept as the seed, with no homogenization.  By (1),
+    gᵀy - y₀ = gᵀ(y - y₀) + (gᵀy₀ - y₀) is even for y in W, so x and the
+    offsets (c_ν - <ν, y₀>) / 2 are in int.  This is representation
+    conversion up to symmetry by adjacency decomposition (Bremner, Dutour
+    Sikirić & Schürmann, 2009) on one orbit of simple vertices, whose
+    representative's neighbours are the gᵀy₀, so no adjacency is searched."""
+    y0, d = tuple(orbit[0]), len(orbit[0])
+    rec = (recession or Cone(d, [])).canonical_form()
+    if rec.lineality_basis:
+        raise FacetCertificateError("the recession cone has lineality")
+    rays, normals, c = rec.rays, list(offsets), list(offsets.values())
+    index = {nu: i for i, nu in enumerate(normals)}
+    cols = tuple(zip(*normals))
+    perms, steps = [], []  # per generator, its permutation of the normals and gᵀy₀ - y₀
+    for k, g in enumerate(gens):
+        perm = [index.get(nu, -1) for nu in zip(*left_action(g)(cols))]
+        if -1 in perm or len(set(perm)) < len(perm):
+            raise FacetCertificateError(f"the generator {k} does not permute the normals")
+        if any(c[j] != x for j, x in zip(perm, c)):
+            raise FacetCertificateError(f"the offsets are not invariant under the generator {k}")
+        y1, *moved = zip(*left_action(g.transpose())(tuple(zip(y0, *rays))))
+        if sorted(moved) != list(rays):
+            raise FacetCertificateError(f"the generator {k} does not permute the recession rays")
+        steps.append(tuple(map(sub, y1, y0)))
+        if any(x % 2 for x in steps[-1]):
+            raise FacetCertificateError(f"the generator {k} moves the base point off the lattice")
+        perms.append(perm)
+    vals = column_dots(y0, cols, len(normals))
+    if any(map(lt, vals, c)):
+        raise FacetCertificateError("the base point violates a candidate")
+    tight = [i for i, (v, x) in enumerate(zip(vals, c)) if v == x]
+    if len(tight) != d:
+        raise FacetCertificateError(f"the base point is on {len(tight)} facets, not on {d}")
+    at = [normals[i] for i in tight]
+    if any(dot(nu, r) < 0 for nu in at for r in rays):
+        raise FacetCertificateError("a facet at the base point is negative on the recession cone")
+    ends = set()
+    for e in steps + list(rays):
+        off = [i for i, nu in enumerate(at) if dot(nu, e)]
+        if len(off) == 1:
+            ends.update(off)
+    if len(ends) < d:
+        f = min(set(range(d)) - ends)
+        raise FacetCertificateError(f"the edge from the base point leaving the facet {at[f]} "
+                                    "has no other end and no recession ray")
+    reached, seen = list(tight), set(tight)
+    for i in reached:  # the list grows as it is read: the orbit of T
+        for j in {perm[i] for perm in perms} - seen:
+            seen.add(j)
+            reached.append(j)
+    if len(seen) < len(normals):
+        nu = normals[min(set(range(len(normals))) - seen)]
+        raise FacetCertificateError(f"the normal {nu} is in no orbit of a facet at the base point")
+    facets = [(nu, (x - v) // 2) for nu, v, x in zip(normals, vals, c)]
+    verts = sorted(set(zip(*[[(a - b) // 2 for a in col] for col, b in zip(zip(*orbit), y0)])))
+    return LatticePolyhedron(d, verts, rec, _facets=facets, _equations=(), _canonical=True)
 
 
 class InnerCertificateError(ValueError):

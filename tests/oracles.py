@@ -16,7 +16,8 @@ pattern, hulled after each block, with a corner lookup), the
 normal fan by one double description per vertex, the extremeness test by the rank of
 the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
-points, the ``Fraction`` and vertex-scan routes that the slice checks
+points, the facet certificate over all of a polyhedron's points that the orbit
+certificate replaced, the ``Fraction`` and vertex-scan routes that the slice checks
 replaced (the closed-form slice vertices and their quotient images in
 ``Fraction``, and each margin as the least value of a ray over the vertices
 of P_b), the dual cone double-described from the facet normals, a bounded
@@ -42,15 +43,16 @@ from typing import Callable, Iterable, Optional, Sequence
 from toricgit import dd
 from toricgit.cones import Cone, column_dots, image_cone
 from toricgit.degeneration import (_bundle, _pb, ambient_reflections, chamber_cone,
-                                   permutation_matrices, permutohedron_points,
-                                   product_cone_dual_columns, product_cube_map)
+                                   permutation_matrices, product_cone_dual_columns,
+                                   product_cube_map)
 from toricgit.git import EmptyQuotientError, Linearization, RayDatum, support_constants
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
 from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot,
-                             elementary_divisors, frac, hermite_normal_form, rank,
-                             scaled_primitive, vec)
-from toricgit.polyhedra import Fan, InnerCertificateError, LatticePolyhedron
+                             elementary_divisors, frac, hermite_normal_form, primitive,
+                             rank, scaled_primitive, vec)
+from toricgit.polyhedra import (FacetCertificateError, Fan, InnerCertificateError,
+                                LatticePolyhedron, _argmins)
 from toricgit.stab_backends import QuotientPoint, ratio_is_one
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   _layout_component, _shift_orders)
@@ -786,6 +788,105 @@ def symmetric_polyhedra_by_dd(n: int) -> tuple[LatticePolyhedron, LatticePolyhed
     iota_pts = [(Fraction(0),) + v + (Fraction(0),) for v in perm.vertex_candidates]
     rec = Cone(n + 1, product_cone_dual_columns(n))
     return perm, LatticePolyhedron(n + 1, iota_pts, rec).canonicalize()
+
+
+def permutohedron_points(n: int) -> list[tuple[int, ...]]:
+    """The n! points (s_i - i)_{i < n} for the permutations s of 1..n."""
+    return [tuple(s[i] - (i + 1) for i in range(n - 1)) for s in permutations(range(1, n + 1))]
+
+
+def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional[Cone],
+                         normals: Iterable[Sequence[int]]) -> LatticePolyhedron:
+    """P = conv(points) + recession, canonical, with its facets taken from
+    the candidate inward ``normals`` (up to positive multiples) instead of
+    a double description of the points; FacetCertificateError when the
+    certificate below fails.  The explicit route over every point, which
+    the orbit certificate ``polyhedra.orbit_polyhedron`` replaced in the
+    symmetric model; the tests hold the two routes equal.
+
+    Each normal ν must be >= 0 on the recession cone.  One ``column_dots``
+    pass over the points gives its offset o_ν, the minimum of <ν, v>, and
+    the points that reach it, so <ν, x> >= o_ν is valid on P and
+    supporting: P ⊆ Q, the polyhedron the candidates cut out.  With the
+    recession rays r ⊥ ν (and t >= 0 when rec is full-dimensional) that is
+    Q's incidence with the generators (v, 1), (r, 0) of P's homogenization,
+    and the points W it calls extreme (``dd.extreme_generators``) are the
+    candidate vertices.  The certificate checks, for each w in W and its
+    tight set T(w):
+
+    (a) |T(w)| = d;
+    (b) for each f in T(w), the ridge T(w) \\ {f} is tight at another
+        extreme generator g_f: some (w', 1) or a recession ray (r, 0).
+
+    Then T(w) is independent, with no rank taken.  The extremeness read off
+    the same masks says that w's face, the AND of the masks of T(w), is
+    {w}; g_f is on every facet of T(w) but f and is not w, so it is not on
+    f.  Set e_f = w' - w for a point and e_f = r for a ray: then <ν_i, e_f>
+    = 0 for i ≠ f and <ν_f, e_f> > 0, so N·E, with the normals of T(w) as
+    the rows of N and the e_f as the columns of E, is diagonal and
+    positive, and N has rank d.  So w is a simple vertex of Q, and the
+    ridge T(w) \\ {f} cuts out the edge of Q from w that leaves f: its other
+    end is w', a vertex of Q as w is, or it is w + R≥0 r.
+
+    So W is a nonempty set of vertices of Q closed under the bounded edges
+    of Q.  The vertices and bounded edges of a pointed polyhedron form a
+    connected graph (Ziegler, *Lectures on Polytopes*, §3.5), so W is every
+    vertex of Q.  Each extreme ray of rec(Q) is the direction of an
+    unbounded edge, which (b) puts in the recession cone, so Q = conv(W) +
+    rec(Q) ⊆ P and Q = P.  A lower-dimensional Q, or a rec with lineality
+    (every ν is normal to it), has no vertex on d independent normals, so
+    (a) or (b) fails.  So P is full-dimensional, each of its facets is a
+    candidate, and a redundant candidate, supporting P in a face that
+    contains a vertex, would put that vertex on d + 1 inequalities, which
+    (a) rejects.  The facet list is exact, and so is the extremeness read
+    from its incidence; the result keeps the facets as its seed, with no
+    homogenization.  Walking from a simple vertex to its neighbours through
+    its ridges is the pivot step of reverse search (Avis & Fukuda, *DCG* 8,
+    1992)."""
+    if not points:
+        raise FacetCertificateError("no points")
+    p = LatticePolyhedron(d, points, recession)
+    pts, rec = p.vertex_candidates, p.recession.canonical_form()
+    m, rays = len(pts), rec.rays
+    flat, den = clear_denominators([x for v in pts for x in v])
+    cols = [flat[j::d] for j in range(d)]
+    seed, on = [], []  # per candidate, (ν, o_ν) and the generators on it
+    tight: list[list[int]] = [[] for _ in pts]  # per point, the candidates through it
+    for nu in dict.fromkeys(primitive(nu) for nu in normals):
+        if any(dot(nu, g) < 0 for g in rec.generators):
+            raise FacetCertificateError(f"the normal {nu} is negative on the recession cone")
+        low, hits = _argmins(column_dots(nu, cols, m))
+        for k in hits:
+            tight[k].append(len(on))
+        # <ν, x> >= low / den, kept in int as <den·ν, x> >= low
+        seed.append((nu if den == 1 else tuple(den * x for x in nu), low))
+        on.append(sum(map((1).__lshift__, hits)) + sum(1 << m + k for k, r in enumerate(rays)
+                                                        if not dot(nu, r)))
+    if rec.dim() == d:  # then t >= 0 is a facet, on the recession rays
+        on.append((1 << m + len(rays)) - (1 << m))
+    extreme = dd.extreme_generators(pts + rays, on)
+    keep, verts = sum(1 << i for i in extreme), [k for k in extreme if k < m]
+    if not verts:
+        raise FacetCertificateError("no point is a vertex of the candidate facets")
+    for k in verts:
+        t = tight[k]
+        if len(t) != d:
+            raise FacetCertificateError(f"the vertex ray {scaled_primitive(pts[k] + (1,))} is "
+                                        f"on {len(t)} facets, not on {d}")
+        # ridge f is the AND of the masks of T(w) but f: suffix ANDs, then prefix
+        after = [-1] * d
+        for j in range(d - 1, 0, -1):
+            after[j - 1] = after[j] & on[t[j]]
+        ridge = keep & ~(1 << k)
+        for f, rest in zip(t, after):
+            if not ridge & rest:
+                raise FacetCertificateError(
+                    f"the edge from the vertex ray {scaled_primitive(pts[k] + (1,))} leaving the "
+                    f"facet {primitive(seed[f][0] + (-seed[f][1],))} has no other end "
+                    "and no recession ray")
+            ridge &= on[f]
+    return LatticePolyhedron(d, sorted(pts[k] for k in verts), rec, _facets=seed,
+                             _equations=(), _canonical=True)
 
 
 def polyhedron_support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import matrix_to_json
 from toricgit import cli, jsonio
 from toricgit.degeneration import build_bundle, checks_for, product_ray_vectors
+from toricgit.stabilizers import random_configuration
 
 
 def run_cli(args, env=None, stdout=subprocess.PIPE):
@@ -166,6 +168,23 @@ def test_quotient_reads_an_integral_rational_alpha_as_int(tmp_path):
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["quotient"]["vertices"] == [["-1/2", "1/2"]]
+
+
+def test_quotient_takes_a_negative_rational_shift_as_b(tmp_path):
+    # argparse reads a word such as "-1/2" as an option unless "--" comes
+    # before it; the CLI passes a negative shift on as b, with the same bytes
+    ppath, apath = tmp_path / "poly.json", tmp_path / "alpha.json"
+    ppath.write_text(jsonio.dumps(jsonio.polyhedron_to_json(build_bundle(1).family_polyhedron)))
+    apath.write_text(json.dumps({"rows": 1, "cols": 3, "entries": [["0", "1", "-1"]]}))
+    for b in ("-1/2", "-3/2", "-1"):
+        rc, out, err = run_main(["quotient", str(ppath), str(apath), b])
+        assert (rc, err) == (0, "")
+        assert out == run_main(["quotient", "--", str(ppath), str(apath), b])[1]
+        assert json.loads(out)["quotient"]["vertices"] == [["0", "0"]]
+    # a negative list is b too: of the wrong length here, so one error line
+    rc, out, err = run_main(["quotient", str(ppath), str(apath), "-1/2,3/4"])
+    assert (rc, out) == (2, "")
+    assert err == "error: b must live in the target of alpha\n"
 
 
 def test_quotient_empty(tmp_path):
@@ -341,6 +360,51 @@ def test_quotient_exits_0_or_2_in_process(tmp_path_factory, case):
     else:
         assert err == "" and out.count("\n") == 1
         json.loads(out)
+
+
+@st.composite
+def stab_inputs(draw):
+    """The JSON of a ``toricgit stab`` configuration file and extra flags: a
+    random semistable configuration at n = 1..5, as it is or with one field
+    dropped, retyped or changed, or no configuration object at all."""
+    n = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    config = jsonio.configuration_to_json(random_configuration(n, rng))
+    bad = st.sampled_from([None, "x", "1/0", -1, 0, 2.5, True, [], {}, [1.5], 99])
+    kind = draw(st.sampled_from(["valid"] * 4 + ["drop", "retype", "point", "whole"]))
+    if kind == "drop":
+        del config[draw(st.sampled_from(sorted(config)))]
+    elif kind == "retype":
+        config[draw(st.sampled_from(sorted(config)))] = draw(bad)
+    elif kind == "point" and config["points"]:
+        point = draw(st.sampled_from(config["points"]))
+        field = draw(st.sampled_from(sorted(point)))
+        if draw(st.booleans()):
+            point[field] = draw(bad)
+        else:
+            del point[field]
+    elif kind == "whole":
+        config = draw(bad)
+    return config, draw(st.sampled_from([[], [], ["--brute-force-max", "2"]]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=stab_inputs())
+def test_stab_exits_0_1_2_or_4_in_process(tmp_path_factory, case):
+    # whatever the configuration file holds, stab prints one JSON line (exit
+    # 0 or 1), one error line (exit 2, or 4 above the size bound), and
+    # raises nothing
+    config, flags = case
+    path = tmp_path_factory.mktemp("stab") / "config.json"
+    path.write_text(json.dumps(config))
+    rc, out, err = run_main(["stab", str(path)] + flags)
+    event(f"exit {rc} {err.strip()[:40]}")
+    assert rc in (0, 1, 2, 4)
+    if rc in (2, 4):
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and out.count("\n") == 1
+        assert json.loads(out)["comparison"] == ("PASS" if rc == 0 else "FAIL")
 
 
 def test_quotient_split_not_applicable(tmp_path):

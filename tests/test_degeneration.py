@@ -3,15 +3,17 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
+from operator import add
 
 import pytest
 
-from oracles import (ambient_quotient_slice, cube_image_slice_by_sums, edge_matrix, invert,
-                     minkowski_sum, orbit_fan_by_cone_dd, pb_polyhedron,
-                     quotient_images_by_fractions, slice_polyhedron,
-                     slice_vertex_points_by_fractions, solve_unique,
+from oracles import (ambient_quotient_slice, certified_polyhedron, cube_image_slice_by_sums,
+                     edge_matrix, invert, minkowski_sum, orbit_fan_by_cone_dd,
+                     pb_polyhedron, permutohedron_points, quotient_images_by_fractions,
+                     slice_polyhedron, slice_vertex_points_by_fractions, solve_unique,
                      symmetric_polyhedra_by_dd, unstable_rays_by_vertices,
                      weight_reflections)
 from toricgit import cones, dd, degeneration, linalg, polyhedra
@@ -20,18 +22,18 @@ from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections
                                    basis_change_matrix, build_bundle, build_symmetric,
                                    chamber_cone, chart_box, checks_for, constant_tail,
                                    decode_ray_label, head_vertex, orbit_cones,
-                                   permutation_matrices, permutohedron_points,
-                                   product_chart_corners, product_chart_vertices,
-                                   product_cone_ambient, product_cone_dual_columns,
-                                   product_cube_map, product_linearization,
-                                   product_polyhedron, projection_matrix, slice_vertex,
-                                   slice_vertex_points, verify)
+                                   permutation_matrices, product_chart_corners,
+                                   product_chart_vertices, product_cone_ambient,
+                                   product_cone_dual_columns, product_cube_map,
+                                   product_linearization, product_polyhedron,
+                                   projection_matrix, slice_vertex, slice_vertex_points,
+                                   verify)
 from toricgit.git import unstable_rays
 from toricgit.jsonio import dumps, polyhedron_to_json
-from toricgit.linalg import Matrix
+from toricgit.linalg import Matrix, dot
 from toricgit.polyhedra import (FacetCertificateError, InnerCertificateError,
-                                LatticePolyhedron, certified_polyhedron, cube_image_slice,
-                                normal_fan)
+                                LatticePolyhedron, cube_image_slice, normal_fan,
+                                orbit_polyhedron)
 
 
 def test_bundle_shifts_and_vertices():
@@ -175,7 +177,8 @@ def _reps(c):
 def test_orbit_fan_matches_per_cone_dd_oracle():
     # rays and facets transported from the chamber equal each cone's own DD
     for n in range(2, 7):
-        got = [_reps(c) for c in orbit_cones(chamber_cone(n), ambient_reflections(n))]
+        got = [_reps(c) for c, _ in orbit_cones(chamber_cone(n), ambient_reflections(n),
+                                                (0,) * (n + 1))]
         assert got == [_reps(c) for c in orbit_fan_by_cone_dd(n)], n
 
 
@@ -222,11 +225,11 @@ def test_build_symmetric_moves_the_fan_by_generators(monkeypatch):
 
 
 def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
-    # the certificate reads one incidence pass, and normal_fan reads the
+    # the orbit certificate reads its base point, and normal_fan reads the
     # seeded facets: only an explicit homogenization() builds the cone over
     # P × {1}
     def no_cone(self):
-        raise AssertionError("certified_polyhedron built the homogenization")
+        raise AssertionError("the orbit certificate built the homogenization")
 
     with monkeypatch.context() as m:
         m.setattr(LatticePolyhedron, "homogenization", no_cone)
@@ -257,7 +260,8 @@ def test_certified_symmetric_polyhedra_seed_int_rows(monkeypatch):
 
 
 def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monkeypatch):
-    # the certificate proves independence from its masks, and a simple
+    # both certificates prove independence without a rank, the explicit one
+    # from its masks and the orbit one from its ridges, and a simple
     # vertex's normal cone is simplicial on its tight normals
     def forbidden(*args):
         raise AssertionError("a rank ran")
@@ -268,6 +272,11 @@ def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monk
             with monkeypatch.context() as m:
                 m.setattr(linalg, "_echelon", forbidden)
                 certified_polyhedron(d, pts, rec, normals)
+        for orbit, gens, offsets, rec in _orbit_candidates(n).values():
+            rec = (rec or Cone(len(orbit[0]), [])).canonical_form()
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "_echelon", forbidden)
+                orbit_polyhedron(orbit, gens, offsets, rec)
     real, calls = dd.cone_from_inequalities, []
 
     def spy(constraints, ambient):
@@ -290,13 +299,18 @@ def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monk
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_certified_symmetric_polyhedra_match_dd_oracle(n):
+    # the orbit route equals the double description of the n! points and
+    # the explicit facet certificate over them
     sym = build_symmetric(n)
-    for got, want in zip((sym.permutohedron, sym.resolution_polyhedron),
-                         symmetric_polyhedra_by_dd(n)):
-        assert got.vertex_candidates == want.vertex_candidates
-        assert got.facet_rep == want.facet_rep
-        assert got.hull_equations == want.hull_equations
-        assert got.recession.key() == want.recession.key()
+    explicit = _symmetric_candidates(n)
+    for got, want, (d, pts, rec, normals) in zip(
+            (sym.permutohedron, sym.resolution_polyhedron), symmetric_polyhedra_by_dd(n),
+            (explicit["permutohedron"], explicit["resolution"])):
+        for other in (want, certified_polyhedron(d, pts, rec, normals)):
+            assert got.vertex_candidates == other.vertex_candidates
+            assert got.facet_rep == other.facet_rep
+            assert got.hull_equations == other.hull_equations
+            assert got.recession.key() == other.recession.key()
 
 
 def _symmetric_candidates(n):
@@ -346,6 +360,155 @@ def test_facet_certificate_rejects_a_normal_negative_on_the_recession():
         certified_polyhedron(d, pts, rec, normals + [tuple(-x for x in g)])
 
 
+def _orbit_candidates(n):
+    """(orbit, gens, offsets, recession) of the resolution polyhedron and the
+    permutohedron, as ``build_symmetric`` passes them to ``orbit_polyhedron``."""
+    gens = ambient_reflections(n)
+    base = (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)
+    orbit = [y for _, y in orbit_cones(chamber_cone(n), gens, base)]
+    offsets = {}
+    for nu in product_cone_ambient(n).rays:
+        k = sum(map(abs, nu[1:-1]))
+        offsets[nu] = k * (k - n)
+    mid = [Matrix([r[1:-1] for r in g.entries[1:-1]]) for g in gens]
+    return {"resolution": (orbit, gens, offsets, Cone(n + 1, product_cone_dual_columns(n))),
+            "permutohedron": ([y[1:-1] for y in orbit], mid,
+                              {nu[1:-1]: c for nu, c in offsets.items() if any(nu[1:-1])},
+                              None)}
+
+
+def _normal_orbit(gens, nu):
+    """The orbit of the normal nu under the group the gens generate."""
+    orbit = [nu]
+    for mu in orbit:
+        for g in gens:
+            if g @ mu not in orbit:
+                orbit.append(g @ mu)
+    return orbit
+
+
+def _mutants(name, n=4):
+    """The dropped-orbit, extra-candidate and moved-offset mutants of the
+    orbit certificate's inputs at n, as (label, args, expected message)."""
+    orbit, gens, offsets, rec = _orbit_candidates(n)[name]
+    y0, d = orbit[0], len(orbit[0])
+    tight = [nu for nu, c in offsets.items() if dot(nu, y0) == c]
+    loose = [nu for nu, c in offsets.items() if dot(nu, y0) > c]
+    orbits, left = [], list(offsets)
+    while left:
+        orbits.append(_normal_orbit(gens, left[0]))
+        left = [nu for nu in left if nu not in orbits[-1]]
+    out = []
+    for o in orbits:  # every orbit holds a facet at y0: dropping it leaves d - 1
+        out.append(("drop orbit", {nu: c for nu, c in offsets.items() if nu not in o},
+                    f"on {d - 1} facets"))
+    out.append(("drop one", {nu: c for nu, c in offsets.items() if nu != loose[0]},
+                "does not permute the normals"))
+    # a redundant normal: the sum of two facets at y0, tight there, with its orbit
+    sums = (tuple(map(add, a, b)) for i, a in enumerate(tight) for b in tight[i + 1:])
+    orbit_extra = next(o for o in map(partial(_normal_orbit, gens), sums) if len(o) > 1)
+    extra = orbit_extra[0]
+    low = min(dot(extra, y) for y in orbit)
+    out.append(("extra one", {**offsets, extra: low}, "does not permute the normals"))
+    out.append(("extra orbit", {**offsets, **dict.fromkeys(orbit_extra, low)},
+                f"on {d + 1} facets"))
+    out.append(("extra strict orbit", {**offsets, **dict.fromkeys(orbit_extra, low - 1)},
+                "in no orbit of a facet"))
+    # an offset moved on one normal, and on a whole orbit, whose facet at y0 it loosens
+    out.append(("moved offset", {**offsets, loose[0]: offsets[loose[0]] - 1}, "not invariant"))
+    o = next(o for o in orbits if loose[0] in o)
+    out.append(("lowered orbit", {nu: c - (nu in o) for nu, c in offsets.items()},
+                f"on {d - 1} facets"))
+    return [(label, (orbit, gens, cands, rec), match) for label, cands, match in out]
+
+
+@pytest.mark.parametrize("name", ["resolution", "permutohedron"])
+def test_orbit_certificate_rejects_dropped_extra_and_moved_candidates(name):
+    orbit, gens, offsets, rec = _orbit_candidates(4)[name]
+    orbit_polyhedron(orbit, gens, offsets, rec)
+    for label, args, match in _mutants(name):
+        with pytest.raises(FacetCertificateError, match=match):
+            orbit_polyhedron(*args)
+            raise AssertionError(label)
+
+
+@pytest.mark.parametrize("name", ["resolution", "permutohedron"])
+def test_orbit_certificate_rejects_a_generator_not_permuting_the_normals(name):
+    orbit, gens, offsets, rec = _orbit_candidates(4)[name]
+    d = len(orbit[0])
+    shear = Matrix([[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)])
+    for bad in (shear, Matrix([[2 * int(i == j) for j in range(d)] for i in range(d)])):
+        with pytest.raises(FacetCertificateError, match="does not permute the normals"):
+            orbit_polyhedron(orbit, [bad] + gens[1:], offsets, rec)
+
+
+@pytest.mark.parametrize("name", ["resolution", "permutohedron"])
+def test_orbit_certificate_rejects_a_base_point_on_fewer_than_d_normals(name):
+    # the midpoint of the edge from y0 to its first neighbour, doubled again
+    orbit, gens, offsets, rec = _orbit_candidates(4)[name]
+    y0, d = orbit[0], len(orbit[0])
+    mid = tuple(map(add, y0, gens[0].transpose() @ y0))
+    doubled = {nu: 2 * c for nu, c in offsets.items()}
+    with pytest.raises(FacetCertificateError, match=f"on {d - 1} facets, not on {d}"):
+        orbit_polyhedron([mid], gens, doubled, rec)
+    # a point off the polyhedron violates a candidate
+    with pytest.raises(FacetCertificateError, match="violates"):
+        orbit_polyhedron([tuple(2 * x for x in y0)], gens, offsets, rec)
+
+
+def test_orbit_certificate_rejects_a_base_point_on_more_than_d_normals():
+    # the octahedron, doubled: the cube's swaps and sign changes permute its
+    # 8 facet normals, and each of its 6 vertices is on 4 of them
+    swaps = [Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+             Matrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
+    offsets = dict.fromkeys(product((1, -1), repeat=3), -2)
+    with pytest.raises(FacetCertificateError, match="on 4 facets, not on 3"):
+        orbit_polyhedron([(2, 0, 0)], swaps, offsets, None)
+
+
+@pytest.mark.parametrize("name", ["resolution", "permutohedron"])
+def test_orbit_certificate_rejects_a_ridge_with_no_neighbour(name):
+    orbit, gens, offsets, rec = _orbit_candidates(4)[name]
+    for k in range(len(gens)):  # each generator's neighbour ends one edge
+        with pytest.raises(FacetCertificateError, match="has no other end"):
+            orbit_polyhedron(orbit, gens[:k] + gens[k + 1:], offsets, rec)
+    if rec is not None:  # two edges of the resolution polyhedron are recession rays
+        with pytest.raises(FacetCertificateError, match="has no other end"):
+            orbit_polyhedron(orbit, gens, offsets, None)
+
+
+def test_orbit_certificate_rejects_a_vertex_on_d_dependent_normals():
+    # the strip -1 <= x <= 1 of the plane, doubled, cut out twice over: y0 =
+    # (-1, 0) is on d = 2 candidates, (1, 0) and (2, 0), but the step to its
+    # neighbour (1, 0) is off both, so no ridge has an other end
+    flip = Matrix([[-1, 0], [0, 1]])
+    offsets = {(1, 0): -1, (-1, 0): -1, (2, 0): -2, (-2, 0): -2}
+    with pytest.raises(FacetCertificateError, match="has no other end"):
+        orbit_polyhedron([(-1, 0)], [flip], offsets, None)
+
+
+@pytest.mark.parametrize("name", ["resolution", "permutohedron"])
+def test_orbit_certificate_rejects_an_odd_step(name):
+    # y0 moved by e_1: the first swap's step to its neighbour is odd
+    orbit, gens, offsets, rec = _orbit_candidates(4)[name]
+    moved = tuple(x + (i == 1) for i, x in enumerate(orbit[0]))
+    with pytest.raises(FacetCertificateError, match="off the lattice"):
+        orbit_polyhedron([moved], gens, offsets, rec)
+
+
+def test_orbit_certificate_rejects_a_bad_recession_cone():
+    orbit, gens, offsets, rec = _orbit_candidates(4)["resolution"]
+    d = len(orbit[0])
+    negated = Cone(d, [tuple(-x for x in r) for r in rec.rays])
+    with pytest.raises(FacetCertificateError, match="negative on the recession"):
+        orbit_polyhedron(orbit, gens, offsets, negated)
+    with pytest.raises(FacetCertificateError, match="does not permute the recession rays"):
+        orbit_polyhedron(orbit, gens, offsets, Cone(d, rec.rays[:-1]))
+    with pytest.raises(FacetCertificateError, match="lineality"):
+        orbit_polyhedron(orbit, gens, offsets,
+                         Cone(d, list(rec.rays) + [tuple(-x for x in rec.rays[0])]))
+
+
 BAD_CHAMBERS = {
     "not pointed": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)],
     "not full-dimensional": [(1, 0, 0), (0, 1, 0)],
@@ -356,11 +519,11 @@ BAD_CHAMBERS = {
 def test_orbit_transport_guards_hold_under_python_O():
     for name, gens in BAD_CHAMBERS.items():
         with pytest.raises(AssertionError):
-            next(orbit_cones(Cone(3, gens), ambient_reflections(2)))
+            next(orbit_cones(Cone(3, gens), ambient_reflections(2), (0, 0, 0)))
         code = ("from toricgit.cones import Cone\n"
                 "from toricgit.degeneration import ambient_reflections, orbit_cones\n"
                 "try:\n"
-                f"    next(orbit_cones(Cone(3, {gens!r}), ambient_reflections(2)))\n"
+                f"    next(orbit_cones(Cone(3, {gens!r}), ambient_reflections(2), (0, 0, 0)))\n"
                 "except AssertionError:\n"
                 "    raise SystemExit(7)\n")
         r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
@@ -401,7 +564,7 @@ def test_permutation_matrices_reject_generators_breaking_a_relation(relation):
     d = len(gens[0])
     orthant = Cone(d, [tuple(int(i == j) for j in range(d)) for i in range(d)])
     with pytest.raises(AssertionError, match="Coxeter"):
-        next(orbit_cones(orthant, [Matrix(g) for g in gens]))
+        next(orbit_cones(orthant, [Matrix(g) for g in gens], (0,) * d))
 
 
 def test_decode_ray_label():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import (check_semigroup_generation, cone_over, contains, cube_slice_oracle,
-                     embedding_monomials, feasible_nonneg_combination,
+from oracles import (certified_polyhedron, check_semigroup_generation, cone_over, contains,
+                     cube_slice_oracle, embedding_monomials, feasible_nonneg_combination,
                      in_cone_hull, intersection, linear_image, minkowski_sum,
                      normal_fan_by_vertex_dd, slice_polyhedron, solve_affine_oracle, vadd,
                      validate_pairwise_faces, validate_support_cover)
@@ -16,8 +16,7 @@ from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot, primitive, rank
 from toricgit.polyhedra import (ChamberCertificateError, FacetCertificateError,
-                                LatticePolyhedron, affine_slice, certified_polyhedron,
-                                cube_image_slice, normal_fan)
+                                LatticePolyhedron, affine_slice, cube_image_slice, normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
 
