@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 
@@ -20,9 +19,10 @@ from . import jsonio
 from .degeneration import (VERIFY_CHECKS, VERIFY_MAX_N, build_bundle,
                            build_symmetric, checks_for, product_polyhedron, verify)
 from .git import EmptyQuotientError, Linearization, quotient_polyhedron, split_quotient
-from .groups import cycle_notation
 from .jsonio import dumps
-from .stabilizers import check_stability, random_configuration, verify_comparison
+
+# ``stab`` and the comparison_fuzz check import the stabilizer stack (stabilizers,
+# stab_backends, groups) themselves: ``build`` and ``verify`` never run it
 
 FUZZ_CHECK = "comparison_fuzz"
 DEFAULT_BRUTE_FORCE_MAX = 9
@@ -84,6 +84,8 @@ def _fuzz_settings() -> tuple[int, int]:
 
 
 def _run_fuzz(n: int) -> tuple[str, dict]:
+    import random
+    from .stabilizers import random_configuration, verify_comparison
     seed, trials = _fuzz_settings()
     # a str seed is hashed with sha512, so the stream is the same in every process
     rng = random.Random(f"{seed}/{n}" if seed else n)
@@ -185,6 +187,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_stab(args) -> int:
+    from .groups import cycle_notation
+    from .stabilizers import check_stability, verify_comparison
     try:
         with open(args.config) as fh:
             config = jsonio.configuration_from_json(json.load(fh))

@@ -21,12 +21,11 @@ failure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache, reduce
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import le, matmul
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
@@ -221,8 +220,7 @@ def constant_tail(n: int) -> tuple[int, ...]:
 # bundles
 
 
-@dataclass(frozen=True)
-class DegenerationBundle:
+class DegenerationBundle(NamedTuple):
     n: int
     family_polyhedron: LatticePolyhedron  # polyhedron of the iterated blow-up
     product_rec_dual: Cone                # recession cone of the product polyhedron
@@ -312,8 +310,7 @@ def product_polyhedron(n: int) -> LatticePolyhedron:
                              _facets=b.product_facets, _equations=())
 
 
-@dataclass(frozen=True)
-class SymmetricModel:
+class SymmetricModel(NamedTuple):
     n: int
     chamber: Cone               # the distinguished maximal cone
     product_cone: Cone          # union of the orbit fan, rank n+1
@@ -492,8 +489,7 @@ def _pb(n: int) -> tuple[list[tuple[int, ...]], int, Callable[[Sequence[int]], i
                             lineality, lambda lo, hi: chart_box(n, lo, hi))
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     check: str
     n: int
     status: str            # "pass" | "fail" | "error"

@@ -10,9 +10,8 @@ materialized, since slicing is scale-compatible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cones import Cone
 from .linalg import Matrix, Vec, kernel_basis, solve_affine, vec
@@ -56,8 +55,7 @@ class Linearization:
         return self._base
 
 
-@dataclass(frozen=True)
-class RayDatum:
+class RayDatum(NamedTuple):
     """Stability data of one recession-dual extreme ray."""
 
     ray: tuple[int, ...]

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .cones import Cone
-from .groups import FiniteAbelianGroup
 from .linalg import Matrix, frac
 from .polyhedra import LatticePolyhedron
-from .stabilizers import CycleConfiguration, PointRecord, UnitValue
+
+if TYPE_CHECKING:  # the stabilizer stack loads only when a configuration is read
+    from .groups import FiniteAbelianGroup
+    from .stabilizers import CycleConfiguration
 
 
 def rational_str(x) -> str:
@@ -33,10 +35,14 @@ def parse_rational(s) -> Fraction:
         raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
-def _json_object(obj, what: str) -> dict:
-    """``obj`` itself, or ValueError when it is not a JSON object."""
+def _json_object(obj, what: str, *required: str) -> dict:
+    """``obj`` itself, or ValueError when it is not a JSON object or lacks
+    one of the ``required`` fields, which the error names."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r} field")
     return obj
 
 
@@ -79,7 +85,7 @@ def _integral(s) -> int:
 
 def matrix_from_json(obj: dict) -> Matrix:
     """The integer ``Matrix`` of ``obj``; integrality is decided here, once."""
-    _json_object(obj, "a matrix")
+    _json_object(obj, "a matrix", "entries", "rows", "cols")
     m = Matrix(_json_rows(obj["entries"], "matrix entries", _integral))
     if m.rows != _json_int(obj["rows"], "rows") or m.cols != _json_int(obj["cols"], "cols"):
         raise ValueError("matrix shape does not match the declared size")
@@ -96,7 +102,7 @@ def cone_to_json(c: Cone, with_facets: bool = True) -> dict:
 
 
 def cone_from_json(obj: dict) -> Cone:
-    _json_object(obj, "a cone")
+    _json_object(obj, "a cone", "ambient_rank")
     rank = _json_int(obj["ambient_rank"], "ambient_rank")
     as_int = lambda x: _json_int(x, "a ray entry")
     gens = _json_rows(obj.get("rays", []), "rays", as_int)
@@ -122,7 +128,7 @@ def polyhedron_to_json(p: LatticePolyhedron) -> dict:
 
 
 def polyhedron_from_json(obj: dict) -> LatticePolyhedron:
-    _json_object(obj, "a polyhedron")
+    _json_object(obj, "a polyhedron", "ambient_rank")
     rank = _json_int(obj["ambient_rank"], "ambient_rank")
     verts = _json_rows(obj.get("vertices", []), "vertices", parse_rational)
     rec = cone_from_json(obj["recession"]) if "recession" in obj else None
@@ -145,10 +151,12 @@ def configuration_to_json(c: CycleConfiguration) -> dict:
 
 
 def configuration_from_json(obj: dict) -> CycleConfiguration:
-    _json_object(obj, "a configuration")
+    from .stabilizers import CycleConfiguration, PointRecord, UnitValue
+    _json_object(obj, "a configuration", "n", "points")
     n = _json_int(obj["n"], "n")
     I_t = tuple(_json_int(i, "an I_t entry") for i in _json_list(obj.get("I_t", []), "I_t"))
-    records = [_json_object(p, "a point record") for p in _json_list(obj["points"], "points")]
+    records = [_json_object(p, "a point record", "component")
+               for p in _json_list(obj["points"], "points")]
     pts = []
     for p in records:
         pts.append(PointRecord(

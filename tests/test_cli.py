@@ -500,6 +500,61 @@ def test_stab_not_semistable(tmp_path):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, field, doc", [
+    ("stab", "n", {"I_t": [], "points": []}),
+    ("stab", "points", {"n": 1, "I_t": []}),
+    ("stab", "component", {"n": 1, "I_t": [], "points": [{"root": "0", "mult": 1}]}),
+    ("quotient", "entries", {"rows": 1, "cols": 3}),
+    ("quotient", "ambient_rank", {"vertices": [["0", "0", "0"]]}),
+    ("quotient", "ambient_rank", {"ambient_rank": 3, "vertices": [["0", "0", "0"]],
+                                  "recession": {"rays": []}}),
+])
+def test_missing_field_is_named(tmp_path, command, field, doc):
+    # a required field that the input file lacks exits 2 with one error line
+    # that names it, not with the bare KeyError text "error: 'n'"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    if command == "stab":
+        args = ["stab", str(path)]
+    else:
+        b = build_bundle(1)
+        poly, alpha = tmp_path / "poly.json", tmp_path / "alpha.json"
+        poly.write_text(jsonio.dumps(jsonio.polyhedron_to_json(b.family_polyhedron)))
+        alpha.write_text(jsonio.dumps(matrix_to_json(b.lin_family.alpha)))
+        args = ["quotient", str(path if field == "ambient_rank" else poly),
+                str(path if field == "entries" else alpha), "1/2"]
+    rc, out, err = run_main(args)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"has no {field!r} field" in err
+
+
+# modules that only stab and the comparison_fuzz check run
+STABILIZER_STACK = ("toricgit.stabilizers", "toricgit.groups", "toricgit.stab_backends",
+                    "dataclasses", "inspect")
+
+
+def test_cli_import_leaves_the_stabilizer_stack_unloaded(tmp_path):
+    # build and verify start without the stabilizer stack (a module that the
+    # interpreter loaded before, from site say, does not count); stab and
+    # comparison_fuzz import it themselves, each in a fresh interpreter
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys\nbefore = set(sys.modules)\nimport toricgit.cli\n"
+                        f"print(sorted((set(sys.modules) - before) & set({STABILIZER_STACK!r})))"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+    cfg = tmp_path / "ex1.json"
+    cfg.write_text(json.dumps(EX1))
+    r = run_cli(["stab", str(cfg)])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["comparison"] == "PASS"
+    r = run_cli(["verify", "--n", "4", "--check", "comparison_fuzz"],
+                env={"DEGEN_FUZZ_TRIALS": "5"})
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["status"] == "pass"
+
+
 def test_build_determinism():
     a = run_cli(["build", "--n", "3", "--object", "product"]).stdout
     b = run_cli(["build", "--n", "3", "--object", "product"]).stdout

@@ -1,4 +1,3 @@
-import dataclasses
 import subprocess
 import sys
 from collections import Counter
@@ -968,7 +967,7 @@ def test_int_slice_checks_fail_like_their_fraction_routes(monkeypatch):
         (v, o), rest = b.product_facets[-1], b.product_facets[:-1]
         lowered = rest + ((v, o - F(1, 3)),)
         monkeypatch.setattr(degeneration, "_bundle",
-                            lambda n: dataclasses.replace(b, product_facets=lowered))
+                            lambda n: b._replace(product_facets=lowered))
         rep = verify(n, "unstable_locus")
         monkeypatch.undo()
         assert rep.status == "fail"
@@ -993,7 +992,7 @@ def test_unstable_locus_compares_each_margin_and_d_exactly(monkeypatch):
     kept = lambda c: support(c) - (c == v)
     monkeypatch.setattr(degeneration, "_pb", lambda n: (images, h, kept))
     monkeypatch.setattr(degeneration, "_bundle",
-                        lambda n: dataclasses.replace(b, product_facets=lowered))
+                        lambda n: b._replace(product_facets=lowered))
     rep = verify(n, "unstable_locus")
     assert rep.status == "fail"
     assert rep.witness["ray"]["margin"] == rep.witness["expected"]["margin"]

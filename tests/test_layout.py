@@ -3,9 +3,9 @@
 Every public top-level function in ``src/toricgit`` must be loaded, as a
 name or an attribute, and every public method as an attribute, somewhere in
 the package outside its own definition.  Code that only tests call belongs
-in ``tests/oracles.py``.  Every field of a dataclass in the package must be
-read by the package.  Every name a module of the package or of the tests
-imports must be used in it.
+in ``tests/oracles.py``.  Every field of a record in the package, a
+dataclass or a ``NamedTuple``, must be read by the package.  Every name a
+module of the package or of the tests imports must be used in it.
 """
 
 import ast
@@ -98,12 +98,23 @@ def test_a_local_variable_is_no_use_of_a_method():
     assert _unused({"m": tree})[0] == ["m.R.ok", "m.total", "m.check"]
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for d in node.decorator_list:
-        d = d.func if isinstance(d, ast.Call) else d
-        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
-            return True
-    return False
+def _name(node) -> str | None:
+    """The identifier of a Name, or the last one of an Attribute."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A class decorated with ``@dataclass`` or derived from ``NamedTuple``."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(_name(d) == "dataclass" for d in decorators) or \
+        any(_name(b) == "NamedTuple" for b in node.bases)
+
+
+def test_a_named_tuple_is_a_record():
+    tree = ast.parse("@dataclass(frozen=True)\nclass A:\n    x: int\n"
+                     "class B(typing.NamedTuple):\n    y: int\n"
+                     "class C(tuple):\n    z: int\n")
+    assert [_is_record(c) for c in tree.body] == [True, True, False]
 
 
 def test_every_dataclass_field_is_read_by_the_package():
@@ -114,7 +125,7 @@ def test_every_dataclass_field_is_read_by_the_package():
                   if isinstance(n, ast.Attribute)}
     unread = [f"{module}.{node.name}.{f.target.id}"
               for module, tree in trees.items() for node in tree.body
-              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              if isinstance(node, ast.ClassDef) and _is_record(node)
               for f in node.body
               if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
               and f.target.id not in attributes]

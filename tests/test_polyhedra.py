@@ -288,6 +288,53 @@ def test_affine_slice_vertices_on_low_faces():
             assert face_dim <= 1
 
 
+@st.composite
+def polytope_slices(draw):
+    """(p, x0, basis, y): a small integer polytope p in Z^d, d = 2..4, and
+    1 to d - 1 independent integer directions through a rational x0.
+    Either x0 = c + Σ t_i b_i for a point c of p, and y = -t is c in the
+    slice coordinates, or x0 is any rational point, the slice maybe empty,
+    and y is None."""
+    d = draw(st.integers(2, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=d + 4))
+    k = draw(st.integers(1, d - 1))
+    basis = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=k, max_size=k))
+    assume(rank(basis) == k)
+    rational = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3]))
+    if draw(st.sampled_from([True, True, False])):
+        c, t = draw(st.sampled_from(pts)), draw(st.lists(rational, min_size=k, max_size=k))
+        x0 = tuple(x + sum(ti * b[i] for ti, b in zip(t, basis)) for i, x in enumerate(c))
+        y = tuple(-ti for ti in t)
+    else:
+        x0, y = tuple(draw(rational) for _ in range(d)), None
+    event(f"d {d}, k {k}, {'through a point of p' if y is not None else 'anywhere'}")
+    return LatticePolyhedron(d, pts), x0, basis, y
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=polytope_slices())
+def test_affine_slice_identities_in_slice_coordinates(case):
+    # each slice vertex y maps to x0 + Σ y_i b_i in p, where the facets of p
+    # tight there, read on the basis, have rank k: y is a vertex of the
+    # slice; a point of p on x0 + span(basis) is in the slice, and the slice
+    # of a polytope is bounded
+    p, x0, basis, y_in = case
+    sl = affine_slice(p, x0, basis)
+    k = len(basis)
+    assert sl.ambient_rank == k
+    assert sl.is_empty() or sl.recession.rays == ()
+    equations = [n for n, _ in p.hull_equations]
+    for y in sl.vertex_candidates:
+        x = tuple(xi + sum(c * b[i] for c, b in zip(y, basis)) for i, xi in enumerate(x0))
+        assert contains(p, x)
+        tight = [n for n, o in p.facet_rep if dot(n, x) == o] + equations
+        assert rank([[dot(n, b) for b in basis] for n in tight]) == k
+    if y_in is not None:
+        assert not sl.is_empty()
+        assert contains(sl, y_in)
+    event("empty" if sl.is_empty() else f"{len(sl.vertex_candidates)} vertices")
+
+
 def assert_slice_independent_of_canonical_form(q, x0, basis):
     """Slicing q and slicing q.canonicalize() give the same vertices, recession,
     H-representation and JSON bytes; returns the slice."""
