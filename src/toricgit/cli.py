@@ -57,7 +57,7 @@ def cmd_build(args) -> int:
             "chamber": jsonio.cone_to_json(sym.chamber),
             "product_cone": jsonio.cone_to_json(sym.product_cone),
             "fan": [jsonio.cone_to_json(c, with_facets=False)
-                    for c in sorted(sym.fan.maximal_cones, key=lambda c: c.key())],
+                    for c in sorted(sym.cones, key=lambda c: c.key())],
             "permutahedron": jsonio.polyhedron_to_json(sym.permutohedron),
             "resolution_polyhedron": jsonio.polyhedron_to_json(sym.resolution_polyhedron),
         }
@@ -167,7 +167,7 @@ def cmd_quotient(args) -> int:
             raise ValueError("alpha source rank does not match the polyhedron")
         if not poly.recession.is_pointed():
             raise ValueError("the recession cone must be pointed (no lineality)")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:  # json.load: too deep
         print(f"error: {exc}", file=sys.stderr)
         return 2
     q = quotient_polyhedron(poly, lin)
@@ -195,7 +195,7 @@ def cmd_stab(args) -> int:
         if not check_stability(config):
             raise ValueError("configuration is not semistable: per-component "
                              "multiplicities must equal the fiber degrees")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:  # json.load: too deep
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.n > args.brute_force_max:

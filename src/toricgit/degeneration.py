@@ -10,12 +10,12 @@ Two families of objects are built:
   cones in the character lattices Z^{n+2} and Z^{2n+1}, with coordinate order
   (s-block; t_1, ..., t_{n+1}).
 
-* ``SymmetricModel``: the weight-space S_n data: the A_{n-1} Coxeter fan, the
-  permutohedron, the (n+1)-rank chamber cone and its orbit fan, which resolve
-  the relative n-fold product of X over the base.
+* ``SymmetricModel``: the weight-space S_n data that resolve the relative
+  n-fold product of X over the base: the chamber C, the generators g_k, the
+  n! orbit-fan cones of their Cayley walk, and two certified polyhedra.
 
-``verify`` runs one named check and returns a report with a witness on
-failure.
+``verify`` runs one named check, those on the orbit fan at C from that
+certificate, and returns a report with a witness on failure.
 """
 
 from __future__ import annotations
@@ -29,15 +29,11 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
-from .linalg import Matrix, left_action
-from .polyhedra import (Facet, Fan, LatticePolyhedron, cube_image_slice, normal_fan,
-                        orbit_polyhedron)
+from .linalg import Matrix, abs_det, left_action
+from .polyhedra import Facet, LatticePolyhedron, cube_image_slice, orbit_polyhedron
 
 # the largest n that ``verify`` runs at
 VERIFY_MAX_N = 7
-
-VERIFY_CHECKS = ("conical_part", "pb_vertices", "quotient_theorem", "normal_fan",
-                 "unstable_locus", "base_recovery", "fan_smooth_small")
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +308,12 @@ def product_polyhedron(n: int) -> LatticePolyhedron:
 
 class SymmetricModel(NamedTuple):
     n: int
-    chamber: Cone               # the distinguished maximal cone
-    product_cone: Cone          # union of the orbit fan, rank n+1
-    fan: Fan                    # the S_n-orbit fan of the chamber
+    chamber: Cone                  # C, the distinguished maximal cone
+    product_cone: Cone             # σ, rank n+1, the support of the orbit fan
+    generators: tuple[Matrix, ...]  # g_k = ρ(s_k), which the walk and the certificates use
+    cones: tuple[Cone, ...]        # ρ(s)·C for s in S_n in order, canonical and distinct
     permutohedron: LatticePolyhedron
-    resolution_polyhedron: LatticePolyhedron
+    resolution_polyhedron: LatticePolyhedron  # its vertex ρ(s)⁻ᵀy₀ is paired with ρ(s)·C
 
 
 def ambient_reflections(n: int) -> list[Matrix]:
@@ -417,18 +414,13 @@ def build_symmetric(n: int) -> SymmetricModel:
     the permutohedron on the middle blocks: each g_kᵀ fixes the outer
     coordinates (columns 0 and n of g_k are e_0 and e_n, checked), so their
     orbit is that of y₀'s under the middle blocks of the g_k."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n > 7:
-        raise ValueError("n must be <= 7 (the fan has n! maximal cones)")
+    if not 2 <= n <= 7:
+        raise ValueError("n must be in [2, 7] (the walk has n! cones)")
     chamber = chamber_cone(n)
     prod = product_cone_ambient(n)
     gens = ambient_reflections(n)
     cones, orbit = zip(*orbit_cones(chamber, gens, (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)))
-    fan = Fan(n + 1, cones, prod)
     dual_display = Cone(n + 1, product_cone_dual_columns(n))
-    if prod.dual() != dual_display:
-        raise AssertionError("product cone dual display mismatch")
     offsets = {nu: k * (k - n) for nu in prod.rays for k in [sum(map(abs, nu[1:-1]))]}
     respoly = orbit_polyhedron(orbit, gens, offsets, dual_display)
     if any(g.column(0) != _unit(n + 1, 0) or g.column(n) != _unit(n + 1, n) for g in gens):
@@ -437,8 +429,8 @@ def build_symmetric(n: int) -> SymmetricModel:
                             [Matrix([r[1:-1] for r in g.entries[1:-1]]) for g in gens],
                             {nu[1:-1]: c for nu, c in offsets.items() if any(nu[1:-1])}, None)
     return SymmetricModel(
-        n=n, chamber=chamber, product_cone=prod, fan=fan, permutohedron=perm,
-        resolution_polyhedron=respoly)
+        n=n, chamber=chamber, product_cone=prod, generators=tuple(gens), cones=cones,
+        permutohedron=perm, resolution_polyhedron=respoly)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +549,22 @@ def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
 
 
 def _check_normal_fan(n: int) -> tuple[bool, Any]:
+    """The normal fan of the resolution polyhedron P is the orbit fan,
+    decided at C.  ``orbit_polyhedron`` certified that the g_k permute P's
+    facets with invariant offsets and that y₀, the origin of P's coordinates
+    (y - y₀)/2, is a simple vertex on the facets T of offset 0, so each
+    vertex ρ(s)⁻ᵀy₀ is on exactly ρ(s)T, as <ρ(s)ν, ρ(s)⁻ᵀy₀> = <ν, y₀>.
+    The walk of ``orbit_cones`` pairs that vertex with ρ(s)·C, so if T is
+    the rays of C, its normal cone cone(ρ(s)T) is ρ(s)·C (Ziegler, §7.1).
+    The fan's support is rec(P)^∨, rec(P) the displayed dual of σ."""
     sym = _symmetric(n)
-    nf = normal_fan(sym.resolution_polyhedron)
-    if nf == sym.fan:
-        return True, {"maximal_cones": len(nf.maximal_cones)}
-    return False, {"got": len(nf.maximal_cones), "expected": len(sym.fan.maximal_cones)}
+    p, rays = sym.resolution_polyhedron, [list(r) for r in sym.chamber.rays]
+    at_y0 = sorted(list(nu) for nu, o in p.facet_rep if o == 0)
+    if at_y0 != rays:
+        return False, {"facets_at_base_point": at_y0, "chamber_rays": rays}
+    if p.recession.dual() != sym.product_cone:
+        return False, {"support": [list(r) for r in p.recession.dual().rays]}
+    return True, {"maximal_cones": len(p.vertex_candidates)}
 
 
 def _check_unstable_locus(n: int) -> tuple[bool, Any]:
@@ -593,23 +596,29 @@ def _check_base_recovery(n: int) -> tuple[bool, Any]:
     rec = q.recession
     ok = (q.ambient_rank == 2 and rec.is_pointed() and len(rec.rays) == 2
           and rec.dim() == 2 and rec.is_smooth())
-    if ok:
-        return True, {"recession_rays": [list(r) for r in rec.rays]}
-    return False, {"recession_rays": [list(r) for r in rec.rays]}
+    return ok, {"recession_rays": [list(r) for r in rec.rays]}
 
 
 def _check_fan_smooth_small(n: int) -> tuple[bool, Any]:
+    """The orbit fan is smooth and its rays lie on the boundary of σ, decided
+    at C: each ρ(s) is a product of the g_k, unimodular when they are, so
+    ρ(s)·C is smooth when C is.  The 2^n rays are tested against σ."""
     sym = _symmetric(n)
-    for c in sym.fan.maximal_cones:
-        if not c.is_smooth():
-            return False, {"non_smooth_cone": [list(r) for r in c.rays]}
-    sigma = sym.product_cone
-    for r in sym.fan.rays():
-        if not sigma.contains(r):
+    if not sym.chamber.is_smooth():
+        return False, {"non_smooth_cone": [list(r) for r in sym.chamber.rays]}
+    if any(abs_det(g.entries) != 1 for g in sym.generators):
+        return False, {"generator_abs_dets": [abs_det(g.entries) for g in sym.generators]}
+    rays, seen = list(sym.chamber.rays), set(sym.chamber.rays)
+    for r in rays:  # the list grows as it is read: the orbit of C's rays
+        for q in {g @ r for g in sym.generators} - seen:
+            seen.add(q)
+            rays.append(q)
+    for r in sorted(rays):
+        if not sym.product_cone.contains(r):
             return False, {"ray_outside": list(r)}
-        if sigma.relint_contains(r):
+        if sym.product_cone.relint_contains(r):
             return False, {"ray_in_relative_interior": list(r)}
-    return True, {"rays": len(sym.fan.rays()), "maximal_cones": len(sym.fan.maximal_cones)}
+    return True, {"rays": len(rays), "maximal_cones": len(sym.cones)}
 
 
 _CHECK_FUNCS = {
@@ -621,6 +630,7 @@ _CHECK_FUNCS = {
     "base_recovery": (_check_base_recovery, 1),
     "fan_smooth_small": (_check_fan_smooth_small, 2),
 }
+VERIFY_CHECKS = tuple(_CHECK_FUNCS)
 
 
 def checks_for(n: int) -> list[str]:

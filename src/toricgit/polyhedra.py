@@ -203,15 +203,6 @@ def affine_slice(p: LatticePolyhedron, x0: Sequence, basis: Sequence[Sequence]
                              ).canonicalize()
 
 
-def _argmins(vals: list[int]) -> tuple[int, list[int]]:
-    """The least value and its positions, found by C-level scans."""
-    low, hits, k = min(vals), [], -1
-    for _ in range(vals.count(low)):
-        k = vals.index(low, k + 1)
-        hits.append(k)
-    return low, hits
-
-
 class FacetCertificateError(ValueError):
     """Candidate facet normals are not shown to be the facets of a polyhedron."""
 
@@ -442,12 +433,6 @@ class Fan:
     def __hash__(self):
         return hash(self.key())
 
-    def rays(self) -> list[tuple[int, ...]]:
-        out = []
-        for c in self.maximal_cones:
-            out.extend(c.rays)
-        return sorted(set(out))
-
 
 def normal_fan(p: LatticePolyhedron) -> Fan:
     """Inner normal fan: one maximal cone per vertex v, spanned by the
@@ -463,7 +448,9 @@ def normal_fan(p: LatticePolyhedron) -> Fan:
     v, so their primitive normals are exactly the rays of N(v), whether v
     is simple or not, and no double description runs.  A lower-dimensional
     P adds ± the hull normals, a lineality space, and its cones are
-    double-described from their generators."""
+    double-described from their generators.  ``verify`` decides the
+    symmetric model's normal fan at its chamber instead, so this n!-wide
+    route is the tests' oracle."""
     q = p.canonicalize()
     if q.is_empty():
         raise ValueError("empty polyhedron has no normal fan")
@@ -475,8 +462,11 @@ def normal_fan(p: LatticePolyhedron) -> Fan:
     through: list[list[IntVec]] = [[] for _ in verts]  # per vertex, the facets on it
     for n, _ in q.facet_rep:
         n = primitive(n)
-        for k in _argmins(column_dots(n, cols, len(verts)))[1]:
-            through[k].append(n)
+        vals = column_dots(n, cols, len(verts))
+        low = min(vals)
+        for k, v in enumerate(vals):
+            if v == low:
+                through[k].append(n)
     if hull:
         cones = [Cone(d, t + hull) for t in through]
     else:

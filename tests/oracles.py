@@ -52,7 +52,7 @@ from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot,
                              elementary_divisors, frac, hermite_normal_form, primitive,
                              rank, scaled_primitive, vec)
 from toricgit.polyhedra import (FacetCertificateError, Fan, InnerCertificateError,
-                                LatticePolyhedron, _argmins)
+                                LatticePolyhedron)
 from toricgit.stab_backends import QuotientPoint, ratio_is_one
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   _layout_component, _shift_orders)
@@ -426,6 +426,11 @@ def is_face_of(c: Cone, other: Cone) -> bool:
     return Cone(c.ambient_rank, face_gens) == c
 
 
+def fan_rays(fan: Fan) -> list[tuple[int, ...]]:
+    """The sorted distinct rays of the fan's maximal cones."""
+    return sorted({r for c in fan.maximal_cones for r in c.rays})
+
+
 def validate_pairwise_faces(fan: Fan) -> Optional[tuple[Cone, Cone]]:
     """None if every pairwise intersection is a face of both; else a witness pair."""
     cones = fan.maximal_cones
@@ -793,6 +798,15 @@ def symmetric_polyhedra_by_dd(n: int) -> tuple[LatticePolyhedron, LatticePolyhed
 def permutohedron_points(n: int) -> list[tuple[int, ...]]:
     """The n! points (s_i - i)_{i < n} for the permutations s of 1..n."""
     return [tuple(s[i] - (i + 1) for i in range(n - 1)) for s in permutations(range(1, n + 1))]
+
+
+def _argmins(vals: list[int]) -> tuple[int, list[int]]:
+    """The least value and its positions, found by C-level scans."""
+    low, hits, k = min(vals), [], -1
+    for _ in range(vals.count(low)):
+        k = vals.index(low, k + 1)
+        hits.append(k)
+    return low, hits
 
 
 def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional[Cone],

@@ -17,7 +17,7 @@ from toricgit.degeneration import (_pb, build_bundle, build_symmetric, constant_
 from toricgit.git import quotient_polyhedron, unstable_rays
 from toricgit.groups import compose, identity
 from toricgit.linalg import Matrix, hermite_normal_form, elementary_divisors, kernel_basis
-from toricgit.polyhedra import LatticePolyhedron, normal_fan
+from toricgit.polyhedra import Fan, LatticePolyhedron, normal_fan
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   project_to_quotient, random_configuration,
                                   sym_stabilizers, torus_stabilizer,
@@ -69,7 +69,7 @@ def test_criterion_04_normal_fan():
     for n in range(2, 5):
         sym = build_symmetric(n)
         nf = normal_fan(sym.resolution_polyhedron)
-        assert nf == sym.fan, n
+        assert nf == Fan(n + 1, sym.cones, sym.product_cone), n
         if n == 4:
             assert len(nf.maximal_cones) == 24
     report(4, "normal fan equals the orbit fan, n=2..4", t0, 60)

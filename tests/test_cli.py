@@ -221,7 +221,9 @@ def malformed_inputs(tmp_path):
     denominator and a non-object JSON value for each of ``quotient`` and
     ``stab``, a polyhedron whose recession cone has lineality, a scalar where
     a list belongs (``points``, ``generic``, ``vertices``), a configuration
-    with n = 0, and an α that is not an integer matrix or not surjective."""
+    with n = 0, an α that is not an integer matrix or not surjective, and a
+    JSON file nested 100 000 lists deep for each of ``quotient`` and ``stab``,
+    which ``json.load`` reads by recursion."""
     b = build_bundle(1)
     poly = tmp_path / "poly.json"
     alpha = tmp_path / "alpha.json"
@@ -261,6 +263,8 @@ def malformed_inputs(tmp_path):
     a1_int = tmp_path / "a1_int.json"
     a1_int.write_text(json.dumps({"n": 1, "I_t": [], "points": [
         {"component": 0, "root": "0", "generic": [1], "a1": 1, "mult": 1}]}))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
     return {"zero denominator": ["quotient", str(poly), str(alpha), "1/0"],
             "polyhedron list": ["quotient", str(listed), str(alpha), "1/2"],
             "zero root": ["stab", str(zero_root)],
@@ -273,13 +277,16 @@ def malformed_inputs(tmp_path):
             "a1 list": ["stab", str(a1_list)],
             "a1 int": ["stab", str(a1_int)],
             "rational alpha": ["quotient", str(poly), str(rational_alpha), "1/2"],
-            "non-surjective alpha": ["quotient", str(poly), str(flat_alpha), "1/2,1"]}
+            "non-surjective alpha": ["quotient", str(poly), str(flat_alpha), "1/2,1"],
+            "deep nesting quotient": ["quotient", str(deep), str(alpha), "0"],
+            "deep nesting stab": ["stab", str(deep)]}
 
 
 @pytest.mark.parametrize("name", ["zero denominator", "polyhedron list", "zero root",
                                   "configuration list", "scalar points", "scalar generic",
                                   "scalar vertices", "degree zero", "a1 list", "a1 int",
-                                  "rational alpha", "non-surjective alpha"])
+                                  "rational alpha", "non-surjective alpha",
+                                  "deep nesting quotient", "deep nesting stab"])
 def test_malformed_input_exits_2(tmp_path, name):
     r = run_cli(malformed_inputs(tmp_path)[name])
     assert r.returncode == 2, r.stderr

@@ -146,10 +146,12 @@ def test_dual_matches_generator_dd_oracle():
 
 
 def test_builders_take_full_dimensional_duals_without_dd(monkeypatch):
-    # the base cone, the product recession cone and σ are full-dimensional
-    # and pointed, so their duals come with both representations and no
-    # double description runs for them, however much of them is read
-    from toricgit.degeneration import build_bundle, build_symmetric
+    # the base cone and the product recession cone, and the recession cone of
+    # the resolution polyhedron, whose dual the normal_fan check compares
+    # with σ, are full-dimensional and pointed, so their duals come with both
+    # representations and no double description runs for them, however much
+    # of them is read
+    from toricgit.degeneration import build_bundle, build_symmetric, verify
     duals, described = [], []
     real_dual, real_h_rep = Cone.dual, Cone._compute_h_rep
 
@@ -170,6 +172,7 @@ def test_builders_take_full_dimensional_duals_without_dd(monkeypatch):
         build_bundle(n)
         if n >= 2:
             build_symmetric(n)
+            assert verify(n, "normal_fan").status == "pass"
         for c in duals:
             assert c.rays and c.facets and not c.equations and not c.lineality_basis
         assert len(duals) == (2 if n == 1 else 3), n

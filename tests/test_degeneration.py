@@ -10,7 +10,7 @@ from operator import add
 import pytest
 
 from oracles import (ambient_quotient_slice, certified_polyhedron, cube_image_slice_by_sums,
-                     edge_matrix, invert, minkowski_sum, orbit_fan_by_cone_dd,
+                     edge_matrix, fan_rays, invert, minkowski_sum, orbit_fan_by_cone_dd,
                      pb_polyhedron, permutohedron_points, quotient_images_by_fractions,
                      slice_polyhedron, slice_vertex_points_by_fractions, solve_unique,
                      symmetric_polyhedra_by_dd, unstable_rays_by_vertices,
@@ -30,7 +30,7 @@ from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections
 from toricgit.git import unstable_rays
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot
-from toricgit.polyhedra import (FacetCertificateError, InnerCertificateError,
+from toricgit.polyhedra import (FacetCertificateError, Fan, InnerCertificateError,
                                 LatticePolyhedron, cube_image_slice, normal_fan,
                                 orbit_polyhedron)
 
@@ -164,8 +164,9 @@ def test_normal_cone_at_identity_vertex_is_chamber():
 def test_fan_cone_count():
     for n in (2, 3, 4):
         sym = build_symmetric(n)
-        assert len(sym.fan.maximal_cones) == [1, 1, 2, 6, 24][n]
-        for c in sym.fan.maximal_cones:
+        fan = Fan(n + 1, sym.cones, sym.product_cone)
+        assert len(fan.maximal_cones) == len(sym.cones) == [1, 1, 2, 6, 24][n]
+        for c in fan.maximal_cones:
             assert c.is_smooth()
 
 
@@ -237,7 +238,8 @@ def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
         for p in (sym.permutohedron, sym.resolution_polyhedron):
             assert p._canonical and p._cone is None
             assert p.facet_rep and p.hull_equations == ()
-    assert normal_fan(models[0].resolution_polyhedron) == models[0].fan
+    sym = models[0]
+    assert normal_fan(sym.resolution_polyhedron) == Fan(sym.n + 1, sym.cones, sym.product_cone)
 
 
 def test_certified_symmetric_polyhedra_seed_int_rows(monkeypatch):
@@ -293,7 +295,7 @@ def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monk
             m.setattr(LatticePolyhedron, "homogenization", no_cone)
             nf = normal_fan(sym.resolution_polyhedron)
         assert len(calls) <= 1, n  # the support, the dual of the recession cone
-        assert nf == sym.fan, n
+        assert nf == Fan(n + 1, sym.cones, sym.product_cone), n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -618,7 +620,7 @@ def test_cached_accessors_build_once_per_n():
         assert slice_vertex_points(n) is slice_vertex_points(n)
     for n in (2, 3):
         assert _symmetric(n) is _symmetric(n)
-        assert _symmetric(n).fan == build_symmetric(n).fan
+        assert _symmetric(n).cones == build_symmetric(n).cones
     assert _bundle(1) is not _bundle(2)
 
 
@@ -1012,3 +1014,106 @@ def test_unstable_locus_visits_no_vertex_of_pb(monkeypatch):
         monkeypatch.undo()
         assert set(counts) == {n * n}, n
         assert len(counts) == 2 ** n * (n + 1), n
+
+
+# -- the two fan checks, decided at the chamber --------------------------------
+
+
+def test_fan_checks_build_no_fan_and_test_one_cone_for_smoothness(monkeypatch):
+    # the model is built and both checks pass with the n!-wide route
+    # forbidden: no Fan, no normal_fan, and is_smooth of the chamber alone
+    def forbidden(*args):
+        raise AssertionError("the n!-wide fan route ran")
+
+    real, smooth = Cone.is_smooth, []
+    monkeypatch.setattr(polyhedra, "normal_fan", forbidden)
+    monkeypatch.setattr(polyhedra.Fan, "__init__", forbidden)
+    monkeypatch.setattr(Cone, "is_smooth", lambda c: smooth.append(c) or real(c))
+    _symmetric.cache_clear()
+    for n in range(2, 7):
+        for check, chamber_only in (("normal_fan", []), ("fan_smooth_small", [chamber_cone(n)])):
+            smooth.clear()
+            rep = verify(n, check)
+            assert rep.status == "pass", (n, check, rep.witness)
+            assert smooth == chamber_only, (n, check)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fan_checks_agree_with_the_orbit_fan_oracle(monkeypatch, n):
+    # the n!-wide route as the oracle: the normal fan of the resolution
+    # polyhedron is the Fan of the walk's cones, which are distinct and each
+    # smooth, and the rays the chamber check tests against σ are its rays
+    sym = _symmetric(n)
+    fan = Fan(n + 1, sym.cones, sym.product_cone)
+    assert normal_fan(sym.resolution_polyhedron) == fan
+    assert len(fan.maximal_cones) == len(sym.cones)
+    assert all(c.is_smooth() for c in fan.maximal_cones)
+    real, tested = Cone.contains, []
+    monkeypatch.setattr(Cone, "contains", lambda c, v: tested.append(tuple(v)) or real(c, v))
+    rep = verify(n, "fan_smooth_small")
+    assert tested == fan_rays(fan) == list(sym.product_cone.rays) and len(tested) == 2 ** n
+    assert rep.witness == {"rays": len(tested), "maximal_cones": len(fan.maximal_cones)}
+    assert verify(n, "normal_fan").witness == {"maximal_cones": len(fan.maximal_cones)}
+
+
+def _failing(monkeypatch, n, check, **fields):
+    """The report of ``check`` on the symmetric model with ``fields`` replaced."""
+    sym = _symmetric(n)._replace(**fields)
+    monkeypatch.setattr(degeneration, "_symmetric", lambda n: sym)
+    rep = verify(n, check)
+    monkeypatch.undo()
+    assert rep.status == "fail", (n, check, rep.witness)
+    return rep.witness
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_normal_fan_check_rejects_a_chamber_off_the_base_point(monkeypatch, n):
+    # another cone of the orbit fan is the normal cone of another vertex
+    other = _symmetric(n).cones[-1]
+    witness = _failing(monkeypatch, n, "normal_fan", chamber=other)
+    assert witness["chamber_rays"] == [list(r) for r in other.rays]
+    assert witness["facets_at_base_point"] == [list(r) for r in chamber_cone(n).rays]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_normal_fan_check_rejects_a_support_other_than_sigma(monkeypatch, n):
+    # σ less one ray is not the dual of the recession cone
+    sigma = _symmetric(n).product_cone
+    witness = _failing(monkeypatch, n, "normal_fan", product_cone=Cone(n + 1, sigma.rays[1:]))
+    assert witness == {"support": [list(r) for r in sigma.rays]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fan_smooth_small_check_rejects_a_non_smooth_chamber(monkeypatch, n):
+    # 2·r_0 + r_1 in place of r_0: a simplicial chamber of |det| 2
+    r = chamber_cone(n).rays
+    chamber = Cone(n + 1, [tuple(2 * a + b for a, b in zip(r[0], r[1]))] + list(r[1:]))
+    witness = _failing(monkeypatch, n, "fan_smooth_small", chamber=chamber)
+    assert witness == {"non_smooth_cone": [list(x) for x in chamber.rays]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fan_smooth_small_check_rejects_a_non_unimodular_generator(monkeypatch, n):
+    # the last generator replaced by the projection that kills e_n, |det| 0;
+    # its orbit of rays stays finite, as all generators then map units to units or 0
+    proj = Matrix([[int(i == j < n) for j in range(n + 1)] for i in range(n + 1)])
+    gens = _symmetric(n).generators[:-1] + (proj,)
+    witness = _failing(monkeypatch, n, "fan_smooth_small", generators=gens)
+    assert witness == {"generator_abs_dets": [1] * (n - 2) + [0]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fan_smooth_small_check_rejects_a_ray_outside_or_inside_sigma(monkeypatch, n):
+    # σ without its ray e_n leaves that orbit ray outside; the half-space of a
+    # facet φ of σ holds every ray, those off φ in its relative interior
+    sigma, e_n = _symmetric(n).product_cone, (0,) * n + (1,)
+    smaller = Cone(n + 1, [r for r in sigma.rays if r != e_n])
+    witness = _failing(monkeypatch, n, "fan_smooth_small", product_cone=smaller)
+    assert witness == {"ray_outside": list(e_n)}
+    phi = sigma.facets[0]
+    half = Cone(n + 1, list(sigma.rays) + [tuple(-x for x in r) for r in sigma.rays
+                                           if dot(phi, r) == 0])
+    assert half.facets == (phi,) and all(half.contains(r) for r in sigma.rays)
+    witness = _failing(monkeypatch, n, "fan_smooth_small", product_cone=half)
+    first = min(r for r in sigma.rays if dot(phi, r) > 0)
+    assert witness == {"ray_in_relative_interior": list(first)}

@@ -31,6 +31,9 @@ KEPT = {
     "project_to_quotient": "perfbench/tracer.py reports stabilizers.project_to_quotient "
                            "in METRICS; toricgit stab now reads verify_comparison's one "
                            "pass",
+    "normal_fan": "perfbench/tracer.py reports polyhedra.normal_fan (and "
+                  "polyhedra.Fan.__init__) in METRICS; verify decides the normal fan "
+                  "at the chamber, and the tests keep this n!-wide route as an oracle",
 }
 
 

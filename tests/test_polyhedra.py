@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from oracles import (certified_polyhedron, check_semigroup_generation, cone_over, contains,
                      cube_slice_oracle, embedding_monomials, feasible_nonneg_combination,
                      in_cone_hull, intersection, linear_image, minkowski_sum,
-                     normal_fan_by_vertex_dd, slice_polyhedron, solve_affine_oracle, vadd,
-                     validate_pairwise_faces, validate_support_cover)
+                     fan_rays, normal_fan_by_vertex_dd, slice_polyhedron, solve_affine_oracle,
+                     vadd, validate_pairwise_faces, validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot, primitive, rank
-from toricgit.polyhedra import (ChamberCertificateError, FacetCertificateError,
+from toricgit.polyhedra import (ChamberCertificateError, FacetCertificateError, Fan,
                                 LatticePolyhedron, affine_slice, cube_image_slice, normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
@@ -414,7 +414,7 @@ def test_normal_fan_resolution_polyhedron():
     from toricgit.degeneration import build_symmetric
     sym = build_symmetric(2)
     nf = normal_fan(sym.resolution_polyhedron)
-    assert nf == sym.fan
+    assert nf == Fan(3, sym.cones, sym.product_cone)
     assert len(nf.maximal_cones) == 2
 
 
@@ -726,10 +726,11 @@ def test_fan_validity_small():
     from toricgit.degeneration import build_symmetric
     for n in (2, 3, 4):
         sym = build_symmetric(n)
-        assert validate_pairwise_faces(sym.fan) is None
-        assert validate_support_cover(sym.fan) is None
+        fan = Fan(n + 1, sym.cones, sym.product_cone)
+        assert validate_pairwise_faces(fan) is None
+        assert validate_support_cover(fan) is None
         sigma = sym.product_cone
-        for r in sym.fan.rays():
+        for r in fan_rays(fan):
             assert sigma.contains(r)
             assert not sigma.relint_contains(r)
 
