@@ -51,13 +51,13 @@ def cmd_build(args) -> int:
     elif obj == "permutahedron":
         payload = jsonio.polyhedron_to_json(build_symmetric(n).permutohedron)
     else:
-        sym = build_symmetric(n)
+        sym, strs = build_symmetric(n), {}  # strs: the fan's 2^n rays, converted once
         payload = {
             "n": n,
             "chamber": jsonio.cone_to_json(sym.chamber),
             "product_cone": jsonio.cone_to_json(sym.product_cone),
-            "fan": [jsonio.cone_to_json(c, with_facets=False)
-                    for c in sorted(sym.cones, key=lambda c: c.key())],
+            "fan": [{"ambient_rank": n + 1, "rays": jsonio.str_rows(rays, strs), "lineality": []}
+                    for rays in sym.cones],  # as cone_to_json writes these pointed cones
             "permutahedron": jsonio.polyhedron_to_json(sym.permutohedron),
             "resolution_polyhedron": jsonio.polyhedron_to_json(sym.resolution_polyhedron),
         }

@@ -12,7 +12,7 @@ Two families of objects are built:
 
 * ``SymmetricModel``: the weight-space S_n data that resolve the relative
   n-fold product of X over the base: the chamber C, the generators g_k, the
-  n! orbit-fan cones of their Cayley walk, and two certified polyhedra.
+  n! orbit-fan cones of their Cayley walk as ray tuples, two certified polyhedra.
 
 ``verify`` runs one named check, those on the orbit fan at C from that
 certificate, and returns a report with a witness on failure.
@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
-from .linalg import Matrix, abs_det, left_action
+from .linalg import IntVec, Matrix, abs_det, left_action
 from .polyhedra import Facet, LatticePolyhedron, cube_image_slice, orbit_polyhedron
 
 # the largest n that ``verify`` runs at
@@ -311,7 +311,7 @@ class SymmetricModel(NamedTuple):
     chamber: Cone                  # C, the distinguished maximal cone
     product_cone: Cone             # σ, rank n+1, the support of the orbit fan
     generators: tuple[Matrix, ...]  # g_k = ρ(s_k), which the walk and the certificates use
-    cones: tuple[Cone, ...]        # ρ(s)·C for s in S_n in order, canonical and distinct
+    cones: tuple[tuple[IntVec, ...], ...]  # the sorted rays of each ρ(s)·C, in sorted order
     permutohedron: LatticePolyhedron
     resolution_polyhedron: LatticePolyhedron  # its vertex ρ(s)⁻ᵀy₀ is paired with ρ(s)·C
 
@@ -366,23 +366,19 @@ def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Ma
     return {s: Matrix(mat) for s, (mat, _) in walk.items()}
 
 
-def orbit_cones(chamber: Cone, gens: Sequence[Matrix], point: Sequence[int]
-                ) -> Iterator[tuple[Cone, tuple[int, ...]]]:
-    """(ρ(s)·C, ρ(s)⁻ᵀ·point) for s in S_n in order: the rays r and facet
-    normals f of the chamber C's one double description become the
-    primitive ρ(s)r and f·ρ(s)⁻¹, the columns that ``_cayley_walk`` moves,
-    and the point, one more row beside the facets, moves with them.  The
+def orbit_cone_rays(chamber: Cone, gens: Sequence[Matrix], point: Sequence[int]
+                    ) -> Iterator[tuple[tuple[IntVec, ...], tuple[int, ...]]]:
+    """(the sorted rays of ρ(s)·C, ρ(s)⁻ᵀ·point) for s in S_n in order: the
+    chamber C's rays r become the primitive ρ(s)r, the columns that
+    ``_cayley_walk`` moves, and the point, its one row, moves with them.  The
     guard checks that C is pointed, full-dimensional and simplicial as
-    displayed, so that it has no lineality basis or equations to bring back
-    to normal form."""
-    d, rays, facets = chamber.ambient_rank, chamber.rays, chamber.facets
+    displayed, so that the sorted rays are all of each ρ(s)·C's ``key()``."""
+    d, rays = chamber.ambient_rank, chamber.rays
     if chamber.lineality_basis or chamber.equations or len(rays) != d:
         raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
-    walk = _cayley_walk(len(gens) + 1, gens, rays, facets + (tuple(point),))
+    walk = _cayley_walk(len(gens) + 1, gens, rays, (tuple(point),))
     for _, (s_rays, s_rows) in sorted(walk.items()):
-        *s_facets, y = zip(*s_rows)
-        yield Cone(d, _rays=tuple(sorted(zip(*s_rays))), _facets=tuple(sorted(s_facets)),
-                   _lineality=(), _equations=()), y
+        yield tuple(sorted(zip(*s_rays))), next(zip(*s_rows))
 
 
 def product_cone_ambient(n: int) -> Cone:
@@ -404,22 +400,22 @@ def product_cone_dual_columns(n: int) -> list[tuple[int, ...]]:
 
 def build_symmetric(n: int) -> SymmetricModel:
     """The symmetric model, with no pass over its n! points.  One walk of
-    the Cayley graph (``orbit_cones``) moves the chamber and y₀ = (0; 2i - n
-    - 1; 0), the identity's vertex of the resolution polyhedron centred at
-    the barycentre and doubled, by the generators g_k = ρ(s_k), so no ρ(s)
-    is formed; its Coxeter check makes the points it returns the orbit of
-    y₀, the (0; 2s_i - n - 1; 0) of the permutations s.  ``orbit_polyhedron``
-    certifies at y₀ the rays ν of σ as the facets, with c_ν = -k(n - k), k
-    the support of ν's middle block (the k least 2j - n - 1 sum to it), and
-    the permutohedron on the middle blocks: each g_kᵀ fixes the outer
-    coordinates (columns 0 and n of g_k are e_0 and e_n, checked), so their
-    orbit is that of y₀'s under the middle blocks of the g_k."""
+    the Cayley graph (``orbit_cone_rays``) moves the chamber's rays and y₀ =
+    (0; 2i - n - 1; 0), the identity's vertex of the resolution polyhedron
+    centred at the barycentre and doubled, by the g_k = ρ(s_k), so no ρ(s)
+    and no ``Cone`` per s is formed; its Coxeter check makes the points it
+    returns the orbit of y₀, the (0; 2s_i - n - 1; 0) of the permutations s.
+    ``orbit_polyhedron`` certifies at y₀ the rays ν of σ as the facets, with
+    c_ν = -k(n - k), k the support of ν's middle block (the k least 2j - n -
+    1 sum to it), and the permutohedron on the middle blocks: each g_kᵀ
+    fixes the outer coordinates (columns 0 and n of g_k are e_0 and e_n,
+    checked), so their orbit is that of y₀'s under the middle blocks."""
     if not 2 <= n <= 7:
         raise ValueError("n must be in [2, 7] (the walk has n! cones)")
     chamber = chamber_cone(n)
     prod = product_cone_ambient(n)
     gens = ambient_reflections(n)
-    cones, orbit = zip(*orbit_cones(chamber, gens, (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)))
+    rays, orbit = zip(*orbit_cone_rays(chamber, gens, (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)))
     dual_display = Cone(n + 1, product_cone_dual_columns(n))
     offsets = {nu: k * (k - n) for nu in prod.rays for k in [sum(map(abs, nu[1:-1]))]}
     respoly = orbit_polyhedron(orbit, gens, offsets, dual_display)
@@ -429,8 +425,8 @@ def build_symmetric(n: int) -> SymmetricModel:
                             [Matrix([r[1:-1] for r in g.entries[1:-1]]) for g in gens],
                             {nu[1:-1]: c for nu, c in offsets.items() if any(nu[1:-1])}, None)
     return SymmetricModel(
-        n=n, chamber=chamber, product_cone=prod, generators=tuple(gens), cones=cones,
-        permutohedron=perm, resolution_polyhedron=respoly)
+        n=n, chamber=chamber, product_cone=prod, generators=tuple(gens),
+        cones=tuple(sorted(rays)), permutohedron=perm, resolution_polyhedron=respoly)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +550,7 @@ def _check_normal_fan(n: int) -> tuple[bool, Any]:
     facets with invariant offsets and that y₀, the origin of P's coordinates
     (y - y₀)/2, is a simple vertex on the facets T of offset 0, so each
     vertex ρ(s)⁻ᵀy₀ is on exactly ρ(s)T, as <ρ(s)ν, ρ(s)⁻ᵀy₀> = <ν, y₀>.
-    The walk of ``orbit_cones`` pairs that vertex with ρ(s)·C, so if T is
+    The walk of ``orbit_cone_rays`` pairs that vertex with ρ(s)·C, so if T is
     the rays of C, its normal cone cone(ρ(s)T) is ρ(s)·C (Ziegler, §7.1).
     The fan's support is rec(P)^∨, rec(P) the displayed dual of σ."""
     sym = _symmetric(n)

@@ -8,6 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -54,11 +55,12 @@ def _json_list(obj, what: str) -> list:
 
 
 def _json_int(x, what: str) -> int:
-    """A JSON integer, or a string holding one; ValueError for anything else
-    (floats and booleans included)."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ValueError(f"{what} must be an integer, not {type(x).__name__}")
-    return int(x)
+    """A JSON integer, or a string of an optional sign and ASCII digits;
+    ValueError naming ``what`` for anything else ("1_0", floats, booleans)."""
+    if type(x) is int or isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x):
+        return int(x)
+    shown = repr(x) if isinstance(x, str) else type(x).__name__
+    raise ValueError(f"{what} must be an integer, not {shown}")
 
 
 def _json_str(x, what: str) -> str:
@@ -92,12 +94,16 @@ def matrix_from_json(obj: dict) -> Matrix:
     return m
 
 
+def str_rows(vs, strs: dict) -> list[list[str]]:
+    """Integer vectors as lists of strings, each converted once into ``strs``."""
+    return [strs[v] if v in strs else strs.setdefault(v, [str(x) for x in v]) for v in vs]
+
+
 def cone_to_json(c: Cone, with_facets: bool = True) -> dict:
-    out = {"ambient_rank": c.ambient_rank,
-           "rays": [[str(x) for x in r] for r in c.rays],
-           "lineality": [[str(x) for x in l] for l in c.lineality_basis]}
+    out = {"ambient_rank": c.ambient_rank, "rays": str_rows(c.rays, {}),
+           "lineality": str_rows(c.lineality_basis, {})}
     if with_facets:
-        out["facets"] = [[str(x) for x in f] for f in c.facets]
+        out["facets"] = str_rows(c.facets, {})
     return out
 
 
@@ -118,12 +124,10 @@ def polyhedron_to_json(p: LatticePolyhedron) -> dict:
            "vertices": [[rational_str(x) for x in v] for v in q.vertex_candidates],
            "recession": cone_to_json(q.recession, with_facets=False)}
     if not q.is_empty():
-        facets = [{"normal": [str(x) for x in n], "offset": rational_str(o)}
-                  for n, o in q.facet_rep]
-        for n, o in q.hull_equations:
-            facets.append({"normal": [str(x) for x in n], "offset": rational_str(o)})
-            facets.append({"normal": [str(-x) for x in n], "offset": rational_str(-o)})
-        out["facets"] = facets
+        rows = q.facet_rep + tuple((tuple(s * x for x in n), s * o)  # an equation as ± rows
+                                   for n, o in q.hull_equations for s in (1, -1))
+        out["facets"] = [{"normal": [str(x) for x in n], "offset": rational_str(o)}
+                         for n, o in rows]
     return out
 
 

@@ -216,7 +216,7 @@ def orbit_polyhedron(orbit: Sequence[IntVec], gens: Sequence[Matrix],
     certificate fails.  ``orbit`` must be the orbit of y₀ under the group G
     the integer ``gens`` generate, acting by y ↦ gᵀy on points and
     ν ↦ gν on normals (<gν, y> = <ν, gᵀy>), which is the caller's to know
-    (``orbit_cones`` walks it).  Q is the polyhedron the candidates cut out,
+    (``orbit_cone_rays`` walks it).  Q is the polyhedron the candidates cut out,
     C the recession cone, which must be pointed.  The checks:
 
     (1) each g permutes the normals with c_gν = c_ν, each gᵀ the rays of C,

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 from oracles import (ambient_quotient_slice, ambient_slice, det_unimodular, from_cycles,
-                     intersection, minkowski_sum, smith_normal_form)
+                     intersection, minkowski_sum, orbit_fan_by_cone_dd, smith_normal_form)
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (_pb, build_bundle, build_symmetric, constant_tail,
                                    decode_ray_label, head_vertex, product_cone_ambient,
@@ -69,7 +69,7 @@ def test_criterion_04_normal_fan():
     for n in range(2, 5):
         sym = build_symmetric(n)
         nf = normal_fan(sym.resolution_polyhedron)
-        assert nf == Fan(n + 1, sym.cones, sym.product_cone), n
+        assert nf == Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone), n
         if n == 4:
             assert len(nf.maximal_cones) == 24
     report(4, "normal fan equals the orbit fan, n=2..4", t0, 60)

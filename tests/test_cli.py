@@ -10,8 +10,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_to_json
+from oracles import matrix_to_json, orbit_fan_by_cone_dd
 from toricgit import cli, jsonio
+from toricgit.cones import Cone
 from toricgit.degeneration import build_bundle, checks_for, product_ray_vectors
 from toricgit.stabilizers import random_configuration
 
@@ -536,6 +537,33 @@ def test_missing_field_is_named(tmp_path, command, field, doc):
     assert f"has no {field!r} field" in err
 
 
+@pytest.mark.parametrize("command, what, value, doc", [
+    ("stab", "n", "x", {"n": "x", "points": []}),
+    ("quotient", "rows", "1x", {"rows": "1x", "cols": 3, "entries": [["0", "1", "-1"]]}),
+    ("quotient", "a ray entry", "1/2",
+     {"ambient_rank": 3, "vertices": [["0", "0", "0"]],
+      "recession": {"ambient_rank": 3, "rays": [["1/2", "0", "0"]]}}),
+])
+def test_malformed_integer_is_named(tmp_path, command, what, value, doc):
+    # an integer field holding a string that is not an optional sign and
+    # ASCII digits exits 2 with one error line that names the field, not
+    # with int()'s "invalid literal" text
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    if command == "stab":
+        args = ["stab", str(path)]
+    else:
+        b = build_bundle(1)
+        poly, alpha = tmp_path / "poly.json", tmp_path / "alpha.json"
+        poly.write_text(jsonio.dumps(jsonio.polyhedron_to_json(b.family_polyhedron)))
+        alpha.write_text(jsonio.dumps(matrix_to_json(b.lin_family.alpha)))
+        args = ["quotient", str(poly if what == "rows" else path),
+                str(path if what == "rows" else alpha), "1/2"]
+    rc, out, err = run_main(args)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {what} must be an integer, not {value!r}\n"
+
+
 # modules that only stab and the comparison_fuzz check run
 STABILIZER_STACK = ("toricgit.stabilizers", "toricgit.groups", "toricgit.stab_backends",
                     "dataclasses", "inspect")
@@ -560,6 +588,16 @@ def test_cli_import_leaves_the_stabilizer_stack_unloaded(tmp_path):
                 env={"DEGEN_FUZZ_TRIALS": "5"})
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["status"] == "pass"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_build_symmetric_fan_matches_per_cone_dd_oracle(n):
+    # the fan printed from the walk's ray tuples is what cone_to_json writes
+    # for the cones of the per-cone DD orbit fan, in key order
+    rc, out, err = run_main(["build", "--n", str(n), "--object", "symmetric"])
+    assert rc == 0, err
+    assert json.loads(out)["fan"] == [jsonio.cone_to_json(c, with_facets=False)
+                                      for c in sorted(orbit_fan_by_cone_dd(n), key=Cone.key)]
 
 
 def test_build_determinism():

@@ -20,7 +20,7 @@ from toricgit.cones import Cone
 from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections,
                                    basis_change_matrix, build_bundle, build_symmetric,
                                    chamber_cone, chart_box, checks_for, constant_tail,
-                                   decode_ray_label, head_vertex, orbit_cones,
+                                   decode_ray_label, head_vertex, orbit_cone_rays,
                                    permutation_matrices, product_chart_corners,
                                    product_chart_vertices, product_cone_ambient,
                                    product_cone_dual_columns, product_cube_map,
@@ -164,22 +164,40 @@ def test_normal_cone_at_identity_vertex_is_chamber():
 def test_fan_cone_count():
     for n in (2, 3, 4):
         sym = build_symmetric(n)
-        fan = Fan(n + 1, sym.cones, sym.product_cone)
+        fan = Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone)
         assert len(fan.maximal_cones) == len(sym.cones) == [1, 1, 2, 6, 24][n]
         for c in fan.maximal_cones:
             assert c.is_smooth()
 
 
-def _reps(c):
-    return c.rays, c.lineality_basis, c.facets, c.equations
-
-
 def test_orbit_fan_matches_per_cone_dd_oracle():
-    # rays and facets transported from the chamber equal each cone's own DD
+    # the rays transported from the chamber equal each cone's own DD, whose
+    # cones are pointed and full-dimensional, so their rays are their keys,
+    # and the model keeps them in key order
     for n in range(2, 7):
-        got = [_reps(c) for c, _ in orbit_cones(chamber_cone(n), ambient_reflections(n),
-                                                (0,) * (n + 1))]
-        assert got == [_reps(c) for c in orbit_fan_by_cone_dd(n)], n
+        oracle = orbit_fan_by_cone_dd(n)
+        assert all(not c.lineality_basis and not c.equations for c in oracle), n
+        got = [rays for rays, _ in orbit_cone_rays(chamber_cone(n), ambient_reflections(n),
+                                                   (0,) * (n + 1))]
+        assert got == [c.rays for c in oracle], n
+        assert build_symmetric(n).cones == tuple(c.rays for c in sorted(oracle, key=Cone.key))
+
+
+def test_build_symmetric_cone_count_does_not_grow_with_n(monkeypatch):
+    # the orbit fan is kept as ray tuples: no Cone per permutation
+    real, made = Cone.__init__, []
+
+    def spy(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cone, "__init__", spy)
+    counts = []
+    for n in (3, 4, 5, 6):
+        made.clear()
+        build_symmetric(n)
+        counts.append(len(made))
+    assert counts == [counts[0]] * 4, counts
 
 
 def test_build_symmetric_dd_calls_do_not_grow_with_n(monkeypatch):
@@ -239,7 +257,8 @@ def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
             assert p._canonical and p._cone is None
             assert p.facet_rep and p.hull_equations == ()
     sym = models[0]
-    assert normal_fan(sym.resolution_polyhedron) == Fan(sym.n + 1, sym.cones, sym.product_cone)
+    assert normal_fan(sym.resolution_polyhedron) == \
+        Fan(sym.n + 1, orbit_fan_by_cone_dd(sym.n), sym.product_cone)
 
 
 def test_certified_symmetric_polyhedra_seed_int_rows(monkeypatch):
@@ -295,7 +314,7 @@ def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monk
             m.setattr(LatticePolyhedron, "homogenization", no_cone)
             nf = normal_fan(sym.resolution_polyhedron)
         assert len(calls) <= 1, n  # the support, the dual of the recession cone
-        assert nf == Fan(n + 1, sym.cones, sym.product_cone), n
+        assert nf == Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone), n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -366,7 +385,7 @@ def _orbit_candidates(n):
     permutohedron, as ``build_symmetric`` passes them to ``orbit_polyhedron``."""
     gens = ambient_reflections(n)
     base = (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)
-    orbit = [y for _, y in orbit_cones(chamber_cone(n), gens, base)]
+    orbit = [y for _, y in orbit_cone_rays(chamber_cone(n), gens, base)]
     offsets = {}
     for nu in product_cone_ambient(n).rays:
         k = sum(map(abs, nu[1:-1]))
@@ -520,11 +539,11 @@ BAD_CHAMBERS = {
 def test_orbit_transport_guards_hold_under_python_O():
     for name, gens in BAD_CHAMBERS.items():
         with pytest.raises(AssertionError):
-            next(orbit_cones(Cone(3, gens), ambient_reflections(2), (0, 0, 0)))
+            next(orbit_cone_rays(Cone(3, gens), ambient_reflections(2), (0, 0, 0)))
         code = ("from toricgit.cones import Cone\n"
-                "from toricgit.degeneration import ambient_reflections, orbit_cones\n"
+                "from toricgit.degeneration import ambient_reflections, orbit_cone_rays\n"
                 "try:\n"
-                f"    next(orbit_cones(Cone(3, {gens!r}), ambient_reflections(2), (0, 0, 0)))\n"
+                f"    next(orbit_cone_rays(Cone(3, {gens!r}), ambient_reflections(2), (0, 0, 0)))\n"
                 "except AssertionError:\n"
                 "    raise SystemExit(7)\n")
         r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
@@ -565,7 +584,7 @@ def test_permutation_matrices_reject_generators_breaking_a_relation(relation):
     d = len(gens[0])
     orthant = Cone(d, [tuple(int(i == j) for j in range(d)) for i in range(d)])
     with pytest.raises(AssertionError, match="Coxeter"):
-        next(orbit_cones(orthant, [Matrix(g) for g in gens], (0,) * d))
+        next(orbit_cone_rays(orthant, [Matrix(g) for g in gens], (0,) * d))
 
 
 def test_decode_ray_label():
@@ -1041,10 +1060,11 @@ def test_fan_checks_build_no_fan_and_test_one_cone_for_smoothness(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_fan_checks_agree_with_the_orbit_fan_oracle(monkeypatch, n):
     # the n!-wide route as the oracle: the normal fan of the resolution
-    # polyhedron is the Fan of the walk's cones, which are distinct and each
-    # smooth, and the rays the chamber check tests against σ are its rays
+    # polyhedron is the Fan of the per-cone DD orbit fan, whose cones are as
+    # many as the walk's, distinct and each smooth, and the rays the chamber
+    # check tests against σ are its rays
     sym = _symmetric(n)
-    fan = Fan(n + 1, sym.cones, sym.product_cone)
+    fan = Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone)
     assert normal_fan(sym.resolution_polyhedron) == fan
     assert len(fan.maximal_cones) == len(sym.cones)
     assert all(c.is_smooth() for c in fan.maximal_cones)
@@ -1069,7 +1089,7 @@ def _failing(monkeypatch, n, check, **fields):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_normal_fan_check_rejects_a_chamber_off_the_base_point(monkeypatch, n):
     # another cone of the orbit fan is the normal cone of another vertex
-    other = _symmetric(n).cones[-1]
+    other = orbit_fan_by_cone_dd(n)[-1]
     witness = _failing(monkeypatch, n, "normal_fan", chamber=other)
     assert witness["chamber_rays"] == [list(r) for r in other.rays]
     assert witness["facets_at_base_point"] == [list(r) for r in chamber_cone(n).rays]

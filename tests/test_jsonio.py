@@ -2,11 +2,14 @@
 every malformed value with ValueError or KeyError, the two exceptions the CLI
 turns into exit 2 with one ``error:`` line."""
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from toricgit import jsonio
+from toricgit.cones import Cone
 
 PARSERS = [jsonio.configuration_from_json, jsonio.polyhedron_from_json,
            jsonio.matrix_from_json, jsonio.cone_from_json]
@@ -94,6 +97,35 @@ def test_wrongly_typed_matrix_size_is_rejected(size):
     obj = {"rows": 1, "cols": 2, "entries": [["1", "0"]], **size}
     with pytest.raises(ValueError, match="must be an integer"):
         jsonio.matrix_from_json(obj)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", " 7 ", "7\n", "", "+", "-", "+-1",
+                                  "0x10", "1e3", "1.0", "1/2", "\u00b2"])
+def test_integer_strings_are_a_sign_and_ascii_digits(text):
+    # int() reads "1_0" as 10, the Arabic-Indic "٣" as 3 and " 7 " as 7;
+    # the parsers take an optional sign and ASCII digits only, and say which
+    # field held what
+    with pytest.raises(ValueError, match=re.escape(f"mult must be an integer, not {text!r}")):
+        jsonio.configuration_from_json({"n": 1, "points": [{"component": 0, "mult": text}]})
+
+
+def test_integer_strings_with_a_sign_or_leading_zeros_are_read():
+    m = jsonio.matrix_from_json({"rows": "+1", "cols": "002", "entries": [["1", "0"]]})
+    assert (m.rows, m.cols) == (1, 2)
+    c = jsonio.cone_from_json({"ambient_rank": "2", "rays": [["-2", "+01"], [0, 1]]})
+    assert c.rays == ((-2, 1), (0, 1))
+
+
+def test_str_rows_converts_each_vector_once():
+    # the fan of build --object symmetric shares its rays across its cones
+    strs = {}
+    first = jsonio.str_rows([(0, 1), (1, -2)], strs)
+    second = jsonio.str_rows([(1, -2), (3, 0)], strs)
+    assert (first, second) == ([["0", "1"], ["1", "-2"]], [["1", "-2"], ["3", "0"]])
+    assert second[0] is first[1] and len(strs) == 3
+    cone = Cone(2, [(1, 0), (1, 1)])
+    assert jsonio.cone_to_json(cone) == {"ambient_rank": 2, "rays": [["1", "0"], ["1", "1"]],
+                                         "lineality": [], "facets": [["0", "1"], ["1", "-1"]]}
 
 
 def test_matrix_entries_are_read_as_integers():

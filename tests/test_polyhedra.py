@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from oracles import (certified_polyhedron, check_semigroup_generation, cone_over, contains,
                      cube_slice_oracle, embedding_monomials, feasible_nonneg_combination,
                      in_cone_hull, intersection, linear_image, minkowski_sum,
-                     fan_rays, normal_fan_by_vertex_dd, slice_polyhedron, solve_affine_oracle,
+                     fan_rays, normal_fan_by_vertex_dd, orbit_fan_by_cone_dd,
+                     slice_polyhedron, solve_affine_oracle,
                      vadd, validate_pairwise_faces, validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
@@ -414,7 +415,7 @@ def test_normal_fan_resolution_polyhedron():
     from toricgit.degeneration import build_symmetric
     sym = build_symmetric(2)
     nf = normal_fan(sym.resolution_polyhedron)
-    assert nf == Fan(3, sym.cones, sym.product_cone)
+    assert nf == Fan(3, orbit_fan_by_cone_dd(2), sym.product_cone)
     assert len(nf.maximal_cones) == 2
 
 
@@ -726,7 +727,7 @@ def test_fan_validity_small():
     from toricgit.degeneration import build_symmetric
     for n in (2, 3, 4):
         sym = build_symmetric(n)
-        fan = Fan(n + 1, sym.cones, sym.product_cone)
+        fan = Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone)
         assert validate_pairwise_faces(fan) is None
         assert validate_support_cover(fan) is None
         sigma = sym.product_cone
