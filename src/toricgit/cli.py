@@ -178,11 +178,15 @@ def cmd_quotient(args) -> int:
         polytopal, conical = split_quotient(poly, lin)
     except EmptyQuotientError:
         # conv(points) misses the slice: the split does not apply to this input
-        parts = {"polytopal": None, "conical": None}
-    else:
-        parts = {"polytopal": jsonio.polyhedron_to_json(polytopal),
-                 "conical": jsonio.cone_to_json(conical)}
-    print(dumps({"quotient": jsonio.polyhedron_to_json(q), **parts}), flush=True)
+        polytopal = conical = None
+    try:  # an int longer than sys.get_int_max_str_digits() has no str()
+        text = dumps({"quotient": jsonio.polyhedron_to_json(q),
+                      "polytopal": polytopal and jsonio.polyhedron_to_json(polytopal),
+                      "conical": conical and jsonio.cone_to_json(conical)})
+    except ValueError as exc:
+        print(f"error: the quotient cannot be printed: {exc}", file=sys.stderr)
+        return 2
+    print(text, flush=True)
     return 0
 
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 import time
 from functools import cache, reduce
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
-from operator import le, matmul
+from itertools import combinations, combinations_with_replacement, product
+from math import factorial
+from operator import itemgetter, matmul, sub
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .cones import Cone, image_cone
@@ -33,7 +34,7 @@ from .linalg import IntVec, Matrix, abs_det, left_action
 from .polyhedra import Facet, LatticePolyhedron, cube_image_slice, orbit_polyhedron
 
 # the largest n that ``verify`` runs at
-VERIFY_MAX_N = 7
+VERIFY_MAX_N = 8
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +171,9 @@ def product_chart_corners(n: int) -> list[tuple[int, ...]]:
             for c in product(range(1, n + 2), repeat=n)]
 
 
-def chart_box(n: int, lo: Sequence[int], hi: Sequence[int]) -> bool:
-    """Is every 0/1 point c with lo <= c <= hi a chart corner?  c is one iff
-    each block is at most the next, so iff each block of hi is at most the
-    next block of lo (the box's coordinates vary independently)."""
-    return all(map(le, hi, lo[n:]))
+def chart_pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (x, x + n): a 0/1 point c is a chart corner iff c_x <= c_{x+n}."""
+    return [(x, x + n) for x in range(n * n - n)]
 
 
 def product_chart_vertices(n: int) -> list[tuple[int, ...]]:
@@ -210,6 +209,15 @@ def constant_tail(n: int) -> tuple[int, ...]:
     """(n+1)·(0, n/(n+1), 3n/(n+1), ..., n^2/2): the shared t-block of all
     slice polytope vertices, scaled."""
     return tuple((m - 1) * m // 2 * n for m in range(1, n + 2))
+
+
+def identity_slice_vertex(n: int) -> tuple[int, ...]:
+    """(n+1)·m_id, m_id = L(w_1; ...; w_n) by the paper's definition, checked
+    to be (u; constant tail); each m_s = L(s·w_1; ...) is P_s·m_id (``_pb``)."""
+    m = product_cube_map(n) @ [x for i in range(1, n + 1) for x in slice_vertex(n, i)]
+    if m != head_vertex(n) + constant_tail(n):
+        raise AssertionError("the identity's slice vertex is not (u; constant tail)")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +320,7 @@ class SymmetricModel(NamedTuple):
     product_cone: Cone             # σ, rank n+1, the support of the orbit fan
     generators: tuple[Matrix, ...]  # g_k = ρ(s_k), which the walk and the certificates use
     cones: tuple[tuple[IntVec, ...], ...]  # the sorted rays of each ρ(s)·C, in sorted order
+    base_point: IntVec             # y₀, the resolution polyhedron's vertex at C, doubled
     permutohedron: LatticePolyhedron
     resolution_polyhedron: LatticePolyhedron  # its vertex ρ(s)⁻ᵀy₀ is paired with ρ(s)·C
 
@@ -330,14 +339,15 @@ def chamber_cone(n: int) -> Cone:
 
 
 def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequence) -> dict:
-    """{s: (ρ(s)·C, (R·ρ(s)⁻¹)ᵀ)} for s in S_n, C with the ``columns`` and R
-    with the ``rows``, from the generators g_k = ρ(s_k).  They must satisfy
-    the Coxeter relations s_k² = 1, (s_k s_{k+1})³ = 1 and s_k s_l = s_l s_k
-    for |k - l| >= 2, which present S_n, so ρ is a homomorphism and a walk
-    of the Cayley graph from the identity reaches each s once, whatever the
-    path.  A step from p to q = s_k p moves ρ(p)·C to g_k·ρ(p)·C and
-    (R·ρ(p)⁻¹)ᵀ to g_kᵀ·(R·ρ(p)⁻¹)ᵀ, as g_k² = 1: it combines the rows of
-    each matrix (tuples of row tuples), and a coordinate swap reorders them."""
+    """{s: (ρ(s)·C, (R·ρ(s)⁻¹)ᵀ)} for s in S_n as bytes, the identity first,
+    C with the ``columns`` and R with the ``rows``, from the generators g_k
+    = ρ(s_k).  They must satisfy the Coxeter relations s_k² = 1, (s_k
+    s_{k+1})³ = 1 and s_k s_l = s_l s_k for |k - l| >= 2, which present S_n,
+    so ρ is a homomorphism and a walk of the Cayley graph from the identity
+    reaches each s once, whatever the path.  A step from p to q = s_k p
+    moves ρ(p)·C to g_k·ρ(p)·C and (R·ρ(p)⁻¹)ᵀ to g_kᵀ·(R·ρ(p)⁻¹)ᵀ, as g_k²
+    = 1: it combines the rows of each matrix (tuples of row tuples), and a
+    coordinate swap reorders them."""
     d = gens[0].rows
     ident = Matrix.identity(d)
     for k, l in combinations_with_replacement(range(n - 1), 2):
@@ -356,28 +366,28 @@ def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequen
             if q not in out:
                 out[q] = (on_cols(p_cols), on_rows(p_rows))
                 frontier.append(q)
-    return {tuple(p): mats for p, mats in out.items()}
+    return out
 
 
 def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Matrix]:
     """ρ(s) for all s in S_n, the identity moved by ``_cayley_walk``.  The
     symmetric model forms none of them; the tests read them."""
     walk = _cayley_walk(n, gens, Matrix.identity(gens[0].rows).columns(), ())
-    return {s: Matrix(mat) for s, (mat, _) in walk.items()}
+    return {tuple(s): Matrix(mat) for s, (mat, _) in walk.items()}
 
 
 def orbit_cone_rays(chamber: Cone, gens: Sequence[Matrix], point: Sequence[int]
                     ) -> Iterator[tuple[tuple[IntVec, ...], tuple[int, ...]]]:
-    """(the sorted rays of ρ(s)·C, ρ(s)⁻ᵀ·point) for s in S_n in order: the
-    chamber C's rays r become the primitive ρ(s)r, the columns that
-    ``_cayley_walk`` moves, and the point, its one row, moves with them.  The
-    guard checks that C is pointed, full-dimensional and simplicial as
+    """(the sorted rays of ρ(s)·C, ρ(s)⁻ᵀ·point) for s in S_n, the identity
+    first: the chamber C's rays r become the primitive ρ(s)r, the columns
+    that ``_cayley_walk`` moves, and the point, its one row, moves with them.
+    The guard checks that C is pointed, full-dimensional and simplicial as
     displayed, so that the sorted rays are all of each ρ(s)·C's ``key()``."""
     d, rays = chamber.ambient_rank, chamber.rays
     if chamber.lineality_basis or chamber.equations or len(rays) != d:
         raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
     walk = _cayley_walk(len(gens) + 1, gens, rays, (tuple(point),))
-    for _, (s_rays, s_rows) in sorted(walk.items()):
+    for s_rays, s_rows in walk.values():
         yield tuple(sorted(zip(*s_rays))), next(zip(*s_rows))
 
 
@@ -410,15 +420,13 @@ def build_symmetric(n: int) -> SymmetricModel:
     1 sum to it), and the permutohedron on the middle blocks: each g_kᵀ
     fixes the outer coordinates (columns 0 and n of g_k are e_0 and e_n,
     checked), so their orbit is that of y₀'s under the middle blocks."""
-    if not 2 <= n <= 7:
-        raise ValueError("n must be in [2, 7] (the walk has n! cones)")
-    chamber = chamber_cone(n)
-    prod = product_cone_ambient(n)
-    gens = ambient_reflections(n)
-    rays, orbit = zip(*orbit_cone_rays(chamber, gens, (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)))
-    dual_display = Cone(n + 1, product_cone_dual_columns(n))
+    if not 2 <= n <= 8:
+        raise ValueError("n must be in [2, 8] (the walk has n! cones)")
+    chamber, prod, gens = chamber_cone(n), product_cone_ambient(n), ambient_reflections(n)
+    y0 = (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)
+    rays, orbit = zip(*orbit_cone_rays(chamber, gens, y0))
     offsets = {nu: k * (k - n) for nu in prod.rays for k in [sum(map(abs, nu[1:-1]))]}
-    respoly = orbit_polyhedron(orbit, gens, offsets, dual_display)
+    respoly = orbit_polyhedron(orbit, gens, offsets, Cone(n + 1, product_cone_dual_columns(n)))
     if any(g.column(0) != _unit(n + 1, 0) or g.column(n) != _unit(n + 1, n) for g in gens):
         raise AssertionError("a generator moves the outer coordinates of the points")
     perm = orbit_polyhedron([y[1:-1] for y in orbit],
@@ -426,7 +434,8 @@ def build_symmetric(n: int) -> SymmetricModel:
                             {nu[1:-1]: c for nu, c in offsets.items() if any(nu[1:-1])}, None)
     return SymmetricModel(
         n=n, chamber=chamber, product_cone=prod, generators=tuple(gens),
-        cones=tuple(sorted(rays)), permutohedron=perm, resolution_polyhedron=respoly)
+        cones=tuple(sorted(rays)), base_point=y0, permutohedron=perm,
+        resolution_polyhedron=respoly)
 
 
 # ---------------------------------------------------------------------------
@@ -449,32 +458,41 @@ def _symmetric(n: int) -> SymmetricModel:
 
 
 @cache
-def _pb(n: int) -> tuple[list[tuple[int, ...]], int, Callable[[Sequence[int]], int]]:
-    """The slice polytope P_b = conv(chart vertices) ∩ {α x = -b} of the
-    product, in int, read by ``pb_vertices`` and ``unstable_locus``.
-
-    ``cube_image_slice`` cuts it from the n^2-cube.  Row i of α·L reads
-    cube block i, each of its n columns with coefficient -1, so the block's
-    slice is the hypersimplex slice {y ∈ [0,1]^n : Σ y = i·n/(n+1)} and P_b
-    is the Minkowski sum of their images, a generalized permutohedron
-    (Postnikov, IMRN 2009) whose normal fan the braid fan refines.  So the
-    chambers are the n! maximal chains (e_{σ(1)}; 0), (e_{σ(1)σ(2)}; 0), ...,
-    and the lineality is (1^n; 0) and (0; e_j).  The certificate shows
-    (1) P_b constant along the lineality, (2) one minimum w_σ per chain
-    sum, a vertex, (3) each chain normal tight at w_σ, so the chamber lies
-    in N(w_σ), and (4), as the chambers cover the space, every vertex among
-    the w_σ.  ``chart_box`` is the corner test: neither the bundle nor the
-    (n+1)^n chart corners are listed, and no double description runs.  If
-    a certificate failed, the checks would report an error."""
-    lin = product_linearization(n)
+def _pb(n: int) -> tuple[tuple[int, ...], int, Callable[[Sequence[int]], int]]:
+    """P_b = conv(chart vertices) ∩ {α x = -b} of the product in int, read
+    by ``pb_vertices`` and ``unstable_locus``: h·w_id, its vertex on the
+    identity's chain C = (e_1; 0), (e_12; 0), ..., h and its support
+    function.  Row i of α·L reads cube block i with coefficient -1, so
+    ``cube_image_slice`` cuts P_b from the n^2-cube as a sum of hypersimplex
+    slices, a generalized permutohedron (Postnikov, IMRN 2009): the n!
+    braid chambers σ·C, with the lineality (1^n; 0) and (0; e_j), cover the
+    space, each in one vertex's normal cone.  The certificate runs at C
+    alone.  With P_k swapping coordinates k, k+1, and τ_k positions k, k+1
+    in each n-column block of the cube, this checks for k < n - 1 that (a)
+    L·τ_k = P_k·L, (b) P_k fixes the rows of α and the lineality, and (c)
+    τ_k maps the chart pairs onto themselves, so it permutes the chart
+    corners K.  Then P_k maps L(K), the plane α x = -b, and so P_b and its
+    outer bound L(cube) ∩ {α x = -b}, onto themselves.  The τ_k generate
+    S_n, so the certificate holds at σ·C, whose normals are the P_σ·ν: its
+    unique argmin is P_σ·w_id, the normals are tight there, and the face
+    through its preimage is τ_σ of the one at C, in K.  So P_b's vertices
+    are the orbit of w_id under the P_σ (the orbit reduction of Bödi, Herr
+    & Joswig, Math. Program. 137, 2013), with no chart corner listed and no
+    double description; a failed check is an error report."""
+    lin, L, pairs = product_linearization(n), product_cube_map(n), chart_pairs(n)
     tail = (0,) * (n + 1)
-    # one chain per σ, made lazily; pos[j] is j's place in σ, so e_{σ(1..k)} is pos < k
-    chambers = ([tuple(int(p < k) for p in pos) + tail for k in range(1, n)]
-                for pos in permutations(range(n)))
-    lineality = [(1,) * n + tail] + [(0,) * n + tuple(int(i == j) for i in range(n + 1))
-                                     for j in range(n + 1)]
-    return cube_image_slice(product_cube_map(n), lin.alpha, [-x for x in lin.b], chambers,
-                            lineality, lambda lo, hi: chart_box(n, lo, hi))
+    chamber = [tuple(int(j < k) for j in range(n)) + tail for k in range(1, n)]
+    lineality = [(1,) * n + tail] + [(0,) * n + _unit(n + 1, j) for j in range(n + 1)]
+    for k in range(n - 1):
+        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, 2 * n + 1))  # P_k
+        tau = [x + (x % n == k) - (x % n == k + 1) for x in range(n * n)]
+        if any(L.column(t) != swap(col) for t, col in zip(tau, L.columns())):
+            raise AssertionError(f"τ_{k} does not permute L's columns as P_{k} its rows")
+        if any(swap(v) != v for v in lin.alpha.entries + tuple(lineality)):
+            raise AssertionError(f"P_{k} moves a row of α or a lineality direction")
+        if {(tau[a], tau[b]) for a, b in pairs} != set(pairs):
+            raise AssertionError(f"τ_{k} does not map the chart pairs onto themselves")
+    return cube_image_slice(L, lin.alpha, [-x for x in lin.b], chamber, lineality, pairs)
 
 
 class VerifyReport(NamedTuple):
@@ -483,16 +501,6 @@ class VerifyReport(NamedTuple):
     status: str            # "pass" | "fail" | "error"
     witness: Any = None
     elapsed_ms: float = 0.0
-
-
-@cache
-def slice_vertex_points(n: int) -> list[tuple[int, ...]]:
-    """The expected slice-polytope vertices m_s = L(s w_1; ...; s w_n), s in
-    S_n, as the int (n+1)·m_s, (s w)_j = w_p(j) for p = s⁻¹, which runs over
-    S_n too; one list per n, shared by pb_vertices and quotient_theorem."""
-    L = product_cube_map(n)
-    ws = [slice_vertex(n, i) for i in range(1, n + 1)]
-    return [L @ [w[k] for w in ws for k in p] for p in permutations(range(n))]
 
 
 def _strs(v: Sequence[int], den: int) -> list[str]:
@@ -511,37 +519,38 @@ def _check_conical_part(n: int) -> tuple[bool, Any]:
 
 
 def _check_pb_vertices(n: int) -> tuple[bool, Any]:
-    images, h, _ = _pb(n)  # the vertices h·w, against the closed form (n+1)·m_s
-    ms = slice_vertex_points(n)
-    want = {tuple(h * x for x in m) for m in ms}
-    got = {tuple((n + 1) * x for x in v) for v in images}
-    if got != want:
-        return False, {"unexpected": [_strs(v, h * (n + 1)) for v in sorted(got - want)]}
-    u = head_vertex(n)
-    heads = {m[:n] for m in ms}
-    if heads != {tuple(u[s.index(j)] for j in range(n)) for s in permutations(range(n))}:
-        return False, {"heads": [_strs(v, n + 1) for v in sorted(heads)]}
-    tail = constant_tail(n)
-    bad = [_strs(m, n + 1) for m in ms if m[n:] != tail]
-    if bad:
-        return False, {"bad_tail": bad}
-    return True, {"vertices": len(got)}
+    """P_b's vertices, the orbit of w_id (``_pb``), are the m_s, the orbit of
+    m_id, iff w_id = m_id; n! of them, as u's entries differ (``head_vertex``)."""
+    w, h, _ = _pb(n)  # h·w_id, against the closed form (n+1)·m_id
+    if tuple((n + 1) * x for x in w) != tuple(h * x for x in identity_slice_vertex(n)):
+        return False, {"unexpected": [_strs(w, h)]}
+    return True, {"vertices": factorial(n)}
 
 
 def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
-    # (n+1)/(n+2)·Q'(m_s - u, 0) = Q'·(n+1)(m_s - u, 0) / (n+2), against v
-    b, u, tail = _bundle(n), head_vertex(n), constant_tail(n)
-    got = set()
-    for m in slice_vertex_points(n):
-        if m[n:] != tail:
-            return False, {"bad_tail": _strs(m, n + 1)}
-        got.add(b.basis_change @ ([x - y for x, y in zip(m, u)] + [0]))
-    expected = {tuple((n + 2) * x for x in v)
-                for v in _symmetric(n).resolution_polyhedron.vertex_candidates}
-    if got == expected:
-        return True, {"vertices": len(got)}
-    return False, {"got": sorted(_strs(v, n + 2) for v in got),
-                   "expected": sorted(_strs(v, n + 2) for v in expected)}
+    """(n+1)/(n+2)·Q'(m_s - u, 0) are the resolution polyhedron's vertices,
+    decided on the generators.  Let φ(z) = Q'·(z - U; 0) on the heads z of
+    the (n+1)·m_s, U = (n+1)·u, and ψ(y) = (n+2)(y - y₀)/2 on the doubled,
+    centred points y, whose ψ(y)/(n+2) are the vertices.  If Q'·P_k =
+    g_kᵀ·Q' and Q'·(π_k U - U; 0) = ψ(g_kᵀy₀), π_k the head swap, then
+    φ(π_k z) = g_kᵀφ(z) + ψ(g_kᵀy₀), and ψ(g_kᵀy) = g_kᵀψ(y) + ψ(g_kᵀy₀).
+    As φ(U) = 0 = ψ(y₀), φ maps the heads of the m_s, the π-orbit of U, word
+    by word onto ψ of the orbit of y₀ (``orbit_polyhedron``): no vertex list."""
+    sym, q, u = _symmetric(n), _bundle(n).basis_change, head_vertex(n) + (0,)
+    at_id = q @ list(map(sub, identity_slice_vertex(n)[:n] + (0,), u))
+    if any(at_id):
+        return False, {"identity_image": _strs(at_id, n + 2)}
+    y0, eye = sym.base_point, Matrix.identity(n + 1).entries
+    for k, g in zip(range(n - 1), sym.generators, strict=True):
+        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, n + 1))  # P_k
+        if q @ Matrix(swap(eye)) != g.transpose() @ q:
+            return False, {"generator": k, "linear_part": [list(r) for r in q.entries]}
+        step = q @ list(map(sub, swap(u), u))
+        want = [(n + 2) * (a - b) for a, b in zip(g.transpose() @ y0, y0)]
+        if [2 * x for x in step] != want:
+            return False, {"generator": k, "translation": _strs(step, n + 2),
+                           "expected": _strs(want, 2 * n + 4)}
+    return True, {"vertices": len(sym.resolution_polyhedron.vertex_candidates)}
 
 
 def _check_normal_fan(n: int) -> tuple[bool, Any]:

@@ -26,14 +26,14 @@ def rational_str(x) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, bool):
-        raise ValueError(f"a rational must not be a boolean: {s!r}")
-    if isinstance(s, int):
+    """A JSON integer, or a string of a sign, ASCII digits and "/" with ASCII
+    digits, the sign and "/" optional; ValueError otherwise ("1e3", "1/0")."""
+    if type(s) is int:
         return Fraction(s)
-    try:
-        return Fraction(str(s))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {s!r}") from None
+    if not (isinstance(s, str) and re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", s)):
+        shown = repr(s) if isinstance(s, str) else type(s).__name__
+        raise ValueError(f"a rational must be an integer or a string like '-3/4', not {shown}")
+    return Fraction(s)
 
 
 def _json_object(obj, what: str, *required: str) -> dict:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import lt, mul, sub
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import dd
 from .cones import Cone, column_dots
@@ -311,17 +311,13 @@ class ChamberCertificateError(ValueError):
     """A chamber of normals is not shown to lie in the normal cone of one vertex."""
 
 
-def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
-                     chambers: Iterable[Sequence[IntVec]], lineality: Iterable[IntVec],
-                     corner_box: Callable[[IntVec, IntVec], bool]) -> tuple:
-    """conv(L(corners)) ∩ {x : f·x = target} in int, for the 0/1 points of
-    the cube [0,1]^cols(L) that ``corner_box(lo, hi)`` tells apart: is every
-    0/1 point between lo and hi a corner?  Returns the sorted vertices w as
-    int points h·w, h, and support(c) = h·min <c, x> for integer c, or ([],
-    1, None) if empty.  The chambers, lists of integer normals as tuples,
-    plus span(``lineality``) must cover the space, which is the caller's to
-    know: a missing chamber can lose a vertex.  A failed certificate raises
-    ChamberCertificateError or InnerCertificateError.
+def cube_image_slice(L: Matrix, f: Matrix, target: Sequence, chamber: Sequence[IntVec],
+                     lineality: Iterable[IntVec], pairs: Iterable[tuple[int, int]]) -> tuple:
+    """(h·w, h, support) in int, w the vertex of conv(L(K)) ∩ {f·x = target}
+    that ``chamber``, a list of integer normals, exposes, K the 0/1 points c
+    of the cube [0,1]^cols(L) with c_a <= c_b for each pair (a, b), a ≠ b,
+    in ``pairs``, and support(c) = h·min <c, x>; (None, 1, None) if empty,
+    ChamberCertificateError or InnerCertificateError if the certificate fails.
 
     f·L must cut the cube in hypersimplex blocks: row i reads its own
     nonempty set B_i of columns, all with one coefficient a_i, and every
@@ -337,16 +333,14 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
     argmin in int over one common denominator h.  The argmin is the only
     one iff in every block the columns tied in value across a change of
     weight are equal columns of L.  The certificate: (1) each lineality
-    direction ℓ is constant on the slice, min ℓ = -min(-ℓ); (2) each
-    chamber's sum has a unique argmin w, so w is an exposed vertex; (3)
-    each normal of the chamber is tight at w (its minimum is taken once per
-    distinct normal), so the chamber plus span(lineality) lies in the
-    normal cone N(w); (4) a functional interior to N(v), v a vertex, lies
-    in some chamber, whose w is then v: the distinct w are every vertex,
-    with no double description and no rank.  Last, ``corner_box`` holds on
-    the cube face through each vertex's preimage (its coordinates in (0, 1)
-    set to 0 or 1), so the vertex is in conv(L(corners)), which L(cube)
-    bounds from outside."""
+    direction ℓ is constant on the slice, min ℓ = -min(-ℓ); (2) the
+    chamber's sum has a unique argmin w, an exposed vertex; (3) each normal
+    of the chamber is tight at w, so the chamber plus span(lineality) lies
+    in the normal cone N(w); (4) the cube face through w's preimage (its
+    coordinates in (0, 1) set to 0 or 1), a box [lo, hi], lies in K: hi_a <=
+    lo_b for each pair.  So w, in conv(L(K)) and in its outer bound L(cube),
+    is a vertex of both slices, whose support functions agree once every
+    vertex passes (4); which chambers cover the space is the caller's."""
     d, nc = L.rows, L.cols
     if f.cols != d:
         raise ValueError("rank mismatch")
@@ -360,7 +354,7 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
     if len(read) != nc:
         raise ValueError("every column of L must be read by a row of f·L")
     if not all(0 <= s <= len(cols) for cols, s in blocks):
-        return [], 1, None
+        return None, 1, None
     # the slice in int over h, so the images hold h·x
     rows_l = L.entries
     columns = list(zip(*rows_l))
@@ -388,24 +382,17 @@ def cube_image_slice(L: Matrix, f: Matrix, target: Sequence,
     for l in lineality:
         if oracle(l)[0] != -oracle([-x for x in l])[0]:
             raise ChamberCertificateError(f"the lineality direction {l} is not constant")
-    low: dict[tuple, int] = {}  # the minimum of each chamber normal
-    found: dict[tuple, list[int]] = {}  # h·w -> its preimage
-    for chamber in chambers:
-        _, pre, unique = oracle([sum(x) for x in zip(*chamber)])
-        if not unique:
-            raise ChamberCertificateError(f"the chamber {chamber} has no unique minimum")
-        arg = tuple(sum(map(mul, r, pre)) for r in rows_l)
-        for nu in chamber:
-            if nu not in low:
-                low[nu] = oracle(nu)[0]
-            if dot(nu, arg) != low[nu]:
-                raise ChamberCertificateError(f"the normal {nu} of {chamber} is not tight")
-        found.setdefault(arg, pre)
-    for arg, pre in found.items():
-        if not corner_box(tuple(y // h for y in pre), tuple(-(-y // h) for y in pre)):
-            raise InnerCertificateError(f"the cube face through the preimage of {arg} / {h} "
-                                        "has a point that is not a corner")
-    return sorted(found), h, lambda c: oracle(c)[0]
+    _, pre, unique = oracle([sum(x) for x in zip(*chamber)])
+    if not unique:
+        raise ChamberCertificateError(f"the chamber {chamber} has no unique minimum")
+    arg = tuple(sum(map(mul, r, pre)) for r in rows_l)
+    for nu in chamber:
+        if dot(nu, arg) != oracle(nu)[0]:
+            raise ChamberCertificateError(f"the normal {nu} of {chamber} is not tight")
+    if any(-(-pre[a] // h) > pre[b] // h for a, b in pairs):  # hi_a > lo_b
+        raise InnerCertificateError(f"the cube face through the preimage of {arg} / {h} "
+                                    "has a point that is not a corner")
+    return arg, h, lambda c: oracle(c)[0]
 
 
 class Fan:

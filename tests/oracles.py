@@ -12,7 +12,10 @@ predicates, linear images and Minkowski sums, the support constants of a
 polyhedron read off its facets and by a scan of every candidate point, two
 routes to the slice of a cube image (the slice of the hulled image, and the
 sum of the images of the slices of the connected blocks of any sparsity
-pattern, hulled after each block, with a corner lookup), the
+pattern, hulled after each block, with a corner lookup), P_b from the
+certificate run on every braid chamber, the closed-form slice vertices as
+one product L·v per permutation, the orbit of a point under the
+permutations of its head, the
 normal fan by one double description per vertex, the extremeness test by the rank of
 the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
@@ -44,7 +47,7 @@ from toricgit import dd
 from toricgit.cones import Cone, column_dots, image_cone
 from toricgit.degeneration import (_bundle, _pb, ambient_reflections, chamber_cone,
                                    permutation_matrices, product_cone_dual_columns,
-                                   product_cube_map)
+                                   product_cube_map, slice_vertex)
 from toricgit.git import EmptyQuotientError, Linearization, RayDatum, support_constants
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
@@ -52,7 +55,7 @@ from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot,
                              elementary_divisors, frac, hermite_normal_form, primitive,
                              rank, scaled_primitive, vec)
 from toricgit.polyhedra import (FacetCertificateError, Fan, InnerCertificateError,
-                                LatticePolyhedron)
+                                LatticePolyhedron, cube_image_slice)
 from toricgit.stab_backends import QuotientPoint, ratio_is_one
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   _layout_component, _shift_orders)
@@ -636,9 +639,55 @@ def slice_polyhedron(d: int, images: Sequence[IntVec], h: int) -> LatticePolyhed
                              _canonical=True)
 
 
+def head_orbit(n: int, v: Sequence) -> list[tuple]:
+    """The sorted orbit of v under the permutations of its first n
+    coordinates, the rest fixed."""
+    return sorted({tuple(v[j] for j in p) + tuple(v[n:]) for p in permutations(range(n))})
+
+
 def pb_polyhedron(n: int) -> LatticePolyhedron:
-    """P_b of ``degeneration._pb`` as a polyhedron."""
-    return slice_polyhedron(2 * n + 1, *_pb(n)[:2])
+    """P_b of ``degeneration._pb`` as a polyhedron: the orbit of its vertex
+    h·w_id, over h."""
+    w, h, _ = _pb(n)
+    return slice_polyhedron(2 * n + 1, head_orbit(n, w), h)
+
+
+def braid_chambers(n: int) -> list[list[tuple[int, ...]]]:
+    """The n! maximal chains (e_{σ(1)}; 0), (e_{σ(1)σ(2)}; 0), ... of the
+    braid fan on the first n of 2n + 1 coordinates, one per σ."""
+    tail = (0,) * (n + 1)
+    # pos[j] is j's place in σ, so e_{σ(1..k)} is pos < k
+    return [[tuple(int(p < k) for p in pos) + tail for k in range(1, n)]
+            for pos in permutations(range(n))]
+
+
+def cube_image_slice_by_chambers(L: Matrix, f: Matrix, target: Sequence,
+                                 chambers: Iterable[Sequence[IntVec]],
+                                 lineality: Sequence[IntVec],
+                                 pairs: Sequence[tuple[int, int]]) -> tuple:
+    """The slice of ``polyhedra.cube_image_slice`` from every chamber:
+    its certificate once per chamber, and the sorted distinct vertices h·w,
+    h and the support function, or ([], 1, None) if empty.  The chambers
+    plus span(lineality) must cover the space.  This is the chamber-by-
+    chamber route that ``degeneration._pb`` replaced by one chamber and the
+    symmetry."""
+    found, h, support = set(), 1, None
+    for chamber in chambers:
+        w, h, support = cube_image_slice(L, f, target, chamber, lineality, pairs)
+        if w is None:
+            return [], 1, None
+        found.add(w)
+    return sorted(found), h, support
+
+
+def slice_vertex_points(n: int) -> list[tuple[int, ...]]:
+    """The slice-polytope vertices m_s = L(s w_1; ...; s w_n), s in S_n, as
+    the int (n+1)·m_s, (s w)_j = w_p(j) for p = s⁻¹, which runs over S_n
+    too: one product L·v per permutation, the route that
+    ``degeneration.identity_slice_vertex`` and the symmetry replaced."""
+    L = product_cube_map(n)
+    ws = [slice_vertex(n, i) for i in range(1, n + 1)]
+    return [L @ [w[k] for w in ws for k in p] for p in permutations(range(n))]
 
 
 def slice_vertex_by_fractions(n: int, s: Sequence[int]) -> tuple[Fraction, ...]:

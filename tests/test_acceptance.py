@@ -8,12 +8,13 @@ from fractions import Fraction as F
 from itertools import permutations
 
 from oracles import (ambient_quotient_slice, ambient_slice, det_unimodular, from_cycles,
-                     intersection, minkowski_sum, orbit_fan_by_cone_dd, smith_normal_form)
+                     head_orbit, intersection, minkowski_sum, orbit_fan_by_cone_dd,
+                     smith_normal_form)
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (_pb, build_bundle, build_symmetric, constant_tail,
-                                   decode_ray_label, head_vertex, product_cone_ambient,
-                                   product_linearization, product_polyhedron,
-                                   slice_vertex_points, verify)
+                                   decode_ray_label, head_vertex, identity_slice_vertex,
+                                   product_cone_ambient, product_linearization,
+                                   product_polyhedron, verify)
 from toricgit.git import quotient_polyhedron, unstable_rays
 from toricgit.groups import compose, identity
 from toricgit.linalg import Matrix, hermite_normal_form, elementary_divisors, kernel_basis
@@ -44,8 +45,9 @@ def test_criterion_02_slice_vertices():
         sl = ambient_quotient_slice(product_polyhedron(n).polytopal_part().canonicalize(),
                                     product_linearization(n))
         got = set(sl.vertex_candidates)
-        # the closed forms are scaled by n + 1
-        expected = {tuple(F(x, n + 1) for x in m) for m in slice_vertex_points(n)}
+        # the closed forms are scaled by n + 1; the m_s are the orbit of m_id
+        expected = {tuple(F(x, n + 1) for x in m)
+                     for m in head_orbit(n, identity_slice_vertex(n))}
         assert got == expected, n
         heads = {v[:n] for v in got}
         su = {tuple(F(head_vertex(n)[list(s).index(j)], n + 1) for j in range(n))

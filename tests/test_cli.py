@@ -108,9 +108,9 @@ def test_verify_bad_args():
 
 @pytest.mark.parametrize("args", [["--all"], ["--check", "pb_vertices"]])
 def test_verify_above_cap_exits_2(args):
-    # n = 7 is the largest verified n: at n = 8 the symmetric model's orbit
-    # fan would have 8! = 40320 maximal cones
-    r = run_cli(["verify", "--n", "8", *args])
+    # n = 8 is the largest verified n: at n = 9 the symmetric model's orbit
+    # fan would have 9! = 362880 maximal cones
+    r = run_cli(["verify", "--n", "9", *args])
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
@@ -222,9 +222,13 @@ def malformed_inputs(tmp_path):
     denominator and a non-object JSON value for each of ``quotient`` and
     ``stab``, a polyhedron whose recession cone has lineality, a scalar where
     a list belongs (``points``, ``generic``, ``vertices``), a configuration
-    with n = 0, an α that is not an integer matrix or not surjective, and a
-    JSON file nested 100 000 lists deep for each of ``quotient`` and ``stab``,
-    which ``json.load`` reads by recursion."""
+    with n = 0, an α that is not an integer matrix or not surjective, a JSON
+    file nested 100 000 lists deep for each of ``quotient`` and ``stab``,
+    which ``json.load`` reads by recursion, a shift "1e5000", which is no
+    rational string, and a quotient whose vertex has a denominator of more
+    digits than ``str()`` of an int may print: its two inputs have 2917 and
+    2537 digits, under that limit (4300 by default), and their product
+    over it."""
     b = build_bundle(1)
     poly = tmp_path / "poly.json"
     alpha = tmp_path / "alpha.json"
@@ -266,6 +270,11 @@ def malformed_inputs(tmp_path):
         {"component": 0, "root": "0", "generic": [1], "a1": 1, "mult": 1}]}))
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
+    long_vertex = tmp_path / "long_vertex.json"
+    long_vertex.write_text(json.dumps({"ambient_rank": 2,
+                                       "vertices": [[f"1/{11 ** 2800}", "0"], ["0", "1"]]}))
+    ones = tmp_path / "ones.json"
+    ones.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["1", "1"]]}))
     return {"zero denominator": ["quotient", str(poly), str(alpha), "1/0"],
             "polyhedron list": ["quotient", str(listed), str(alpha), "1/2"],
             "zero root": ["stab", str(zero_root)],
@@ -280,14 +289,17 @@ def malformed_inputs(tmp_path):
             "rational alpha": ["quotient", str(poly), str(rational_alpha), "1/2"],
             "non-surjective alpha": ["quotient", str(poly), str(flat_alpha), "1/2,1"],
             "deep nesting quotient": ["quotient", str(deep), str(alpha), "0"],
-            "deep nesting stab": ["stab", str(deep)]}
+            "deep nesting stab": ["stab", str(deep)],
+            "exponent shift": ["quotient", str(poly), str(alpha), "1e5000"],
+            "unprintable quotient": ["quotient", str(long_vertex), str(ones), f"-1/{7 ** 3000}"]}
 
 
 @pytest.mark.parametrize("name", ["zero denominator", "polyhedron list", "zero root",
                                   "configuration list", "scalar points", "scalar generic",
                                   "scalar vertices", "degree zero", "a1 list", "a1 int",
                                   "rational alpha", "non-surjective alpha",
-                                  "deep nesting quotient", "deep nesting stab"])
+                                  "deep nesting quotient", "deep nesting stab",
+                                  "exponent shift", "unprintable quotient"])
 def test_malformed_input_exits_2(tmp_path, name):
     r = run_cli(malformed_inputs(tmp_path)[name])
     assert r.returncode == 2, r.stderr
@@ -325,7 +337,10 @@ def test_malformed_input_exits_2_without_asserts(tmp_path):
 
 
 entries = st.sampled_from(["0", "1", "-1", "2", "2/2", 3, -2] * 4 + ["-3/2", "1/2"])
-shifts = st.sampled_from(["0", "1", "-1", "1/2", "-2/3", "3"] * 4 + ["1/0", "x"])
+# "±1e5000" is no rational string; read as 10^5000, it reaches a slice far out
+# along a recession ray, whose vertex then has no str() (exit 1 before)
+shifts = st.sampled_from(["0", "1", "-1", "1/2", "-2/3", "3"] * 4 + ["1/0", "x"]
+                         + ["1e5000", "-1e5000"] * 2)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from collections import Counter
@@ -6,28 +7,31 @@ from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from operator import add
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from oracles import (ambient_quotient_slice, certified_polyhedron, cube_image_slice_by_sums,
-                     edge_matrix, fan_rays, invert, minkowski_sum, orbit_fan_by_cone_dd,
+from oracles import (ambient_quotient_slice, braid_chambers, certified_polyhedron,
+                     cube_image_slice_by_chambers, cube_image_slice_by_sums, edge_matrix,
+                     fan_rays, head_orbit, invert, minkowski_sum, orbit_fan_by_cone_dd,
                      pb_polyhedron, permutohedron_points, quotient_images_by_fractions,
-                     slice_polyhedron, slice_vertex_points_by_fractions, solve_unique,
-                     symmetric_polyhedra_by_dd, unstable_rays_by_vertices,
+                     slice_polyhedron, slice_vertex_points, slice_vertex_points_by_fractions,
+                     solve_unique, symmetric_polyhedra_by_dd, unstable_rays_by_vertices,
                      weight_reflections)
 from toricgit import cones, dd, degeneration, linalg, polyhedra
 from toricgit.cones import Cone
 from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections,
                                    basis_change_matrix, build_bundle, build_symmetric,
-                                   chamber_cone, chart_box, checks_for, constant_tail,
-                                   decode_ray_label, head_vertex, orbit_cone_rays,
-                                   permutation_matrices, product_chart_corners,
-                                   product_chart_vertices, product_cone_ambient,
-                                   product_cone_dual_columns, product_cube_map,
-                                   product_linearization, product_polyhedron,
-                                   projection_matrix, slice_vertex, slice_vertex_points,
+                                   chamber_cone, chart_pairs, checks_for, constant_tail,
+                                   decode_ray_label, head_vertex, identity_slice_vertex,
+                                   orbit_cone_rays, permutation_matrices,
+                                   product_chart_corners, product_chart_vertices,
+                                   product_cone_ambient, product_cone_dual_columns,
+                                   product_cube_map, product_linearization,
+                                   product_polyhedron, projection_matrix, slice_vertex,
                                    verify)
-from toricgit.git import unstable_rays
+from toricgit.git import Linearization, unstable_rays
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot
 from toricgit.polyhedra import (FacetCertificateError, Fan, InnerCertificateError,
@@ -56,7 +60,7 @@ def test_bundle_bounds():
     with pytest.raises(ValueError):
         build_symmetric(1)
     with pytest.raises(ValueError):
-        build_symmetric(8)
+        build_symmetric(9)
 
 
 def test_head_vertex_steps():
@@ -173,14 +177,23 @@ def test_fan_cone_count():
 def test_orbit_fan_matches_per_cone_dd_oracle():
     # the rays transported from the chamber equal each cone's own DD, whose
     # cones are pointed and full-dimensional, so their rays are their keys,
-    # and the model keeps them in key order
+    # and the model keeps them in key order.  The walk yields the chamber and
+    # y₀ first, and its pairs (ρ(s)·C, ρ(s)⁻ᵀy₀) are closed under each
+    # generator, (R, y) -> (g·R, gᵀy): y₀'s distinct middle coordinates tell
+    # the n! points apart, so each cone is paired with its own point
     for n in range(2, 7):
         oracle = orbit_fan_by_cone_dd(n)
         assert all(not c.lineality_basis and not c.equations for c in oracle), n
-        got = [rays for rays, _ in orbit_cone_rays(chamber_cone(n), ambient_reflections(n),
-                                                   (0,) * (n + 1))]
-        assert got == [c.rays for c in oracle], n
-        assert build_symmetric(n).cones == tuple(c.rays for c in sorted(oracle, key=Cone.key))
+        gens, sym = ambient_reflections(n), build_symmetric(n)
+        y0 = sym.base_point
+        pairs = list(orbit_cone_rays(chamber_cone(n), gens, y0))
+        assert pairs[0] == (chamber_cone(n).rays, y0), n
+        assert sorted(rays for rays, _ in pairs) == sorted(c.rays for c in oracle), n
+        assert len({y for _, y in pairs}) == len(pairs) == factorial(n), n
+        moved = {(tuple(sorted(g @ r for r in rays)), g.transpose() @ y)
+                 for rays, y in pairs for g in gens}
+        assert moved == set(pairs), n
+        assert sym.cones == tuple(c.rays for c in sorted(oracle, key=Cone.key))
 
 
 def test_build_symmetric_cone_count_does_not_grow_with_n(monkeypatch):
@@ -384,8 +397,7 @@ def _orbit_candidates(n):
     """(orbit, gens, offsets, recession) of the resolution polyhedron and the
     permutohedron, as ``build_symmetric`` passes them to ``orbit_polyhedron``."""
     gens = ambient_reflections(n)
-    base = (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)
-    orbit = [y for _, y in orbit_cone_rays(chamber_cone(n), gens, base)]
+    orbit = [y for _, y in orbit_cone_rays(chamber_cone(n), gens, _symmetric(n).base_point)]
     offsets = {}
     for nu in product_cone_ambient(n).rays:
         k = sum(map(abs, nu[1:-1]))
@@ -636,7 +648,6 @@ def test_cached_accessors_build_once_per_n():
     for n in (1, 2):
         assert _bundle(n) is _bundle(n)
         assert _bundle(n).product_facets == build_bundle(n).product_facets
-        assert slice_vertex_points(n) is slice_vertex_points(n)
     for n in (2, 3):
         assert _symmetric(n) is _symmetric(n)
         assert _symmetric(n).cones == build_symmetric(n).cones
@@ -741,23 +752,27 @@ def box_corners(lo, hi):
     return product(*[range(a, b + 1) for a, b in zip(lo, hi)])
 
 
-def test_chart_box_is_a_chart_corner_lookup():
-    # every box [lo, hi] of the n^2-cube at n = 2, 3
+def test_chart_pairs_are_a_chart_corner_lookup():
+    # the 0/1 points ordered by every pair are the chart corners, and on every
+    # box [lo, hi] of the n^2-cube at n = 2, 3 the test that cube_image_slice
+    # makes, hi_a <= lo_b for each pair, holds iff the box holds only corners
     for n in (2, 3):
-        corners = set(product_chart_corners(n))
+        corners, pairs = set(product_chart_corners(n)), chart_pairs(n)
+        assert {c for c in product((0, 1), repeat=n * n)
+                if all(c[a] <= c[b] for a, b in pairs)} == corners
         for lo in product((0, 1), repeat=n * n):
             for hi in box_corners(lo, (1,) * (n * n)):
-                assert chart_box(n, lo, hi) == all(c in corners for c in box_corners(lo, hi))
+                assert all(hi[a] <= lo[b] for a, b in pairs) == \
+                    all(c in corners for c in box_corners(lo, hi))
 
 
 def pb_arguments(n):
-    """The arguments ``_pb(n)`` hands to ``cube_image_slice``, its chambers
-    as a list."""
+    """The arguments of the one call ``_pb(n)`` makes to ``cube_image_slice``."""
     seen = []
 
-    def spy(L, f, target, chambers, *rest):
-        seen.append((L, f, target, list(chambers), *rest))
-        return cube_image_slice(*seen[-1])
+    def spy(*args):
+        seen.append(args)
+        return cube_image_slice(*args)
 
     _pb.cache_clear()
     with pytest.MonkeyPatch.context() as m:
@@ -766,17 +781,59 @@ def pb_arguments(n):
             _pb(n)
         finally:
             _pb.cache_clear()
+    assert len(seen) == 1, n
     return seen[0]
 
 
-def cube_pb(n, corner_box=None, drop=None):
-    """P_b along ``_pb``'s route, with another corner test or a chamber
-    dropped, as a polyhedron."""
-    L, f, target, chambers, lineality, box = pb_arguments(n)
+def cube_pb(n, pairs=None, drop=None):
+    """P_b along the oracle route, from every braid chamber with ``_pb``'s
+    other arguments, with other chart pairs or one chamber dropped, as a
+    polyhedron."""
+    L, f, target, _, lineality, chart = pb_arguments(n)
+    chambers = braid_chambers(n)
     if drop is not None:
         chambers = chambers[:drop] + chambers[drop + 1:]
-    images, h, _ = cube_image_slice(L, f, target, chambers, lineality, corner_box or box)
+    images, h, _ = cube_image_slice_by_chambers(L, f, target, chambers, lineality,
+                                                chart if pairs is None else pairs)
     return slice_polyhedron(L.rows, images, h)
+
+
+def test_pb_hands_one_chamber_to_the_slice():
+    # one call (pb_arguments checks it) with the identity's chain (e_1; 0),
+    # (e_12; 0), ... and the chart pairs
+    for n in range(1, 7):
+        _, _, _, chamber, _, pairs = pb_arguments(n)
+        assert chamber == braid_chambers(n)[0], n
+        assert pairs == chart_pairs(n), n
+
+
+def test_pb_orbit_matches_the_chamber_oracle():
+    # the orbit of _pb's representative against the certificate run on each
+    # of the n! braid chambers, which also gives the same h and support
+    for n in range(1, 7):
+        L, f, target, _, lineality, pairs = pb_arguments(n)
+        images, h, support = cube_image_slice_by_chambers(L, f, target, braid_chambers(n),
+                                                          lineality, pairs)
+        w, hw, pb_support = _pb(n)
+        assert head_orbit(n, w) == images and hw == h and len(images) == factorial(n), n
+        for v, _ in _bundle(n).product_facets:
+            assert pb_support(v) == support(v), (n, v)
+
+
+def test_closed_form_orbit_matches_one_product_per_permutation():
+    # the orbit of m_id under the permutations of the head against the n!
+    # products L·(s·w_1; ...; s·w_n)
+    for n in range(1, 8):
+        assert head_orbit(n, identity_slice_vertex(n)) == sorted(slice_vertex_points(n)), n
+
+
+def test_degeneration_enumerates_s_n_only_through_the_walk():
+    # no permutations() in the module: P_b, the slice vertex and the quotient
+    # theorem are decided at the identity, the symmetric model by the walk
+    tree = ast.parse(Path(degeneration.__file__).read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "permutations" not in imported and "permutations" not in vars(degeneration)
 
 
 def test_pb_matches_the_route_by_sums():
@@ -802,13 +859,14 @@ def test_pb_cut_has_hypersimplex_blocks():
 
 def test_pb_n6_is_the_closed_form():
     try:
-        images, h, _ = _pb(6)
+        w, h, _ = _pb(6)
     finally:
         _pb.cache_clear()
-    # the vertices h·w against the closed form 7·m_s, in order
-    assert [tuple(7 * x for x in v) for v in images] == \
+    # the orbit of h·w_id against the closed form 7·m_s, in order
+    orbit = head_orbit(6, w)
+    assert [tuple(7 * x for x in v) for v in orbit] == \
         sorted(tuple(h * x for x in m) for m in slice_vertex_points(6))
-    assert len(images) == 720
+    assert len(orbit) == 720
 
 
 def test_pb_runs_no_double_description_and_no_rank(monkeypatch):
@@ -836,12 +894,15 @@ def test_pb_runs_no_double_description_and_no_rank(monkeypatch):
 
 
 def test_pb_passes_every_braid_chamber():
-    # the n! maximal chains of proper nonempty subsets, tail 0, each ridge (a
-    # chain less one subset) shared by exactly two: the braid fan, complete
-    # modulo the lineality (1^n; 0) and (0; e_j)
+    # the oracle's n! maximal chains of proper nonempty subsets, tail 0, each
+    # ridge (a chain less one subset) shared by exactly two: the braid fan,
+    # complete modulo the lineality (1^n; 0) and (0; e_j), which _pb's one
+    # chamber, the first, and the symmetry stand for
     for n in range(1, 6):
-        _, _, _, chambers, lineality, _ = pb_arguments(n)
+        _, _, _, chamber, lineality, _ = pb_arguments(n)
+        chambers = braid_chambers(n)
         tail = (0,) * (n + 1)
+        assert chambers[0] == chamber, n
         assert len({tuple(ch) for ch in chambers}) == len(chambers) == factorial(n), n
         for ch in chambers:
             assert [sum(nu) for nu in ch] == list(range(1, n)), n
@@ -877,36 +938,46 @@ def test_pb_never_lists_the_chart_corners(monkeypatch):
         _pb.cache_clear()
 
 
+def pair_orbit(n, pair):
+    """The orbit of a pair of n^2-cube coordinates under the τ_k, which
+    permute the positions inside every n-column block alike."""
+    return {tuple(x // n * n + p[x % n] for x in pair) for p in permutations(range(n))}
+
+
 def test_certificate_needs_every_face_corner():
-    # at n = 2 the vertices of P_b have preimages with block sums 2/3 and 4/3,
-    # one coordinate strictly between 0 and 1 per block; the faces through
-    # them have as corners exactly the chain corners whose block i holds
-    # floor or ceil of 2i/3 ones, so removing any of those must raise
+    # at n = 2 the preimage of w_id is (2/3, 0; 1, 1/3), so the face through
+    # it has the corners (c_1, 0; 1, c_4).  A τ-invariant orbit of pairs added
+    # to the chart pairs drops the corners that it orders wrong: the
+    # certificate must raise iff it drops one of these, and keep P_b otherwise
     n = 2
-    corners = product_chart_corners(n)
-    full = cube_pb(n)
-    needed = 0
-    for c in corners:
-        rest = set(corners) - {c}
-        lookup = lambda lo, hi: all(x in rest for x in box_corners(lo, hi))
-        sums = [sum(c[i * n:(i + 1) * n]) for i in range(n)]
-        if all(abs(s - F((i + 1) * n, n + 1)) < 1 for i, s in enumerate(sums)):
+    L, f, target, chamber, lineality, chart = pb_arguments(n)
+    w, h, _ = _pb(n)
+    pre = (F(2, 3), 0, 1, F(1, 3))
+    assert L @ pre == tuple(F(x, h) for x in w)
+    face = [c for c in product((0, 1), repeat=n * n) if all(abs(x - y) < 1
+                                                            for x, y in zip(c, pre))]
+    full, needed = cube_pb(n), 0
+    for pair in permutations(range(n * n), 2):
+        extra = pair_orbit(n, pair)
+        pairs = chart + sorted(extra - set(chart))
+        if any(c[a] > c[b] for c in face for a, b in extra):
             needed += 1
             with pytest.raises(InnerCertificateError):
-                cube_pb(n, lookup)
+                cube_image_slice(L, f, target, chamber, lineality, pairs)
+            with pytest.raises(InnerCertificateError):
+                cube_pb(n, pairs)
         else:
-            assert cube_pb(n, lookup) == full
-    assert needed == 7
+            assert cube_pb(n, pairs) == full
+    assert needed == 10  # all but the chart pairs' own orbit
 
 
 def test_pb_certificate_failure_is_an_error_report(monkeypatch):
-    # without the corner (1, 0, 1, 0) the inner certificate fails at n = 2
-    # (see test_certificate_needs_every_face_corner); P_b has no second
-    # route, so the check reports the error instead of a result
+    # the orbit (3, 0), (2, 1) drops the face corner (0, 0; 1, 1) of w_id's
+    # preimage at n = 2 (see test_certificate_needs_every_face_corner); P_b
+    # has no second route, so the check reports the error instead of a result
     n = 2
-    real = degeneration.chart_box
-    cut = lambda n, lo, hi: real(n, lo, hi) and (1, 0, 1, 0) not in box_corners(lo, hi)
-    monkeypatch.setattr(degeneration, "chart_box", cut)
+    real = degeneration.chart_pairs
+    monkeypatch.setattr(degeneration, "chart_pairs", lambda n: real(n) + [(3, 0), (2, 1)])
     _pb.cache_clear()
     try:
         rep = verify(n, "pb_vertices")
@@ -916,19 +987,143 @@ def test_pb_certificate_failure_is_an_error_report(monkeypatch):
     assert "InnerCertificateError" in rep.witness["exception"]
 
 
+def _pb_report(monkeypatch, n, name, value):
+    """The pb_vertices report with ``degeneration.<name>`` replaced."""
+    _pb.cache_clear()
+    monkeypatch.setattr(degeneration, name, value)
+    try:
+        return verify(n, "pb_vertices")
+    finally:
+        monkeypatch.undo()
+        _pb.cache_clear()
+
+
+def test_pb_equivariance_rejects_chart_pairs_not_mapped_onto_themselves(monkeypatch):
+    # (1, 0) holds on the face at w_id, but its image (0, 1) under τ_0 does
+    # not hold on the face at τ_0·w_id: one chamber passes, the chamber
+    # oracle does not, and without the check pb_vertices would pass
+    n = 2
+    L, f, target, chamber, lineality, chart = pb_arguments(n)
+    pairs = chart + [(1, 0)]
+    cube_image_slice(L, f, target, chamber, lineality, pairs)
+    with pytest.raises(InnerCertificateError):
+        cube_image_slice_by_chambers(L, f, target, braid_chambers(n), lineality, pairs)
+    rep = _pb_report(monkeypatch, n, "chart_pairs", lambda n: chart_pairs(n) + [(1, 0)])
+    assert rep.status == "error"
+    assert "does not map the chart pairs onto themselves" in rep.witness["exception"]
+
+
+def test_pb_equivariance_rejects_an_l_that_tau_does_not_permute(monkeypatch):
+    # e_1 - e_2 added to the head of L's column (1, n), whose weight at the
+    # identity is 0 and whose value on each normal of its chain is not the
+    # least: the identity's certificate and m_id still hold, but the chain
+    # of τ_0 has another argmin, and L·τ_0 = P_0·L fails
+    for n in (2, 3, 4):
+        real = product_cube_map(n)
+        rows = [list(r) for r in real.entries]
+        rows[0][n - 1] += 1
+        rows[1][n - 1] -= 1
+        rep = _pb_report(monkeypatch, n, "product_cube_map", lambda n: Matrix(rows))
+        assert rep.status == "error", n
+        assert "does not permute L's columns" in rep.witness["exception"], n
+
+
+def test_pb_equivariance_rejects_an_alpha_with_unequal_head_columns(monkeypatch):
+    # α's columns 0 and 1 made unequal: P_0 moves its first row
+    for n in (2, 3):
+        lin = product_linearization(n)
+        rows = [list(r) for r in lin.alpha.entries]
+        rows[0][0] += 1
+        moved = Linearization(Matrix(rows), lin.b)
+        rep = _pb_report(monkeypatch, n, "product_linearization", lambda n: moved)
+        assert rep.status == "error", n
+        assert "P_0 moves a row of α or a lineality direction" in rep.witness["exception"], n
+
+
+def test_identity_slice_vertex_check_rejects_a_moved_head_or_tail(monkeypatch):
+    # L(w_1; ...; w_n) against (u; constant tail) moved by one: both checks
+    # that read m_id report the error
+    for name in ("head_vertex", "constant_tail"):
+        for n in (2, 3):
+            real = getattr(degeneration, name)(n)
+            moved = (real[0] + 1,) + real[1:]
+            monkeypatch.setattr(degeneration, name, lambda n: moved)
+            reps = [verify(n, check) for check in ("pb_vertices", "quotient_theorem")]
+            monkeypatch.undo()
+            for rep in reps:
+                assert rep.status == "error", (name, n)
+                assert "(u; constant tail)" in rep.witness["exception"], (name, n)
+
+
+def _quotient_report(monkeypatch, n, q):
+    """The quotient_theorem report with Q' replaced by q."""
+    b = _bundle(n)
+    monkeypatch.setattr(degeneration, "_bundle", lambda n: b._replace(basis_change=q))
+    try:
+        return verify(n, "quotient_theorem")
+    finally:
+        monkeypatch.undo()
+
+
+def test_quotient_theorem_check_rejects_a_q_breaking_the_linear_part(monkeypatch):
+    # Q' + e_1·(1^n; 0)ᵀ agrees with Q' on every difference of heads, so m_id
+    # still maps to 0 and every translation holds; g_0ᵀ moves e_1, so
+    # Q'·P_0 = g_0ᵀ·Q' fails
+    for n in (2, 3, 4):
+        q = _bundle(n).basis_change
+        bent = Matrix([[x + (i == 1 and j < n) for j, x in enumerate(r)]
+                       for i, r in enumerate(q.entries)])
+        rep = _quotient_report(monkeypatch, n, bent)
+        assert rep.status == "fail", n
+        assert rep.witness == {"generator": 0, "linear_part": [list(r) for r in bent.entries]}
+
+
+def test_quotient_theorem_check_rejects_a_q_breaking_the_translation(monkeypatch):
+    # 2·Q' intertwines as Q' does and maps m_id to 0, but doubles each step
+    for n in (2, 3, 4):
+        q = _bundle(n).basis_change
+        rep = _quotient_report(monkeypatch, n, Matrix([[2 * x for x in r] for r in q.entries]))
+        assert rep.status == "fail", n
+        assert rep.witness["generator"] == 0 and set(rep.witness) == \
+            {"generator", "translation", "expected"}, n
+
+
+def test_quotient_theorem_walks_no_vertex_list(monkeypatch):
+    # the resolution polyhedron's vertices may be counted, not read, and
+    # no walk, orbit or per-permutation product runs
+    class CountOnly(tuple):
+        def __iter__(self):
+            raise AssertionError("quotient_theorem read a vertex list")
+
+        __getitem__ = __iter__
+
+    def forbidden(*args):
+        raise AssertionError("quotient_theorem walked S_n")
+
+    for n in (2, 3, 4, 5):
+        sym, _ = _symmetric(n), _bundle(n)
+        counted = SimpleNamespace(
+            vertex_candidates=CountOnly(sym.resolution_polyhedron.vertex_candidates))
+        with monkeypatch.context() as m:
+            m.setattr(degeneration, "_symmetric",
+                      lambda n: sym._replace(resolution_polyhedron=counted))
+            m.setattr(degeneration, "_cayley_walk", forbidden)
+            rep = verify(n, "quotient_theorem")
+        assert rep.status == "pass", (n, rep.witness)
+        assert rep.witness == {"vertices": factorial(n)}
+
+
 def test_pb_n5_from_cube_without_bundle(monkeypatch):
-    # neither P_b nor the closed-form vertices need the 7776-vertex bundle
+    # neither P_b nor the closed-form vertex needs the 7776-vertex bundle
     def no_bundle(n):
         raise AssertionError("pb_vertices must not need the bundle")
 
     monkeypatch.setattr(degeneration, "_bundle", no_bundle)
     _pb.cache_clear()
-    slice_vertex_points.cache_clear()
     try:
         rep = verify(5, "pb_vertices")
     finally:
         _pb.cache_clear()
-        slice_vertex_points.cache_clear()
     assert rep.status == "pass", rep.witness
     assert rep.witness == {"vertices": 120}
 
@@ -946,7 +1141,7 @@ def test_int_slice_checks_match_fraction_oracles():
         assert unstable_rays(facets, support, h) == \
             unstable_rays_by_vertices(facets, pb_polyhedron(n)), n
         pts = slice_vertex_points_by_fractions(n)
-        assert sorted(tuple(F(x, n + 1) for x in m) for m in slice_vertex_points(n)) \
+        assert [tuple(F(x, n + 1) for x in m) for m in head_orbit(n, identity_slice_vertex(n))] \
             == sorted(pts), n
         assert set(pb_polyhedron(n).vertex_candidates) == set(pts), n
         if n >= 2:
@@ -955,34 +1150,23 @@ def test_int_slice_checks_match_fraction_oracles():
 
 
 def test_int_slice_checks_fail_like_their_fraction_routes(monkeypatch):
-    # one closed-form vertex moved off P_b, one tail moved on both, and one
-    # support constant lowered by 1/3: each check fails, and its witness is
-    # what the Fraction route gives
+    # m_id moved off P_b, and one support constant lowered by 1/3: each
+    # check fails, and its witness is what the Fraction route gives (a moved
+    # tail is m_id's own check, test_identity_slice_vertex_check_rejects_...)
     for n in (2, 3, 4):
-        moved = list(slice_vertex_points(n))
-        moved[0] = (moved[0][0] + 1,) + moved[0][1:]
-        monkeypatch.setattr(degeneration, "slice_vertex_points", lambda n: moved)
-        pts = [tuple(F(x, n + 1) for x in m) for m in moved]
+        real = identity_slice_vertex(n)
+        moved = (real[0] + 1,) + real[1:]
+        monkeypatch.setattr(degeneration, "identity_slice_vertex", lambda n: moved)
+        pts = [tuple(F(x, n + 1) for x in m) for m in head_orbit(n, moved)]
         rep = verify(n, "pb_vertices")
         assert rep.status == "fail"
+        # the least unexpected vertex, which is w_id: u's entries increase
         extra = set(pb_polyhedron(n).vertex_candidates) - set(pts)
-        assert rep.witness == {"unexpected": [list(map(str, v)) for v in sorted(extra)]}
+        assert rep.witness == {"unexpected": [list(map(str, min(extra)))]}
         rep = verify(n, "quotient_theorem")
         assert rep.status == "fail"
-        got = quotient_images_by_fractions(n, pts)
-        want = _symmetric(n).resolution_polyhedron.vertex_candidates
-        assert rep.witness == {"got": sorted(list(map(str, v)) for v in got),
-                               "expected": sorted(list(map(str, v)) for v in want)}
-        monkeypatch.undo()
-        # a tail moved on P_b and on the closed form alike: the tail test fails
-        moved = list(slice_vertex_points(n))
-        moved[0] = moved[0][:n] + (moved[0][n] + 1,) + moved[0][n + 1:]
-        _, _, support = _pb(n)
-        monkeypatch.setattr(degeneration, "slice_vertex_points", lambda n: moved)
-        monkeypatch.setattr(degeneration, "_pb", lambda n: (sorted(moved), n + 1, support))
-        bad = [str(F(x, n + 1)) for x in moved[0]]
-        assert verify(n, "pb_vertices").witness == {"bad_tail": [bad]}
-        assert verify(n, "quotient_theorem").witness == {"bad_tail": bad}
+        (got,) = quotient_images_by_fractions(n, [tuple(F(x, n + 1) for x in moved)])
+        assert rep.witness == {"identity_image": list(map(str, got))}
         monkeypatch.undo()
         b = _bundle(n)
         (v, o), rest = b.product_facets[-1], b.product_facets[:-1]
@@ -1002,16 +1186,16 @@ def test_unstable_locus_compares_each_margin_and_d_exactly(monkeypatch):
     # margin kept (h = 3 at n = 2): the sign tests still hold, and the check
     # fails on the exact comparisons alone
     n = 2
-    b, (images, h, support) = _bundle(n), _pb(n)
+    b, (w, h, support) = _bundle(n), _pb(n)
     assert h == 3
     v = next(v for v, _ in b.product_facets
              if decode_ray_label(n, v)[1] != len(decode_ray_label(n, v)[0]))
     raised = lambda c: support(c) + (c == v)
-    monkeypatch.setattr(degeneration, "_pb", lambda n: (images, h, raised))
+    monkeypatch.setattr(degeneration, "_pb", lambda n: (w, h, raised))
     assert verify(n, "unstable_locus").status == "fail"
     lowered = tuple((w, o - F(1, 3) if w == v else o) for w, o in b.product_facets)
     kept = lambda c: support(c) - (c == v)
-    monkeypatch.setattr(degeneration, "_pb", lambda n: (images, h, kept))
+    monkeypatch.setattr(degeneration, "_pb", lambda n: (w, h, kept))
     monkeypatch.setattr(degeneration, "_bundle",
                         lambda n: b._replace(product_facets=lowered))
     rep = verify(n, "unstable_locus")

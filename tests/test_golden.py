@@ -10,7 +10,8 @@ coordinates were kept as ``int``, and the n = 6 verify digest on the code
 that still listed the 7^6 chart vertices in the bundle and sliced each cube
 block by a double description.  The n = 7 verify digest was recorded on
 the code that still enumerated P_b's vertices in ``Fraction``, with the
-verify cap lifted from 6 on a copy.  The ``quotient`` digests were recorded on
+verify cap lifted from 6 on a copy, and the n = 8 one with the cap lifted
+from 7 on a copy, before the cap rose to 8.  The ``quotient`` digests were recorded on
 the code that sliced P in ambient coordinates and solved one system per
 vertex for its ker(α) coordinates.  To record them again after a deliberate
 output change, print ``build_digest``, ``verify_digest`` and
@@ -59,6 +60,7 @@ VERIFY_DIGESTS = {
     5: "e173cf028842ac314dfad0c2e810410bd64e8f43e17083bf5cb7c713c0d41879",
     6: "7446743177d01c7f416df2d422d197b440b7a3086a791c17b265313657bcd1b4",
     7: "7f4a5a0877796dd53d4ffd4ba179703feb176fe3074cec1fbe186d45f36a19ff",
+    8: "ff34dea85e356edc3c7846562251dd06c1dcc64720e7c9bdc589c6e2907484bb",
 }
 
 QUOTIENT_DIGESTS = {

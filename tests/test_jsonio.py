@@ -3,6 +3,7 @@ every malformed value with ValueError or KeyError, the two exceptions the CLI
 turns into exit 2 with one ``error:`` line."""
 
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -107,6 +108,23 @@ def test_integer_strings_are_a_sign_and_ascii_digits(text):
     # field held what
     with pytest.raises(ValueError, match=re.escape(f"mult must be an integer, not {text!r}")):
         jsonio.configuration_from_json({"n": 1, "points": [{"component": 0, "mult": text}]})
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663", " 1/2 ", "1/2\n", "1e3", "1e5000", "1.5",
+                                   "", "/2", "1/", "1/-2", "-1/+2", "1//2", "0x10", "\u00b2",
+                                   "1/0", "-2/000", 1.5, 2.0, True, None, ["1"]])
+def test_rational_strings_are_a_sign_ascii_digits_and_one_slash(value):
+    # Fraction() reads "1_0" as 10, "٣" as 3, " 1/2 " as 1/2 and "1e5000"
+    # as 10^5000; the parser takes an int or an optional sign, ASCII digits
+    # and an optional "/" with ASCII digits not all 0 only
+    shown = repr(value) if isinstance(value, str) else type(value).__name__
+    with pytest.raises(ValueError, match=re.escape(f"not {shown}")):
+        jsonio.parse_rational(value)
+
+
+def test_rational_strings_are_read():
+    assert [jsonio.parse_rational(s) for s in ["+3/4", "-06/4", "007", "1/01", 5, -2]] == \
+        [Fraction(3, 4), Fraction(-3, 2), 7, 1, 5, -2]
 
 
 def test_integer_strings_with_a_sign_or_leading_zeros_are_read():

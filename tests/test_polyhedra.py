@@ -8,16 +8,17 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from oracles import (certified_polyhedron, check_semigroup_generation, cone_over, contains,
-                     cube_slice_oracle, embedding_monomials, feasible_nonneg_combination,
-                     in_cone_hull, intersection, linear_image, minkowski_sum,
-                     fan_rays, normal_fan_by_vertex_dd, orbit_fan_by_cone_dd,
+                     cube_image_slice_by_chambers, cube_slice_oracle, embedding_monomials,
+                     feasible_nonneg_combination, in_cone_hull, intersection, linear_image,
+                     minkowski_sum, fan_rays, normal_fan_by_vertex_dd, orbit_fan_by_cone_dd,
                      slice_polyhedron, solve_affine_oracle,
                      vadd, validate_pairwise_faces, validate_support_cover)
 from toricgit.cones import Cone
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot, primitive, rank
 from toricgit.polyhedra import (ChamberCertificateError, FacetCertificateError, Fan,
-                                LatticePolyhedron, affine_slice, cube_image_slice, normal_fan)
+                                InnerCertificateError, LatticePolyhedron, affine_slice,
+                                cube_image_slice, normal_fan)
 
 SIGMA2_DUAL = Cone(3, [(1, 0, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)])
 
@@ -95,14 +96,11 @@ def assert_same_polytope(got, want):
     assert dumps(polyhedron_to_json(got)) == dumps(polyhedron_to_json(want))
 
 
-def every_corner(lo, hi):
-    return True
-
-
 def cube_slice(L, f, target, chambers, lineality):
-    """``cube_image_slice`` with every 0/1 point a corner, its vertices as a
-    polyhedron, then h and the support function."""
-    images, h, support = cube_image_slice(L, f, target, chambers, lineality, every_corner)
+    """``cube_image_slice`` from each chamber with every 0/1 point a corner
+    (no pairs), its vertices as a polyhedron, then h and the support
+    function."""
+    images, h, support = cube_image_slice_by_chambers(L, f, target, chambers, lineality, ())
     return slice_polyhedron(L.rows, images, h), h, support
 
 
@@ -200,7 +198,7 @@ def test_cube_image_slice_guards_block_shape():
             ([[1, 1, 1], [0, 0, 0]], [1, 0], "its own columns"),  # a zero row
             ([[1, 1, 0]], [1], "every column")):  # an unread column
         with pytest.raises(ValueError, match=match):
-            cube_image_slice(L, Matrix(rows), target, [], [], every_corner)
+            cube_image_slice(L, Matrix(rows), target, [], [], ())
 
 
 def test_cube_image_slice_chamber_certificate_on_the_hexagon():
@@ -215,17 +213,35 @@ def test_cube_image_slice_chamber_certificate_on_the_hexagon():
     assert_same_polytope(got, cube_slice_oracle(L, f, target))
     # e_1 alone ties y and z across the cut of the sum: an edge is least
     with pytest.raises(ChamberCertificateError, match="no unique minimum"):
-        cube_image_slice(L, f, target, [[(1, 0, 0)]], [(1, 1, 1)], every_corner)
+        cube_image_slice(L, f, target, [(1, 0, 0)], [(1, 1, 1)], ())
     # (3, 1, 0) + (0, 1, 0) is least at (0, 1/2, 1), where y is not least
     with pytest.raises(ChamberCertificateError, match="not tight"):
-        cube_image_slice(L, f, target, [[(3, 1, 0), (0, 1, 0)]], [(1, 1, 1)], every_corner)
+        cube_image_slice(L, f, target, [(3, 1, 0), (0, 1, 0)], [(1, 1, 1)], ())
     with pytest.raises(ChamberCertificateError, match="not constant"):
-        cube_image_slice(L, f, target, chambers, [(1, 0, 0)], every_corner)
+        cube_image_slice(L, f, target, chambers[0], [(1, 0, 0)], ())
     # completeness is the caller's: a dropped chamber drops its vertex
     for i in range(6):
         part, _, _ = cube_slice(L, f, target, chambers[:i] + chambers[i + 1:], [(1, 1, 1)])
         assert len(part.vertex_candidates) == 5
         assert set(part.vertex_candidates) < set(got.vertex_candidates)
+
+
+def test_cube_image_slice_inner_certificate_reads_the_pairs():
+    # the hexagon's vertex (0, 1/2, 1), exposed by the chain e_1, e_1 + e_2,
+    # has the face corners (0, 0, 1) and (0, 1, 1): a pair (a, b) raises
+    # exactly when one of them has c_a > c_b
+    L, f, target = Matrix.identity(3), Matrix([[1, 1, 1]]), [F(3, 2)]
+    chamber, face = [(1, 0, 0), (1, 1, 0)], [(0, 0, 1), (0, 1, 1)]
+    raised = []
+    for a, b in permutations(range(3), 2):
+        try:
+            w, h, _ = cube_image_slice(L, f, target, chamber, [(1, 1, 1)], [(a, b)])
+        except InnerCertificateError:
+            raised.append((a, b))
+        else:
+            assert (w, h) == ((0, 1, 2), 2)
+    assert raised == [(a, b) for a, b in permutations(range(3), 2)
+                      if any(c[a] > c[b] for c in face)] == [(1, 0), (2, 0), (2, 1)]
 
 
 def test_affine_slice_examples():
