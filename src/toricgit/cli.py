@@ -12,12 +12,11 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import __version__
 from . import jsonio
-from .degeneration import (VERIFY_CHECKS, VERIFY_MAX_N, build_bundle,
-                           build_symmetric, checks_for, product_polyhedron, verify)
+from .degeneration import (build_bundle, build_symmetric, checks_for, product_polyhedron,
+                           run_check, verify)
 from .git import EmptyQuotientError, Linearization, quotient_polyhedron, split_quotient
 from .jsonio import dumps
 
@@ -29,10 +28,10 @@ DEFAULT_BRUTE_FORCE_MAX = 9
 BUILD_OBJECTS = ("expanded", "product", "symmetric", "permutahedron")
 
 
-def _report_line(check: str, n: int, status: str, witness, elapsed_ms: float) -> str:
-    return dumps({"tool_version": __version__, "n": n, "check": check,
-                  "status": status, "witness": witness,
-                  "elapsed_ms": round(elapsed_ms, 3)})
+def _report_line(rep) -> str:
+    return dumps({"tool_version": __version__, "n": rep.n, "check": rep.check,
+                  "status": rep.status, "witness": rep.witness,
+                  "elapsed_ms": round(rep.elapsed_ms, 3)})
 
 
 def cmd_build(args) -> int:
@@ -83,7 +82,7 @@ def _fuzz_settings() -> tuple[int, int]:
     return seed, trials
 
 
-def _run_fuzz(n: int) -> tuple[str, dict]:
+def _run_fuzz(n: int) -> tuple[bool, dict]:
     import random
     from .stabilizers import random_configuration, verify_comparison
     seed, trials = _fuzz_settings()
@@ -93,66 +92,37 @@ def _run_fuzz(n: int) -> tuple[str, dict]:
         c = random_configuration(n, rng)
         rep = verify_comparison(c)
         if not rep.passed:
-            return "fail", {"trial": t, "config": jsonio.configuration_to_json(c),
+            return False, {"trial": t, "config": jsonio.configuration_to_json(c),
                             "torus": jsonio.group_to_json(rep.torus_side),
                             "sym": jsonio.group_to_json(rep.sym_side)}
-    return "pass", {"trials": trials}
-
-
-def _run_one_check(n: int, check: str):
-    if check == FUZZ_CHECK:
-        t0 = time.perf_counter()
-        try:
-            status, witness = _run_fuzz(n)
-        except Exception as exc:
-            status, witness = "error", {"exception": repr(exc)}
-        ms = (time.perf_counter() - t0) * 1000.0
-        return check, n, status, witness, ms
-    rep = verify(n, check)
-    return rep.check, rep.n, rep.status, rep.witness, rep.elapsed_ms
+    return True, {"trials": trials}
 
 
 def cmd_verify(args) -> int:
-    n = args.n
-    if args.check and args.all:
-        print("error: give either --check or --all", file=sys.stderr)
-        return 2
-    if args.check:
-        if args.check == FUZZ_CHECK:
+    n, check = args.n, args.check or None
+    try:  # checks_for decides the other check names and their n ranges
+        if check and args.all:
+            raise ValueError("give either --check or --all")
+        if check == FUZZ_CHECK:
             if not 1 <= n <= 7:
-                print(f"error: {FUZZ_CHECK} supports 1 <= n <= 7", file=sys.stderr)
-                return 2
-            try:
-                _fuzz_settings()
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+                raise ValueError(f"{FUZZ_CHECK} supports 1 <= n <= 7")
+            _fuzz_settings()
             selected = [FUZZ_CHECK]
         else:
-            if args.check not in VERIFY_CHECKS:
-                print(f"error: unknown check {args.check!r}; choose from "
-                      f"{', '.join(VERIFY_CHECKS + (FUZZ_CHECK,))}", file=sys.stderr)
-                return 2
-            if not 1 <= n <= VERIFY_MAX_N or args.check not in checks_for(n):
-                print(f"error: check {args.check} is not available at n={n}",
-                      file=sys.stderr)
-                return 2
-            selected = [args.check]
-    else:
-        if not 1 <= n <= VERIFY_MAX_N:
-            print(f"error: --n must be in [1, {VERIFY_MAX_N}] for verify", file=sys.stderr)
-            return 2
-        selected = checks_for(n)
-    results = []
+            selected = checks_for(n, check)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    reports = []
     for chk in selected:
-        check, nn, status, witness, ms = _run_one_check(n, chk)
-        print(_report_line(check, nn, status, witness, ms), flush=True)
-        results.append((check, status))
-    npass = sum(1 for _, s in results if s == "pass")
-    for check, status in results:
-        print(f"  {check}: {status}", file=sys.stderr)
-    print(f"{npass}/{len(results)} checks passed at n={n}", file=sys.stderr)
-    return 0 if npass == len(results) else 1
+        rep = run_check(chk, n, _run_fuzz) if chk == FUZZ_CHECK else verify(n, chk)
+        print(_report_line(rep), flush=True)
+        reports.append(rep)
+    npass = sum(rep.status == "pass" for rep in reports)
+    for rep in reports:
+        print(f"  {rep.check}: {rep.status}", file=sys.stderr)
+    print(f"{npass}/{len(reports)} checks passed at n={n}", file=sys.stderr)
+    return 0 if npass == len(reports) else 1
 
 
 def cmd_quotient(args) -> int:
@@ -167,7 +137,7 @@ def cmd_quotient(args) -> int:
             raise ValueError("alpha source rank does not match the polyhedron")
         if not poly.recession.is_pointed():
             raise ValueError("the recession cone must be pointed (no lineality)")
-    except (OSError, ValueError, KeyError, RecursionError) as exc:  # json.load: too deep
+    except (OSError, ValueError, RecursionError) as exc:  # json.load: too deep
         print(f"error: {exc}", file=sys.stderr)
         return 2
     q = quotient_polyhedron(poly, lin)
@@ -192,14 +162,11 @@ def cmd_quotient(args) -> int:
 
 def cmd_stab(args) -> int:
     from .groups import cycle_notation
-    from .stabilizers import check_stability, verify_comparison
+    from .stabilizers import verify_comparison
     try:
         with open(args.config) as fh:
             config = jsonio.configuration_from_json(json.load(fh))
-        if not check_stability(config):
-            raise ValueError("configuration is not semistable: per-component "
-                             "multiplicities must equal the fiber degrees")
-    except (OSError, ValueError, KeyError, RecursionError) as exc:  # json.load: too deep
+    except (OSError, ValueError, RecursionError) as exc:  # json.load: too deep
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.n > args.brute_force_max:
@@ -236,7 +203,8 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run verification checks")
     p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--check", default=None)
+    p_verify.add_argument("--check", default=None,
+                          help=f"one check (default: all at this n), or {FUZZ_CHECK}")
     p_verify.add_argument("--all", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

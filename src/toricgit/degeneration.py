@@ -194,10 +194,7 @@ def product_chart_vertices(n: int) -> list[tuple[int, ...]]:
 def head_vertex(n: int) -> tuple[int, ...]:
     """(n+1)·u, u the first n coordinates of the identity slice vertex;
     consecutive entries of u differ by exactly 1 + 1/(n+1)."""
-    u = tuple(-((n - j) * (n + 2) + 1) for j in range(1, n + 1))
-    if any(u[k + 1] - u[k] != n + 2 for k in range(n - 1)):
-        raise AssertionError("consecutive head entries must differ by 1 + 1/(n+1)")
-    return u
+    return tuple(-((n - j) * (n + 2) + 1) for j in range(1, n + 1))
 
 
 def slice_vertex(n: int, i: int) -> tuple[int, ...]:
@@ -311,7 +308,7 @@ def product_polyhedron(n: int) -> LatticePolyhedron:
         raise ValueError("n must be <= 5 (vertex counts grow as (n+1)^n)")
     b = _bundle(n)
     return LatticePolyhedron(2 * n + 1, product_chart_vertices(n), b.product_rec_dual,
-                             _facets=b.product_facets, _equations=())
+                             _facets=b.product_facets)
 
 
 class SymmetricModel(NamedTuple):
@@ -420,8 +417,8 @@ def build_symmetric(n: int) -> SymmetricModel:
     1 sum to it), and the permutohedron on the middle blocks: each g_kᵀ
     fixes the outer coordinates (columns 0 and n of g_k are e_0 and e_n,
     checked), so their orbit is that of y₀'s under the middle blocks."""
-    if not 2 <= n <= 8:
-        raise ValueError("n must be in [2, 8] (the walk has n! cones)")
+    if not 2 <= n <= VERIFY_MAX_N:
+        raise ValueError(f"n must be in [2, {VERIFY_MAX_N}] (the walk has n! cones)")
     chamber, prod, gens = chamber_cone(n), product_cone_ambient(n), ambient_reflections(n)
     y0 = (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)
     rays, orbit = zip(*orbit_cone_rays(chamber, gens, y0))
@@ -520,7 +517,9 @@ def _check_conical_part(n: int) -> tuple[bool, Any]:
 
 def _check_pb_vertices(n: int) -> tuple[bool, Any]:
     """P_b's vertices, the orbit of w_id (``_pb``), are the m_s, the orbit of
-    m_id, iff w_id = m_id; n! of them, as u's entries differ (``head_vertex``)."""
+    m_id, iff w_id = m_id; n! of them, as m_id's head entries differ: the
+    closed form ``head_vertex`` steps by n + 2, and ``identity_slice_vertex``
+    checks the m_id computed from the definition against it."""
     w, h, _ = _pb(n)  # h·w_id, against the closed form (n+1)·m_id
     if tuple((n + 1) * x for x in w) != tuple(h * x for x in identity_slice_vertex(n)):
         return False, {"unexpected": [_strs(w, h)]}
@@ -638,18 +637,23 @@ _CHECK_FUNCS = {
 VERIFY_CHECKS = tuple(_CHECK_FUNCS)
 
 
-def checks_for(n: int) -> list[str]:
-    """The verify checks applicable at this n."""
-    return [name for name in VERIFY_CHECKS if _CHECK_FUNCS[name][1] <= n]
+def checks_for(n: int, check: str | None = None) -> list[str]:
+    """The verify checks that run at this n, or [check]: the one place that
+    decides check names, each check's least n and ``VERIFY_MAX_N``, and
+    raises ValueError on a pair that does not run."""
+    if check is not None and check not in _CHECK_FUNCS:
+        raise ValueError(f"unknown check {check!r}; choose from {', '.join(VERIFY_CHECKS)}")
+    names = VERIFY_CHECKS if check is None else (check,)
+    lo = min(_CHECK_FUNCS[name][1] for name in names)
+    if not lo <= n <= VERIFY_MAX_N:
+        what = "verify" if check is None else f"check {check}"
+        raise ValueError(f"{what} supports {lo} <= n <= {VERIFY_MAX_N}, not n={n}")
+    return [name for name in names if _CHECK_FUNCS[name][1] <= n]
 
 
-def verify(n: int, check: str) -> VerifyReport:
-    """Run one named check; PASS carries canonical summary data, FAIL a witness."""
-    if check not in _CHECK_FUNCS:
-        raise ValueError(f"unknown check name: {check}")
-    func, nmin = _CHECK_FUNCS[check]
-    if not (nmin <= n <= VERIFY_MAX_N):
-        raise ValueError(f"check {check} supports {nmin} <= n <= {VERIFY_MAX_N}")
+def run_check(check: str, n: int, func: Callable[[int], tuple[bool, Any]]) -> VerifyReport:
+    """func(n) as a timed report: (True, summary) passes, (False, witness)
+    fails, and an exception becomes an error report, not a crash."""
     t0 = time.perf_counter()
     try:
         ok, witness = func(n)
@@ -658,3 +662,9 @@ def verify(n: int, check: str) -> VerifyReport:
         status, witness = "error", {"exception": repr(exc)}
     ms = (time.perf_counter() - t0) * 1000.0
     return VerifyReport(check=check, n=n, status=status, witness=witness, elapsed_ms=ms)
+
+
+def verify(n: int, check: str) -> VerifyReport:
+    """Run one named check; PASS carries canonical summary data, FAIL a witness."""
+    checks_for(n, check)
+    return run_check(check, n, _CHECK_FUNCS[check][0])

@@ -123,24 +123,12 @@ class Matrix:
         return Matrix(zip(*self.entries))
 
     def __matmul__(self, other):
-        """Exact product with an int matrix, or with an int or rational
-        vector.  Row i of ``self @ other`` is the sum, over the nonzero
-        ``a = self[i][j]``, of ``a`` times row j of ``other``; a 1-entry takes
-        the row as it is, so a permutation row costs no arithmetic.  The matrix-vector product is a
-        plain sum of products."""
+        """Exact product with an int matrix, which ``left_action`` forms row
+        by row, or with an int or rational vector, a plain sum of products."""
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matmul")
-            out = []
-            for r in self.entries:
-                acc = None
-                for a, b in zip(r, other.entries):
-                    if a:
-                        if a != 1:
-                            b = [a * y for y in b]
-                        acc = b if acc is None else [x + y for x, y in zip(acc, b)]
-                out.append((0,) * other.cols if acc is None else acc)
-            return Matrix(out)
+            return Matrix(left_action(self)(other.entries))
         if self.cols != len(other):
             raise ValueError("shape mismatch in matvec")
         return tuple(sum(map(mul, row, other)) for row in self.entries)
@@ -160,13 +148,16 @@ class Matrix:
 
 def left_action(g: Matrix) -> Callable[[tuple], tuple]:
     """M -> g·M for M a tuple of row tuples, with the work split off once per
-    g: row i of g·M is the sum of g_ij·M_j over the nonzero g_ij, and a g
-    that permutes coordinates (of two or more) only reorders the rows."""
+    g: row i of g·M is the sum of g_ij·M_j over the nonzero g_ij, a 1-entry
+    taking the row as it is, and a zero row of g gives a zero row as wide as
+    M (a matrix with no rows has no columns).  A g that permutes
+    coordinates (of two or more) only reorders the rows."""
     terms = [[(j, a) for j, a in enumerate(r) if a] for r in g.entries]
     if g.rows > 1 and all(len(t) == 1 and t[0][1] == 1 for t in terms):
         return itemgetter(*(t[0][0] for t in terms))  # a tuple, as there are two or more
     return lambda m: tuple(tuple(map(sum, zip(*(m[j] if a == 1 else [a * x for x in m[j]]
-                                                 for j, a in t)))) for t in terms)
+                                                 for j, a in t)))) if t
+                           else (0,) * len(m and m[0]) for t in terms)
 
 
 def _echelon(mat: list[list[int]], ncols: int) -> list[int]:

@@ -41,9 +41,9 @@ class LatticePolyhedron:
 
     ``vertex_candidates`` may be any finite generating set; ``canonicalize`` reduces
     it to the true vertex set.  An empty candidate list is the empty polyhedron.  A
-    caller that knows the H-representation of a full-dimensional P passes it as
-    ``_facets`` and ``_equations``; it becomes the homogenization's, so no double
-    description runs.  Sorted vertices passed with ``_canonical=True`` are kept unchecked.
+    caller that knows the facets of a full-dimensional P passes them as ``_facets``;
+    they become the homogenization's, so no double description runs.  Sorted
+    vertices passed with ``_canonical=True`` are kept unchecked.
     """
 
     __slots__ = ("ambient_rank", "vertex_candidates", "recession",
@@ -51,7 +51,7 @@ class LatticePolyhedron:
 
     def __init__(self, ambient_rank: int, vertex_candidates: Iterable[Sequence] = (),
                  recession: Optional[Cone] = None,
-                 _facets=None, _equations=None, _cone=None, _canonical=False):
+                 _facets=None, _cone=None, _canonical=False):
         pts = vertex_candidates
         if not _canonical:
             pts = {}  # distinct, in order
@@ -71,8 +71,7 @@ class LatticePolyhedron:
         object.__setattr__(self, "recession", recession)
         # a seed is kept as the homogenization's sorted primitive rows (n, -o)
         object.__setattr__(self, "_seed", None if _facets is None or not pts else tuple(
-            tuple(sorted(scaled_primitive(tuple(n) + (-o,)) for n, o in rows))
-            for rows in (_facets, _equations)))
+            sorted(scaled_primitive(tuple(n) + (-o,)) for n, o in _facets)))
         object.__setattr__(self, "_cone", _cone)
         object.__setattr__(self, "_canonical", _canonical)
 
@@ -100,8 +99,8 @@ class LatticePolyhedron:
                 gens += [tuple(s * x for x in l) + (0,)
                          for l in rec.lineality_basis for s in (1, -1)]
                 if self._seed is not None:
-                    facets, eqs = self._seed
-                    if rec.dim() == d - len(eqs):  # t >= 0 is a facet iff dim rec = dim P
+                    facets, eqs = self._seed, ()
+                    if rec.dim() == d:  # t >= 0 is a facet iff dim rec = dim P
                         facets = tuple(sorted(facets + ((0,) * d + (1,),)))
             object.__setattr__(self, "_cone",
                                Cone(d + 1, gens, _facets=facets, _equations=eqs))
@@ -121,9 +120,9 @@ class LatticePolyhedron:
         Every nonempty face of P has a candidate point, so only the face at
         infinity rec × {0} of the homogenization has no (v, 1).  It is a
         facet iff dim rec = dim P, and then the only one vanishing on rec.
-        A seeded H-representation is read as given, without the cone."""
+        Seeded facets are read as given, without the cone."""
         if self._seed is not None:
-            return self._read_off(self._seed[0])
+            return self._read_off(self._seed)
         c, d, rec = self.homogenization(), self.ambient_rank, self.recession
         facets = c.facets
         if rec.dim() == d - len(c.equations):
@@ -133,9 +132,9 @@ class LatticePolyhedron:
 
     @property
     def hull_equations(self) -> tuple[Equation, ...]:
-        if self._seed is not None:
-            return self._read_off(self._seed[1])
-        return () if self.is_empty() else self._read_off(self.homogenization().equations)
+        if self._seed is not None or self.is_empty():  # a seeded P is full-dimensional
+            return ()
+        return self._read_off(self.homogenization().equations)
 
     # -- canonicalization ----------------------------------------------------
 
@@ -300,7 +299,7 @@ def orbit_polyhedron(orbit: Sequence[IntVec], gens: Sequence[Matrix],
         raise FacetCertificateError(f"the normal {nu} is in no orbit of a facet at the base point")
     facets = [(nu, (x - v) // 2) for nu, v, x in zip(normals, vals, c)]
     verts = sorted(set(zip(*[[(a - b) // 2 for a in col] for col, b in zip(zip(*orbit), y0)])))
-    return LatticePolyhedron(d, verts, rec, _facets=facets, _equations=(), _canonical=True)
+    return LatticePolyhedron(d, verts, rec, _facets=facets, _canonical=True)
 
 
 class InnerCertificateError(ValueError):

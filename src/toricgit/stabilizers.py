@@ -68,7 +68,9 @@ class PointRecord:
 
 @dataclass(frozen=True)
 class CycleConfiguration:
-    """A degree-n cycle on the fiber chain over a base point with zero set I_t.
+    """A semistable degree-n cycle on the fiber chain over a base point with
+    zero set I_t: the multiplicities on each component sum to its fiber
+    degree, which the constructor enforces, so no consumer checks it again.
 
     Every generic vector is padded with zeros to the longest one, so a
     position has one spelling and the duplicate check sees it."""
@@ -91,8 +93,6 @@ class CycleConfiguration:
         if list(self.I_t) != sorted(set(self.I_t)) or \
                 any(not 1 <= i <= self.n + 1 for i in self.I_t):
             raise ValueError("I_t must be a strictly increasing subset of 1..n+1")
-        if sum(p.multiplicity for p in self.points) != self.n:
-            raise ValueError("multiplicities must sum to n")
         seen = set()
         for p in self.points:
             key = (p.component, p.position.root, p.position.generic, p.a1_label)
@@ -102,6 +102,12 @@ class CycleConfiguration:
         r = len(self.I_t)
         if any(not 0 <= p.component <= r for p in self.points):
             raise ValueError("component index out of range for this I_t")
+        totals = [0] * (r + 1)
+        for p in self.points:
+            totals[p.component] += p.multiplicity
+        if totals != fiber_degrees(self.n, self.I_t):  # they sum to n
+            raise ValueError("configuration is not semistable: per-component "
+                             "multiplicities must equal the fiber degrees")
 
     def components(self) -> list[list[PointRecord]]:
         r = len(self.I_t)
@@ -123,15 +129,6 @@ def fiber_degrees(n: int, I_t: Sequence[int]) -> list[int]:
         raise ValueError("I_t must be a subset of 1..n+1")
     ext = [1] + idx + [n + 1]
     return [ext[1] - 1] + [ext[l + 1] - ext[l] for l in range(1, len(idx) + 1)]
-
-
-def check_stability(c: CycleConfiguration) -> bool:
-    """Per-component multiplicity totals must match the fiber degrees."""
-    degs = fiber_degrees(c.n, c.I_t)
-    totals = [0] * len(degs)
-    for p in c.points:
-        totals[p.component] += p.multiplicity
-    return totals == degs
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +174,6 @@ def torus_stabilizer(c: CycleConfiguration) -> FiniteAbelianGroup:
     Only the components strictly between the two ends contribute; the end
     components carry the affine-line structure and no residual torus factor.
     """
-    if not check_stability(c):
-        raise ValueError("configuration is not semistable")
     return FiniteAbelianGroup.from_cyclic_orders(_shift_orders(c.components()[1:-1]))
 
 
@@ -235,8 +230,6 @@ def project_to_quotient(c: CycleConfiguration) -> QuotientPoint:
     iff n+1 ∈ I_t, and otherwise is the last slot's position times a fresh
     generic unit (the last base coordinate).
     """
-    if not check_stability(c):
-        raise ValueError("configuration is not semistable")
     comps = c.components()
     return _project(c, comps, _shift_orders(comps))
 
@@ -338,8 +331,6 @@ def verify_comparison(c: CycleConfiguration) -> ComparisonReport:
     Each component's shift group is found once: its order is a torus factor
     (interior components) and sets the component's slot layout.
     """
-    if not check_stability(c):
-        raise ValueError("configuration is not semistable")
     comps = c.components()
     orders = _shift_orders(comps)
     torus = FiniteAbelianGroup.from_cyclic_orders(orders[1:-1])

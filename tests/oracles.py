@@ -775,7 +775,7 @@ def cube_image_slice_by_sums(L: Matrix, f: Matrix, target: Sequence,
         facets = [(tuple(s if i == j else 0 for i in range(k)), Fraction(min(s, 0)))
                   for j in range(k) for s in (1, -1)]
         sl = LatticePolyhedron(k, product((0, 1), repeat=k),
-                               _facets=tuple(sorted(facets)), _equations=())
+                               _facets=tuple(sorted(facets)))
         if rows:
             sl = ambient_slice(sl, Matrix([[m.entries[i][j] for j in cols] for i in rows]),
                                [t[i] for i in rows])
@@ -949,7 +949,7 @@ def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional
                     "and no recession ray")
             ridge &= on[f]
     return LatticePolyhedron(d, sorted(pts[k] for k in verts), rec, _facets=seed,
-                             _equations=(), _canonical=True)
+                             _canonical=True)
 
 
 def polyhedron_support_constants(p: LatticePolyhedron) -> dict[tuple[int, ...], Fraction]:

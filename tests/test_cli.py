@@ -101,9 +101,15 @@ def test_verify_single_check_report():
 
 
 def test_verify_bad_args():
-    assert run_cli(["verify", "--n", "99", "--all"]).returncode == 2
-    assert run_cli(["verify", "--n", "2", "--check", "bogus"]).returncode == 2
-    assert run_cli(["verify", "--n", "1", "--check", "normal_fan"]).returncode == 2
+    # checks_for decides the first three and the fifth, the CLI the others
+    for args in (["--n", "99", "--all"], ["--n", "2", "--check", "bogus"],
+                 ["--n", "1", "--check", "normal_fan"],
+                 ["--n", "2", "--all", "--check", "pb_vertices"], ["--n", "0", "--all"],
+                 ["--n", "8", "--check", "comparison_fuzz"]):
+        rc, out, err = run_main(["verify", *args])
+        assert rc == 2, args
+        assert out == "", args
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
 @pytest.mark.parametrize("args", [["--all"], ["--check", "pb_vertices"]])

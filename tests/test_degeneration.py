@@ -621,12 +621,17 @@ def test_verify_check_n1_subset():
 
 
 def test_verify_unknown_check():
-    with pytest.raises(ValueError):
-        verify(2, "nonsense")
-    with pytest.raises(ValueError):
-        verify(1, "normal_fan")
-    with pytest.raises(ValueError):
-        verify(9, "conical_part")
+    # the bad pairs of test_cli.py::test_verify_bad_args and n = 9: checks_for
+    # is the one validator, and verify raises through it before a check runs
+    for n, check in ((2, "nonsense"), (1, "normal_fan"), (9, "conical_part"),
+                     (99, "conical_part"), (0, "conical_part"), (8, "comparison_fuzz")):
+        with pytest.raises(ValueError):
+            checks_for(n, check)
+        with pytest.raises(ValueError):
+            verify(n, check)
+    for n in (0, 9):
+        with pytest.raises(ValueError):
+            checks_for(n)
 
 
 def test_hyperplane_constants():

@@ -241,7 +241,7 @@ def _operand(rng, nr, nc, kind):
     else:
         entry = lambda: F(rng.randint(-7, 7), rng.choice((1, 1, 3)))
     rows = [[entry() for _ in range(nc)] for _ in range(nr)]
-    if kind == "sign":
+    if kind == "sign" and nc:  # a row of no entries has no nonzero to place
         for row in rows:
             if rng.random() < 0.6:
                 row[:] = [0] * nc
@@ -271,14 +271,19 @@ def test_matrix_rejects_entries_that_are_not_int():
 
 
 def test_matmul_matches_fraction_reference():
-    # int matrices times int matrices, and times int or rational vectors
+    # int matrices times int matrices, and times int or rational vectors; the
+    # fixed shapes first: no rows (a matrix with no rows has no columns), no
+    # columns, and a left factor of all-zero rows
     rng = random.Random(4711)
     kinds = ("int", "sign", "mixed", "rational")
+    shapes = [(0, 0, 0), (3, 0, 0), (2, 3, 0), (3, 2, 4)]
     for left in kinds[:2]:
         for right in kinds:
-            for _ in range(15):
-                nr, nk, nc = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+            for t in range(len(shapes) + 15):
+                nr, nk, nc = shapes[t] if t < len(shapes) else [rng.randint(1, 5) for _ in "rkc"]
                 a = _operand(rng, nr, nk, left)
+                if t == len(shapes) - 1:
+                    a = [[0] * nk for _ in range(nr)]
                 v = _operand(rng, 1, nk, right)[0]
                 if right in kinds[:2]:
                     b = _operand(rng, nk, nc, right)

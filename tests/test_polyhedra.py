@@ -550,7 +550,7 @@ def test_seeded_h_rep_is_the_computed_one():
     facets = [(tuple(s if i == j else 0 for i in range(k)), F(min(s, 0)))
               for j in range(k) for s in (1, -1)]
     seeded.append(LatticePolyhedron(k, product((0, 1), repeat=k),
-                                    _facets=tuple(sorted(facets)), _equations=()))
+                                    _facets=tuple(sorted(facets))))
     for p in seeded:
         fresh = LatticePolyhedron(p.ambient_rank, p.vertex_candidates, p.recession)
         a, b = p.homogenization(), fresh.homogenization()
@@ -583,7 +583,7 @@ def test_seeded_h_rep_matches_dd_read(case, data):
         k = data.draw(st.integers(1, 4))
         seed.append((tuple(k * x for x in n), k * o))
     seed = data.draw(st.permutations(seed))
-    seeded = LatticePolyhedron(len(pts[0]), pts, rec, _facets=seed, _equations=())
+    seeded = LatticePolyhedron(len(pts[0]), pts, rec, _facets=seed)
     assert seeded.facet_rep == fresh.facet_rep
     assert seeded.hull_equations == fresh.hull_equations == ()
     assert seeded._cone is None  # read without building the homogenization

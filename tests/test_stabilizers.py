@@ -22,7 +22,7 @@ from toricgit.groups import (CosetUnion, FiniteAbelianGroup, NonabelianQuotientE
 from toricgit.stab_backends import (QuotientPoint, _image_tables, ratio_is_one,
                                     search_stabilizer, trivial_angle)
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
-                                  check_stability, fiber_degrees, project_to_quotient,
+                                  fiber_degrees, project_to_quotient,
                                   random_configuration, sym_stabilizers,
                                   torus_stabilizer, verify_comparison)
 
@@ -273,16 +273,18 @@ def test_fiber_degrees_examples():
     assert fiber_degrees(4, (3,)) == [2, 2]
 
 
-def test_check_stability():
-    assert check_stability(example_one())
-    c = CycleConfiguration(n=2, I_t=(1, 3), points=(
+def test_semistability_is_enforced():
+    # the constructor raises, not an assert, so python -O keeps the rule:
+    # fiber_degrees(2, (1, 3)) == [0, 2, 0] takes both points on component 1
+    CycleConfiguration(n=2, I_t=(1, 3), points=(
         PointRecord(1, unit(0, (1,)), "a", 1),
         PointRecord(1, unit(F(1, 2), (1,)), "a", 1)))
-    assert check_stability(c)
-    bad = CycleConfiguration(n=2, I_t=(1, 3), points=(
-        PointRecord(1, unit(0, (1,)), "a", 1),
-        PointRecord(2, unit(F(1, 2), (1,)), "a", 1)))
-    assert not check_stability(bad)
+    with pytest.raises(ValueError, match="not semistable"):
+        CycleConfiguration(n=2, I_t=(1, 3), points=(
+            PointRecord(1, unit(0, (1,)), "a", 1),
+            PointRecord(2, unit(F(1, 2), (1,)), "a", 1)))
+    with pytest.raises(ValueError, match="not semistable"):  # degree 2, not n = 3
+        CycleConfiguration(n=3, I_t=(), points=(PointRecord(0, unit(0, (1,)), "a", 2),))
 
 
 # ---------------------------------------------------------------------------
