@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from . import jsonio
 from .degeneration import (build_bundle, build_symmetric, checks_for, product_polyhedron,
-                           run_check, verify)
+                           run_check, symmetric_orbit, verify)
 from .git import EmptyQuotientError, Linearization, quotient_polyhedron, split_quotient
 from .jsonio import dumps
 
@@ -48,17 +48,18 @@ def cmd_build(args) -> int:
     elif obj == "product":
         payload = jsonio.polyhedron_to_json(product_polyhedron(n))
     elif obj == "permutahedron":
-        payload = jsonio.polyhedron_to_json(build_symmetric(n).permutohedron)
+        payload = jsonio.polyhedron_to_json(symmetric_orbit(build_symmetric(n))[1])
     else:
         sym, strs = build_symmetric(n), {}  # strs: the fan's 2^n rays, converted once
+        cones, perm, respoly = symmetric_orbit(sym)
         payload = {
             "n": n,
             "chamber": jsonio.cone_to_json(sym.chamber),
             "product_cone": jsonio.cone_to_json(sym.product_cone),
             "fan": [{"ambient_rank": n + 1, "rays": jsonio.str_rows(rays, strs), "lineality": []}
-                    for rays in sym.cones],  # as cone_to_json writes these pointed cones
-            "permutahedron": jsonio.polyhedron_to_json(sym.permutohedron),
-            "resolution_polyhedron": jsonio.polyhedron_to_json(sym.resolution_polyhedron),
+                    for rays in cones],  # as cone_to_json writes these pointed cones
+            "permutahedron": jsonio.polyhedron_to_json(perm),
+            "resolution_polyhedron": jsonio.polyhedron_to_json(respoly),
         }
     if args.out and args.out != "-":
         with open(args.out, "w") as fh:
@@ -99,9 +100,9 @@ def _run_fuzz(n: int) -> tuple[bool, dict]:
 
 
 def cmd_verify(args) -> int:
-    n, check = args.n, args.check or None
-    try:  # checks_for decides the other check names and their n ranges
-        if check and args.all:
+    n, check = args.n, args.check
+    try:  # checks_for decides the other check names, "" among them, and their n ranges
+        if check is not None and args.all:
             raise ValueError("give either --check or --all")
         if check == FUZZ_CHECK:
             if not 1 <= n <= 7:

@@ -12,7 +12,8 @@ Two families of objects are built:
 
 * ``SymmetricModel``: the weight-space S_n data that resolve the relative
   n-fold product of X over the base: the chamber C, the generators g_k, the
-  n! orbit-fan cones of their Cayley walk as ray tuples, two certified polyhedra.
+  base point y₀ and the resolution polyhedron's facets certified at y₀;
+  ``build`` alone walks the n! orbit-fan cones and vertices.
 
 ``verify`` runs one named check, those on the orbit fan at C from that
 certificate, and returns a report with a witness on failure.
@@ -30,11 +31,12 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .cones import Cone, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
-from .linalg import IntVec, Matrix, abs_det, left_action
-from .polyhedra import Facet, LatticePolyhedron, cube_image_slice, orbit_polyhedron
+from .linalg import IntVec, Matrix, abs_det, dot, left_action
+from .polyhedra import (Facet, LatticePolyhedron, cube_image_slice, orbit_certificate,
+                        orbit_polyhedron)
 
 # the largest n that ``verify`` runs at
-VERIFY_MAX_N = 8
+VERIFY_MAX_N = 9
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +314,12 @@ def product_polyhedron(n: int) -> LatticePolyhedron:
 
 
 class SymmetricModel(NamedTuple):
-    n: int
     chamber: Cone                  # C, the distinguished maximal cone
     product_cone: Cone             # σ, rank n+1, the support of the orbit fan
-    generators: tuple[Matrix, ...]  # g_k = ρ(s_k), which the walk and the certificates use
-    cones: tuple[tuple[IntVec, ...], ...]  # the sorted rays of each ρ(s)·C, in sorted order
+    generators: tuple[Matrix, ...]  # g_k = ρ(s_k), which the certificates use
     base_point: IntVec             # y₀, the resolution polyhedron's vertex at C, doubled
-    permutohedron: LatticePolyhedron
-    resolution_polyhedron: LatticePolyhedron  # its vertex ρ(s)⁻ᵀy₀ is paired with ρ(s)·C
+    facets: tuple[Facet, ...]      # the resolution polyhedron's, in coordinates (y - y₀)/2
+    recession: Cone                # its recession cone, the displayed dual of σ
 
 
 def ambient_reflections(n: int) -> list[Matrix]:
@@ -335,23 +335,48 @@ def chamber_cone(n: int) -> Cone:
                 + [_unit(n + 1, n)])
 
 
-def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequence) -> dict:
-    """{s: (ρ(s)·C, (R·ρ(s)⁻¹)ᵀ)} for s in S_n as bytes, the identity first,
-    C with the ``columns`` and R with the ``rows``, from the generators g_k
-    = ρ(s_k).  They must satisfy the Coxeter relations s_k² = 1, (s_k
-    s_{k+1})³ = 1 and s_k s_l = s_l s_k for |k - l| >= 2, which present S_n,
-    so ρ is a homomorphism and a walk of the Cayley graph from the identity
-    reaches each s once, whatever the path.  A step from p to q = s_k p
-    moves ρ(p)·C to g_k·ρ(p)·C and (R·ρ(p)⁻¹)ᵀ to g_kᵀ·(R·ρ(p)⁻¹)ᵀ, as g_k²
-    = 1: it combines the rows of each matrix (tuples of row tuples), and a
-    coordinate swap reorders them."""
-    d = gens[0].rows
-    ident = Matrix.identity(d)
-    for k, l in combinations_with_replacement(range(n - 1), 2):
+def _check_coxeter(gens: Sequence[Matrix]) -> None:
+    """Raise unless the generators g_k = ρ(s_k) satisfy the Coxeter relations
+    s_k² = 1, (s_k s_{k+1})³ = 1 and s_k s_l = s_l s_k for |k - l| >= 2,
+    which present S_n, so that ρ is a homomorphism."""
+    ident = Matrix.identity(gens[0].rows)
+    for k, l in combinations_with_replacement(range(len(gens)), 2):
         order = 1 if l == k else 3 if l == k + 1 else 2
         if reduce(matmul, [gens[k] @ gens[l]] * order) != ident:
             raise AssertionError("generator matrices violate the Coxeter relations")
 
+
+def _check_orbit_count(gens: Sequence[Matrix], y0: Sequence[int]) -> None:
+    """Raise unless the g_kᵀ move y₀ through n! points, checked in int on
+    the lifts ŷ = (y_1, ..., y_{n-1}, -Σ y_i) of the y with y_0 = y_n = 0, a
+    linear bijection onto Σ = 0: for 0 < i < n, row i of g_k, g_kᵀe_i, has
+    outer entries 0 and lifts to ê_i under the transposition (k, k+1), also
+    for the last g_k, whose middle column is all -1.  So the g_kᵀ keep that
+    plane and act on the lifts as the adjacent transpositions, which
+    generate S_n.  y₀ must lie on it with a lift of distinct entries, as ŷ₀
+    = (2i - n - 1)_i has, so its stabilizer is trivial and it has n! images."""
+    n = len(y0) - 1
+    lift = lambda y: tuple(y[1:n]) + (-sum(y[1:n]),)
+    if y0[0] or y0[n] or len(set(lift(y0))) < n:
+        raise AssertionError("the base point is off y_0 = y_n = 0 or its lift repeats an entry")
+    for k, g in zip(range(n - 1), gens, strict=True):
+        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, n))  # the transposition (k, k+1)
+        if any(r[0] or r[n] or lift(r) != swap(lift(_unit(n + 1, i)))
+               for i, r in enumerate(g.entries[1:n], 1)):
+            raise AssertionError(f"g_{k}ᵀ does not act on the lifts as the swap of {k}, {k + 1}")
+
+
+def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequence) -> dict:
+    """{s: (ρ(s)·C, (R·ρ(s)⁻¹)ᵀ)} for s in S_n as bytes, the identity first,
+    C with the ``columns`` and R with the ``rows``, from the generators g_k
+    = ρ(s_k).  With the Coxeter relations (``_check_coxeter``), ρ is a
+    homomorphism and a walk of the Cayley graph from the identity reaches
+    each s once, whatever the path.  A step from p to q = s_k p moves ρ(p)·C
+    to g_k·ρ(p)·C and (R·ρ(p)⁻¹)ᵀ to g_kᵀ·(R·ρ(p)⁻¹)ᵀ, as g_k² = 1: it
+    combines the rows of each matrix (tuples of row tuples), and a
+    coordinate swap reorders them."""
+    _check_coxeter(gens)
+    d = gens[0].rows
     moves = [(left_action(g), left_action(g.transpose())) for g in gens]
     swaps = [bytes.maketrans(bytes([k, k + 1]), bytes([k + 1, k])) for k in range(n - 1)]
     out = {bytes(range(n)): (tuple(zip(*columns)), tuple(zip(*rows)) or ((),) * d)}
@@ -406,33 +431,41 @@ def product_cone_dual_columns(n: int) -> list[tuple[int, ...]]:
 
 
 def build_symmetric(n: int) -> SymmetricModel:
-    """The symmetric model, with no pass over its n! points.  One walk of
-    the Cayley graph (``orbit_cone_rays``) moves the chamber's rays and y₀ =
-    (0; 2i - n - 1; 0), the identity's vertex of the resolution polyhedron
-    centred at the barycentre and doubled, by the g_k = ρ(s_k), so no ρ(s)
-    and no ``Cone`` per s is formed; its Coxeter check makes the points it
-    returns the orbit of y₀, the (0; 2s_i - n - 1; 0) of the permutations s.
-    ``orbit_polyhedron`` certifies at y₀ the rays ν of σ as the facets, with
-    c_ν = -k(n - k), k the support of ν's middle block (the k least 2j - n -
-    1 sum to it), and the permutohedron on the middle blocks: each g_kᵀ
-    fixes the outer coordinates (columns 0 and n of g_k are e_0 and e_n,
-    checked), so their orbit is that of y₀'s under the middle blocks."""
-    if not 2 <= n <= VERIFY_MAX_N:
-        raise ValueError(f"n must be in [2, {VERIFY_MAX_N}] (the walk has n! cones)")
+    """The symmetric model at y₀ = (0; 2i - n - 1; 0), the identity's vertex
+    of the resolution polyhedron centred at the barycentre and doubled, with
+    no pass over S_n: the g_k = ρ(s_k) satisfy the Coxeter relations, they
+    move y₀ through n! points, the (0; 2s_i - n - 1; 0) of the permutations
+    s, and ``orbit_certificate`` certifies at y₀ the rays ν of σ as the
+    facets, with c_ν = -k(n - k), k the support of ν's middle block (the k
+    least 2j - n - 1 sum to it), and the displayed dual of σ as the
+    recession cone."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     chamber, prod, gens = chamber_cone(n), product_cone_ambient(n), ambient_reflections(n)
     y0 = (0,) + tuple(range(1 - n, n - 1, 2)) + (0,)
-    rays, orbit = zip(*orbit_cone_rays(chamber, gens, y0))
+    _check_coxeter(gens)
+    _check_orbit_count(gens, y0)
     offsets = {nu: k * (k - n) for nu in prod.rays for k in [sum(map(abs, nu[1:-1]))]}
-    respoly = orbit_polyhedron(orbit, gens, offsets, Cone(n + 1, product_cone_dual_columns(n)))
-    if any(g.column(0) != _unit(n + 1, 0) or g.column(n) != _unit(n + 1, n) for g in gens):
-        raise AssertionError("a generator moves the outer coordinates of the points")
-    perm = orbit_polyhedron([y[1:-1] for y in orbit],
-                            [Matrix([r[1:-1] for r in g.entries[1:-1]]) for g in gens],
-                            {nu[1:-1]: c for nu, c in offsets.items() if any(nu[1:-1])}, None)
-    return SymmetricModel(
-        n=n, chamber=chamber, product_cone=prod, generators=tuple(gens),
-        cones=tuple(sorted(rays)), base_point=y0, permutohedron=perm,
-        resolution_polyhedron=respoly)
+    facets, rec = orbit_certificate(y0, gens, offsets, Cone(n + 1, product_cone_dual_columns(n)))
+    return SymmetricModel(chamber, prod, tuple(gens), y0, facets, rec)
+
+
+def symmetric_orbit(sym: SymmetricModel) -> tuple[tuple, LatticePolyhedron, LatticePolyhedron]:
+    """(the sorted rays of the n! cones ρ(s)·C in sorted order, the
+    permutohedron, the resolution polyhedron), which only ``build`` prints,
+    from one walk of ``orbit_cone_rays``, whose points are the orbit of y₀.
+    The permutohedron is certified at y₀'s middle block under the middle
+    blocks of the g_k, whose transposes move the orbit's middle blocks as
+    the g_kᵀ do, as those keep its outer entries 0 (``_check_orbit_count``),
+    with c_ν = 2o_ν + <ν, y₀> from the model's facets (ν, o_ν)."""
+    gens, y0 = sym.generators, sym.base_point
+    rays, orbit = zip(*orbit_cone_rays(sym.chamber, gens, y0))
+    mid = [y[1:-1] for y in orbit]
+    perm = orbit_certificate(mid[0], [Matrix([r[1:-1] for r in g.entries[1:-1]]) for g in gens],
+                             {nu[1:-1]: 2 * o + dot(nu, y0) for nu, o in sym.facets
+                              if any(nu[1:-1])}, None)
+    return (tuple(sorted(rays)), orbit_polyhedron(mid, *perm),
+            orbit_polyhedron(orbit, sym.facets, sym.recession))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +567,8 @@ def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
     g_kᵀ·Q' and Q'·(π_k U - U; 0) = ψ(g_kᵀy₀), π_k the head swap, then
     φ(π_k z) = g_kᵀφ(z) + ψ(g_kᵀy₀), and ψ(g_kᵀy) = g_kᵀψ(y) + ψ(g_kᵀy₀).
     As φ(U) = 0 = ψ(y₀), φ maps the heads of the m_s, the π-orbit of U, word
-    by word onto ψ of the orbit of y₀ (``orbit_polyhedron``): no vertex list."""
+    by word onto ψ of the orbit of y₀, n! points (``build_symmetric``): no
+    vertex list."""
     sym, q, u = _symmetric(n), _bundle(n).basis_change, head_vertex(n) + (0,)
     at_id = q @ list(map(sub, identity_slice_vertex(n)[:n] + (0,), u))
     if any(at_id):
@@ -549,26 +583,26 @@ def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
         if [2 * x for x in step] != want:
             return False, {"generator": k, "translation": _strs(step, n + 2),
                            "expected": _strs(want, 2 * n + 4)}
-    return True, {"vertices": len(sym.resolution_polyhedron.vertex_candidates)}
+    return True, {"vertices": factorial(n)}
 
 
 def _check_normal_fan(n: int) -> tuple[bool, Any]:
     """The normal fan of the resolution polyhedron P is the orbit fan,
-    decided at C.  ``orbit_polyhedron`` certified that the g_k permute P's
+    decided at C.  ``orbit_certificate`` certified that the g_k permute P's
     facets with invariant offsets and that y₀, the origin of P's coordinates
-    (y - y₀)/2, is a simple vertex on the facets T of offset 0, so each
-    vertex ρ(s)⁻ᵀy₀ is on exactly ρ(s)T, as <ρ(s)ν, ρ(s)⁻ᵀy₀> = <ν, y₀>.
-    The walk of ``orbit_cone_rays`` pairs that vertex with ρ(s)·C, so if T is
-    the rays of C, its normal cone cone(ρ(s)T) is ρ(s)·C (Ziegler, §7.1).
-    The fan's support is rec(P)^∨, rec(P) the displayed dual of σ."""
+    (y - y₀)/2, is a simple vertex on the facets T of offset 0, so each of
+    the n! vertices ρ(s)⁻ᵀy₀ (``build_symmetric``) is on exactly ρ(s)T,
+    as <ρ(s)ν, ρ(s)⁻ᵀy₀> = <ν, y₀>.  So if T is the rays of C, its normal
+    cone cone(ρ(s)T) is ρ(s)·C (Ziegler, §7.1).  The fan's support is
+    rec(P)^∨, rec(P) the displayed dual of σ."""
     sym = _symmetric(n)
-    p, rays = sym.resolution_polyhedron, [list(r) for r in sym.chamber.rays]
-    at_y0 = sorted(list(nu) for nu, o in p.facet_rep if o == 0)
+    rays = [list(r) for r in sym.chamber.rays]
+    at_y0 = sorted(list(nu) for nu, o in sym.facets if o == 0)
     if at_y0 != rays:
         return False, {"facets_at_base_point": at_y0, "chamber_rays": rays}
-    if p.recession.dual() != sym.product_cone:
-        return False, {"support": [list(r) for r in p.recession.dual().rays]}
-    return True, {"maximal_cones": len(p.vertex_candidates)}
+    if sym.recession.dual() != sym.product_cone:
+        return False, {"support": [list(r) for r in sym.recession.dual().rays]}
+    return True, {"maximal_cones": factorial(n)}
 
 
 def _check_unstable_locus(n: int) -> tuple[bool, Any]:
@@ -606,7 +640,8 @@ def _check_base_recovery(n: int) -> tuple[bool, Any]:
 def _check_fan_smooth_small(n: int) -> tuple[bool, Any]:
     """The orbit fan is smooth and its rays lie on the boundary of σ, decided
     at C: each ρ(s) is a product of the g_k, unimodular when they are, so
-    ρ(s)·C is smooth when C is.  The 2^n rays are tested against σ."""
+    ρ(s)·C is smooth when C is.  The 2^n rays are tested against σ.  The
+    n! vertices have n! normal cones (``_check_normal_fan``)."""
     sym = _symmetric(n)
     if not sym.chamber.is_smooth():
         return False, {"non_smooth_cone": [list(r) for r in sym.chamber.rays]}
@@ -622,7 +657,7 @@ def _check_fan_smooth_small(n: int) -> tuple[bool, Any]:
             return False, {"ray_outside": list(r)}
         if sym.product_cone.relint_contains(r):
             return False, {"ray_in_relative_interior": list(r)}
-    return True, {"rays": len(rays), "maximal_cones": len(sym.cones)}
+    return True, {"rays": len(rays), "maximal_cones": factorial(n)}
 
 
 _CHECK_FUNCS = {

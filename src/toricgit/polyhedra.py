@@ -206,17 +206,18 @@ class FacetCertificateError(ValueError):
     """Candidate facet normals are not shown to be the facets of a polyhedron."""
 
 
-def orbit_polyhedron(orbit: Sequence[IntVec], gens: Sequence[Matrix],
-                     offsets: dict[IntVec, int], recession: Optional[Cone]) -> LatticePolyhedron:
-    """P = conv(orbit) + recession, canonical, in the coordinates x = (y -
-    y₀) / 2 of its points y, given doubled and centred so that G acts on
-    them linearly, its facets the candidates <ν, y> >= c_ν of ``offsets``,
-    certified at y₀ = orbit[0] alone; FacetCertificateError when the
-    certificate fails.  ``orbit`` must be the orbit of y₀ under the group G
-    the integer ``gens`` generate, acting by y ↦ gᵀy on points and
-    ν ↦ gν on normals (<gν, y> = <ν, gᵀy>), which is the caller's to know
-    (``orbit_cone_rays`` walks it).  Q is the polyhedron the candidates cut out,
-    C the recession cone, which must be pointed.  The checks:
+def orbit_certificate(y0: IntVec, gens: Sequence[Matrix], offsets: dict[IntVec, int],
+                      recession: Optional[Cone]) -> tuple[tuple[Facet, ...], Cone]:
+    """The facets and the canonical recession cone of P = conv(W) + C, W the
+    orbit of the point y₀ under the group G the integer ``gens`` generate,
+    acting by y ↦ gᵀy on points and ν ↦ gν on normals (<gν, y> = <ν, gᵀy>):
+    the candidates <ν, y> >= c_ν of ``offsets``, certified at y₀ alone, with
+    no point of W listed; FacetCertificateError when the certificate fails.
+    P is taken in the coordinates x = (y - y₀) / 2 of its points y, given
+    doubled and centred so that G acts on them linearly, so each facet
+    comes back as (ν, (c_ν - <ν, y₀>) / 2).  Q is the polyhedron the
+    candidates cut out, C the recession cone, which must be pointed.  The
+    checks:
 
     (1) each g permutes the normals with c_gν = c_ν, each gᵀ the rays of C,
         and gᵀy₀ - y₀ is even;
@@ -233,24 +234,23 @@ def orbit_polyhedron(orbit: Sequence[IntVec], gens: Sequence[Matrix],
     simple vertex of Q, and the ridge T \\ {f} cuts out the edge from y₀
     that ends at gᵀy₀ or is y₀ + R≥0 r.  The normals span and g permutes
     them, so g is invertible, gᵀQ = Q, and the finite G acts on Q by
-    automorphisms: each aᵀy₀ in the orbit W is a vertex, on the independent
-    a⁻¹T, and its edges, images of those at y₀, end in W or run along aᵀr,
-    a ray of C by (1).  The vertices and bounded edges of a pointed
-    polyhedron form a connected graph (Ziegler, *Lectures on Polytopes*,
-    §3.5), so W is every vertex of Q, and each extreme ray of rec(Q), an
-    unbounded edge's direction, is in C.  By (4) a candidate is aν, ν in T,
-    and <aν, r> = <ν, aᵀr> >= 0 on C, so rec(Q) = C and Q = conv(W) + C = P.
+    automorphisms: each aᵀy₀ in W is a vertex, on the independent a⁻¹T,
+    and its edges, images of those at y₀, end in W or run along aᵀr, a ray
+    of C by (1).  The vertices and bounded edges of a pointed polyhedron
+    form a connected graph (Ziegler, *Lectures on Polytopes*, §3.5), so W
+    is every vertex of Q, and each extreme ray of rec(Q), an unbounded
+    edge's direction, is in C.  By (4) a candidate is aν, ν in T, and
+    <aν, r> = <ν, aᵀr> >= 0 on C, so rec(Q) = C and Q = conv(W) + C = P.
     Each ν in T cuts out a facet at the simple y₀, which (a⁻¹)ᵀ maps to the
     facet of aν: by (4) every candidate is a facet, no two the same one, as
     the d at a vertex are independent.  A redundant candidate is tight at
-    y₀, which (2) rejects, or outside the orbit of T, which (4) rejects.  The
-    exact facet list is kept as the seed, with no homogenization.  By (1),
-    gᵀy - y₀ = gᵀ(y - y₀) + (gᵀy₀ - y₀) is even for y in W, so x and the
-    offsets (c_ν - <ν, y₀>) / 2 are in int.  This is representation
-    conversion up to symmetry by adjacency decomposition (Bremner, Dutour
-    Sikirić & Schürmann, 2009) on one orbit of simple vertices, whose
-    representative's neighbours are the gᵀy₀, so no adjacency is searched."""
-    y0, d = tuple(orbit[0]), len(orbit[0])
+    y₀, which (2) rejects, or outside the orbit of T, which (4) rejects.  By
+    (1), gᵀy - y₀ = gᵀ(y - y₀) + (gᵀy₀ - y₀) is even for y in W, so x and the
+    offsets are in int.  This is representation conversion up to symmetry
+    by adjacency decomposition (Bremner, Dutour Sikirić & Schürmann, 2009)
+    on one orbit of simple vertices, whose representative's neighbours are
+    the gᵀy₀, so no adjacency is searched."""
+    y0, d = tuple(y0), len(y0)
     rec = (recession or Cone(d, [])).canonical_form()
     if rec.lineality_basis:
         raise FacetCertificateError("the recession cone has lineality")
@@ -297,9 +297,17 @@ def orbit_polyhedron(orbit: Sequence[IntVec], gens: Sequence[Matrix],
     if len(seen) < len(normals):
         nu = normals[min(set(range(len(normals))) - seen)]
         raise FacetCertificateError(f"the normal {nu} is in no orbit of a facet at the base point")
-    facets = [(nu, (x - v) // 2) for nu, v, x in zip(normals, vals, c)]
+    return tuple((nu, (x - v) // 2) for nu, v, x in zip(normals, vals, c)), rec
+
+
+def orbit_polyhedron(orbit: Sequence[IntVec], facets: Sequence[Facet], recession: Cone
+                     ) -> LatticePolyhedron:
+    """P = conv(orbit) + recession, canonical, in the coordinates (y - y₀) / 2,
+    from what ``orbit_certificate`` certified at y₀ = orbit[0], the facets as
+    the seed: the orbit of y₀ under its group, which is the caller's to know."""
+    y0 = orbit[0]
     verts = sorted(set(zip(*[[(a - b) // 2 for a in col] for col, b in zip(zip(*orbit), y0)])))
-    return LatticePolyhedron(d, verts, rec, _facets=facets, _canonical=True)
+    return LatticePolyhedron(len(y0), verts, recession, _facets=facets, _canonical=True)
 
 
 class InnerCertificateError(ValueError):

@@ -864,7 +864,7 @@ def certified_polyhedron(d: int, points: Sequence[Sequence], recession: Optional
     the candidate inward ``normals`` (up to positive multiples) instead of
     a double description of the points; FacetCertificateError when the
     certificate below fails.  The explicit route over every point, which
-    the orbit certificate ``polyhedra.orbit_polyhedron`` replaced in the
+    the orbit certificate ``polyhedra.orbit_certificate`` replaced in the
     symmetric model; the tests hold the two routes equal.
 
     Each normal ν must be >= 0 on the recession cone.  One ``column_dots``

@@ -14,7 +14,7 @@ from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (_pb, build_bundle, build_symmetric, constant_tail,
                                    decode_ray_label, head_vertex, identity_slice_vertex,
                                    product_cone_ambient, product_linearization,
-                                   product_polyhedron, verify)
+                                   product_polyhedron, symmetric_orbit, verify)
 from toricgit.git import quotient_polyhedron, unstable_rays
 from toricgit.groups import compose, identity
 from toricgit.linalg import Matrix, hermite_normal_form, elementary_divisors, kernel_basis
@@ -70,7 +70,7 @@ def test_criterion_04_normal_fan():
     t0 = time.perf_counter()
     for n in range(2, 5):
         sym = build_symmetric(n)
-        nf = normal_fan(sym.resolution_polyhedron)
+        nf = normal_fan(symmetric_orbit(sym)[2])
         assert nf == Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone), n
         if n == 4:
             assert len(nf.maximal_cones) == 24

@@ -101,11 +101,11 @@ def test_verify_single_check_report():
 
 
 def test_verify_bad_args():
-    # checks_for decides the first three and the fifth, the CLI the others
+    # checks_for decides the first three, the fifth and the last, the CLI the others
     for args in (["--n", "99", "--all"], ["--n", "2", "--check", "bogus"],
                  ["--n", "1", "--check", "normal_fan"],
                  ["--n", "2", "--all", "--check", "pb_vertices"], ["--n", "0", "--all"],
-                 ["--n", "8", "--check", "comparison_fuzz"]):
+                 ["--n", "8", "--check", "comparison_fuzz"], ["--n", "2", "--check", ""]):
         rc, out, err = run_main(["verify", *args])
         assert rc == 2, args
         assert out == "", args
@@ -114,9 +114,9 @@ def test_verify_bad_args():
 
 @pytest.mark.parametrize("args", [["--all"], ["--check", "pb_vertices"]])
 def test_verify_above_cap_exits_2(args):
-    # n = 8 is the largest verified n: at n = 9 the symmetric model's orbit
-    # fan would have 9! = 362880 maximal cones
-    r = run_cli(["verify", "--n", "9", *args])
+    # n = 9 is the largest verified n: checks_for caps verify there, although
+    # the symmetric model, a base point and its certificate, has no cap
+    r = run_cli(["verify", "--n", "10", *args])
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1

@@ -8,7 +8,6 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from operator import add
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -21,22 +20,22 @@ from oracles import (ambient_quotient_slice, braid_chambers, certified_polyhedro
                      weight_reflections)
 from toricgit import cones, dd, degeneration, linalg, polyhedra
 from toricgit.cones import Cone
-from toricgit.degeneration import (_bundle, _pb, _symmetric, ambient_reflections,
-                                   basis_change_matrix, build_bundle, build_symmetric,
-                                   chamber_cone, chart_pairs, checks_for, constant_tail,
-                                   decode_ray_label, head_vertex, identity_slice_vertex,
-                                   orbit_cone_rays, permutation_matrices,
-                                   product_chart_corners, product_chart_vertices,
-                                   product_cone_ambient, product_cone_dual_columns,
-                                   product_cube_map, product_linearization,
-                                   product_polyhedron, projection_matrix, slice_vertex,
-                                   verify)
+from toricgit.degeneration import (SymmetricModel, _bundle, _check_orbit_count, _pb,
+                                   _symmetric, ambient_reflections, basis_change_matrix,
+                                   build_bundle, build_symmetric, chamber_cone, chart_pairs,
+                                   checks_for, constant_tail, decode_ray_label, head_vertex,
+                                   identity_slice_vertex, orbit_cone_rays,
+                                   permutation_matrices, product_chart_corners,
+                                   product_chart_vertices, product_cone_ambient,
+                                   product_cone_dual_columns, product_cube_map,
+                                   product_linearization, product_polyhedron,
+                                   projection_matrix, slice_vertex, symmetric_orbit, verify)
 from toricgit.git import Linearization, unstable_rays
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot
 from toricgit.polyhedra import (FacetCertificateError, Fan, InnerCertificateError,
                                 LatticePolyhedron, cube_image_slice, normal_fan,
-                                orbit_polyhedron)
+                                orbit_certificate)
 
 
 def test_bundle_shifts_and_vertices():
@@ -59,8 +58,9 @@ def test_bundle_bounds():
         product_polyhedron(6)
     with pytest.raises(ValueError):
         build_symmetric(1)
-    with pytest.raises(ValueError):
-        build_symmetric(9)
+    # the model holds no orbit, so it has no cap above: checks_for caps
+    # verify at VERIFY_MAX_N, and cmd_build caps the walk
+    assert build_symmetric(10).base_point == (0, -9, -7, -5, -3, -1, 1, 3, 5, 7, 0)
 
 
 def test_head_vertex_steps():
@@ -99,8 +99,7 @@ def test_product_polyhedron_against_brute_force_n2():
 
 
 def test_permutohedron_n3_vertices():
-    sym = build_symmetric(3)
-    got = set(sym.permutohedron.vertex_candidates)
+    got = set(symmetric_orbit(build_symmetric(3))[1].vertex_candidates)
     assert got == {(F(0), F(0)), (F(1), F(-1)), (F(2), F(0)),
                    (F(0), F(1)), (F(1), F(1)), (F(2), F(-1))}
 
@@ -169,7 +168,7 @@ def test_fan_cone_count():
     for n in (2, 3, 4):
         sym = build_symmetric(n)
         fan = Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone)
-        assert len(fan.maximal_cones) == len(sym.cones) == [1, 1, 2, 6, 24][n]
+        assert len(fan.maximal_cones) == len(symmetric_orbit(sym)[0]) == [1, 1, 2, 6, 24][n]
         for c in fan.maximal_cones:
             assert c.is_smooth()
 
@@ -193,7 +192,7 @@ def test_orbit_fan_matches_per_cone_dd_oracle():
         moved = {(tuple(sorted(g @ r for r in rays)), g.transpose() @ y)
                  for rays, y in pairs for g in gens}
         assert moved == set(pairs), n
-        assert sym.cones == tuple(c.rays for c in sorted(oracle, key=Cone.key))
+        assert symmetric_orbit(sym)[0] == tuple(c.rays for c in sorted(oracle, key=Cone.key))
 
 
 def test_build_symmetric_cone_count_does_not_grow_with_n(monkeypatch):
@@ -208,7 +207,7 @@ def test_build_symmetric_cone_count_does_not_grow_with_n(monkeypatch):
     counts = []
     for n in (3, 4, 5, 6):
         made.clear()
-        build_symmetric(n)
+        symmetric_orbit(build_symmetric(n))
         counts.append(len(made))
     assert counts == [counts[0]] * 4, counts
 
@@ -225,7 +224,7 @@ def test_build_symmetric_dd_calls_do_not_grow_with_n(monkeypatch):
     counts = []
     for n in (3, 5, 6):
         calls.clear()
-        build_symmetric(n)
+        symmetric_orbit(build_symmetric(n))
         counts.append(len(calls))
         # no DD over the n! points: the largest input is σ's 2^n generators
         assert max(calls) <= 2 ** n
@@ -234,10 +233,10 @@ def test_build_symmetric_dd_calls_do_not_grow_with_n(monkeypatch):
 
 def test_build_symmetric_moves_the_fan_by_generators(monkeypatch):
     # no ρ(s) per permutation: permutation_matrices is never called, and the
-    # only matrix products are the Coxeter relation check, order(s_k s_l) of
-    # them for each pair k <= l
+    # only matrix products of the model and of its walk are each one's
+    # Coxeter relation check, order(s_k s_l) of them for each pair k <= l
     def no_matrices(n, gens):
-        raise AssertionError("build_symmetric formed the n! matrices")
+        raise AssertionError("the symmetric model formed the n! matrices")
 
     monkeypatch.setattr(degeneration, "permutation_matrices", no_matrices)
     real, calls = Matrix.__matmul__, []
@@ -249,10 +248,14 @@ def test_build_symmetric_moves_the_fan_by_generators(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__matmul__", spy)
     for n in (3, 4, 5, 6):
-        calls.clear()
-        build_symmetric(n)
         pairs = combinations_with_replacement(range(n - 1), 2)
-        assert len(calls) == sum(1 if l == k else 3 if l == k + 1 else 2 for k, l in pairs)
+        coxeter = sum(1 if l == k else 3 if l == k + 1 else 2 for k, l in pairs)
+        calls.clear()
+        sym = build_symmetric(n)
+        assert len(calls) == coxeter
+        calls.clear()
+        symmetric_orbit(sym)
+        assert len(calls) == coxeter
 
 
 def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
@@ -264,14 +267,13 @@ def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(LatticePolyhedron, "homogenization", no_cone)
-        models = [build_symmetric(n) for n in (3, 4, 5, 6)]
-    for sym in models:
-        for p in (sym.permutohedron, sym.resolution_polyhedron):
+        orbits = [symmetric_orbit(build_symmetric(n)) for n in (3, 4, 5, 6)]
+    for _, *polys in orbits:
+        for p in polys:
             assert p._canonical and p._cone is None
             assert p.facet_rep and p.hull_equations == ()
-    sym = models[0]
-    assert normal_fan(sym.resolution_polyhedron) == \
-        Fan(sym.n + 1, orbit_fan_by_cone_dd(sym.n), sym.product_cone)
+    assert normal_fan(orbits[0][2]) == \
+        Fan(4, orbit_fan_by_cone_dd(3), product_cone_ambient(3))
 
 
 def test_certified_symmetric_polyhedra_seed_int_rows(monkeypatch):
@@ -284,9 +286,9 @@ def test_certified_symmetric_polyhedra_seed_int_rows(monkeypatch):
         return real(v)
 
     monkeypatch.setattr(linalg, "clear_denominators", counting)
-    sym = build_symmetric(5)
+    _, *polys = symmetric_orbit(build_symmetric(5))
     assert calls == []
-    for p in (sym.permutohedron, sym.resolution_polyhedron):
+    for p in polys:
         assert all(type(o) is int for _, o in p.facet_rep)
     # positive control: a row with a denominator still takes the detour
     assert linalg.scaled_primitive((F(1, 2), 1)) == (1, 2) and len(calls) == 1
@@ -309,7 +311,7 @@ def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monk
             rec = (rec or Cone(len(orbit[0]), [])).canonical_form()
             with monkeypatch.context() as m:
                 m.setattr(linalg, "_echelon", forbidden)
-                orbit_polyhedron(orbit, gens, offsets, rec)
+                orbit_certificate(orbit[0], gens, offsets, rec)
     real, calls = dd.cone_from_inequalities, []
 
     def spy(constraints, ambient):
@@ -321,11 +323,12 @@ def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monk
 
     for n in (3, 4, 5, 6):
         sym = build_symmetric(n)
+        p = symmetric_orbit(sym)[2]
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(dd, "cone_from_inequalities", spy)
             m.setattr(LatticePolyhedron, "homogenization", no_cone)
-            nf = normal_fan(sym.resolution_polyhedron)
+            nf = normal_fan(p)
         assert len(calls) <= 1, n  # the support, the dual of the recession cone
         assert nf == Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone), n
 
@@ -334,10 +337,10 @@ def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monk
 def test_certified_symmetric_polyhedra_match_dd_oracle(n):
     # the orbit route equals the double description of the n! points and
     # the explicit facet certificate over them
-    sym = build_symmetric(n)
+    _, *polys = symmetric_orbit(build_symmetric(n))
     explicit = _symmetric_candidates(n)
     for got, want, (d, pts, rec, normals) in zip(
-            (sym.permutohedron, sym.resolution_polyhedron), symmetric_polyhedra_by_dd(n),
+            polys, symmetric_polyhedra_by_dd(n),
             (explicit["permutohedron"], explicit["resolution"])):
         for other in (want, certified_polyhedron(d, pts, rec, normals)):
             assert got.vertex_candidates == other.vertex_candidates
@@ -395,7 +398,9 @@ def test_facet_certificate_rejects_a_normal_negative_on_the_recession():
 
 def _orbit_candidates(n):
     """(orbit, gens, offsets, recession) of the resolution polyhedron and the
-    permutohedron, as ``build_symmetric`` passes them to ``orbit_polyhedron``."""
+    permutohedron: the orbit that ``symmetric_orbit`` walks, whose first point
+    ``build_symmetric`` and ``symmetric_orbit`` pass to ``orbit_certificate``
+    with the rest."""
     gens = ambient_reflections(n)
     orbit = [y for _, y in orbit_cone_rays(chamber_cone(n), gens, _symmetric(n).base_point)]
     offsets = {}
@@ -451,16 +456,16 @@ def _mutants(name, n=4):
     o = next(o for o in orbits if loose[0] in o)
     out.append(("lowered orbit", {nu: c - (nu in o) for nu, c in offsets.items()},
                 f"on {d - 1} facets"))
-    return [(label, (orbit, gens, cands, rec), match) for label, cands, match in out]
+    return [(label, (y0, gens, cands, rec), match) for label, cands, match in out]
 
 
 @pytest.mark.parametrize("name", ["resolution", "permutohedron"])
 def test_orbit_certificate_rejects_dropped_extra_and_moved_candidates(name):
     orbit, gens, offsets, rec = _orbit_candidates(4)[name]
-    orbit_polyhedron(orbit, gens, offsets, rec)
+    orbit_certificate(orbit[0], gens, offsets, rec)
     for label, args, match in _mutants(name):
         with pytest.raises(FacetCertificateError, match=match):
-            orbit_polyhedron(*args)
+            orbit_certificate(*args)
             raise AssertionError(label)
 
 
@@ -471,7 +476,7 @@ def test_orbit_certificate_rejects_a_generator_not_permuting_the_normals(name):
     shear = Matrix([[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)])
     for bad in (shear, Matrix([[2 * int(i == j) for j in range(d)] for i in range(d)])):
         with pytest.raises(FacetCertificateError, match="does not permute the normals"):
-            orbit_polyhedron(orbit, [bad] + gens[1:], offsets, rec)
+            orbit_certificate(orbit[0], [bad] + gens[1:], offsets, rec)
 
 
 @pytest.mark.parametrize("name", ["resolution", "permutohedron"])
@@ -482,10 +487,10 @@ def test_orbit_certificate_rejects_a_base_point_on_fewer_than_d_normals(name):
     mid = tuple(map(add, y0, gens[0].transpose() @ y0))
     doubled = {nu: 2 * c for nu, c in offsets.items()}
     with pytest.raises(FacetCertificateError, match=f"on {d - 1} facets, not on {d}"):
-        orbit_polyhedron([mid], gens, doubled, rec)
+        orbit_certificate(mid, gens, doubled, rec)
     # a point off the polyhedron violates a candidate
     with pytest.raises(FacetCertificateError, match="violates"):
-        orbit_polyhedron([tuple(2 * x for x in y0)], gens, offsets, rec)
+        orbit_certificate(tuple(2 * x for x in y0), gens, offsets, rec)
 
 
 def test_orbit_certificate_rejects_a_base_point_on_more_than_d_normals():
@@ -495,7 +500,7 @@ def test_orbit_certificate_rejects_a_base_point_on_more_than_d_normals():
              Matrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
     offsets = dict.fromkeys(product((1, -1), repeat=3), -2)
     with pytest.raises(FacetCertificateError, match="on 4 facets, not on 3"):
-        orbit_polyhedron([(2, 0, 0)], swaps, offsets, None)
+        orbit_certificate((2, 0, 0), swaps, offsets, None)
 
 
 @pytest.mark.parametrize("name", ["resolution", "permutohedron"])
@@ -503,10 +508,10 @@ def test_orbit_certificate_rejects_a_ridge_with_no_neighbour(name):
     orbit, gens, offsets, rec = _orbit_candidates(4)[name]
     for k in range(len(gens)):  # each generator's neighbour ends one edge
         with pytest.raises(FacetCertificateError, match="has no other end"):
-            orbit_polyhedron(orbit, gens[:k] + gens[k + 1:], offsets, rec)
+            orbit_certificate(orbit[0], gens[:k] + gens[k + 1:], offsets, rec)
     if rec is not None:  # two edges of the resolution polyhedron are recession rays
         with pytest.raises(FacetCertificateError, match="has no other end"):
-            orbit_polyhedron(orbit, gens, offsets, None)
+            orbit_certificate(orbit[0], gens, offsets, None)
 
 
 def test_orbit_certificate_rejects_a_vertex_on_d_dependent_normals():
@@ -516,7 +521,7 @@ def test_orbit_certificate_rejects_a_vertex_on_d_dependent_normals():
     flip = Matrix([[-1, 0], [0, 1]])
     offsets = {(1, 0): -1, (-1, 0): -1, (2, 0): -2, (-2, 0): -2}
     with pytest.raises(FacetCertificateError, match="has no other end"):
-        orbit_polyhedron([(-1, 0)], [flip], offsets, None)
+        orbit_certificate((-1, 0), [flip], offsets, None)
 
 
 @pytest.mark.parametrize("name", ["resolution", "permutohedron"])
@@ -525,7 +530,7 @@ def test_orbit_certificate_rejects_an_odd_step(name):
     orbit, gens, offsets, rec = _orbit_candidates(4)[name]
     moved = tuple(x + (i == 1) for i, x in enumerate(orbit[0]))
     with pytest.raises(FacetCertificateError, match="off the lattice"):
-        orbit_polyhedron([moved], gens, offsets, rec)
+        orbit_certificate(moved, gens, offsets, rec)
 
 
 def test_orbit_certificate_rejects_a_bad_recession_cone():
@@ -533,12 +538,12 @@ def test_orbit_certificate_rejects_a_bad_recession_cone():
     d = len(orbit[0])
     negated = Cone(d, [tuple(-x for x in r) for r in rec.rays])
     with pytest.raises(FacetCertificateError, match="negative on the recession"):
-        orbit_polyhedron(orbit, gens, offsets, negated)
+        orbit_certificate(orbit[0], gens, offsets, negated)
     with pytest.raises(FacetCertificateError, match="does not permute the recession rays"):
-        orbit_polyhedron(orbit, gens, offsets, Cone(d, rec.rays[:-1]))
+        orbit_certificate(orbit[0], gens, offsets, Cone(d, rec.rays[:-1]))
     with pytest.raises(FacetCertificateError, match="lineality"):
-        orbit_polyhedron(orbit, gens, offsets,
-                         Cone(d, list(rec.rays) + [tuple(-x for x in rec.rays[0])]))
+        orbit_certificate(orbit[0], gens, offsets,
+                          Cone(d, list(rec.rays) + [tuple(-x for x in rec.rays[0])]))
 
 
 BAD_CHAMBERS = {
@@ -599,6 +604,30 @@ def test_permutation_matrices_reject_generators_breaking_a_relation(relation):
         next(orbit_cone_rays(orthant, [Matrix(g) for g in gens], (0,) * d))
 
 
+def test_count_certificate_rejects_a_generator_that_is_no_transposition():
+    # the last g_k made a plain swap of e_{n-1} and e_n, which moves an outer
+    # coordinate; the generators in reverse order, each a transposition but
+    # not (k, k+1); and the identity, which fixes every lift
+    for n in range(2, 10):
+        gens, y0 = ambient_reflections(n), _symmetric(n).base_point
+        _check_orbit_count(gens, y0)
+        eye = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+        swap = Matrix(eye[:n - 1] + [eye[n], eye[n - 1]])
+        mutants = [gens[:-1] + [swap], [Matrix(eye)] + gens[1:]]
+        for bad in mutants + [gens[::-1]] * (n > 2):  # one generator is its own reverse
+            with pytest.raises(AssertionError, match="as the swap of"):
+                _check_orbit_count(bad, y0)
+
+
+def test_count_certificate_rejects_a_repeated_lifted_entry():
+    # two equal middle entries, a last lifted entry -Σ equal to a middle one,
+    # the origin, and a point off the plane y_0 = y_n = 0
+    gens = ambient_reflections(4)
+    for y0 in ((0, -3, -3, 1, 0), (0, -1, 0, 1, 0), (0,) * 5, (1, -3, -1, 1, 0)):
+        with pytest.raises(AssertionError, match="repeats an entry"):
+            _check_orbit_count(gens, y0)
+
+
 def test_decode_ray_label():
     assert decode_ray_label(2, (1, 0, 0, 1, 0)) == ((1,), 1)
     assert decode_ray_label(2, (1, 1, 1, 0, 0)) == ((1, 2), 0)
@@ -621,15 +650,16 @@ def test_verify_check_n1_subset():
 
 
 def test_verify_unknown_check():
-    # the bad pairs of test_cli.py::test_verify_bad_args and n = 9: checks_for
+    # the bad pairs of test_cli.py::test_verify_bad_args and n = 10: checks_for
     # is the one validator, and verify raises through it before a check runs
-    for n, check in ((2, "nonsense"), (1, "normal_fan"), (9, "conical_part"),
-                     (99, "conical_part"), (0, "conical_part"), (8, "comparison_fuzz")):
+    for n, check in ((2, "nonsense"), (1, "normal_fan"), (10, "conical_part"),
+                     (99, "conical_part"), (0, "conical_part"), (8, "comparison_fuzz"),
+                     (2, "")):
         with pytest.raises(ValueError):
             checks_for(n, check)
         with pytest.raises(ValueError):
             verify(n, check)
-    for n in (0, 9):
+    for n in (0, 10):
         with pytest.raises(ValueError):
             checks_for(n)
 
@@ -655,7 +685,7 @@ def test_cached_accessors_build_once_per_n():
         assert _bundle(n).product_facets == build_bundle(n).product_facets
     for n in (2, 3):
         assert _symmetric(n) is _symmetric(n)
-        assert _symmetric(n).cones == build_symmetric(n).cones
+        assert _symmetric(n).facets == build_symmetric(n).facets
     assert _bundle(1) is not _bundle(2)
 
 
@@ -1094,28 +1124,19 @@ def test_quotient_theorem_check_rejects_a_q_breaking_the_translation(monkeypatch
 
 
 def test_quotient_theorem_walks_no_vertex_list(monkeypatch):
-    # the resolution polyhedron's vertices may be counted, not read, and
-    # no walk, orbit or per-permutation product runs
-    class CountOnly(tuple):
-        def __iter__(self):
-            raise AssertionError("quotient_theorem read a vertex list")
-
-        __getitem__ = __iter__
-
+    # the model holds no vertex list, and no walk, orbit or per-permutation
+    # product runs, in the check or in the model it builds
     def forbidden(*args):
         raise AssertionError("quotient_theorem walked S_n")
 
+    monkeypatch.setattr(degeneration, "_cayley_walk", forbidden)
+    _symmetric.cache_clear()
     for n in (2, 3, 4, 5):
-        sym, _ = _symmetric(n), _bundle(n)
-        counted = SimpleNamespace(
-            vertex_candidates=CountOnly(sym.resolution_polyhedron.vertex_candidates))
-        with monkeypatch.context() as m:
-            m.setattr(degeneration, "_symmetric",
-                      lambda n: sym._replace(resolution_polyhedron=counted))
-            m.setattr(degeneration, "_cayley_walk", forbidden)
-            rep = verify(n, "quotient_theorem")
+        rep = verify(n, "quotient_theorem")
         assert rep.status == "pass", (n, rep.witness)
         assert rep.witness == {"vertices": factorial(n)}
+    assert set(SymmetricModel._fields) == {"chamber", "product_cone", "generators",
+                                           "base_point", "facets", "recession"}
 
 
 def test_pb_n5_from_cube_without_bundle(monkeypatch):
@@ -1151,7 +1172,7 @@ def test_int_slice_checks_match_fraction_oracles():
         assert set(pb_polyhedron(n).vertex_candidates) == set(pts), n
         if n >= 2:
             assert quotient_images_by_fractions(n, pts) == \
-                set(_symmetric(n).resolution_polyhedron.vertex_candidates), n
+                set(symmetric_orbit(_symmetric(n))[2].vertex_candidates), n
 
 
 def test_int_slice_checks_fail_like_their_fraction_routes(monkeypatch):
@@ -1254,8 +1275,9 @@ def test_fan_checks_agree_with_the_orbit_fan_oracle(monkeypatch, n):
     # check tests against σ are its rays
     sym = _symmetric(n)
     fan = Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone)
-    assert normal_fan(sym.resolution_polyhedron) == fan
-    assert len(fan.maximal_cones) == len(sym.cones)
+    cones, _, respoly = symmetric_orbit(sym)
+    assert normal_fan(respoly) == fan
+    assert len(fan.maximal_cones) == len(cones) == factorial(n)
     assert all(c.is_smooth() for c in fan.maximal_cones)
     real, tested = Cone.contains, []
     monkeypatch.setattr(Cone, "contains", lambda c, v: tested.append(tuple(v)) or real(c, v))

@@ -11,8 +11,12 @@ that still listed the 7^6 chart vertices in the bundle and sliced each cube
 block by a double description.  The n = 7 verify digest was recorded on
 the code that still enumerated P_b's vertices in ``Fraction``, with the
 verify cap lifted from 6 on a copy, and the n = 8 one with the cap lifted
-from 7 on a copy, before the cap rose to 8.  The ``quotient`` digests were recorded on
-the code that sliced P in ambient coordinates and solved one system per
+from 7 on a copy, before the cap rose to 8.  The n = 9 verify digest was
+recorded with the cap lifted from 8 on a copy of the code whose symmetric
+model still walked and stored the n! orbit, and the same digest came out
+when the model became its base point and certificate and the cap rose to
+9.  The ``quotient`` digests were recorded on the code that sliced P in
+ambient coordinates and solved one system per
 vertex for its ker(α) coordinates.  To record them again after a deliberate
 output change, print ``build_digest``, ``verify_digest`` and
 ``quotient_digest`` for the parameters below and say why in CHANGES.md.
@@ -25,7 +29,7 @@ import json
 
 import pytest
 
-from toricgit import jsonio
+from toricgit import degeneration, jsonio
 from toricgit.cli import main
 from toricgit.degeneration import build_bundle, product_linearization, product_polyhedron
 
@@ -61,6 +65,7 @@ VERIFY_DIGESTS = {
     6: "7446743177d01c7f416df2d422d197b440b7a3086a791c17b265313657bcd1b4",
     7: "7f4a5a0877796dd53d4ffd4ba179703feb176fe3074cec1fbe186d45f36a19ff",
     8: "ff34dea85e356edc3c7846562251dd06c1dcc64720e7c9bdc589c6e2907484bb",
+    9: "7b9d17d37c46dda26ff9f60b9fb500af6e0fe87f02de84a687e14ea6000459f4",
 }
 
 QUOTIENT_DIGESTS = {
@@ -136,6 +141,20 @@ def quotient_digest(tmp_path, name: str, n: int) -> str:
 @pytest.mark.parametrize("obj,n", sorted(BUILD_DIGESTS))
 def test_build_output_unchanged(obj, n):
     assert build_digest(obj, n) == BUILD_DIGESTS[obj, n]
+
+
+def test_verify_digests_hold_with_the_walk_forbidden(monkeypatch):
+    # verify keeps no n! orbit: with the Cayley walk forbidden and every
+    # model built afresh, each verify digest holds (run first, so that the
+    # digests below reuse the models it builds)
+    def forbidden(*args):
+        raise AssertionError("verify walked S_n")
+
+    monkeypatch.setattr(degeneration, "_cayley_walk", forbidden)
+    degeneration._symmetric.cache_clear()
+    degeneration._bundle.cache_clear()
+    for n in sorted(VERIFY_DIGESTS):
+        assert verify_digest(n) == VERIFY_DIGESTS[n], n
 
 
 @pytest.mark.parametrize("n", sorted(VERIFY_DIGESTS))

@@ -25,7 +25,8 @@ KEPT = {
                        "in its environment report",
     "permutation_matrices": "perfbench/tracer.py reports degeneration.permutation_matrices "
                             "in METRICS, and test_every_traced_name_is_wrapped needs it to "
-                            "exist; build_symmetric walks the generators instead",
+                            "exist; only symmetric_orbit, for build, walks S_n, and it "
+                            "moves the chamber by the generators instead",
     "torus_stabilizer": "perfbench/tracer.py reports stabilizers.torus_stabilizer in "
                         "METRICS; toricgit stab now reads verify_comparison's one pass",
     "project_to_quotient": "perfbench/tracer.py reports stabilizers.project_to_quotient "
