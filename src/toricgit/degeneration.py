@@ -27,16 +27,16 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 from operator import itemgetter, matmul, sub
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from .cones import Cone, image_cone
+from .cones import Cone, column_dots, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
 from .linalg import IntVec, Matrix, abs_det, dot, left_action
 from .polyhedra import (Facet, LatticePolyhedron, cube_image_slice, orbit_certificate,
                         orbit_polyhedron)
 
 # the largest n that ``verify`` runs at
-VERIFY_MAX_N = 9
+VERIFY_MAX_N = 10
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +83,8 @@ def product_linearization(n: int) -> Linearization:
 
 def family_rec_dual_columns(n: int) -> list[tuple[int, ...]]:
     """Monomial exponents of x, y, t_1, ..., t_{n+1} on (s; t)-coordinates."""
-    cols = [(-1,) + tuple([1] * (n + 1)), (1,) + tuple([0] * (n + 1))]
-    for j in range(n + 1):
-        cols.append((0,) + _unit(n + 1, j))
-    return cols
+    return ([(-1,) + (1,) * (n + 1), (1,) + (0,) * (n + 1)]
+            + [(0,) + _unit(n + 1, j) for j in range(n + 1)])
 
 
 def base_cone_columns(n: int) -> list[tuple[int, ...]]:
@@ -94,12 +92,7 @@ def base_cone_columns(n: int) -> list[tuple[int, ...]]:
 
     The displayed generating set has a pair of columns per t-coordinate; at
     n = 1 this is the 4-ray cone over a square (the conifold cone)."""
-    cols = []
-    for j in range(n + 1):
-        e = _unit(n + 1, j)
-        cols.append((0,) + e)
-        cols.append((1,) + e)
-    return cols
+    return [(a,) + _unit(n + 1, j) for j in range(n + 1) for a in (0, 1)]
 
 
 def family_cube_map(n: int) -> Matrix:
@@ -128,14 +121,9 @@ def product_cube_map(n: int) -> Matrix:
 def product_rec_dual_columns(n: int) -> list[tuple[int, ...]]:
     """The (2n+1, 3n+1) generator matrix of the product recession cone:
     x_i = (-e_i; 1...1), y_i = (e_i; 0), t_j = (0; e_j)."""
-    cols = []
-    for i in range(n):
-        cols.append(tuple(-1 if k == i else 0 for k in range(n)) + tuple([1] * (n + 1)))
-    for i in range(n):
-        cols.append(_unit(n, i) + tuple([0] * (n + 1)))
-    for j in range(n + 1):
-        cols.append(tuple([0] * n) + _unit(n + 1, j))
-    return cols
+    return ([tuple(-x for x in _unit(n, i)) + (1,) * (n + 1) for i in range(n)]
+            + [_unit(n, i) + (0,) * (n + 1) for i in range(n)]
+            + [(0,) * n + _unit(n + 1, j) for j in range(n + 1)])
 
 
 def product_ray_vectors(n: int) -> list[tuple[int, ...]]:
@@ -147,6 +135,25 @@ def product_ray_vectors(n: int) -> list[tuple[int, ...]]:
             for j in range(n + 1):
                 out.append(eI + _unit(n + 1, j))
     return out
+
+
+def _product_cone(n: int, columns: Sequence[IntVec]) -> Cone:
+    """The product cone {(p; q) : q >= 0, 0 <= p_i <= Σq} with both
+    representations and no double description, once the displayed
+    ``columns`` are checked to be its 3n+1 inequalities q_j >= 0, p_i >= 0
+    and Σq - p_i >= 0, each once and nothing else.  It is the cone over
+    Δ_n × [0,1]^n, and the faces of a product of polytopes are the products
+    of their faces (Ziegler, *Lectures on Polytopes*, §0): its rays are the
+    vertex pairs (e_I; e_j) of ``product_ray_vectors``, and its facets, a
+    facet of one factor times the other, are those inequalities (n >= 1)."""
+    rows = sorted([(0,) * n + _unit(n + 1, j) for j in range(n + 1)]
+                  + [_unit(n, i) + (0,) * (n + 1) for i in range(n)]
+                  + [tuple(-x for x in _unit(n, i)) + (1,) * (n + 1) for i in range(n)])
+    if sorted(columns) != rows:
+        raise AssertionError("the displayed product columns are not the inequalities "
+                             "of the cone over Δ_n × [0,1]^n")
+    return Cone(2 * n + 1, _rays=tuple(sorted(product_ray_vectors(n))), _lineality=(),
+                _facets=tuple(rows), _equations=())
 
 
 def decode_ray_label(n: int, ray: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -278,17 +285,15 @@ def build_bundle(n: int) -> DegenerationBundle:
     lx = family_cube_map(n)
     cube_pts = [lx @ v for v in product((0, 1), repeat=n)]
     fam_poly = LatticePolyhedron(n + 2, cube_pts, fam_rec).canonicalize()
-    # product side, rank 2n+1
-    prod_rec = Cone(2 * n + 1, product_rec_dual_columns(n))
-    prod_cone = prod_rec.dual()
-    expected_rays = set(product_ray_vectors(n))
-    if set(prod_cone.rays) != expected_rays:
-        raise AssertionError("product cone rays do not match the (e_I; e_j) description")
+    # product side, rank 2n+1: the cone and its dual, the recession cone,
+    # both with both representations
+    prod_cone = _product_cone(n, product_rec_dual_columns(n))
     L = product_cube_map(n)
-    # the facet with normal v has offset min of v over L(cube), which
+    # the facet with normal v has offset min of v over L(cube), the sum of
+    # the negative entries of Lᵀv, read over the nonzeros of v, which
     # support_constants reads as d_v; no chart vertex is listed
-    lt = L.transpose()
-    facets = tuple((v, sum(min(x, 0) for x in lt @ v)) for v in sorted(expected_rays))
+    facets = tuple((v, sum(min(x, 0) for x in column_dots(v, L.entries, L.cols)))
+                   for v in prod_cone.rays)
     lin_fam = Linearization(torus_shift_map(n, n + 2), fractional_shift_family(n))
     alpha = torus_shift_map(n, 2 * n + 1)
     pi = projection_matrix(n)
@@ -298,7 +303,7 @@ def build_bundle(n: int) -> DegenerationBundle:
         raise AssertionError("pi must be surjective")
     return DegenerationBundle(
         n=n, family_polyhedron=fam_poly,
-        product_rec_dual=prod_rec, product_cone=prod_cone,
+        product_rec_dual=prod_cone.dual(), product_cone=prod_cone,
         product_facets=facets, lin_family=lin_fam, projection=pi,
         basis_change=basis_change_matrix(n))
 
@@ -369,13 +374,12 @@ def _check_orbit_count(gens: Sequence[Matrix], y0: Sequence[int]) -> None:
 def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequence) -> dict:
     """{s: (ρ(s)·C, (R·ρ(s)⁻¹)ᵀ)} for s in S_n as bytes, the identity first,
     C with the ``columns`` and R with the ``rows``, from the generators g_k
-    = ρ(s_k).  With the Coxeter relations (``_check_coxeter``), ρ is a
-    homomorphism and a walk of the Cayley graph from the identity reaches
-    each s once, whatever the path.  A step from p to q = s_k p moves ρ(p)·C
-    to g_k·ρ(p)·C and (R·ρ(p)⁻¹)ᵀ to g_kᵀ·(R·ρ(p)⁻¹)ᵀ, as g_k² = 1: it
-    combines the rows of each matrix (tuples of row tuples), and a
-    coordinate swap reorders them."""
-    _check_coxeter(gens)
+    = ρ(s_k).  With the Coxeter relations, which the caller checks
+    (``_check_coxeter``), ρ is a homomorphism and a walk of the Cayley graph
+    from the identity reaches each s once, whatever the path.  A step from p
+    to q = s_k p moves ρ(p)·C to g_k·ρ(p)·C and (R·ρ(p)⁻¹)ᵀ to
+    g_kᵀ·(R·ρ(p)⁻¹)ᵀ, as g_k² = 1: it combines the rows of each matrix
+    (tuples of row tuples), and a coordinate swap reorders them."""
     d = gens[0].rows
     moves = [(left_action(g), left_action(g.transpose())) for g in gens]
     swaps = [bytes.maketrans(bytes([k, k + 1]), bytes([k + 1, k])) for k in range(n - 1)]
@@ -392,25 +396,12 @@ def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequen
 
 
 def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Matrix]:
-    """ρ(s) for all s in S_n, the identity moved by ``_cayley_walk``.  The
-    symmetric model forms none of them; the tests read them."""
+    """ρ(s) for all s in S_n, the identity moved by ``_cayley_walk`` once the
+    Coxeter relations of the raw ``gens`` hold.  The symmetric model forms
+    none of them; the tests read them."""
+    _check_coxeter(gens)
     walk = _cayley_walk(n, gens, Matrix.identity(gens[0].rows).columns(), ())
     return {tuple(s): Matrix(mat) for s, (mat, _) in walk.items()}
-
-
-def orbit_cone_rays(chamber: Cone, gens: Sequence[Matrix], point: Sequence[int]
-                    ) -> Iterator[tuple[tuple[IntVec, ...], tuple[int, ...]]]:
-    """(the sorted rays of ρ(s)·C, ρ(s)⁻ᵀ·point) for s in S_n, the identity
-    first: the chamber C's rays r become the primitive ρ(s)r, the columns
-    that ``_cayley_walk`` moves, and the point, its one row, moves with them.
-    The guard checks that C is pointed, full-dimensional and simplicial as
-    displayed, so that the sorted rays are all of each ρ(s)·C's ``key()``."""
-    d, rays = chamber.ambient_rank, chamber.rays
-    if chamber.lineality_basis or chamber.equations or len(rays) != d:
-        raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
-    walk = _cayley_walk(len(gens) + 1, gens, rays, (tuple(point),))
-    for s_rays, s_rows in walk.values():
-        yield tuple(sorted(zip(*s_rays))), next(zip(*s_rows))
 
 
 def product_cone_ambient(n: int) -> Cone:
@@ -453,13 +444,21 @@ def build_symmetric(n: int) -> SymmetricModel:
 def symmetric_orbit(sym: SymmetricModel) -> tuple[tuple, LatticePolyhedron, LatticePolyhedron]:
     """(the sorted rays of the n! cones ρ(s)·C in sorted order, the
     permutohedron, the resolution polyhedron), which only ``build`` prints,
-    from one walk of ``orbit_cone_rays``, whose points are the orbit of y₀.
-    The permutohedron is certified at y₀'s middle block under the middle
-    blocks of the g_k, whose transposes move the orbit's middle blocks as
-    the g_kᵀ do, as those keep its outer entries 0 (``_check_orbit_count``),
-    with c_ν = 2o_ν + <ν, y₀> from the model's facets (ν, o_ν)."""
-    gens, y0 = sym.generators, sym.base_point
-    rays, orbit = zip(*orbit_cone_rays(sym.chamber, gens, y0))
+    from one ``_cayley_walk`` of the generators, whose Coxeter relations
+    ``build_symmetric`` checked: the chamber C's rays r become the primitive
+    ρ(s)r, the columns it moves, and y₀, its one row, moves with them
+    through its orbit.  The guard checks that C is pointed,
+    full-dimensional and simplicial as displayed, so that the sorted rays
+    are all of each ρ(s)·C's ``key()``.  The permutohedron is certified at
+    y₀'s middle block under the middle blocks of the g_k, whose transposes
+    move the orbit's middle blocks as the g_kᵀ do, as those keep its outer
+    entries 0 (``_check_orbit_count``), with c_ν = 2o_ν + <ν, y₀> from the
+    model's facets (ν, o_ν)."""
+    gens, y0, chamber = sym.generators, sym.base_point, sym.chamber
+    if chamber.lineality_basis or chamber.equations or len(chamber.rays) != chamber.ambient_rank:
+        raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
+    walk = _cayley_walk(len(gens) + 1, gens, chamber.rays, (y0,)).values()
+    rays, orbit = zip(*((tuple(sorted(zip(*c))), next(zip(*r))) for c, r in walk))
     mid = [y[1:-1] for y in orbit]
     perm = orbit_certificate(mid[0], [Matrix([r[1:-1] for r in g.entries[1:-1]]) for g in gens],
                              {nu[1:-1]: 2 * o + dot(nu, y0) for nu, o in sym.facets

@@ -15,7 +15,8 @@ sum of the images of the slices of the connected blocks of any sparsity
 pattern, hulled after each block, with a corner lookup), P_b from the
 certificate run on every braid chamber, the closed-form slice vertices as
 one product L·v per permutation, the orbit of a point under the
-permutations of its head, the
+permutations of its head, the product cone by one double description with
+its facet offsets from dense products Lᵀv, the
 normal fan by one double description per vertex, the extremeness test by the rank of
 the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
@@ -47,7 +48,7 @@ from toricgit import dd
 from toricgit.cones import Cone, column_dots, image_cone
 from toricgit.degeneration import (_bundle, _pb, ambient_reflections, chamber_cone,
                                    permutation_matrices, product_cone_dual_columns,
-                                   product_cube_map, slice_vertex)
+                                   product_cube_map, product_rec_dual_columns, slice_vertex)
 from toricgit.git import EmptyQuotientError, Linearization, RayDatum, support_constants
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
@@ -637,6 +638,17 @@ def slice_polyhedron(d: int, images: Sequence[IntVec], h: int) -> LatticePolyhed
     h·w that ``polyhedra.cube_image_slice`` returns, over h."""
     return LatticePolyhedron(d, [tuple(Fraction(x, h) for x in v) for v in images],
                              _canonical=True)
+
+
+def product_side_by_dd(n: int) -> tuple[Cone, tuple]:
+    """(the product cone, the product polyhedron's facet rows) by the route
+    that ``degeneration._product_cone`` and ``cones.column_dots`` replaced:
+    the dual of the displayed recession columns by one double description of
+    rank 2n + 1, and each offset the sum of the negative entries of the
+    dense product Lᵀv."""
+    cone = Cone(2 * n + 1, product_rec_dual_columns(n)).dual()
+    lt = product_cube_map(n).transpose()
+    return cone, tuple((v, sum(min(x, 0) for x in lt @ v)) for v in cone.rays)
 
 
 def head_orbit(n: int, v: Sequence) -> list[tuple]:

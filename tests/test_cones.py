@@ -146,11 +146,12 @@ def test_dual_matches_generator_dd_oracle():
 
 
 def test_builders_take_full_dimensional_duals_without_dd(monkeypatch):
-    # the base cone and the product recession cone, and the recession cone of
-    # the resolution polyhedron, whose dual the normal_fan check compares
-    # with σ, are full-dimensional and pointed, so their duals come with both
-    # representations and no double description runs for them, however much
-    # of them is read
+    # the base cone, the product cone, which the display check builds with
+    # both representations and whose dual is the product recession cone, and
+    # the recession cone of the resolution polyhedron, whose dual the
+    # normal_fan check compares with σ, are full-dimensional and pointed, so
+    # their duals come with both representations and no double description
+    # runs for them, however much of them is read
     from toricgit.degeneration import build_bundle, build_symmetric, verify
     duals, described = [], []
     real_dual, real_h_rep = Cone.dual, Cone._compute_h_rep

@@ -14,22 +14,22 @@ import pytest
 from oracles import (ambient_quotient_slice, braid_chambers, certified_polyhedron,
                      cube_image_slice_by_chambers, cube_image_slice_by_sums, edge_matrix,
                      fan_rays, head_orbit, invert, minkowski_sum, orbit_fan_by_cone_dd,
-                     pb_polyhedron, permutohedron_points, quotient_images_by_fractions,
-                     slice_polyhedron, slice_vertex_points, slice_vertex_points_by_fractions,
-                     solve_unique, symmetric_polyhedra_by_dd, unstable_rays_by_vertices,
-                     weight_reflections)
+                     pb_polyhedron, permutohedron_points, product_side_by_dd,
+                     quotient_images_by_fractions, slice_polyhedron, slice_vertex_points,
+                     slice_vertex_points_by_fractions, solve_unique, symmetric_polyhedra_by_dd,
+                     unstable_rays_by_vertices, weight_reflections)
 from toricgit import cones, dd, degeneration, linalg, polyhedra
 from toricgit.cones import Cone
 from toricgit.degeneration import (SymmetricModel, _bundle, _check_orbit_count, _pb,
                                    _symmetric, ambient_reflections, basis_change_matrix,
                                    build_bundle, build_symmetric, chamber_cone, chart_pairs,
                                    checks_for, constant_tail, decode_ray_label, head_vertex,
-                                   identity_slice_vertex, orbit_cone_rays,
-                                   permutation_matrices, product_chart_corners,
-                                   product_chart_vertices, product_cone_ambient,
-                                   product_cone_dual_columns, product_cube_map,
-                                   product_linearization, product_polyhedron,
-                                   projection_matrix, slice_vertex, symmetric_orbit, verify)
+                                   identity_slice_vertex, permutation_matrices,
+                                   product_chart_corners, product_chart_vertices,
+                                   product_cone_ambient, product_cone_dual_columns,
+                                   product_cube_map, product_linearization, product_polyhedron,
+                                   product_rec_dual_columns, projection_matrix, slice_vertex,
+                                   symmetric_orbit, verify)
 from toricgit.git import Linearization, unstable_rays
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot
@@ -75,6 +75,68 @@ def test_product_polyhedron_vertex_count():
     # every chart vertex is a vertex: the canonical form keeps all of them
     for n in (1, 2, 3):
         assert len(product_polyhedron(n).canonicalize().vertex_candidates) == (n + 1) ** n
+
+
+def test_product_display_certificate_matches_the_dd_oracle():
+    # the product cone from the display check has the representations, and
+    # the column_dots offsets the values, that the double description and
+    # the dense Lᵀv give
+    for n in range(1, 8):
+        b = build_bundle(n)
+        cone, facets = product_side_by_dd(n)
+        got = b.product_cone
+        assert (got.rays, got.lineality_basis, got.facets, got.equations) == \
+            (cone.rays, cone.lineality_basis, cone.facets, cone.equations), n
+        rec = b.product_rec_dual
+        assert (rec.rays, rec.facets) == (cone.facets, cone.rays), n
+        assert rec == Cone(2 * n + 1, product_rec_dual_columns(n)), n
+        assert b.product_facets == facets, n
+
+
+def test_product_display_certificate_runs_no_product_dd(monkeypatch):
+    # build_bundle's double descriptions are the family side's: the base
+    # cone's and the family recession cone's, of rank n+2, and the family
+    # polyhedron's homogenization, of rank n+3, which is 2n+1 at n = 2 with
+    # 9 generators, not the product display's 3n+1 = 7 columns.  The product
+    # side runs none and transposes no L
+    ranks, shapes = [], []
+    real_dd, real_transpose = dd.cone_from_inequalities, Matrix.transpose
+
+    def spy_dd(constraints, ambient):
+        ranks.append((ambient, len(constraints)))
+        return real_dd(constraints, ambient)
+
+    def spy_transpose(m):
+        shapes.append((m.rows, m.cols))
+        return real_transpose(m)
+
+    monkeypatch.setattr(dd, "cone_from_inequalities", spy_dd)
+    monkeypatch.setattr(Matrix, "transpose", spy_transpose)
+    for n in range(2, 8):
+        ranks.clear()
+        shapes.clear()
+        build_bundle(n)
+        assert [a for a, _ in ranks] == [n + 2, n + 2, n + 3], (n, ranks)
+        assert (2 * n + 1, 3 * n + 1) not in ranks, n
+        assert (2 * n + 1, n * n) not in shapes, n
+
+
+def test_product_display_certificate_rejects_a_changed_column(monkeypatch):
+    # a dropped, an extra (repeated or new) and a perturbed column each
+    # raise, explicitly, so also under python -O; any order passes
+    for n in (1, 2, 3, 5):
+        cols = product_rec_dual_columns(n)
+        bad = {"dropped": cols[1:], "repeated": cols + cols[:1],
+               "extra": cols + [(0,) * n + (1,) * (n + 1)],
+               "perturbed": [cols[0][:-1] + (2,)] + cols[1:]}
+        for columns in bad.values():
+            with pytest.raises(AssertionError, match="Δ_n"):
+                degeneration._product_cone(n, columns)
+            with monkeypatch.context() as m:
+                m.setattr(degeneration, "product_rec_dual_columns", lambda n: columns)
+                with pytest.raises(AssertionError, match="Δ_n"):
+                    build_bundle(n)
+        assert degeneration._product_cone(n, cols[::-1]) == build_bundle(n).product_cone
 
 
 def test_product_polyhedron_facets_vs_generic_dd():
@@ -173,6 +235,14 @@ def test_fan_cone_count():
             assert c.is_smooth()
 
 
+def _walk_pairs(n):
+    """(the sorted rays of ρ(s)·C, ρ(s)⁻ᵀy₀) for s in S_n, the identity
+    first: the one walk that ``symmetric_orbit`` reads."""
+    sym = _symmetric(n)
+    walk = degeneration._cayley_walk(n, sym.generators, sym.chamber.rays, (sym.base_point,))
+    return [(tuple(sorted(zip(*c))), next(zip(*r))) for c, r in walk.values()]
+
+
 def test_orbit_fan_matches_per_cone_dd_oracle():
     # the rays transported from the chamber equal each cone's own DD, whose
     # cones are pointed and full-dimensional, so their rays are their keys,
@@ -185,7 +255,7 @@ def test_orbit_fan_matches_per_cone_dd_oracle():
         assert all(not c.lineality_basis and not c.equations for c in oracle), n
         gens, sym = ambient_reflections(n), build_symmetric(n)
         y0 = sym.base_point
-        pairs = list(orbit_cone_rays(chamber_cone(n), gens, y0))
+        pairs = _walk_pairs(n)
         assert pairs[0] == (chamber_cone(n).rays, y0), n
         assert sorted(rays for rays, _ in pairs) == sorted(c.rays for c in oracle), n
         assert len({y for _, y in pairs}) == len(pairs) == factorial(n), n
@@ -233,7 +303,7 @@ def test_build_symmetric_dd_calls_do_not_grow_with_n(monkeypatch):
 
 def test_build_symmetric_moves_the_fan_by_generators(monkeypatch):
     # no ρ(s) per permutation: permutation_matrices is never called, and the
-    # only matrix products of the model and of its walk are each one's
+    # only matrix products of the model and of its walk are the model's one
     # Coxeter relation check, order(s_k s_l) of them for each pair k <= l
     def no_matrices(n, gens):
         raise AssertionError("the symmetric model formed the n! matrices")
@@ -255,7 +325,7 @@ def test_build_symmetric_moves_the_fan_by_generators(monkeypatch):
         assert len(calls) == coxeter
         calls.clear()
         symmetric_orbit(sym)
-        assert len(calls) == coxeter
+        assert not calls, n
 
 
 def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
@@ -402,7 +472,7 @@ def _orbit_candidates(n):
     ``build_symmetric`` and ``symmetric_orbit`` pass to ``orbit_certificate``
     with the rest."""
     gens = ambient_reflections(n)
-    orbit = [y for _, y in orbit_cone_rays(chamber_cone(n), gens, _symmetric(n).base_point)]
+    orbit = [y for _, y in _walk_pairs(n)]
     offsets = {}
     for nu in product_cone_ambient(n).rays:
         k = sum(map(abs, nu[1:-1]))
@@ -554,15 +624,16 @@ BAD_CHAMBERS = {
 
 
 def test_orbit_transport_guards_hold_under_python_O():
+    # symmetric_orbit guards the chamber it walks from
     for name, gens in BAD_CHAMBERS.items():
-        with pytest.raises(AssertionError):
-            next(orbit_cone_rays(Cone(3, gens), ambient_reflections(2), (0, 0, 0)))
+        with pytest.raises(AssertionError, match="chamber must be"):
+            symmetric_orbit(build_symmetric(2)._replace(chamber=Cone(3, gens)))
         code = ("from toricgit.cones import Cone\n"
-                "from toricgit.degeneration import ambient_reflections, orbit_cone_rays\n"
+                "from toricgit.degeneration import build_symmetric, symmetric_orbit\n"
                 "try:\n"
-                f"    next(orbit_cone_rays(Cone(3, {gens!r}), ambient_reflections(2), (0, 0, 0)))\n"
-                "except AssertionError:\n"
-                "    raise SystemExit(7)\n")
+                f"    symmetric_orbit(build_symmetric(2)._replace(chamber=Cone(3, {gens!r})))\n"
+                "except AssertionError as exc:\n"
+                "    raise SystemExit(7 if 'chamber must be' in str(exc) else 8)\n")
         r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert r.returncode == 7, (name, r.stderr)
 
@@ -593,15 +664,15 @@ COXETER_BREAKS = {
 
 
 @pytest.mark.parametrize("relation", sorted(COXETER_BREAKS))
-def test_permutation_matrices_reject_generators_breaking_a_relation(relation):
+def test_permutation_matrices_reject_generators_breaking_a_relation(relation, monkeypatch):
     n, gens = COXETER_BREAKS[relation]
     with pytest.raises(AssertionError, match="Coxeter"):
         permutation_matrices(n, [Matrix(g) for g in gens])
-    # the orbit fan walks the same Cayley graph, behind the same check
-    d = len(gens[0])
-    orthant = Cone(d, [tuple(int(i == j) for j in range(d)) for i in range(d)])
+    # the orbit fan walks the same Cayley graph from the symmetric model,
+    # whose generators build_symmetric checks before anything else
+    monkeypatch.setattr(degeneration, "ambient_reflections", lambda n: [Matrix(g) for g in gens])
     with pytest.raises(AssertionError, match="Coxeter"):
-        next(orbit_cone_rays(orthant, [Matrix(g) for g in gens], (0,) * d))
+        build_symmetric(n)
 
 
 def test_count_certificate_rejects_a_generator_that_is_no_transposition():
@@ -650,16 +721,16 @@ def test_verify_check_n1_subset():
 
 
 def test_verify_unknown_check():
-    # the bad pairs of test_cli.py::test_verify_bad_args and n = 10: checks_for
+    # the bad pairs of test_cli.py::test_verify_bad_args and n = 11: checks_for
     # is the one validator, and verify raises through it before a check runs
-    for n, check in ((2, "nonsense"), (1, "normal_fan"), (10, "conical_part"),
+    for n, check in ((2, "nonsense"), (1, "normal_fan"), (11, "conical_part"),
                      (99, "conical_part"), (0, "conical_part"), (8, "comparison_fuzz"),
                      (2, "")):
         with pytest.raises(ValueError):
             checks_for(n, check)
         with pytest.raises(ValueError):
             verify(n, check)
-    for n in (0, 10):
+    for n in (0, 11):
         with pytest.raises(ValueError):
             checks_for(n)
 

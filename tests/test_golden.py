@@ -15,9 +15,13 @@ from 7 on a copy, before the cap rose to 8.  The n = 9 verify digest was
 recorded with the cap lifted from 8 on a copy of the code whose symmetric
 model still walked and stored the n! orbit, and the same digest came out
 when the model became its base point and certificate and the cap rose to
-9.  The ``quotient`` digests were recorded on the code that sliced P in
-ambient coordinates and solved one system per
-vertex for its ker(α) coordinates.  To record them again after a deliberate
+9.  The n = 10 verify digest was recorded twice, with the same result: with
+the cap lifted from 9 on a copy of the code whose bundle still took the
+product cone by a double description and each facet offset from a dense
+Lᵀv, and on the code that reads both off the display check and
+``column_dots``, when the cap rose to 10.  The ``quotient`` digests were
+recorded on the code that sliced P in ambient coordinates and solved one
+system per vertex for its ker(α) coordinates.  To record them again after a deliberate
 output change, print ``build_digest``, ``verify_digest`` and
 ``quotient_digest`` for the parameters below and say why in CHANGES.md.
 """
@@ -66,6 +70,7 @@ VERIFY_DIGESTS = {
     7: "7f4a5a0877796dd53d4ffd4ba179703feb176fe3074cec1fbe186d45f36a19ff",
     8: "ff34dea85e356edc3c7846562251dd06c1dcc64720e7c9bdc589c6e2907484bb",
     9: "7b9d17d37c46dda26ff9f60b9fb500af6e0fe87f02de84a687e14ea6000459f4",
+    10: "fb04ae04d2b219728c039fa4915305ae94d2e8ef5b54bc0e61b7f8404a9ad407",
 }
 
 QUOTIENT_DIGESTS = {
