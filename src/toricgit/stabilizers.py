@@ -50,8 +50,16 @@ class UnitValue:
     generic: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not 0 <= self.root < 1:
-            object.__setattr__(self, "root", self.root % 1)
+        root = self.root
+        if not isinstance(root, Fraction):
+            if not isinstance(root, int):
+                raise TypeError("a root must be an int or a Fraction, "
+                                f"not {type(root).__name__}")
+            root = Fraction(root)
+        if not 0 <= root.numerator < root.denominator:
+            root %= 1
+        if root is not self.root:
+            object.__setattr__(self, "root", root)
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,8 @@ class CycleConfiguration:
     degree, which the constructor enforces, so no consumer checks it again.
 
     Every generic vector is padded with zeros to the longest one, so a
-    position has one spelling and the duplicate check sees it."""
+    position has one spelling and the duplicate check, which compares roots
+    as (numerator, denominator), sees it."""
 
     n: int
     I_t: tuple[int, ...]
@@ -93,19 +102,18 @@ class CycleConfiguration:
         if list(self.I_t) != sorted(set(self.I_t)) or \
                 any(not 1 <= i <= self.n + 1 for i in self.I_t):
             raise ValueError("I_t must be a strictly increasing subset of 1..n+1")
-        seen = set()
-        for p in self.points:
-            key = (p.component, p.position.root, p.position.generic, p.a1_label)
-            if key in seen:
-                raise ValueError("duplicate (component, position, a1) record")
-            seen.add(key)
+        points = self.points
+        keys = {(p.component, p.position.root.numerator, p.position.root.denominator,
+                 p.position.generic, p.a1_label) for p in points}
+        if len(keys) < len(points):
+            raise ValueError("duplicate (component, position, a1) record")
         r = len(self.I_t)
-        if any(not 0 <= p.component <= r for p in self.points):
+        if any(not 0 <= p.component <= r for p in points):
             raise ValueError("component index out of range for this I_t")
         totals = [0] * (r + 1)
-        for p in self.points:
+        for p in points:
             totals[p.component] += p.multiplicity
-        if totals != fiber_degrees(self.n, self.I_t):  # they sum to n
+        if totals != _degrees(self.n, self.I_t):  # they sum to n
             raise ValueError("configuration is not semistable: per-component "
                              "multiplicities must equal the fiber degrees")
 
@@ -127,8 +135,14 @@ def fiber_degrees(n: int, I_t: Sequence[int]) -> list[int]:
     idx = sorted(set(I_t))
     if any(not 1 <= i <= n + 1 for i in idx):
         raise ValueError("I_t must be a subset of 1..n+1")
-    ext = [1] + idx + [n + 1]
-    return [ext[1] - 1] + [ext[l + 1] - ext[l] for l in range(1, len(idx) + 1)]
+    return _degrees(n, idx)
+
+
+def _degrees(n: int, idx: Sequence[int]) -> list[int]:
+    """``fiber_degrees`` of an I_t already known to be strictly increasing
+    inside 1..n+1."""
+    ext = [1, *idx, n + 1]
+    return [ext[1] - 1] + [b - a for a, b in zip(ext[1:], ext[2:])]
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +157,24 @@ def _component_shift_order(records: Sequence[PointRecord]) -> int:
     root onto another, so it lies in (1/d)Z/Z for d the lcm of the root
     denominators: the roots and shifts are scaled by d and compared as ints
     modulo d.  The valid shifts form a finite cyclic subgroup of Q/Z; its
-    order is returned.
+    order is returned.  A class with one root is fixed by the zero shift
+    alone, so its component's order is 1.
     """
     if not records:
         raise ValueError("component carries no points")
-    d = lcm(*(p.position.root.denominator for p in records))
-    classes: dict[tuple, set[int]] = {}
+    by_key: dict[tuple, list[Fraction]] = {}
     for p in records:
-        root = p.position.root
-        key = (p.position.generic, p.a1_label, p.multiplicity)
-        classes.setdefault(key, set()).add(root.numerator * (d // root.denominator))
-    smallest = min(classes.values(), key=len)
+        by_key.setdefault((p.position.generic, p.a1_label, p.multiplicity),
+                          []).append(p.position.root)
+    if min(map(len, by_key.values())) == 1:
+        return 1
+    d = lcm(*(p.position.root.denominator for p in records))
+    classes = [{root.numerator * (d // root.denominator) for root in roots}
+               for roots in by_key.values()]
+    smallest = min(classes, key=len)
     base = min(smallest)
     valid = [k for k in sorted((r - base) % d for r in smallest)
-             if all({(r + k) % d for r in roots} == roots for roots in classes.values())]
+             if all({(r + k) % d for r in roots} == roots for roots in classes)]
     order = len(valid)
     if d % order or valid != list(range(0, d, d // order)):
         raise AssertionError("valid shifts must form a cyclic subgroup of Q/Z")
@@ -345,35 +363,38 @@ def verify_comparison(c: CycleConfiguration) -> ComparisonReport:
 # randomized stable configurations (fuzzing)
 
 
+# the roots of a draw: base/12 + j/r with r | 12 is a twelfth
+_TWELFTHS = tuple(Fraction(k, 12) for k in range(12))
+
+
 def random_configuration(n: int, rng: random.Random) -> CycleConfiguration:
     """A random semistable configuration with a known-by-construction
     stabilizer structure: for each occupied component, a shift order r is
     chosen with r | degree, and the points split into fresh-generic orbits of
     exactly r points each, so the component's shift group is Z/r on the nose.
+
+    The orbits are drawn first, so that each record is built once at its
+    final shape: orbit g's generic vector is e_g among all the orbits.
     """
-    pool = [i for i in range(1, n + 2)]
     k = rng.randrange(0, n + 2)
-    I_t = tuple(sorted(rng.sample(pool, k))) if k else ()
-    degs = fiber_degrees(n, I_t)
-    gen_count = 0
-    pts: list[PointRecord] = []
+    I_t = tuple(sorted(rng.sample(range(1, n + 2), k))) if k else ()
     labels = ["a", "b", "c", "d"]
-    for comp, d in enumerate(degs):
+    orbits = []         # (component, r, multiplicity, base twelfth, label)
+    for comp, d in enumerate(fiber_degrees(n, I_t)):
         if d == 0:
             continue
-        rs = [r for r in (1, 2, 3, 4) if d % r == 0]
-        r = rng.choice(rs)
+        r = rng.choice([r for r in (1, 2, 3, 4) if d % r == 0])
         remaining = d // r
         while remaining > 0:
             mult = rng.randrange(1, remaining + 1)
-            base_root = Fraction(rng.randrange(0, 12), 12)
-            label = rng.choice(labels)
-            g = tuple(1 if i == gen_count else 0 for i in range(gen_count + 1))
-            gen_count += 1
-            for j in range(r):
-                pts.append(PointRecord(
-                    component=comp,
-                    position=UnitValue(root=base_root + Fraction(j, r), generic=g),
-                    a1_label=label, multiplicity=mult))
+            base = rng.randrange(0, 12)
+            orbits.append((comp, r, mult, base, rng.choice(labels)))
             remaining -= mult
+    width = len(orbits)
+    pts = []
+    for g, (comp, r, mult, base, label) in enumerate(orbits):
+        generic = (0,) * g + (1,) + (0,) * (width - g - 1)
+        step = 12 // r
+        pts += [PointRecord(comp, UnitValue(_TWELFTHS[(base + j * step) % 12], generic),
+                            label, mult) for j in range(r)]
     return CycleConfiguration(n=n, I_t=I_t, points=tuple(pts))

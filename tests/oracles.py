@@ -30,7 +30,9 @@ stabilizer pipeline (the toric chart-gluing test and the instantiation of
 formal generators), the three routes the stabilizer search
 replaced (the shift-group order over ``Fraction`` roots, the image tables
 from one slot-ratio test per slot pair, and the chart coordinates as unit
-values, encoded into prefix sums afterwards), the two invariant-factor routes the package
+values, encoded into prefix sums afterwards), the random configuration drawn
+record by record in ``Fraction`` that the orbits-first draw replaced, the two
+invariant-factor routes the package
 replaced (trial division of cyclic orders, and the peel of a group table),
 and the weight-lattice reflections and identity-vertex edge matrix of the
 symmetric model.
@@ -59,7 +61,7 @@ from toricgit.polyhedra import (FacetCertificateError, Fan, InnerCertificateErro
                                 LatticePolyhedron, cube_image_slice)
 from toricgit.stab_backends import QuotientPoint, ratio_is_one
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
-                                  _layout_component, _shift_orders)
+                                  _layout_component, _shift_orders, fiber_degrees)
 
 
 def vadd(a: Sequence, b: Sequence) -> tuple:
@@ -1306,6 +1308,39 @@ def matrix_to_json(m: Matrix) -> dict:
 
 def unit(root=0, generic: Sequence[int] = ()) -> UnitValue:
     return UnitValue(root=Fraction(root), generic=tuple(generic))
+
+
+def random_configuration_by_fractions(n: int, rng: random.Random) -> CycleConfiguration:
+    """``stabilizers.random_configuration`` as it was before it drew the
+    orbits first: each record built as it is drawn, its root a sum of
+    ``Fraction``s and its generic vector as long as the orbits so far, padded
+    by the constructor.  The draw and the RNG stream must stay the same."""
+    pool = [i for i in range(1, n + 2)]
+    k = rng.randrange(0, n + 2)
+    I_t = tuple(sorted(rng.sample(pool, k))) if k else ()
+    degs = fiber_degrees(n, I_t)
+    gen_count = 0
+    pts: list[PointRecord] = []
+    labels = ["a", "b", "c", "d"]
+    for comp, d in enumerate(degs):
+        if d == 0:
+            continue
+        rs = [r for r in (1, 2, 3, 4) if d % r == 0]
+        r = rng.choice(rs)
+        remaining = d // r
+        while remaining > 0:
+            mult = rng.randrange(1, remaining + 1)
+            base_root = Fraction(rng.randrange(0, 12), 12)
+            label = rng.choice(labels)
+            g = tuple(1 if i == gen_count else 0 for i in range(gen_count + 1))
+            gen_count += 1
+            for j in range(r):
+                pts.append(PointRecord(
+                    component=comp,
+                    position=UnitValue(root=base_root + Fraction(j, r), generic=g),
+                    a1_label=label, multiplicity=mult))
+            remaining -= mult
+    return CycleConfiguration(n=n, I_t=I_t, points=tuple(pts))
 
 
 def instantiate(c: CycleConfiguration, seed: int,

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from oracles import (_ambient_permutation_matrices, abelian_invariant_factors_by_peeling,
                      chart_values, component_shift_order_by_fractions, encode_chart_values,
                      from_cycles, image_tables_by_pairs, instantiate, invariant_factors,
-                     inverse, is_trivial, toric_fixed_points, unit, unit_matches)
+                     inverse, is_trivial, random_configuration_by_fractions,
+                     toric_fixed_points, unit, unit_matches)
 from toricgit import cli, groups, jsonio, stab_backends, stabilizers
 from toricgit.groups import (CosetUnion, FiniteAbelianGroup, NonabelianQuotientError,
                              YoungSubgroup, abelian_invariant_factors_of_group, compose,
@@ -457,6 +458,51 @@ def test_ragged_generic_vectors_name_one_position():
                                                 PointRecord(0, UnitValue(F(0), (1, 0)), "a", 1)))
 
 
+# The constructors' checks raise, not assert, so CI runs these under python -O
+# (-k enforced) as well.
+
+
+def test_root_reduction_is_enforced():
+    for root in (F(-1, 3), F(5, 3), F(2, 3)):
+        assert UnitValue(root).root == F(2, 3)
+        assert type(UnitValue(root).root) is F
+    assert UnitValue(0).root == UnitValue(F(0)).root == UnitValue(1).root == 0
+    assert type(UnitValue(1).root) is F and type(UnitValue(-7).root) is F
+
+
+def test_float_root_is_enforced():
+    for root in (0.5, 0.0, "1/2"):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            UnitValue(root, (1,))
+
+
+def test_duplicate_positions_are_enforced():
+    # one position, spelt twice: 1/2 and 2/4, 0 and Fraction(0), 3/2 and 1/2
+    for a, b in ((F(1, 2), F(2, 4)), (0, F(0)), (F(3, 2), F(1, 2))):
+        with pytest.raises(ValueError, match="duplicate"):
+            CycleConfiguration(n=2, I_t=(), points=(PointRecord(0, UnitValue(a, (1,)), "a", 1),
+                                                    PointRecord(0, UnitValue(b, (1,)), "a", 1)))
+    # the same root on another component, with another label or generic is new
+    half = PointRecord(0, UnitValue(F(1, 2), (1,)), "a", 1)
+    CycleConfiguration(n=2, I_t=(2,), points=(half, dataclasses.replace(half, component=1)))
+    for other in (dataclasses.replace(half, a1_label="b"),
+                  dataclasses.replace(half, position=UnitValue(F(1, 2), (0, 1)))):
+        CycleConfiguration(n=2, I_t=(), points=(half, other))
+
+
+def test_ragged_json_generics_padding_is_enforced():
+    def config(generics, roots=("0", "1/2")):
+        return jsonio.configuration_from_json({"n": 2, "I_t": [], "points": [
+            {"component": 0, "root": r, "generic": g, "a1": "a"}
+            for r, g in zip(roots, generics)]})
+
+    c = config([[1], [1, 0, 0]])
+    assert [p.position.generic for p in c.points] == [(1, 0, 0), (1, 0, 0)]
+    assert c == config([[1, 0, 0], [1, 0, 0]])
+    with pytest.raises(ValueError, match="duplicate"):
+        config([[1], [1, 0]], roots=("1/2", "2/4"))
+
+
 def test_stab_finds_each_shift_group_once(tmp_path, capsys, monkeypatch):
     # the order-9 example has two occupied components: one shift group each,
     # shared by the torus factors and the slot layout
@@ -571,6 +617,40 @@ def test_comparison_builds_no_unit_value(monkeypatch):
     for c in configs:
         assert verify_comparison(c).passed
     assert calls == 0
+
+
+def test_random_configuration_matches_fraction_oracle():
+    # comparison_fuzz's trials, DEGEN_SEED and the benchmark's |Stab| profile
+    # read this stream: every draw and the RNG state after it stay the same
+    for seed in (0, 1, 7, 2024):
+        for n in range(1, 13):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(25):
+                c, old = random_configuration(n, fast), random_configuration_by_fractions(n, slow)
+                assert c == old, (seed, n)
+                assert [type(p.position.root) for p in c.points] == [F] * len(c.points)
+            assert fast.getstate() == slow.getstate(), (seed, n)
+
+
+def test_random_configuration_builds_each_unit_value_once(monkeypatch):
+    # each record is built at its final shape: the constructor pads nothing,
+    # so there is one UnitValue per point
+    calls = 0
+    real = UnitValue.__post_init__
+
+    def spy(self):
+        nonlocal calls
+        calls += 1
+        real(self)
+
+    monkeypatch.setattr(UnitValue, "__post_init__", spy)
+    rng = random.Random(3)
+    points = 0
+    for n in range(1, 13):
+        for _ in range(50):
+            points += len(random_configuration(n, rng).points)
+    assert points > 3000
+    assert calls == points
 
 
 ROOT_DENOMINATORS = (1, 2, 3, 4, 6, 12)
