@@ -9,11 +9,14 @@ adjacent slots.  The slots fall into ratio classes, keyed by their
 segment (the run of slots between two zero coordinates), their integer
 prefix sum and their label; a nonzero f_k sends the image of one slot to one
 class.  So ``search_stabilizer`` fills the table of admissible images of each
-slot, given the image of the slot before, with one dict lookup per entry.  It
-then runs a depth-first search that only has to keep the images distinct,
-each in its slot's own segment, increasing inside each block of the
-trivial-angle Young subgroup, and inside the ratio class that takes the
-block's images: it visits one representative per coset of that subgroup.
+slot, given the image of the slot before, with one dict lookup per entry.
+The ratio classes are also the blocks of the trivial-angle Young subgroup
+Stab0: a trivial-angle element of the stabilizer keeps each slot in its
+class, and one membership test per two consecutive slots of a class
+certifies that every such permutation fixes the point.  The search then runs
+depth first and only has to keep the images distinct, each in its slot's own
+segment, increasing inside each class, and inside the class that takes the
+class's images: it visits one representative per coset of Stab0.
 """
 
 from __future__ import annotations
@@ -69,21 +72,6 @@ def quotient_point(slots: Sequence[tuple[int, int, tuple[int, ...], str]], denom
     a1 = tuple(codes.setdefault(s[3], len(codes)) for s in slots)
     return QuotientPoint(n=n, denom=denom, zero=tuple(zero), prefix_root=tuple(pr),
                          prefix_gen=tuple(pg), zero_count=tuple(zc), a1_codes=a1)
-
-
-def ratio_is_one(q: QuotientPoint, a: int, b: int) -> bool:
-    """Is R(a, b) the unit 1?  (0-based slots; requires no zero in between.)"""
-    lo, hi = (a, b) if a <= b else (b, a)
-    if q.zero_count[hi] != q.zero_count[lo]:
-        return False
-    if (q.prefix_root[hi] - q.prefix_root[lo]) % q.denom != 0:
-        return False
-    return q.prefix_gen[hi] == q.prefix_gen[lo]
-
-
-def trivial_angle(q: QuotientPoint, p: Perm) -> bool:
-    """All forced slot ratios equal 1 (membership is assumed separately)."""
-    return all(p[i] == i or ratio_is_one(q, i, p[i]) for i in range(q.n))
 
 
 # perfbench reads these two in its run metadata; there is one search.
@@ -149,25 +137,22 @@ def _fixes(p: Perm, first, follow) -> bool:
     return p[0] in first and all(p[i] in follow[i][p[i - 1]] for i in range(1, len(p)))
 
 
-def _trivial_angle_young(n: int, first, follow, classes: list[list[int]]) -> YoungSubgroup:
-    """The Young subgroup generated by the trivial-angle transpositions that
-    fix the point: its blocks are the connected components of those
-    transpositions.  A transposition with slot ratio 1 that keeps the labels
-    swaps two slots of one ratio class, so only those pairs are tested, each
-    with one membership test on the image tables."""
-    comp = list(range(n))
+def _young_of_classes(n: int, first, follow, classes: list[list[int]]) -> YoungSubgroup:
+    """Y, the Young subgroup of the ratio classes, certified inside Stab.
+
+    The swaps of consecutive slots of a class generate its symmetric group,
+    so one membership test per such swap, on the image tables, shows that
+    every permutation keeping each slot in its class fixes the point (else
+    ValueError).  The blocks of Y are the classes of size >= 2, in the order
+    of their first slots.
+    """
     for cls in classes:
-        for k, i in enumerate(cls):
-            for j in cls[k + 1:]:
-                if comp[i] == comp[j]:
-                    continue
-                t = list(range(n))
-                t[i], t[j] = j, i
-                if _fixes(t, first, follow):
-                    old = comp[j]
-                    comp = [comp[i] if c == old else c for c in comp]
-    blocks = [[i for i in range(n) if comp[i] == c] for c in sorted(set(comp))]
-    return YoungSubgroup(n, tuple(tuple(b) for b in blocks if len(b) >= 2))
+        for i, j in zip(cls, cls[1:]):
+            t = list(range(n))
+            t[i], t[j] = j, i
+            if not _fixes(t, first, follow):
+                raise ValueError("ratio class permutations are not a Young subgroup")
+    return YoungSubgroup(n, tuple(tuple(cls) for cls in classes if len(cls) >= 2))
 
 
 def search_stabilizer(q: QuotientPoint) -> CosetUnion:
@@ -176,10 +161,14 @@ def search_stabilizer(q: QuotientPoint) -> CosetUnion:
     The point is read as ``quotient_point`` built it from the slot rows: its
     int prefix sums key the ratio classes, and its zero counts the segments.
 
-    Y is the Young subgroup generated by the trivial-angle transpositions that
-    fix the point, so the stabilizer is a union of cosets r∘Y, and inside one
-    coset the images of a block's slots come in every order.  The search keeps
-    them increasing, so it visits one representative per coset, the
+    Y is the Young subgroup of the ratio classes, and it is the trivial-angle
+    part Stab0 by construction.  An element of Stab whose slot ratios
+    R(i, p(i)) are all 1 keeps the labels too, so it maps each slot into its
+    own class: Stab0 lies in Y.  Conversely, ``_young_of_classes`` certifies
+    that every permutation of Y fixes the point, and each is trivial-angle.
+    So the stabilizer is a union of cosets r∘Y, and inside one coset the
+    images of a class's slots come in every order.  The search keeps them
+    increasing, so it visits one representative per coset, the
     lexicographically smallest element, and returns the representatives in
     lexicographic order (one-line notation).
 
@@ -187,25 +176,20 @@ def search_stabilizer(q: QuotientPoint) -> CosetUnion:
     element maps each segment into itself: a nonzero f_i keeps the images of
     slots i-1 and i in one segment, a zero one puts the image of slot i in a
     later segment, and there are as many segments as targets.  It also keeps
-    slot labels and ratios, so it maps a block of Y into one ratio class; a
-    block slot takes an image x only if x's class has an unused slot above x
-    for each later slot of the block.  With both, the search's cost grows
-    with the number of cosets, not with the order of the stabilizer, on
-    trivial quotients too.  Whether Y is all of the trivial-angle part, and
-    normal, is for the caller to check.
+    slot labels and ratios, so it maps a class into one class; a slot takes
+    an image x only if x's class has an unused slot above x for each later
+    slot of its own class.  With both, the search's cost grows with the
+    number of cosets, not with the order of the stabilizer, on trivial
+    quotients too.  Whether Y is normal is for the caller to check.
     """
     n = q.n
     first, follow, classes = _image_tables(q)
-    young = _trivial_angle_young(n, first, follow, classes)
-    prev = [-1] * n   # the slot before i in i's block, or -1
-    later = [0] * n   # the slots after i in i's block
-    for b in young.blocks:
-        for k, i in enumerate(b):
-            prev[i] = b[k - 1] if k else -1
-            later[i] = len(b) - 1 - k
+    young = _young_of_classes(n, first, follow, classes)
+    prev = [-1] * n   # the slot before x in x's ratio class, or -1
     above: list[list[int]] = [[]] * n   # the slots of x's ratio class after x
     for cls in classes:
         for k, x in enumerate(cls):
+            prev[x] = cls[k - 1] if k else -1
             above[x] = cls[k + 1:]
     zc = q.zero_count
     reps: list[Perm] = []
@@ -214,7 +198,7 @@ def search_stabilizer(q: QuotientPoint) -> CosetUnion:
     def extend(prefix: Perm, choices) -> None:
         i = len(prefix)
         lo = prefix[prev[i]] if prev[i] >= 0 else -1
-        need = later[i]
+        need = len(above[i])
         for x in choices:
             if x <= lo or used[x] or zc[x] != zc[i]:
                 continue

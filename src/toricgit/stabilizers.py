@@ -28,10 +28,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .groups import (CosetUnion, FiniteAbelianGroup, Perm, YoungSubgroup,
+from .groups import (CosetUnion, FiniteAbelianGroup, YoungSubgroup,
                      abelian_invariant_factors_of_group, compose, identity)
-from .stab_backends import (QuotientPoint, quotient_point, search_stabilizer,
-                            trivial_angle)
+from .stab_backends import QuotientPoint, quotient_point, search_stabilizer
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +283,19 @@ def sym_stabilizers(q: QuotientPoint) -> SymStabilizers:
     the quotient group in invariant-factor form.
 
     ``search_stabilizer`` gives Stab as cosets r∘Y, one representative r each,
-    where Y is the Young subgroup generated by the trivial-angle
-    transpositions in Stab.  That the trivial-angle part Stab0 is Young and
-    normal is checked, not assumed: Stab0 = Y iff the identity is the only
-    trivial-angle representative (else ValueError), and Y is normal iff each
-    representative maps every block of Y into one block, that is, conjugates
-    Y's generators into Y (else AssertionError).  The representatives are
-    then the quotient group.  Stab and Stab0 are returned as ``CosetUnion``s,
+    where Y, the Young subgroup of the slots' ratio classes, is the
+    trivial-angle part Stab0 by construction.  The m ratio classes are Y's
+    blocks and the fixed slots.  Each representative r is read as the
+    permutation k ↦ class(r(first slot of k)) of the classes, in one pass:
+
+    * Y is normal iff each r maps every block of Y into one class, that is,
+      conjugates Y's generators into Y (else AssertionError);
+    * then r permutes the classes, and Stab acts on them with kernel Stab0,
+      so distinct cosets must act distinctly (else ValueError: Stab0 would
+      be more than Y).
+
+    The quotient group is then these permutations of m <= n points, under
+    plain composition.  Stab and Stab0 are returned as ``CosetUnion``s,
     never as lists of elements.
 
     Raises NonabelianQuotientError if the quotient is not abelian (it always
@@ -300,34 +305,23 @@ def sym_stabilizers(q: QuotientPoint) -> SymStabilizers:
     stab = search_stabilizer(q)
     young = stab.young
     blocks = young.blocks
-    ident = identity(n)
-    if [r for r in stab.reps if trivial_angle(q, r)] != [ident]:
-        raise ValueError("permutation set is not a Young subgroup")
-    block_of = [-1] * n
-    for k, b in enumerate(blocks):
-        for i in b:
-            block_of[i] = k
+    in_block = {i for b in blocks for i in b}
+    classes = blocks + tuple((i,) for i in range(n) if i not in in_block)
+    class_of = [0] * n
+    for k, cls in enumerate(classes):
+        for i in cls:
+            class_of[i] = k
+    actions = []
     for r in stab.reps:
         for b in blocks:
-            k = block_of[r[b[0]]]
-            if k < 0 or any(block_of[r[i]] != k for i in b):
+            k = class_of[r[b[0]]]
+            if any(class_of[r[i]] != k for i in b):
                 raise AssertionError("trivial-angle subgroup is not normal")
-
-    def rep(p: Perm) -> Perm:
-        # canonical representative of p·stab0: within each block the images
-        # can be re-distributed freely, so sort them into the block positions
-        out = list(p)
-        for b in blocks:
-            vals = sorted(out[i] for i in b)
-            for i, v in zip(b, vals):
-                out[i] = v
-        return tuple(out)
-
-    def qmul(a: Perm, b: Perm) -> Perm:
-        return rep(compose(a, b))
-
-    factors = abelian_invariant_factors_of_group(stab.reps, qmul, ident)
-    return SymStabilizers(stab=stab, stab0=CosetUnion((ident,), young),
+        actions.append(tuple(class_of[r[cls[0]]] for cls in classes))
+    if len(set(actions)) != len(actions):
+        raise ValueError("two cosets of Stab0 act alike on the ratio classes")
+    factors = abelian_invariant_factors_of_group(actions, compose, identity(len(classes)))
+    return SymStabilizers(stab=stab, stab0=CosetUnion((identity(n),), young),
                           stab0_young=young,
                           quotient=FiniteAbelianGroup(factors))
 

@@ -27,15 +27,16 @@ replaced (the closed-form slice vertices and their quotient images in
 of P_b), the dual cone double-described from the facet normals, a bounded
 very-ampleness certificate, chart invariant monomials, two oracles for the
 stabilizer pipeline (the toric chart-gluing test and the instantiation of
-formal generators), the three routes the stabilizer search
-replaced (the shift-group order over ``Fraction`` roots, the image tables
-from one slot-ratio test per slot pair, and the chart coordinates as unit
-values, encoded into prefix sums afterwards), the random configuration drawn
-record by record in ``Fraction`` that the orbits-first draw replaced, the two
-invariant-factor routes the package
-replaced (trial division of cyclic orders, and the peel of a group table),
-and the weight-lattice reflections and identity-vertex edge matrix of the
-symmetric model.
+formal generators), the slot-ratio predicates that the ratio classes
+replaced (a ratio of 1, and a permutation all of whose forced ratios are 1),
+the three routes the stabilizer search replaced (the shift-group order over
+``Fraction`` roots, the image tables from one slot-ratio test per slot pair,
+and the chart coordinates as unit values, encoded into prefix sums
+afterwards), the random configuration drawn record by record in ``Fraction``
+that the orbits-first draw replaced, the two invariant-factor routes the
+package replaced (trial division of cyclic orders, and the peel of a group
+table), and the weight-lattice reflections and identity-vertex edge matrix
+of the symmetric model.
 """
 
 import random
@@ -59,7 +60,7 @@ from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot,
                              rank, scaled_primitive, vec)
 from toricgit.polyhedra import (FacetCertificateError, Fan, InnerCertificateError,
                                 LatticePolyhedron, cube_image_slice)
-from toricgit.stab_backends import QuotientPoint, ratio_is_one
+from toricgit.stab_backends import QuotientPoint
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   _layout_component, _shift_orders, fiber_degrees)
 
@@ -1378,6 +1379,21 @@ def component_shift_order_by_fractions(records: Sequence[PointRecord]) -> int:
     order = len(valid)
     assert valid == [Fraction(k, order) for k in range(order)]
     return order
+
+
+def ratio_is_one(q: QuotientPoint, a: int, b: int) -> bool:
+    """Is R(a, b) the unit 1?  (0-based slots; requires no zero in between.)"""
+    lo, hi = (a, b) if a <= b else (b, a)
+    if q.zero_count[hi] != q.zero_count[lo]:
+        return False
+    if (q.prefix_root[hi] - q.prefix_root[lo]) % q.denom != 0:
+        return False
+    return q.prefix_gen[hi] == q.prefix_gen[lo]
+
+
+def trivial_angle(q: QuotientPoint, p: Perm) -> bool:
+    """All forced slot ratios equal 1 (membership is assumed separately)."""
+    return all(p[i] == i or ratio_is_one(q, i, p[i]) for i in range(q.n))
 
 
 def unit_matches(enc: QuotientPoint, k: int, a: int, b: int) -> bool:

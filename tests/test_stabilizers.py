@@ -15,13 +15,12 @@ from oracles import (_ambient_permutation_matrices, abelian_invariant_factors_by
                      chart_values, component_shift_order_by_fractions, encode_chart_values,
                      from_cycles, image_tables_by_pairs, instantiate, invariant_factors,
                      inverse, is_trivial, random_configuration_by_fractions,
-                     toric_fixed_points, unit, unit_matches)
+                     ratio_is_one, toric_fixed_points, trivial_angle, unit, unit_matches)
 from toricgit import cli, groups, jsonio, stab_backends, stabilizers
 from toricgit.groups import (CosetUnion, FiniteAbelianGroup, NonabelianQuotientError,
                              YoungSubgroup, abelian_invariant_factors_of_group, compose,
                              cycle_notation, identity, young_subgroup_of)
-from toricgit.stab_backends import (QuotientPoint, _image_tables, ratio_is_one,
-                                    search_stabilizer, trivial_angle)
+from toricgit.stab_backends import QuotientPoint, _image_tables, search_stabilizer
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   fiber_degrees, project_to_quotient,
                                   random_configuration, sym_stabilizers,
@@ -136,6 +135,20 @@ def sym_stabilizers_oracle(q) -> OracleStabilizers:
     factors = abelian_invariant_factors_by_peeling(
         reps, lambda a, b: rep(compose(a, b)), identity(n))
     return OracleStabilizers(stab, stab0, young, FiniteAbelianGroup(factors))
+
+
+def ratio_class_blocks(enc: QuotientPoint):
+    """The slots partitioned by a slot ratio of 1 and equal labels: the blocks
+    of size >= 2, in the order of their first slots."""
+    parts: list[list[int]] = []
+    for x in range(enc.n):
+        part = next((b for b in parts if enc.a1_codes[b[0]] == enc.a1_codes[x]
+                     and ratio_is_one(enc, b[0], x)), None)
+        if part is None:
+            parts.append([x])
+        else:
+            part.append(x)
+    return tuple(tuple(b) for b in parts if len(b) >= 2)
 
 
 def oracle_configurations(degenerate=True):
@@ -688,8 +701,9 @@ def test_comparison_on_arbitrary_semistable_configurations(c):
     rep = verify_comparison(c)
     assert rep.passed, c
     assert rep.stab_order == rep.stab0_order * prod(rep.sym_side.invariant_factors), c
-    assert_point_matches_chart_route(project_to_quotient(c),
-                                     encode_chart_values(chart_values(c)))
+    q = project_to_quotient(c)
+    assert rep.sym.stab0_young.blocks == ratio_class_blocks(q), c
+    assert_point_matches_chart_route(q, encode_chart_values(chart_values(c)))
 
 
 def search_calls(enc: QuotientPoint) -> int:
@@ -773,6 +787,42 @@ def test_sym_stabilizers_match_oracle():
                         s.stab.first_in_cycle_notation_order(count)] == notations[:count], c
 
 
+def test_young_blocks_are_the_ratio_classes():
+    """Stab0's blocks are the slots partitioned by a slot ratio of 1 and equal
+    labels, on both slot layouts (the semistable strategy checks the same in
+    ``test_comparison_on_arbitrary_semistable_configurations``)."""
+    rng = random.Random(39)
+    for n in range(1, 13):
+        for _ in range(20):
+            c = random_configuration(n, rng)
+            for enc in (project_to_quotient(c), sorted_layout(c)):
+                assert search_stabilizer(enc).young.blocks == ratio_class_blocks(enc), c
+
+
+def test_quotient_acts_on_the_ratio_classes(monkeypatch):
+    """The quotient's elements are permutations of the m ratio classes, Y's
+    blocks and the fixed slots, one per coset, not permutations of the slots."""
+    seen = []
+    real = stabilizers.abelian_invariant_factors_of_group
+
+    def spy(elements, mul, ident):
+        seen.append((elements, ident))
+        return real(elements, mul, ident)
+
+    monkeypatch.setattr(stabilizers, "abelian_invariant_factors_of_group", spy)
+    rng = random.Random(7)
+    configs = [example_one(), example_two(), shared_position()]
+    configs += [random_configuration(n, rng) for n in range(2, 13) for _ in range(5)]
+    for c in configs:
+        seen.clear()
+        s = sym_stabilizers(project_to_quotient(c))
+        blocks = s.stab0_young.blocks
+        m = len(blocks) + c.n - sum(map(len, blocks))
+        [(elements, ident)] = seen
+        assert ident == identity(m) and len(elements) == len(s.stab.reps), c
+        assert all(len(x) == m for x in elements), c
+
+
 def test_stab_generators_two_digit_labels(tmp_path, capsys):
     # "(1 10)" < "(1 2)" as strings: the listing must follow string order
     c = degenerate_fiber((4, 3, 3))
@@ -854,15 +904,27 @@ def test_stab0_young_and_normal_are_enforced(monkeypatch):
         s = sym_stabilizers(project_to_quotient(c))
         assert len(s.stab) == len(s.stab0) and is_trivial(s.quotient)
         assert is_trivial(torus_stabilizer(c))
-    # Young: a trivial-angle representative other than the identity
+    # Young: a swap of two slots of one ratio class, here a block of example
+    # two, that does not fix the point
     with monkeypatch.context() as m:
-        m.setattr(stabilizers, "trivial_angle", lambda enc, p: True)
+        m.setattr(stab_backends, "_fixes", lambda p, first, follow: False)
         with pytest.raises(ValueError, match="not a Young subgroup"):
-            sym_stabilizers(project_to_quotient(example_one()))
-    # normality: the rotations of example two move the block {1, 2} onto
-    # {3, 4} and {5, 6}, which are not blocks once only {1, 2} is kept
+            sym_stabilizers(project_to_quotient(example_two()))
+    # Stab0 = Y: a second representative that keeps every ratio class, here
+    # the swap of the slots 1 and 2 of example two's block {1, 2}
     real_search = stabilizers.search_stabilizer
 
+    def trivial_twice(enc):
+        stab = real_search(enc)
+        swap = (1, 0) + identity(enc.n)[2:]
+        return CosetUnion(stab.reps + (swap,), stab.young)
+
+    with monkeypatch.context() as m:
+        m.setattr(stabilizers, "search_stabilizer", trivial_twice)
+        with pytest.raises(ValueError, match="act alike on the ratio classes"):
+            sym_stabilizers(project_to_quotient(example_two()))
+    # normality: the rotations of example two move the block {1, 2} onto
+    # {3, 4} and {5, 6}, which are not blocks once only {1, 2} is kept
     def one_block(enc):
         stab = real_search(enc)
         return CosetUnion(stab.reps, YoungSubgroup(enc.n, stab.young.blocks[:1]))
