@@ -69,14 +69,20 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _fuzz_settings() -> tuple[int, int]:
-    """(DEGEN_SEED, DEGEN_FUZZ_TRIALS) from the environment."""
+def _int_option(s: str) -> int:
+    """An option's integer, read as a file's integer field is: an optional
+    sign and ASCII digits, so "1_0", "٣" and " 7 " are usage errors (exit 2)."""
     try:
-        seed = int(os.environ.get("DEGEN_SEED", "0"))
-        trials = int(os.environ.get("DEGEN_FUZZ_TRIALS", "200"))
+        return jsonio._json_int(s, "its value")
     except ValueError as exc:
-        raise ValueError("DEGEN_SEED and DEGEN_FUZZ_TRIALS must be integers: "
-                         f"{exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _fuzz_settings() -> tuple[int, int]:
+    """(DEGEN_SEED, DEGEN_FUZZ_TRIALS) from the environment, read as
+    ``_int_option`` reads an option."""
+    seed = jsonio._json_int(os.environ.get("DEGEN_SEED", "0"), "DEGEN_SEED")
+    trials = jsonio._json_int(os.environ.get("DEGEN_FUZZ_TRIALS", "200"), "DEGEN_FUZZ_TRIALS")
     if trials < 1:
         # zero trials would report a pass without checking anything
         raise ValueError(f"DEGEN_FUZZ_TRIALS must be at least 1, got {trials}")
@@ -197,13 +203,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="write one combinatorial object as JSON")
-    p_build.add_argument("--n", type=int, required=True)
+    p_build.add_argument("--n", type=_int_option, required=True)
     p_build.add_argument("--object", required=True, choices=BUILD_OBJECTS)
     p_build.add_argument("--out", default="-", help="output path (default stdout)")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="run verification checks")
-    p_verify.add_argument("--n", type=int, required=True)
+    p_verify.add_argument("--n", type=_int_option, required=True)
     p_verify.add_argument("--check", default=None,
                           help=f"one check (default: all at this n), or {FUZZ_CHECK}")
     p_verify.add_argument("--all", action="store_true")
@@ -217,7 +223,7 @@ def main(argv=None) -> int:
 
     p_stab = sub.add_parser("stab", help="stabilizer analysis of a configuration")
     p_stab.add_argument("config", help="configuration JSON file")
-    p_stab.add_argument("--brute-force-max", type=int, default=DEFAULT_BRUTE_FORCE_MAX,
+    p_stab.add_argument("--brute-force-max", type=_int_option, default=DEFAULT_BRUTE_FORCE_MAX,
                         help="a size bound, not a brute-force scan: a configuration "
                              "with a larger n exits 4 (default %(default)s)")
     p_stab.set_defaults(func=cmd_stab)

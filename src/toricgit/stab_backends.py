@@ -8,8 +8,9 @@ equals the chart coordinate f_k.  Every condition involves at most two
 adjacent slots.  The slots fall into ratio classes, keyed by their
 segment (the run of slots between two zero coordinates), their integer
 prefix sum and their label; a nonzero f_k sends the image of one slot to one
-class.  So ``search_stabilizer`` fills the table of admissible images of each
-slot, given the image of the slot before, with one dict lookup per entry.
+class.  So ``search_stabilizer`` looks up the admissible images of a slot,
+given the image of the slot before, when it visits the slot: one dict lookup
+on the class key, built once from the ratio classes, and no table.
 The ratio classes are also the blocks of the trivial-angle Young subgroup
 Stab0: a trivial-angle element of the stabilizer keeps each slot in its
 class, and one membership test per two consecutive slots of a class
@@ -22,7 +23,7 @@ class's images: it visits one representative per coset of Stab0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .groups import CosetUnion, Perm, YoungSubgroup
 
@@ -82,18 +83,17 @@ def resolve_backend() -> str:
     return "python"
 
 
-def _image_tables(q: QuotientPoint
-                  ) -> tuple[list[int], list[list[Sequence[int]]], list[list[int]]]:
-    """Ascending admissible images: ``first`` for slot 0, ``follow[i][a]`` for
-    slot i >= 1 when slot i-1 maps to a (``follow[0]`` is unused), and the
-    ratio classes.
+def _image_lookup(q: QuotientPoint
+                  ) -> tuple[Callable[[int, int], Sequence[int]], list[list[int]]]:
+    """``images(i, a)``, the ascending admissible images of slot i when slot
+    i-1 maps to a (a is not read at slot 0), and the ratio classes.
 
     Everything but distinctness is decided here: the a1 label, f_0 at slot 0,
     the ratio f_i between consecutive images, and f_n at the last slot.  A
     slot's ratio class is its key (segment, prefix, a1 label), where the
     segments are the runs of slots with no zero coordinate between them.  For
     a nonzero f_i, R(a, x) = f_i exactly when a and x share a segment and
-    P[x] = P[a] + f_i, whichever of a, x is larger, so ``follow[i][a]`` is the
+    P[x] = P[a] + f_i, whichever of a, x is larger, so ``images(i, a)`` is the
     class of one key, found by one dict lookup.  For a zero f_i it is every
     slot with slot i's label in a later segment than a's.
     """
@@ -109,39 +109,31 @@ def _image_tables(q: QuotientPoint
     # f_n != 0 keeps the last slot's position: its image lies in its class
     last_fixed = not zero[n]
 
-    def images(i: int) -> list[int]:
-        """Slot i's images as far as its label and f_n tell."""
-        return classes[last] if i == n - 1 and last_fixed else labelled[a1[i]]
-
-    first = images(0) if zero[0] else classes[keys[0]]
-    follow: list[list] = [[]]
-    for i in range(1, n):
-        if zero[i]:
-            later_segment = {s: [x for x in images(i) if zc[x] > s] for s in set(zc)}
-            follow.append([later_segment[zc[a]] for a in range(n)])
-            continue
-        fr = pr[i] - pr[i - 1]
-        fg = tuple(x - y for x, y in zip(pg[i], pg[i - 1]))
+    def images(i: int, a: int) -> Sequence[int]:
         fixed_last = i == n - 1 and last_fixed
-        row = []
-        for a in range(n):
-            key = (zc[a], (pr[a] + fr) % denom, tuple(x + y for x, y in zip(pg[a], fg)),
-                   a1[i])
-            row.append(() if fixed_last and key != last else classes.get(key, ()))
-        follow.append(row)
-    return first, follow, list(classes.values())
+        if i and not zero[i]:
+            key = (zc[a], (pr[a] + pr[i] - pr[i - 1]) % denom,
+                   tuple(x + y - z for x, y, z in zip(pg[a], pg[i], pg[i - 1])), a1[i])
+            return () if fixed_last and key != last else classes.get(key, ())
+        if not i and not zero[0]:
+            return classes[keys[0]]
+        pool = classes[last] if fixed_last else labelled[a1[i]]
+        return [x for x in pool if zc[x] > zc[a]] if i else pool
+
+    return images, list(classes.values())
 
 
-def _fixes(p: Perm, first, follow) -> bool:
-    """Membership of one permutation, read off the image tables."""
-    return p[0] in first and all(p[i] in follow[i][p[i - 1]] for i in range(1, len(p)))
+def _fixes(p: Perm, images) -> bool:
+    """Membership of one permutation, read off the lookup (p[-1] is not read
+    at slot 0)."""
+    return all(p[i] in images(i, p[i - 1]) for i in range(len(p)))
 
 
-def _young_of_classes(n: int, first, follow, classes: list[list[int]]) -> YoungSubgroup:
+def _young_of_classes(n: int, images, classes: list[list[int]]) -> YoungSubgroup:
     """Y, the Young subgroup of the ratio classes, certified inside Stab.
 
     The swaps of consecutive slots of a class generate its symmetric group,
-    so one membership test per such swap, on the image tables, shows that
+    so one membership test per such swap, through the lookup, shows that
     every permutation keeping each slot in its class fixes the point (else
     ValueError).  The blocks of Y are the classes of size >= 2, in the order
     of their first slots.
@@ -150,7 +142,7 @@ def _young_of_classes(n: int, first, follow, classes: list[list[int]]) -> YoungS
         for i, j in zip(cls, cls[1:]):
             t = list(range(n))
             t[i], t[j] = j, i
-            if not _fixes(t, first, follow):
+            if not _fixes(t, images):
                 raise ValueError("ratio class permutations are not a Young subgroup")
     return YoungSubgroup(n, tuple(tuple(cls) for cls in classes if len(cls) >= 2))
 
@@ -183,8 +175,8 @@ def search_stabilizer(q: QuotientPoint) -> CosetUnion:
     quotients too.  Whether Y is normal is for the caller to check.
     """
     n = q.n
-    first, follow, classes = _image_tables(q)
-    young = _young_of_classes(n, first, follow, classes)
+    images, classes = _image_lookup(q)
+    young = _young_of_classes(n, images, classes)
     prev = [-1] * n   # the slot before x in x's ratio class, or -1
     above: list[list[int]] = [[]] * n   # the slots of x's ratio class after x
     for cls in classes:
@@ -209,8 +201,8 @@ def search_stabilizer(q: QuotientPoint) -> CosetUnion:
                 reps.append(image)
             else:
                 used[x] = True
-                extend(image, follow[i + 1][x])
+                extend(image, images(i + 1, x))
                 used[x] = False
 
-    extend((), first)
+    extend((), images(0, -1))
     return CosetUnion(tuple(reps), young)

@@ -1414,8 +1414,10 @@ def unit_matches(enc: QuotientPoint, k: int, a: int, b: int) -> bool:
 
 
 def image_tables_by_pairs(enc: QuotientPoint) -> tuple[list[int], list[list[list[int]]]]:
-    """``first`` and ``follow`` of ``stab_backends._image_tables``, one
-    ``unit_matches`` call per (slot, image of the slot before, image) triple."""
+    """The admissible images that ``stab_backends._image_lookup`` gives: of
+    slot 0 (``first``), and of slot i >= 1 when slot i-1 maps to a
+    (``follow[i][a]``, ``follow[0]`` unused), one ``unit_matches`` call per
+    (slot, image of the slot before, image) triple."""
     n = enc.n
     a1 = enc.a1_codes
 

@@ -141,6 +141,29 @@ def test_verify_fuzz_bad_env(env):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["1_0", "٣", " 7 "])
+@pytest.mark.parametrize("name", ["DEGEN_SEED", "DEGEN_FUZZ_TRIALS"])
+def test_verify_fuzz_env_is_an_ascii_integer(name, value):
+    # int() would read these as 10, 3 and 7
+    r = run_cli(["verify", "--n", "2", "--check", "comparison_fuzz"], env={name: value})
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: {name} must be an integer, not {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["1_0", "٣", " 7 "])
+@pytest.mark.parametrize("args", [["build", "--object", "expanded", "--n"],
+                                  ["verify", "--check", "comparison_fuzz", "--n"],
+                                  ["stab", "config.json", "--brute-force-max"]])
+def test_integer_options_are_ascii_integers(args, value):
+    # argparse's usage error: exit 2 before any command runs, with no traceback
+    r = run_cli([*args, value])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert f"error: argument {args[-1]}: its value must be an integer, not {value!r}" \
+        in r.stderr and "Traceback" not in r.stderr
+
+
 def test_quotient_command(tmp_path):
     b = build_bundle(1)
     ppath = tmp_path / "poly.json"

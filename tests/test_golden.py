@@ -21,21 +21,28 @@ product cone by a double description and each facet offset from a dense
 Lᵀv, and on the code that reads both off the display check and
 ``column_dots``, when the cap rose to 10.  The ``quotient`` digests were
 recorded on the code that sliced P in ambient coordinates and solved one
-system per vertex for its ker(α) coordinates.  To record them again after a deliberate
-output change, print ``build_digest``, ``verify_digest`` and
-``quotient_digest`` for the parameters below and say why in CHANGES.md.
+system per vertex for its ker(α) coordinates.  The ``stab`` digests were
+recorded on the code whose stabilizer search still filled the whole n×n
+table of admissible images before it started.  To record them again after
+a deliberate output change, print ``build_digest``, ``verify_digest``,
+``quotient_digest`` and ``stab_digest`` for the parameters below and say
+why in CHANGES.md.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from toricgit import degeneration, jsonio
 from toricgit.cli import main
 from toricgit.degeneration import build_bundle, product_linearization, product_polyhedron
+from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
+                                  random_configuration)
 
 BUILD_DIGESTS = {
     ("expanded", 1): "3f04313bea67cebbb29a6a6846a9351976eda5d7b9cdee930aa96470d69d7d99",
@@ -84,6 +91,24 @@ QUOTIENT_DIGESTS = {
     ("product", 3): "635b51c8be57e1c7edc745521f42568e9463c7b3f7af31b3067cb892b918c977",
     ("empty square", 0): "1053e6abfa8f92ed24086add87bff4efdcdd6abc2389bfa869df6a000d0b1514",
     ("split not applicable", 0): "dca5a23945a9bde5e382f82be3f9f8ea1417ca5ea73abd79f5a225e7f33d251c",
+}
+
+STAB_DIGESTS = {
+    ("order 9", 0): "4e7da09f8895cff1f0f554cc64f9899c4d3d0e940c24003be75dfb6c5db7923b",
+    ("order 6", 0): "158afefcc10345706dfdf446bde900476a8d506353d360d831b85d3f81dd25ed",
+    ("cyclic 6", 0): "c27471f9b8d1bb9e3e82b4f650c6637b9b2083582b44f3487463c7d22ee8a5e8",
+    ("fiber", (8,)): "e468fdef3c7ec7e929f9cedb0a7c7fcf3cc2d86dc47da3733dff9514e4f3a81c",
+    ("fiber", (7, 1)): "a48114a2c1d506c5cbe54bfd1be947544b34ebb9fdc052d38386e09320dc6d6a",
+    ("fiber", (4, 4)): "ab56cb192b2f15316e8d24fdaa812537fa38ce96ee475fc5e64cb8d465885f96",
+    ("fiber", (5, 4)): "48aed0007b246d53651a55018f09ace15812941b4334e46a79bc6a8360df8b58",
+    ("random n=8", 0): "fc056ad67b9f4d24a44c25a7ecc6ca0dc5cf4129b57c80cac9399a57503ef0a5",
+    ("random n=8", 1): "c7ab590f74ec738186a5da1c5f2961c64f667e6caea145cf89c1a2904c9923b6",
+    ("random n=8", 2): "97506fc9e8d941828cc6502ae9ebad7e11c224396349b0bf6dd94507d926cebc",
+    ("random n=8", 3): "707631908c671c066bca7177108d8fe8a982f5a00425eb20ecf5d42b1c8f8b72",
+    ("random n=9", 0): "5595160b1f921ee23f691170ffa0a078cb33dc50320b6a0c6a428f7089e6880a",
+    ("random n=9", 1): "2a3d3028598959352bb3dabc02fae967a8ed66503e0af905a79ed123773cf28b",
+    ("random n=9", 2): "a9f9d9e5c1e75ed32a96e2b5ea5f4b63c2e8e2f51cd88c1c8ad62d1ad02112a9",
+    ("random n=9", 3): "5c9530effaa73882dd26e623b7472fd0d568216e807fd1c1afa2be6e0c8b4463",
 }
 
 
@@ -170,3 +195,43 @@ def test_verify_report_unchanged(n):
 @pytest.mark.parametrize("name,n", sorted(QUOTIENT_DIGESTS))
 def test_quotient_output_unchanged(tmp_path, name, n):
     assert quotient_digest(tmp_path, name, n) == QUOTIENT_DIGESTS[name, n]
+
+
+def stab_configuration(name: str, arg: int) -> CycleConfiguration:
+    """The worked examples of |Stab| = 9 and of quotient Z/3 and the cyclic
+    one with shift orders 2 and 3, as CI writes them; the one-component
+    degenerate fiber of the multiplicities ``arg``; or draw ``arg`` of
+    ``random_configuration`` at n from ``random.Random(n)``."""
+    if name == "order 9":
+        pts = [PointRecord(comp, UnitValue(Fraction(j, 3), gen), label, 1)
+               for comp, gen, label in [(1, (1, 0, 0), "a"), (1, (0, 1, 0), "b"),
+                                        (2, (0, 0, 1), "c")]
+               for j in range(3)]
+        return CycleConfiguration(n=9, I_t=(1, 7, 10), points=tuple(pts))
+    if name == "order 6":
+        pts = [PointRecord(1, UnitValue(Fraction(j, 3), (1,)), "a", 2) for j in range(3)]
+        return CycleConfiguration(n=6, I_t=(1, 7), points=tuple(pts))
+    if name == "cyclic 6":
+        pts = [PointRecord(comp, UnitValue(Fraction(j, r), gen), "a", 1)
+               for comp, r, gen in [(1, 2, (1, 0)), (2, 3, (0, 1))] for j in range(r)]
+        return CycleConfiguration(n=5, I_t=(1, 3, 6), points=tuple(pts))
+    if name == "fiber":
+        pts = tuple(PointRecord(0, UnitValue(0, tuple(int(i == j) for j in range(len(arg)))),
+                                "a", m) for i, m in enumerate(arg))
+        return CycleConfiguration(n=sum(arg), I_t=(), points=pts)
+    n = int(name.split("=")[1])
+    rng = random.Random(n)
+    for _ in range(arg):
+        random_configuration(n, rng)
+    return random_configuration(n, rng)
+
+
+def stab_digest(tmp_path, name: str, arg) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(jsonio.configuration_to_json(stab_configuration(name, arg))))
+    return hashlib.sha256(_run(["stab", str(path)]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,arg", list(STAB_DIGESTS))
+def test_stab_output_unchanged(tmp_path, name, arg):
+    assert stab_digest(tmp_path, name, arg) == STAB_DIGESTS[name, arg]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from functools import cache
 from itertools import permutations, product
@@ -20,7 +21,7 @@ from toricgit import cli, groups, jsonio, stab_backends, stabilizers
 from toricgit.groups import (CosetUnion, FiniteAbelianGroup, NonabelianQuotientError,
                              YoungSubgroup, abelian_invariant_factors_of_group, compose,
                              cycle_notation, identity, young_subgroup_of)
-from toricgit.stab_backends import QuotientPoint, _image_tables, search_stabilizer
+from toricgit.stab_backends import QuotientPoint, _image_lookup, search_stabilizer
 from toricgit.stabilizers import (CycleConfiguration, PointRecord, UnitValue,
                                   fiber_degrees, project_to_quotient,
                                   random_configuration, sym_stabilizers,
@@ -539,17 +540,24 @@ def sorted_layout(c):
     return stabilizers._project(c, c.components(), [1] * (len(c.I_t) + 1))
 
 
+def expanded_lookup(enc: QuotientPoint) -> tuple[list[int], list[list[list[int]]]]:
+    """The image lookup asked at every (slot, image of the slot before), laid
+    out as ``image_tables_by_pairs`` lays out its tables."""
+    images, _ = _image_lookup(enc)
+    n = enc.n
+    return (list(images(0, -1)),
+            [[]] + [[list(images(i, a)) for a in range(n)] for i in range(1, n)])
+
+
 def assert_tables_and_orders_match_oracles(c):
-    """The int shift orders and the hash-lookup image tables, on both slot
-    layouts, equal the Fraction and the per-pair routes."""
+    """The int shift orders and the hash lookup of admissible images, on
+    both slot layouts, equal the Fraction and the per-pair routes."""
     for records in c.components():
         if records:
             assert stabilizers._component_shift_order(records) == \
                 component_shift_order_by_fractions(records), c
     for enc in (project_to_quotient(c), sorted_layout(c)):
-        first, follow, _ = _image_tables(enc)
-        tables = (list(first), [[list(images) for images in row] for row in follow])
-        assert tables == image_tables_by_pairs(enc), c
+        assert expanded_lookup(enc) == image_tables_by_pairs(enc), c
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -586,7 +594,7 @@ def assert_point_matches_chart_route(q, old):
     """The point built from slot rows against the chart values encoded: the
     same zeros, segments and labels, the root prefixes rescaled from the
     chart route's denominator to the lcm of all root denominators, the same
-    generic prefixes, and the same image tables and search result."""
+    generic prefixes, and the same image lookup and search result."""
     assert (q.n, q.zero, q.zero_count, q.a1_codes) == \
         (old.n, old.zero, old.zero_count, old.a1_codes)
     assert q.denom % old.denom == 0
@@ -597,7 +605,8 @@ def assert_point_matches_chart_route(q, old):
     old_gen = [g + (0,) * (m + 2 - len(g)) for g in old.prefix_gen]
     assert q.prefix_gen == tuple(g[:m] for g in old_gen)
     assert not any(x for g in old_gen for x in g[m:])
-    assert _image_tables(q) == _image_tables(old)
+    assert expanded_lookup(q) == expanded_lookup(old)
+    assert _image_lookup(q)[1] == _image_lookup(old)[1]
     assert search_stabilizer(q) == search_stabilizer(old)
 
 
@@ -706,15 +715,15 @@ def test_comparison_on_arbitrary_semistable_configurations(c):
     assert_point_matches_chart_route(q, encode_chart_values(chart_values(c)))
 
 
-def search_calls(enc: QuotientPoint) -> int:
-    """How often ``search_stabilizer`` enters its recursive ``extend``."""
-    calls = 0
+def search_frames(enc: QuotientPoint) -> Counter:
+    """How often ``search_stabilizer`` enters each function of
+    ``stab_backends``, by name: its recursive ``extend`` and the lookup
+    ``images`` among them."""
+    calls = Counter()
 
     def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_name == "extend" and \
-                frame.f_code.co_filename == stab_backends.__file__:
-            calls += 1
+        if event == "call" and frame.f_code.co_filename == stab_backends.__file__:
+            calls[frame.f_code.co_name] += 1
 
     sys.setprofile(count)
     try:
@@ -722,6 +731,11 @@ def search_calls(enc: QuotientPoint) -> int:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def search_calls(enc: QuotientPoint) -> int:
+    """How often ``search_stabilizer`` enters its recursive ``extend``."""
+    return search_frames(enc)["extend"]
 
 
 def test_search_follows_the_cosets_on_a_trivial_quotient():
@@ -740,6 +754,21 @@ def test_search_follows_the_cosets_on_a_trivial_quotient():
     rep = verify_comparison(c)
     assert rep.passed
     assert rep.stab_order == rep.stab0_order == 60_257_634_877_440_000
+
+
+def test_search_looks_up_only_the_images_it_reads():
+    """The same n = 30 draw: the search asks the lookup once per ``extend``
+    call, for the images of the slot it is about to visit, and the Young
+    certificate at most n times per swap of two consecutive slots of a ratio
+    class.  No table of all (n-1)·n admissible-image entries is filled."""
+    rng = random.Random(5)
+    for _ in range(3):
+        c = random_configuration(30, rng)
+    q = project_to_quotient(c)
+    swaps = sum(len(b) - 1 for b in sym_stabilizers(q).stab0_young.blocks)
+    calls = search_frames(q)
+    assert calls["extend"] == 30
+    assert calls["extend"] <= calls["images"] <= calls["extend"] + q.n * swaps
 
 
 def test_search_cost_follows_the_cosets():
@@ -907,7 +936,7 @@ def test_stab0_young_and_normal_are_enforced(monkeypatch):
     # Young: a swap of two slots of one ratio class, here a block of example
     # two, that does not fix the point
     with monkeypatch.context() as m:
-        m.setattr(stab_backends, "_fixes", lambda p, first, follow: False)
+        m.setattr(stab_backends, "_fixes", lambda p, images: False)
         with pytest.raises(ValueError, match="not a Young subgroup"):
             sym_stabilizers(project_to_quotient(example_two()))
     # Stab0 = Y: a second representative that keeps every ratio class, here
