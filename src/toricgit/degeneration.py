@@ -24,14 +24,14 @@ from __future__ import annotations
 import time
 from functools import cache, reduce
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import factorial
 from operator import itemgetter, matmul, sub
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .cones import Cone, column_dots, image_cone
 from .git import Linearization, quotient_polyhedron, unstable_rays
-from .linalg import IntVec, Matrix, abs_det, dot, left_action
+from .linalg import IntVec, Matrix, abs_det, dot, left_action, primitive
 from .polyhedra import (Facet, LatticePolyhedron, cube_image_slice, orbit_certificate,
                         orbit_polyhedron)
 
@@ -45,11 +45,6 @@ VERIFY_MAX_N = 10
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if k == i else 0 for k in range(n))
-
-
-def _tail(n: int, i: int) -> tuple[int, ...]:
-    """t-exponents of the i-th block monomials: 1 on t_m for m >= i+1."""
-    return tuple(1 if m >= i + 1 else 0 for m in range(1, n + 2))
 
 
 def torus_shift_map(n: int, source_rank: int) -> Matrix:
@@ -68,31 +63,17 @@ def torus_shift_map(n: int, source_rank: int) -> Matrix:
     return Matrix(rows)
 
 
-def fractional_shift_family(n: int) -> list[Fraction]:
-    return [Fraction(i, n + 1) for i in range(1, n + 1)]
-
-
-def fractional_shift_product(n: int) -> list[Fraction]:
-    return [Fraction(i * n, n + 1) for i in range(1, n + 1)]
-
-
 def product_linearization(n: int) -> Linearization:
     """The distinguished linearization of the n-fold product."""
-    return Linearization(torus_shift_map(n, 2 * n + 1), fractional_shift_product(n))
+    return Linearization(torus_shift_map(n, 2 * n + 1),
+                         [Fraction(i * n, n + 1) for i in range(1, n + 1)])
 
 
 def family_rec_dual_columns(n: int) -> list[tuple[int, ...]]:
-    """Monomial exponents of x, y, t_1, ..., t_{n+1} on (s; t)-coordinates."""
+    """Monomial exponents of x, y, t_1, ..., t_{n+1} on (s; t)-coordinates,
+    the inequalities of the base-change cone, the cone over Δ_n × [0,1]."""
     return ([(-1,) + (1,) * (n + 1), (1,) + (0,) * (n + 1)]
             + [(0,) + _unit(n + 1, j) for j in range(n + 1)])
-
-
-def base_cone_columns(n: int) -> list[tuple[int, ...]]:
-    """Generators (0; e_j), (1; e_j) of the base-change cone, 2(n+1) of them.
-
-    The displayed generating set has a pair of columns per t-coordinate; at
-    n = 1 this is the 4-ray cone over a square (the conifold cone)."""
-    return [(a,) + _unit(n + 1, j) for j in range(n + 1) for a in (0, 1)]
 
 
 def family_cube_map(n: int) -> Matrix:
@@ -114,7 +95,7 @@ def product_cube_map(n: int) -> Matrix:
     for j in range(n):
         rows.append([-1 if jj == j else 0 for i in range(1, n + 1) for jj in range(n)])
     for m in range(1, n + 2):
-        rows.append([_tail(n, i)[m - 1] for i in range(1, n + 1) for jj in range(n)])
+        rows.append([1 if m > i else 0 for i in range(1, n + 1) for jj in range(n)])
     return Matrix(rows)
 
 
@@ -126,34 +107,41 @@ def product_rec_dual_columns(n: int) -> list[tuple[int, ...]]:
             + [(0,) * n + _unit(n + 1, j) for j in range(n + 1)])
 
 
-def product_ray_vectors(n: int) -> list[tuple[int, ...]]:
-    """The rays (e_I; e_j) of the product cone, all 2^n (n+1) of them."""
-    out = []
-    for r in range(n + 1):
-        for I in combinations(range(n), r):
-            eI = tuple(1 if i in I else 0 for i in range(n))
-            for j in range(n + 1):
-                out.append(eI + _unit(n + 1, j))
-    return out
+def product_ray_vectors(m: int, k: int) -> list[tuple[int, ...]]:
+    """The rays (e_I; e_j) of the cone over Δ_m × [0,1]^k, I ⊆ {1..k} and
+    0 <= j <= m, all 2^k (m+1) of them, sorted."""
+    return sorted(e + _unit(m + 1, j) for e in product((0, 1), repeat=k) for j in range(m + 1))
 
 
-def _product_cone(n: int, columns: Sequence[IntVec]) -> Cone:
-    """The product cone {(p; q) : q >= 0, 0 <= p_i <= Σq} with both
-    representations and no double description, once the displayed
-    ``columns`` are checked to be its 3n+1 inequalities q_j >= 0, p_i >= 0
-    and Σq - p_i >= 0, each once and nothing else.  It is the cone over
-    Δ_n × [0,1]^n, and the faces of a product of polytopes are the products
-    of their faces (Ziegler, *Lectures on Polytopes*, §0): its rays are the
-    vertex pairs (e_I; e_j) of ``product_ray_vectors``, and its facets, a
-    facet of one factor times the other, are those inequalities (n >= 1)."""
-    rows = sorted([(0,) * n + _unit(n + 1, j) for j in range(n + 1)]
-                  + [_unit(n, i) + (0,) * (n + 1) for i in range(n)]
-                  + [tuple(-x for x in _unit(n, i)) + (1,) * (n + 1) for i in range(n)])
-    if sorted(columns) != rows:
-        raise AssertionError("the displayed product columns are not the inequalities "
-                             "of the cone over Δ_n × [0,1]^n")
-    return Cone(2 * n + 1, _rays=tuple(sorted(product_ray_vectors(n))), _lineality=(),
+def _product_cone(m: int, k: int, columns: Sequence[IntVec]) -> Cone:
+    """The cone over Δ_m × [0,1]^k, {(p; q) : q >= 0, 0 <= p_i <= Σq} in
+    Z^k ⊕ Z^{m+1}, with both representations and no double description,
+    once m >= 1 and the displayed ``columns`` are checked to be its m+1+2k
+    inequalities q_j >= 0, p_i >= 0 and Σq - p_i >= 0, each once.  The faces
+    of a product of polytopes are the products of faces (Ziegler, *Lectures
+    on Polytopes*, §0): its rays are the vertex pairs (e_I; e_j), and its
+    facets, a facet of one factor times the other, those inequalities."""
+    rows = sorted([(0,) * k + _unit(m + 1, j) for j in range(m + 1)]
+                  + [_unit(k, i) + (0,) * (m + 1) for i in range(k)]
+                  + [tuple(-x for x in _unit(k, i)) + (1,) * (m + 1) for i in range(k)])
+    if m < 1 or sorted(columns) != rows:
+        raise AssertionError("the displayed columns are not the inequalities of the cone "
+                             f"over Δ_m × [0,1]^k, m = {m} and k = {k}")
+    return Cone(k + m + 1, _rays=tuple(product_ray_vectors(m, k)), _lineality=(),
                 _facets=tuple(rows), _equations=())
+
+
+def _staircase(n: int, rec: Cone) -> list[IntVec]:
+    """The staircase points L_x(0^{n-k} 1^k), k = 0..n, once each step
+    between consecutive columns of the family cube map L_x is checked to be
+    a ray of ``rec``.  Moving a 1 of a cube point c one place right
+    subtracts a step from L_x(c), so conv(L_x(cube)) + rec = conv(staircase)
+    + rec, the staircase points being cube images."""
+    lx = family_cube_map(n)
+    cols, rays = lx.columns(), set(rec.rays)
+    if any(tuple(map(sub, a, b)) not in rays for a, b in zip(cols, cols[1:])):
+        raise AssertionError("a step of the family cube map is not a recession ray")
+    return [lx @ ((0,) * (n - k) + (1,) * k) for k in range(n + 1)]
 
 
 def decode_ray_label(n: int, ray: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -273,28 +261,28 @@ def basis_change_matrix(n: int) -> Matrix:
 
 def build_bundle(n: int) -> DegenerationBundle:
     """All displayed toric data of the expanded family and its self-product.
-    The product polyhedron is kept as its facet rows; ``product_polyhedron``
-    adds its (n+1)^n chart vertices."""
+    The base-change and product cones and their duals, the recession cones,
+    are closed forms (``_product_cone``), the family polyhedron is the hull
+    of its ``_staircase`` plus its recession cone, and the product polyhedron
+    is kept as its facet rows; ``product_polyhedron`` adds its (n+1)^n chart
+    vertices."""
     if n < 1:
         raise ValueError("n must be >= 1")
     # family side, rank n+2: the recession cone of the family polyhedron is
     # the dual of the cone of the base-changed family
-    fam_rec = Cone(n + 2, family_rec_dual_columns(n))
-    if Cone(n + 2, base_cone_columns(n)).dual() != fam_rec:
-        raise AssertionError("base cone display inconsistent with its dual display")
-    lx = family_cube_map(n)
-    cube_pts = [lx @ v for v in product((0, 1), repeat=n)]
-    fam_poly = LatticePolyhedron(n + 2, cube_pts, fam_rec).canonicalize()
+    fam_rec = _product_cone(n, 1, family_rec_dual_columns(n)).dual()
+    fam_poly = LatticePolyhedron(n + 2, _staircase(n, fam_rec), fam_rec).canonicalize()
     # product side, rank 2n+1: the cone and its dual, the recession cone,
     # both with both representations
-    prod_cone = _product_cone(n, product_rec_dual_columns(n))
+    prod_cone = _product_cone(n, n, product_rec_dual_columns(n))
     L = product_cube_map(n)
     # the facet with normal v has offset min of v over L(cube), the sum of
     # the negative entries of Lᵀv, read over the nonzeros of v, which
     # support_constants reads as d_v; no chart vertex is listed
     facets = tuple((v, sum(min(x, 0) for x in column_dots(v, L.entries, L.cols)))
                    for v in prod_cone.rays)
-    lin_fam = Linearization(torus_shift_map(n, n + 2), fractional_shift_family(n))
+    lin_fam = Linearization(torus_shift_map(n, n + 2),
+                            [Fraction(i, n + 1) for i in range(1, n + 1)])
     alpha = torus_shift_map(n, 2 * n + 1)
     pi = projection_matrix(n)
     if any(any(x != 0 for x in (alpha @ col)) for col in pi.transpose().columns()):
@@ -404,21 +392,24 @@ def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Ma
     return {tuple(s): Matrix(mat) for s, (mat, _) in walk.items()}
 
 
-def product_cone_ambient(n: int) -> Cone:
-    """Rank-(n+1) cone with rays (1;0;0), (1; e_I; 0), (0; -e_I; 1), (0;0;1)."""
-    gens = [_unit(n + 1, 0), _unit(n + 1, n)]
-    for r in range(1, n):
-        for I in combinations(range(n - 1), r):
-            e = tuple(int(i in I) for i in range(n - 1))
-            gens += [(1,) + e + (0,), (0,) + tuple(-x for x in e) + (1,)]
-    return Cone(n + 1, gens)
-
-
 def product_cone_dual_columns(n: int) -> list[tuple[int, ...]]:
     """Displayed generators of the dual: (1, -u, 0) and (0, u, 1) for u in
     {0, e_1, ..., e_{n-1}}."""
     units = [(0,) * (n - 1)] + [_unit(n - 1, i) for i in range(n - 1)]
     return [(1,) + tuple(-x for x in u) + (0,) for u in units] + [(0,) + u + (1,) for u in units]
+
+
+def product_cone_ambient(n: int) -> Cone:
+    """σ, with rays (1; e_I; 0), (0; -e_I; 1) and facets the displayed
+    ``product_cone_dual_columns``: the unimodular y = (x_i + x_n; x_0, x_n)
+    maps σ onto the cone over Δ_1 × [0,1]^{n-1}, so ``_product_cone``
+    checks the columns f, as g = (f_1..f_{n-1}; f_0, f_n - Σf_i) on y, and
+    its rays (p; q) map back to (q_0; p_i - q_1; q_1)."""
+    columns = product_cone_dual_columns(n)
+    cube = _product_cone(1, n - 1, [f[1:n] + (f[0], f[n] - sum(f[1:n])) for f in columns])
+    rays = sorted((q0,) + tuple(x - q1 for x in p) + (q1,) for *p, q0, q1 in cube.rays)
+    return Cone(n + 1, _rays=tuple(rays), _lineality=(), _facets=tuple(sorted(columns)),
+                _equations=())
 
 
 def build_symmetric(n: int) -> SymmetricModel:
@@ -428,8 +419,8 @@ def build_symmetric(n: int) -> SymmetricModel:
     move y₀ through n! points, the (0; 2s_i - n - 1; 0) of the permutations
     s, and ``orbit_certificate`` certifies at y₀ the rays ν of σ as the
     facets, with c_ν = -k(n - k), k the support of ν's middle block (the k
-    least 2j - n - 1 sum to it), and the displayed dual of σ as the
-    recession cone."""
+    least 2j - n - 1 sum to it), and σ^∨ as the recession cone, both read
+    off σ's closed form (``product_cone_ambient``) with no double description."""
     if n < 2:
         raise ValueError("n must be >= 2")
     chamber, prod, gens = chamber_cone(n), product_cone_ambient(n), ambient_reflections(n)
@@ -437,7 +428,7 @@ def build_symmetric(n: int) -> SymmetricModel:
     _check_coxeter(gens)
     _check_orbit_count(gens, y0)
     offsets = {nu: k * (k - n) for nu in prod.rays for k in [sum(map(abs, nu[1:-1]))]}
-    facets, rec = orbit_certificate(y0, gens, offsets, Cone(n + 1, product_cone_dual_columns(n)))
+    facets, rec = orbit_certificate(y0, gens, offsets, prod.dual())
     return SymmetricModel(chamber, prod, tuple(gens), y0, facets, rec)
 
 
@@ -538,13 +529,18 @@ def _strs(v: Sequence[int], den: int) -> list[str]:
 
 
 def _check_conical_part(n: int) -> tuple[bool, Any]:
-    b = _bundle(n)
-    img = image_cone(b.projection, b.product_cone)
-    target = product_cone_ambient(n)
-    if img == target:
-        return True, {"rays": len(img.rays)}
-    return False, {"got": [list(r) for r in img.rays],
-                   "expected": [list(r) for r in target.rays]}
+    """π maps the product cone, the cone over its rays, onto σ if the
+    primitive images of the rays, π(e_I; e_j) = (1; e_I; 0) or (0; -e_{I^c};
+    1), are σ's rays, compared in int; else the image cone decides."""
+    b, target = _bundle(n), product_cone_ambient(n)
+    cols = list(zip(*b.product_cone.rays))
+    images = set(zip(*(column_dots(row, cols, len(cols[0])) for row in b.projection.entries)))
+    if {primitive(v) for v in images if any(v)} != set(target.rays):
+        img = image_cone(b.projection, b.product_cone)
+        if img != target:
+            return False, {"got": [list(r) for r in img.rays],
+                           "expected": [list(r) for r in target.rays]}
+    return True, {"rays": len(target.rays)}
 
 
 def _check_pb_vertices(n: int) -> tuple[bool, Any]:

@@ -23,6 +23,7 @@ class's images: it visits one representative per coset of Stab0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 from .groups import CosetUnion, Perm, YoungSubgroup
@@ -109,6 +110,7 @@ def _image_lookup(q: QuotientPoint
     # f_n != 0 keeps the last slot's position: its image lies in its class
     last_fixed = not zero[n]
 
+    @cache  # computed when first asked for: the search returns to a slot many times
     def images(i: int, a: int) -> Sequence[int]:
         fixed_last = i == n - 1 and last_fixed
         if i and not zero[i]:
@@ -205,4 +207,5 @@ def search_stabilizer(q: QuotientPoint) -> CosetUnion:
                 used[x] = False
 
     extend((), images(0, -1))
+    del extend  # it refers to itself: free it and the lookup's memo without the collector
     return CosetUnion(tuple(reps), young)

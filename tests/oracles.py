@@ -16,7 +16,9 @@ pattern, hulled after each block, with a corner lookup), P_b from the
 certificate run on every braid chamber, the closed-form slice vertices as
 one product L·v per permutation, the orbit of a point under the
 permutations of its head, the product cone by one double description with
-its facet offsets from dense products Lᵀv, the
+its facet offsets from dense products Lᵀv, the family recession cone and
+polyhedron, σ and σ^∨ by the double descriptions of their displayed
+generators (the base cone's, all 2^n cube images, σ's 2^n rays), the
 normal fan by one double description per vertex, the extremeness test by the rank of
 the active facets, the orbit fan by one double description per cone, the
 permutohedron and the resolution polyhedron double-described from their n!
@@ -50,8 +52,9 @@ from typing import Callable, Iterable, Optional, Sequence
 from toricgit import dd
 from toricgit.cones import Cone, column_dots, image_cone
 from toricgit.degeneration import (_bundle, _pb, ambient_reflections, chamber_cone,
-                                   permutation_matrices, product_cone_dual_columns,
-                                   product_cube_map, product_rec_dual_columns, slice_vertex)
+                                   family_cube_map, permutation_matrices,
+                                   product_cone_dual_columns, product_cube_map,
+                                   product_rec_dual_columns, slice_vertex)
 from toricgit.git import EmptyQuotientError, Linearization, RayDatum, support_constants
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
 from toricgit.jsonio import rational_str
@@ -652,6 +655,33 @@ def product_side_by_dd(n: int) -> tuple[Cone, tuple]:
     cone = Cone(2 * n + 1, product_rec_dual_columns(n)).dual()
     lt = product_cube_map(n).transpose()
     return cone, tuple((v, sum(min(x, 0) for x in lt @ v)) for v in cone.rays)
+
+
+def base_cone_columns(n: int) -> list[tuple[int, ...]]:
+    """Generators (0; e_j), (1; e_j) of the base-change cone, 2(n+1) of them;
+    at n = 1 the 4-ray cone over a square (the conifold cone)."""
+    return [(a,) + tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1) for a in (0, 1)]
+
+
+def family_side_by_dd(n: int) -> tuple[Cone, LatticePolyhedron]:
+    """(the family recession cone, the family polyhedron) by the routes that
+    ``degeneration._product_cone`` and ``degeneration._staircase`` replaced:
+    the dual of the base cone from its displayed generators by one double
+    description of rank n + 2, and the polyhedron by one double description
+    over all 2^n cube images and that cone's rays."""
+    rec, lx = Cone(n + 2, base_cone_columns(n)).dual(), family_cube_map(n)
+    return rec, LatticePolyhedron(n + 2, [lx @ c for c in product((0, 1), repeat=n)],
+                                  rec).canonicalize()
+
+
+def sigma_by_dd(n: int) -> tuple[Cone, Cone]:
+    """σ and its dual, each double-described from its displayed generators:
+    σ's 2^n, (1; e_I; 0) and (0; -e_I; 1) for I ⊆ {1..n-1}, which
+    ``degeneration.product_cone_ambient`` listed, and the 2n of
+    ``product_cone_dual_columns``."""
+    cube = list(product((0, 1), repeat=n - 1))
+    gens = [(1,) + e + (0,) for e in cube] + [(0,) + tuple(-x for x in e) + (1,) for e in cube]
+    return Cone(n + 1, gens), Cone(n + 1, product_cone_dual_columns(n))
 
 
 def head_orbit(n: int, v: Sequence) -> list[tuple]:

@@ -45,7 +45,7 @@ def test_build_product_recession_rays():
     obj = json.loads(r.stdout)
     # the polyhedron facet normals are exactly the labeled product-cone rays
     normals = {tuple(int(x) for x in f["normal"]) for f in obj["facets"]}
-    assert normals == set(product_ray_vectors(2))
+    assert normals == set(product_ray_vectors(2, 2))
     assert len(obj["vertices"]) == 9
 
 

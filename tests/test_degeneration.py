@@ -13,17 +13,19 @@ import pytest
 
 from oracles import (ambient_quotient_slice, braid_chambers, certified_polyhedron,
                      cube_image_slice_by_chambers, cube_image_slice_by_sums, edge_matrix,
-                     fan_rays, head_orbit, invert, minkowski_sum, orbit_fan_by_cone_dd,
-                     pb_polyhedron, permutohedron_points, product_side_by_dd,
-                     quotient_images_by_fractions, slice_polyhedron, slice_vertex_points,
-                     slice_vertex_points_by_fractions, solve_unique, symmetric_polyhedra_by_dd,
-                     unstable_rays_by_vertices, weight_reflections)
+                     family_side_by_dd, fan_rays, head_orbit, invert, minkowski_sum,
+                     orbit_fan_by_cone_dd, pb_polyhedron, permutohedron_points,
+                     product_side_by_dd, quotient_images_by_fractions, sigma_by_dd,
+                     slice_polyhedron, slice_vertex_points, slice_vertex_points_by_fractions,
+                     solve_unique, symmetric_polyhedra_by_dd, unstable_rays_by_vertices,
+                     weight_reflections)
 from toricgit import cones, dd, degeneration, linalg, polyhedra
 from toricgit.cones import Cone
 from toricgit.degeneration import (SymmetricModel, _bundle, _check_orbit_count, _pb,
                                    _symmetric, ambient_reflections, basis_change_matrix,
                                    build_bundle, build_symmetric, chamber_cone, chart_pairs,
-                                   checks_for, constant_tail, decode_ray_label, head_vertex,
+                                   checks_for, constant_tail, decode_ray_label,
+                                   family_cube_map, family_rec_dual_columns, head_vertex,
                                    identity_slice_vertex, permutation_matrices,
                                    product_chart_corners, product_chart_vertices,
                                    product_cone_ambient, product_cone_dual_columns,
@@ -94,11 +96,10 @@ def test_product_display_certificate_matches_the_dd_oracle():
 
 
 def test_product_display_certificate_runs_no_product_dd(monkeypatch):
-    # build_bundle's double descriptions are the family side's: the base
-    # cone's and the family recession cone's, of rank n+2, and the family
-    # polyhedron's homogenization, of rank n+3, which is 2n+1 at n = 2 with
-    # 9 generators, not the product display's 3n+1 = 7 columns.  The product
-    # side runs none and transposes no L
+    # build_bundle's one double description is the family polyhedron's
+    # homogenization, of rank n+3, over its n+1 staircase points and the n+3
+    # rays of its recession cone.  The base cone, the family recession cone
+    # and the product side run none, and no L is transposed
     ranks, shapes = [], []
     real_dd, real_transpose = dd.cone_from_inequalities, Matrix.transpose
 
@@ -116,27 +117,140 @@ def test_product_display_certificate_runs_no_product_dd(monkeypatch):
         ranks.clear()
         shapes.clear()
         build_bundle(n)
-        assert [a for a, _ in ranks] == [n + 2, n + 2, n + 3], (n, ranks)
-        assert (2 * n + 1, 3 * n + 1) not in ranks, n
+        assert ranks == [(n + 3, 2 * n + 4)], (n, ranks)
         assert (2 * n + 1, n * n) not in shapes, n
 
 
+def test_verify_runs_no_double_description_that_grows_as_2_to_the_n(monkeypatch):
+    # verify --all at n = 1..10, every model built afresh: each double
+    # description it runs (the family polyhedron over its staircase, the
+    # chamber, the base recovery's slice) has at most 2n + 4 rows.  The
+    # family polyhedron over its 2^n cube images, σ from its 2^n generators
+    # and the image cone of conical_part had 2^n rows and more
+    rows = []
+    real_dd = dd.cone_from_inequalities
+
+    def spy_dd(constraints, ambient):
+        rows.append(len(constraints))
+        return real_dd(constraints, ambient)
+
+    monkeypatch.setattr(dd, "cone_from_inequalities", spy_dd)
+    for n in range(1, 11):
+        for built in (degeneration._bundle, degeneration._symmetric, degeneration._pb):
+            built.cache_clear()
+        rows.clear()
+        assert all(verify(n, check).status == "pass" for check in checks_for(n)), n
+        assert rows and max(rows) <= 2 * n + 4, (n, rows)
+
+
+def test_conical_part_decides_a_ray_mismatch_by_the_image_cone(monkeypatch):
+    # the ray images are compared with σ's rays as a set, and only when they
+    # differ does the image cone decide: a listed non-extreme vector of the
+    # product cone, whose image is inside σ, still passes, and a π with a
+    # doubled last row, which moves the image, fails with the image's rays
+    n, b, images = 3, build_bundle(3), []
+    cone = b.product_cone
+
+    def spy(f, c):
+        images.append(cones.image_cone(f, c))
+        return images[-1]
+
+    monkeypatch.setattr(degeneration, "image_cone", spy)
+    assert verify(n, "conical_part").status == "pass" and not images
+    extra = tuple(map(add, cone.rays[0], cone.rays[-1]))
+    padded = Cone(2 * n + 1, _rays=tuple(sorted(cone.rays + (extra,))), _lineality=(),
+                  _facets=cone.facets, _equations=())
+    monkeypatch.setattr(degeneration, "_bundle", lambda n: b._replace(product_cone=padded))
+    report = verify(n, "conical_part")
+    assert (report.status, report.witness, len(images)) == ("pass", {"rays": 8}, 1)
+    pi = Matrix(b.projection.entries[:-1] + (tuple(2 * x for x in b.projection.entries[-1]),))
+    monkeypatch.setattr(degeneration, "_bundle", lambda n: b._replace(projection=pi))
+    report = verify(n, "conical_part")
+    assert report.status == "fail" and len(images) == 2
+    assert report.witness == {"got": [list(r) for r in cones.image_cone(pi, cone).rays],
+                              "expected": [list(r) for r in product_cone_ambient(n).rays]}
+
+
+def representations(c: Cone) -> tuple:
+    return c.rays, c.lineality_basis, c.facets, c.equations
+
+
+def test_closed_form_cones_match_the_dd_oracles():
+    # the base cone's dual, the family polyhedron from its staircase, σ and
+    # σ^∨ have the representations that the double descriptions of their
+    # displayed generators give (the product cone's are compared above)
+    for n in range(1, 10):
+        b = build_bundle(n)
+        rec, poly = family_side_by_dd(n)
+        got = b.family_polyhedron
+        assert representations(got.recession) == representations(rec), n
+        assert rec == Cone(n + 2, family_rec_dual_columns(n)), n
+        assert got == poly, n
+        assert (got.facet_rep, got.hull_equations) == (poly.facet_rep, poly.hull_equations), n
+        sigma, dual = sigma_by_dd(n)
+        got = product_cone_ambient(n)
+        assert representations(got) == representations(sigma), n
+        assert representations(got.dual()) == representations(dual), n
+
+
+# each displayed set of inequalities of a cone over Δ_m × [0,1]^k, what
+# the builders make of it and its (m, k) at n
+DISPLAYS = {"family_rec_dual_columns": (lambda n: build_bundle(n).family_polyhedron,
+                                        lambda n: (n, 1)),
+            "product_rec_dual_columns": (lambda n: build_bundle(n).product_cone,
+                                         lambda n: (n, n)),
+            "product_cone_dual_columns": (product_cone_ambient, lambda n: (1, n - 1))}
+
+
+def changed_columns(cols: list) -> dict[str, list]:
+    """A dropped, a repeated, an extra and a perturbed column."""
+    d = len(cols[0])
+    return {"dropped": cols[1:], "repeated": cols + cols[:1], "extra": cols + [(1,) * d],
+            "perturbed": [cols[0][:-1] + (cols[0][-1] + 2,)] + cols[1:]}
+
+
 def test_product_display_certificate_rejects_a_changed_column(monkeypatch):
-    # a dropped, an extra (repeated or new) and a perturbed column each
-    # raise, explicitly, so also under python -O; any order passes
-    for n in (1, 2, 3, 5):
-        cols = product_rec_dual_columns(n)
-        bad = {"dropped": cols[1:], "repeated": cols + cols[:1],
-               "extra": cols + [(0,) * n + (1,) * (n + 1)],
-               "perturbed": [cols[0][:-1] + (2,)] + cols[1:]}
-        for columns in bad.values():
-            with pytest.raises(AssertionError, match="Δ_n"):
-                degeneration._product_cone(n, columns)
+    # a dropped, an extra (repeated or new) and a perturbed column of each of
+    # the three displays raise, explicitly, so also under python -O, σ's
+    # through its shear; any order passes
+    for (display, (builder, shape)), n in product(DISPLAYS.items(), (1, 2, 3, 5)):
+        cols, want = getattr(degeneration, display)(n), builder(n)
+        message = r"Δ_m × \[0,1\]\^k, m = %d and k = %d" % shape(n)
+        for columns in changed_columns(cols).values():
+            if display != "product_cone_dual_columns":  # σ's goes through its shear
+                with pytest.raises(AssertionError, match=message):
+                    degeneration._product_cone(*shape(n), columns)
             with monkeypatch.context() as m:
-                m.setattr(degeneration, "product_rec_dual_columns", lambda n: columns)
-                with pytest.raises(AssertionError, match="Δ_n"):
+                m.setattr(degeneration, display, lambda n: columns)
+                with pytest.raises(AssertionError, match=message):
+                    builder(n)
+                if display == "product_cone_dual_columns" and n >= 2:
+                    with pytest.raises(AssertionError, match=message):
+                        build_symmetric(n)
+        with monkeypatch.context() as m:
+            m.setattr(degeneration, display, lambda n: cols[::-1])
+            assert builder(n) == want, n
+
+
+def test_product_cone_certificate_needs_an_edge_of_the_simplex():
+    # over a point, q_0 >= 0 is no facet: m = 0 raises whatever the columns
+    with pytest.raises(AssertionError, match="m = 0 and k = 1"):
+        degeneration._product_cone(0, 1, [(0, 1), (1, 0), (-1, 1)])
+
+
+def test_family_staircase_certificate_rejects_a_step_off_the_recession_rays(monkeypatch):
+    # the family polyhedron is the hull of its staircase only if each step
+    # between consecutive columns of L_x is a recession ray: a swap of two
+    # columns or a perturbed entry makes a step that is not, and raises
+    for n in (2, 3, 5):
+        cols = family_cube_map(n).columns()
+        swapped = [cols[1], cols[0]] + cols[2:]
+        perturbed = [cols[0][:-1] + (2,)] + cols[1:]
+        for columns in (swapped, perturbed):
+            with monkeypatch.context() as m:
+                m.setattr(degeneration, "family_cube_map", lambda n: Matrix.from_columns(columns))
+                with pytest.raises(AssertionError, match="not a recession ray"):
                     build_bundle(n)
-        assert degeneration._product_cone(n, cols[::-1]) == build_bundle(n).product_cone
 
 
 def test_product_polyhedron_facets_vs_generic_dd():

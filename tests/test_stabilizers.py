@@ -715,15 +715,18 @@ def test_comparison_on_arbitrary_semistable_configurations(c):
     assert_point_matches_chart_route(q, encode_chart_values(chart_values(c)))
 
 
-def search_frames(enc: QuotientPoint) -> Counter:
+def search_frames(enc: QuotientPoint, lookups: Counter | None = None) -> Counter:
     """How often ``search_stabilizer`` enters each function of
     ``stab_backends``, by name: its recursive ``extend`` and the lookup
-    ``images`` among them."""
+    ``images`` among them.  ``lookups`` counts the lookup's entries by their
+    arguments (i, a)."""
     calls = Counter()
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code.co_filename == stab_backends.__file__:
             calls[frame.f_code.co_name] += 1
+            if frame.f_code.co_name == "images" and lookups is not None:
+                lookups[frame.f_locals["i"], frame.f_locals["a"]] += 1
 
     sys.setprofile(count)
     try:
@@ -769,6 +772,21 @@ def test_search_looks_up_only_the_images_it_reads():
     calls = search_frames(q)
     assert calls["extend"] == 30
     assert calls["extend"] <= calls["images"] <= calls["extend"] + q.n * swaps
+
+
+def test_search_computes_each_lookup_once():
+    """Draw 2 of ``random.Random(60)`` at n = 60 has 864 cosets of Stab0: the
+    search enters ``extend`` 16 240 times and returns to each slot many
+    times, but asks for only 102 distinct (i, a), and the lookup computes
+    each of them once."""
+    rng = random.Random(60)
+    for _ in range(3):
+        c = random_configuration(60, rng)
+    q, lookups = project_to_quotient(c), Counter()
+    calls = search_frames(q, lookups)
+    assert calls["extend"] >= 100 * len(lookups)
+    assert calls["images"] == len(lookups)
+    assert set(lookups.values()) == {1}
 
 
 def test_search_cost_follows_the_cosets():
