@@ -30,13 +30,13 @@ from operator import itemgetter, matmul, sub
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .cones import Cone, column_dots, image_cone
-from .git import Linearization, quotient_polyhedron, unstable_rays
+from .git import Linearization, quotient_polyhedron, support_constants, unstable_rays
 from .linalg import IntVec, Matrix, abs_det, dot, left_action, primitive
 from .polyhedra import (Facet, LatticePolyhedron, cube_image_slice, orbit_certificate,
                         orbit_polyhedron)
 
 # the largest n that ``verify`` runs at
-VERIFY_MAX_N = 10
+VERIFY_MAX_N = 12
 
 
 # ---------------------------------------------------------------------------
@@ -48,19 +48,11 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 
 
 def torus_shift_map(n: int, source_rank: int) -> Matrix:
-    """The restriction-to-G character map: (s-block; c) -> (c_i - c_{i+1})_i.
-
-    ``source_rank`` is n+2 for the expanded family and 2n+1 for its n-fold
-    self-product; only the trailing n+1 coordinates (the t-block) matter.
-    """
-    s_cols = source_rank - (n + 1)
-    rows = []
-    for i in range(1, n + 1):
-        r = [0] * source_rank
-        r[s_cols + i - 1] = 1
-        r[s_cols + i] = -1
-        rows.append(r)
-    return Matrix(rows)
+    """The restriction-to-G character map (s-block; c) -> (c_i - c_{i+1})_i,
+    on Z^{n+2} for the expanded family and on Z^{2n+1} for its product."""
+    s = source_rank - (n + 1)
+    return Matrix([[int(c == s + i) - int(c == s + i + 1) for c in range(source_rank)]
+                   for i in range(n)])
 
 
 def product_linearization(n: int) -> Linearization:
@@ -80,10 +72,8 @@ def family_cube_map(n: int) -> Matrix:
     """The (n+2) x n matrix sending the unit cube to the family polytope.
 
     Column k is the exponent vector of t_{k+1} ... t_{n+1} / s."""
-    rows = [[-1] * n, [0] * n]
-    for m in range(2, n + 2):
-        rows.append([1 if m >= k + 1 else 0 for k in range(1, n + 1)])
-    return Matrix(rows)
+    return Matrix([[-1] * n, [0] * n] + [[int(m > k) for k in range(1, n + 1)]
+                                         for m in range(2, n + 2)])
 
 
 def product_cube_map(n: int) -> Matrix:
@@ -91,12 +81,9 @@ def product_cube_map(n: int) -> Matrix:
 
     Column (i-1)n + j (blocks i = 1..n, positions j = 1..n) is
     (-e_j; t_{i+1} + ... + t_{n+1})."""
-    rows = []
-    for j in range(n):
-        rows.append([-1 if jj == j else 0 for i in range(1, n + 1) for jj in range(n)])
-    for m in range(1, n + 2):
-        rows.append([1 if m > i else 0 for i in range(1, n + 1) for jj in range(n)])
-    return Matrix(rows)
+    return Matrix([[-int(jj == j) for i in range(n) for jj in range(n)] for j in range(n)]
+                  + [[int(m > i) for i in range(1, n + 1) for jj in range(n)]
+                     for m in range(1, n + 2)])
 
 
 def product_rec_dual_columns(n: int) -> list[tuple[int, ...]]:
@@ -153,9 +140,7 @@ def decode_ray_label(n: int, ray: Sequence[int]) -> tuple[tuple[int, ...], int]:
     head, tail = ray[:n], ray[n:]
     if any(x not in (0, 1) for x in head) or sorted(tail) != [0] * n + [1]:
         raise ValueError(f"not a product-cone ray: {ray}")
-    I = tuple(i + 1 for i, x in enumerate(head) if x == 1)
-    j = tail.index(1)
-    return I, j
+    return tuple(i + 1 for i, x in enumerate(head) if x == 1), tail.index(1)
 
 
 def product_chart_corners(n: int) -> list[tuple[int, ...]]:
@@ -214,6 +199,36 @@ def identity_slice_vertex(n: int) -> tuple[int, ...]:
     return m
 
 
+def _head_swaps(n: int, L: Matrix, alpha: Matrix, pairs: Sequence[tuple[int, int]]
+                ) -> list[IntVec]:
+    """The lineality (1^n; 0), (0; e_j) of the product, once it is checked
+    for k < n - 1, with P_k swapping coordinates k, k+1 and τ_k positions
+    k, k+1 in each n-column block of the cube, that (a) L·τ_k = P_k·L, (b)
+    P_k fixes α's rows and the lineality and (c) τ_k maps the chart pairs,
+    and so the chart corners, onto themselves.  So the P_k, which generate
+    S_n on the head, map L(cube), the plane α x = -b and P_b onto
+    themselves, and a product ray's facet offset and margin depend only on
+    its orbit (|I|, j) (``_orbit_rays``)."""
+    lineality = [(1,) * n + (0,) * (n + 1)] + [(0,) * n + _unit(n + 1, j) for j in range(n + 1)]
+    for k in range(n - 1):
+        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, 2 * n + 1))  # P_k
+        tau = [x + (x % n == k) - (x % n == k + 1) for x in range(n * n)]
+        if any(L.column(t) != swap(col) for t, col in zip(tau, L.columns())):
+            raise AssertionError(f"τ_{k} does not permute L's columns as P_{k} its rows")
+        if any(swap(v) != v for v in alpha.entries + tuple(lineality)):
+            raise AssertionError(f"P_{k} moves a row of α or a lineality direction")
+        if {(tau[a], tau[b]) for a, b in pairs} != set(pairs):
+            raise AssertionError(f"τ_{k} does not map the chart pairs onto themselves")
+    return lineality
+
+
+def _orbit_rays(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The representative (e_{1..k}; e_j) of each S_n-orbit (k, j) of product
+    rays, mapped to (k, j)."""
+    return {(1,) * k + (0,) * (n - k) + _unit(n + 1, j): (k, j)
+            for k in range(n + 1) for j in range(n + 1)}
+
+
 # ---------------------------------------------------------------------------
 # bundles
 
@@ -233,16 +248,9 @@ def projection_matrix(n: int) -> Matrix:
     """pi: Z^{2n+1} -> Z^{n+1}; rows (0,..,0,-1 | 1..1), (e_k - e_n | 0) for
     k = 1..n-1, and (e_n | 0).  Its transpose's columns are a basis of the
     kernel of the product shift map."""
-    rows = [[0] * (n - 1) + [-1] + [1] * (n + 1)]
-    for k in range(1, n):
-        r = [0] * (2 * n + 1)
-        r[k - 1] = 1
-        r[n - 1] = -1
-        rows.append(r)
-    r = [0] * (2 * n + 1)
-    r[n - 1] = 1
-    rows.append(r)
-    return Matrix(rows)
+    return Matrix([[0] * (n - 1) + [-1] + [1] * (n + 1)]
+                  + [[int(c == k) - int(c == n - 1) for c in range(2 * n + 1)]
+                     for k in range(n - 1)] + [_unit(2 * n + 1, n - 1)])
 
 
 def basis_change_matrix(n: int) -> Matrix:
@@ -264,8 +272,8 @@ def build_bundle(n: int) -> DegenerationBundle:
     The base-change and product cones and their duals, the recession cones,
     are closed forms (``_product_cone``), the family polyhedron is the hull
     of its ``_staircase`` plus its recession cone, and the product polyhedron
-    is kept as its facet rows; ``product_polyhedron`` adds its (n+1)^n chart
-    vertices."""
+    is kept as its facet rows, one offset per S_n-orbit of rays, (n+1)^2 of
+    them (``_head_swaps``); ``product_polyhedron`` adds its chart vertices."""
     if n < 1:
         raise ValueError("n must be >= 1")
     # family side, rank n+2: the recession cone of the family polyhedron is
@@ -275,15 +283,16 @@ def build_bundle(n: int) -> DegenerationBundle:
     # product side, rank 2n+1: the cone and its dual, the recession cone,
     # both with both representations
     prod_cone = _product_cone(n, n, product_rec_dual_columns(n))
-    L = product_cube_map(n)
+    L, alpha = product_cube_map(n), torus_shift_map(n, 2 * n + 1)
+    _head_swaps(n, L, alpha, chart_pairs(n))
     # the facet with normal v has offset min of v over L(cube), the sum of
     # the negative entries of Lᵀv, read over the nonzeros of v, which
     # support_constants reads as d_v; no chart vertex is listed
-    facets = tuple((v, sum(min(x, 0) for x in column_dots(v, L.entries, L.cols)))
-                   for v in prod_cone.rays)
+    offsets = {key: sum(min(x, 0) for x in column_dots(v, L.entries, L.cols))
+               for v, key in _orbit_rays(n).items()}
+    facets = tuple((v, offsets[sum(v[:n]), v.index(1, n) - n]) for v in prod_cone.rays)
     lin_fam = Linearization(torus_shift_map(n, n + 2),
                             [Fraction(i, n + 1) for i in range(1, n + 1)])
-    alpha = torus_shift_map(n, 2 * n + 1)
     pi = projection_matrix(n)
     if any(any(x != 0 for x in (alpha @ col)) for col in pi.transpose().columns()):
         raise AssertionError("rows of pi must lie in the kernel of the product shift map")
@@ -487,31 +496,17 @@ def _pb(n: int) -> tuple[tuple[int, ...], int, Callable[[Sequence[int]], int]]:
     slices, a generalized permutohedron (Postnikov, IMRN 2009): the n!
     braid chambers σ·C, with the lineality (1^n; 0) and (0; e_j), cover the
     space, each in one vertex's normal cone.  The certificate runs at C
-    alone.  With P_k swapping coordinates k, k+1, and τ_k positions k, k+1
-    in each n-column block of the cube, this checks for k < n - 1 that (a)
-    L·τ_k = P_k·L, (b) P_k fixes the rows of α and the lineality, and (c)
-    τ_k maps the chart pairs onto themselves, so it permutes the chart
-    corners K.  Then P_k maps L(K), the plane α x = -b, and so P_b and its
-    outer bound L(cube) ∩ {α x = -b}, onto themselves.  The τ_k generate
-    S_n, so the certificate holds at σ·C, whose normals are the P_σ·ν: its
-    unique argmin is P_σ·w_id, the normals are tight there, and the face
-    through its preimage is τ_σ of the one at C, in K.  So P_b's vertices
-    are the orbit of w_id under the P_σ (the orbit reduction of Bödi, Herr
-    & Joswig, Math. Program. 137, 2013), with no chart corner listed and no
+    alone.  The head swaps P_k map P_b and L(cube) ∩ {α x = -b} onto
+    themselves and τ_k permutes the chart corners (``_head_swaps``), so the
+    certificate holds at σ·C, whose normals are the P_σ·ν: its unique argmin
+    is P_σ·w_id, the normals are tight there, and the face through its
+    preimage is τ_σ of the one at C, a chart corner's.  So P_b's vertices are
+    the orbit of w_id under the P_σ (the orbit reduction of Bödi, Herr &
+    Joswig, Math. Program. 137, 2013), with no chart corner listed and no
     double description; a failed check is an error report."""
     lin, L, pairs = product_linearization(n), product_cube_map(n), chart_pairs(n)
-    tail = (0,) * (n + 1)
-    chamber = [tuple(int(j < k) for j in range(n)) + tail for k in range(1, n)]
-    lineality = [(1,) * n + tail] + [(0,) * n + _unit(n + 1, j) for j in range(n + 1)]
-    for k in range(n - 1):
-        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, 2 * n + 1))  # P_k
-        tau = [x + (x % n == k) - (x % n == k + 1) for x in range(n * n)]
-        if any(L.column(t) != swap(col) for t, col in zip(tau, L.columns())):
-            raise AssertionError(f"τ_{k} does not permute L's columns as P_{k} its rows")
-        if any(swap(v) != v for v in lin.alpha.entries + tuple(lineality)):
-            raise AssertionError(f"P_{k} moves a row of α or a lineality direction")
-        if {(tau[a], tau[b]) for a, b in pairs} != set(pairs):
-            raise AssertionError(f"τ_{k} does not map the chart pairs onto themselves")
+    lineality = _head_swaps(n, L, lin.alpha, pairs)
+    chamber = [tuple(int(j < k) for j in range(n)) + (0,) * (n + 1) for k in range(1, n)]
     return cube_image_slice(L, lin.alpha, [-x for x in lin.b], chamber, lineality, pairs)
 
 
@@ -601,21 +596,32 @@ def _check_normal_fan(n: int) -> tuple[bool, Any]:
 
 
 def _check_unstable_locus(n: int) -> tuple[bool, Any]:
+    """Each ray's d_v and margin against d = -(n - j)k and m / 2(n+1), k = |I|,
+    taken, compared and written out once per orbit (k, j) (``_head_swaps``);
+    a ray whose own d_v is not its orbit's gets its own margin."""
     _, h, support = _pb(n)
-    rows = []
-    for rd in unstable_rays(_bundle(n).product_facets, support, h):
-        I, j = decode_ray_label(n, rd.ray)
-        k = len(I)
-        # d and the margin against their closed forms, the margin as m / 2(n+1)
-        d, m, den = -(n - j) * k, (j - k) * ((j - k) * n + n - 2 * k), 2 * (n + 1)
+    offsets, den = support_constants(_bundle(n).product_facets), 2 * (n + 1)
+
+    def judged(rd, k, j):  # (d_v, whether it passes, its row's values, the expected ones)
+        d, m = -(n - j) * k, (j - k) * ((j - k) * n + n - 2 * k)
         dv, mv = rd.support_constant, rd.margin
         ok = (dv == d and mv * den == m and mv >= 0 and (mv == 0) == (j == k)
               and rd.unstable == (j != k))
-        rows.append({"I": list(I), "j": j, "d": str(dv), "margin": str(mv),
-                     "unstable": rd.unstable})
-        if not ok:
-            return False, {"ray": rows[-1],
-                           "expected": {"d": str(d), "margin": str(Fraction(m, den))}}
+        return (dv, ok, {"d": str(dv), "margin": str(mv), "unstable": rd.unstable},
+                {"d": str(d), "margin": str(Fraction(m, den))})
+
+    keys = _orbit_rays(n)
+    cells = {keys[rd.ray]: judged(rd, *keys[rd.ray])
+             for rd in unstable_rays([(v, offsets[v]) for v in keys], support, h)}
+    rows = []
+    for v, dv in sorted(offsets.items()):
+        I, j = decode_ray_label(n, v)
+        cell = cells[len(I), j]
+        if dv != cell[0]:
+            cell = judged(unstable_rays([(v, dv)], support, h)[0], len(I), j)
+        rows.append({"I": list(I), "j": j, **cell[2]})
+        if not cell[1]:
+            return False, {"ray": rows[-1], "expected": cell[3]}
     return True, {"rays": rows}
 
 

@@ -137,15 +137,21 @@ def _young_of_classes(n: int, images, classes: list[list[int]]) -> YoungSubgroup
     The swaps of consecutive slots of a class generate its symmetric group,
     so one membership test per such swap, through the lookup, shows that
     every permutation keeping each slot in its class fixes the point (else
-    ValueError).  The blocks of Y are the classes of size >= 2, in the order
-    of their first slots.
+    ValueError).  The identity is tested once, if there is a swap; a swap of
+    slots i < j then changes only the conditions at slots i, i+1, j and j+1,
+    the only ones that read p[i] or p[j], so only those are tested again.
+    The blocks of Y are the classes of size >= 2, in the order of their
+    first slots.
     """
-    for cls in classes:
-        for i, j in zip(cls, cls[1:]):
-            t = list(range(n))
-            t[i], t[j] = j, i
-            if not _fixes(t, images):
-                raise ValueError("ratio class permutations are not a Young subgroup")
+    swaps = [(i, j) for cls in classes for i, j in zip(cls, cls[1:])]
+    t = list(range(n))
+    ok = not swaps or _fixes(t, images)
+    for i, j in swaps:
+        t[i], t[j] = j, i
+        ok = ok and all(t[s] in images(s, t[s - 1]) for s in {i, i + 1, j, j + 1} if s < n)
+        t[i], t[j] = i, j
+    if not ok:
+        raise ValueError("ratio class permutations are not a Young subgroup")
     return YoungSubgroup(n, tuple(tuple(cls) for cls in classes if len(cls) >= 2))
 
 

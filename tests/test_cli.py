@@ -114,9 +114,9 @@ def test_verify_bad_args():
 
 @pytest.mark.parametrize("args", [["--all"], ["--check", "pb_vertices"]])
 def test_verify_above_cap_exits_2(args):
-    # n = 10 is the largest verified n: checks_for caps verify there, although
+    # n = 12 is the largest verified n: checks_for caps verify there, although
     # the symmetric model, a base point and its certificate, has no cap
-    r = run_cli(["verify", "--n", "11", *args])
+    r = run_cli(["verify", "--n", "13", *args])
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1

@@ -835,16 +835,16 @@ def test_verify_check_n1_subset():
 
 
 def test_verify_unknown_check():
-    # the bad pairs of test_cli.py::test_verify_bad_args and n = 11: checks_for
+    # the bad pairs of test_cli.py::test_verify_bad_args and n = 13: checks_for
     # is the one validator, and verify raises through it before a check runs
-    for n, check in ((2, "nonsense"), (1, "normal_fan"), (11, "conical_part"),
+    for n, check in ((2, "nonsense"), (1, "normal_fan"), (13, "conical_part"),
                      (99, "conical_part"), (0, "conical_part"), (8, "comparison_fuzz"),
                      (2, "")):
         with pytest.raises(ValueError):
             checks_for(n, check)
         with pytest.raises(ValueError):
             verify(n, check)
-    for n in (0, 11):
+    for n in (0, 13):
         with pytest.raises(ValueError):
             checks_for(n)
 
@@ -1248,6 +1248,20 @@ def test_pb_equivariance_rejects_an_l_that_tau_does_not_permute(monkeypatch):
         assert "does not permute L's columns" in rep.witness["exception"], n
 
 
+def test_bundle_equivariance_rejects_an_l_that_tau_does_not_permute(monkeypatch):
+    # the same L, with e_1 - e_2 added to the head of column (1, n): the
+    # bundle takes each facet offset once per orbit of the head swaps only
+    # once L·τ_k = P_k·L holds, so it raises, also under python -O
+    for n in (2, 3, 4):
+        rows = [list(r) for r in product_cube_map(n).entries]
+        rows[0][n - 1] += 1
+        rows[1][n - 1] -= 1
+        monkeypatch.setattr(degeneration, "product_cube_map", lambda n: Matrix(rows))
+        with pytest.raises(AssertionError, match="does not permute L's columns"):
+            build_bundle(n)
+        monkeypatch.undo()
+
+
 def test_pb_equivariance_rejects_an_alpha_with_unequal_head_columns(monkeypatch):
     # α's columns 0 and 1 made unequal: P_0 moves its first row
     for n in (2, 3):
@@ -1349,8 +1363,14 @@ def test_int_slice_checks_match_fraction_oracles():
     for n in range(1, 7):
         facets = _bundle(n).product_facets
         _, h, support = _pb(n)
-        assert unstable_rays(facets, support, h) == \
-            unstable_rays_by_vertices(facets, pb_polyhedron(n)), n
+        data = unstable_rays_by_vertices(facets, pb_polyhedron(n))
+        assert unstable_rays(facets, support, h) == data, n
+        # the check takes one ray per S_n-orbit and lists every ray as the
+        # oracle, which visits each ray and the vertices of P_b, gives it
+        rows = [{"I": list(I), "j": j, "d": str(rd.support_constant), "margin": str(rd.margin),
+                 "unstable": rd.unstable}
+                for rd in data for I, j in [decode_ray_label(n, rd.ray)]]
+        assert verify(n, "unstable_locus").witness == {"rays": rows}, n
         pts = slice_vertex_points_by_fractions(n)
         assert [tuple(F(x, n + 1) for x in m) for m in head_orbit(n, identity_slice_vertex(n))] \
             == sorted(pts), n
@@ -1393,17 +1413,23 @@ def test_int_slice_checks_fail_like_their_fraction_routes(monkeypatch):
 
 
 def test_unstable_locus_compares_each_margin_and_d_exactly(monkeypatch):
-    # a margin raised on an unstable ray, and a d lowered by 1/3 with its
-    # margin kept (h = 3 at n = 2): the sign tests still hold, and the check
-    # fails on the exact comparisons alone
+    # the support raised on the whole orbit (|I|, j) = (1, 0) of unstable
+    # rays, a mutant that keeps the S_n symmetry, and a d lowered by 1/3
+    # with its margin kept (h = 3 at n = 2) on the ray of that orbit that is
+    # not its representative: the sign tests still hold, and the check fails
+    # on the exact comparisons alone, the second with that ray's own margin
     n = 2
     b, (w, h, support) = _bundle(n), _pb(n)
     assert h == 3
-    v = next(v for v, _ in b.product_facets
-             if decode_ray_label(n, v)[1] != len(decode_ray_label(n, v)[0]))
-    raised = lambda c: support(c) + (c == v)
+    orbit = [v for v, _ in b.product_facets if decode_ray_label(n, v) in (((1,), 0), ((2,), 0))]
+    assert len(orbit) == 2
+    raised = lambda c: support(c) + (c in orbit)
     monkeypatch.setattr(degeneration, "_pb", lambda n: (w, h, raised))
-    assert verify(n, "unstable_locus").status == "fail"
+    rep = verify(n, "unstable_locus")
+    assert rep.status == "fail"
+    assert rep.witness["ray"]["I"] == [2] and rep.witness["ray"]["unstable"]
+    v = orbit[0]  # (e_2; e_0), sorted first; (e_1; e_0) represents the orbit
+    assert decode_ray_label(n, v) == ((2,), 0)
     lowered = tuple((w, o - F(1, 3) if w == v else o) for w, o in b.product_facets)
     kept = lambda c: support(c) - (c == v)
     monkeypatch.setattr(degeneration, "_pb", lambda n: (w, h, kept))
@@ -1411,23 +1437,31 @@ def test_unstable_locus_compares_each_margin_and_d_exactly(monkeypatch):
                         lambda n: b._replace(product_facets=lowered))
     rep = verify(n, "unstable_locus")
     assert rep.status == "fail"
+    assert rep.witness["ray"]["I"] == [2]
+    assert rep.witness["ray"]["d"] == str(F(-2) - F(1, 3))
     assert rep.witness["ray"]["margin"] == rep.witness["expected"]["margin"]
 
 
 def test_unstable_locus_visits_no_vertex_of_pb(monkeypatch):
     # each margin is one call of P_b's support function: column_dots runs
-    # over the n^2 columns of L, never over the n! vertices of P_b
+    # over the n^2 columns of L, never over the n! vertices of P_b, once per
+    # orbit (|I|, j) of the (n+1)·2^n product rays, and build_bundle takes
+    # the facet offsets once per orbit too
     for n in (3, 4, 5):
         _bundle(n), _pb(n)  # built, with their own checks, before the spy
         counts = []
-        for mod in (cones, polyhedra):
+        for mod in (cones, polyhedra, degeneration):
             real = mod.column_dots
             monkeypatch.setattr(mod, "column_dots", lambda f, cols, count, real=real:
                                 counts.append(count) or real(f, cols, count))
         assert verify(n, "unstable_locus").status == "pass"
-        monkeypatch.undo()
         assert set(counts) == {n * n}, n
-        assert len(counts) == 2 ** n * (n + 1), n
+        assert len(counts) == (n + 1) ** 2, n
+        counts.clear()
+        b = build_bundle(n)
+        monkeypatch.undo()
+        assert b.product_facets == _bundle(n).product_facets
+        assert set(counts) == {n * n} and len(counts) == (n + 1) ** 2, n
 
 
 # -- the two fan checks, decided at the chamber --------------------------------

@@ -19,7 +19,11 @@ when the model became its base point and certificate and the cap rose to
 the cap lifted from 9 on a copy of the code whose bundle still took the
 product cone by a double description and each facet offset from a dense
 Lᵀv, and on the code that reads both off the display check and
-``column_dots``, when the cap rose to 10.  The ``quotient`` digests were
+``column_dots``, when the cap rose to 10.  The n = 11 and n = 12 verify
+digests were recorded with the cap lifted from 10 on a copy of the code that
+still took each product ray's facet offset and margin on its own, and the
+same digests came out when both were taken once per S_n-orbit of rays and
+the cap rose to 12.  The ``quotient`` digests were
 recorded on the code that sliced P in ambient coordinates and solved one
 system per vertex for its ker(α) coordinates.  The ``stab`` digests were
 recorded on the code whose stabilizer search still filled the whole n×n
@@ -78,6 +82,8 @@ VERIFY_DIGESTS = {
     8: "ff34dea85e356edc3c7846562251dd06c1dcc64720e7c9bdc589c6e2907484bb",
     9: "7b9d17d37c46dda26ff9f60b9fb500af6e0fe87f02de84a687e14ea6000459f4",
     10: "fb04ae04d2b219728c039fa4915305ae94d2e8ef5b54bc0e61b7f8404a9ad407",
+    11: "fda19bec1da6eda644f0186391a6ba28934ab37429e3b4375745fd951e609f1e",
+    12: "f869705b68b62ae99c45719719a2d456861aea539c2c5f56291e89a6a79ffe30",
 }
 
 QUOTIENT_DIGESTS = {

@@ -774,6 +774,24 @@ def test_search_looks_up_only_the_images_it_reads():
     assert calls["extend"] <= calls["images"] <= calls["extend"] + q.n * swaps
 
 
+def test_young_certificate_looks_up_four_slots_per_swap():
+    """The same n = 30 draw: the Young certificate tests the identity once,
+    n lookups, and then for each swap of slots i < j only the conditions
+    at slots i, i+1, j and j+1, the only ones that read p[i] or p[j].  A
+    full membership test per swap makes n lookups each, 690 here."""
+    rng = random.Random(5)
+    for _ in range(3):
+        c = random_configuration(30, rng)
+    q = project_to_quotient(c)
+    images, classes = _image_lookup(q)
+    asked = []
+    counted = lambda i, a: asked.append(i) or images(i, a)
+    young = stab_backends._young_of_classes(q.n, counted, classes)
+    swaps = sum(len(b) - 1 for b in young.blocks)
+    assert young == sym_stabilizers(q).stab0_young and swaps == 23
+    assert q.n < len(asked) <= q.n + 4 * swaps
+
+
 def test_search_computes_each_lookup_once():
     """Draw 2 of ``random.Random(60)`` at n = 60 has 864 cosets of Stab0: the
     search enters ``extend`` 16 240 times and returns to each slot many
