@@ -95,9 +95,9 @@ def product_rec_dual_columns(n: int) -> list[tuple[int, ...]]:
 
 
 def product_ray_vectors(m: int, k: int) -> list[tuple[int, ...]]:
-    """The rays (e_I; e_j) of the cone over Δ_m × [0,1]^k, I ⊆ {1..k} and
-    0 <= j <= m, all 2^k (m+1) of them, sorted."""
-    return sorted(e + _unit(m + 1, j) for e in product((0, 1), repeat=k) for j in range(m + 1))
+    """The 2^k (m+1) rays (e_I; e_j) of the cone over Δ_m × [0,1]^k, sorted."""
+    tails = [_unit(m + 1, j) for j in range(m, -1, -1)]
+    return [e + tail for e in product((0, 1), repeat=k) for tail in tails]
 
 
 def _product_cone(m: int, k: int, columns: Sequence[IntVec]) -> Cone:
@@ -576,20 +576,24 @@ def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
     return True, {"vertices": factorial(n)}
 
 
+def _chamber_off_base_point(sym: SymmetricModel) -> dict | None:
+    """The witness that C's rays are not T, the facets at y₀, else None."""
+    rays = [list(r) for r in sym.chamber.rays]
+    at_y0 = sorted(list(nu) for nu, o in sym.facets if o == 0)
+    return None if at_y0 == rays else {"facets_at_base_point": at_y0, "chamber_rays": rays}
+
+
 def _check_normal_fan(n: int) -> tuple[bool, Any]:
     """The normal fan of the resolution polyhedron P is the orbit fan,
     decided at C.  ``orbit_certificate`` certified that the g_k permute P's
     facets with invariant offsets and that y₀, the origin of P's coordinates
     (y - y₀)/2, is a simple vertex on the facets T of offset 0, so each of
-    the n! vertices ρ(s)⁻ᵀy₀ (``build_symmetric``) is on exactly ρ(s)T,
-    as <ρ(s)ν, ρ(s)⁻ᵀy₀> = <ν, y₀>.  So if T is the rays of C, its normal
-    cone cone(ρ(s)T) is ρ(s)·C (Ziegler, §7.1).  The fan's support is
-    rec(P)^∨, rec(P) the displayed dual of σ."""
+    the n! vertices ρ(s)⁻ᵀy₀ (``build_symmetric``) is on exactly ρ(s)T, as
+    <ρ(s)ν, ρ(s)⁻ᵀy₀> = <ν, y₀>: if T is C's rays, its normal cone cone(ρ(s)T)
+    is ρ(s)·C (Ziegler, §7.1).  The support is rec(P)^∨, rec(P) the displayed dual of σ."""
     sym = _symmetric(n)
-    rays = [list(r) for r in sym.chamber.rays]
-    at_y0 = sorted(list(nu) for nu, o in sym.facets if o == 0)
-    if at_y0 != rays:
-        return False, {"facets_at_base_point": at_y0, "chamber_rays": rays}
+    if witness := _chamber_off_base_point(sym):
+        return False, witness
     if sym.recession.dual() != sym.product_cone:
         return False, {"support": [list(r) for r in sym.recession.dual().rays]}
     return True, {"maximal_cones": factorial(n)}
@@ -639,26 +643,22 @@ def _check_base_recovery(n: int) -> tuple[bool, Any]:
 
 
 def _check_fan_smooth_small(n: int) -> tuple[bool, Any]:
-    """The orbit fan is smooth and its rays lie on the boundary of σ, decided
-    at C: each ρ(s) is a product of the g_k, unimodular when they are, so
-    ρ(s)·C is smooth when C is.  The 2^n rays are tested against σ.  The
-    n! vertices have n! normal cones (``_check_normal_fan``)."""
+    """Decided at C: the orbit fan is smooth, as ρ(s)·C is when C and the g_k
+    are unimodular, and once C's rays are T (``_chamber_off_base_point``) its
+    rays are the 2^n facet normals (``orbit_certificate``'s (1), (4)), on ∂σ."""
     sym = _symmetric(n)
     if not sym.chamber.is_smooth():
         return False, {"non_smooth_cone": [list(r) for r in sym.chamber.rays]}
     if any(abs_det(g.entries) != 1 for g in sym.generators):
         return False, {"generator_abs_dets": [abs_det(g.entries) for g in sym.generators]}
-    rays, seen = list(sym.chamber.rays), set(sym.chamber.rays)
-    for r in rays:  # the list grows as it is read: the orbit of C's rays
-        for q in {g @ r for g in sym.generators} - seen:
-            seen.add(q)
-            rays.append(q)
-    for r in sorted(rays):
+    if witness := _chamber_off_base_point(sym):
+        return False, witness
+    for r, _ in sym.facets:
         if not sym.product_cone.contains(r):
             return False, {"ray_outside": list(r)}
         if sym.product_cone.relint_contains(r):
             return False, {"ray_in_relative_interior": list(r)}
-    return True, {"rays": len(rays), "maximal_cones": factorial(n)}
+    return True, {"rays": len(sym.facets), "maximal_cones": factorial(n)}
 
 
 _CHECK_FUNCS = {

@@ -232,6 +232,15 @@ def test_product_display_certificate_rejects_a_changed_column(monkeypatch):
             assert builder(n) == want, n
 
 
+def test_product_ray_vectors_are_built_in_sorted_order():
+    # each head e_I followed by the m+1 tails, e_m first, is the sorted list
+    # of all the rays (e_I; e_j)
+    for m, k in product(range(9), repeat=2):
+        want = sorted(e + tuple(int(i == j) for i in range(m + 1))
+                      for e in product((0, 1), repeat=k) for j in range(m + 1))
+        assert degeneration.product_ray_vectors(m, k) == want, (m, k)
+
+
 def test_product_cone_certificate_needs_an_edge_of_the_simplex():
     # over a point, q_0 >= 0 is no facet: m = 0 raises whatever the columns
     with pytest.raises(AssertionError, match="m = 0 and k = 1"):
@@ -1506,6 +1515,20 @@ def test_fan_checks_agree_with_the_orbit_fan_oracle(monkeypatch, n):
     assert verify(n, "normal_fan").witness == {"maximal_cones": len(fan.maximal_cones)}
 
 
+def test_fan_smooth_small_walks_no_orbit(monkeypatch):
+    # the orbit of C's rays is read off the orbit certificate, the model's
+    # facet normals: no matrix product, where a walk of C's rays by the
+    # generators makes (n-1)·2^n of them
+    real, calls = Matrix.__matmul__, []
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(b) or real(a, b))
+    for n in range(2, 11):
+        _symmetric(n)  # the model, with its own checks, built before the count
+        calls.clear()
+        rep = verify(n, "fan_smooth_small")
+        assert rep.status == "pass" and rep.witness["rays"] == 2 ** n, (n, rep.witness)
+        assert not calls, n
+
+
 def _failing(monkeypatch, n, check, **fields):
     """The report of ``check`` on the symmetric model with ``fields`` replaced."""
     sym = _symmetric(n)._replace(**fields)
@@ -1550,6 +1573,17 @@ def test_fan_smooth_small_check_rejects_a_non_unimodular_generator(monkeypatch, 
     gens = _symmetric(n).generators[:-1] + (proj,)
     witness = _failing(monkeypatch, n, "fan_smooth_small", generators=gens)
     assert witness == {"generator_abs_dets": [1] * (n - 2) + [0]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fan_smooth_small_check_rejects_a_chamber_off_the_base_point(monkeypatch, n):
+    # another cone of the orbit fan is smooth and its rays have the same
+    # orbit, but only the facets at y₀ make that orbit the certified normals
+    other = orbit_fan_by_cone_dd(n)[-1]
+    assert other.is_smooth() and other != chamber_cone(n)
+    witness = _failing(monkeypatch, n, "fan_smooth_small", chamber=other)
+    assert witness == {"facets_at_base_point": [list(r) for r in chamber_cone(n).rays],
+                       "chamber_rays": [list(r) for r in other.rays]}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
