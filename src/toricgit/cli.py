@@ -9,6 +9,7 @@ the ``stab --brute-force-max`` size bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -194,7 +195,10 @@ def cmd_stab(args) -> int:
     return 0 if rep.passed else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused by
+    the later calls in this process: ``parse_args`` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="toricgit",
         description="Exact polyhedral computations and verification for toric "
@@ -227,14 +231,17 @@ def main(argv=None) -> int:
                         help="a size bound, not a brute-force scan: a configuration "
                              "with a larger n exits 4 (default %(default)s)")
     p_stab.set_defaults(func=cmd_stab)
+    return parser
 
+
+def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse reads a word that starts with "-" as an option unless it is an
     # int or a decimal, so a negative rational shift ("-1/2,3/4") goes after "--"
     neg = [i for i, a in enumerate(argv) if a[:1] == "-" and (a[1:2].isdigit() or a[1:2] == ".")]
     if argv[:1] == ["quotient"] and neg and "--" not in argv:
         argv.insert(neg[0], "--")
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:  # the commands read their inputs themselves (exit 2) and flush what they print
         return args.func(args)
     except OSError as exc:  # so this is output that could not be written

@@ -16,7 +16,7 @@ from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from . import dd
-from .linalg import (IntVec, Matrix, abs_det, dot, elementary_divisors, kernel_basis,
+from .linalg import (IntVec, Matrix, abs_det, elementary_divisors, kernel_basis,
                      primitive, rank, scaled_primitive)
 
 
@@ -156,18 +156,6 @@ class Cone:
         gens = list(self.facets) + list(self.equations) + \
             [tuple(-x for x in e) for e in self.equations]
         return Cone(self.ambient_rank, gens)
-
-    def contains(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_rank:
-            raise ValueError("dimension mismatch")
-        return all(dot(e, v) == 0 for e in self.equations) and \
-               all(dot(f, v) >= 0 for f in self.facets)
-
-    def relint_contains(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_rank:
-            raise ValueError("dimension mismatch")
-        return all(dot(e, v) == 0 for e in self.equations) and \
-               all(dot(f, v) > 0 for f in self.facets)
 
     def is_pointed(self) -> bool:
         return not self.lineality_basis

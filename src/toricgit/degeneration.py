@@ -645,7 +645,8 @@ def _check_base_recovery(n: int) -> tuple[bool, Any]:
 def _check_fan_smooth_small(n: int) -> tuple[bool, Any]:
     """Decided at C: the orbit fan is smooth, as ρ(s)·C is when C and the g_k
     are unimodular, and once C's rays are T (``_chamber_off_base_point``) its
-    rays are the 2^n facet normals (``orbit_certificate``'s (1), (4)), on ∂σ."""
+    rays are the 2^n facet normals (``orbit_certificate``'s (1), (4)), on ∂σ:
+    one ``column_dots`` pass per equation and facet of σ over all the normals."""
     sym = _symmetric(n)
     if not sym.chamber.is_smooth():
         return False, {"non_smooth_cone": [list(r) for r in sym.chamber.rays]}
@@ -653,10 +654,13 @@ def _check_fan_smooth_small(n: int) -> tuple[bool, Any]:
         return False, {"generator_abs_dets": [abs_det(g.entries) for g in sym.generators]}
     if witness := _chamber_off_base_point(sym):
         return False, witness
-    for r, _ in sym.facets:
-        if not sym.product_cone.contains(r):
+    sigma, normals = sym.product_cone, [nu for nu, _ in sym.facets]
+    cols, k = list(zip(*normals)), len(sigma.equations)
+    rows = [column_dots(f, cols, len(normals)) for f in sigma.equations + sigma.facets]
+    for r, *vals in zip(normals, *rows):  # σ's equations, then its facets, at r
+        if any(vals[:k]) or min(vals[k:], default=0) < 0:
             return False, {"ray_outside": list(r)}
-        if sym.product_cone.relint_contains(r):
+        if min(vals[k:], default=1) > 0:
             return False, {"ray_in_relative_interior": list(r)}
     return True, {"rays": len(sym.facets), "maximal_cones": factorial(n)}
 

@@ -7,7 +7,7 @@ is the quotient route that ``git`` replaced: the slice in ambient
 coordinates, mapped to ker(α) by one unique solve per vertex and ray, and
 σ̄^∨ from its own double description.  The
 rest is code that only the tests run: an exact feasibility LP for
-membership, polyhedron membership read off the facets, cone and fan
+membership, polyhedron and cone membership read off the facets, cone and fan
 predicates, linear images and Minkowski sums, the support constants of a
 polyhedron read off its facets and by a scan of every candidate point, two
 routes to the slice of a cube image (the slice of the hulled image, and the
@@ -420,13 +420,29 @@ def facet_subcones(c: Cone) -> list[Cone]:
     return out
 
 
+def cone_contains(c: Cone, v: Sequence) -> bool:
+    """Is v in the cone c: every equation of c vanishes at v and every facet
+    normal is >= 0 there?"""
+    if len(v) != c.ambient_rank:
+        raise ValueError("dimension mismatch")
+    return all(dot(e, v) == 0 for e in c.equations) and all(dot(f, v) >= 0 for f in c.facets)
+
+
+def cone_relint_contains(c: Cone, v: Sequence) -> bool:
+    """Is v in the relative interior of c: every equation of c vanishes at v
+    and every facet normal is > 0 there?"""
+    if len(v) != c.ambient_rank:
+        raise ValueError("dimension mismatch")
+    return all(dot(e, v) == 0 for e in c.equations) and all(dot(f, v) > 0 for f in c.facets)
+
+
 def is_face_of(c: Cone, other: Cone) -> bool:
     """Is the cone c a face of `other`?"""
     if c.ambient_rank != other.ambient_rank:
         return False
     gens = list(c.rays) + list(c.lineality_basis)
-    if not all(other.contains(g) for g in gens) or \
-       not all(other.contains(tuple(-x for x in l)) for l in c.lineality_basis):
+    if not all(cone_contains(other, g) for g in gens) or \
+       not all(cone_contains(other, tuple(-x for x in l)) for l in c.lineality_basis):
         return False
     # normals of `other` vanishing on all of c cut out the face
     active = [f for f in other.facets if all(dot(f, g) == 0 for g in gens)]
@@ -464,7 +480,7 @@ def validate_support_cover(fan: Fan) -> Optional[str]:
     sup = fan.support
     for c in fan.maximal_cones:
         for g in list(c.rays) + list(c.lineality_basis):
-            if not sup.contains(g):
+            if not cone_contains(sup, g):
                 return f"cone ray {g} outside support"
     for c in fan.maximal_cones:
         for facet in facet_subcones(c):

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -632,6 +634,58 @@ def test_cli_import_leaves_the_stabilizer_stack_unloaded(tmp_path):
                 env={"DEGEN_FUZZ_TRIALS": "5"})
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["status"] == "pass"
+
+
+def test_one_parser_per_process(tmp_path, monkeypatch):
+    # the top-level parser and its four subparsers are built on the first
+    # main call and reused by the later ones: 5 constructions, not 5 per call
+    cfg = tmp_path / "ex1.json"
+    cfg.write_text(json.dumps(EX1))
+    real, built = argparse.ArgumentParser.__init__, []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw.get("prog")) or real(self, *a, **kw))
+    cli._parser.cache_clear()
+    for argv in (["stab", str(cfg)], ["verify", "--n", "2", "--all"], ["stab", str(cfg)]):
+        rc, _, err = run_main(argv)
+        assert rc == 0, err
+    commands = ("build", "verify", "quotient", "stab")
+    assert built == ["toricgit"] + [f"toricgit {c}" for c in commands]
+
+
+def _outcome(argv) -> tuple[int, str, str]:
+    """``run_main(argv)`` with argparse's exits as codes and ``elapsed_ms`` blanked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    text = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', out.getvalue())
+    return rc, text, err.getvalue()
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(tmp_path):
+    # a usage error, --version, a quotient that takes the "--" insertion, a
+    # stab and a verify: each answers with the parser left by the others as
+    # with a freshly built one, and the caller's argv is left as it was
+    ppath, apath, cfg = tmp_path / "poly.json", tmp_path / "alpha.json", tmp_path / "ex1.json"
+    ppath.write_text(jsonio.dumps(jsonio.polyhedron_to_json(build_bundle(1).family_polyhedron)))
+    apath.write_text(json.dumps({"rows": 1, "cols": 3, "entries": [["0", "1", "-1"]]}))
+    cfg.write_text(json.dumps(EX1))
+    calls = [["verify", "--n", "1_0"], ["--version"],
+             ["quotient", str(ppath), str(apath), "-1/2"], ["stab", str(cfg)],
+             ["verify", "--n", "2", "--all"]]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(argv))
+    assert [rc for rc, _, _ in fresh] == [2, 0, 0, 0, 0]
+    assert "argument --n" in fresh[0][2] and fresh[1][1] == f"{cli.__version__}\n"
+    for _ in range(2):  # one parser for the sequence, twice over
+        for argv, want in zip(calls, fresh):
+            before = list(argv)
+            assert _outcome(argv) == want, argv
+            assert argv == before
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

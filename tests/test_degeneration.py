@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (ambient_quotient_slice, braid_chambers, certified_polyhedron,
+from oracles import (ambient_quotient_slice, braid_chambers, certified_polyhedron, cone_contains,
                      cube_image_slice_by_chambers, cube_image_slice_by_sums, edge_matrix,
                      family_side_by_dd, fan_rays, head_orbit, invert, minkowski_sum,
                      orbit_fan_by_cone_dd, pb_polyhedron, permutohedron_points,
@@ -1500,16 +1500,21 @@ def test_fan_checks_agree_with_the_orbit_fan_oracle(monkeypatch, n):
     # the n!-wide route as the oracle: the normal fan of the resolution
     # polyhedron is the Fan of the per-cone DD orbit fan, whose cones are as
     # many as the walk's, distinct and each smooth, and the rays the chamber
-    # check tests against σ are its rays
+    # check tests against σ, in one column pass per facet of σ, are its rays
     sym = _symmetric(n)
     fan = Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone)
     cones, _, respoly = symmetric_orbit(sym)
     assert normal_fan(respoly) == fan
     assert len(fan.maximal_cones) == len(cones) == factorial(n)
     assert all(c.is_smooth() for c in fan.maximal_cones)
-    real, tested = Cone.contains, []
-    monkeypatch.setattr(Cone, "contains", lambda c, v: tested.append(tuple(v)) or real(c, v))
+    real, passes = degeneration.column_dots, []
+    monkeypatch.setattr(degeneration, "column_dots",
+                        lambda f, cols, count: passes.append((f, list(zip(*cols)))) or
+                        real(f, cols, count))
     rep = verify(n, "fan_smooth_small")
+    assert [f for f, _ in passes] == list(sym.product_cone.facets)
+    tested = passes[0][1]
+    assert all(rays == tested for _, rays in passes)
     assert tested == fan_rays(fan) == list(sym.product_cone.rays) and len(tested) == 2 ** n
     assert rep.witness == {"rays": len(tested), "maximal_cones": len(fan.maximal_cones)}
     assert verify(n, "normal_fan").witness == {"maximal_cones": len(fan.maximal_cones)}
@@ -1527,6 +1532,22 @@ def test_fan_smooth_small_walks_no_orbit(monkeypatch):
         rep = verify(n, "fan_smooth_small")
         assert rep.status == "pass" and rep.witness["rays"] == 2 ** n, (n, rep.witness)
         assert not calls, n
+
+
+def test_fan_smooth_small_tests_sigma_in_column_passes(monkeypatch):
+    # the certified normals are tested against σ's facet rows by column_dots,
+    # one pass per row, with no dot product of one vector pair anywhere in the
+    # package, where a membership test of each normal against σ takes 2^n·2n
+    real, calls = linalg.dot, []
+    for mod in (cones, degeneration, linalg, polyhedra):
+        if hasattr(mod, "dot"):
+            monkeypatch.setattr(mod, "dot", lambda f, v: calls.append(f) or real(f, v))
+    for n in range(2, 11):
+        _symmetric(n)  # the model, with its own checks, built before the count
+        calls.clear()
+        rep = verify(n, "fan_smooth_small")
+        assert rep.status == "pass" and rep.witness["rays"] == 2 ** n, (n, rep.witness)
+        assert not calls, (n, calls[:2])
 
 
 def _failing(monkeypatch, n, check, **fields):
@@ -1597,7 +1618,7 @@ def test_fan_smooth_small_check_rejects_a_ray_outside_or_inside_sigma(monkeypatc
     phi = sigma.facets[0]
     half = Cone(n + 1, list(sigma.rays) + [tuple(-x for x in r) for r in sigma.rays
                                            if dot(phi, r) == 0])
-    assert half.facets == (phi,) and all(half.contains(r) for r in sigma.rays)
+    assert half.facets == (phi,) and all(cone_contains(half, r) for r in sigma.rays)
     witness = _failing(monkeypatch, n, "fan_smooth_small", product_cone=half)
     first = min(r for r in sigma.rays if dot(phi, r) > 0)
     assert witness == {"ray_in_relative_interior": list(first)}
