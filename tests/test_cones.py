@@ -6,9 +6,8 @@ from operator import add
 import pytest
 
 from oracles import (cone_contains, cone_rays_fraction, dual_by_generator_dd,
-                     extreme_generators_by_rank,
-                     feasible_nonneg_combination, intersection, is_face_of,
-                     positive_orthant)
+                     extreme_generators_by_rank, feasible_nonneg_combination, intersection,
+                     is_face_of, positive_orthant)
 from toricgit import dd
 from toricgit.cones import Cone, image_cone
 from toricgit.linalg import Matrix, dot, elementary_divisors, rank
