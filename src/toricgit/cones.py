@@ -2,9 +2,11 @@
 
 A `Cone` is stored by integer generators; the canonical form (lineality
 basis in row-HNF, sorted primitive extreme rays, sorted facet normals) is
-computed once through the double description method and cached, the extreme
-rays read off its facet-generator incidence.  Cones are immutable values;
-equality means equality of canonical forms.
+computed once through the double description method and cached.  The
+extreme rays are read off the facet-generator incidence, which `Cone` builds
+itself from integer dots of the facets with the generators (``column_dots``)
+and hands to ``dd.extreme_generators``.  Cones are immutable values; equality
+means equality of canonical forms.
 
 Non-strongly-convex cones are supported: the lineality space is split off
 first and extreme rays are canonical representatives modulo it.
@@ -24,7 +26,7 @@ class Cone:
     """Finitely generated rational polyhedral cone."""
 
     __slots__ = ("ambient_rank", "generators", "_lineality", "_rays", "_facets",
-                 "_equations", "_incidence")
+                 "_equations")
 
     def __init__(self, ambient_rank: int, generators: Optional[Iterable[Sequence]] = None,
                  _facets=None, _lineality=None, _rays=None, _equations=None):
@@ -44,7 +46,6 @@ class Cone:
         object.__setattr__(self, "_lineality", _lineality)
         object.__setattr__(self, "_rays", _rays)
         object.__setattr__(self, "_equations", _equations)
-        object.__setattr__(self, "_incidence", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Cone is immutable")
@@ -54,17 +55,15 @@ class Cone:
     def _compute_h_rep(self) -> None:
         if self._facets is not None and self._equations is not None:
             return
-        # the dual cone's lineality spans the equations, its rays are the
-        # facets, and the generators on each are kept until _compute_v_rep
+        # the dual cone's lineality spans the equations, its rays are the facets
         d = self.ambient_rank
         if self.generators:
-            eqs, facets, incidence = dd.cone_from_inequalities(self.generators, d)
+            eqs, facets = dd.cone_from_inequalities(self.generators, d)
         else:  # {0}: no facets, and every unit vector is an equation
             eqs = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-            facets, incidence = [], []
+            facets = []
         object.__setattr__(self, "_equations", tuple(sorted(eqs)))
         object.__setattr__(self, "_facets", tuple(facets))
-        object.__setattr__(self, "_incidence", incidence)
 
     @property
     def facets(self) -> tuple[IntVec, ...]:
@@ -98,14 +97,12 @@ class Cone:
             if any(v != 0 for v in x):  # without lineality x is g, primitive already
                 reduced.append(primitive(x) if lin else x)
         reduced = list(dict.fromkeys(reduced))
-        # without lineality the reduced generators are the generators
-        incidence = self._incidence
-        if incidence is None or lin:  # per facet, the bitmask of the generators on it
-            cols = list(zip(*reduced))
-            incidence = [sum(1 << i for i, v in enumerate(column_dots(f, cols, len(reduced)))
-                             if v == 0) for f in self._facets]
+        # per facet, the bitmask of the reduced generators on it: one dot pass
+        # per facet, whether the facets were double-described or seeded
+        cols = list(zip(*reduced))
+        incidence = [sum(1 << i for i, v in enumerate(column_dots(f, cols, len(reduced)))
+                         if v == 0) for f in self._facets]
         idx = dd.extreme_generators(reduced, incidence)
-        object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_lineality", tuple(lin))
         object.__setattr__(self, "_rays", tuple(sorted(reduced[i] for i in idx)))
 

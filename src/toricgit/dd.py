@@ -10,11 +10,13 @@ by the necessary condition that two adjacent rays share at least
 ``ambient - dim(lineality) - 2`` active constraints (the codimension of the
 2-face they span); only pairs that pass it pay for the containment scan over
 all other rays.  The prefilter rejects only non-adjacent pairs, so it changes
-no output.
+no output.  The active sets stay exact (a new ray vanishes on a constraint
+iff both its parents do) and live only inside the method: it returns the
+lineality basis and the rays, nothing else.
 
-The active sets stay exact (a new ray vanishes on a constraint iff both its
-parents do) and are returned as the ray-constraint incidence, which decides
-extremeness alone (``extreme_generators``).
+``extreme_generators`` decides which generators of a cone are extreme from a
+facet-generator incidence alone; the caller (``cones.Cone``) builds that
+incidence.
 
 All vectors are integer tuples; new rays are reduced to primitive vectors
 immediately, which keeps coefficient growth under control.
@@ -30,23 +32,16 @@ from .linalg import IntVec, primitive
 
 
 def cone_from_inequalities(constraints: Sequence[Sequence[int]], ambient: int
-                           ) -> tuple[list[IntVec], list[IntVec], list[int]]:
+                           ) -> tuple[list[IntVec], list[IntVec]]:
     """Minimal V-rep of the cone cut out by homogeneous inequalities.
 
-    Returns (lineality_basis, extreme_rays, incidence).  The lineality basis
-    spans C ∩ -C; the rays are primitive, pairwise non-proportional, and
-    extreme modulo the lineality space.  ``incidence[k]`` has bit i set iff
-    ``constraints[i]`` vanishes on ``extreme_rays[k]``.  For ambient == 0
-    returns ([], [], []).
+    Returns (lineality_basis, extreme_rays).  The lineality basis spans
+    C ∩ -C; the rays are primitive, pairwise non-proportional, sorted, and
+    extreme modulo the lineality space.  Repeated constraints count once, and
+    a zero constraint cuts nothing.  For ambient == 0 the cone is R^0 = {0},
+    with no lineality and no ray: the result is ([], []).
     """
-    groups: dict[IntVec, int] = {}  # the caller indices of each distinct constraint
-    for i, c in enumerate(constraints):
-        c = tuple(map(int, c))
-        groups[c] = groups.get(c, 0) | 1 << i
-    zero = groups.pop((0,) * ambient, 0)
-    cons = sorted(groups)
-    if ambient == 0:
-        return [], [], []
+    cons = sorted({tuple(map(int, c)) for c in constraints})
 
     lineality: list[IntVec] = [tuple(1 if i == j else 0 for j in range(ambient))
                                for i in range(ambient)]
@@ -97,9 +92,7 @@ def cone_from_inequalities(constraints: Sequence[Sequence[int]], ambient: int
                     keep_active.append(common | bit)
         rays, active = keep_rays, keep_active
 
-    active_of, bits = dict(zip(rays, active)), [groups[c] for c in cons]
-    rays = sorted(active_of)
-    return lineality, rays, [zero | sum(bits[j] for j in set_bits(active_of[r])) for r in rays]
+    return lineality, sorted(rays)
 
 
 def extreme_generators(generators: Sequence[Sequence[int]],

@@ -193,7 +193,7 @@ def affine_slice(p: LatticePolyhedron, x0: Sequence, basis: Sequence[Sequence]
         r = row(n, o)
         cons += [r, tuple(-x for x in r)]
     cons.append((0,) * k + (1,))
-    lin, rays, _ = dd.cone_from_inequalities(cons, k + 1)
+    lin, rays = dd.cone_from_inequalities(cons, k + 1)
     if lin:
         raise ValueError("affine_slice needs a pointed recession cone: the slice "
                          "contains a line")

@@ -404,7 +404,7 @@ def intersection(c: Cone, other: Cone) -> Cone:
     for e in list(c.equations) + list(other.equations):
         cons.append(e)
         cons.append(tuple(-x for x in e))
-    lin, rays, _ = dd.cone_from_inequalities(cons, c.ambient_rank)
+    lin, rays = dd.cone_from_inequalities(cons, c.ambient_rank)
     return Cone(c.ambient_rank, list(rays) + list(lin) +
                 [tuple(-x for x in l) for l in lin])
 
@@ -561,7 +561,7 @@ def ambient_slice(p: LatticePolyhedron, f: Matrix, target: Sequence) -> LatticeP
         r = row(n, o)
         cons += [r, tuple(-x for x in r)]
     cons.append(tuple([0] * k + [1]))
-    lin, rays, _ = dd.cone_from_inequalities(cons, k + 1)
+    lin, rays = dd.cone_from_inequalities(cons, k + 1)
     if lin:
         raise ValueError("the slice contains a line")
     verts, rec = [], []
@@ -616,7 +616,7 @@ def split_by_ambient_slice(p: LatticePolyhedron, lin: Linearization
     for v in rec_dual.lineality_basis:
         row = tuple(dot(v, b) for b in kern)
         cons += [row, tuple(-x for x in row)]
-    lin_b, rays, _ = dd.cone_from_inequalities(cons, len(kern))
+    lin_b, rays = dd.cone_from_inequalities(cons, len(kern))
     if lin_b:
         raise ValueError("rec(P) ∩ ker(α) contains a line")
     return to_kernel_coords(lin, pb), Cone(len(kern), rays)
@@ -1072,8 +1072,7 @@ def normal_fan_by_vertex_dd(p: LatticePolyhedron) -> Fan:
     for v in verts:
         gens = [scaled_primitive(vsub(w, v)) for w in verts if w != v]
         gens += list(q.recession.rays)
-        lin, rays, _ = dd.cone_from_inequalities([g for g in gens if any(g)],
-                                              q.ambient_rank)
+        lin, rays = dd.cone_from_inequalities([g for g in gens if any(g)], q.ambient_rank)
         cones.append(Cone(q.ambient_rank, list(rays) + list(lin) +
                           [tuple(-x for x in l) for l in lin]))
     return Fan(q.ambient_rank, cones, q.recession.dual())
@@ -1150,7 +1149,7 @@ def check_semigroup_generation(p: LatticePolyhedron, extra_monomials: Sequence[S
 
 def _lattice_points_in_vertex_cone(active, eqs, grading, d, bound) -> list[tuple[int, ...]]:
     """Integer points x with active·x >= 0, eqs·x = 0, <grading, x> <= bound."""
-    lin_rays, rays, _ = dd.cone_from_inequalities(
+    lin_rays, rays = dd.cone_from_inequalities(
         list(active) + [e for pair in ((e, tuple(-x for x in e)) for e in eqs) for e in pair], d)
     assert not lin_rays, "vertex cone must be pointed"
     degs = []

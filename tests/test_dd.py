@@ -38,24 +38,17 @@ def _random_system(rng, ambient, count):
     return cons
 
 
-def _dot_incidence(cons, rays):
-    return [sum(1 << i for i, c in enumerate(cons) if sum(a * x for a, x in zip(c, r)) == 0)
-            for r in rays]
-
-
 def test_cone_from_inequalities_matches_lp_oracle():
     rng = random.Random(1996)
     for trial in range(24):
         ambient = rng.randint(3, 7)
         cons = _random_system(rng, ambient, rng.randint(6, 30))
-        lineality, rays, incidence = cone_from_inequalities(cons, ambient)
-        assert incidence == _dot_incidence(cons, rays), trial
-        # duplicate and zero constraints keep the cone and share their bits
+        lineality, rays = cone_from_inequalities(cons, ambient)
+        # duplicate and zero constraints keep the cone
         more = cons + random.Random(trial).choices(cons, k=4) + [(0,) * ambient]
         random.Random(-trial).shuffle(more)
         again = cone_from_inequalities(more, ambient)
-        assert again[:2] == (lineality, rays)
-        assert again[2] == _dot_incidence(more, rays), trial
+        assert again == (lineality, rays), trial
 
         def in_h_cone(v):
             return all(sum(a * x for a, x in zip(c, v)) >= 0 for c in cons)
@@ -75,7 +68,7 @@ def test_cone_from_inequalities_matches_lp_oracle():
         # completeness: every valid inequality of cone(rays) + lineality that is
         # tight on a facet is a nonnegative combination of the constraints
         # (Farkas), checked on the facet normals of the V-cone
-        _, normals, _ = cone_from_inequalities(
+        _, normals = cone_from_inequalities(
             list(rays) + list(lineality) + [tuple(-x for x in l) for l in lineality],
             ambient)
         for phi in rng.sample(normals, min(len(normals), 6)):

@@ -150,13 +150,25 @@ def test_every_import_is_used():
     assert unused == [], f"delete these unused imports: {unused}"
 
 
+def _stripped_checks(tree) -> list[int]:
+    """The lines of the assert statements and of the reads of ``__debug__``:
+    the checks that ``python -O`` strips or turns off."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Assert) or isinstance(n, ast.Name) and n.id == "__debug__")
+
+
+def test_a_debug_read_is_a_stripped_check():
+    tree = ast.parse("def f(x):\n    if __debug__:\n        g(x)\n    assert x\n"
+                     "    return x.__debug__\n")
+    assert _stripped_checks(tree) == [2, 4]
+
+
 def test_checked_modules_hold_no_assert_statement():
-    # these modules check theorem-shaped facts; python -O strips an assert
-    # statement, so each check is an explicit raise
+    # every module of the package checks theorem-shaped facts or guards its
+    # input; python -O strips an assert statement and sets __debug__ to
+    # False, so each check is an explicit raise that no flag switches off
     found = []
-    for name in ("degeneration", "polyhedra", "git", "stabilizers", "stab_backends",
-                 "groups"):
-        path = SRC / f"{name}.py"
+    for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        found += [f"{name}.py:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        found += [f"{path.name}:{line}" for line in _stripped_checks(tree)]
     assert found == [], f"make these explicit raises: {found}"

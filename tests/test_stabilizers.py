@@ -952,6 +952,28 @@ def test_layout_conjugacy_invariance():
         assert s1.quotient == s2.quotient
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(semistable_configurations(), st.integers(0, 2 ** 32 - 1))
+def test_instantiation_oracle_on_semistable_configurations(c, seed):
+    # any semistable configuration, not only random_configuration's shift
+    # orbits: its formal generics and their instantiation agree on both sides
+    a, b = verify_comparison(c), verify_comparison(instantiate(c, seed))
+    assert a.passed and b.passed, c
+    assert (a.torus_side, a.sym_side, a.stab_order, a.stab0_order) == \
+        (b.torus_side, b.sym_side, b.stab_order, b.stab0_order), (c, seed)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(semistable_configurations())
+def test_layout_conjugacy_invariance_on_semistable_configurations(c):
+    # the shift-orbit layout and the sorted one are conjugate points: the
+    # same |Stab|, |Stab0|, Young block sizes and quotient
+    s1, s2 = sym_stabilizers(project_to_quotient(c)), sym_stabilizers(sorted_layout(c))
+    assert (len(s1.stab), len(s1.stab0), s1.quotient) == \
+        (len(s2.stab), len(s2.stab0), s2.quotient), c
+    assert sorted(map(len, s1.stab0_young.blocks)) == sorted(map(len, s2.stab0_young.blocks)), c
+
+
 def test_randomized_comparison_small():
     rng = random.Random(2024)
     for _ in range(60):
