@@ -45,29 +45,33 @@ def cmd_build(args) -> int:
         print(f"error: --n must be in [{lo}, {hi}] for {obj}", file=sys.stderr)
         return 2
     if obj == "expanded":
-        payload = jsonio.polyhedron_to_json(build_bundle(n).family_polyhedron)
+        text = dumps(jsonio.polyhedron_to_json(build_bundle(n).family_polyhedron))
     elif obj == "product":
-        payload = jsonio.polyhedron_to_json(product_polyhedron(n))
+        text = dumps(jsonio.polyhedron_to_json(product_polyhedron(n)))
     elif obj == "permutahedron":
-        payload = jsonio.polyhedron_to_json(symmetric_orbit(build_symmetric(n))[1])
-    else:
-        sym, strs = build_symmetric(n), {}  # strs: the fan's 2^n rays, converted once
+        text = dumps(jsonio.polyhedron_to_json(symmetric_orbit(build_symmetric(n))[1]))
+    else:  # dumps of the payload, its keys in sorted order, the fan's text from its rays
+        sym = build_symmetric(n)
         cones, perm, respoly = symmetric_orbit(sym)
-        payload = {
-            "n": n,
-            "chamber": jsonio.cone_to_json(sym.chamber),
-            "product_cone": jsonio.cone_to_json(sym.product_cone),
-            "fan": [{"ambient_rank": n + 1, "rays": jsonio.str_rows(rays, strs), "lineality": []}
-                    for rays in cones],  # as cone_to_json writes these pointed cones
-            "permutahedron": jsonio.polyhedron_to_json(perm),
-            "resolution_polyhedron": jsonio.polyhedron_to_json(respoly),
-        }
-    if args.out and args.out != "-":
+        parts = {"chamber": dumps(jsonio.cone_to_json(sym.chamber)),
+                 "fan": jsonio.fan_to_json(n + 1, cones), "n": str(n),
+                 "permutahedron": dumps(jsonio.polyhedron_to_json(perm)),
+                 "product_cone": dumps(jsonio.cone_to_json(sym.product_cone)),
+                 "resolution_polyhedron": dumps(jsonio.polyhedron_to_json(respoly))}
+        text = "{" + ",".join(f'"{k}": {v}' for k, v in parts.items()) + "}"
+    if args.out != "-":
         with open(args.out, "w") as fh:
-            fh.write(dumps(payload) + "\n")
+            fh.write(text + "\n")
     else:
-        print(dumps(payload), flush=True)
+        print(text, flush=True)
     return 0
+
+
+def _out_path(s: str) -> str:
+    """--out's path, "-" for stdout; an empty path is a usage error (exit 2)."""
+    if not s:
+        raise argparse.ArgumentTypeError("an output path must not be empty")
+    return s
 
 
 def _int_option(s: str) -> int:
@@ -209,7 +213,7 @@ def _parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="write one combinatorial object as JSON")
     p_build.add_argument("--n", type=_int_option, required=True)
     p_build.add_argument("--object", required=True, choices=BUILD_OBJECTS)
-    p_build.add_argument("--out", default="-", help="output path (default stdout)")
+    p_build.add_argument("--out", type=_out_path, default="-", help="output path (default stdout)")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="run verification checks")

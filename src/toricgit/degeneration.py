@@ -368,37 +368,34 @@ def _check_orbit_count(gens: Sequence[Matrix], y0: Sequence[int]) -> None:
             raise AssertionError(f"g_{k}ᵀ does not act on the lifts as the swap of {k}, {k + 1}")
 
 
-def _cayley_walk(n: int, gens: Sequence[Matrix], columns: Sequence, rows: Sequence) -> dict:
-    """{s: (ρ(s)·C, (R·ρ(s)⁻¹)ᵀ)} for s in S_n as bytes, the identity first,
-    C with the ``columns`` and R with the ``rows``, from the generators g_k
-    = ρ(s_k).  With the Coxeter relations, which the caller checks
+def _cayley_walk(n: int, moves: Sequence[Callable], start) -> dict:
+    """{s: ρ(s)·start} for s in S_n as bytes, the identity first, from one
+    move per generator g_k = ρ(s_k), ``moves[k]`` taking ρ(p)·start to
+    g_k·ρ(p)·start.  With the Coxeter relations, which the callers check
     (``_check_coxeter``), ρ is a homomorphism and a walk of the Cayley graph
-    from the identity reaches each s once, whatever the path.  A step from p
-    to q = s_k p moves ρ(p)·C to g_k·ρ(p)·C and (R·ρ(p)⁻¹)ᵀ to
-    g_kᵀ·(R·ρ(p)⁻¹)ᵀ, as g_k² = 1: it combines the rows of each matrix
-    (tuples of row tuples), and a coordinate swap reorders them."""
-    d = gens[0].rows
-    moves = [(left_action(g), left_action(g.transpose())) for g in gens]
+    from the identity reaches each s once, whatever the path: a step from p
+    to q = s_k p is one move, and a coordinate swap of p's bytes."""
     swaps = [bytes.maketrans(bytes([k, k + 1]), bytes([k + 1, k])) for k in range(n - 1)]
-    out = {bytes(range(n)): (tuple(zip(*columns)), tuple(zip(*rows)) or ((),) * d)}
+    out = {bytes(range(n)): start}
     frontier = list(out)
     for p in frontier:  # the list grows as it is read: a breadth-first walk
-        p_cols, p_rows = out[p]
-        for swap, (on_cols, on_rows) in zip(swaps, moves):
+        at = out[p]
+        for swap, move in zip(swaps, moves):
             q = p.translate(swap)  # s_k p: the bytes k, k + 1 swapped
             if q not in out:
-                out[q] = (on_cols(p_cols), on_rows(p_rows))
+                out[q] = move(at)
                 frontier.append(q)
     return out
 
 
 def permutation_matrices(n: int, gens: list[Matrix]) -> dict[tuple[int, ...], Matrix]:
-    """ρ(s) for all s in S_n, the identity moved by ``_cayley_walk`` once the
-    Coxeter relations of the raw ``gens`` hold.  The symmetric model forms
-    none of them; the tests read them."""
+    """ρ(s) for all s in S_n, the identity's rows moved by ``_cayley_walk``
+    with one ``left_action(g_k)`` per generator, once the Coxeter relations
+    of the raw ``gens`` hold.  The symmetric model forms none of them; the
+    tests read them."""
     _check_coxeter(gens)
-    walk = _cayley_walk(n, gens, Matrix.identity(gens[0].rows).columns(), ())
-    return {tuple(s): Matrix(mat) for s, (mat, _) in walk.items()}
+    walk = _cayley_walk(n, [left_action(g) for g in gens], Matrix.identity(gens[0].rows).entries)
+    return {tuple(s): Matrix(rows) for s, rows in walk.items()}
 
 
 def product_cone_dual_columns(n: int) -> list[tuple[int, ...]]:
@@ -445,26 +442,44 @@ def symmetric_orbit(sym: SymmetricModel) -> tuple[tuple, LatticePolyhedron, Latt
     """(the sorted rays of the n! cones ρ(s)·C in sorted order, the
     permutohedron, the resolution polyhedron), which only ``build`` prints,
     from one ``_cayley_walk`` of the generators, whose Coxeter relations
-    ``build_symmetric`` checked: the chamber C's rays r become the primitive
-    ρ(s)r, the columns it moves, and y₀, its one row, moves with them
-    through its orbit.  The guard checks that C is pointed,
-    full-dimensional and simplicial as displayed, so that the sorted rays
-    are all of each ρ(s)·C's ``key()``.  The permutohedron is certified at
-    y₀'s middle block under the middle blocks of the g_k, whose transposes
-    move the orbit's middle blocks as the g_kᵀ do, as those keep its outer
-    entries 0 (``_check_orbit_count``), with c_ν = 2o_ν + <ν, y₀> from the
-    model's facets (ν, o_ν)."""
+    ``build_symmetric`` checked.  ρ(s)·C is held as d bytes that index its
+    rays among the model's 2^n facet normals, sorted once, so that sorted
+    indices are sorted rays; g_k moves it by one ``bytes.translate`` by its
+    permutation of the normals (``orbit_certificate``'s (1)), and y₀, the
+    walk's one row, by g_kᵀ.  A ray of C or an image of a normal that is no
+    normal raises, as does a C that is not pointed, full-dimensional and
+    simplicial as displayed: so the sorted rays are all of ρ(s)·C's ``key()``.
+    The permutohedron is certified at y₀'s middle block under the middle
+    blocks of the g_k, whose transposes move the orbit's middle blocks as
+    the g_kᵀ do, as those keep its outer entries 0 (``_check_orbit_count``),
+    with c_ν = 2o_ν + <ν, y₀> from the model's facets (ν, o_ν)."""
     gens, y0, chamber = sym.generators, sym.base_point, sym.chamber
     if chamber.lineality_basis or chamber.equations or len(chamber.rays) != chamber.ambient_rank:
         raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
-    walk = _cayley_walk(len(gens) + 1, gens, chamber.rays, (y0,)).values()
-    rays, orbit = zip(*((tuple(sorted(zip(*c))), next(zip(*r))) for c, r in walk))
+    normals = sorted(nu for nu, _ in sym.facets)  # a byte each: 2^n <= 256 for n <= 8
+    index, cols = {nu: i for i, nu in enumerate(normals)}, tuple(zip(*normals))
+    pad = bytes(range(len(normals), 256))  # translate reads a table of 256 bytes
+
+    def indices(vs, what: str) -> bytes:  # each vector's place among the normals
+        try:
+            return bytes(map(index.__getitem__, vs))
+        except KeyError as miss:
+            raise AssertionError(f"{what} {miss.args[0]} is not a facet normal") from None
+
+    def move(k: int, g: Matrix) -> Callable:  # g_k on a cone's indices and on y
+        table = indices(zip(*left_action(g)(cols)), f"g_{k}'s image") + pad
+        on_y = left_action(g.transpose())
+        return lambda at: (at[0].translate(table), on_y(at[1]))
+
+    walk = _cayley_walk(len(gens) + 1, [move(k, g) for k, g in enumerate(gens)],
+                        (indices(chamber.rays, "the chamber's ray"), tuple(zip(y0)))).values()
+    cones, orbit = sorted(bytes(sorted(c)) for c, _ in walk), [next(zip(*y)) for _, y in walk]
     mid = [y[1:-1] for y in orbit]
     perm = orbit_certificate(mid[0], [Matrix([r[1:-1] for r in g.entries[1:-1]]) for g in gens],
                              {nu[1:-1]: 2 * o + dot(nu, y0) for nu, o in sym.facets
                               if any(nu[1:-1])}, None)
-    return (tuple(sorted(rays)), orbit_polyhedron(mid, *perm),
-            orbit_polyhedron(orbit, sym.facets, sym.recession))
+    return (tuple(tuple(map(normals.__getitem__, c)) for c in cones),
+            orbit_polyhedron(mid, *perm), orbit_polyhedron(orbit, sym.facets, sym.recession))
 
 
 # ---------------------------------------------------------------------------

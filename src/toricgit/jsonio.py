@@ -94,17 +94,27 @@ def matrix_from_json(obj: dict) -> Matrix:
     return m
 
 
-def str_rows(vs, strs: dict) -> list[list[str]]:
-    """Integer vectors as lists of strings, each converted once into ``strs``."""
-    return [strs[v] if v in strs else strs.setdefault(v, [str(x) for x in v]) for v in vs]
+def _str_rows(vs) -> list[list[str]]:
+    """Integer vectors as lists of strings."""
+    return [[str(x) for x in v] for v in vs]
 
 
 def cone_to_json(c: Cone, with_facets: bool = True) -> dict:
-    out = {"ambient_rank": c.ambient_rank, "rays": str_rows(c.rays, {}),
-           "lineality": str_rows(c.lineality_basis, {})}
+    out = {"ambient_rank": c.ambient_rank, "rays": _str_rows(c.rays),
+           "lineality": _str_rows(c.lineality_basis)}
     if with_facets:
-        out["facets"] = str_rows(c.facets, {})
+        out["facets"] = _str_rows(c.facets)
     return out
+
+
+def fan_to_json(rank: int, cones) -> str:
+    """``dumps`` of the pointed cones of rank ``rank`` with the ray tuples
+    ``cones``, as ``cone_to_json`` writes them with no facets: each distinct
+    ray is encoded once, and the entries are joined with its separators."""
+    texts = {r: dumps([str(x) for x in r]) for r in {r for rays in cones for r in rays}}
+    head, _, tail = dumps({"ambient_rank": rank, "lineality": [], "rays": None}).rpartition("null")
+    return "[" + ",".join(f"{head}[{','.join(map(texts.__getitem__, rays))}]{tail}"
+                          for rays in cones) + "]"
 
 
 def cone_from_json(obj: dict) -> Cone:

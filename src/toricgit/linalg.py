@@ -149,15 +149,18 @@ class Matrix:
 def left_action(g: Matrix) -> Callable[[tuple], tuple]:
     """M -> g·M for M a tuple of row tuples, with the work split off once per
     g: row i of g·M is the sum of g_ij·M_j over the nonzero g_ij, a 1-entry
-    taking the row as it is, and a zero row of g gives a zero row as wide as
-    M (a matrix with no rows has no columns).  A g that permutes
-    coordinates (of two or more) only reorders the rows."""
+    taking the row as it is, a unit row of g taking M's row itself, and a
+    zero row of g gives a zero row as wide as M (a matrix with no rows has
+    no columns).  A g that permutes coordinates (of two or more) only
+    reorders the rows."""
     terms = [[(j, a) for j, a in enumerate(r) if a] for r in g.entries]
-    if g.rows > 1 and all(len(t) == 1 and t[0][1] == 1 for t in terms):
-        return itemgetter(*(t[0][0] for t in terms))  # a tuple, as there are two or more
-    return lambda m: tuple(tuple(map(sum, zip(*(m[j] if a == 1 else [a * x for x in m[j]]
-                                                 for j, a in t)))) if t
-                           else (0,) * len(m and m[0]) for t in terms)
+    units = [t[0][0] if len(t) == 1 and t[0][1] == 1 else None for t in terms]
+    if g.rows > 1 and None not in units:
+        return itemgetter(*units)  # a tuple, as there are two or more
+    return lambda m: tuple(m[u] if u is not None else
+                           tuple(map(sum, zip(*(m[j] if a == 1 else [a * x for x in m[j]]
+                                                for j, a in t)))) if t
+                           else (0,) * len(m and m[0]) for u, t in zip(units, terms))
 
 
 def _echelon(mat: list[list[int]], ncols: int) -> list[int]:

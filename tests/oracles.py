@@ -29,8 +29,10 @@ replaced (the closed-form slice vertices and their quotient images in
 of P_b), the dual cone double-described from the facet normals, a bounded
 very-ampleness certificate, chart invariant monomials, two oracles for the
 stabilizer pipeline (the toric chart-gluing test and the instantiation of
-formal generators), the slot-ratio predicates that the ratio classes
-replaced (a ratio of 1, and a permutation all of whose forced ratios are 1),
+formal generators), the fan text as one ``dumps`` of the cone entries
+that the per-ray encoding replaced, the slot-ratio predicates that the
+ratio classes replaced (a ratio of 1, and a permutation all of whose forced
+ratios are 1),
 the three routes the stabilizer search replaced (the shift-group order over
 ``Fraction`` roots, the image tables from one slot-ratio test per slot pair,
 and the chart coordinates as unit values, encoded into prefix sums
@@ -57,7 +59,7 @@ from toricgit.degeneration import (_bundle, _pb, ambient_reflections, chamber_co
                                    product_rec_dual_columns, slice_vertex)
 from toricgit.git import EmptyQuotientError, Linearization, RayDatum, support_constants
 from toricgit.groups import FiniteAbelianGroup, NonabelianQuotientError, Perm, identity
-from toricgit.jsonio import rational_str
+from toricgit.jsonio import dumps, rational_str
 from toricgit.linalg import (IntVec, Matrix, clear_denominators, dot,
                              elementary_divisors, frac, hermite_normal_form, primitive,
                              rank, scaled_primitive, vec)
@@ -1346,6 +1348,20 @@ def abelian_invariant_factors_by_peeling(elements: Sequence, mul: Callable,
 def matrix_to_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
             "entries": [[rational_str(x) for x in row] for row in m.entries]}
+
+
+def str_rows(vs, strs: dict) -> list[list[str]]:
+    """Integer vectors as lists of strings, each converted once into ``strs``."""
+    return [strs[v] if v in strs else strs.setdefault(v, [str(x) for x in v]) for v in vs]
+
+
+def fan_text_by_one_dumps(rank: int, cones) -> str:
+    """The fan route that ``jsonio.fan_to_json`` replaced: each cone's entry
+    as ``cone_to_json`` writes a pointed cone with no facets, its rows from
+    ``str_rows`` with one cache for the fan, and one ``dumps`` of the list."""
+    strs = {}
+    return dumps([{"ambient_rank": rank, "rays": str_rows(rays, strs), "lineality": []}
+                  for rays in cones])
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,24 @@ def test_build_io_failure():
     assert r.returncode == 3
 
 
+def test_build_out_empty_is_a_usage_error():
+    # argparse's usage error, as for --n 1_0: exit 2 with nothing written
+    r = run_cli(["build", "--n", "2", "--object", "expanded", "--out", ""])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error: argument --out: " in r.stderr and "Traceback" not in r.stderr
+
+
+def test_build_symmetric_out_file_is_stdout(tmp_path):
+    # the fan's text is joined from its rays: the same bytes on both routes
+    out = tmp_path / "sym.json"
+    rc, text, err = run_main(["build", "--n", "4", "--object", "symmetric"])
+    assert rc == 0, err
+    assert run_main(["build", "--n", "4", "--object", "symmetric", "--out", str(out)]) == \
+        (0, "", "")
+    assert out.read_text() == text
+
+
 def test_build_roundtrip(tmp_path):
     out = tmp_path / "expanded.json"
     r = run_cli(["build", "--n", "2", "--object", "expanded", "--out", str(out)])

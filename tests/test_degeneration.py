@@ -8,6 +8,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from operator import add
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -360,10 +361,18 @@ def test_fan_cone_count():
 
 def _walk_pairs(n):
     """(the sorted rays of ρ(s)·C, ρ(s)⁻ᵀy₀) for s in S_n, the identity
-    first: the one walk that ``symmetric_orbit`` reads."""
-    sym = _symmetric(n)
-    walk = degeneration._cayley_walk(n, sym.generators, sym.chamber.rays, (sym.base_point,))
-    return [(tuple(sorted(zip(*c))), next(zip(*r))) for c, r in walk.values()]
+    first: the one walk that ``symmetric_orbit`` reads, its cones read back
+    from their indices among the sorted facet normals."""
+    sym, walks, real = _symmetric(n), [], degeneration._cayley_walk
+
+    def spy(*args):
+        walks.append(real(*args))
+        return walks[-1]
+
+    with mock.patch.object(degeneration, "_cayley_walk", spy):
+        symmetric_orbit(sym)
+    normals = sorted(nu for nu, _ in sym.facets)
+    return [(tuple(normals[i] for i in sorted(c)), next(zip(*y))) for c, y in walks[0].values()]
 
 
 def test_orbit_fan_matches_per_cone_dd_oracle():
@@ -746,17 +755,36 @@ BAD_CHAMBERS = {
 }
 
 
+# models that symmetric_orbit must refuse, as the text that builds each from
+# the n = 2 model sym, and the message it raises with
+BAD_ORBIT_MODELS = {
+    **{f"a chamber {name}": (f"sym._replace(chamber=Cone(3, {gens!r}))", "chamber must be")
+       for name, gens in BAD_CHAMBERS.items()},
+    # pointed, full-dimensional and simplicial, but (0, 1, 0) is no facet normal
+    "a chamber ray off the normals": ("sym._replace(chamber=Cone(3, [(1, 0, 0), (0, 1, 0), "
+                                      "(0, 0, 1)]))", "the chamber's ray .* is not a facet normal"),
+    # a shear, which takes the normal (1, 1, 0) to (2, 1, 0)
+    "a generator off the normals": ("sym._replace(generators=(Matrix([[1, 1, 0], [0, 1, 0], "
+                                    "[0, 0, 1]]),))", "g_0's image .* is not a facet normal"),
+}
+
+
 def test_orbit_transport_guards_hold_under_python_O():
-    # symmetric_orbit guards the chamber it walks from
-    for name, gens in BAD_CHAMBERS.items():
-        with pytest.raises(AssertionError, match="chamber must be"):
-            symmetric_orbit(build_symmetric(2)._replace(chamber=Cone(3, gens)))
-        code = ("from toricgit.cones import Cone\n"
+    # symmetric_orbit guards the chamber it walks from, and looks up C's
+    # rays and each generator's image of each normal among the normals
+    sym = build_symmetric(2)
+    for name, (model, message) in BAD_ORBIT_MODELS.items():
+        with pytest.raises(AssertionError, match=message):
+            symmetric_orbit(eval(model))
+        code = ("import re\n"
+                "from toricgit.cones import Cone\n"
                 "from toricgit.degeneration import build_symmetric, symmetric_orbit\n"
+                "from toricgit.linalg import Matrix\n"
+                "sym = build_symmetric(2)\n"
                 "try:\n"
-                f"    symmetric_orbit(build_symmetric(2)._replace(chamber=Cone(3, {gens!r})))\n"
+                f"    symmetric_orbit({model})\n"
                 "except AssertionError as exc:\n"
-                "    raise SystemExit(7 if 'chamber must be' in str(exc) else 8)\n")
+                f"    raise SystemExit(7 if re.search({message!r}, str(exc)) else 8)\n")
         r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert r.returncode == 7, (name, r.stderr)
 

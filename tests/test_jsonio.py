@@ -2,6 +2,7 @@
 every malformed value with ValueError, which the CLI turns into exit 2 with
 one ``error:`` line; a missing field is a ValueError that names it."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import fan_text_by_one_dumps
 from toricgit import jsonio
 from toricgit.cones import Cone
+from toricgit.degeneration import build_symmetric, symmetric_orbit
 
 PARSERS = [jsonio.configuration_from_json, jsonio.polyhedron_from_json,
            jsonio.matrix_from_json, jsonio.cone_from_json]
@@ -134,16 +137,38 @@ def test_integer_strings_with_a_sign_or_leading_zeros_are_read():
     assert c.rays == ((-2, 1), (0, 1))
 
 
-def test_str_rows_converts_each_vector_once():
+def test_fan_to_json_encodes_each_ray_once(monkeypatch):
     # the fan of build --object symmetric shares its rays across its cones
-    strs = {}
-    first = jsonio.str_rows([(0, 1), (1, -2)], strs)
-    second = jsonio.str_rows([(1, -2), (3, 0)], strs)
-    assert (first, second) == ([["0", "1"], ["1", "-2"]], [["1", "-2"], ["3", "0"]])
-    assert second[0] is first[1] and len(strs) == 3
+    real, encoded = jsonio.dumps, []
+
+    def spy(obj):
+        encoded.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(jsonio, "dumps", spy)
+    text = jsonio.fan_to_json(2, [((0, 1), (1, -2)), ((1, -2), (3, 0))])
+    assert sorted(x for x in encoded if isinstance(x, list)) == \
+        [["0", "1"], ["1", "-2"], ["3", "0"]]
+    assert text == fan_text_by_one_dumps(2, [((0, 1), (1, -2)), ((1, -2), (3, 0))])
     cone = Cone(2, [(1, 0), (1, 1)])
     assert jsonio.cone_to_json(cone) == {"ambient_rank": 2, "rays": [["1", "0"], ["1", "1"]],
                                          "lineality": [], "facets": [["0", "1"], ["1", "-1"]]}
+
+
+def test_fan_text_matches_one_dumps_oracle():
+    # the symmetric models' fans, and seeded fans of random ray tuples with
+    # negative and multi-digit entries, shared rays, empty cones and none
+    for n in range(2, 7):
+        cones = symmetric_orbit(build_symmetric(n))[0]
+        assert jsonio.fan_to_json(n + 1, cones) == fan_text_by_one_dumps(n + 1, cones), n
+    rng = random.Random(7)
+    for trial in range(200):
+        rank = rng.randint(1, 12)
+        pool = [tuple(rng.randint(-10 ** rng.randint(0, 4), 10 ** rng.randint(0, 4))
+                      for _ in range(rank)) for _ in range(rng.randint(1, 8))]
+        cones = [tuple(rng.choice(pool) for _ in range(rng.randint(0, 5)))
+                 for _ in range(rng.randint(0, 6))]
+        assert jsonio.fan_to_json(rank, cones) == fan_text_by_one_dumps(rank, cones), trial
 
 
 def test_matrix_entries_are_read_as_integers():
