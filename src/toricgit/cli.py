@@ -1,6 +1,9 @@
 """Command-line front end: build objects, run verification checks, compute
 quotients, and analyze stabilizer configurations.
 
+The arguments are read against one table, ``COMMANDS``, by ``read_args``,
+with no parser built; a usage error is one ``error:`` line on stderr.
+
 Exit codes: 0 success / all checks pass; 1 a check or comparison failed;
 2 bad arguments or parse failure; 3 I/O failure; 4 the configuration's n is above
 the ``stab --brute-force-max`` size bound.
@@ -8,11 +11,10 @@ the ``stab --brute-force-max`` size bound.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from . import jsonio
@@ -70,17 +72,20 @@ def cmd_build(args) -> int:
 def _out_path(s: str) -> str:
     """--out's path, "-" for stdout; an empty path is a usage error (exit 2)."""
     if not s:
-        raise argparse.ArgumentTypeError("an output path must not be empty")
+        raise ValueError("an output path must not be empty")
     return s
 
 
 def _int_option(s: str) -> int:
     """An option's integer, read as a file's integer field is: an optional
     sign and ASCII digits, so "1_0", "٣" and " 7 " are usage errors (exit 2)."""
-    try:
-        return jsonio._json_int(s, "its value")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return jsonio._json_int(s, "its value")
+
+
+def _object(s: str) -> str:
+    if s not in BUILD_OBJECTS:
+        raise ValueError(f"invalid choice: {s!r} (choose from {', '.join(BUILD_OBJECTS)})")
+    return s
 
 
 def _fuzz_settings() -> tuple[int, int]:
@@ -199,55 +204,100 @@ def cmd_stab(args) -> int:
     return 0 if rep.passed else 1
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``main`` call and reused by
-    the later calls in this process: ``parse_args`` keeps no state in it."""
-    parser = argparse.ArgumentParser(
-        prog="toricgit",
-        description="Exact polyhedral computations and verification for toric "
-                    "GIT quotients of expanded degenerations.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# name: (function, positionals, {option: reader, None for a flag}, {option: default},
+#        what --help prints); an option with no default is required
+COMMANDS = {
+    "build": (cmd_build, (), {"--n": _int_option, "--object": _object, "--out": _out_path},
+              {"--out": "-"},
+              f"--n N --object {'|'.join(BUILD_OBJECTS)} [--out PATH]: write its JSON"),
+    "verify": (cmd_verify, (), {"--n": _int_option, "--check": str, "--all": None},
+               {"--check": None, "--all": False}, "--n N [--check CHECK | --all]: run checks"),
+    "quotient": (cmd_quotient, ("polyhedron", "alpha", "b"), {}, {},
+                 "POLYHEDRON ALPHA B: the quotient by alpha, shifted by b (such as -2/3,4/3)"),
+    "stab": (cmd_stab, ("config",), {"--brute-force-max": _int_option},
+             {"--brute-force-max": DEFAULT_BRUTE_FORCE_MAX},
+             "CONFIG [--brute-force-max N]: stabilizers; an n above N exits 4"),
+}
 
-    p_build = sub.add_parser("build", help="write one combinatorial object as JSON")
-    p_build.add_argument("--n", type=_int_option, required=True)
-    p_build.add_argument("--object", required=True, choices=BUILD_OBJECTS)
-    p_build.add_argument("--out", type=_out_path, default="-", help="output path (default stdout)")
-    p_build.set_defaults(func=cmd_build)
 
-    p_verify = sub.add_parser("verify", help="run verification checks")
-    p_verify.add_argument("--n", type=_int_option, required=True)
-    p_verify.add_argument("--check", default=None,
-                          help=f"one check (default: all at this n), or {FUZZ_CHECK}")
-    p_verify.add_argument("--all", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
+class EarlyExit(Exception):
+    """(text, exit code) of an ``argv`` that runs no command: the help or the
+    version on stdout (0), or one usage error line on stderr (2)."""
 
-    p_quot = sub.add_parser("quotient", help="quotient a polyhedron by a linearization")
-    p_quot.add_argument("polyhedron", help="polyhedron JSON file")
-    p_quot.add_argument("alpha", help="projection matrix JSON file")
-    p_quot.add_argument("b", help="comma-separated rational shift, e.g. '2/3,4/3'")
-    p_quot.set_defaults(func=cmd_quotient)
 
-    p_stab = sub.add_parser("stab", help="stabilizer analysis of a configuration")
-    p_stab.add_argument("config", help="configuration JSON file")
-    p_stab.add_argument("--brute-force-max", type=_int_option, default=DEFAULT_BRUTE_FORCE_MAX,
-                        help="a size bound, not a brute-force scan: a configuration "
-                             "with a larger n exits 4 (default %(default)s)")
-    p_stab.set_defaults(func=cmd_stab)
-    return parser
+def _resolve(word: str, options) -> tuple:
+    """(the option ``word`` names, exactly or as a unique prefix, or None;
+    the value after its "=", or None)."""
+    key, eq, value = word.partition("=")
+    hits = [o for o in options if o == key] or [o for o in options if o.startswith(key)]
+    if len(hits) > 1:
+        raise EarlyExit(f"error: ambiguous option: {key} could match {', '.join(hits)}", 2)
+    return (hits[0] if hits else None), (value if eq else None)
+
+
+def read_args(argv) -> tuple[str, dict]:
+    """(command, {field: value}) of ``argv``, read against ``COMMANDS`` as
+    argparse read it, except that a word is an option only when it is "-h"
+    or starts with "--", so a negative shift such as "-1/2,3/4" is a value."""
+    argv, i, name, options, fields, words, late = list(argv), 0, None, {}, {}, [], None
+    known = ("-h", "--help", "--version")  # the options before the command
+    while i < len(argv):
+        word, i = argv[i], i + 1
+        is_option = word == "-h" or word[:2] == "--" and word != "--"
+        if name is None and not is_option:
+            if word not in COMMANDS:
+                raise EarlyExit(f"error: {word!r} is not a command: {', '.join(COMMANDS)}", 2)
+            name, options, fields = word, COMMANDS[word][2], dict(COMMANDS[word][3])
+            known = ("-h", "--help", *options)
+            for w in argv[i:argv.index("--", i) if "--" in argv[i:] else None]:
+                if w[:2] == "--":  # argparse rejects an ambiguous prefix before it reads a word
+                    _resolve(w, known)
+        elif word == "--":
+            words += argv[i:]
+            break
+        elif not is_option:
+            words.append(word)
+        else:
+            option, value = _resolve(word, known)
+            reader = options.get(option)
+            if option is None:  # reported after the last word, so a later -h still answers
+                late = late or f"unrecognized argument: {word}"
+            elif reader is None and value is not None:
+                raise EarlyExit(f"error: argument {option}: ignored explicit argument {value!r}", 2)
+            elif option == "--version":
+                raise EarlyExit(__version__, 0)
+            elif option in ("-h", "--help"):
+                raise EarlyExit("usage:\n" + "\n".join(f"  toricgit {c} {COMMANDS[c][4]}"
+                                                       for c in ([name] if name else COMMANDS)), 0)
+            elif reader is None:
+                fields[option] = True
+            else:
+                if value is None:
+                    if i == len(argv) or argv[i] == "-h" or argv[i][:2] == "--":
+                        raise EarlyExit(f"error: argument {option}: expected one argument", 2)
+                    value, i = argv[i], i + 1
+                try:
+                    fields[option] = reader(value)
+                except ValueError as exc:
+                    raise EarlyExit(f"error: argument {option}: {exc}", 2) from None
+    positionals = COMMANDS[name][1] if name else ("COMMAND",)
+    missing = [o for o in options if o not in fields] + list(positionals[len(words):])
+    extra = words[len(positionals):]
+    late = (late or missing and f"the following arguments are required: {', '.join(missing)}"
+            or extra and f"unrecognized arguments: {' '.join(extra)}")
+    if late:
+        raise EarlyExit(f"error: {late}", 2)
+    return name, {**{o[2:].replace("-", "_"): v for o, v in fields.items()},
+                  **dict(zip(positionals, words))}
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads a word that starts with "-" as an option unless it is an
-    # int or a decimal, so a negative rational shift ("-1/2,3/4") goes after "--"
-    neg = [i for i, a in enumerate(argv) if a[:1] == "-" and (a[1:2].isdigit() or a[1:2] == ".")]
-    if argv[:1] == ["quotient"] and neg and "--" not in argv:
-        argv.insert(neg[0], "--")
-    args = _parser().parse_args(argv)
     try:  # the commands read their inputs themselves (exit 2) and flush what they print
-        return args.func(args)
+        name, fields = read_args(sys.argv[1:] if argv is None else argv)
+        return COMMANDS[name][0](SimpleNamespace(**fields))
+    except EarlyExit as stop:  # the help or the version (exit 0), or a usage error (exit 2)
+        print(stop.args[0], file=sys.stderr if stop.args[1] else sys.stdout)
+        return stop.args[1]
     except OSError as exc:  # so this is output that could not be written
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         try:

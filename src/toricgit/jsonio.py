@@ -95,7 +95,8 @@ def matrix_from_json(obj: dict) -> Matrix:
 
 
 def _str_rows(vs) -> list[list[str]]:
-    """Integer vectors as lists of strings."""
+    """Vectors of ints and Fractions as lists of strings, as ``rational_str``
+    writes them (a Fraction prints as "p" or "p/q")."""
     return [[str(x) for x in v] for v in vs]
 
 
@@ -131,12 +132,12 @@ def cone_from_json(obj: dict) -> Cone:
 def polyhedron_to_json(p: LatticePolyhedron) -> dict:
     q = p.canonicalize()
     out = {"ambient_rank": q.ambient_rank,
-           "vertices": [[rational_str(x) for x in v] for v in q.vertex_candidates],
+           "vertices": _str_rows(q.vertex_candidates),
            "recession": cone_to_json(q.recession, with_facets=False)}
     if not q.is_empty():
         rows = q.facet_rep + tuple((tuple(s * x for x in n), s * o)  # an equation as ± rows
                                    for n, o in q.hull_equations for s in (1, -1))
-        out["facets"] = [{"normal": [str(x) for x in n], "offset": rational_str(o)}
+        out["facets"] = [{"normal": [str(x) for x in n], "offset": str(o)}
                          for n, o in rows]
     return out
 

@@ -39,8 +39,9 @@ and the chart coordinates as unit values, encoded into prefix sums
 afterwards), the random configuration drawn record by record in ``Fraction``
 that the orbits-first draw replaced, the two invariant-factor routes the
 package replaced (trial division of cyclic orders, and the peel of a group
-table), and the weight-lattice reflections and identity-vertex edge matrix
-of the symmetric model.
+table), the weight-lattice reflections and identity-vertex edge matrix
+of the symmetric model, and the argparse reading of the command line that
+the CLI's table replaced.
 """
 
 import random
@@ -1650,3 +1651,57 @@ def toric_fixed_points(q: ChartPoint) -> set[Perm]:
         if good:
             out.add(s)
     return out
+
+
+# ---------------------------------------------------------------------------
+# command-line oracle
+
+
+@cache
+def _argparse_parser():
+    """The argparse parser of ``toricgit`` that ``cli.read_args`` replaced,
+    built once, with the same readers."""
+    import argparse
+    from toricgit import cli
+
+    def typed(reader):  # a reader's ValueError as argparse's "argument --n: ..." line
+        def read(s):
+            try:
+                return reader(s)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return read
+
+    parser = argparse.ArgumentParser(prog="toricgit")
+    parser.add_argument("--version", action="version", version=cli.__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_build = sub.add_parser("build")
+    p_build.add_argument("--n", type=typed(cli._int_option), required=True)
+    p_build.add_argument("--object", required=True, choices=cli.BUILD_OBJECTS)
+    p_build.add_argument("--out", type=typed(cli._out_path), default="-")
+    p_verify = sub.add_parser("verify")
+    p_verify.add_argument("--n", type=typed(cli._int_option), required=True)
+    p_verify.add_argument("--check", default=None)
+    p_verify.add_argument("--all", action="store_true")
+    p_quot = sub.add_parser("quotient")
+    for name in ("polyhedron", "alpha", "b"):
+        p_quot.add_argument(name)
+    p_stab = sub.add_parser("stab")
+    p_stab.add_argument("config")
+    p_stab.add_argument("--brute-force-max", type=typed(cli._int_option),
+                        default=cli.DEFAULT_BRUTE_FORCE_MAX)
+    return parser
+
+
+def argparse_oracle(argv):
+    """The argparse reading of ``argv`` that ``cli.read_args`` replaced: the
+    namespace, or argparse's ``SystemExit`` (0 for the help and --version, 2
+    for a usage error).  argparse reads a word that starts with "-" as an
+    option unless it is an int or a decimal, so a "--" goes before a
+    quotient's first negative word, as the CLI did, and then every later
+    word is a positional."""
+    argv = list(argv)
+    neg = [i for i, a in enumerate(argv) if a[:1] == "-" and (a[1:2].isdigit() or a[1:2] == ".")]
+    if argv[:1] == ["quotient"] and neg and "--" not in argv:
+        argv.insert(neg[0], "--")
+    return _argparse_parser().parse_args(argv)
