@@ -52,11 +52,11 @@ def cmd_build(args) -> int:
         text = dumps(jsonio.polyhedron_to_json(product_polyhedron(n)))
     elif obj == "permutahedron":
         text = dumps(jsonio.polyhedron_to_json(symmetric_orbit(build_symmetric(n))[1]))
-    else:  # dumps of the payload, its keys in sorted order, the fan's text from its rays
+    else:  # dumps of the payload, its keys in sorted order, the fan's text from its indices
         sym = build_symmetric(n)
-        cones, perm, respoly = symmetric_orbit(sym)
+        fan, perm, respoly = symmetric_orbit(sym)
         parts = {"chamber": dumps(jsonio.cone_to_json(sym.chamber)),
-                 "fan": jsonio.fan_to_json(n + 1, cones), "n": str(n),
+                 "fan": jsonio.fan_to_json(n + 1, *fan), "n": str(n),
                  "permutahedron": dumps(jsonio.polyhedron_to_json(perm)),
                  "product_cone": dumps(jsonio.cone_to_json(sym.product_cone)),
                  "resolution_polyhedron": dumps(jsonio.polyhedron_to_json(respoly))}
@@ -80,6 +80,15 @@ def _int_option(s: str) -> int:
     """An option's integer, read as a file's integer field is: an optional
     sign and ASCII digits, so "1_0", "٣" and " 7 " are usage errors (exit 2)."""
     return jsonio._json_int(s, "its value")
+
+
+def _bound(s: str) -> int:
+    """--brute-force-max's bound, an ``_int_option`` of at least 1: every n
+    is, so a lower bound would refuse every configuration (exit 2)."""
+    bound = _int_option(s)
+    if bound < 1:
+        raise ValueError(f"its value must be at least 1, not {bound}")
+    return bound
 
 
 def _object(s: str) -> str:
@@ -214,7 +223,7 @@ COMMANDS = {
                {"--check": None, "--all": False}, "--n N [--check CHECK | --all]: run checks"),
     "quotient": (cmd_quotient, ("polyhedron", "alpha", "b"), {}, {},
                  "POLYHEDRON ALPHA B: the quotient by alpha, shifted by b (such as -2/3,4/3)"),
-    "stab": (cmd_stab, ("config",), {"--brute-force-max": _int_option},
+    "stab": (cmd_stab, ("config",), {"--brute-force-max": _bound},
              {"--brute-force-max": DEFAULT_BRUTE_FORCE_MAX},
              "CONFIG [--brute-force-max N]: stabilizers; an n above N exits 4"),
 }

@@ -26,14 +26,13 @@ from functools import cache, reduce
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
-from operator import itemgetter, matmul, sub
+from operator import itemgetter, matmul, methodcaller, sub
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .cones import Cone, column_dots, image_cone
 from .git import Linearization, quotient_polyhedron, support_constants, unstable_rays
 from .linalg import IntVec, Matrix, abs_det, dot, left_action, primitive
-from .polyhedra import (Facet, LatticePolyhedron, cube_image_slice, orbit_certificate,
-                        orbit_polyhedron)
+from .polyhedra import Facet, LatticePolyhedron, cube_image_slice, orbit_certificate
 
 # the largest n that ``verify`` runs at
 VERIFY_MAX_N = 12
@@ -439,24 +438,27 @@ def build_symmetric(n: int) -> SymmetricModel:
 
 
 def symmetric_orbit(sym: SymmetricModel) -> tuple[tuple, LatticePolyhedron, LatticePolyhedron]:
-    """(the sorted rays of the n! cones ρ(s)·C in sorted order, the
-    permutohedron, the resolution polyhedron), which only ``build`` prints,
-    from one ``_cayley_walk`` of the generators, whose Coxeter relations
-    ``build_symmetric`` checked.  ρ(s)·C is held as d bytes that index its
-    rays among the model's 2^n facet normals, sorted once, so that sorted
-    indices are sorted rays; g_k moves it by one ``bytes.translate`` by its
-    permutation of the normals (``orbit_certificate``'s (1)), and y₀, the
-    walk's one row, by g_kᵀ.  A ray of C or an image of a normal that is no
-    normal raises, as does a C that is not pointed, full-dimensional and
-    simplicial as displayed: so the sorted rays are all of ρ(s)·C's ``key()``.
-    The permutohedron is certified at y₀'s middle block under the middle
-    blocks of the g_k, whose transposes move the orbit's middle blocks as
-    the g_kᵀ do, as those keep its outer entries 0 (``_check_orbit_count``),
-    with c_ν = 2o_ν + <ν, y₀> from the model's facets (ν, o_ν)."""
+    """((the sorted facet normals, the n! cones ρ(s)·C as sorted indices
+    among them, sorted), the permutohedron, the resolution polyhedron), which
+    only ``build`` prints, from one ``_cayley_walk`` of the generators, whose
+    Coxeter relations ``build_symmetric`` checked.  ρ(s)·C is held as d bytes
+    that index its rays among the model's 2^n facet normals, sorted once, so
+    that sorted indices are sorted rays; g_k moves it by one ``translate`` by
+    its permutation of the normals (``orbit_certificate``'s (1)).  A ray of C
+    or an image of a normal that is no normal raises, as does a C that is not
+    pointed, full-dimensional and simplicial: so the sorted rays are all of
+    ρ(s)·C's ``key()``.  The walk's keys are S_n as bytes, and the g_kᵀ act on
+    the lifts as the swaps (k, k+1) (``_check_orbit_count``), so the orbit of
+    y₀ lifts to the n! rearrangements of ŷ₀ = (2i - n - 1)_i: its (y - y₀)/2
+    are the (0; s_0 - 0, ..., s_{n-2} - (n-2); 0), s a key, sorted and
+    distinct when the keys are, whose first n - 1 bytes fix them.  The
+    permutohedron, these middle blocks, is certified at y₀'s under the g_k's,
+    whose transposes move them as the g_kᵀ do, as those keep the outer
+    entries 0, with c_ν = 2o_ν + <ν, y₀> from the model's facets (ν, o_ν)."""
     gens, y0, chamber = sym.generators, sym.base_point, sym.chamber
     if chamber.lineality_basis or chamber.equations or len(chamber.rays) != chamber.ambient_rank:
         raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
-    normals = sorted(nu for nu, _ in sym.facets)  # a byte each: 2^n <= 256 for n <= 8
+    normals = tuple(sorted(nu for nu, _ in sym.facets))  # a byte each: 2^n <= 256 for n <= 8
     index, cols = {nu: i for i, nu in enumerate(normals)}, tuple(zip(*normals))
     pad = bytes(range(len(normals), 256))  # translate reads a table of 256 bytes
 
@@ -466,20 +468,17 @@ def symmetric_orbit(sym: SymmetricModel) -> tuple[tuple, LatticePolyhedron, Latt
         except KeyError as miss:
             raise AssertionError(f"{what} {miss.args[0]} is not a facet normal") from None
 
-    def move(k: int, g: Matrix) -> Callable:  # g_k on a cone's indices and on y
-        table = indices(zip(*left_action(g)(cols)), f"g_{k}'s image") + pad
-        on_y = left_action(g.transpose())
-        return lambda at: (at[0].translate(table), on_y(at[1]))
-
-    walk = _cayley_walk(len(gens) + 1, [move(k, g) for k, g in enumerate(gens)],
-                        (indices(chamber.rays, "the chamber's ray"), tuple(zip(y0)))).values()
-    cones, orbit = sorted(bytes(sorted(c)) for c, _ in walk), [next(zip(*y)) for _, y in walk]
-    mid = [y[1:-1] for y in orbit]
-    perm = orbit_certificate(mid[0], [Matrix([r[1:-1] for r in g.entries[1:-1]]) for g in gens],
-                             {nu[1:-1]: 2 * o + dot(nu, y0) for nu, o in sym.facets
-                              if any(nu[1:-1])}, None)
-    return (tuple(tuple(map(normals.__getitem__, c)) for c in cones),
-            orbit_polyhedron(mid, *perm), orbit_polyhedron(orbit, sym.facets, sym.recession))
+    moves = [methodcaller("translate", indices(zip(*left_action(g)(cols)), f"g_{k}'s image") + pad)
+             for k, g in enumerate(gens)]
+    walk = _cayley_walk(len(gens) + 1, moves, indices(chamber.rays, "the chamber's ray"))
+    cones = tuple(sorted(bytes(sorted(c)) for c in walk.values()))
+    mid = [tuple(map(sub, s, range(len(gens)))) for s in sorted(walk)]
+    offsets = {nu[1:-1]: 2 * o + dot(nu, y0) for nu, o in sym.facets if any(nu[1:-1])}
+    facets, rec = orbit_certificate(y0[1:-1], [Matrix([r[1:-1] for r in g.entries[1:-1]])
+                                               for g in gens], offsets, None)
+    return ((normals, cones), LatticePolyhedron(len(gens), mid, rec, facets, _canonical=True),
+            LatticePolyhedron(len(y0), [(0,) + v + (0,) for v in mid], sym.recession, sym.facets,
+                              _canonical=True))
 
 
 # ---------------------------------------------------------------------------

@@ -108,14 +108,15 @@ def cone_to_json(c: Cone, with_facets: bool = True) -> dict:
     return out
 
 
-def fan_to_json(rank: int, cones) -> str:
-    """``dumps`` of the pointed cones of rank ``rank`` with the ray tuples
-    ``cones``, as ``cone_to_json`` writes them with no facets: each distinct
-    ray is encoded once, and the entries are joined with its separators."""
-    texts = {r: dumps([str(x) for x in r]) for r in {r for rays in cones for r in rays}}
+def fan_to_json(rank: int, normals, cones) -> str:
+    """``dumps`` of the pointed cones of rank ``rank`` whose rays are the
+    ``normals`` that each of ``cones``, a bytes, indexes, as ``cone_to_json``
+    writes them with no facets: each normal is encoded once, and the
+    entries are joined by index with its separators."""
+    texts = [dumps([str(x) for x in r]) for r in normals]
     head, _, tail = dumps({"ambient_rank": rank, "lineality": [], "rays": None}).rpartition("null")
-    return "[" + ",".join(f"{head}[{','.join(map(texts.__getitem__, rays))}]{tail}"
-                          for rays in cones) + "]"
+    return "[" + ",".join(f"{head}[{','.join(map(texts.__getitem__, c))}]{tail}"
+                          for c in cones) + "]"
 
 
 def cone_from_json(obj: dict) -> Cone:

@@ -300,16 +300,6 @@ def orbit_certificate(y0: IntVec, gens: Sequence[Matrix], offsets: dict[IntVec, 
     return tuple((nu, (x - v) // 2) for nu, v, x in zip(normals, vals, c)), rec
 
 
-def orbit_polyhedron(orbit: Sequence[IntVec], facets: Sequence[Facet], recession: Cone
-                     ) -> LatticePolyhedron:
-    """P = conv(orbit) + recession, canonical, in the coordinates (y - y₀) / 2,
-    from what ``orbit_certificate`` certified at y₀ = orbit[0], the facets as
-    the seed: the orbit of y₀ under its group, which is the caller's to know."""
-    y0 = orbit[0]
-    verts = sorted(set(zip(*[[(a - b) // 2 for a in col] for col, b in zip(zip(*orbit), y0)])))
-    return LatticePolyhedron(len(y0), verts, recession, _facets=facets, _canonical=True)
-
-
 class InnerCertificateError(ValueError):
     """A vertex of the cube-image slice is not shown to lie in conv(L(corners))."""
 

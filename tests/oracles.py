@@ -54,8 +54,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from toricgit import dd
 from toricgit.cones import Cone, column_dots, image_cone
-from toricgit.degeneration import (_bundle, _pb, ambient_reflections, chamber_cone,
-                                   family_cube_map, permutation_matrices,
+from toricgit.degeneration import (_bundle, _cayley_walk, _pb, ambient_reflections,
+                                   chamber_cone, family_cube_map, permutation_matrices,
                                    product_cone_dual_columns, product_cube_map,
                                    product_rec_dual_columns, slice_vertex)
 from toricgit.git import EmptyQuotientError, Linearization, RayDatum, support_constants
@@ -898,6 +898,33 @@ def orbit_fan_by_cone_dd(n: int) -> list[Cone]:
     return [Cone(n + 1, [m @ g for g in chamber.generators]) for _, m in sorted(mats.items())]
 
 
+def orbit_walk_pairs(sym) -> list[tuple[tuple[IntVec, ...], IntVec]]:
+    """(the sorted rays of ρ(s)·C, ρ(s)⁻ᵀy₀) for s in S_n, the identity
+    first: the paired walk that ``symmetric_orbit`` replaced, one
+    ``_cayley_walk`` moving a cone's indices among the sorted facet normals
+    by one ``bytes.translate`` by g_k's permutation of them, and y by g_kᵀ."""
+    normals = sorted(nu for nu, _ in sym.facets)
+    index, pad = {nu: i for i, nu in enumerate(normals)}, bytes(range(len(normals), 256))
+
+    def move(g):
+        table, gt = bytes(index[g @ nu] for nu in normals) + pad, g.transpose()
+        return lambda at: (at[0].translate(table), gt @ at[1])
+
+    start = (bytes(index[r] for r in sym.chamber.rays), sym.base_point)
+    walk = _cayley_walk(len(sym.generators) + 1, [move(g) for g in sym.generators], start)
+    return [(tuple(normals[i] for i in sorted(c)), y) for c, y in walk.values()]
+
+
+def orbit_polyhedron(orbit: Sequence[IntVec], facets: Sequence, recession: Cone
+                     ) -> LatticePolyhedron:
+    """P = conv(orbit) + recession, canonical, in the coordinates (y - y₀) / 2,
+    from what ``orbit_certificate`` certified at y₀ = orbit[0], the facets as
+    the seed: the walked orbit's points, sorted once with repeats dropped."""
+    y0 = orbit[0]
+    verts = sorted(set(zip(*[[(a - b) // 2 for a in col] for col, b in zip(zip(*orbit), y0)])))
+    return LatticePolyhedron(len(y0), verts, recession, _facets=facets, _canonical=True)
+
+
 def symmetric_polyhedra_by_dd(n: int) -> tuple[LatticePolyhedron, LatticePolyhedron]:
     """The permutohedron and the resolution polyhedron of the symmetric model,
     each canonicalized by one double description of its points and recession
@@ -1688,7 +1715,7 @@ def _argparse_parser():
         p_quot.add_argument(name)
     p_stab = sub.add_parser("stab")
     p_stab.add_argument("config")
-    p_stab.add_argument("--brute-force-max", type=typed(cli._int_option),
+    p_stab.add_argument("--brute-force-max", type=typed(cli._bound),
                         default=cli.DEFAULT_BRUTE_FORCE_MAX)
     return parser
 

@@ -539,6 +539,30 @@ def test_stab_bound_exceeded(tmp_path):
     assert run_cli(["stab", str(cfg), "--brute-force-max", "9"]).returncode == 4
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_stab_bound_below_1_is_a_usage_error(tmp_path, value):
+    # every n is at least 1, so such a bound would refuse every configuration
+    # (exit 4); it is an error in the arguments, reported before the file is read
+    r = run_cli(["stab", str(tmp_path / "absent.json"), "--brute-force-max", value])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: argument --brute-force-max: its value must be at least 1, " \
+                       f"not {value}\n"
+
+
+def test_stab_bound_1_still_reads(tmp_path):
+    point = {"component": 0, "root": "0", "generic": [], "a1": "a", "mult": 1}
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({"n": 1, "I_t": [], "points": [point]}))
+    r = run_cli(["stab", str(cfg), "--brute-force-max", "1"])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["comparison"] == "PASS"
+    cfg.write_text(json.dumps({"n": 2, "I_t": [], "points": [{**point, "mult": 2}]}))
+    r = run_cli(["stab", str(cfg), "--brute-force-max", "1"])
+    assert (r.returncode, r.stdout) == (4, "")
+    assert r.stderr == "error: n=2 exceeds --brute-force-max 1\n"
+
+
 def test_stab_order_beyond_len_limit(tmp_path):
     # |Stab| = 21! exceeds what len() can return; the orders are exact ints
     from math import factorial

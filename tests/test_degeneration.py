@@ -15,7 +15,8 @@ import pytest
 from oracles import (ambient_quotient_slice, braid_chambers, certified_polyhedron, cone_contains,
                      cube_image_slice_by_chambers, cube_image_slice_by_sums, edge_matrix,
                      family_side_by_dd, fan_rays, head_orbit, invert, minkowski_sum,
-                     orbit_fan_by_cone_dd, pb_polyhedron, permutohedron_points,
+                     orbit_fan_by_cone_dd, orbit_polyhedron, orbit_walk_pairs,
+                     pb_polyhedron, permutohedron_points,
                      product_side_by_dd, quotient_images_by_fractions, sigma_by_dd,
                      slice_polyhedron, slice_vertex_points, slice_vertex_points_by_fractions,
                      solve_unique, symmetric_polyhedra_by_dd, unstable_rays_by_vertices,
@@ -354,47 +355,68 @@ def test_fan_cone_count():
     for n in (2, 3, 4):
         sym = build_symmetric(n)
         fan = Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone)
-        assert len(fan.maximal_cones) == len(symmetric_orbit(sym)[0]) == [1, 1, 2, 6, 24][n]
+        assert len(fan.maximal_cones) == len(symmetric_orbit(sym)[0][1]) == [1, 1, 2, 6, 24][n]
         for c in fan.maximal_cones:
             assert c.is_smooth()
-
-
-def _walk_pairs(n):
-    """(the sorted rays of ρ(s)·C, ρ(s)⁻ᵀy₀) for s in S_n, the identity
-    first: the one walk that ``symmetric_orbit`` reads, its cones read back
-    from their indices among the sorted facet normals."""
-    sym, walks, real = _symmetric(n), [], degeneration._cayley_walk
-
-    def spy(*args):
-        walks.append(real(*args))
-        return walks[-1]
-
-    with mock.patch.object(degeneration, "_cayley_walk", spy):
-        symmetric_orbit(sym)
-    normals = sorted(nu for nu, _ in sym.facets)
-    return [(tuple(normals[i] for i in sorted(c)), next(zip(*y))) for c, y in walks[0].values()]
 
 
 def test_orbit_fan_matches_per_cone_dd_oracle():
     # the rays transported from the chamber equal each cone's own DD, whose
     # cones are pointed and full-dimensional, so their rays are their keys,
-    # and the model keeps them in key order.  The walk yields the chamber and
-    # y₀ first, and its pairs (ρ(s)·C, ρ(s)⁻ᵀy₀) are closed under each
-    # generator, (R, y) -> (g·R, gᵀy): y₀'s distinct middle coordinates tell
-    # the n! points apart, so each cone is paired with its own point
+    # and the model keeps them in key order.  The paired walk yields the
+    # chamber and y₀ first, and its pairs (ρ(s)·C, ρ(s)⁻ᵀy₀) are closed under
+    # each generator, (R, y) -> (g·R, gᵀy): y₀'s distinct middle coordinates
+    # tell the n! points apart, so each cone is paired with its own point
     for n in range(2, 7):
         oracle = orbit_fan_by_cone_dd(n)
         assert all(not c.lineality_basis and not c.equations for c in oracle), n
         gens, sym = ambient_reflections(n), build_symmetric(n)
         y0 = sym.base_point
-        pairs = _walk_pairs(n)
+        pairs = orbit_walk_pairs(sym)
         assert pairs[0] == (chamber_cone(n).rays, y0), n
         assert sorted(rays for rays, _ in pairs) == sorted(c.rays for c in oracle), n
         assert len({y for _, y in pairs}) == len(pairs) == factorial(n), n
         moved = {(tuple(sorted(g @ r for r in rays)), g.transpose() @ y)
                  for rays, y in pairs for g in gens}
         assert moved == set(pairs), n
-        assert symmetric_orbit(sym)[0] == tuple(c.rays for c in sorted(oracle, key=Cone.key))
+        normals, indices = symmetric_orbit(sym)[0]
+        assert tuple(tuple(normals[i] for i in c) for c in indices) == \
+            tuple(c.rays for c in sorted(oracle, key=Cone.key))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_symmetric_orbit_matches_the_paired_walk_oracle(n):
+    # the fan read back from its indices, and both polyhedra's vertices read
+    # off the walk's keys, are what the paired walk gives: its cones, sorted,
+    # and its points y moved by the g_kᵀ, centred, halved, sorted and deduped
+    sym = _symmetric(n)
+    (normals, indices), perm, respoly = symmetric_orbit(sym)
+    pairs = orbit_walk_pairs(sym)
+    assert [tuple(normals[i] for i in c) for c in indices] == sorted(rays for rays, _ in pairs)
+    assert normals == tuple(sorted(nu for nu, _ in sym.facets))
+    orbit = [y for _, y in pairs]
+    assert respoly.vertex_candidates == \
+        orbit_polyhedron(orbit, sym.facets, sym.recession).vertex_candidates
+    assert perm.vertex_candidates == \
+        orbit_polyhedron([y[1:-1] for y in orbit], perm.facet_rep, None).vertex_candidates
+    assert len(perm.vertex_candidates) == len(indices) == factorial(n)
+
+
+def test_symmetric_orbit_walks_only_index_bytes():
+    # the walk carries each cone as d bytes, with no point y beside it, and
+    # its keys are S_n as bytes
+    real, walks = degeneration._cayley_walk, []
+
+    def spy(*args):
+        walks.append(real(*args))
+        return walks[-1]
+
+    for n in range(2, 7):
+        with mock.patch.object(degeneration, "_cayley_walk", spy):
+            symmetric_orbit(_symmetric(n))
+        assert len(walks[-1]) == factorial(n), n
+        assert all(type(c) is bytes and len(c) == n + 1 for c in walks[-1].values()), n
+        assert set(walks[-1]) == {bytes(s) for s in permutations(range(n))}, n
 
 
 def test_build_symmetric_cone_count_does_not_grow_with_n(monkeypatch):
@@ -600,11 +622,11 @@ def test_facet_certificate_rejects_a_normal_negative_on_the_recession():
 
 def _orbit_candidates(n):
     """(orbit, gens, offsets, recession) of the resolution polyhedron and the
-    permutohedron: the orbit that ``symmetric_orbit`` walks, whose first point
+    permutohedron: the orbit of the paired walk oracle, whose first point
     ``build_symmetric`` and ``symmetric_orbit`` pass to ``orbit_certificate``
     with the rest."""
     gens = ambient_reflections(n)
-    orbit = [y for _, y in _walk_pairs(n)]
+    orbit = [y for _, y in orbit_walk_pairs(_symmetric(n))]
     offsets = {}
     for nu in product_cone_ambient(n).rays:
         k = sum(map(abs, nu[1:-1]))
@@ -1534,7 +1556,7 @@ def test_fan_checks_agree_with_the_orbit_fan_oracle(monkeypatch, n):
     # check tests against σ, in one column pass per facet of σ, are its rays
     sym = _symmetric(n)
     fan = Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone)
-    cones, _, respoly = symmetric_orbit(sym)
+    (_, cones), _, respoly = symmetric_orbit(sym)
     assert normal_fan(respoly) == fan
     assert len(fan.maximal_cones) == len(cones) == factorial(n)
     assert all(c.is_smooth() for c in fan.maximal_cones)

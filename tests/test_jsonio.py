@@ -137,6 +137,11 @@ def test_integer_strings_with_a_sign_or_leading_zeros_are_read():
     assert c.rays == ((-2, 1), (0, 1))
 
 
+def _rays(normals, cones):
+    """The ray tuples of the cones that index ``normals``."""
+    return [tuple(normals[i] for i in c) for c in cones]
+
+
 def test_fan_to_json_encodes_each_ray_once(monkeypatch):
     # the fan of build --object symmetric shares its rays across its cones
     real, encoded = jsonio.dumps, []
@@ -146,7 +151,8 @@ def test_fan_to_json_encodes_each_ray_once(monkeypatch):
         return real(obj)
 
     monkeypatch.setattr(jsonio, "dumps", spy)
-    text = jsonio.fan_to_json(2, [((0, 1), (1, -2)), ((1, -2), (3, 0))])
+    normals, cones = [(0, 1), (1, -2), (3, 0)], [bytes([0, 1]), bytes([1, 2])]
+    text = jsonio.fan_to_json(2, normals, cones)
     assert sorted(x for x in encoded if isinstance(x, list)) == \
         [["0", "1"], ["1", "-2"], ["3", "0"]]
     assert text == fan_text_by_one_dumps(2, [((0, 1), (1, -2)), ((1, -2), (3, 0))])
@@ -156,19 +162,22 @@ def test_fan_to_json_encodes_each_ray_once(monkeypatch):
 
 
 def test_fan_text_matches_one_dumps_oracle():
-    # the symmetric models' fans, and seeded fans of random ray tuples with
-    # negative and multi-digit entries, shared rays, empty cones and none
+    # the symmetric models' fans, and seeded fans of random normals with
+    # negative and multi-digit entries, indexed by bytes that share and
+    # repeat indices, with empty cones and none
     for n in range(2, 7):
-        cones = symmetric_orbit(build_symmetric(n))[0]
-        assert jsonio.fan_to_json(n + 1, cones) == fan_text_by_one_dumps(n + 1, cones), n
+        normals, cones = symmetric_orbit(build_symmetric(n))[0]
+        assert jsonio.fan_to_json(n + 1, normals, cones) == \
+            fan_text_by_one_dumps(n + 1, _rays(normals, cones)), n
     rng = random.Random(7)
     for trial in range(200):
         rank = rng.randint(1, 12)
-        pool = [tuple(rng.randint(-10 ** rng.randint(0, 4), 10 ** rng.randint(0, 4))
-                      for _ in range(rank)) for _ in range(rng.randint(1, 8))]
-        cones = [tuple(rng.choice(pool) for _ in range(rng.randint(0, 5)))
+        normals = [tuple(rng.randint(-10 ** rng.randint(0, 4), 10 ** rng.randint(0, 4))
+                         for _ in range(rank)) for _ in range(rng.randint(1, 8))]
+        cones = [bytes(rng.randrange(len(normals)) for _ in range(rng.randint(0, 5)))
                  for _ in range(rng.randint(0, 6))]
-        assert jsonio.fan_to_json(rank, cones) == fan_text_by_one_dumps(rank, cones), trial
+        assert jsonio.fan_to_json(rank, normals, cones) == \
+            fan_text_by_one_dumps(rank, _rays(normals, cones)), trial
 
 
 def test_matrix_entries_are_read_as_integers():
