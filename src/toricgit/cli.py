@@ -20,7 +20,7 @@ from . import __version__
 from . import jsonio
 from .degeneration import (build_bundle, build_symmetric, checks_for, product_polyhedron,
                            run_check, symmetric_orbit, verify)
-from .git import EmptyQuotientError, Linearization, quotient_polyhedron, split_quotient
+from .git import Linearization, quotient_polyhedron, split_quotient
 from .jsonio import dumps
 
 # ``stab`` and the comparison_fuzz check import the stabilizer stack (stabilizers,
@@ -170,11 +170,7 @@ def cmd_quotient(args) -> int:
     if q.is_empty():
         print(dumps({"empty": True}), flush=True)
         return 0
-    try:
-        polytopal, conical = split_quotient(poly, lin)
-    except EmptyQuotientError:
-        # conv(points) misses the slice: the split does not apply to this input
-        polytopal = conical = None
+    polytopal, conical = split_quotient(poly, lin, q) or (None, None)
     try:  # an int longer than sys.get_int_max_str_digits() has no str()
         text = dumps({"quotient": jsonio.polyhedron_to_json(q),
                       "polytopal": polytopal and jsonio.polyhedron_to_json(polytopal),

@@ -1,5 +1,6 @@
 """Subtorus actions on semi-projective toric data: fractional linearizations,
-quotient polyhedra, divisor support constants and unstable rays.
+quotient polyhedra Q and their split Q = P_b + σ̄^∨, checked (σ̄^∨ is read off
+Q), divisor support constants and unstable rays.
 
 The quotient of the polyhedron P by the linearization (α, b) is the slice
 P ∩ (α ⊗ R)^{-1}(-b), expressed in the HNF-reduced lattice basis of ker(α)
@@ -19,7 +20,7 @@ from .polyhedra import Facet, LatticePolyhedron, affine_slice
 
 
 class EmptyQuotientError(ValueError):
-    """The polytope slice P_b is empty, so the quotient does not split."""
+    """The slice polytope P_b is empty, so ``unstable_rays`` has no margin."""
 
 
 class Linearization:
@@ -77,35 +78,23 @@ def quotient_polyhedron(p: LatticePolyhedron, lin: Linearization) -> LatticePoly
     return quotient_slice(p, lin)
 
 
-def kernel_cone(p: LatticePolyhedron, lin: Linearization) -> Cone:
-    """σ̄^∨ = rec(P) ∩ ker(α)⊗R, the recession cone of P in the kernel
-    directions, in ker(alpha) coordinates: the recession cone of the slice
-    of rec(P), as a polyhedron, through 0."""
-    d = p.ambient_rank
-    rec = LatticePolyhedron(d, [(0,) * d], p.recession)
-    return affine_slice(rec, (0,) * d, lin.kernel()).recession
+def split_quotient(p: LatticePolyhedron, lin: Linearization, q: LatticePolyhedron
+                   ) -> Optional[tuple[LatticePolyhedron, Cone]]:
+    """(P_b, σ̄^∨) when Q = P_b + σ̄^∨, as on this package's families, else None.
 
-
-def split_quotient(p: LatticePolyhedron, lin: Linearization
-                   ) -> tuple[LatticePolyhedron, Cone]:
-    """(P_b, σ̄^∨): the polytope slice and the kernel part of the recession.
-
-    P_b = conv(candidate points of p) ∩ (α⊗R)^{-1}(-b) and
-    σ̄^∨ = rec(p) ∩ ker(α)⊗R, both in ker(alpha) coordinates.  Their
-    Minkowski sum must reproduce quotient_polyhedron(p, lin); the two sides
-    are computed along independent routes, so the identity is a real check.
-    The split is a theorem about this package's families, not about every
-    input: when conv(points) misses the slice, EmptyQuotientError is raised
-    even if the quotient itself is non-empty.
-
-    P_b is sliced from ``p.polytopal_part()`` as it stands: the slice reads
-    only its H-representation, so the candidate points are double-described
-    once, and no vertex of the polytope is enumerated first.
+    Q = quotient_polyhedron(p, lin) ≠ ∅ and P_b = conv(candidate points of p)
+    ∩ (α⊗R)^{-1}(-b), sliced from ``p.polytopal_part()``, in ker(alpha)
+    coordinates.  P_b ⊆ Q, as conv(points) ⊆ P, and rec Q = rec P ∩ ker α =
+    σ̄^∨ as Q ≠ ∅ (Rockafellar, *Convex Analysis*, Cor. 8.3.3).  A vertex
+    v = x + r of P_b + rec Q (x ∈ P_b, r ∈ rec Q) has r = 0, else it is the
+    midpoint of x and v + r; and Q = conv(vert Q) + rec Q.  So Q = P_b + σ̄^∨
+    iff vert Q ⊆ P_b iff vert Q ⊆ vert P_b: a set containment of canonical
+    vertex lists in one basis.  An empty P_b gives None.
     """
     pb = quotient_slice(p.polytopal_part(), lin)
-    if pb.is_empty():
-        raise EmptyQuotientError("empty quotient")
-    return pb, kernel_cone(p, lin)
+    if pb.is_empty() or not set(q.vertex_candidates) <= set(pb.vertex_candidates):
+        return None
+    return pb, q.recession
 
 
 def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], int]:

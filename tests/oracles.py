@@ -607,12 +607,11 @@ def quotient_by_ambient_slice(p: LatticePolyhedron, lin: Linearization) -> Latti
 
 def split_by_ambient_slice(p: LatticePolyhedron, lin: Linearization
                            ) -> tuple[LatticePolyhedron, Cone]:
-    """``git.split_quotient`` by the ambient slice of the polytopal part, and
-    σ̄^∨ from the dual of rec(P) restricted to ker(α), by its own double
-    description."""
+    """(P_b, σ̄^∨) by independent routes: P_b (empty allowed) by the ambient
+    slice of the polytopal part, and σ̄^∨ from the dual of rec(P) restricted
+    to ker(α), by its own double description.  Whether they split the
+    quotient is the caller's ``minkowski_sum`` to decide."""
     pb = ambient_quotient_slice(LatticePolyhedron(p.ambient_rank, p.vertex_candidates), lin)
-    if pb.is_empty():
-        raise EmptyQuotientError("empty quotient")
     kern = lin.kernel()
     rec_dual = p.recession.dual()
     cons = [tuple(dot(v, b) for b in kern) for v in rec_dual.rays]

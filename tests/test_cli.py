@@ -494,6 +494,22 @@ def test_quotient_split_not_applicable(tmp_path):
     assert len(obj["quotient"]["vertices"]) == 2
 
 
+def test_quotient_prints_no_false_split(tmp_path):
+    # P = conv{(0,0), (0,4)} + cone{(1,1)}, y = 3: Q = [0, 3], but P_b = {0}
+    # and σ̄^∨ = {0}, whose sum is not Q, so no split is printed
+    poly = {"ambient_rank": 2, "vertices": [["0", "0"], ["0", "4"]],
+            "recession": {"ambient_rank": 2, "rays": [["1", "1"]], "lineality": []}}
+    p = tmp_path / "segment.json"
+    a = tmp_path / "al.json"
+    p.write_text(json.dumps(poly))
+    a.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["0", "1"]]}))
+    r = run_cli(["quotient", str(p), str(a), "-3"])
+    assert r.returncode == 0, r.stderr
+    obj = json.loads(r.stdout)
+    assert obj["polytopal"] is None and obj["conical"] is None
+    assert obj["quotient"]["vertices"] == [["0"], ["3"]]
+
+
 EX1 = {"n": 9, "I_t": [1, 7, 10], "points":
        [{"component": 1, "root": f"{j}/3", "generic": [1, 0, 0], "a1": "a", "mult": 1}
         for j in range(3)] +

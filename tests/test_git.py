@@ -13,8 +13,7 @@ from toricgit.cones import Cone
 from toricgit.degeneration import (_pb, build_bundle, decode_ray_label, head_vertex,
                                    product_linearization, product_polyhedron,
                                    projection_matrix)
-from toricgit.git import (EmptyQuotientError, Linearization, quotient_polyhedron,
-                          split_quotient, unstable_rays)
+from toricgit.git import Linearization, quotient_polyhedron, split_quotient, unstable_rays
 from toricgit.linalg import Matrix, dot, rank
 from toricgit.polyhedra import LatticePolyhedron
 
@@ -40,8 +39,7 @@ def test_linearization_computes_kernel_and_base_point_once(monkeypatch):
         real = getattr(git, name)
         monkeypatch.setattr(git, name, lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a))
     lin = Linearization(Matrix([[0, 1, -1, 0], [0, 0, 1, -1]]), (F(1, 3), F(2, 3)))
-    quotient_polyhedron(poly, lin)
-    split_quotient(poly, lin)
+    split_quotient(poly, lin, quotient_polyhedron(poly, lin))
     assert calls == ["kernel_basis", "solve_affine"]
     k = lin.kernel()
     k.append(None)  # the caller's list is its own
@@ -82,7 +80,8 @@ def test_split_quotient_sum_identity():
         for poly, lin in ((product_polyhedron(n), product_linearization(n)),
                           (b.family_polyhedron, b.lin_family)):
             q = quotient_polyhedron(poly, lin)
-            polytopal, conical = split_quotient(poly, lin)
+            polytopal, conical = split_quotient(poly, lin, q)
+            assert conical == split_by_ambient_slice(poly, lin)[1]
             recon = minkowski_sum(polytopal,
                                   LatticePolyhedron(polytopal.ambient_rank,
                                                     [(0,) * polytopal.ambient_rank],
@@ -92,7 +91,8 @@ def test_split_quotient_sum_identity():
 
 def test_split_quotient_family_point_plus_cone():
     b = build_bundle(1)
-    polytopal, conical = split_quotient(b.family_polyhedron, b.lin_family)
+    q = quotient_polyhedron(b.family_polyhedron, b.lin_family)
+    polytopal, conical = split_quotient(b.family_polyhedron, b.lin_family, q)
     assert len(polytopal.vertex_candidates) == 1
     assert not polytopal.recession.rays
     assert len(conical.rays) == 2
@@ -102,16 +102,19 @@ def test_split_quotient_trivial_recession():
     # polytope with trivial recession: the conical part is the origin
     square = LatticePolyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)]).canonicalize()
     lin = Linearization(Matrix([[1, 0]]), (F(-1, 2),))
-    polytopal, conical = split_quotient(square, lin)
+    polytopal, conical = split_quotient(square, lin, quotient_polyhedron(square, lin))
     assert not conical.rays and not conical.lineality_basis
     assert set(polytopal.vertex_candidates) == {(F(0),), (F(1),)}
 
 
-def test_split_quotient_empty_raises():
+def test_split_quotient_empty_returns_none():
+    # P_b = ∅: for an empty Q, and for the segment Q that {0} + cone(e1, e2)
+    # cuts out on x + y = 3
     square = LatticePolyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)]).canonicalize()
-    lin = Linearization(Matrix([[1, 0]]), (F(-5),))
-    with pytest.raises(ValueError):
-        split_quotient(square, lin)
+    orthant = LatticePolyhedron(2, [(0, 0)], Cone(2, [(1, 0), (0, 1)]))
+    for p, lin in ((square, Linearization(Matrix([[1, 0]]), (F(-5),))),
+                   (orthant, Linearization(Matrix([[1, 1]]), (-3,)))):
+        assert split_quotient(p, lin, quotient_polyhedron(p, lin)) is None
 
 
 def random_quotient_input(rng):
@@ -133,45 +136,46 @@ def random_quotient_input(rng):
             return LatticePolyhedron(d, pts, Cone(d, gens)), Linearization(alpha, b)
 
 
-def split_or_error(split, p, lin):
-    try:
-        pb, sigma = split(p, lin)
-    except EmptyQuotientError:
-        return None
-    return pb, sigma.key()
-
-
 def test_quotient_matches_the_ambient_route_on_random_inputs():
     # oracle: the ambient slice, mapped to ker(α) by one solve per vertex and
-    # ray, and σ̄^∨ from its own double description of rec(P)^∨ on ker(α)
+    # ray, σ̄^∨ from its own double description of rec(P)^∨ on ker(α), and the
+    # split decided by the Minkowski sum P_b + σ̄^∨ = Q
     rng = random.Random(18)
-    seen = {"empty": 0, "unbounded": 0, "no split": 0, "k = 0": 0}
+    seen = dict.fromkeys(("empty", "unbounded", "k = 0", "split", "no split", "P_b empty"), 0)
     for _ in range(150):
         p, lin = random_quotient_input(rng)
         q = quotient_polyhedron(p, lin)
         assert q == quotient_by_ambient_slice(p, lin)
-        assert q.ambient_rank == len(lin.kernel())
-        got = split_or_error(split_quotient, p, lin)
-        assert got == split_or_error(split_by_ambient_slice, p, lin)
+        k = q.ambient_rank
+        assert k == len(lin.kernel())
         seen["empty"] += q.is_empty()
+        if q.is_empty():
+            continue
+        pb, sigma = split_by_ambient_slice(p, lin)
+        assert sigma == q.recession
+        holds = not pb.is_empty() and minkowski_sum(
+            pb, LatticePolyhedron(k, [(0,) * k], sigma)) == q
+        got = split_quotient(p, lin, q)
+        assert got == ((pb, sigma) if holds else None)
         seen["unbounded"] += bool(q.recession.rays)
-        seen["no split"] += got is None and not q.is_empty()
-        seen["k = 0"] += q.ambient_rank == 0 and not q.is_empty()
+        seen["k = 0"] += k == 0
+        seen["split" if holds else "P_b empty" if pb.is_empty() else "no split"] += 1
     assert all(c >= 3 for c in seen.values()), seen
 
 
 def test_quotient_and_split_reject_a_line_in_the_kernel():
-    # rec(P) ∩ ker(α) = R·e1: the slice contains a line, and so does σ̄^∨
+    # rec(P) ∩ ker(α) = R·e1: the slice contains a line, so no Q reaches
+    # split_quotient, and the oracle's own σ̄^∨ contains it too
     p = LatticePolyhedron(2, [(0, 1)], Cone(2, [(1, 0), (-1, 0), (0, 1)]))
     lin = Linearization(Matrix([[0, 1]]), (-1,))
-    for f in (quotient_polyhedron, split_quotient):
+    for f in (quotient_polyhedron, split_by_ambient_slice):
         with pytest.raises(ValueError, match="line"):
             f(p, lin)
 
 
 def test_quotient_runs_few_double_descriptions(monkeypatch):
     # one slice and the two canonical forms of its result; split_quotient
-    # adds the polytope's hull and the slice of rec(P)
+    # adds P_b's hull, its slice and its canonical form, and reads σ̄^∨ off Q
     from toricgit import dd
     b4, p3 = build_bundle(4), product_polyhedron(3)
     calls = []
@@ -184,9 +188,11 @@ def test_quotient_runs_few_double_descriptions(monkeypatch):
     monkeypatch.setattr(dd, "cone_from_inequalities", spy)
     quotient_polyhedron(b4.family_polyhedron, b4.lin_family)
     assert len(calls) <= 3, calls
+    lin3 = product_linearization(3)
+    q3 = quotient_polyhedron(p3, lin3)
     calls.clear()
-    split_quotient(p3, product_linearization(3))
-    assert len(calls) <= 7, calls
+    split_quotient(p3, lin3, q3)
+    assert len(calls) <= 3, calls
 
 
 def test_support_constants():

@@ -25,7 +25,10 @@ still took each product ray's facet offset and margin on its own, and the
 same digests came out when both were taken once per S_n-orbit of rays and
 the cap rose to 12.  The ``quotient`` digests were
 recorded on the code that sliced P in ambient coordinates and solved one
-system per vertex for its ker(α) coordinates.  The ``stab`` digests were
+system per vertex for its ker(α) coordinates, except the "false split" one,
+recorded when ``split_quotient`` came to decide the split by Q's vertices:
+the code before printed P_b = {0} and σ̄^∨ = {0} for its Q = [0, 3], a
+split whose sum is not Q, where it now prints null.  The ``stab`` digests were
 recorded on the code whose stabilizer search still filled the whole n×n
 table of admissible images before it started.  To record them again after
 a deliberate output change, print ``build_digest``, ``verify_digest``,
@@ -96,6 +99,7 @@ QUOTIENT_DIGESTS = {
     ("product", 2): "7ba37f17b838ef4c3e822a3149e2ffdd1f26e39f62cabfc44c2f22aed1d62113",
     ("product", 3): "635b51c8be57e1c7edc745521f42568e9463c7b3f7af31b3067cb892b918c977",
     ("empty square", 0): "1053e6abfa8f92ed24086add87bff4efdcdd6abc2389bfa869df6a000d0b1514",
+    ("false split", 0): "a2f9468f67d8568c2d5ee5ffa804f7a569ce5580ee7e7b1998a7f520c3f8065f",
     ("split not applicable", 0): "dca5a23945a9bde5e382f82be3f9f8ea1417ca5ea73abd79f5a225e7f33d251c",
 }
 
@@ -143,8 +147,8 @@ def verify_digest(n: int) -> str:
 def quotient_inputs(name: str, n: int) -> tuple[dict, dict, str]:
     """(polyhedron JSON, alpha JSON, b) of a ``toricgit quotient`` run: the
     expanded family with its own (alpha, b), the product polyhedron with the
-    product linearization, and the empty-square and split-not-applicable
-    inputs of the CLI tests."""
+    product linearization, and the empty-square, split-not-applicable and
+    false-split inputs of the CLI tests."""
     if name == "expanded":
         poly = json.loads(_run(["build", "--n", str(n), "--object", "expanded"]))
         lin = build_bundle(n).lin_family
@@ -155,6 +159,10 @@ def quotient_inputs(name: str, n: int) -> tuple[dict, dict, str]:
         return ({"ambient_rank": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
                  "recession": {"ambient_rank": 2, "rays": [], "lineality": []}},
                 {"rows": 1, "cols": 2, "entries": [["1", "0"]]}, "-5")
+    elif name == "false split":
+        return ({"ambient_rank": 2, "vertices": [["0", "0"], ["0", "4"]],
+                 "recession": {"ambient_rank": 2, "rays": [["1", "1"]], "lineality": []}},
+                {"rows": 1, "cols": 2, "entries": [["0", "1"]]}, "-3")
     else:
         return ({"ambient_rank": 2, "vertices": [["0", "0"]],
                  "recession": {"ambient_rank": 2, "rays": [["1", "0"], ["0", "1"]],
