@@ -4,11 +4,11 @@ machine checks for the combinatorial statements about them.
 Two families of objects are built:
 
 * ``DegenerationBundle``: the affine family X = A^2 -> A^1 (t = xy) after base
-  change to A^{n+1}, its iterated blow-up (the expanded family), the n-fold
-  fiber self-product, and the distinguished fractional linearization of the
-  torus G = {t_1 ... t_{n+1} = 1}.  Everything is encoded by polyhedra and
-  cones in the character lattices Z^{n+2} and Z^{2n+1}, with coordinate order
-  (s-block; t_1, ..., t_{n+1}).
+  change to A^{n+1}, its iterated blow-up (the expanded family), and the
+  fractional linearization of the torus G = {t_1 ... t_{n+1} = 1}, in Z^{n+2}
+  with coordinate order (s-block; t_1, ..., t_{n+1}).  Of the n-fold fiber
+  self-product, in Z^{2n+1}, each check builds from its closed form what it
+  reads (the product cone, π, Q', ``product_facets``) and frees it at its end.
 
 * ``SymmetricModel``: the weight-space S_n data that resolve the relative
   n-fold product of X over the base: the chamber C, the generators g_k, the
@@ -235,28 +235,29 @@ def _orbit_rays(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
 class DegenerationBundle(NamedTuple):
     n: int
     family_polyhedron: LatticePolyhedron  # polyhedron of the iterated blow-up
-    product_rec_dual: Cone                # recession cone of the product polyhedron
-    product_cone: Cone                    # its dual, generated by the (e_I; e_j)
-    product_facets: tuple[Facet, ...]     # facet rows (v, o_v) of the product polyhedron
     lin_family: Linearization
-    projection: Matrix                    # pi: dual-side quotient projection
-    basis_change: Matrix                  # Q': kernel-basis change, integral
 
 
 def projection_matrix(n: int) -> Matrix:
     """pi: Z^{2n+1} -> Z^{n+1}; rows (0,..,0,-1 | 1..1), (e_k - e_n | 0) for
-    k = 1..n-1, and (e_n | 0).  Its transpose's columns are a basis of the
-    kernel of the product shift map."""
-    return Matrix([[0] * (n - 1) + [-1] + [1] * (n + 1)]
-                  + [[int(c == k) - int(c == n - 1) for c in range(2 * n + 1)]
-                     for k in range(n - 1)] + [_unit(2 * n + 1, n - 1)])
+    k = 1..n-1, and (e_n | 0), once its rows are checked to lie in the kernel
+    of the product shift map and to have rank n + 1, so that its transpose's
+    columns are a basis of that kernel."""
+    pi = Matrix([[0] * (n - 1) + [-1] + [1] * (n + 1)]
+                + [[int(c == k) - int(c == n - 1) for c in range(2 * n + 1)]
+                   for k in range(n - 1)] + [_unit(2 * n + 1, n - 1)])
+    if any(map(any, (torus_shift_map(n, 2 * n + 1) @ pi.transpose()).entries)):
+        raise AssertionError("rows of pi must lie in the kernel of the product shift map")
+    if pi.rank() != n + 1:
+        raise AssertionError("pi must be surjective")
+    return pi
 
 
 def basis_change_matrix(n: int) -> Matrix:
     """Q' in closed form, rows indexed 0..n: row 0 is e_n, row k is e_{k-1}
     for 0 < k < n, and row n is (1, ..., 1).  One product certifies it:
     pi^T Q' = [e_1 | ... | e_n | (0; 1...1)].  pi is surjective
-    (``build_bundle`` checks it), so pi^T is injective and that product
+    (``projection_matrix`` checks it), so pi^T is injective and that product
     determines Q'."""
     q = Matrix([_unit(n + 1, n)] + [_unit(n + 1, k - 1) for k in range(1, n)]
                + [(1,) * (n + 1)])
@@ -267,51 +268,41 @@ def basis_change_matrix(n: int) -> Matrix:
 
 
 def build_bundle(n: int) -> DegenerationBundle:
-    """All displayed toric data of the expanded family and its self-product.
-    The base-change and product cones and their duals, the recession cones,
-    are closed forms (``_product_cone``), the family polyhedron is the hull
-    of its ``_staircase`` plus its recession cone, and the product polyhedron
-    is kept as its facet rows, one offset per S_n-orbit of rays, (n+1)^2 of
-    them (``_head_swaps``); ``product_polyhedron`` adds its chart vertices."""
+    """The expanded family's toric data: its polyhedron, the hull of its
+    ``_staircase`` plus its recession cone, the dual of the base-change cone's
+    closed form (``_product_cone``), and its linearization."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # family side, rank n+2: the recession cone of the family polyhedron is
-    # the dual of the cone of the base-changed family
     fam_rec = _product_cone(n, 1, family_rec_dual_columns(n)).dual()
     fam_poly = LatticePolyhedron(n + 2, _staircase(n, fam_rec), fam_rec).canonicalize()
-    # product side, rank 2n+1: the cone and its dual, the recession cone,
-    # both with both representations
-    prod_cone = _product_cone(n, n, product_rec_dual_columns(n))
-    L, alpha = product_cube_map(n), torus_shift_map(n, 2 * n + 1)
-    _head_swaps(n, L, alpha, chart_pairs(n))
-    # the facet with normal v has offset min of v over L(cube), the sum of
-    # the negative entries of Lᵀv, read over the nonzeros of v, which
-    # support_constants reads as d_v; no chart vertex is listed
-    offsets = {key: sum(min(x, 0) for x in column_dots(v, L.entries, L.cols))
-               for v, key in _orbit_rays(n).items()}
-    facets = tuple((v, offsets[sum(v[:n]), v.index(1, n) - n]) for v in prod_cone.rays)
     lin_fam = Linearization(torus_shift_map(n, n + 2),
                             [Fraction(i, n + 1) for i in range(1, n + 1)])
-    pi = projection_matrix(n)
-    if any(any(x != 0 for x in (alpha @ col)) for col in pi.transpose().columns()):
-        raise AssertionError("rows of pi must lie in the kernel of the product shift map")
-    if pi.rank() != n + 1:
-        raise AssertionError("pi must be surjective")
-    return DegenerationBundle(
-        n=n, family_polyhedron=fam_poly,
-        product_rec_dual=prod_cone.dual(), product_cone=prod_cone,
-        product_facets=facets, lin_family=lin_fam, projection=pi,
-        basis_change=basis_change_matrix(n))
+    return DegenerationBundle(n, fam_poly, lin_fam)
+
+
+def product_facets(n: int) -> tuple[Facet, ...]:
+    """The product polyhedron's facet rows (v, o_v), v the product cone's rays
+    (e_I; e_j) in ``product_ray_vectors`` order, with no chart vertex listed:
+    o_v, the least value of v on L(cube) and d_v to ``support_constants``, is
+    the sum of the negative entries of Lᵀv, read over the nonzeros of v, taken
+    once per S_n-orbit (|I|, j) at its representative (``_head_swaps``); a
+    row finds its orbit from its head e_I's |I| and its tail e_j's j."""
+    L = product_cube_map(n)
+    _head_swaps(n, L, torus_shift_map(n, 2 * n + 1), chart_pairs(n))
+    offsets = {key: sum(min(x, 0) for x in column_dots(v, L.entries, L.cols))
+               for v, key in _orbit_rays(n).items()}
+    keys = product([sum(e) for e in product((0, 1), repeat=n)], range(n, -1, -1))
+    return tuple(zip(product_ray_vectors(n, n), map(offsets.__getitem__, keys)))
 
 
 def product_polyhedron(n: int) -> LatticePolyhedron:
-    """The product polyhedron: its (n+1)^n chart vertices, the recession
-    cone and the bundle's facet rows as its seeded H-representation."""
+    """The product polyhedron: its (n+1)^n chart vertices, the product cone's
+    dual and ``product_facets``, its seeded H-representation."""
     if n > 5:
         raise ValueError("n must be <= 5 (vertex counts grow as (n+1)^n)")
-    b = _bundle(n)
-    return LatticePolyhedron(2 * n + 1, product_chart_vertices(n), b.product_rec_dual,
-                             _facets=b.product_facets)
+    rec = _product_cone(n, n, product_rec_dual_columns(n)).dual()
+    return LatticePolyhedron(2 * n + 1, product_chart_vertices(n), rec,
+                             _facets=product_facets(n))
 
 
 class SymmetricModel(NamedTuple):
@@ -456,9 +447,11 @@ def symmetric_orbit(sym: SymmetricModel) -> tuple[tuple, LatticePolyhedron, Latt
     whose transposes move them as the g_kᵀ do, as those keep the outer
     entries 0, with c_ν = 2o_ν + <ν, y₀> from the model's facets (ν, o_ν)."""
     gens, y0, chamber = sym.generators, sym.base_point, sym.chamber
+    if len(gens) > 7:  # a byte indexes each of the 2^n facet normals
+        raise ValueError(f"symmetric_orbit supports n <= 8, not n={len(gens) + 1}")
     if chamber.lineality_basis or chamber.equations or len(chamber.rays) != chamber.ambient_rank:
         raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
-    normals = tuple(sorted(nu for nu, _ in sym.facets))  # a byte each: 2^n <= 256 for n <= 8
+    normals = tuple(sorted(nu for nu, _ in sym.facets))
     index, cols = {nu: i for i, nu in enumerate(normals)}, tuple(zip(*normals))
     pad = bytes(range(len(normals), 256))  # translate reads a table of 256 bytes
 
@@ -484,15 +477,10 @@ def symmetric_orbit(sym: SymmetricModel) -> tuple[tuple, LatticePolyhedron, Latt
 # ---------------------------------------------------------------------------
 # verification checks
 
-# The checks share one bundle and one symmetric model per n.  The builders
-# stay plain functions, so the per-layer tracer in perfbench/ still wraps
-# them, and keep their consistency assertions, which run on the first build
-# of each n; only these private accessors memoise them.
-
-
-@cache
-def _bundle(n: int) -> DegenerationBundle:
-    return build_bundle(n)
+# Only the symmetric model and P_b, each read by two or three checks, are
+# memoised per n, by these private accessors; the builders stay plain
+# functions, which the tracer in perfbench/ wraps.  Every other datum is built
+# by the one check that reads it and freed when that check ends.
 
 
 @cache
@@ -541,11 +529,11 @@ def _check_conical_part(n: int) -> tuple[bool, Any]:
     """π maps the product cone, the cone over its rays, onto σ if the
     primitive images of the rays, π(e_I; e_j) = (1; e_I; 0) or (0; -e_{I^c};
     1), are σ's rays, compared in int; else the image cone decides."""
-    b, target = _bundle(n), product_cone_ambient(n)
-    cols = list(zip(*b.product_cone.rays))
-    images = set(zip(*(column_dots(row, cols, len(cols[0])) for row in b.projection.entries)))
+    cone, pi = _product_cone(n, n, product_rec_dual_columns(n)), projection_matrix(n)
+    target, cols = product_cone_ambient(n), list(zip(*cone.rays))
+    images = set(zip(*(column_dots(row, cols, len(cols[0])) for row in pi.entries)))
     if {primitive(v) for v in images if any(v)} != set(target.rays):
-        img = image_cone(b.projection, b.product_cone)
+        img = image_cone(pi, cone)
         if img != target:
             return False, {"got": [list(r) for r in img.rays],
                            "expected": [list(r) for r in target.rays]}
@@ -573,7 +561,7 @@ def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
     As φ(U) = 0 = ψ(y₀), φ maps the heads of the m_s, the π-orbit of U, word
     by word onto ψ of the orbit of y₀, n! points (``build_symmetric``): no
     vertex list."""
-    sym, q, u = _symmetric(n), _bundle(n).basis_change, head_vertex(n) + (0,)
+    sym, q, u = _symmetric(n), basis_change_matrix(n), head_vertex(n) + (0,)
     at_id = q @ list(map(sub, identity_slice_vertex(n)[:n] + (0,), u))
     if any(at_id):
         return False, {"identity_image": _strs(at_id, n + 2)}
@@ -618,7 +606,7 @@ def _check_unstable_locus(n: int) -> tuple[bool, Any]:
     taken, compared and written out once per orbit (k, j) (``_head_swaps``);
     a ray whose own d_v is not its orbit's gets its own margin."""
     _, h, support = _pb(n)
-    offsets, den = support_constants(_bundle(n).product_facets), 2 * (n + 1)
+    offsets, den = support_constants(product_facets(n)), 2 * (n + 1)
 
     def judged(rd, k, j):  # (d_v, whether it passes, its row's values, the expected ones)
         d, m = -(n - j) * k, (j - k) * ((j - k) * n + n - 2 * k)
@@ -644,7 +632,7 @@ def _check_unstable_locus(n: int) -> tuple[bool, Any]:
 
 
 def _check_base_recovery(n: int) -> tuple[bool, Any]:
-    b = _bundle(n)
+    b = build_bundle(n)
     q = quotient_polyhedron(b.family_polyhedron, b.lin_family)
     if q.is_empty():
         return False, {"error": "empty quotient"}

@@ -104,7 +104,7 @@ def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], int]:
     minimising a recession-dual extreme ray v has recession cone rec ∩ v^⊥,
     a facet of rec, so it is a facet of p with normal v and offset
     o_v = min over p of <v, x>.  Given those rows, d_v = min(0, o_v) is read
-    off them: no point of p is visited (``build_bundle`` keeps the product
+    off them: no point of p is visited (``product_facets`` builds the product
     polyhedron's rows and lists none of its chart vertices)."""
     return {v: min(0, o) for v, o in facets}
 

@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from toricgit import dd
 from toricgit.cones import Cone, column_dots, image_cone
-from toricgit.degeneration import (_bundle, _cayley_walk, _pb, ambient_reflections,
+from toricgit.degeneration import (_cayley_walk, _pb, ambient_reflections, basis_change_matrix,
                                    chamber_cone, family_cube_map, permutation_matrices,
                                    product_cone_dual_columns, product_cube_map,
                                    product_rec_dual_columns, slice_vertex)
@@ -772,7 +772,7 @@ def quotient_images_by_fractions(n: int, points: Sequence[Sequence[Fraction]]
     head of the identity's slice vertex: for the slice vertices m_s, the
     images that the quotient theorem says are the vertices of the
     resolution polyhedron."""
-    u, q = slice_vertex_by_fractions(n, range(n))[:n], _bundle(n).basis_change
+    u, q = slice_vertex_by_fractions(n, range(n))[:n], basis_change_matrix(n)
     return {tuple(x * (n + 1) / (n + 2) for x in q @ ([a - b for a, b in zip(m, u)] + [0]))
             for m in points}
 

@@ -11,10 +11,12 @@ from oracles import (ambient_quotient_slice, ambient_slice, det_unimodular, from
                      head_orbit, intersection, minkowski_sum, orbit_fan_by_cone_dd,
                      smith_normal_form)
 from toricgit.cones import Cone, image_cone
-from toricgit.degeneration import (_pb, build_bundle, build_symmetric, constant_tail,
-                                   decode_ray_label, head_vertex, identity_slice_vertex,
-                                   product_cone_ambient, product_linearization,
-                                   product_polyhedron, symmetric_orbit, verify)
+from toricgit.degeneration import (_pb, _product_cone, build_bundle, build_symmetric,
+                                   constant_tail, decode_ray_label, head_vertex,
+                                   identity_slice_vertex, product_cone_ambient, product_facets,
+                                   product_linearization, product_polyhedron,
+                                   product_rec_dual_columns, projection_matrix,
+                                   symmetric_orbit, verify)
 from toricgit.git import quotient_polyhedron, unstable_rays
 from toricgit.groups import compose, identity
 from toricgit.linalg import Matrix, hermite_normal_form, elementary_divisors, kernel_basis
@@ -34,8 +36,8 @@ def report(num, label, t0, budget):
 def test_criterion_01_conical_part():
     t0 = time.perf_counter()
     for n in range(1, 5):
-        b = build_bundle(n)
-        assert image_cone(b.projection, b.product_cone) == product_cone_ambient(n), n
+        cone = _product_cone(n, n, product_rec_dual_columns(n))
+        assert image_cone(projection_matrix(n), cone) == product_cone_ambient(n), n
     report(1, "projected product cone equals the chamber-orbit cone, n=1..4", t0, 10)
 
 
@@ -80,9 +82,8 @@ def test_criterion_04_normal_fan():
 def test_criterion_05_unstable_locus():
     t0 = time.perf_counter()
     for n in range(2, 5):
-        b = build_bundle(n)
         _, h, support = _pb(n)
-        data = unstable_rays(b.product_facets, support, h)
+        data = unstable_rays(product_facets(n), support, h)
         assert len(data) == 2 ** n * (n + 1)
         for rd in data:
             I, j = decode_ray_label(n, rd.ray)

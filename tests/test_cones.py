@@ -153,7 +153,7 @@ def test_builders_take_full_dimensional_duals_without_dd(monkeypatch):
     # full-dimensional and pointed, so their duals come with both
     # representations and no double description runs for them, however much
     # of them is read
-    from toricgit.degeneration import _symmetric, build_bundle, verify
+    from toricgit.degeneration import _symmetric, build_bundle, product_polyhedron, verify
     duals, described = [], []
     real_dual, real_h_rep = Cone.dual, Cone._compute_h_rep
 
@@ -171,7 +171,7 @@ def test_builders_take_full_dimensional_duals_without_dd(monkeypatch):
     for n in range(1, 6):
         duals.clear()
         described.clear()
-        build_bundle(n)
+        build_bundle(n), product_polyhedron(n)
         if n >= 2:
             _symmetric.cache_clear()  # normal_fan builds the model once
             assert verify(n, "normal_fan").status == "pass"

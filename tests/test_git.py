@@ -11,7 +11,7 @@ from oracles import (ambient_quotient_slice, chart_invariants, minkowski_sum,
                      unstable_rays_by_vertices)
 from toricgit.cones import Cone
 from toricgit.degeneration import (_pb, build_bundle, decode_ray_label, head_vertex,
-                                   product_linearization, product_polyhedron,
+                                   product_facets, product_linearization, product_polyhedron,
                                    projection_matrix)
 from toricgit.git import Linearization, quotient_polyhedron, split_quotient, unstable_rays
 from toricgit.linalg import Matrix, dot, rank
@@ -215,10 +215,9 @@ def test_support_constants_rational_vertices():
     for v, dv in got.items():
         assert dv == min([F(0)] + [sum((F(a) * b for a, b in zip(v, pt)), F(0)) for pt in pts])
         assert type(dv) in (int, F)  # exact, never a float
-    b3 = build_bundle(3)
     slice_pts = ambient_quotient_slice(product_polyhedron(3).polytopal_part().canonicalize(),
                                        product_linearization(3)).vertex_candidates
-    q = LatticePolyhedron(7, slice_pts, b3.product_rec_dual)
+    q = LatticePolyhedron(7, slice_pts, product_polyhedron(3).recession)
     assert any(x.denominator != 1 for pt in slice_pts for x in pt)
     for v, dv in polyhedron_support_constants(q).items():
         assert dv == min([F(0)] + [dot(v, pt) for pt in slice_pts])
@@ -283,18 +282,18 @@ def test_support_constants_need_a_full_dimensional_recession_cone():
             polyhedron_support_constants(p)
 
 
-def general_pb(b):
+def general_pb(n):
     """P_b along the general route: the ambient slice of the product
     polytope's H-representation."""
-    return ambient_quotient_slice(product_polyhedron(b.n).polytopal_part(),
-                                  product_linearization(b.n))
+    return ambient_quotient_slice(product_polyhedron(n).polytopal_part(),
+                                  product_linearization(n))
 
 
 def test_unstable_rays_n2():
-    b = build_bundle(2)
-    data = {rd.ray: rd for rd in unstable_rays_by_vertices(b.product_facets, general_pb(b))}
+    facets = product_facets(2)
+    data = {rd.ray: rd for rd in unstable_rays_by_vertices(facets, general_pb(2))}
     _, h, support = _pb(2)
-    assert list(data.values()) == unstable_rays(b.product_facets, support, h)
+    assert list(data.values()) == unstable_rays(facets, support, h)
     assert data[ray(2, (1,), 1)].margin == 0
     assert not data[ray(2, (1,), 1)].unstable
     assert data[ray(2, (), 1)].margin == F(2, 3)
@@ -306,10 +305,10 @@ def test_unstable_rays_n2():
 
 
 def test_margin_closed_form_n3():
-    b = build_bundle(3)
+    facets = product_facets(3)
     _, h, support = _pb(3)
-    data = unstable_rays(b.product_facets, support, h)
-    assert data == unstable_rays_by_vertices(b.product_facets, general_pb(b))
+    data = unstable_rays(facets, support, h)
+    assert data == unstable_rays_by_vertices(facets, general_pb(3))
     for rd in data:
         I, j = decode_ray_label(3, rd.ray)
         k = len(I)
@@ -321,12 +320,11 @@ def test_integer_margins_match_fraction_margins():
     # oracle: the slice of the canonicalized polytopal part, Fraction inner
     # products, and d_v from the definition
     for n in (1, 2, 3):
-        b = build_bundle(n)
         p = product_polyhedron(n)
         verts = ambient_quotient_slice(LatticePolyhedron(p.ambient_rank, p.vertex_candidates)
                                        .canonicalize(), product_linearization(n)).vertex_candidates
         _, h, support = _pb(n)
-        data = unstable_rays(b.product_facets, support, h)
+        data = unstable_rays(product_facets(n), support, h)
         assert [rd.ray for rd in data] == sorted(p.recession.dual().rays)
         for rd in data:
             dv = min([F(0)] + [dot(rd.ray, m) for m in p.vertex_candidates])
@@ -337,9 +335,11 @@ def test_integer_margins_match_fraction_margins():
 
 def test_slice_checks_share_pb_without_product_dd(monkeypatch):
     # pb_vertices and unstable_locus read one cached P_b, cut from the cube,
-    # so the product polytope's polytopal part is never double-described
+    # so the product polytope's polytopal part is never double-described;
+    # with the family polyhedron no longer built for them, they run no
+    # double description at all
     from toricgit import dd
-    from toricgit.degeneration import _bundle, verify
+    from toricgit.degeneration import verify
     calls = []
     real = dd.cone_from_inequalities
 
@@ -347,7 +347,6 @@ def test_slice_checks_share_pb_without_product_dd(monkeypatch):
         calls.append({tuple(c) for c in constraints})
         return real(constraints, ambient)
 
-    _bundle.cache_clear()
     _pb.cache_clear()
     monkeypatch.setattr(dd, "cone_from_inequalities", spy)
     try:
@@ -355,10 +354,8 @@ def test_slice_checks_share_pb_without_product_dd(monkeypatch):
         pb = _pb(3)
         assert verify(3, "unstable_locus").status == "pass"
         assert _pb(3) is pb
-        part = product_polyhedron(3).polytopal_part().homogenization()
-        assert calls and calls.count(set(part.generators)) == 0
+        assert calls == []
     finally:
-        _bundle.cache_clear()
         _pb.cache_clear()
 
 
@@ -375,12 +372,11 @@ def test_kernel_cone_duality_relation():
     # under the transpose-kernel projection
     from toricgit.cones import image_cone
     for n in (2, 3):
-        b = build_bundle(n)
-        lin = product_linearization(n)
-        q = quotient_polyhedron(product_polyhedron(n), lin)
+        p, lin = product_polyhedron(n), product_linearization(n)
+        q = quotient_polyhedron(p, lin)
         kern = Matrix(lin.kernel())
         proj = kern  # rows = kernel basis: N-side projection is its matrix
-        assert image_cone(proj, b.product_cone) == q.recession.dual()
+        assert image_cone(proj, p.recession.dual()) == q.recession.dual()
 
 
 def test_chart_invariants_n2():
@@ -436,7 +432,6 @@ def test_chart_image_is_chamber():
 
 def test_chart_invariants_killed_by_shift():
     n = 2
-    b = build_bundle(n)
     cols = []
     for k in range(1, n + 1):
         cols.append(tuple(1 if i == k - 1 else 0 for i in range(n)) +
@@ -445,5 +440,5 @@ def test_chart_invariants_killed_by_shift():
     cols.append((0, -1) + (0, 1, 1))
     cols.append((0, 0) + (0, 0, 1))
     chart = Cone(2 * n + 1, cols)
-    for m, _ in chart_invariants(chart, b.projection):
+    for m, _ in chart_invariants(chart, projection_matrix(n)):
         assert all(x == 0 for x in (product_linearization(n).alpha @ m))

@@ -196,7 +196,7 @@ def test_verify_digests_hold_with_the_walk_forbidden(monkeypatch):
 
     monkeypatch.setattr(degeneration, "_cayley_walk", forbidden)
     degeneration._symmetric.cache_clear()
-    degeneration._bundle.cache_clear()
+    degeneration._pb.cache_clear()
     for n in sorted(VERIFY_DIGESTS):
         assert verify_digest(n) == VERIFY_DIGESTS[n], n
 

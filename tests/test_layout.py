@@ -26,7 +26,8 @@ KEPT = {
     "permutation_matrices": "perfbench/tracer.py reports degeneration.permutation_matrices "
                             "in METRICS, and test_every_traced_name_is_wrapped needs it to "
                             "exist; only symmetric_orbit, for build, walks S_n, and it "
-                            "moves the chamber by the generators instead",
+                            "moves index bytes by each generator's permutation of the "
+                            "facet normals instead",
     "torus_stabilizer": "perfbench/tracer.py reports stabilizers.torus_stabilizer in "
                         "METRICS; toricgit stab now reads verify_comparison's one pass",
     "project_to_quotient": "perfbench/tracer.py reports stabilizers.project_to_quotient "
