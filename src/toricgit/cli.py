@@ -139,16 +139,17 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = []
+    statuses = []  # (check, status) alone: no witness outlives its line
     for chk in selected:
         rep = run_check(chk, n, _run_fuzz) if chk == FUZZ_CHECK else verify(n, chk)
         print(_report_line(rep), flush=True)
-        reports.append(rep)
-    npass = sum(rep.status == "pass" for rep in reports)
-    for rep in reports:
-        print(f"  {rep.check}: {rep.status}", file=sys.stderr)
-    print(f"{npass}/{len(reports)} checks passed at n={n}", file=sys.stderr)
-    return 0 if npass == len(reports) else 1
+        statuses.append((chk, rep.status))
+        del rep  # freed before the next check runs
+    npass = sum(status == "pass" for _, status in statuses)
+    for chk, status in statuses:
+        print(f"  {chk}: {status}", file=sys.stderr)
+    print(f"{npass}/{len(statuses)} checks passed at n={n}", file=sys.stderr)
+    return 0 if npass == len(statuses) else 1
 
 
 def cmd_quotient(args) -> int:

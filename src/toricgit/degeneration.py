@@ -7,8 +7,8 @@ Two families of objects are built:
   change to A^{n+1}, its iterated blow-up (the expanded family), and the
   fractional linearization of the torus G = {t_1 ... t_{n+1} = 1}, in Z^{n+2}
   with coordinate order (s-block; t_1, ..., t_{n+1}).  Of the n-fold fiber
-  self-product, in Z^{2n+1}, each check builds from its closed form what it
-  reads (the product cone, π, Q', ``product_facets``) and frees it at its end.
+  self-product, in Z^{2n+1}, π is memoised and each check builds what else it
+  reads (Q', ``product_facets``) from its closed form, and frees it at its end.
 
 * ``SymmetricModel``: the weight-space S_n data that resolve the relative
   n-fold product of X over the base: the chamber C, the generators g_k, the
@@ -130,18 +130,6 @@ def _staircase(n: int, rec: Cone) -> list[IntVec]:
     return [lx @ ((0,) * (n - k) + (1,) * k) for k in range(n + 1)]
 
 
-def decode_ray_label(n: int, ray: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """(I, j) label of a product-cone ray (e_I; e_m).
-
-    I is reported 1-based; j = m - 1 indexes the t-coordinates from 0, which
-    is the convention under which d_{I,j} = -(n-j)#I and the margin formula
-    hold (the 1-based reading is off by one against those formulas)."""
-    head, tail = ray[:n], ray[n:]
-    if any(x not in (0, 1) for x in head) or sorted(tail) != [0] * n + [1]:
-        raise ValueError(f"not a product-cone ray: {ray}")
-    return tuple(i + 1 for i, x in enumerate(head) if x == 1), tail.index(1)
-
-
 def product_chart_corners(n: int) -> list[tuple[int, ...]]:
     """The (n+1)^n chain indicators c of the n^2-cube, one per chart.
 
@@ -198,6 +186,19 @@ def identity_slice_vertex(n: int) -> tuple[int, ...]:
     return m
 
 
+def _swaps(n: int, d: int) -> list[Callable]:
+    """The swaps of coordinates k, k+1 of a d-tuple, k < n - 1, as itemgetters."""
+    return [itemgetter(*range(k), k + 1, k, *range(k + 2, d)) for k in range(n - 1)]
+
+
+def _intertwining_break(rows: tuple, s: Sequence[Callable], t: Sequence[Callable]) -> int | None:
+    """The first k with A·s_k ≠ t_k·A (A by its ``rows``, s_k permuting each row,
+    t_k the rows), else None: A then intertwines every word in them (Serre, *Linear
+    Representations of Finite Groups*, §1.2).  No assert: it holds under -O."""
+    return next((k for k, (s_k, t_k) in enumerate(zip(s, t, strict=True))
+                 if tuple(map(s_k, rows)) != t_k(rows)), None)
+
+
 def _head_swaps(n: int, L: Matrix, alpha: Matrix, pairs: Sequence[tuple[int, int]]
                 ) -> list[IntVec]:
     """The lineality (1^n; 0), (0; e_j) of the product, once it is checked
@@ -209,11 +210,11 @@ def _head_swaps(n: int, L: Matrix, alpha: Matrix, pairs: Sequence[tuple[int, int
     themselves, and a product ray's facet offset and margin depend only on
     its orbit (|I|, j) (``_orbit_rays``)."""
     lineality = [(1,) * n + (0,) * (n + 1)] + [(0,) * n + _unit(n + 1, j) for j in range(n + 1)]
-    for k in range(n - 1):
-        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, 2 * n + 1))  # P_k
-        tau = [x + (x % n == k) - (x % n == k + 1) for x in range(n * n)]
-        if any(L.column(t) != swap(col) for t, col in zip(tau, L.columns())):
-            raise AssertionError(f"τ_{k} does not permute L's columns as P_{k} its rows")
+    swaps = _swaps(n, 2 * n + 1)  # the P_k
+    taus = [[x + (x % n == k) - (x % n == k + 1) for x in range(n * n)] for k in range(n - 1)]
+    if (k := _intertwining_break(L.entries, [itemgetter(*t) for t in taus], swaps)) is not None:
+        raise AssertionError(f"τ_{k} does not permute L's columns as P_{k} its rows")
+    for k, (swap, tau) in enumerate(zip(swaps, taus)):
         if any(swap(v) != v for v in alpha.entries + tuple(lineality)):
             raise AssertionError(f"P_{k} moves a row of α or a lineality direction")
         if {(tau[a], tau[b]) for a, b in pairs} != set(pairs):
@@ -256,13 +257,13 @@ def projection_matrix(n: int) -> Matrix:
 def basis_change_matrix(n: int) -> Matrix:
     """Q' in closed form, rows indexed 0..n: row 0 is e_n, row k is e_{k-1}
     for 0 < k < n, and row n is (1, ..., 1).  One product certifies it:
-    pi^T Q' = [e_1 | ... | e_n | (0; 1...1)].  pi is surjective
-    (``projection_matrix`` checks it), so pi^T is injective and that product
-    determines Q'."""
+    pi^T Q' = [e_1 | ... | e_n | (0; 1...1)].  pi, memoised by ``_pi``, is
+    surjective (``projection_matrix`` checks it), so pi^T is injective and
+    that product determines Q'."""
     q = Matrix([_unit(n + 1, n)] + [_unit(n + 1, k - 1) for k in range(1, n)]
                + [(1,) * (n + 1)])
     targets = [_unit(2 * n + 1, a) for a in range(n)] + [(0,) * n + (1,) * (n + 1)]
-    if projection_matrix(n).transpose() @ q != Matrix.from_columns(targets):
+    if _pi(n).transpose() @ q != Matrix.from_columns(targets):
         raise AssertionError("pi^T Q' does not match its targets")
     return q
 
@@ -317,9 +318,8 @@ class SymmetricModel(NamedTuple):
 def ambient_reflections(n: int) -> list[Matrix]:
     """Matrices of the simple reflections on Z^{n+1} = Z ⊕ Z^{n-1} ⊕ Z."""
     eye = [_unit(n + 1, i) for i in range(n + 1)]
-    swaps = [eye[:k] + [eye[k + 1], eye[k]] + eye[k + 2:] for k in range(1, n - 1)]
     last = [e[:n - 1] + (1 if i == n else -1,) + e[n:] for i, e in enumerate(eye)]
-    return [Matrix(rows) for rows in swaps + [last]]
+    return [Matrix(swap(eye)) for swap in _swaps(n, n + 1)[1:]] + [Matrix(last)]
 
 
 def chamber_cone(n: int) -> Cone:
@@ -351,8 +351,7 @@ def _check_orbit_count(gens: Sequence[Matrix], y0: Sequence[int]) -> None:
     lift = lambda y: tuple(y[1:n]) + (-sum(y[1:n]),)
     if y0[0] or y0[n] or len(set(lift(y0))) < n:
         raise AssertionError("the base point is off y_0 = y_n = 0 or its lift repeats an entry")
-    for k, g in zip(range(n - 1), gens, strict=True):
-        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, n))  # the transposition (k, k+1)
+    for k, (swap, g) in enumerate(zip(_swaps(n, n), gens, strict=True)):
         if any(r[0] or r[n] or lift(r) != swap(lift(_unit(n + 1, i)))
                for i, r in enumerate(g.entries[1:n], 1)):
             raise AssertionError(f"g_{k}ᵀ does not act on the lifts as the swap of {k}, {k + 1}")
@@ -477,15 +476,18 @@ def symmetric_orbit(sym: SymmetricModel) -> tuple[tuple, LatticePolyhedron, Latt
 # ---------------------------------------------------------------------------
 # verification checks
 
-# Only the symmetric model and P_b, each read by two or three checks, are
-# memoised per n, by these private accessors; the builders stay plain
-# functions, which the tracer in perfbench/ wraps.  Every other datum is built
-# by the one check that reads it and freed when that check ends.
+# Only the symmetric model, π and P_b, each read by two or three checks (π
+# also by Q'), are memoised per n, by these private accessors; the builders
+# stay plain functions, which the tracer in perfbench/ wraps.  Every other
+# datum is built by the one check that reads it and freed when that check ends.
 
 
 @cache
 def _symmetric(n: int) -> SymmetricModel:
     return build_symmetric(n)
+
+
+_pi = cache(projection_matrix)
 
 
 @cache
@@ -526,18 +528,29 @@ def _strs(v: Sequence[int], den: int) -> list[str]:
 
 
 def _check_conical_part(n: int) -> tuple[bool, Any]:
-    """π maps the product cone, the cone over its rays, onto σ if the
-    primitive images of the rays, π(e_I; e_j) = (1; e_I; 0) or (0; -e_{I^c};
-    1), are σ's rays, compared in int; else the image cone decides."""
-    cone, pi = _product_cone(n, n, product_rec_dual_columns(n)), projection_matrix(n)
-    target, cols = product_cone_ambient(n), list(zip(*cone.rays))
-    images = set(zip(*(column_dots(row, cols, len(cols[0])) for row in pi.entries)))
-    if {primitive(v) for v in images if any(v)} != set(target.rays):
-        img = image_cone(pi, cone)
-        if img != target:
+    """π maps the product cone onto σ, decided in int at the (n+1)² orbit
+    representatives r (``_orbit_rays``): once π·P_k = g_k·π, a ray P_w·r
+    maps to g_w·π(r), so if the nonzero primitive π(r) are C's rays, which
+    are T (``_chamber_off_base_point``), the images are σ's rays by
+    ``orbit_certificate``'s (1) and (4).  At n = 1 the four rays are the
+    representatives.  On a mismatch the image cone decides and is the witness."""
+    pi, cols = _pi(n), list(zip(*_orbit_rays(n)))
+    if n == 1:
+        sigma = product_cone_ambient(1)
+        gens, target, off_y0 = (), sigma.rays, None
+    else:
+        sym = _symmetric(n)
+        sigma, gens, target = sym.product_cone, sym.generators, sym.chamber.rays
+        off_y0 = _chamber_off_base_point(sym)
+    images = zip(*(column_dots(row, cols, len(cols[0])) for row in pi.entries))
+    if (off_y0 is not None or {primitive(v) for v in images if any(v)} != set(target)
+            or _intertwining_break(pi.entries, _swaps(n, 2 * n + 1),
+                                   [left_action(g) for g in gens]) is not None):
+        img = image_cone(pi, _product_cone(n, n, product_rec_dual_columns(n)))
+        if img != sigma:
             return False, {"got": [list(r) for r in img.rays],
-                           "expected": [list(r) for r in target.rays]}
-    return True, {"rays": len(target.rays)}
+                           "expected": [list(r) for r in sigma.rays]}
+    return True, {"rays": len(sigma.rays)}
 
 
 def _check_pb_vertices(n: int) -> tuple[bool, Any]:
@@ -565,13 +578,12 @@ def _check_quotient_theorem(n: int) -> tuple[bool, Any]:
     at_id = q @ list(map(sub, identity_slice_vertex(n)[:n] + (0,), u))
     if any(at_id):
         return False, {"identity_image": _strs(at_id, n + 2)}
-    y0, eye = sym.base_point, Matrix.identity(n + 1).entries
-    for k, g in zip(range(n - 1), sym.generators, strict=True):
-        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, n + 1))  # P_k
-        if q @ Matrix(swap(eye)) != g.transpose() @ q:
-            return False, {"generator": k, "linear_part": [list(r) for r in q.entries]}
+    swaps, gts, y0 = _swaps(n, n + 1), [g.transpose() for g in sym.generators], sym.base_point
+    if (k := _intertwining_break(q.entries, swaps, list(map(left_action, gts)))) is not None:
+        return False, {"generator": k, "linear_part": [list(r) for r in q.entries]}
+    for k, (swap, gt) in enumerate(zip(swaps, gts)):  # the P_k and the g_kᵀ
         step = q @ list(map(sub, swap(u), u))
-        want = [(n + 2) * (a - b) for a, b in zip(g.transpose() @ y0, y0)]
+        want = [(n + 2) * (a - b) for a, b in zip(gt @ y0, y0)]
         if [2 * x for x in step] != want:
             return False, {"generator": k, "translation": _strs(step, n + 2),
                            "expected": _strs(want, 2 * n + 4)}
@@ -619,13 +631,13 @@ def _check_unstable_locus(n: int) -> tuple[bool, Any]:
     keys = _orbit_rays(n)
     cells = {keys[rd.ray]: judged(rd, *keys[rd.ray])
              for rd in unstable_rays([(v, offsets[v]) for v in keys], support, h)}
-    rows = []
-    for v, dv in sorted(offsets.items()):
-        I, j = decode_ray_label(n, v)
+    heads = [[i + 1 for i, x in enumerate(e) if x] for e in product((0, 1), repeat=n)]
+    rows = []  # (I, j) in product_facets' order: each head e_I, then j = n..0
+    for (v, dv), (I, j) in zip(offsets.items(), product(heads, range(n, -1, -1))):
         cell = cells[len(I), j]
         if dv != cell[0]:
             cell = judged(unstable_rays([(v, dv)], support, h)[0], len(I), j)
-        rows.append({"I": list(I), "j": j, **cell[2]})
+        rows.append({"I": I, "j": j, **cell[2]})
         if not cell[1]:
             return False, {"ray": rows[-1], "expected": cell[3]}
     return True, {"rays": rows}

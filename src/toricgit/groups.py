@@ -78,10 +78,7 @@ class FiniteAbelianGroup:
         return FiniteAbelianGroup(tuple(divisor_chain(orders)))
 
     def order(self) -> int:
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
+        return prod(self.invariant_factors)
 
 
 @dataclass(frozen=True)
@@ -92,10 +89,7 @@ class YoungSubgroup:
     blocks: tuple[tuple[int, ...], ...]  # 0-based, sorted, only blocks of size >= 2
 
     def order(self) -> int:
-        out = 1
-        for b in self.blocks:
-            out *= factorial(len(b))
-        return out
+        return prod(factorial(len(b)) for b in self.blocks)
 
     def blocks_one_based(self) -> list[list[int]]:
         return [[x + 1 for x in b] for b in self.blocks]

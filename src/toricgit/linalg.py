@@ -34,9 +34,7 @@ def frac(x) -> Fraction:
     """Coerce ints/strings/Fractions to Fraction (exact)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 
@@ -60,10 +58,7 @@ def primitive(v: Sequence[int]) -> IntVec:
 def clear_denominators(v: Sequence[Fraction]) -> tuple[IntVec, int]:
     """Return (d*v as ints, d) for the least common denominator d >= 1."""
     xs = [x if type(x) is int else frac(x) for x in v]
-    d = 1
-    for x in xs:
-        if x.denominator != 1:
-            d = lcm(d, x.denominator)
+    d = lcm(*(x.denominator for x in xs))
     return tuple(x.numerator * (d // x.denominator) for x in xs), d
 
 
@@ -113,11 +108,8 @@ class Matrix:
             raise ValueError("ragged matrix")
         return Matrix(zip(*cols))
 
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
     def columns(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries))
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.entries))

@@ -8,7 +8,8 @@ coordinates, mapped to ker(α) by one unique solve per vertex and ray, and
 σ̄^∨ from its own double description.  The
 rest is code that only the tests run: an exact feasibility LP for
 membership, polyhedron and cone membership read off the facets, cone and fan
-predicates, linear images and Minkowski sums, the support constants of a
+predicates, linear images and Minkowski sums, the (I, j) label of a product
+ray, the support constants of a
 polyhedron read off its facets and by a scan of every candidate point, two
 routes to the slice of a cube image (the slice of the hulled image, and the
 sum of the images of the slices of the connected blocks of any sparsity
@@ -700,6 +701,18 @@ def sigma_by_dd(n: int) -> tuple[Cone, Cone]:
     cube = list(product((0, 1), repeat=n - 1))
     gens = [(1,) + e + (0,) for e in cube] + [(0,) + tuple(-x for x in e) + (1,) for e in cube]
     return Cone(n + 1, gens), Cone(n + 1, product_cone_dual_columns(n))
+
+
+def decode_ray_label(n: int, ray: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(I, j) label of a product-cone ray (e_I; e_m).
+
+    I is reported 1-based; j = m - 1 indexes the t-coordinates from 0, which
+    is the convention under which d_{I,j} = -(n-j)#I and the margin formula
+    hold (the 1-based reading is off by one against those formulas)."""
+    head, tail = ray[:n], ray[n:]
+    if any(x not in (0, 1) for x in head) or sorted(tail) != [0] * n + [1]:
+        raise ValueError(f"not a product-cone ray: {ray}")
+    return tuple(i + 1 for i, x in enumerate(head) if x == 1), tail.index(1)
 
 
 def head_orbit(n: int, v: Sequence) -> list[tuple]:

@@ -7,12 +7,12 @@ import time
 from fractions import Fraction as F
 from itertools import permutations
 
-from oracles import (ambient_quotient_slice, ambient_slice, det_unimodular, from_cycles,
-                     head_orbit, intersection, minkowski_sum, orbit_fan_by_cone_dd,
+from oracles import (ambient_quotient_slice, ambient_slice, decode_ray_label, det_unimodular,
+                     from_cycles, head_orbit, intersection, minkowski_sum, orbit_fan_by_cone_dd,
                      smith_normal_form)
 from toricgit.cones import Cone, image_cone
 from toricgit.degeneration import (_pb, _product_cone, build_bundle, build_symmetric,
-                                   constant_tail, decode_ray_label, head_vertex,
+                                   constant_tail, head_vertex,
                                    identity_slice_vertex, product_cone_ambient, product_facets,
                                    product_linearization, product_polyhedron,
                                    product_rec_dual_columns, projection_matrix,
@@ -34,11 +34,15 @@ def report(num, label, t0, budget):
 
 
 def test_criterion_01_conical_part():
+    # the image cone over all (n+1)·2^n product rays, against the check's
+    # certificate at the orbit representatives
     t0 = time.perf_counter()
-    for n in range(1, 5):
-        cone = _product_cone(n, n, product_rec_dual_columns(n))
-        assert image_cone(projection_matrix(n), cone) == product_cone_ambient(n), n
-    report(1, "projected product cone equals the chamber-orbit cone, n=1..4", t0, 10)
+    for n in range(1, 10):
+        cone, sigma = _product_cone(n, n, product_rec_dual_columns(n)), product_cone_ambient(n)
+        assert image_cone(projection_matrix(n), cone) == sigma, n
+        rep = verify(n, "conical_part")
+        assert (rep.status, rep.witness) == ("pass", {"rays": len(sigma.rays)}), n
+    report(1, "projected product cone equals the chamber-orbit cone, n=1..9", t0, 10)
 
 
 def test_criterion_02_slice_vertices():

@@ -119,6 +119,13 @@ def test_verify_single_check_report():
     assert margins[((1, 2), 1)] == "2/3"
 
 
+def test_verify_prints_each_status_and_the_count_on_stderr():
+    # stderr is one "  check: status" line per check, in order, then the count
+    assert run_main(["verify", "--n", "1", "--all"])[::2] == (
+        0, "  conical_part: pass\n  pb_vertices: pass\n  unstable_locus: pass\n"
+           "  base_recovery: pass\n4/4 checks passed at n=1\n")
+
+
 def test_verify_bad_args():
     # checks_for decides the first three, the fifth and the last, the CLI the others
     for args in (["--n", "99", "--all"], ["--n", "2", "--check", "bogus"],

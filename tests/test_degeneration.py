@@ -16,8 +16,8 @@ from unittest import mock
 import pytest
 
 from oracles import (ambient_quotient_slice, braid_chambers, certified_polyhedron, cone_contains,
-                     cube_image_slice_by_chambers, cube_image_slice_by_sums, edge_matrix,
-                     family_side_by_dd, fan_rays, head_orbit, invert, minkowski_sum,
+                     cube_image_slice_by_chambers, cube_image_slice_by_sums, decode_ray_label,
+                     edge_matrix, family_side_by_dd, fan_rays, head_orbit, invert, minkowski_sum,
                      orbit_fan_by_cone_dd, orbit_polyhedron, orbit_walk_pairs,
                      pb_polyhedron, permutohedron_points,
                      product_side_by_dd, quotient_images_by_fractions, sigma_by_dd,
@@ -30,7 +30,7 @@ from toricgit.degeneration import (DegenerationBundle, SymmetricModel, _check_or
                                    _pb, _product_cone, _symmetric, ambient_reflections,
                                    basis_change_matrix, build_bundle, build_symmetric,
                                    chamber_cone, chart_pairs, checks_for, constant_tail,
-                                   decode_ray_label, family_cube_map, family_rec_dual_columns,
+                                   family_cube_map, family_rec_dual_columns,
                                    head_vertex, identity_slice_vertex, permutation_matrices,
                                    product_chart_corners, product_chart_vertices,
                                    product_cone_ambient, product_cone_dual_columns,
@@ -152,10 +152,11 @@ def test_verify_runs_no_double_description_that_grows_as_2_to_the_n(monkeypatch)
 
 
 def test_conical_part_decides_a_ray_mismatch_by_the_image_cone(monkeypatch):
-    # the ray images are compared with σ's rays as a set, and only when they
-    # differ does the image cone decide: a listed non-extreme vector of the
-    # product cone, whose image is inside σ, still passes, and a π with a
-    # doubled last row, which moves the image, fails with the image's rays
+    # the certificate at the orbit representatives passes with no image
+    # cone, and only when it fails does the image cone decide: g_0·π, which
+    # moves the representatives off C but maps the product cone onto g_0·σ =
+    # σ, still passes, and a π with a doubled last row, which moves the
+    # image, fails with the image's rays
     n, images = 3, []
     cone, proj = _product_cone(n, n, product_rec_dual_columns(n)), projection_matrix(n)
 
@@ -165,20 +166,61 @@ def test_conical_part_decides_a_ray_mismatch_by_the_image_cone(monkeypatch):
 
     monkeypatch.setattr(degeneration, "image_cone", spy)
     assert verify(n, "conical_part").status == "pass" and not images
-    extra = tuple(map(add, cone.rays[0], cone.rays[-1]))
-    padded = Cone(2 * n + 1, _rays=tuple(sorted(cone.rays + (extra,))), _lineality=(),
-                  _facets=cone.facets, _equations=())
-    with monkeypatch.context() as ctx:  # σ, over Δ_1 × [0,1]^{n-1}, keeps its cone
-        ctx.setattr(degeneration, "_product_cone",
-                    lambda m, k, cols: padded if (m, k) == (n, n) else _product_cone(m, k, cols))
-        report = verify(n, "conical_part")
+    monkeypatch.setattr(degeneration, "_pi", lambda n: _symmetric(n).generators[0] @ proj)
+    report = verify(n, "conical_part")
     assert (report.status, report.witness, len(images)) == ("pass", {"rays": 8}, 1)
     pi = Matrix(proj.entries[:-1] + (tuple(2 * x for x in proj.entries[-1]),))
-    monkeypatch.setattr(degeneration, "projection_matrix", lambda n: pi)
+    monkeypatch.setattr(degeneration, "_pi", lambda n: pi)
     report = verify(n, "conical_part")
     assert report.status == "fail" and len(images) == 2
     assert report.witness == {"got": [list(r) for r in cones.image_cone(pi, cone).rays],
                               "expected": [list(r) for r in product_cone_ambient(n).rays]}
+
+
+def test_conical_part_certificate_rejects_a_pi_that_breaks_the_intertwining(monkeypatch):
+    # π + w·(x_0 - x_1)ᵀ, w = π(e_1; e_0): on the representatives' prefix
+    # heads x_0 - x_1 is 1 at e_1 alone, whose image doubles, so their
+    # primitive images are still C's rays, but π·P_0 = g_0·π fails, as g_0 w
+    # ≠ -w, and the image cone, not σ, is the witness: a decision that
+    # python -O keeps
+    for n in (2, 3, 4):
+        proj, sym = projection_matrix(n), _symmetric(n)
+        w = proj @ ((1,) + (0,) * (n - 1) + (1,) + (0,) * n)
+        pi = Matrix([[x + a * ((c == 0) - (c == 1)) for c, x in enumerate(r)]
+                     for a, r in zip(w, proj.entries)])
+        images = {linalg.primitive(pi @ r) for r in degeneration._orbit_rays(n)} - {(0,) * (n + 1)}
+        assert images == set(sym.chamber.rays), n
+        moves = [linalg.left_action(g) for g in sym.generators]
+        assert degeneration._intertwining_break(pi.entries, degeneration._swaps(n, 2 * n + 1),
+                                                moves) == 0
+        monkeypatch.setattr(degeneration, "_pi", lambda n: pi)
+        report = verify(n, "conical_part")
+        monkeypatch.undo()
+        cone = _product_cone(n, n, product_rec_dual_columns(n))
+        assert report.status == "fail", n
+        assert report.witness == {"got": [list(r) for r in cones.image_cone(pi, cone).rays],
+                                  "expected": [list(r) for r in product_cone_ambient(n).rays]}, n
+
+
+def test_conical_part_passes_with_no_product_ray_listed(monkeypatch):
+    # with the model built, the pass path reads π, C and the g_k over the
+    # (n+1)² representatives: no product ray list, no product cone and no
+    # image cone; at n = 1 only σ's own cone over Δ_1 is built
+    calls = []
+
+    def spied(name):
+        real = getattr(degeneration, name)
+        return lambda *args: calls.append((name,) + args[:2]) or real(*args)
+
+    for name in ("product_ray_vectors", "_product_cone", "image_cone"):
+        monkeypatch.setattr(degeneration, name, spied(name))
+    for n in (1, 2, 3, 5, 8):
+        if n > 1:
+            _symmetric(n)
+        calls.clear()
+        assert verify(n, "conical_part").status == "pass", n
+        assert calls == ([] if n > 1 else [("_product_cone", 1, 0),
+                                           ("product_ray_vectors", 1, 0)]), (n, calls)
 
 
 def representations(c: Cone) -> tuple:
@@ -947,18 +989,19 @@ def test_constant_tail_values():
 
 
 def test_cached_accessors_build_once_per_n():
-    # the symmetric model and P_b, each read by two or three checks, are the
-    # only memoised data; the bundle keeps the expanded family alone, and
-    # the product side is built by the check that reads it
+    # the symmetric model, π and P_b, each read by two or three checks, are
+    # the only memoised data; the bundle keeps the expanded family alone, and
+    # the rest of the product side is built by the check that reads it
     for n in (1, 2):
         assert _pb(n) is _pb(n)
         assert _pb(n)[:2] == degeneration._pb.__wrapped__(n)[:2]
     for n in (2, 3):
         assert _symmetric(n) is _symmetric(n)
         assert _symmetric(n).facets == build_symmetric(n).facets
+        assert degeneration._pi(n) is degeneration._pi(n) == projection_matrix(n)
     assert _symmetric(2) is not _symmetric(3) and _pb(1) is not _pb(2)
     assert {name for name, f in vars(degeneration).items() if hasattr(f, "cache_clear")} \
-        == {"_symmetric", "_pb"}
+        == {"_symmetric", "_pi", "_pb"}
     assert DegenerationBundle._fields == ("n", "family_polyhedron", "lin_family")
 
 
@@ -990,8 +1033,8 @@ def test_each_check_alone_reports_its_line_of_verify_all(n):
 
 
 def test_only_the_product_checks_build_the_product_rays(monkeypatch):
-    # the product cone's (n+1)·2^n rays are built once by conical_part and
-    # once by unstable_locus, and never by base_recovery or by build
+    # the product cone's (n+1)·2^n rays are built once by unstable_locus,
+    # and never by conical_part, by base_recovery or by build
     # --object expanded, which read the expanded family alone (at n = 1 the
     # family's base-change cone is the product cone, so n >= 2)
     from toricgit.cli import main
@@ -1011,7 +1054,7 @@ def test_only_the_product_checks_build_the_product_rays(monkeypatch):
             calls.clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run(), (n, what)
-            want = 1 if what in ("conical_part", "unstable_locus") else 0
+            want = 1 if what == "unstable_locus" else 0
             assert [k for _, k in calls].count(n) == want, (n, what, calls)
 
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (ambient_quotient_slice, chart_invariants, minkowski_sum,
+from oracles import (ambient_quotient_slice, chart_invariants, decode_ray_label, minkowski_sum,
                      polyhedron_support_constants, quotient_by_ambient_slice,
                      split_by_ambient_slice, support_constants_by_scan,
                      unstable_rays_by_vertices)
 from toricgit.cones import Cone
-from toricgit.degeneration import (_pb, build_bundle, decode_ray_label, head_vertex,
+from toricgit.degeneration import (_pb, build_bundle, head_vertex,
                                    product_facets, product_linearization, product_polyhedron,
                                    projection_matrix)
 from toricgit.git import Linearization, quotient_polyhedron, split_quotient, unstable_rays
