@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from . import __version__
 from . import jsonio
 from .degeneration import (build_bundle, build_symmetric, checks_for, product_polyhedron,
-                           run_check, symmetric_orbit, verify)
+                           run_check, symmetric_fan, symmetric_polyhedra, verify)
 from .git import Linearization, quotient_polyhedron, split_quotient
 from .jsonio import dumps
 
@@ -51,10 +51,10 @@ def cmd_build(args) -> int:
     elif obj == "product":
         text = dumps(jsonio.polyhedron_to_json(product_polyhedron(n)))
     elif obj == "permutahedron":
-        text = dumps(jsonio.polyhedron_to_json(symmetric_orbit(build_symmetric(n))[1]))
+        text = dumps(jsonio.polyhedron_to_json(symmetric_polyhedra(build_symmetric(n))[0]))
     else:  # dumps of the payload, its keys in sorted order, the fan's text from its indices
         sym = build_symmetric(n)
-        fan, perm, respoly = symmetric_orbit(sym)
+        fan, (perm, respoly) = symmetric_fan(sym), symmetric_polyhedra(sym)
         parts = {"chamber": dumps(jsonio.cone_to_json(sym.chamber)),
                  "fan": jsonio.fan_to_json(n + 1, *fan), "n": str(n),
                  "permutahedron": dumps(jsonio.polyhedron_to_json(perm)),

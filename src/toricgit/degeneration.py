@@ -8,12 +8,12 @@ Two families of objects are built:
   fractional linearization of the torus G = {t_1 ... t_{n+1} = 1}, in Z^{n+2}
   with coordinate order (s-block; t_1, ..., t_{n+1}).  Of the n-fold fiber
   self-product, in Z^{2n+1}, π is memoised and each check builds what else it
-  reads (Q', ``product_facets``) from its closed form, and frees it at its end.
+  reads (Q', the orbit offsets) from its closed form, and frees it at its end.
 
 * ``SymmetricModel``: the weight-space S_n data that resolve the relative
   n-fold product of X over the base: the chamber C, the generators g_k, the
   base point y₀ and the resolution polyhedron's facets certified at y₀;
-  ``build`` alone walks the n! orbit-fan cones and vertices.
+  ``build`` alone lists the n! vertices, and walks the n! orbit-fan cones.
 
 ``verify`` runs one named check, those on the orbit fan at C from that
 certificate, and returns a report with a witness on failure.
@@ -24,13 +24,13 @@ from __future__ import annotations
 import time
 from functools import cache, reduce
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from operator import itemgetter, matmul, methodcaller, sub
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .cones import Cone, column_dots, image_cone
-from .git import Linearization, quotient_polyhedron, support_constants, unstable_rays
+from .git import Linearization, quotient_polyhedron, unstable_rays
 from .linalg import IntVec, Matrix, abs_det, dot, left_action, primitive
 from .polyhedra import Facet, LatticePolyhedron, cube_image_slice, orbit_certificate
 
@@ -208,7 +208,7 @@ def _head_swaps(n: int, L: Matrix, alpha: Matrix, pairs: Sequence[tuple[int, int
     and so the chart corners, onto themselves.  So the P_k, which generate
     S_n on the head, map L(cube), the plane α x = -b and P_b onto
     themselves, and a product ray's facet offset and margin depend only on
-    its orbit (|I|, j) (``_orbit_rays``)."""
+    its orbit (|I|, j) (``_orbit_offsets``)."""
     lineality = [(1,) * n + (0,) * (n + 1)] + [(0,) * n + _unit(n + 1, j) for j in range(n + 1)]
     swaps = _swaps(n, 2 * n + 1)  # the P_k
     taus = [[x + (x % n == k) - (x % n == k + 1) for x in range(n * n)] for k in range(n - 1)]
@@ -227,6 +227,14 @@ def _orbit_rays(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
     rays, mapped to (k, j)."""
     return {(1,) * k + (0,) * (n - k) + _unit(n + 1, j): (k, j)
             for k in range(n + 1) for j in range(n + 1)}
+
+
+def _orbit_offsets(n: int, L: Matrix) -> dict[tuple[int, int], int]:
+    """{(k, j): o_v}, v the orbit's representative (``_orbit_rays``) and o_v, its
+    least value on L(cube), the sum of the negative entries of Lᵀv: each ray
+    of the orbit has it once ``_head_swaps`` has certified L."""
+    return {key: sum(min(x, 0) for x in column_dots(v, L.entries, L.cols))
+            for v, key in _orbit_rays(n).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +292,12 @@ def build_bundle(n: int) -> DegenerationBundle:
 def product_facets(n: int) -> tuple[Facet, ...]:
     """The product polyhedron's facet rows (v, o_v), v the product cone's rays
     (e_I; e_j) in ``product_ray_vectors`` order, with no chart vertex listed:
-    o_v, the least value of v on L(cube) and d_v to ``support_constants``, is
-    the sum of the negative entries of Lᵀv, read over the nonzeros of v, taken
-    once per S_n-orbit (|I|, j) at its representative (``_head_swaps``); a
+    o_v, the least value of v on L(cube), is taken once per S_n-orbit (|I|, j)
+    at its representative (``_orbit_offsets``, once ``_head_swaps`` holds); a
     row finds its orbit from its head e_I's |I| and its tail e_j's j."""
     L = product_cube_map(n)
     _head_swaps(n, L, torus_shift_map(n, 2 * n + 1), chart_pairs(n))
-    offsets = {key: sum(min(x, 0) for x in column_dots(v, L.entries, L.cols))
-               for v, key in _orbit_rays(n).items()}
+    offsets = _orbit_offsets(n, L)
     keys = product([sum(e) for e in product((0, 1), repeat=n)], range(n, -1, -1))
     return tuple(zip(product_ray_vectors(n, n), map(offsets.__getitem__, keys)))
 
@@ -427,27 +433,17 @@ def build_symmetric(n: int) -> SymmetricModel:
     return SymmetricModel(chamber, prod, tuple(gens), y0, facets, rec)
 
 
-def symmetric_orbit(sym: SymmetricModel) -> tuple[tuple, LatticePolyhedron, LatticePolyhedron]:
-    """((the sorted facet normals, the n! cones ρ(s)·C as sorted indices
-    among them, sorted), the permutohedron, the resolution polyhedron), which
-    only ``build`` prints, from one ``_cayley_walk`` of the generators, whose
-    Coxeter relations ``build_symmetric`` checked.  ρ(s)·C is held as d bytes
-    that index its rays among the model's 2^n facet normals, sorted once, so
-    that sorted indices are sorted rays; g_k moves it by one ``translate`` by
-    its permutation of the normals (``orbit_certificate``'s (1)).  A ray of C
-    or an image of a normal that is no normal raises, as does a C that is not
-    pointed, full-dimensional and simplicial: so the sorted rays are all of
-    ρ(s)·C's ``key()``.  The walk's keys are S_n as bytes, and the g_kᵀ act on
-    the lifts as the swaps (k, k+1) (``_check_orbit_count``), so the orbit of
-    y₀ lifts to the n! rearrangements of ŷ₀ = (2i - n - 1)_i: its (y - y₀)/2
-    are the (0; s_0 - 0, ..., s_{n-2} - (n-2); 0), s a key, sorted and
-    distinct when the keys are, whose first n - 1 bytes fix them.  The
-    permutohedron, these middle blocks, is certified at y₀'s under the g_k's,
-    whose transposes move them as the g_kᵀ do, as those keep the outer
-    entries 0, with c_ν = 2o_ν + <ν, y₀> from the model's facets (ν, o_ν)."""
-    gens, y0, chamber = sym.generators, sym.base_point, sym.chamber
+def symmetric_fan(sym: SymmetricModel) -> tuple[tuple, tuple]:
+    """(the sorted facet normals, the n! cones ρ(s)·C as sorted indices among
+    them, sorted), for ``build --object symmetric`` alone, from one
+    ``_cayley_walk``: ρ(s)·C is d bytes that index its rays among the 2^n
+    normals, and g_k moves it by one ``translate`` by its permutation of them
+    (``orbit_certificate``'s (1)).  A ray of C or an image of a normal that is
+    no normal raises, as does a C that is not pointed, full-dimensional and
+    simplicial: so the sorted rays are all of ρ(s)·C's ``key()``."""
+    gens, chamber = sym.generators, sym.chamber
     if len(gens) > 7:  # a byte indexes each of the 2^n facet normals
-        raise ValueError(f"symmetric_orbit supports n <= 8, not n={len(gens) + 1}")
+        raise ValueError(f"symmetric_fan supports n <= 8, not n={len(gens) + 1}")
     if chamber.lineality_basis or chamber.equations or len(chamber.rays) != chamber.ambient_rank:
         raise AssertionError("the chamber must be pointed, full-dimensional and simplicial")
     normals = tuple(sorted(nu for nu, _ in sym.facets))
@@ -463,12 +459,22 @@ def symmetric_orbit(sym: SymmetricModel) -> tuple[tuple, LatticePolyhedron, Latt
     moves = [methodcaller("translate", indices(zip(*left_action(g)(cols)), f"g_{k}'s image") + pad)
              for k, g in enumerate(gens)]
     walk = _cayley_walk(len(gens) + 1, moves, indices(chamber.rays, "the chamber's ray"))
-    cones = tuple(sorted(bytes(sorted(c)) for c in walk.values()))
-    mid = [tuple(map(sub, s, range(len(gens)))) for s in sorted(walk)]
+    return normals, tuple(sorted(bytes(sorted(c)) for c in walk.values()))
+
+
+def symmetric_polyhedra(sym: SymmetricModel) -> tuple[LatticePolyhedron, LatticePolyhedron]:
+    """(the permutohedron, the resolution polyhedron) for ``build``, with no
+    walk.  The g_kᵀ act on the lifts as the swaps (k, k+1) (``_check_orbit_count``),
+    so the orbit of y₀ has the (y - y₀)/2 = (0; s_0 - 0, ..., s_{n-2} - (n-2); 0),
+    s in the ``permutations`` of range(n), sorted and distinct as they are.  The
+    permutohedron, these middle blocks, is certified at y₀'s under the g_k's,
+    whose transposes move them as the g_kᵀ do, with c_ν = 2o_ν + <ν, y₀>."""
+    gens, y0 = sym.generators, sym.base_point
+    mid = [tuple(map(sub, s, range(len(gens)))) for s in permutations(range(len(gens) + 1))]
     offsets = {nu[1:-1]: 2 * o + dot(nu, y0) for nu, o in sym.facets if any(nu[1:-1])}
     facets, rec = orbit_certificate(y0[1:-1], [Matrix([r[1:-1] for r in g.entries[1:-1]])
                                                for g in gens], offsets, None)
-    return ((normals, cones), LatticePolyhedron(len(gens), mid, rec, facets, _canonical=True),
+    return (LatticePolyhedron(len(gens), mid, rec, facets, _canonical=True),
             LatticePolyhedron(len(y0), [(0,) + v + (0,) for v in mid], sym.recession, sym.facets,
                               _canonical=True))
 
@@ -614,32 +620,27 @@ def _check_normal_fan(n: int) -> tuple[bool, Any]:
 
 
 def _check_unstable_locus(n: int) -> tuple[bool, Any]:
-    """Each ray's d_v and margin against d = -(n - j)k and m / 2(n+1), k = |I|,
-    taken, compared and written out once per orbit (k, j) (``_head_swaps``);
-    a ray whose own d_v is not its orbit's gets its own margin."""
+    """Each orbit (k, j)'s d_v and margin at its representative (``_orbit_offsets``,
+    by ``_pb``'s ``_head_swaps``) against d = -(n - j)k and m / 2(n+1), k = |I|,
+    once; each ray (e_I; e_j)'s row is written from (I, j) and its orbit's cell."""
     _, h, support = _pb(n)
-    offsets, den = support_constants(product_facets(n)), 2 * (n + 1)
-
-    def judged(rd, k, j):  # (d_v, whether it passes, its row's values, the expected ones)
+    reps, den = _orbit_rays(n), 2 * (n + 1)
+    offsets = _orbit_offsets(n, product_cube_map(n))
+    cells = {}  # (k, j): (whether it passes, its row's values, the expected ones)
+    for rd in unstable_rays([(v, offsets[key]) for v, key in reps.items()], support, h):
+        (k, j), dv, mv = reps[rd.ray], rd.support_constant, rd.margin
         d, m = -(n - j) * k, (j - k) * ((j - k) * n + n - 2 * k)
-        dv, mv = rd.support_constant, rd.margin
-        ok = (dv == d and mv * den == m and mv >= 0 and (mv == 0) == (j == k)
-              and rd.unstable == (j != k))
-        return (dv, ok, {"d": str(dv), "margin": str(mv), "unstable": rd.unstable},
-                {"d": str(d), "margin": str(Fraction(m, den))})
-
-    keys = _orbit_rays(n)
-    cells = {keys[rd.ray]: judged(rd, *keys[rd.ray])
-             for rd in unstable_rays([(v, offsets[v]) for v in keys], support, h)}
+        cells[k, j] = (dv == d and mv * den == m and mv >= 0 and (mv == 0) == (j == k)
+                       and rd.unstable == (j != k),
+                       {"d": str(dv), "margin": str(mv), "unstable": rd.unstable},
+                       {"d": str(d), "margin": str(Fraction(m, den))})
     heads = [[i + 1 for i, x in enumerate(e) if x] for e in product((0, 1), repeat=n)]
-    rows = []  # (I, j) in product_facets' order: each head e_I, then j = n..0
-    for (v, dv), (I, j) in zip(offsets.items(), product(heads, range(n, -1, -1))):
-        cell = cells[len(I), j]
-        if dv != cell[0]:
-            cell = judged(unstable_rays([(v, dv)], support, h)[0], len(I), j)
-        rows.append({"I": I, "j": j, **cell[2]})
-        if not cell[1]:
-            return False, {"ray": rows[-1], "expected": cell[3]}
+    rows = []  # (I, j) in the product rays' order: each head e_I, then j = n..0
+    for I, j in product(heads, range(n, -1, -1)):
+        ok, got, want = cells[len(I), j]
+        rows.append({"I": I, "j": j, **got})
+        if not ok:
+            return False, {"ray": rows[-1], "expected": want}
     return True, {"rays": rows}
 
 

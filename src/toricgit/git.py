@@ -103,9 +103,8 @@ def support_constants(facets: Iterable[Facet]) -> dict[tuple[int, ...], int]:
     For a polyhedron p with a full-dimensional recession cone, the face of p
     minimising a recession-dual extreme ray v has recession cone rec ∩ v^⊥,
     a facet of rec, so it is a facet of p with normal v and offset
-    o_v = min over p of <v, x>.  Given those rows, d_v = min(0, o_v) is read
-    off them: no point of p is visited (``product_facets`` builds the product
-    polyhedron's rows and lists none of its chart vertices)."""
+    o_v = min over p of <v, x>.  So d_v = min(0, o_v) is read off those rows,
+    and no point of p is visited."""
     return {v: min(0, o) for v, o in facets}
 
 

@@ -912,9 +912,10 @@ def orbit_fan_by_cone_dd(n: int) -> list[Cone]:
 
 def orbit_walk_pairs(sym) -> list[tuple[tuple[IntVec, ...], IntVec]]:
     """(the sorted rays of ρ(s)·C, ρ(s)⁻ᵀy₀) for s in S_n, the identity
-    first: the paired walk that ``symmetric_orbit`` replaced, one
-    ``_cayley_walk`` moving a cone's indices among the sorted facet normals
-    by one ``bytes.translate`` by g_k's permutation of them, and y by g_kᵀ."""
+    first: the paired walk that ``symmetric_fan`` and ``symmetric_polyhedra``
+    replaced, one ``_cayley_walk`` moving a cone's indices among the sorted
+    facet normals by one ``bytes.translate`` by g_k's permutation of them,
+    and y by g_kᵀ."""
     normals = sorted(nu for nu, _ in sym.facets)
     index, pad = {nu: i for i, nu in enumerate(normals)}, bytes(range(len(normals), 256))
 

@@ -16,7 +16,7 @@ from toricgit.degeneration import (_pb, _product_cone, build_bundle, build_symme
                                    identity_slice_vertex, product_cone_ambient, product_facets,
                                    product_linearization, product_polyhedron,
                                    product_rec_dual_columns, projection_matrix,
-                                   symmetric_orbit, verify)
+                                   symmetric_polyhedra, verify)
 from toricgit.git import quotient_polyhedron, unstable_rays
 from toricgit.groups import compose, identity
 from toricgit.linalg import Matrix, hermite_normal_form, elementary_divisors, kernel_basis
@@ -76,7 +76,7 @@ def test_criterion_04_normal_fan():
     t0 = time.perf_counter()
     for n in range(2, 5):
         sym = build_symmetric(n)
-        nf = normal_fan(symmetric_orbit(sym)[2])
+        nf = normal_fan(symmetric_polyhedra(sym)[1])
         assert nf == Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone), n
         if n == 4:
             assert len(nf.maximal_cones) == 24

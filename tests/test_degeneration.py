@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import io
 import json
@@ -10,7 +9,6 @@ from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from operator import add
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -26,17 +24,19 @@ from oracles import (ambient_quotient_slice, braid_chambers, certified_polyhedro
                      weight_reflections)
 from toricgit import cones, dd, degeneration, linalg, polyhedra
 from toricgit.cones import Cone
-from toricgit.degeneration import (DegenerationBundle, SymmetricModel, _check_orbit_count,
-                                   _pb, _product_cone, _symmetric, ambient_reflections,
-                                   basis_change_matrix, build_bundle, build_symmetric,
-                                   chamber_cone, chart_pairs, checks_for, constant_tail,
+from toricgit.degeneration import (VERIFY_MAX_N, DegenerationBundle, SymmetricModel,
+                                   _check_orbit_count, _pb, _product_cone, _symmetric,
+                                   ambient_reflections, basis_change_matrix, build_bundle,
+                                   build_symmetric, chamber_cone, chart_pairs, checks_for,
+                                   constant_tail,
                                    family_cube_map, family_rec_dual_columns,
                                    head_vertex, identity_slice_vertex, permutation_matrices,
                                    product_chart_corners, product_chart_vertices,
                                    product_cone_ambient, product_cone_dual_columns,
                                    product_cube_map, product_facets, product_linearization,
                                    product_polyhedron, product_rec_dual_columns,
-                                   projection_matrix, slice_vertex, symmetric_orbit, verify)
+                                   projection_matrix, slice_vertex, symmetric_fan,
+                                   symmetric_polyhedra, verify)
 from toricgit.git import Linearization, unstable_rays
 from toricgit.jsonio import dumps, polyhedron_to_json
 from toricgit.linalg import Matrix, dot
@@ -104,8 +104,8 @@ def test_product_display_certificate_runs_no_product_dd(monkeypatch):
     # homogenization, of rank n+3, over its n+1 staircase points and the n+3
     # rays of its recession cone.  The base cone and the family recession
     # cone run none, and neither does the product side, built where the
-    # checks read it (the product cone and its dual, the facet rows, π and
-    # Q'); no L is transposed
+    # checks and build read it (the product cone and its dual, the facet
+    # rows, π and Q'); no L is transposed
     ranks, shapes = [], []
     real_dd, real_transpose = dd.cone_from_inequalities, Matrix.transpose
 
@@ -336,7 +336,7 @@ def test_product_polyhedron_against_brute_force_n2():
 
 
 def test_permutohedron_n3_vertices():
-    got = set(symmetric_orbit(build_symmetric(3))[1].vertex_candidates)
+    got = set(symmetric_polyhedra(build_symmetric(3))[0].vertex_candidates)
     assert got == {(F(0), F(0)), (F(1), F(-1)), (F(2), F(0)),
                    (F(0), F(1)), (F(1), F(1)), (F(2), F(-1))}
 
@@ -405,7 +405,7 @@ def test_fan_cone_count():
     for n in (2, 3, 4):
         sym = build_symmetric(n)
         fan = Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone)
-        assert len(fan.maximal_cones) == len(symmetric_orbit(sym)[0][1]) == [1, 1, 2, 6, 24][n]
+        assert len(fan.maximal_cones) == len(symmetric_fan(sym)[1]) == [1, 1, 2, 6, 24][n]
         for c in fan.maximal_cones:
             assert c.is_smooth()
 
@@ -429,7 +429,7 @@ def test_orbit_fan_matches_per_cone_dd_oracle():
         moved = {(tuple(sorted(g @ r for r in rays)), g.transpose() @ y)
                  for rays, y in pairs for g in gens}
         assert moved == set(pairs), n
-        normals, indices = symmetric_orbit(sym)[0]
+        normals, indices = symmetric_fan(sym)
         assert tuple(tuple(normals[i] for i in c) for c in indices) == \
             tuple(c.rays for c in sorted(oracle, key=Cone.key))
 
@@ -437,10 +437,10 @@ def test_orbit_fan_matches_per_cone_dd_oracle():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_symmetric_orbit_matches_the_paired_walk_oracle(n):
     # the fan read back from its indices, and both polyhedra's vertices read
-    # off the walk's keys, are what the paired walk gives: its cones, sorted,
+    # off the permutations, are what the paired walk gives: its cones, sorted,
     # and its points y moved by the g_kᵀ, centred, halved, sorted and deduped
     sym = _symmetric(n)
-    (normals, indices), perm, respoly = symmetric_orbit(sym)
+    (normals, indices), (perm, respoly) = symmetric_fan(sym), symmetric_polyhedra(sym)
     pairs = orbit_walk_pairs(sym)
     assert [tuple(normals[i] for i in c) for c in indices] == sorted(rays for rays, _ in pairs)
     assert normals == tuple(sorted(nu for nu, _ in sym.facets))
@@ -463,25 +463,40 @@ def test_symmetric_orbit_walks_only_index_bytes():
 
     for n in range(2, 7):
         with mock.patch.object(degeneration, "_cayley_walk", spy):
-            symmetric_orbit(_symmetric(n))
+            symmetric_fan(_symmetric(n))
         assert len(walks[-1]) == factorial(n), n
         assert all(type(c) is bytes and len(c) == n + 1 for c in walks[-1].values()), n
         assert set(walks[-1]) == {bytes(s) for s in permutations(range(n))}, n
 
 
 def test_symmetric_orbit_names_its_bound_before_any_walk(monkeypatch):
-    # a cone is held as bytes that index the 2^n facet normals, so n <= 8:
-    # n = 9 raises a ValueError that names the bound, with no walk started,
-    # and n = 8 walks its 8! cones
+    # the fan holds a cone as bytes that index the 2^n facet normals, so
+    # n <= 8: n = 9 raises a ValueError that names the bound, with no walk
+    # started, and n = 8 walks its 8! cones
     def forbidden(*args):
-        raise AssertionError("symmetric_orbit started a walk")
+        raise AssertionError("symmetric_fan started a walk")
 
     sym = build_symmetric(9)
     with monkeypatch.context() as m:
         m.setattr(degeneration, "_cayley_walk", forbidden)
-        with pytest.raises(ValueError, match="n <= 8.*not n=9"):
-            symmetric_orbit(sym)
-    assert len(symmetric_orbit(build_symmetric(8))[0][1]) == factorial(8)
+        with pytest.raises(ValueError, match="symmetric_fan supports n <= 8.*not n=9"):
+            symmetric_fan(sym)
+    assert len(symmetric_fan(_symmetric(8))[1]) == factorial(8)
+
+
+def test_symmetric_polyhedra_build_n8_with_the_walk_forbidden(monkeypatch):
+    # both polyhedra read their 8! vertices off the permutations, with the
+    # walk forbidden: the resolution polyhedron's are the permutohedron's,
+    # padded by the outer zeros, from y₀'s, the origin, to the reversal's
+    def forbidden(*args):
+        raise AssertionError("symmetric_polyhedra started a walk")
+
+    monkeypatch.setattr(degeneration, "_cayley_walk", forbidden)
+    perm, respoly = symmetric_polyhedra(_symmetric(8))
+    assert len(perm.vertex_candidates) == factorial(8)
+    assert perm.vertex_candidates[0] == (0,) * 7
+    assert perm.vertex_candidates[-1] == tuple(7 - 2 * i for i in range(7))
+    assert respoly.vertex_candidates == tuple((0,) + v + (0,) for v in perm.vertex_candidates)
 
 
 def test_build_symmetric_cone_count_does_not_grow_with_n(monkeypatch):
@@ -496,7 +511,9 @@ def test_build_symmetric_cone_count_does_not_grow_with_n(monkeypatch):
     counts = []
     for n in (3, 4, 5, 6):
         made.clear()
-        symmetric_orbit(build_symmetric(n))
+        sym = build_symmetric(n)
+        symmetric_fan(sym)
+        symmetric_polyhedra(sym)
         counts.append(len(made))
     assert counts == [counts[0]] * 4, counts
 
@@ -513,7 +530,9 @@ def test_build_symmetric_dd_calls_do_not_grow_with_n(monkeypatch):
     counts = []
     for n in (3, 5, 6):
         calls.clear()
-        symmetric_orbit(build_symmetric(n))
+        sym = build_symmetric(n)
+        symmetric_fan(sym)
+        symmetric_polyhedra(sym)
         counts.append(len(calls))
         # no DD over the n! points: the largest input is σ's 2^n generators
         assert max(calls) <= 2 ** n
@@ -543,7 +562,8 @@ def test_build_symmetric_moves_the_fan_by_generators(monkeypatch):
         sym = build_symmetric(n)
         assert len(calls) == coxeter
         calls.clear()
-        symmetric_orbit(sym)
+        symmetric_fan(sym)
+        symmetric_polyhedra(sym)
         assert not calls, n
 
 
@@ -556,12 +576,12 @@ def test_certified_symmetric_polyhedra_build_no_homogenization(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(LatticePolyhedron, "homogenization", no_cone)
-        orbits = [symmetric_orbit(build_symmetric(n)) for n in (3, 4, 5, 6)]
-    for _, *polys in orbits:
+        orbits = [symmetric_polyhedra(build_symmetric(n)) for n in (3, 4, 5, 6)]
+    for polys in orbits:
         for p in polys:
             assert p._canonical and p._cone is None
             assert p.facet_rep and p.hull_equations == ()
-    assert normal_fan(orbits[0][2]) == \
+    assert normal_fan(orbits[0][1]) == \
         Fan(4, orbit_fan_by_cone_dd(3), product_cone_ambient(3))
 
 
@@ -575,7 +595,7 @@ def test_certified_symmetric_polyhedra_seed_int_rows(monkeypatch):
         return real(v)
 
     monkeypatch.setattr(linalg, "clear_denominators", counting)
-    _, *polys = symmetric_orbit(build_symmetric(5))
+    polys = symmetric_polyhedra(build_symmetric(5))
     assert calls == []
     for p in polys:
         assert all(type(o) is int for _, o in p.facet_rep)
@@ -612,7 +632,7 @@ def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monk
 
     for n in (3, 4, 5, 6):
         sym = build_symmetric(n)
-        p = symmetric_orbit(sym)[2]
+        p = symmetric_polyhedra(sym)[1]
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(dd, "cone_from_inequalities", spy)
@@ -626,7 +646,7 @@ def test_certified_polyhedra_take_no_rank_and_their_normal_fan_no_vertex_dd(monk
 def test_certified_symmetric_polyhedra_match_dd_oracle(n):
     # the orbit route equals the double description of the n! points and
     # the explicit facet certificate over them
-    _, *polys = symmetric_orbit(build_symmetric(n))
+    polys = symmetric_polyhedra(build_symmetric(n))
     explicit = _symmetric_candidates(n)
     for got, want, (d, pts, rec, normals) in zip(
             polys, symmetric_polyhedra_by_dd(n),
@@ -688,7 +708,7 @@ def test_facet_certificate_rejects_a_normal_negative_on_the_recession():
 def _orbit_candidates(n):
     """(orbit, gens, offsets, recession) of the resolution polyhedron and the
     permutohedron: the orbit of the paired walk oracle, whose first point
-    ``build_symmetric`` and ``symmetric_orbit`` pass to ``orbit_certificate``
+    ``build_symmetric`` and ``symmetric_polyhedra`` pass to ``orbit_certificate``
     with the rest."""
     gens = ambient_reflections(n)
     orbit = [y for _, y in orbit_walk_pairs(_symmetric(n))]
@@ -842,7 +862,7 @@ BAD_CHAMBERS = {
 }
 
 
-# models that symmetric_orbit must refuse, as the text that builds each from
+# models that symmetric_fan must refuse, as the text that builds each from
 # the n = 2 model sym, and the message it raises with
 BAD_ORBIT_MODELS = {
     **{f"a chamber {name}": (f"sym._replace(chamber=Cone(3, {gens!r}))", "chamber must be")
@@ -857,19 +877,19 @@ BAD_ORBIT_MODELS = {
 
 
 def test_orbit_transport_guards_hold_under_python_O():
-    # symmetric_orbit guards the chamber it walks from, and looks up C's
+    # symmetric_fan guards the chamber it walks from, and looks up C's
     # rays and each generator's image of each normal among the normals
     sym = build_symmetric(2)
     for name, (model, message) in BAD_ORBIT_MODELS.items():
         with pytest.raises(AssertionError, match=message):
-            symmetric_orbit(eval(model))
+            symmetric_fan(eval(model))
         code = ("import re\n"
                 "from toricgit.cones import Cone\n"
-                "from toricgit.degeneration import build_symmetric, symmetric_orbit\n"
+                "from toricgit.degeneration import build_symmetric, symmetric_fan\n"
                 "from toricgit.linalg import Matrix\n"
                 "sym = build_symmetric(2)\n"
                 "try:\n"
-                f"    symmetric_orbit({model})\n"
+                f"    symmetric_fan({model})\n"
                 "except AssertionError as exc:\n"
                 f"    raise SystemExit(7 if re.search({message!r}, str(exc)) else 8)\n")
         r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
@@ -1032,11 +1052,12 @@ def test_each_check_alone_reports_its_line_of_verify_all(n):
         assert _report(verify(n, line["check"])) == line, (n, line["check"])
 
 
-def test_only_the_product_checks_build_the_product_rays(monkeypatch):
-    # the product cone's (n+1)·2^n rays are built once by unstable_locus,
-    # and never by conical_part, by base_recovery or by build
-    # --object expanded, which read the expanded family alone (at n = 1 the
-    # family's base-change cone is the product cone, so n >= 2)
+def test_no_check_builds_the_product_rays(monkeypatch):
+    # the product cone's (n+1)·2^n rays are built by no check, unstable_locus
+    # included, which reads the (n+1)² orbit representatives, and by no build
+    # --object expanded, which reads the expanded family alone (at n = 1 the
+    # family's base-change cone is the product cone, so n >= 2); no check
+    # builds the product polyhedron's facet rows
     from toricgit.cli import main
     real, calls = degeneration.product_ray_vectors, []
 
@@ -1044,18 +1065,43 @@ def test_only_the_product_checks_build_the_product_rays(monkeypatch):
         calls.append((m, k))
         return real(m, k)
 
+    def forbidden(n):
+        raise AssertionError("a check built the product's facet rows")
+
     monkeypatch.setattr(degeneration, "product_ray_vectors", spy)
+    monkeypatch.setattr(degeneration, "product_facets", forbidden)
     for n in (2, 3, 5):
         runs = {check: lambda check=check: verify(n, check).status == "pass"
-                for check in ("base_recovery", "conical_part", "unstable_locus")}
+                for check in checks_for(n)}
         runs["build expanded"] = lambda: main(["build", "--n", str(n), "--object",
                                                "expanded"]) == 0
         for what, run in runs.items():
             calls.clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run(), (n, what)
-            want = 1 if what == "unstable_locus" else 0
-            assert [k for _, k in calls].count(n) == want, (n, what, calls)
+            assert [k for _, k in calls].count(n) == 0, (n, what, calls)
+    # unstable_locus reads no per-ray row up to the verify cap
+    monkeypatch.setattr(degeneration, "product_ray_vectors", forbidden)
+    for n in range(1, VERIFY_MAX_N + 1):
+        rep = verify(n, "unstable_locus")
+        assert rep.status == "pass" and len(rep.witness["rays"]) == (n + 1) * 2 ** n, n
+
+
+def test_verify_certifies_the_head_swaps_once_per_n(monkeypatch):
+    # unstable_locus's orbit offsets rest on _pb's certificate: verify --all
+    # runs _head_swaps once per n, and build --object product its own
+    from toricgit.cli import main
+    real, calls = degeneration._head_swaps, []
+    monkeypatch.setattr(degeneration, "_head_swaps",
+                        lambda n, *args: calls.append(n) or real(n, *args))
+    for n in (1, 2, 3, 4):
+        for argv in (["verify", "--n", str(n), "--all"],
+                     ["build", "--n", str(n), "--object", "product"]):
+            _pb.cache_clear()
+            calls.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            assert calls == [n], (argv, calls)
 
 
 def test_basis_change_matches_the_per_column_solves():
@@ -1251,13 +1297,21 @@ def test_closed_form_orbit_matches_one_product_per_permutation():
         assert head_orbit(n, identity_slice_vertex(n)) == sorted(slice_vertex_points(n)), n
 
 
-def test_degeneration_enumerates_s_n_only_through_the_walk():
-    # no permutations() in the module: P_b, the slice vertex and the quotient
-    # theorem are decided at the identity, the symmetric model by the walk
-    tree = ast.parse(Path(degeneration.__file__).read_text())
-    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                for a in node.names}
-    assert "permutations" not in imported and "permutations" not in vars(degeneration)
+def test_checks_enumerate_no_s_n(monkeypatch):
+    # S_n is enumerated only for what build prints: P_b, the slice vertex,
+    # the quotient theorem and the fan checks are decided at the identity, so
+    # every check passes with the Cayley walk and permutations() forbidden
+    def forbidden(*args):
+        raise AssertionError("a check enumerated S_n")
+
+    monkeypatch.setattr(degeneration, "_cayley_walk", forbidden)
+    monkeypatch.setattr(degeneration, "permutations", forbidden)
+    _symmetric.cache_clear()
+    _pb.cache_clear()
+    for n in range(2, 6):
+        for check in checks_for(n):
+            rep = verify(n, check)
+            assert rep.status == "pass", (n, check, rep.witness)
 
 
 def test_pb_matches_the_route_by_sums():
@@ -1582,12 +1636,12 @@ def test_int_slice_checks_match_fraction_oracles():
         assert set(pb_polyhedron(n).vertex_candidates) == set(pts), n
         if n >= 2:
             assert quotient_images_by_fractions(n, pts) == \
-                set(symmetric_orbit(_symmetric(n))[2].vertex_candidates), n
+                set(symmetric_polyhedra(_symmetric(n))[1].vertex_candidates), n
 
 
 def test_int_slice_checks_fail_like_their_fraction_routes(monkeypatch):
-    # m_id moved off P_b, and one support constant lowered by 1/3: each
-    # check fails, and its witness is what the Fraction route gives (a moved
+    # m_id moved off P_b, and one orbit's support constant lowered by 1/3:
+    # each check fails, and its witness is what the Fraction route gives (a moved
     # tail is m_id's own check, test_identity_slice_vertex_check_rejects_...)
     for n in (2, 3, 4):
         real = identity_slice_vertex(n)
@@ -1604,10 +1658,14 @@ def test_int_slice_checks_fail_like_their_fraction_routes(monkeypatch):
         (got,) = quotient_images_by_fractions(n, [tuple(F(x, n + 1) for x in moved)])
         assert rep.witness == {"identity_image": list(map(str, got))}
         monkeypatch.undo()
-        facets = product_facets(n)
+        # the offset of the orbit (n, 0), whose one ray (1^n; e_0) is the
+        # last facet row, lowered at its representative
+        facets, real = product_facets(n), degeneration._orbit_offsets
         (v, o), rest = facets[-1], facets[:-1]
+        assert decode_ray_label(n, v) == (tuple(range(1, n + 1)), 0)
         lowered = rest + ((v, o - F(1, 3)),)
-        monkeypatch.setattr(degeneration, "product_facets", lambda n: lowered)
+        monkeypatch.setattr(degeneration, "_orbit_offsets",
+                            lambda n, L: {**real(n, L), (n, 0): o - F(1, 3)})
         rep = verify(n, "unstable_locus")
         monkeypatch.undo()
         assert rep.status == "fail"
@@ -1618,10 +1676,10 @@ def test_int_slice_checks_fail_like_their_fraction_routes(monkeypatch):
 
 def test_unstable_locus_compares_each_margin_and_d_exactly(monkeypatch):
     # the support raised on the whole orbit (|I|, j) = (1, 0) of unstable
-    # rays, a mutant that keeps the S_n symmetry, and a d lowered by 1/3
-    # with its margin kept (h = 3 at n = 2) on the ray of that orbit that is
-    # not its representative: the sign tests still hold, and the check fails
-    # on the exact comparisons alone, the second with that ray's own margin
+    # rays, a mutant that keeps the S_n symmetry, and that orbit's d lowered
+    # by 1/3 with its margin kept (h = 3 at n = 2) by its representative's
+    # support lowered by 1: the sign tests still hold, and the check fails on
+    # the exact comparisons alone, at the orbit's first ray, (e_2; e_0)
     n = 2
     facets, (w, h, support) = product_facets(n), _pb(n)
     assert h == 3
@@ -1632,12 +1690,13 @@ def test_unstable_locus_compares_each_margin_and_d_exactly(monkeypatch):
     rep = verify(n, "unstable_locus")
     assert rep.status == "fail"
     assert rep.witness["ray"]["I"] == [2] and rep.witness["ray"]["unstable"]
-    v = orbit[0]  # (e_2; e_0), sorted first; (e_1; e_0) represents the orbit
-    assert decode_ray_label(n, v) == ((2,), 0)
-    lowered = tuple((w, o - F(1, 3) if w == v else o) for w, o in facets)
+    v = orbit[1]  # (e_1; e_0), which represents the orbit
+    assert decode_ray_label(n, v) == ((1,), 0)
+    real = degeneration._orbit_offsets
     kept = lambda c: support(c) - (c == v)
     monkeypatch.setattr(degeneration, "_pb", lambda n: (w, h, kept))
-    monkeypatch.setattr(degeneration, "product_facets", lambda n: lowered)
+    monkeypatch.setattr(degeneration, "_orbit_offsets",
+                        lambda n, L: {**real(n, L), (1, 0): real(n, L)[1, 0] - F(1, 3)})
     rep = verify(n, "unstable_locus")
     assert rep.status == "fail"
     assert rep.witness["ray"]["I"] == [2]
@@ -1648,8 +1707,8 @@ def test_unstable_locus_compares_each_margin_and_d_exactly(monkeypatch):
 def test_unstable_locus_visits_no_vertex_of_pb(monkeypatch):
     # each margin is one call of P_b's support function: column_dots runs
     # over the n^2 columns of L, never over the n! vertices of P_b, once per
-    # orbit (|I|, j) of the (n+1)·2^n product rays, and the check's facet
-    # rows take their offsets once per orbit too.  The bundle reads the
+    # orbit (|I|, j) of the (n+1)·2^n product rays, and the check takes its
+    # offsets once per orbit too (_orbit_offsets).  The bundle reads the
     # extreme rays of the family polyhedron's homogenization alone: one pass
     # per facet of that cone (2n + 3) over its 2n + 4 generators, the n + 1
     # staircase points and the n + 3 recession rays
@@ -1699,7 +1758,7 @@ def test_fan_checks_agree_with_the_orbit_fan_oracle(monkeypatch, n):
     # check tests against σ, in one column pass per facet of σ, are its rays
     sym = _symmetric(n)
     fan = Fan(n + 1, orbit_fan_by_cone_dd(n), sym.product_cone)
-    (_, cones), _, respoly = symmetric_orbit(sym)
+    (_, cones), (_, respoly) = symmetric_fan(sym), symmetric_polyhedra(sym)
     assert normal_fan(respoly) == fan
     assert len(fan.maximal_cones) == len(cones) == factorial(n)
     assert all(c.is_smooth() for c in fan.maximal_cones)

@@ -201,6 +201,18 @@ def test_verify_digests_hold_with_the_walk_forbidden(monkeypatch):
         assert verify_digest(n) == VERIFY_DIGESTS[n], n
 
 
+def test_permutahedron_digests_hold_with_the_walk_forbidden(monkeypatch):
+    # the permutohedron reads its vertices off the permutations: only the
+    # fan of build --object symmetric walks S_n
+    def forbidden(*args):
+        raise AssertionError("build --object permutahedron walked S_n")
+
+    monkeypatch.setattr(degeneration, "_cayley_walk", forbidden)
+    for obj, n in sorted(BUILD_DIGESTS):
+        if obj == "permutahedron":
+            assert build_digest(obj, n) == BUILD_DIGESTS[obj, n], n
+
+
 @pytest.mark.parametrize("n", sorted(VERIFY_DIGESTS))
 def test_verify_report_unchanged(n):
     assert verify_digest(n) == VERIFY_DIGESTS[n]

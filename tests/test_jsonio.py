@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import fan_text_by_one_dumps
 from toricgit import jsonio
 from toricgit.cones import Cone
-from toricgit.degeneration import build_symmetric, symmetric_orbit
+from toricgit.degeneration import build_symmetric, symmetric_fan
 
 PARSERS = [jsonio.configuration_from_json, jsonio.polyhedron_from_json,
            jsonio.matrix_from_json, jsonio.cone_from_json]
@@ -166,7 +166,7 @@ def test_fan_text_matches_one_dumps_oracle():
     # negative and multi-digit entries, indexed by bytes that share and
     # repeat indices, with empty cones and none
     for n in range(2, 7):
-        normals, cones = symmetric_orbit(build_symmetric(n))[0]
+        normals, cones = symmetric_fan(build_symmetric(n))
         assert jsonio.fan_to_json(n + 1, normals, cones) == \
             fan_text_by_one_dumps(n + 1, _rays(normals, cones)), n
     rng = random.Random(7)

@@ -417,8 +417,8 @@ def test_normal_fan_segment():
 
 def test_normal_fan_permutohedron_orbit():
     from oracles import weight_reflections
-    from toricgit.degeneration import build_symmetric, permutation_matrices, symmetric_orbit
-    nf = normal_fan(symmetric_orbit(build_symmetric(3))[1])
+    from toricgit.degeneration import build_symmetric, permutation_matrices, symmetric_polyhedra
+    nf = normal_fan(symmetric_polyhedra(build_symmetric(3))[0])
     assert len(nf.maximal_cones) == 6
     mats = permutation_matrices(3, weight_reflections(3))
     chamber = Cone(2, [(1, 0), (1, 1)])
@@ -428,9 +428,9 @@ def test_normal_fan_permutohedron_orbit():
 
 
 def test_normal_fan_resolution_polyhedron():
-    from toricgit.degeneration import build_symmetric, symmetric_orbit
+    from toricgit.degeneration import build_symmetric, symmetric_polyhedra
     sym = build_symmetric(2)
-    nf = normal_fan(symmetric_orbit(sym)[2])
+    nf = normal_fan(symmetric_polyhedra(sym)[1])
     assert nf == Fan(3, orbit_fan_by_cone_dd(2), sym.product_cone)
     assert len(nf.maximal_cones) == 2
 
@@ -675,8 +675,8 @@ def test_certified_polyhedron_matches_dd_oracle(case, data):
 
 
 def test_integral_coordinates_are_int():
-    from toricgit.degeneration import _symmetric, product_polyhedron, symmetric_orbit
-    _, perm, respoly = symmetric_orbit(_symmetric(4))
+    from toricgit.degeneration import _symmetric, product_polyhedron, symmetric_polyhedra
+    perm, respoly = symmetric_polyhedra(_symmetric(4))
     for p in (product_polyhedron(3), perm, respoly):
         assert all(type(x) is int for v in p.vertex_candidates for x in v)
     # a coordinate with a denominator stays a Fraction, an integral one,
