@@ -51,16 +51,17 @@ def cmd_build(args) -> int:
     elif obj == "product":
         text = dumps(jsonio.polyhedron_to_json(product_polyhedron(n)))
     elif obj == "permutahedron":
-        text = dumps(jsonio.polyhedron_to_json(symmetric_polyhedra(build_symmetric(n))[0]))
-    else:  # dumps of the payload, its keys in sorted order, the fan's text from its indices
+        text = jsonio.polyhedron_text(symmetric_polyhedra(build_symmetric(n))[0])
+    else:  # the resolution polyhedron's rows are the permutohedron's, (0; v; 0), as
+        # symmetric_polyhedra builds them, so each of the n! rows is encoded once
         sym = build_symmetric(n)
         fan, (perm, respoly) = symmetric_fan(sym), symmetric_polyhedra(sym)
-        parts = {"chamber": dumps(jsonio.cone_to_json(sym.chamber)),
-                 "fan": jsonio.fan_to_json(n + 1, *fan), "n": str(n),
-                 "permutahedron": dumps(jsonio.polyhedron_to_json(perm)),
-                 "product_cone": dumps(jsonio.cone_to_json(sym.product_cone)),
-                 "resolution_polyhedron": dumps(jsonio.polyhedron_to_json(respoly))}
-        text = "{" + ",".join(f'"{k}": {v}' for k, v in parts.items()) + "}"
+        perm_text, respoly_text = jsonio.padded_polyhedra_text(perm, respoly)
+        texts = {"fan": jsonio.fan_to_json(n + 1, *fan), "permutahedron": perm_text,
+                 "resolution_polyhedron": respoly_text}
+        payload = {"chamber": jsonio.cone_to_json(sym.chamber), "n": n,
+                   "product_cone": jsonio.cone_to_json(sym.product_cone)}
+        text = jsonio.splice(payload, **texts)
     if args.out != "-":
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -468,7 +468,10 @@ def symmetric_polyhedra(sym: SymmetricModel) -> tuple[LatticePolyhedron, Lattice
     so the orbit of y₀ has the (y - y₀)/2 = (0; s_0 - 0, ..., s_{n-2} - (n-2); 0),
     s in the ``permutations`` of range(n), sorted and distinct as they are.  The
     permutohedron, these middle blocks, is certified at y₀'s under the g_k's,
-    whose transposes move them as the g_kᵀ do, with c_ν = 2o_ν + <ν, y₀>."""
+    whose transposes move them as the g_kᵀ do, with c_ν = 2o_ν + <ν, y₀>.
+    The resolution polyhedron's rows are the permutohedron's as (0; v; 0), in
+    its order: ``build`` relies on this fact, stated here, to encode each of
+    the n! rows once, for both (``jsonio.padded_polyhedra_text``)."""
     gens, y0 = sym.generators, sym.base_point
     mid = [tuple(map(sub, s, range(len(gens)))) for s in permutations(range(len(gens) + 1))]
     offsets = {nu[1:-1]: 2 * o + dot(nu, y0) for nu, o in sym.facets if any(nu[1:-1])}

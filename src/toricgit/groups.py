@@ -267,6 +267,8 @@ def abelian_invariant_factors_of_group(elements: Sequence, mul: Callable,
     cover exactly the given elements.
     """
     elems = sorted(elements)
+    if elems == [ident]:  # the trivial group: no generator, no relation to reduce
+        return ()
 
     def padded(v, k: int) -> list[int]:
         return list(v) + [0] * (k - len(v))

@@ -112,11 +112,11 @@ def fan_to_json(rank: int, normals, cones) -> str:
     """``dumps`` of the pointed cones of rank ``rank`` whose rays are the
     ``normals`` that each of ``cones``, a bytes, indexes, as ``cone_to_json``
     writes them with no facets: each normal is encoded once, and the
-    entries are joined by index with its separators."""
+    entries are joined by index from those pieces."""
     texts = [dumps([str(x) for x in r]) for r in normals]
-    head, _, tail = dumps({"ambient_rank": rank, "lineality": [], "rays": None}).rpartition("null")
-    return "[" + ",".join(f"{head}[{','.join(map(texts.__getitem__, c))}]{tail}"
-                          for c in cones) + "]"
+    # dumps escapes a NUL, so the one in its text is the slot's
+    head, tail = splice({"ambient_rank": rank, "lineality": []}, rays="\0").split("\0")
+    return _list_text([f"[{','.join(map(texts.__getitem__, c))}]" for c in cones], head, tail)
 
 
 def cone_from_json(obj: dict) -> Cone:
@@ -130,17 +130,48 @@ def cone_from_json(obj: dict) -> Cone:
     return Cone(rank, gens)
 
 
-def polyhedron_to_json(p: LatticePolyhedron) -> dict:
+def polyhedron_to_json(p: LatticePolyhedron, with_vertices: bool = True) -> dict:
     q = p.canonicalize()
     out = {"ambient_rank": q.ambient_rank,
-           "vertices": _str_rows(q.vertex_candidates),
            "recession": cone_to_json(q.recession, with_facets=False)}
+    if with_vertices:
+        out["vertices"] = _str_rows(q.vertex_candidates)
     if not q.is_empty():
         rows = q.facet_rep + tuple((tuple(s * x for x in n), s * o)  # an equation as ± rows
                                    for n, o in q.hull_equations for s in (1, -1))
         out["facets"] = [{"normal": [str(x) for x in n], "offset": str(o)}
                          for n, o in rows]
     return out
+
+
+def _vertex_entries(p: LatticePolyhedron) -> list[str]:
+    """The text inside the brackets of each of p's vertex rows as ``dumps``
+    writes it, such as '"1","-2/3"': one ``%`` per row, whose "%s" prints a
+    Fraction as "p" or "p/q", as ``rational_str`` does."""
+    row = ",".join(['"%s"'] * p.ambient_rank)
+    return [row % v for v in p.canonicalize().vertex_candidates]
+
+
+def _polyhedron_text(p: LatticePolyhedron, vertices: str) -> str:
+    """``dumps(polyhedron_to_json(p))``, its vertices the text ``vertices``."""
+    return splice(polyhedron_to_json(p, with_vertices=False), vertices=vertices)
+
+
+def polyhedron_text(p: LatticePolyhedron) -> str:
+    """``dumps(polyhedron_to_json(p))``, each vertex row encoded once as
+    text, with no nested list through ``dumps``."""
+    return _polyhedron_text(p, _list_text(_vertex_entries(p), "[", "]"))
+
+
+def padded_polyhedra_text(p: LatticePolyhedron, padded: LatticePolyhedron) -> tuple[str, str]:
+    """(``polyhedron_text(p)``, ``polyhedron_text(padded)``) for a ``padded``
+    whose vertex rows are p's, (0; v; 0) for each v, in p's order, as
+    ``degeneration.symmetric_polyhedra`` builds the resolution polyhedron from
+    the permutohedron: each of p's rows is encoded once, and padded's row is
+    spliced from its text."""
+    entries = _vertex_entries(p)
+    return (_polyhedron_text(p, _list_text(entries, "[", "]")),
+            _polyhedron_text(padded, _list_text(entries, '["0",', ',"0"]')))
 
 
 def polyhedron_from_json(obj: dict) -> LatticePolyhedron:
@@ -188,3 +219,21 @@ def configuration_from_json(obj: dict) -> CycleConfiguration:
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "))
+
+
+def splice(obj: dict, **texts: str) -> str:
+    """``dumps`` of ``obj`` with ``texts`` added, each value JSON text as
+    ``dumps`` writes it, spliced in as it is: a caller encodes a shared text
+    once, with no knowledge of ``dumps``' separators or key order.  ``obj``
+    must hold no ``None`` and no string with "null" in it (ValueError)."""
+    pieces = dumps({**obj, **dict.fromkeys(texts)}).split("null")
+    if len(pieces) != len(texts) + 1:
+        raise ValueError("an object to splice into must hold no null")
+    # dumps writes the texts' null placeholders in sorted key order
+    return "".join(piece + texts[k] for piece, k in zip(pieces, sorted(texts))) + pieces[-1]
+
+
+def _list_text(items: list[str], head: str, tail: str) -> str:
+    """The JSON list of the texts head + x + tail, one per x in ``items``,
+    with ``dumps``' separator."""
+    return "[" + head + (tail + "," + head).join(items) + tail + "]" if items else "[]"

@@ -23,7 +23,6 @@ class's images: it visits one representative per coset of Stab0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Sequence
 
 from .groups import CosetUnion, Perm, YoungSubgroup
@@ -110,7 +109,6 @@ def _image_lookup(q: QuotientPoint
     # f_n != 0 keeps the last slot's position: its image lies in its class
     last_fixed = not zero[n]
 
-    @cache  # computed when first asked for: the search returns to a slot many times
     def images(i: int, a: int) -> Sequence[int]:
         fixed_last = i == n - 1 and last_fixed
         if i and not zero[i]:
@@ -122,7 +120,16 @@ def _image_lookup(q: QuotientPoint
         pool = classes[last] if fixed_last else labelled[a1[i]]
         return [x for x in pool if zc[x] > zc[a]] if i else pool
 
-    return images, list(classes.values())
+    memo: dict[tuple[int, int], Sequence[int]] = {}
+
+    def lookup(i: int, a: int) -> Sequence[int]:
+        # computed when first asked for: the search returns to a slot many times
+        got = memo.get((i, a))
+        if got is None:
+            got = memo[i, a] = images(i, a)
+        return got
+
+    return lookup, list(classes.values())
 
 
 def _fixes(p: Perm, images) -> bool:

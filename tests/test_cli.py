@@ -71,13 +71,14 @@ def test_build_out_empty_is_a_usage_error():
 
 
 def test_build_symmetric_out_file_is_stdout(tmp_path):
-    # the fan's text is joined from its rays: the same bytes on both routes
-    out = tmp_path / "sym.json"
-    rc, text, err = run_main(["build", "--n", "4", "--object", "symmetric"])
-    assert rc == 0, err
-    assert run_main(["build", "--n", "4", "--object", "symmetric", "--out", str(out)]) == \
-        (0, "", "")
-    assert out.read_text() == text
+    # the fan's text is joined from its rays, and the polyhedra's from their
+    # row texts: the same bytes on both routes
+    for obj in ("symmetric", "permutahedron"):
+        out = tmp_path / f"{obj}.json"
+        rc, text, err = run_main(["build", "--n", "4", "--object", obj])
+        assert rc == 0, err
+        assert run_main(["build", "--n", "4", "--object", obj, "--out", str(out)]) == (0, "", "")
+        assert out.read_text() == text, obj
 
 
 def test_build_roundtrip(tmp_path):

@@ -2,18 +2,22 @@
 every malformed value with ValueError, which the CLI turns into exit 2 with
 one ``error:`` line; a missing field is a ValueError that names it."""
 
+import contextlib
+import io
 import random
 import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import fan_text_by_one_dumps
-from toricgit import jsonio
+from toricgit import cli, jsonio
 from toricgit.cones import Cone
-from toricgit.degeneration import build_symmetric, symmetric_fan
+from toricgit.degeneration import build_symmetric, symmetric_fan, symmetric_polyhedra
+from toricgit.polyhedra import LatticePolyhedron
 
 PARSERS = [jsonio.configuration_from_json, jsonio.polyhedron_from_json,
            jsonio.matrix_from_json, jsonio.cone_from_json]
@@ -178,6 +182,92 @@ def test_fan_text_matches_one_dumps_oracle():
                  for _ in range(rng.randint(0, 6))]
         assert jsonio.fan_to_json(rank, normals, cones) == \
             fan_text_by_one_dumps(rank, _rays(normals, cones)), trial
+
+
+def _by_one_dumps(p) -> str:
+    """The polyhedron route that the row texts replaced: one ``dumps`` of
+    ``polyhedron_to_json``, its vertex rows nested lists of strings."""
+    return jsonio.dumps(jsonio.polyhedron_to_json(p))
+
+
+def test_polyhedron_row_texts_match_one_dumps_oracle():
+    # the symmetric polyhedra, whose resolution rows are spliced from the
+    # permutohedron's, and seeded polyhedra with negative and fractional
+    # vertices, rank 0 and the empty polyhedron among them
+    for n in range(2, 7):
+        perm, respoly = symmetric_polyhedra(build_symmetric(n))
+        assert jsonio.padded_polyhedra_text(perm, respoly) == \
+            (_by_one_dumps(perm), _by_one_dumps(respoly)), n
+        assert jsonio.polyhedron_text(perm) == _by_one_dumps(perm), n
+    rng = random.Random(11)
+    polys = [LatticePolyhedron(0, [()]), LatticePolyhedron(2, [])]
+    for _ in range(40):
+        rank = rng.randint(1, 3)
+        pts = [tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(rank))
+               for _ in range(rng.randint(1, 5))]
+        rays = [tuple(rng.randint(0, 2) for _ in range(rank)) for _ in range(rng.randint(0, 2))]
+        polys.append(LatticePolyhedron(rank, pts, Cone(rank, rays)))
+    for trial, p in enumerate(polys):
+        assert jsonio.polyhedron_text(p) == _by_one_dumps(p), trial
+
+
+def test_build_symmetric_encodes_each_row_once(monkeypatch):
+    # the resolution polyhedron's rows are spliced from the permutohedron's
+    # texts, and no vertex list goes through dumps
+    real_entries, real_dumps, rows, dumped = jsonio._vertex_entries, jsonio.dumps, [], []
+
+    def entries(p):
+        out = real_entries(p)
+        rows.extend(out)
+        return out
+
+    def dumps(obj):
+        dumped.append(obj)
+        return real_dumps(obj)
+
+    monkeypatch.setattr(jsonio, "_vertex_entries", entries)
+    monkeypatch.setattr(jsonio, "dumps", dumps)
+    for n in range(2, 7):
+        rows.clear()
+        dumped.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["build", "--n", str(n), "--object", "symmetric"]) == 0
+        assert len(rows) == factorial(n), n
+        assert not [x for x in dumped if isinstance(x, dict) and x.get("vertices") is not None]
+
+
+def _keys(rng) -> list[str]:
+    # letters with no "n", "u" or "l", so that no key spells null
+    return rng.sample(["".join(rng.choices("abcxyz_", k=rng.randint(1, 6)))
+                       for _ in range(8)], rng.randint(0, 6))
+
+
+def _json_value(rng, depth: int = 0):
+    kind = rng.randrange(5 if depth < 2 else 3)
+    if kind == 0:
+        return rng.randint(-10 ** 6, 10 ** 6)
+    if kind == 1:
+        return "".join(rng.choices('abc0-/"\\é{}', k=rng.randint(0, 4)))
+    if kind == 2:
+        return rng.choice([True, False, 1.5, []])
+    if kind == 3:
+        return [_json_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {k: _json_value(rng, depth + 1) for k in _keys(rng)}
+
+
+def test_splice_matches_dumps():
+    # seeded objects, any subset of whose top-level values is given as its
+    # dumps text; the text holds braces, quotes and escapes, as the spliced
+    # JSON may
+    rng = random.Random(5)
+    for trial in range(300):
+        obj = {k: _json_value(rng) for k in _keys(rng)}
+        texts = {k: jsonio.dumps(v) for k, v in obj.items() if rng.random() < 0.5}
+        rest = {k: v for k, v in obj.items() if k not in texts}
+        assert jsonio.splice(rest, **texts) == jsonio.dumps(obj), trial
+    for bad in ({"a": None}, {"a": ["null"]}, {"a": {"b": None}}):
+        with pytest.raises(ValueError, match="no null"):
+            jsonio.splice(bad, c="1")
 
 
 def test_matrix_entries_are_read_as_integers():
