@@ -19,7 +19,8 @@ from types import SimpleNamespace
 from . import __version__
 from . import jsonio
 from .degeneration import (build_bundle, build_symmetric, checks_for, product_polyhedron,
-                           run_check, symmetric_fan, symmetric_polyhedra, verify)
+                           permutohedron, run_check, symmetric_fan, symmetric_polyhedra,
+                           verify)
 from .git import Linearization, quotient_polyhedron, split_quotient
 from .jsonio import dumps
 
@@ -51,7 +52,7 @@ def cmd_build(args) -> int:
     elif obj == "product":
         text = dumps(jsonio.polyhedron_to_json(product_polyhedron(n)))
     elif obj == "permutahedron":
-        text = jsonio.polyhedron_text(symmetric_polyhedra(build_symmetric(n))[0])
+        text = jsonio.polyhedron_text(permutohedron(build_symmetric(n)))
     else:  # the resolution polyhedron's rows are the permutohedron's, (0; v; 0), as
         # symmetric_polyhedra builds them, so each of the n! rows is encoded once
         sym = build_symmetric(n)
@@ -185,7 +186,6 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_stab(args) -> int:
-    from .groups import cycle_notation
     from .stabilizers import verify_comparison
     try:
         with open(args.config) as fh:
@@ -201,8 +201,7 @@ def cmd_stab(args) -> int:
     print(dumps({
         "torus": jsonio.group_to_json(rep.torus_side),
         "stab_order": rep.stab_order,
-        "stab_generators": [cycle_notation(p)
-                            for p in rep.sym.stab.first_in_cycle_notation_order(50)],
+        "stab_generators": rep.sym.stab.first_cycle_notations(50),
         "stab0_order": rep.stab0_order,
         "stab0_blocks": rep.sym.stab0_young.blocks_one_based(),
         "quotient": jsonio.group_to_json(rep.sym_side),

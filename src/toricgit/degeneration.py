@@ -462,24 +462,30 @@ def symmetric_fan(sym: SymmetricModel) -> tuple[tuple, tuple]:
     return normals, tuple(sorted(bytes(sorted(c)) for c in walk.values()))
 
 
-def symmetric_polyhedra(sym: SymmetricModel) -> tuple[LatticePolyhedron, LatticePolyhedron]:
-    """(the permutohedron, the resolution polyhedron) for ``build``, with no
-    walk.  The g_kᵀ act on the lifts as the swaps (k, k+1) (``_check_orbit_count``),
-    so the orbit of y₀ has the (y - y₀)/2 = (0; s_0 - 0, ..., s_{n-2} - (n-2); 0),
-    s in the ``permutations`` of range(n), sorted and distinct as they are.  The
+def permutohedron(sym: SymmetricModel) -> LatticePolyhedron:
+    """The permutohedron for ``build``, with no walk.  The g_kᵀ act on the
+    lifts as the swaps (k, k+1) (``_check_orbit_count``), so the orbit of y₀
+    has the (y - y₀)/2 = (0; s_0 - 0, ..., s_{n-2} - (n-2); 0), s in the
+    ``permutations`` of range(n), sorted and distinct as they are.  The
     permutohedron, these middle blocks, is certified at y₀'s under the g_k's,
-    whose transposes move them as the g_kᵀ do, with c_ν = 2o_ν + <ν, y₀>.
-    The resolution polyhedron's rows are the permutohedron's as (0; v; 0), in
-    its order: ``build`` relies on this fact, stated here, to encode each of
-    the n! rows once, for both (``jsonio.padded_polyhedra_text``)."""
+    whose transposes move them as the g_kᵀ do, with c_ν = 2o_ν + <ν, y₀>."""
     gens, y0 = sym.generators, sym.base_point
     mid = [tuple(map(sub, s, range(len(gens)))) for s in permutations(range(len(gens) + 1))]
     offsets = {nu[1:-1]: 2 * o + dot(nu, y0) for nu, o in sym.facets if any(nu[1:-1])}
     facets, rec = orbit_certificate(y0[1:-1], [Matrix([r[1:-1] for r in g.entries[1:-1]])
                                                for g in gens], offsets, None)
-    return (LatticePolyhedron(len(gens), mid, rec, facets, _canonical=True),
-            LatticePolyhedron(len(y0), [(0,) + v + (0,) for v in mid], sym.recession, sym.facets,
-                              _canonical=True))
+    return LatticePolyhedron(len(gens), mid, rec, facets, _canonical=True)
+
+
+def symmetric_polyhedra(sym: SymmetricModel) -> tuple[LatticePolyhedron, LatticePolyhedron]:
+    """(the permutohedron, the resolution polyhedron) for ``build --object
+    symmetric``: the model's facets with the (y - y₀)/2, the permutohedron's
+    rows as (0; v; 0), in its order.  ``build`` relies on this fact, stated
+    here, to encode each row once, for both (``jsonio.padded_polyhedra_text``)."""
+    perm = permutohedron(sym)
+    return perm, LatticePolyhedron(len(sym.base_point),
+                                   [(0,) + v + (0,) for v in perm.vertex_candidates],
+                                   sym.recession, sym.facets, _canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ quotient-group computation used by the stabilizer comparison."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -30,30 +30,21 @@ def identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def cycles(p: Perm) -> list[tuple[int, ...]]:
-    """Nontrivial cycles, 0-based, each starting at its minimal element."""
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = p[j]
-        out.append(tuple(cyc))
-    return out
-
-
 def cycle_notation(p: Perm) -> str:
-    cs = cycles(p)
-    if not cs:
-        return "id"
-    return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cs)
+    """The nontrivial cycles of p, 1-based, each from its least label, in
+    the order of those labels; "id" when there is none."""
+    out = []
+    seen = [False] * len(p)
+    for i, j in enumerate(p):
+        if seen[i] or j == i:
+            continue
+        cycle = "(" + str(i + 1)
+        while j != i:
+            seen[j] = True
+            cycle += " " + str(j + 1)
+            j = p[j]
+        out.append(cycle + ")")
+    return "".join(out) or "id"
 
 
 @dataclass(frozen=True)
@@ -94,13 +85,14 @@ class YoungSubgroup:
     def blocks_one_based(self) -> list[list[int]]:
         return [[x + 1 for x in b] for b in self.blocks]
 
-    def elements(self) -> Iterator[Perm]:
-        """Every element, one at a time."""
-        for images in product(*(permutations(b) for b in self.blocks)):
-            p = list(range(self.n))
-            for b, img in zip(self.blocks, images):
-                for i, x in zip(b, img):
-                    p[i] = x
+    def coset(self, r: Perm) -> Iterator[Perm]:
+        """The elements r∘h of the coset r∘Y, one at a time, in the order of
+        the h: r∘h is r, with r(h(i)) at each point i that h moves."""
+        moved = [i for b in self.blocks for i in b]
+        for images in product(*map(permutations, self.blocks)):
+            p = list(r)
+            for i, x in zip(moved, chain.from_iterable(images)):
+                p[i] = r[x]
             yield tuple(p)
 
 
@@ -126,12 +118,11 @@ class CosetUnion:
 
     def __iter__(self) -> Iterator[Perm]:
         for r in self.reps:
-            for h in self.young.elements():
-                yield compose(r, h)
+            yield from self.young.coset(r)
 
-    def first_in_cycle_notation_order(self, count: int) -> list[Perm]:
-        """The ``count`` elements with the smallest ``cycle_notation``
-        strings, in increasing string order.
+    def first_cycle_notations(self, count: int) -> list[str]:
+        """The ``count`` smallest ``cycle_notation`` strings of the elements,
+        in increasing order.
 
         The strings are built token by token, with tokens tried in string
         order: inside a cycle a further label (" y") sorts before the closing
@@ -145,13 +136,16 @@ class CosetUnion:
         prefix is extended only while some coset meets all of its conditions.
         Every such prefix extends to an element, except a cycle "(m" whose m
         must be fixed, so the search backtracks only there and its cost grows
-        with ``count``, not with the number of elements.  When ``count``
-        covers every element, sorting them is cheaper.
+        with ``count``, not with the number of elements.  A string is joined
+        from the tokens on the search's stack when it is complete, so no
+        permutation is formed.  When ``count`` covers every element, sorting
+        their strings is cheaper.
         """
         if self.order() <= count:
-            return sorted(self, key=cycle_notation)
+            return sorted(map(cycle_notation, self))
         n = self.young.n
-        order = sorted(range(n), key=lambda a: str(a + 1))
+        label = [str(a + 1) for a in range(n)]
+        order = sorted(range(n), key=label.__getitem__)
         # bit j of a mask stands for the label order[j]: the lowest bit set is
         # the smallest label string
         bit = [0] * n
@@ -171,8 +165,8 @@ class CosetUnion:
                     allowed[i] = mask
             cosets.append((allowed, sum(bit[a] for a in range(n) if allowed[a] & bit[a]),
                            sum(bit[a] for a in range(n) if allowed[a] != bit[a])))
-        out: list[Perm] = []
-        p = list(range(n))  # the images written so far; other labels are fixed
+        out: list[str] = []
+        tokens: list[str] = []  # the string so far: "(m", " y" and ")"
 
         def cycle(m: int, x: int, cands: list, free: int) -> bool:
             # the open cycle starts at m and has written x last; ``free`` holds
@@ -185,20 +179,22 @@ class CosetUnion:
             while reach:
                 low = reach & -reach
                 reach ^= low
-                p[x] = order[low.bit_length() - 1]
-                if cycle(m, p[x], [c for c in cands if c[0][x] & low], free ^ low):
+                y = order[low.bit_length() - 1]
+                tokens.append(" " + label[y])
+                if cycle(m, y, [c for c in cands if c[0][x] & low], free ^ low):
                     return True
+                tokens.pop()
             if x != m:
                 closing = [c for c in cands if c[0][x] & bit[m]]
                 if closing:
-                    p[x] = m
+                    tokens.append(")")
                     if any(free & ~c[1] == 0 for c in closing):
-                        out.append(tuple(p))
+                        out.append("".join(tokens))
                         if len(out) == count:
                             return True
                     if next_cycle(closing, free):
                         return True
-            p[x] = x
+                    tokens.pop()
             return False
 
         def next_cycle(cands: list, free: int) -> bool:
@@ -212,14 +208,17 @@ class CosetUnion:
                 m = order[low.bit_length() - 1]
                 fixed = free & below[m]
                 fits = [c for c in cands if fixed & ~c[1] == 0]
-                if fits and cycle(m, m, fits, free & ~fixed & ~low):
-                    return True
+                if fits:
+                    tokens.append("(" + label[m])
+                    if cycle(m, m, fits, free & ~fixed & ~low):
+                        return True
+                    tokens.pop()
             return False
 
         full = (1 << n) - 1
         if count > 0 and not next_cycle(cosets, full) and \
                 any(c[1] == full for c in cosets):
-            out.append(tuple(range(n)))
+            out.append("id")
         return out
 
 

@@ -25,15 +25,21 @@ def rational_str(x) -> str:
     return str(x if type(x) is int else frac(x))  # a Fraction prints as "p" or "p/q"
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def parse_rational(s) -> Fraction:
     """A JSON integer, or a string of a sign, ASCII digits and "/" with ASCII
     digits, the sign and "/" optional; ValueError otherwise ("1e3", "1/0")."""
     if type(s) is int:
         return Fraction(s)
-    if not (isinstance(s, str) and re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", s)):
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
         shown = repr(s) if isinstance(s, str) else type(s).__name__
         raise ValueError(f"a rational must be an integer or a string like '-3/4', not {shown}")
-    return Fraction(s)
+    num, den = match.groups()  # the Fraction of two ints: no second parse of s
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def _json_object(obj, what: str, *required: str) -> dict:
@@ -57,10 +63,16 @@ def _json_list(obj, what: str) -> list:
 def _json_int(x, what: str) -> int:
     """A JSON integer, or a string of an optional sign and ASCII digits;
     ValueError naming ``what`` for anything else ("1_0", floats, booleans)."""
-    if type(x) is int or isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x):
+    if type(x) is int or isinstance(x, str) and _INTEGER.fullmatch(x):
         return int(x)
     shown = repr(x) if isinstance(x, str) else type(x).__name__
     raise ValueError(f"{what} must be an integer, not {shown}")
+
+
+def _json_ints(obj, what: str, entry: str) -> tuple[int, ...]:
+    """A JSON list of integers as one tuple, read entry by entry only if needed."""
+    xs = _json_list(obj, what)
+    return tuple(xs) if set(map(type, xs)) <= {int} else tuple(_json_int(x, entry) for x in xs)
 
 
 def _json_str(x, what: str) -> str:
@@ -198,22 +210,23 @@ def configuration_to_json(c: CycleConfiguration) -> dict:
 
 
 def configuration_from_json(obj: dict) -> CycleConfiguration:
+    """The configuration of ``obj``, each record built once, its generic
+    vector padded with zeros to the longest, as ``CycleConfiguration`` keeps it."""
     from .stabilizers import CycleConfiguration, PointRecord, UnitValue
     _json_object(obj, "a configuration", "n", "points")
     n = _json_int(obj["n"], "n")
-    I_t = tuple(_json_int(i, "an I_t entry") for i in _json_list(obj.get("I_t", []), "I_t"))
+    I_t = _json_ints(obj.get("I_t", []), "I_t", "an I_t entry")
     records = [_json_object(p, "a point record", "component")
                for p in _json_list(obj["points"], "points")]
+    width = max((len(p["generic"]) for p in records if type(p.get("generic")) is list), default=0)
     pts = []
     for p in records:
-        pts.append(PointRecord(
-            component=_json_int(p["component"], "component"),
-            position=UnitValue(root=parse_rational(p.get("root", "0")),
-                               generic=tuple(_json_int(x, "a generic entry")
-                                             for x in _json_list(p.get("generic", []),
-                                                                 "generic"))),
-            a1_label=_json_str(p.get("a1", ""), "a1"),
-            multiplicity=_json_int(p.get("mult", 1), "mult")))
+        component = _json_int(p["component"], "component")
+        root = parse_rational(p.get("root", "0"))
+        generic = _json_ints(p.get("generic", []), "generic", "a generic entry")
+        pts.append(PointRecord(component, UnitValue(root, generic + (0,) * (width - len(generic))),
+                               _json_str(p.get("a1", ""), "a1"),
+                               _json_int(p.get("mult", 1), "mult")))
     return CycleConfiguration(n=n, I_t=I_t, points=tuple(pts))
 
 

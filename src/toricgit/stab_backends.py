@@ -23,6 +23,8 @@ class's images: it visits one representative per coset of Stab0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .groups import CosetUnion, Perm, YoungSubgroup
@@ -67,10 +69,12 @@ def quotient_point(slots: Sequence[tuple[int, int, tuple[int, ...], str]], denom
         zero.append(node)
         zc.append(zc[-1] + node)
         pr.append(pr[-1] if node else (pr[-1] + ra - rb) % denom)
-        pg.append(pg[-1] if node else tuple(x + y - z for x, y, z in zip(pg[-1], ga, gb)))
+        # one generic vector (one record's repeated slots share it) adds nothing
+        pg.append(pg[-1] if node or ga is gb else tuple(map(sub, map(add, pg[-1], ga), gb)))
     zero.append(last_zero)
-    codes: dict[str, int] = {}
-    a1 = tuple(codes.setdefault(s[3], len(codes)) for s in slots)
+    labels = [s[3] for s in slots]
+    codes = {label: k for k, label in enumerate(dict.fromkeys(labels))}
+    a1 = tuple(map(codes.__getitem__, labels))
     return QuotientPoint(n=n, denom=denom, zero=tuple(zero), prefix_root=tuple(pr),
                          prefix_gen=tuple(pg), zero_count=tuple(zc), a1_codes=a1)
 
@@ -96,10 +100,21 @@ def _image_lookup(q: QuotientPoint
     P[x] = P[a] + f_i, whichever of a, x is larger, so ``images(i, a)`` is the
     class of one key, found by one dict lookup.  For a zero f_i it is every
     slot with slot i's label in a later segment than a's.
+
+    A key holds each generic prefix (of one width, else ValueError) as one int
+    in the balanced base B = 6M + 3, M its largest entry's size (Kronecker
+    substitution): a digit of P[a] + P[i] - P[i-1] is at most 3M < B/2 in size,
+    so its int, the sum of three ints, is a slot's exactly when they are equal.
     """
     n, zero, denom = q.n, q.zero, q.denom
-    zc, pr, pg, a1 = q.zero_count, q.prefix_root, q.prefix_gen, q.a1_codes
-    keys = [(zc[x], pr[x], pg[x], a1[x]) for x in range(n)]
+    zc, pr, a1 = q.zero_count, q.prefix_root, q.a1_codes
+    widths = set(map(len, q.prefix_gen))
+    if len(widths) != 1:
+        raise ValueError("the generic prefixes must all have one width")
+    base = 6 * max(map(abs, chain.from_iterable(q.prefix_gen)), default=0) + 3
+    powers = [base ** k for k in range(widths.pop())]
+    pg = [sum(map(mul, v, powers)) for v in q.prefix_gen]
+    keys = list(zip(zc, pr, pg, a1))
     classes: dict[tuple, list[int]] = {}
     labelled: dict[int, list[int]] = {}
     for x, key in enumerate(keys):
@@ -112,8 +127,7 @@ def _image_lookup(q: QuotientPoint
     def images(i: int, a: int) -> Sequence[int]:
         fixed_last = i == n - 1 and last_fixed
         if i and not zero[i]:
-            key = (zc[a], (pr[a] + pr[i] - pr[i - 1]) % denom,
-                   tuple(x + y - z for x, y, z in zip(pg[a], pg[i], pg[i - 1])), a1[i])
+            key = (zc[a], (pr[a] + pr[i] - pr[i - 1]) % denom, pg[a] + pg[i] - pg[i - 1], a1[i])
             return () if fixed_last and key != last else classes.get(key, ())
         if not i and not zero[0]:
             return classes[keys[0]]

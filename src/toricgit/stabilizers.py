@@ -88,31 +88,36 @@ class CycleConfiguration:
     points: tuple[PointRecord, ...]
 
     def __post_init__(self):
-        m = max((len(p.position.generic) for p in self.points), default=0)
-        if any(len(p.position.generic) < m for p in self.points):
+        n, I_t, points = self.n, self.I_t, self.points
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        if list(I_t) != sorted(set(I_t)) or any(not 1 <= i <= n + 1 for i in I_t):
+            raise ValueError("I_t must be a strictly increasing subset of 1..n+1")
+        r = len(I_t)
+        keys, widths, totals, outside = set(), set(), [0] * (r + 1), False
+        for p in points:  # one pass: the positions, their widths and the degrees
+            component, position = p.component, p.position
+            root = position.root
+            keys.add((component, root.numerator, root.denominator, position.generic, p.a1_label))
+            widths.add(len(position.generic))
+            if 0 <= component <= r:
+                totals[component] += p.multiplicity
+            else:
+                outside = True
+        if len(widths) > 1:  # ragged: pad every generic vector, then check the records again
+            m = max(widths)
             object.__setattr__(self, "points", tuple(
                 PointRecord(p.component,
                             UnitValue(p.position.root,
                                       p.position.generic + (0,) * (m - len(p.position.generic))),
                             p.a1_label, p.multiplicity)
-                for p in self.points))
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if list(self.I_t) != sorted(set(self.I_t)) or \
-                any(not 1 <= i <= self.n + 1 for i in self.I_t):
-            raise ValueError("I_t must be a strictly increasing subset of 1..n+1")
-        points = self.points
-        keys = {(p.component, p.position.root.numerator, p.position.root.denominator,
-                 p.position.generic, p.a1_label) for p in points}
+                for p in points))
+            return self.__post_init__()
         if len(keys) < len(points):
             raise ValueError("duplicate (component, position, a1) record")
-        r = len(self.I_t)
-        if any(not 0 <= p.component <= r for p in points):
+        if outside:
             raise ValueError("component index out of range for this I_t")
-        totals = [0] * (r + 1)
-        for p in points:
-            totals[p.component] += p.multiplicity
-        if totals != _degrees(self.n, self.I_t):  # they sum to n
+        if totals != _degrees(n, I_t):  # they sum to n
             raise ValueError("configuration is not semistable: per-component "
                              "multiplicities must equal the fiber degrees")
 
@@ -181,8 +186,9 @@ def _component_shift_order(records: Sequence[PointRecord]) -> int:
 
 
 def _shift_orders(components: Sequence[Sequence[PointRecord]]) -> list[int]:
-    """``_component_shift_order`` of each component, 1 for an empty one."""
-    return [_component_shift_order(records) if records else 1 for records in components]
+    """``_component_shift_order`` of each component of two records or more;
+    1 for the others, as the zero shift alone fixes a lone record's root."""
+    return [_component_shift_order(records) if len(records) > 1 else 1 for records in components]
 
 
 def torus_stabilizer(c: CycleConfiguration) -> FiniteAbelianGroup:

@@ -38,7 +38,10 @@ the three routes the stabilizer search replaced (the shift-group order over
 ``Fraction`` roots, the image tables from one slot-ratio test per slot pair,
 and the chart coordinates as unit values, encoded into prefix sums
 afterwards), the random configuration drawn record by record in ``Fraction``
-that the orbits-first draw replaced, the two invariant-factor routes the
+that the orbits-first draw replaced, the configuration reader that the
+one-tuple reader replaced (each integer read by its own call, each rational
+matched and then parsed again by ``Fraction``, and the ragged generic vectors
+padded by rebuilding their records), the two invariant-factor routes the
 package replaced (trial division of cyclic orders, and the peel of a group
 table), the weight-lattice reflections and identity-vertex edge matrix
 of the symmetric model, and the argparse reading of the command line that
@@ -46,6 +49,7 @@ the CLI's table replaced.
 """
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -53,7 +57,7 @@ from itertools import compress, permutations, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from toricgit import dd
+from toricgit import dd, jsonio
 from toricgit.cones import Cone, column_dots, image_cone
 from toricgit.degeneration import (_cayley_walk, _pb, ambient_reflections, basis_change_matrix,
                                    chamber_cone, family_cube_map, permutation_matrices,
@@ -1411,6 +1415,42 @@ def fan_text_by_one_dumps(rank: int, cones) -> str:
 
 def unit(root=0, generic: Sequence[int] = ()) -> UnitValue:
     return UnitValue(root=Fraction(root), generic=tuple(generic))
+
+
+def parse_rational_by_fraction(s) -> Fraction:
+    """The rational reader that ``jsonio.parse_rational`` replaced: the
+    string matched, then parsed again by ``Fraction``."""
+    if type(s) is int:
+        return Fraction(s)
+    if not (isinstance(s, str) and re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", s)):
+        shown = repr(s) if isinstance(s, str) else type(s).__name__
+        raise ValueError(f"a rational must be an integer or a string like '-3/4', not {shown}")
+    return Fraction(s)
+
+
+def configuration_from_json_by_entries(obj: dict) -> CycleConfiguration:
+    """The reader that ``jsonio.configuration_from_json`` replaced: each
+    integer read by its own ``_json_int`` call, each root by
+    ``parse_rational_by_fraction``, and each record built as the file spells
+    it, so that ``CycleConfiguration`` pads a ragged generic vector by
+    building its record again."""
+    json_int = jsonio._json_int
+    jsonio._json_object(obj, "a configuration", "n", "points")
+    n = json_int(obj["n"], "n")
+    I_t = tuple(json_int(i, "an I_t entry") for i in jsonio._json_list(obj.get("I_t", []), "I_t"))
+    records = [jsonio._json_object(p, "a point record", "component")
+               for p in jsonio._json_list(obj["points"], "points")]
+    pts = []
+    for p in records:
+        pts.append(PointRecord(
+            component=json_int(p["component"], "component"),
+            position=UnitValue(root=parse_rational_by_fraction(p.get("root", "0")),
+                               generic=tuple(json_int(x, "a generic entry")
+                                             for x in jsonio._json_list(p.get("generic", []),
+                                                                        "generic"))),
+            a1_label=jsonio._json_str(p.get("a1", ""), "a1"),
+            multiplicity=json_int(p.get("mult", 1), "mult")))
+    return CycleConfiguration(n=n, I_t=I_t, points=tuple(pts))
 
 
 def random_configuration_by_fractions(n: int, rng: random.Random) -> CycleConfiguration:

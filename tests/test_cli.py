@@ -40,6 +40,32 @@ def test_build_permutahedron_n2():
     assert obj["vertices"] == [["0"], ["1"]]
 
 
+def test_build_permutahedron_builds_only_what_it_prints(monkeypatch):
+    # the resolution polyhedron, n! padded rows of rank n + 1, is built for
+    # --object symmetric only: the permutohedron's build makes the one
+    # polyhedron it prints, of rank n - 1, and its bytes are the golden ones
+    import hashlib
+    from test_golden import BUILD_DIGESTS
+    from toricgit import degeneration
+    ranks = []
+    real = degeneration.LatticePolyhedron
+
+    def spy(rank, *args, **kwargs):
+        ranks.append(rank)
+        return real(rank, *args, **kwargs)
+
+    monkeypatch.setattr(degeneration, "LatticePolyhedron", spy)
+    for n in range(2, 7):
+        ranks.clear()
+        rc, out, _ = run_main(["build", "--n", str(n), "--object", "permutahedron"])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == BUILD_DIGESTS["permutahedron", n]
+        assert ranks == [n - 1], n
+    ranks.clear()
+    rc, out, _ = run_main(["build", "--n", "4", "--object", "symmetric"])
+    assert rc == 0 and ranks == [3, 5]   # the spy sees the resolution polyhedron
+
+
 def test_build_product_recession_rays():
     r = run_cli(["build", "--n", "2", "--object", "product"])
     assert r.returncode == 0

@@ -6,6 +6,7 @@ import contextlib
 import io
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -13,11 +14,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fan_text_by_one_dumps
+from oracles import (configuration_from_json_by_entries, fan_text_by_one_dumps,
+                     parse_rational_by_fraction)
 from toricgit import cli, jsonio
 from toricgit.cones import Cone
 from toricgit.degeneration import build_symmetric, symmetric_fan, symmetric_polyhedra
 from toricgit.polyhedra import LatticePolyhedron
+from toricgit.stabilizers import random_configuration
 
 PARSERS = [jsonio.configuration_from_json, jsonio.polyhedron_from_json,
            jsonio.matrix_from_json, jsonio.cone_from_json]
@@ -86,6 +89,80 @@ def test_parsers_raise_only_value_error(obj):
         if parse is jsonio.configuration_from_json:
             # an accepted point record carries its label as a string, or none
             assert all(isinstance(p.get("a1", ""), str) for p in obj["points"])
+
+
+def read_or_error(read, obj):
+    """What ``read`` makes of ``obj``: its value, or its ValueError's text."""
+    try:
+        return read(obj)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(obj=json_values | configuration)
+@example(obj={"n": 2, "points": [{"component": 0, "generic": [1]},
+                                 {"component": 0, "generic": ["1", 0, "-0"], "root": "1/2"}]})
+@example(obj={"n": 1, "I_t": [1, "2", True], "points": [{"component": 0, "mult": 0},
+                                                         {"component": 0, "root": "x"}]})
+def test_configuration_reader_matches_entry_by_entry_oracle(obj):
+    # the same configuration, or the same ValueError text, on every value
+    # the parsers' strategies draw
+    assert read_or_error(jsonio.configuration_from_json, obj) == \
+        read_or_error(configuration_from_json_by_entries, obj)
+
+
+def test_configuration_reader_matches_oracle_on_seeded_configurations():
+    # well-formed files: each drawn configuration is read back equal to itself
+    # by both readers, with its integers spelt as JSON ints and as strings and
+    # its generic vectors cut ragged
+    rng = random.Random(54)
+    for n in range(1, 10):
+        for _ in range(8):
+            c = random_configuration(n, rng)
+            obj = jsonio.configuration_to_json(c)
+            spelt = {**obj, "I_t": [str(i) for i in obj["I_t"]],
+                     "points": [{**p, "generic": [str(x) for x in p["generic"]],
+                                 "mult": str(p["mult"])} for p in obj["points"]]}
+            ragged = {**obj, "points": [{**p, "generic": p["generic"][:-1] if x else p["generic"]}
+                                        for x, p in enumerate(obj["points"])]}
+            for o in (obj, spelt):
+                assert jsonio.configuration_from_json(o) == \
+                    configuration_from_json_by_entries(o) == c, (n, o)
+            assert read_or_error(jsonio.configuration_from_json, ragged) == \
+                read_or_error(configuration_from_json_by_entries, ragged), (n, ragged)
+
+
+def test_configuration_reader_builds_each_record_once(monkeypatch):
+    # a ragged file's records are padded as they are read: one PointRecord
+    # and one UnitValue per record, none built again by CycleConfiguration
+    from toricgit import stabilizers
+    built = []
+    for cls in (stabilizers.PointRecord, stabilizers.UnitValue):
+        real = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, real=real: built.append(type(self).__name__)
+                            or real(self))
+    c = jsonio.configuration_from_json({"n": 3, "points": [
+        {"component": 0, "generic": [1]}, {"component": 0, "generic": [0, 1, 0]},
+        {"component": 0, "generic": []}]})
+    assert [p.position.generic for p in c.points] == [(1, 0, 0), (0, 1, 0), (0, 0, 0)]
+    assert Counter(built) == {"PointRecord": 3, "UnitValue": 3}
+    built.clear()
+    configuration_from_json_by_entries({"n": 2, "points": [
+        {"component": 0, "generic": [1]}, {"component": 0, "generic": [0, 1]}]})
+    assert Counter(built) == {"PointRecord": 4, "UnitValue": 4}  # the spy sees a rebuild
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(value=st.text(alphabet="0123456789+-/ ._e\u0663", max_size=7) | st.integers() | scalars)
+@example(value="-06/4")
+@example(value="+0/007")
+def test_rational_reader_matches_fraction_oracle(value):
+    # the Fraction built from the match's two ints is the one Fraction(str) parses
+    assert read_or_error(jsonio.parse_rational, value) == \
+        read_or_error(parse_rational_by_fraction, value)
 
 
 @pytest.mark.parametrize("field", [{"mult": 1.5}, {"mult": True}, {"component": 0.0},

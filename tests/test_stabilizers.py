@@ -517,6 +517,64 @@ def test_ragged_json_generics_padding_is_enforced():
         config([[1], [1, 0]], roots=("1/2", "2/4"))
 
 
+def wide_generics(c: CycleConfiguration, rng: random.Random, bound: int) -> CycleConfiguration:
+    """``c`` with each generic vector replaced by one of three drawn vectors
+    of its own width, their entries negative and positive, up to ``bound`` in
+    size, ±bound among them; None when two records then share a position."""
+    pool = [tuple(rng.choice((-bound, bound, rng.randint(-bound, bound)))
+                  for _ in c.points[0].position.generic) for _ in range(3)]
+    drawn = {}
+    pts = tuple(dataclasses.replace(p, position=UnitValue(
+        p.position.root, drawn.setdefault(p.position.generic, rng.choice(pool))))
+        for p in c.points)
+    try:
+        return CycleConfiguration(c.n, c.I_t, pts)
+    except ValueError:
+        return None
+
+
+def classes_by_tuple_keys(q: QuotientPoint) -> list[list[int]]:
+    """The ratio classes keyed by (segment, root prefix, generic prefix as a
+    tuple, label), in the order of their first slots."""
+    classes: dict[tuple, list[int]] = {}
+    for x in range(q.n):
+        key = (q.zero_count[x], q.prefix_root[x], q.prefix_gen[x], q.a1_codes[x])
+        classes.setdefault(key, []).append(x)
+    return list(classes.values())
+
+
+def test_int_image_keys_match_tuple_keys_enforced():
+    """The generic prefixes as ints in balanced base 6M + 3 give the classes
+    and the images that the tuple keys give, on both slot layouts, with
+    generic entries of either sign up to ±10^6 and prefix sums beyond them,
+    and with entries up to ±2, where a smaller base would let a key's sum
+    alias another slot's prefix.  The one width the digits need is checked by
+    an explicit raise, so also under python -O."""
+    rng, seen = random.Random(54), 0
+    for n in range(1, 13):
+        for bound in (10 ** 6, 2) * 8:
+            c = wide_generics(random_configuration(n, rng), rng, bound)
+            if c is None:
+                continue
+            for q in (project_to_quotient(c), sorted_layout(c)):
+                assert _image_lookup(q)[1] == classes_by_tuple_keys(q), c
+                assert expanded_lookup(q) == image_tables_by_pairs(q), c
+                seen += max(map(abs, sum(q.prefix_gen, ()))) > 10 ** 6
+    assert seen > 50   # prefix sums beyond the entries' bound are reached
+    # a key's digits reach 3M: with M = 2, P[2] + P[1] - P[0] = (3, 0) is
+    # -2 + 1·5, slot 3's prefix (-2, 1), in base 2M + 1 = 5, and no prefix in
+    # base 15, so slot 3 is no image of slot 1 after slot 0 maps to 2
+    q = QuotientPoint(n=4, denom=1, zero=(True,) + (False,) * 3 + (True,),
+                      prefix_root=(0,) * 4, prefix_gen=((0, 0), (1, 0), (2, 0), (-2, 1)),
+                      zero_count=(0,) * 4, a1_codes=(0,) * 4)
+    assert 3 not in _image_lookup(q)[0](1, 2)
+    assert expanded_lookup(q) == image_tables_by_pairs(q)
+    q = project_to_quotient(example_one())
+    ragged = dataclasses.replace(q, prefix_gen=q.prefix_gen[:-1] + (q.prefix_gen[-1][:-1],))
+    with pytest.raises(ValueError, match="one width"):
+        _image_lookup(ragged)
+
+
 def test_stab_finds_each_shift_group_once(tmp_path, capsys, monkeypatch):
     # the order-9 example has two occupied components: one shift group each,
     # shared by the torus factors and the slot layout
@@ -827,7 +885,7 @@ def test_search_matches_full_enumeration():
         # one representative per coset, its lexicographic minimum, in order
         assert list(stab.reps) == sorted(set(stab.reps))
         for r in stab.reps:
-            assert all(r <= compose(r, h) for h in stab.young.elements())
+            assert all(r <= p for p in stab.young.coset(r))
 
 
 def test_sym_stabilizers_match_oracle():
@@ -848,8 +906,7 @@ def test_sym_stabilizers_match_oracle():
         # counts below |Stab| run the token search, the others sort Stab
         for count in (1, len(o.stab) - 1, 50, len(o.stab)):
             if count <= 720:
-                assert [cycle_notation(p) for p in
-                        s.stab.first_in_cycle_notation_order(count)] == notations[:count], c
+                assert s.stab.first_cycle_notations(count) == notations[:count], c
 
 
 def test_young_blocks_are_the_ratio_classes():
@@ -901,8 +958,31 @@ def test_stab_generators_two_digit_labels(tmp_path, capsys):
     path.write_text(json.dumps(jsonio.configuration_to_json(c)))
     assert cli.main(["stab", str(path), "--brute-force-max", "10"]) == 0
     out = json.loads(capsys.readouterr().out)
+    notations = sorted(cycle_notation(p) for p in stab)
     assert out["stab_order"] == len(stab) == 864
-    assert out["stab_generators"] == sorted(cycle_notation(p) for p in stab)[:50]
+    assert out["stab_generators"] == notations[:50]
+    # the string search itself, below and at |Stab|
+    union = sym_stabilizers(enc).stab
+    for count in (1, 2, 10, 49, 51, 863, 864):
+        assert union.first_cycle_notations(count) == notations[:count], count
+
+
+def test_stab_prints_the_searched_strings(tmp_path, capsys, monkeypatch):
+    """On the (8,) fiber, |Stab| = 8! is above the 50 strings printed: the
+    token search writes them, and ``cycle_notation`` is never called."""
+    c = degenerate_fiber((8,))
+    expected = sorted(map(cycle_notation, sym_stabilizers(project_to_quotient(c)).stab))[:50]
+    calls = Counter()
+    real = groups.cycle_notation
+    monkeypatch.setattr(groups, "cycle_notation", lambda p: calls.update(["call"]) or real(p))
+    path = tmp_path / "deg8.json"
+    path.write_text(json.dumps(jsonio.configuration_to_json(c)))
+    assert cli.main(["stab", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["stab_generators"] == expected
+    assert calls["call"] == 0
+    # the spy sees the sorted route, which one short listing takes
+    assert CosetUnion(((1, 0),), YoungSubgroup(2, ())).first_cycle_notations(50) == ["(1 2)"]
+    assert calls["call"] == 1
 
 
 def test_toric_oracle_agrees():
@@ -1033,4 +1113,4 @@ def test_orders_beyond_len_limit():
     assert rep.passed
     assert rep.stab_order == rep.stab0_order == factorial(21)
     sym = sym_stabilizers(project_to_quotient(c))
-    assert len(sym.stab.first_in_cycle_notation_order(3)) == 3
+    assert len(sym.stab.first_cycle_notations(3)) == 3
